@@ -20,7 +20,6 @@ from .domain import (
     TimingConstants,
     dump_scenario,
     load_scenario,
-    slot_durations,
 )
 from .metrics import (
     EnergyBreakdown,
@@ -53,7 +52,7 @@ __all__ = [
     "evolve_population", "expected_tcop", "load_scenario", "optimize",
     "plan_for", "prob_no_transmission", "prob_single_transmission",
     "prob_success_given_busy", "run_csma", "run_hybrid", "run_tdma",
-    "simulate_cop_slots", "slot_durations", "tcop_hessian", "utility_grid",
+    "simulate_cop_slots", "tcop_hessian", "utility_grid",
     "write_device_csv", "write_frame_csv",
 ]
 

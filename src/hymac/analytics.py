@@ -184,18 +184,63 @@ def expected_tcop(m: int, mix: ContentionMixture, tc: TimingConstants) -> CopExp
     )
 
 
-def success_share(mix: ContentionMixture, index: int) -> float:
-    """Probability that entry `index` owns the lone transmitter, given a
-    successful slot."""
-    return success_shares(mix)[index]
-
-
 def success_shares(mix: ContentionMixture) -> list[float]:
+    """Probability that each entry owns the lone transmitter, given a
+    successful slot."""
     terms = _single_transmitter_terms(mix)
     total = sum(terms)
     if total <= 0.0:
         raise DegenerateMixtureError("no entry can produce a lone transmitter")
     return [t / total for t in terms]
+
+
+# Row-wise forms for a batch of mixtures: one mixture per row of two equally
+# shaped (contending probability, device count) arrays, where a zero count
+# marks an absent entry.  They repeat the scalar arithmetic above step by
+# step and add along a row from left to right, as the scalar sums do, so
+# they differ from the scalar forms only by the last-digit differences
+# between numpy's and the math module's exp, expm1 and log1p.
+
+def ordered_sum(x: np.ndarray) -> np.ndarray:
+    """Sum along the last axis, strictly left to right."""
+    return np.add.accumulate(x, axis=-1)[..., -1]
+
+
+def _lone_transmitter_rows(prob: np.ndarray, counts: np.ndarray):
+    """Row-wise `_single_transmitter_terms`, `prob_no_transmission` and
+    `_prob_busy`: returns (terms, p_idle, p_busy)."""
+    present = counts > 0
+    certain = present & (prob >= 1.0)
+    zeros = certain.sum(axis=-1)[..., None]
+    log_stay = np.log1p(-prob, out=np.zeros_like(prob), where=prob < 1.0)
+    log_sum = ordered_sum(counts * log_stay)
+    lone_log = np.where(certain, log_sum[..., None], log_sum[..., None] - log_stay)
+    alone = np.where(certain, (counts == 1.0) & (zeros == 1), zeros == 0)
+    terms = np.where(present & alone, counts * prob * np.exp(lone_log), 0.0)
+    uncapped = zeros[..., 0] == 0
+    p_idle = np.where(uncapped, np.exp(log_sum), 0.0)
+    p_busy = np.where(uncapped, -np.expm1(log_sum), 1.0)
+    return terms, p_idle, p_busy
+
+
+def expected_attempt_rows(prob: np.ndarray, counts: np.ndarray,
+                          tc: TimingConstants):
+    """Row-wise ``expected_tcop(1, mix, tc).e_attempt_us``.
+
+    Returns (e_attempt_us, terms, p_lone): the cost is nan where the
+    scalar form raises `DegenerateMixtureError` or
+    `DivergentExpectationError`; terms and their row sum p_lone are the
+    lone-transmitter terms that `success_shares` normalizes.
+    """
+    terms, p_idle, p_busy = _lone_transmitter_rows(prob, counts)
+    p_lone = ordered_sum(terms)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p_succ = np.minimum(1.0, p_lone / p_busy)
+        e_nc = 1.0 / p_succ - 1.0
+        e_idle = tc.delta_idle_us * p_idle / p_busy
+        e_attempt = (e_nc + 1.0) * e_idle + e_nc * tc.delta_coll_us + tc.delta_succ_us
+    undefined = (p_busy <= 0.0) | (p_succ <= 0.0)
+    return np.where(undefined, np.nan, e_attempt), terms, p_lone
 
 
 def expected_new_arrivals(empty_count: float, arrival_rate: float,

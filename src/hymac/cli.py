@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,16 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         return tuple(int(s) for s in text.split(",") if s)
     except ValueError as exc:
         raise ConfigError(f"bad seed list {text!r}") from exc
+
+
+def _parse_workers(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError as exc:
+        raise ConfigError(f"HYMAC_WORKERS must be an integer, got {text!r}") from exc
+    if workers < 1:
+        raise ConfigError(f"HYMAC_WORKERS must be at least 1, got {workers}")
+    return workers
 
 
 def _parse_sweep(text: str) -> dict[str, list[float]]:
@@ -110,7 +121,9 @@ def _run_one(task):
     from .domain import scenario_from_dict
     sc = scenario_from_dict(sc_doc)
     if variant == "hybrid":
-        return simulator.run_hybrid(sc.classes, sc.timing, plan, sc.horizon, seed,
+        # contend at the planned cell, not the scenario's starting point
+        cfg = replace(sc.classes, alpha=plan.alpha_opt, p_inl=plan.p_inl_opt)
+        return simulator.run_hybrid(cfg, sc.timing, plan, sc.horizon, seed,
                                     escalation=sc.escalation,
                                     collect_traces=collect_traces)
     if variant == "csma":
@@ -125,6 +138,7 @@ def _cmd_run(args) -> int:
         yaml.safe_dump(scenario_to_dict(sc), sys.stdout, sort_keys=False)
         return EXIT_OK
 
+    workers = _parse_workers(os.environ.get("HYMAC_WORKERS", "1"))
     variants = ["hybrid", "csma", "tdma"] if sc.variant == "all" else [sc.variant]
     plan = None
     if "hybrid" in variants:
@@ -144,7 +158,6 @@ def _cmd_run(args) -> int:
         if plan is not None and not args.plan:
             optimizer.dump_plan(plan, out_dir / "plan.yaml")
 
-    workers = int(os.environ.get("HYMAC_WORKERS", "1"))
     sc_doc = scenario_to_dict(sc)
     for variant in variants:
         tasks = [(variant, sc_doc, plan, seed, args.trace and variant == "hybrid")

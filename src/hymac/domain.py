@@ -58,11 +58,6 @@ class TimingConstants:
         return self.t_req_us + self.sifs_us + self.t_ack_us + self.bifs_us
 
 
-def slot_durations(tc: TimingConstants) -> tuple[float, float, float]:
-    """Idle, collision and success contention-slot lengths in us."""
-    return tc.delta_idle_us, tc.delta_coll_us, tc.delta_succ_us
-
-
 @dataclass(frozen=True)
 class ClassConfig:
     """Priority-class layout and contention parameters.
@@ -130,11 +125,6 @@ class PopulationState:
             rho = q + d - 1
             agg[rho] = agg.get(rho, 0.0) + n
         return agg
-
-    @property
-    def theta(self) -> int:
-        vc = self.virtual_counts
-        return max(vc) if vc else 0
 
     @property
     def total(self) -> float:

@@ -12,17 +12,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import yaml
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .analytics import (
     ContentionMixture,
     DegenerateMixtureError,
     DivergentExpectationError,
+    expected_attempt_rows,
     expected_new_arrivals,
     expected_tcop,
+    ordered_sum,
     success_shares,
 )
 from .domain import ClassConfig, PopulationState, TimingConstants
+from .priority import escalated_probability
 
 DEFAULT_ALPHA_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 2.0, 3.0, 4.0, 5.0)
 DEFAULT_P_INL_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -200,33 +205,93 @@ def plan_for(cfg: ClassConfig, tc: TimingConstants, horizon: int,
                      per_frame=tuple(decisions), utility=utility)
 
 
+def _grid_winners(cfg: ClassConfig, tc: TimingConstants, horizon: int,
+                  alpha_grid, p_inl_grid) -> np.ndarray:
+    """Per-frame winner counts of every (alpha, p_inl) cell, shaped
+    (cells, horizon), with alpha the outer and p_inl the inner loop.
+
+    Runs the recursion of `plan_for` (`max_feasible_m`, then
+    `evolve_population`) for all cells at once.  The state is one array
+    of expected actives per (cell, class q, failure count d); shifted adds
+    give the virtual classes rho = q + d - 1.  Sums run in the order the
+    scalar path adds, `_apportion_winners` splits each cell's winners, and
+    the counts below `_COUNT_EPS` are dropped as there, so every row
+    equals the m_opt sequence of `plan_for` for its cell.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be at least one frame")
+    cells = [(a, p) for a in alpha_grid for p in p_inl_grid]
+    sizes = np.array(cfg.class_sizes, dtype=float)
+    n_q = len(sizes)
+    prob = np.array([[escalated_probability(rho, a, p) for rho in range(n_q + horizon - 1)]
+                     for a, p in cells]).reshape(len(cells), n_q + horizon - 1)
+    g = cfg.arrival_probability(tc)
+    pop = np.zeros((len(cells), n_q, horizon))
+    pop[:, :, 0] = sizes * g
+    wins = np.zeros((len(cells), horizon), dtype=np.int64)
+    for t in range(horizon):
+        width = t + 1  # failure counts 0..t can be occupied in frame t
+        vc = np.zeros((len(cells), n_q + t))
+        for q in range(n_q):
+            vc[:, q:q + width] += pop[:, q, :width]
+
+        # max_feasible_m
+        e_attempt, terms, p_lone = expected_attempt_rows(prob[:, :n_q + t], vc, tc)
+        total = np.floor(ordered_sum(vc) + _COUNT_EPS)
+        with np.errstate(invalid="ignore"):
+            fit = np.floor(tc.t_frame_us / (e_attempt + tc.t_r_us))
+        m = np.where((total > 0) & np.isfinite(e_attempt),
+                     np.minimum(total, fit), 0.0).astype(np.int64)
+        wins[:, t] = m
+        if width == horizon:
+            break
+
+        # evolve_population
+        won = np.zeros_like(vc)
+        for c in np.flatnonzero(m):
+            occupied = np.flatnonzero(vc[c] > 0)
+            quotas = m[c] * (terms[c, occupied] / p_lone[c])
+            won[c, occupied] = _apportion_winners(quotas.tolist(), vc[c, occupied].tolist(),
+                                                  int(m[c]))
+        now = pop[:, :, :width]
+        vc_qd = sliding_window_view(vc, width, axis=1)  # [c, q, d] = vc[c, q + d]
+        cell_w = np.divide(sliding_window_view(won, width, axis=1) * now, vc_qd,
+                           out=np.zeros_like(now), where=vc_qd > 0)
+        left = np.maximum(0.0, now - cell_w)
+        pop[:, :, 1:width + 1] = np.where(left > _COUNT_EPS, left, 0.0)
+        # survivors are summed from the most failures down, as inserted
+        active = ordered_sum(pop[:, :, width:0:-1])
+        arrivals = np.maximum(0.0, sizes - active) * g
+        pop[:, :, 0] = np.where(arrivals > _COUNT_EPS, arrivals, 0.0)
+    return wins
+
+
 def optimize(cfg: ClassConfig, tc: TimingConstants, horizon: int,
              alpha_grid=DEFAULT_ALPHA_GRID,
              p_inl_grid=DEFAULT_P_INL_GRID) -> FramePlan:
     """Best plan over the (alpha, p_inl) grid.
 
-    Ties are broken toward the lexicographically smallest (alpha, p_inl)
-    so the search is deterministic regardless of evaluation order.
+    Ties are broken toward the first cell in (alpha, p_inl) grid order, so
+    the search is deterministic.  The winning cell's plan is rebuilt by
+    `plan_for`.
     """
-    best: FramePlan | None = None
-    for alpha in alpha_grid:
-        for p_inl in p_inl_grid:
-            plan = plan_for(cfg, tc, horizon, alpha, p_inl)
-            if best is None or plan.utility > best.utility + 1e-15:
-                best = plan
+    grid = utility_grid(cfg, tc, horizon, alpha_grid, p_inl_grid)
+    best = None
+    for cell, utility in grid.items():
+        if best is None or utility > grid[best] + 1e-15:
+            best = cell
     if best is None:
         raise NoFeasiblePointError("empty parameter grid")
-    return best
+    return plan_for(cfg, tc, horizon, *best)
 
 
 def utility_grid(cfg: ClassConfig, tc: TimingConstants, horizon: int,
                  alpha_grid=DEFAULT_ALPHA_GRID,
                  p_inl_grid=DEFAULT_P_INL_GRID) -> dict[tuple[float, float], float]:
     """Analytic utility of every grid cell (for sweep tables)."""
-    return {
-        (alpha, p_inl): plan_for(cfg, tc, horizon, alpha, p_inl).utility
-        for alpha in alpha_grid for p_inl in p_inl_grid
-    }
+    wins = _grid_winners(cfg, tc, horizon, alpha_grid, p_inl_grid)
+    cells = [(a, p) for a in alpha_grid for p in p_inl_grid]
+    return {cell: channel_utility(row.tolist(), tc) for cell, row in zip(cells, wins)}
 
 
 def dump_plan(plan: FramePlan, path) -> None:

@@ -40,7 +40,11 @@ def escalated_probability(rho: int, alpha: float, p_inl: float) -> float:
         raise ValueError("alpha must be strictly positive")
     if rho < 0:
         raise ValueError("virtual class must be >= 0")
-    return min(1.0, (1.0 + alpha) ** rho * p_inl)
+    try:
+        scale = (1.0 + alpha) ** rho
+    except OverflowError:  # far above the cap, e.g. alpha = 5 from rho = 397
+        return 1.0
+    return min(1.0, scale * p_inl)
 
 
 def contending_probability(q: int, d: int, alpha: float, p_inl: float) -> float:

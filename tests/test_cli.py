@@ -1,5 +1,6 @@
 import yaml
 
+from hymac import optimizer, simulator
 from hymac.cli import EXIT_CONFIG, EXIT_OK, EXIT_USAGE, main
 
 SCENARIO = {
@@ -113,3 +114,36 @@ def test_validate(capsys):
     assert main(["validate"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_run_simulates_the_planned_cell(tmp_path, capsys, monkeypatch):
+    # the plan moves away from the scenario's (alpha, p_inl) = (1.0, 0.05)
+    doc = {"classes": {"sizes": [30, 10], "p_inl": 0.05, "alpha": 1.0},
+           "arrival": {"lambda": 0.2},
+           "protocol": {"variant": "hybrid", "horizon": 50, "seeds": [1]}}
+    path = write_scenario(tmp_path, doc)
+    simulated = []
+    run_hybrid = simulator.run_hybrid
+
+    def spy(cfg, *args, **kwargs):
+        simulated.append(cfg)
+        return run_hybrid(cfg, *args, **kwargs)
+
+    monkeypatch.delenv("HYMAC_WORKERS", raising=False)
+    monkeypatch.setattr(simulator, "run_hybrid", spy)
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == EXIT_OK
+    plan = optimizer.load_plan(out / "plan.yaml")
+    assert (plan.alpha_opt, plan.p_inl_opt) == (0.5, 0.1)
+    assert [(c.alpha, c.p_inl) for c in simulated] == [(0.5, 0.1)]
+
+
+def test_bad_workers_env_is_config_error(tmp_path, capsys, monkeypatch):
+    path = write_scenario(tmp_path)
+    planned = []
+    monkeypatch.setattr(optimizer, "optimize", lambda *a, **kw: planned.append(a))
+    for value in ("x", "1.5", "0", "-2"):
+        monkeypatch.setenv("HYMAC_WORKERS", value)
+        assert main(["run", "--scenario", str(path)]) == EXIT_CONFIG
+        assert "HYMAC_WORKERS" in capsys.readouterr().err
+    assert planned == []  # rejected before planning

@@ -12,18 +12,16 @@ from hymac.domain import (
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    slot_durations,
     timing_from_dict,
 )
 
 
 def test_default_slot_durations(tc):
-    d_idle, d_coll, d_succ = slot_durations(tc)
-    assert d_idle == 10.0
+    assert tc.delta_idle_us == 10.0
     # Tran-REQ + BIFS
-    assert d_coll == pytest.approx(22.2 + 7.5)
+    assert tc.delta_coll_us == pytest.approx(22.2 + 7.5)
     # Tran-REQ + SIFS + ACK + BIFS
-    assert d_succ == pytest.approx(22.2 + 2.5 + 7.5 + 7.5)
+    assert tc.delta_succ_us == pytest.approx(22.2 + 2.5 + 7.5 + 7.5)
 
 
 def test_default_constants_units(tc):
@@ -62,7 +60,7 @@ def test_population_state_aggregation():
                           counts={(1, 0): 3.0, (2, 0): 2.0, (1, 1): 4.0, (3, 2): 1.0})
     # (2, 0) and (1, 1) share virtual class 1
     assert pop.virtual_counts == {0: 3.0, 1: 6.0, 4: 1.0}
-    assert pop.theta == 4
+    assert max(pop.virtual_counts) == 4  # highest occupied virtual class
     assert pop.total == pytest.approx(10.0)
 
 

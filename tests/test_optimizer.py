@@ -1,14 +1,19 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hymac.analytics import ContentionMixture, expected_tcop
-from hymac.domain import ClassConfig, PopulationState
+from hymac.domain import ClassConfig, PopulationState, TimingConstants
 from hymac.optimizer import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_P_INL_GRID,
     InfeasibleWinnersError,
+    NoFeasiblePointError,
     _apportion_winners,
+    _grid_winners,
     channel_utility,
     dump_plan,
     evolve_population,
@@ -182,3 +187,71 @@ def test_plan_roundtrip(tc, small_cfg, tmp_path):
     assert [d.m_opt for d in back.per_frame] == [d.m_opt for d in plan.per_frame]
     assert [d.t_cop_opt_us for d in back.per_frame] == \
         pytest.approx([d.t_cop_opt_us for d in plan.per_frame])
+
+
+# The batched grid evaluator against the per-cell recursion it replaces.
+
+def _loop_optimize(plans):
+    """The per-cell search `optimize` ran before the batched evaluator."""
+    best = None
+    for plan in plans:
+        if best is None or plan.utility > best.utility + 1e-15:
+            best = plan
+    return best
+
+
+def _assert_grid_matches(cfg, tc, horizon, alpha_grid, p_inl_grid):
+    plans = [plan_for(cfg, tc, horizon, a, p) for a in alpha_grid for p in p_inl_grid]
+    wins = _grid_winners(cfg, tc, horizon, alpha_grid, p_inl_grid)
+    assert wins.shape == (len(plans), horizon)
+    for plan, row in zip(plans, wins):
+        assert row.tolist() == [d.m_opt for d in plan.per_frame], \
+            (plan.alpha_opt, plan.p_inl_opt)
+    grid = utility_grid(cfg, tc, horizon, alpha_grid, p_inl_grid)
+    for plan in plans:
+        utility = grid[(plan.alpha_opt, plan.p_inl_opt)]
+        assert type(utility) is float and utility == plan.utility
+    assert optimize(cfg, tc, horizon, alpha_grid, p_inl_grid) == _loop_optimize(plans)
+    return wins
+
+
+@settings(max_examples=150, deadline=None)
+@given(sizes=st.lists(st.integers(0, 40), min_size=1, max_size=3),
+       lam=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+       alpha_grid=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=3),
+       p_inl_grid=st.lists(st.one_of(st.just(1.0), st.floats(1e-4, 1.0)),
+                           min_size=1, max_size=3),
+       horizon=st.integers(1, 30))
+def test_grid_winners_match_plan_for(sizes, lam, alpha_grid, p_inl_grid, horizon):
+    cfg = ClassConfig(class_sizes=tuple(sizes), p_inl=0.1, alpha=1.0,
+                      arrival_rate=lam)
+    _assert_grid_matches(cfg, TimingConstants(), horizon, alpha_grid, p_inl_grid)
+
+
+def _layout(k):
+    return ClassConfig(class_sizes=(k - 20, 10, 10), p_inl=0.1, alpha=1.0,
+                       arrival_rate=1.0)
+
+
+@pytest.mark.parametrize("k", [500, 800, 1200])
+def test_grid_winners_default_grid(tc, k):
+    _assert_grid_matches(_layout(k), tc, 200, DEFAULT_ALPHA_GRID, DEFAULT_P_INL_GRID)
+
+
+def test_grid_winners_resolving_grid(tc):
+    p_inl_grid = tuple(np.geomspace(1e-4, 1e-2, 7).tolist())
+    wins = _assert_grid_matches(_layout(1200), tc, 200, (0.5, 1.0, 2.0), p_inl_grid)
+    assert wins.max() > 400  # hundreds of winners per frame
+
+
+def test_grid_winners_past_escalation_overflow(tc):
+    # (1 + 5) ** rho overflows a float from rho = 397, which the largest
+    # virtual class of the three-class layout reaches in frame 396
+    plan = plan_for(_layout(1200), tc, 420, 5.0, 0.1)
+    wins = _grid_winners(_layout(1200), tc, 420, (5.0,), (0.1,))
+    assert wins[0].tolist() == [d.m_opt for d in plan.per_frame]
+
+
+def test_optimize_empty_grid(tc, small_cfg):
+    with pytest.raises(NoFeasiblePointError):
+        optimize(small_cfg, tc, 5, (), (0.1,))

@@ -35,6 +35,15 @@ def test_cap_at_one():
     assert escalated_probability(50, 4.0, 0.9) == 1.0
 
 
+def test_overflowing_escalation_is_capped():
+    # 6.0 ** 397 exceeds the largest float
+    assert escalated_probability(397, 5.0, 0.1) == 1.0
+    assert escalated_probability(10_000, 0.5, 1e-6) == 1.0
+    for rho in range(397):
+        assert escalated_probability(rho, 5.0, 1e-300) == \
+            min(1.0, (1.0 + 5.0) ** rho * 1e-300)
+
+
 def test_argument_validation():
     with pytest.raises(ValueError):
         escalated_probability(0, 1.0, 0.0)
