@@ -39,21 +39,20 @@ from .optimizer import (
     plan_for,
     utility_grid,
 )
-from .priority import ContentionIdentity, contending_probability, escalated_probability
+from .priority import escalated_probability
 from .simulator import SimReport, run_csma, run_hybrid, run_tdma, simulate_cop_slots
 
 __all__ = [
-    "ClassConfig", "ConfigError", "ContentionIdentity", "ContentionMixture",
-    "CopExpectation", "DegenerateMixtureError", "DivergentExpectationError",
-    "EnergyBreakdown", "FrameDecision", "FramePlan", "PopulationState",
-    "Scenario", "SimReport", "TimingConstants", "asymptotic_tcop", "avg_delay",
-    "channel_utility", "channel_utility_of", "contending_probability",
-    "drop_ratio", "dump_scenario", "energy_per_frame", "escalated_probability",
-    "evolve_population", "expected_tcop", "load_scenario", "optimize",
-    "plan_for", "prob_no_transmission", "prob_single_transmission",
-    "prob_success_given_busy", "run_csma", "run_hybrid", "run_tdma",
-    "simulate_cop_slots", "tcop_hessian", "utility_grid",
-    "write_device_csv", "write_frame_csv",
+    "ClassConfig", "ConfigError", "ContentionMixture", "CopExpectation",
+    "DegenerateMixtureError", "DivergentExpectationError", "EnergyBreakdown",
+    "FrameDecision", "FramePlan", "PopulationState", "Scenario", "SimReport",
+    "TimingConstants", "asymptotic_tcop", "avg_delay", "channel_utility",
+    "channel_utility_of", "drop_ratio", "dump_scenario", "energy_per_frame",
+    "escalated_probability", "evolve_population", "expected_tcop",
+    "load_scenario", "optimize", "plan_for", "prob_no_transmission",
+    "prob_single_transmission", "prob_success_given_busy", "run_csma",
+    "run_hybrid", "run_tdma", "simulate_cop_slots", "tcop_hessian",
+    "utility_grid", "write_device_csv", "write_frame_csv",
 ]
 
 __version__ = "0.1.0"

@@ -194,12 +194,13 @@ def plan_for(cfg: ClassConfig, tc: TimingConstants, horizon: int,
         raise ValueError("horizon must be at least one frame")
     pop = initial_population(cfg, tc)
     decisions = []
-    for _ in range(horizon):
+    for t in range(horizon):
         mix = mixture_of(pop, alpha, p_inl)
         m = max_feasible_m(mix, tc)
         t_cop = expected_tcop(m, mix, tc).e_tcop_us if m > 0 else 0.0
         decisions.append(FrameDecision(m_opt=m, t_cop_opt_us=t_cop, population=pop))
-        pop = evolve_population(pop, m, alpha, p_inl, cfg, tc)
+        if t + 1 < horizon:  # no frame follows the last one
+            pop = evolve_population(pop, m, alpha, p_inl, cfg, tc)
     utility = channel_utility([d.m_opt for d in decisions], tc)
     return FramePlan(alpha_opt=alpha, p_inl_opt=p_inl,
                      per_frame=tuple(decisions), utility=utility)

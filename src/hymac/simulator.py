@@ -239,54 +239,125 @@ def simulate_cop_slots(counts_by_prob: list[tuple[float, int]], tc: TimingConsta
     return run_cop(rng, counts, probs, tc, drain=False, max_slots=n_slots)
 
 
-def _draw_arrivals(rng: np.random.Generator, k: int, rate_per_us: float,
-                   t_frame_us: float):
-    """Per-device sorted arrival times for one frame."""
-    counts = rng.poisson(rate_per_us * t_frame_us, size=k)
-    total = int(counts.sum())
-    flat = rng.random(total) * t_frame_us
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    times = []
-    for dev in range(k):
-        seg = flat[offsets[dev]:offsets[dev + 1]]
-        times.append(np.sort(seg) if len(seg) > 1 else seg)
-    return counts, times
+@dataclass
+class _Buffers:
+    """Every device's one-packet buffer and packet counters, as arrays."""
+
+    full: np.ndarray        # a packet is waiting
+    k1: np.ndarray          # frame in which the waiting packet arrived
+    generated: np.ndarray
+    dropped: np.ndarray
+    delivered: np.ndarray
+    delay_sum: np.ndarray   # frames from arrival to delivery, summed
+
+    @classmethod
+    def empty(cls, k: int) -> _Buffers:
+        counters = (np.zeros(k, dtype=np.int64) for _ in range(5))
+        return cls(np.zeros(k, dtype=bool), *counters)
 
 
-def _warm_up(rng: np.random.Generator, k: int, rate_per_us: float,
-             t_frame_us: float, buf_full, buf_k1, generated, dropped) -> None:
-    """One arrival frame before the first protocol frame, so frame 0
-    starts with the stationary share of active devices."""
-    counts = rng.poisson(rate_per_us * t_frame_us, size=k)
-    generated += counts
-    got = counts > 0
-    buf_full[got] = True
-    buf_k1[got] = -1
-    dropped += np.maximum(0, counts - 1)
+def _start(variant: str, cfg: ClassConfig, tc: TimingConstants, frames: int,
+           seed: int, *, warm_up: bool = True, traces: bool = False):
+    """Seeded RNG, empty buffers and the report that shares their arrays.
 
-
-def _apply_frame_traffic(frame: int, dev: int, arr_times, deliver_t: float | None,
-                         buf_full, buf_k1, dropped, delivered, delay_sum):
-    """Chronological buffer bookkeeping for one device in one frame.
-
-    A packet arriving at a full buffer replaces it and drops the old one;
-    a delivery empties the buffer and records the frame-count delay.
+    The warm-up is one arrival frame before the first protocol frame, so
+    frame 0 starts with the stationary share of active devices.
     """
-    i = 0
-    if deliver_t is not None:
-        while i < len(arr_times) and arr_times[i] < deliver_t:
-            dropped[dev] += 1  # replacement while still waiting for the slot
-            buf_k1[dev] = frame
-            i += 1
-        delivered[dev] += 1
-        delay_sum[dev] += frame - buf_k1[dev]
-        buf_full[dev] = False
-    while i < len(arr_times):
-        if buf_full[dev]:
-            dropped[dev] += 1
-        buf_full[dev] = True
-        buf_k1[dev] = frame
-        i += 1
+    k = cfg.total_devices
+    rng = np.random.default_rng(seed)
+    buf = _Buffers.empty(k)
+    report = SimReport(variant=variant, seed=seed, frames=frames, tc=tc, cfg=cfg,
+                       device_class=_device_classes(cfg), generated=buf.generated,
+                       dropped=buf.dropped, delivered=buf.delivered,
+                       delay_frames_sum=buf.delay_sum,
+                       traces=[] if traces else None)
+    if warm_up:
+        counts = rng.poisson(_mean_arrivals(cfg, tc), size=k)
+        buf.generated += counts
+        _arrive(-1, counts, buf)
+    return rng, buf, report
+
+
+def _mean_arrivals(cfg: ClassConfig, tc: TimingConstants) -> float:
+    return cfg.arrival_rate / US_PER_S * tc.t_frame_us
+
+
+def _poisson_arrivals(rng: np.random.Generator, cfg: ClassConfig,
+                      tc: TimingConstants):
+    """One frame of arrivals: per-device counts, then the owner and the
+    (unsorted) time of every arrival."""
+    counts = rng.poisson(_mean_arrivals(cfg, tc), size=cfg.total_devices)
+    times = rng.random(int(counts.sum())) * tc.t_frame_us
+    return counts, np.repeat(np.arange(cfg.total_devices), counts), times
+
+
+def _scripted_arrivals(script: dict, k: int):
+    """``{device: arrival times}`` as the arrays of `_poisson_arrivals`."""
+    counts = np.zeros(k, dtype=np.int64)
+    owner: list[int] = []
+    times: list[float] = []
+    for dev, dev_times in script.items():
+        counts[dev] = len(dev_times)
+        owner += [dev] * len(dev_times)
+        times += [float(t) for t in dev_times]
+    return counts, np.array(owner, dtype=np.int64), np.array(times, dtype=float)
+
+
+def _service_rounds(k: int, devices: np.ndarray, instants_us) -> np.ndarray:
+    """Service instants as a (rounds, K) array padded with +inf.
+
+    The j-th instant of the frame goes to round j // K.  Distinct devices
+    (hybrid and csma winners, at most K) all fall in round 0; TDMA's cyclic
+    slot owners repeat every K slots, so a device owning several slots of
+    one frame is served once per round, in time order.
+    """
+    rounds = -(-len(devices) // k) if len(devices) else 0
+    grid = np.full((rounds, k), np.inf)
+    grid[np.arange(len(devices)) // k, devices] = instants_us
+    return grid
+
+
+def _arrive(frame: int, n: np.ndarray, buf: _Buffers) -> None:
+    """``n[dev]`` packets reach each buffer between two services.  Each
+    replaces the one waiting, so all but the last are dropped, and the
+    last one is buffered."""
+    got = n > 0
+    buf.dropped += np.where(got, n - 1 + buf.full, 0)
+    buf.full |= got
+    buf.k1[got] = frame
+
+
+def _settle_frame(frame: int, counts: np.ndarray, owner: np.ndarray,
+                  times: np.ndarray, service_us: np.ndarray,
+                  buf: _Buffers) -> tuple[int, int]:
+    """Apply one frame of arrivals and services to every buffer at once.
+
+    ``counts[dev]`` arrivals belong to each device; ``owner[i]`` and
+    ``times[i]`` give each arrival's device and time.  ``service_us`` has
+    one row per service round (see `_service_rounds`): a device's finite
+    instants come first and increase down the rows.  An arrival strictly
+    before a service instant is buffered before it; one at the instant or
+    later comes after.  A service delivers a full buffer and empties it,
+    and finds an empty one idle.  Returns (delivered, idle services).
+    """
+    k = len(counts)
+    buf.generated += counts
+    n_delivered = n_idle = 0
+    seen = np.zeros(k, dtype=np.int64)
+    for instants in service_us:
+        before = np.bincount(owner[times < instants[owner]], minlength=k)
+        _arrive(frame, before - seen, buf)
+        seen = before
+        served = np.isfinite(instants)
+        hit = served & buf.full
+        n_hit = int(hit.sum())
+        n_delivered += n_hit
+        n_idle += int(served.sum()) - n_hit
+        buf.delivered += hit
+        buf.delay_sum[hit] += frame - buf.k1[hit]
+        buf.full[hit] = False
+    _arrive(frame, counts - seen, buf)
+    return n_delivered, n_idle
 
 
 def _group_actives(active_ids: np.ndarray, q_arr: np.ndarray, d_arr: np.ndarray,
@@ -319,29 +390,16 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
     if len(plan.per_frame) < frames:
         raise PlanMismatchError(
             f"plan covers {len(plan.per_frame)} frames, run needs {frames}")
+    rng, buf, report = _start("hybrid", cfg, tc, frames, seed,
+                              warm_up=arrival_script is None, traces=collect_traces)
     k = cfg.total_devices
-    rng = np.random.default_rng(seed)
-    q_arr = _device_classes(cfg)
+    q_arr = report.device_class
     d_arr = np.zeros(k, dtype=np.int64)
-    buf_full = np.zeros(k, dtype=bool)
-    buf_k1 = np.zeros(k, dtype=np.int64)
-    generated = np.zeros(k, dtype=np.int64)
-    dropped = np.zeros(k, dtype=np.int64)
-    delivered = np.zeros(k, dtype=np.int64)
-    delay_sum = np.zeros(k, dtype=np.int64)
-    rate_per_us = cfg.arrival_rate / US_PER_S
-    report = SimReport(variant="hybrid", seed=seed, frames=frames, tc=tc, cfg=cfg,
-                       device_class=q_arr, generated=generated, dropped=dropped,
-                       delivered=delivered, delay_frames_sum=delay_sum,
-                       traces=[] if collect_traces else None)
     overhead = tc.t_nof_us + tc.t_anc_us
-    if arrival_script is None:
-        _warm_up(rng, k, rate_per_us, tc.t_frame_us,
-                 buf_full, buf_k1, generated, dropped)
 
     for frame in range(frames):
         decision = plan.per_frame[frame]
-        active_ids = np.nonzero(buf_full)[0]
+        active_ids = np.nonzero(buf.full)[0]
         n_active = len(active_ids)
         ev_log: list | None = [] if collect_traces else None
         d_snapshot = d_arr.copy() if collect_traces else None
@@ -388,28 +446,15 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
             d_arr[losers] += 1
         d_arr[winner_arr] = 0
 
+        # winner j sends in TOP slot j and is served at its end
         top_start = tc.t_nof_us + cop.t_elapsed_us + tc.t_anc_us
-        deliver_t = {int(dev): top_start + (j + 1) * tc.t_r_us
-                     for j, dev in enumerate(winner_ids)}
-
+        service = _service_rounds(k, winner_arr,
+                                  top_start + (np.arange(m_real) + 1) * tc.t_r_us)
         if arrival_script is not None:
-            frame_arrivals = arrival_script.get(frame, {})
-            arr_counts = np.zeros(k, dtype=np.int64)
-            arr_times: list = [np.empty(0)] * k
-            for dev, times in frame_arrivals.items():
-                arr_counts[dev] = len(times)
-                arr_times[dev] = np.sort(np.asarray(times, dtype=float))
+            arrivals = _scripted_arrivals(arrival_script.get(frame, {}), k)
         else:
-            arr_counts, arr_times = _draw_arrivals(rng, k, rate_per_us, tc.t_frame_us)
-        generated += arr_counts
-        touched = np.nonzero(arr_counts > 0)[0]
-        for dev in touched:
-            _apply_frame_traffic(frame, dev, arr_times[dev], deliver_t.get(int(dev)),
-                                 buf_full, buf_k1, dropped, delivered, delay_sum)
-        for dev in winner_ids:
-            if arr_counts[dev] == 0:
-                _apply_frame_traffic(frame, int(dev), (), deliver_t[int(dev)],
-                                     buf_full, buf_k1, dropped, delivered, delay_sum)
+            arrivals = _poisson_arrivals(rng, cfg, tc)
+        _settle_frame(frame, *arrivals, service, buf)
 
         winner_wait = sum(cop.t_elapsed_us - t for t in cop.success_times_us[:m_real])
         summary = FrameSummary(
@@ -467,24 +512,11 @@ def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
     contention and a winner sends its data packet immediately."""
     if not 0.0 < p <= 1.0:
         raise ValueError("contending probability must lie in (0, 1]")
+    rng, buf, report = _start("csma", cfg, tc, frames, seed)
     k = cfg.total_devices
-    rng = np.random.default_rng(seed)
-    q_arr = _device_classes(cfg)
-    buf_full = np.zeros(k, dtype=bool)
-    buf_k1 = np.zeros(k, dtype=np.int64)
-    generated = np.zeros(k, dtype=np.int64)
-    dropped = np.zeros(k, dtype=np.int64)
-    delivered = np.zeros(k, dtype=np.int64)
-    delay_sum = np.zeros(k, dtype=np.int64)
-    rate_per_us = cfg.arrival_rate / US_PER_S
-    report = SimReport(variant="csma", seed=seed, frames=frames, tc=tc, cfg=cfg,
-                       device_class=q_arr, generated=generated, dropped=dropped,
-                       delivered=delivered, delay_frames_sum=delay_sum)
-    _warm_up(rng, k, rate_per_us, tc.t_frame_us,
-             buf_full, buf_k1, generated, dropped)
 
     for frame in range(frames):
-        active_ids = np.nonzero(buf_full)[0]
+        active_ids = np.nonzero(buf.full)[0]
         n_active = len(active_ids)
         pool = list(active_ids)
         cop = run_cop(rng, np.array([n_active], dtype=np.int64), np.array([p]), tc,
@@ -495,19 +527,10 @@ def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
             winner_ids.append(int(pool[pick]))
             pool[pick] = pool[-1]
             pool.pop()
-        deliver_t = dict(zip(winner_ids, cop.success_times_us))
 
-        arr_counts, arr_times = _draw_arrivals(rng, k, rate_per_us, tc.t_frame_us)
-        generated += arr_counts
-        touched = np.nonzero(arr_counts > 0)[0]
-        for dev in touched:
-            _apply_frame_traffic(frame, int(dev), arr_times[dev],
-                                 deliver_t.get(int(dev)),
-                                 buf_full, buf_k1, dropped, delivered, delay_sum)
-        for dev in winner_ids:
-            if arr_counts[dev] == 0:
-                _apply_frame_traffic(frame, dev, (), deliver_t[dev],
-                                     buf_full, buf_k1, dropped, delivered, delay_sum)
+        service = _service_rounds(k, np.array(winner_ids, dtype=np.int64),
+                                  cop.success_times_us)
+        _settle_frame(frame, *_poisson_arrivals(rng, cfg, tc), service, buf)
 
         report.per_frame.append(FrameSummary(
             frame=frame, n_active=n_active, m_realized=len(winner_ids),
@@ -523,60 +546,17 @@ def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
 def run_tdma(cfg: ClassConfig, tc: TimingConstants, frames: int, seed: int) -> SimReport:
     """Reservation-only baseline: static cyclic slot ownership spanning
     frames; an owned slot is wasted when the owner's buffer is empty."""
+    rng, buf, report = _start("tdma", cfg, tc, frames, seed)
     k = cfg.total_devices
-    rng = np.random.default_rng(seed)
-    q_arr = _device_classes(cfg)
-    buf_full = np.zeros(k, dtype=bool)
-    buf_k1 = np.zeros(k, dtype=np.int64)
-    generated = np.zeros(k, dtype=np.int64)
-    dropped = np.zeros(k, dtype=np.int64)
-    delivered = np.zeros(k, dtype=np.int64)
-    delay_sum = np.zeros(k, dtype=np.int64)
-    rate_per_us = cfg.arrival_rate / US_PER_S
     slots = int(tc.t_frame_us / tc.t_r_us)
-    report = SimReport(variant="tdma", seed=seed, frames=frames, tc=tc, cfg=cfg,
-                       device_class=q_arr, generated=generated, dropped=dropped,
-                       delivered=delivered, delay_frames_sum=delay_sum)
-    _warm_up(rng, k, rate_per_us, tc.t_frame_us,
-             buf_full, buf_k1, generated, dropped)
+    slot_ids = np.arange(slots if k else 0)  # an empty network owns no slot
+    slot_end = (slot_ids + 1) * tc.t_r_us
 
     for frame in range(frames):
-        n_active_start = int(buf_full.sum())
-        owners = (frame * slots + np.arange(slots)) % k
-        slot_end = (np.arange(slots) + 1) * tc.t_r_us
-        opportunities: dict[int, list[float]] = {}
-        for dev, t in zip(owners, slot_end):
-            opportunities.setdefault(int(dev), []).append(float(t))
-
-        arr_counts, arr_times = _draw_arrivals(rng, k, rate_per_us, tc.t_frame_us)
-        generated += arr_counts
-        m_real = 0
-        idle_slots = 0
-        touched = set(np.nonzero(arr_counts > 0)[0].tolist()) | set(opportunities)
-        for dev in sorted(touched):
-            times = arr_times[dev] if arr_counts[dev] > 0 else np.empty(0)
-            opps = opportunities.get(dev, [])
-            ai = 0
-            for t_slot in opps:
-                while ai < len(times) and times[ai] < t_slot:
-                    if buf_full[dev]:
-                        dropped[dev] += 1
-                    buf_full[dev] = True
-                    buf_k1[dev] = frame
-                    ai += 1
-                if buf_full[dev]:
-                    delivered[dev] += 1
-                    delay_sum[dev] += frame - buf_k1[dev]
-                    buf_full[dev] = False
-                    m_real += 1
-                else:
-                    idle_slots += 1
-            while ai < len(times):
-                if buf_full[dev]:
-                    dropped[dev] += 1
-                buf_full[dev] = True
-                buf_k1[dev] = frame
-                ai += 1
+        n_active_start = int(buf.full.sum())
+        owners = (frame * slots + slot_ids) % k
+        m_real, idle_slots = _settle_frame(frame, *_poisson_arrivals(rng, cfg, tc),
+                                           _service_rounds(k, owners, slot_end), buf)
 
         report.per_frame.append(FrameSummary(
             frame=frame, n_active=n_active_start, m_realized=m_real,

@@ -1,31 +1,36 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hymac.priority import (
-    ContentionIdentity,
-    contending_probability,
-    escalated_probability,
-    reset_after_success,
-    virtual_class,
-)
+from hymac.priority import escalated_probability
+from hymac.simulator import _group_actives
 
 
 def test_virtual_class_merges_hierarchy_and_escalation():
     # a fresh class-3 device and a class-1 device with two failures
-    # contend with the same probability
-    assert virtual_class(3, 0) == virtual_class(1, 2) == 2
-    assert virtual_class(1, 0) == 0
+    # contend as one virtual class, rho = q - 1 + d = 2
+    q = np.array([3, 1, 1])
+    d = np.array([0, 2, 0])
+    members, counts, probs = _group_actives(np.arange(3), q, d, 1.0, 0.1, True)
+    assert members == [[2], [0, 1]]
+    assert counts.tolist() == [1, 2]
+    assert probs.tolist() == [escalated_probability(0, 1.0, 0.1),
+                              escalated_probability(2, 1.0, 0.1)]
 
 
 def test_escalation_examples():
+    # a class-q device with d failures contends at rho = q - 1 + d;
     # one failure doubles the probability at alpha = 1
-    assert contending_probability(1, 0, 1.0, 0.1) == pytest.approx(0.1)
-    assert contending_probability(1, 1, 1.0, 0.1) == pytest.approx(0.2)
-    assert contending_probability(1, 2, 1.0, 0.1) == pytest.approx(0.4)
+    assert escalated_probability(1 - 1 + 0, 1.0, 0.1) == pytest.approx(0.1)
+    assert escalated_probability(1 - 1 + 1, 1.0, 0.1) == pytest.approx(0.2)
+    assert escalated_probability(1 - 1 + 2, 1.0, 0.1) == pytest.approx(0.4)
     # class hierarchy alone
-    assert contending_probability(2, 0, 1.0, 0.1) == pytest.approx(0.2)
-    assert contending_probability(3, 0, 1.0, 0.1) == pytest.approx(0.4)
+    assert escalated_probability(2 - 1 + 0, 1.0, 0.1) == pytest.approx(0.2)
+    assert escalated_probability(3 - 1 + 0, 1.0, 0.1) == pytest.approx(0.4)
+    # a success resets d: class 2 falls back from rho = 4 to rho = 1
+    assert escalated_probability(2 - 1 + 3, 1.0, 0.01) == pytest.approx(0.16)
+    assert escalated_probability(2 - 1 + 0, 1.0, 0.01) == pytest.approx(0.02)
 
 
 def test_cap_at_one():
@@ -52,16 +57,7 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         escalated_probability(0, 0.0, 0.1)
     with pytest.raises(ValueError):
-        escalated_probability(-1, 1.0, 0.1)
-    with pytest.raises(ValueError):
-        contending_probability(0, 0, 1.0, 0.1)
-
-
-def test_identity_reset():
-    ident = ContentionIdentity(q=2, d=3)
-    assert ident.virtual_class == 4
-    fresh = reset_after_success(ident)
-    assert fresh.q == 2 and fresh.d == 0 and fresh.virtual_class == 1
+        escalated_probability(-1, 1.0, 0.1)  # class 0: q - 1 + d < 0
 
 
 @given(rho=st.integers(0, 40), alpha=st.floats(0.01, 10.0),
@@ -72,9 +68,19 @@ def test_probability_bounds_and_monotonicity(rho, alpha, p_inl):
     assert p >= escalated_probability(max(0, rho - 1), alpha, p_inl)
 
 
-@given(q=st.integers(1, 5), d=st.integers(0, 10), alpha=st.floats(0.01, 10.0),
-       p_inl=st.floats(0.001, 1.0))
-def test_equivalent_cells_share_probability(q, d, alpha, p_inl):
-    rho = virtual_class(q, d)
-    assert contending_probability(q, d, alpha, p_inl) == \
-        escalated_probability(rho, alpha, p_inl)
+@given(cells=st.lists(st.tuples(st.integers(1, 5), st.integers(0, 10)),
+                     min_size=1, max_size=20),
+       alpha=st.floats(0.01, 10.0), p_inl=st.floats(0.001, 1.0))
+def test_equivalent_cells_share_probability(cells, alpha, p_inl):
+    # devices of equal q - 1 + d form one contention group at its probability
+    q, d = (np.array(col) for col in zip(*cells))
+    members, counts, probs = _group_actives(np.arange(len(cells)), q, d,
+                                            alpha, p_inl, True)
+    assert sorted(int(m) for grp in members for m in grp) == list(range(len(cells)))
+    group_rho = []
+    for grp, n, p in zip(members, counts, probs):
+        rho = {int(q[m] - 1 + d[m]) for m in grp}
+        assert len(grp) == n and len(rho) == 1
+        group_rho.append(rho.pop())
+        assert p == escalated_probability(group_rho[-1], alpha, p_inl)
+    assert group_rho == sorted(set(group_rho))

@@ -2,16 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hymac.analytics import (
     ContentionMixture,
     prob_no_transmission,
     prob_success_given_busy,
 )
-from hymac.domain import ClassConfig
+from hymac.domain import ClassConfig, TimingConstants
 from hymac.optimizer import plan_for
 from hymac.simulator import (
     PlanMismatchError,
+    _Buffers,
+    _service_rounds,
+    _settle_frame,
     run_cop,
     run_csma,
     run_hybrid,
@@ -229,3 +234,188 @@ def test_tdma_deterministic(tc, small_cfg):
     a = run_tdma(small_cfg, tc, 4, seed=3)
     b = run_tdma(small_cfg, tc, 4, seed=3)
     assert reports_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# traffic step against the chronological per-device reference
+
+
+def _apply_frame_traffic(frame, dev, arr_times, deliver_t, buf_full, buf_k1,
+                         dropped, delivered, delay_sum):
+    """Hybrid and csma reference: one device's sorted arrivals around its
+    delivery instant (the winner's buffer is full)."""
+    i = 0
+    if deliver_t is not None:
+        while i < len(arr_times) and arr_times[i] < deliver_t:
+            dropped[dev] += 1  # replacement while still waiting for the slot
+            buf_k1[dev] = frame
+            i += 1
+        delivered[dev] += 1
+        delay_sum[dev] += frame - buf_k1[dev]
+        buf_full[dev] = False
+    while i < len(arr_times):
+        if buf_full[dev]:
+            dropped[dev] += 1
+        buf_full[dev] = True
+        buf_k1[dev] = frame
+        i += 1
+
+
+def _tdma_frame_traffic(frame, owners, slot_end, arr_times, buf_full, buf_k1,
+                        dropped, delivered, delay_sum):
+    """TDMA reference: each device's sorted arrivals and owned slots in
+    time order.  Returns (delivered, idle slots)."""
+    opportunities: dict[int, list[float]] = {}
+    for dev, t in zip(owners, slot_end):
+        opportunities.setdefault(int(dev), []).append(float(t))
+    m_real = idle_slots = 0
+    for dev, times in enumerate(arr_times):
+        ai = 0
+        for t_slot in opportunities.get(dev, []):
+            while ai < len(times) and times[ai] < t_slot:
+                if buf_full[dev]:
+                    dropped[dev] += 1
+                buf_full[dev] = True
+                buf_k1[dev] = frame
+                ai += 1
+            if buf_full[dev]:
+                delivered[dev] += 1
+                delay_sum[dev] += frame - buf_k1[dev]
+                buf_full[dev] = False
+                m_real += 1
+            else:
+                idle_slots += 1
+        while ai < len(times):
+            if buf_full[dev]:
+                dropped[dev] += 1
+            buf_full[dev] = True
+            buf_k1[dev] = frame
+            ai += 1
+    return m_real, idle_slots
+
+
+@st.composite
+def traffic_frames(draw):
+    """One frame of buffer state, arrivals and services on an integer time
+    grid, so arrivals land exactly on service instants too."""
+    k = draw(st.integers(1, 6))
+    frame = draw(st.integers(0, 4))
+    full = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    k1 = draw(st.lists(st.integers(-1, frame), min_size=k, max_size=k))
+    counters = draw(st.lists(st.integers(0, 5), min_size=4 * k, max_size=4 * k))
+    if draw(st.booleans()):
+        # TDMA: slot ends 2, 4, ...; more slots than devices gives several rounds
+        service = ("tdma", draw(st.integers(0, 3 * k + 1)), draw(st.integers(0, 50)))
+        horizon = 2 * service[1] + 2
+    else:
+        # hybrid/csma: distinct winners, each holding a packet
+        winners = draw(st.lists(st.integers(0, k - 1), unique=True, max_size=k))
+        instants = draw(st.lists(st.integers(0, 12), min_size=len(winners),
+                                 max_size=len(winners)))
+        for dev in winners:
+            full[dev] = True
+        service = ("winners", winners, [float(t) for t in instants])
+        horizon = 12
+    arrivals = draw(st.lists(st.lists(st.integers(0, horizon), max_size=4),
+                             min_size=k, max_size=k))
+    total = sum(len(a) for a in arrivals)
+    order = draw(st.permutations(range(total)))
+    return dict(frame=frame, full=full, k1=k1, counters=counters, service=service,
+                arrivals=[[float(t) for t in a] for a in arrivals], order=order)
+
+
+def _state(case):
+    k = len(case["full"])
+    c = np.array(case["counters"], dtype=np.int64).reshape(4, k)
+    return _Buffers(np.array(case["full"]), np.array(case["k1"], dtype=np.int64),
+                    *(row.copy() for row in c))
+
+
+_EMPTY = dict(frame=2, full=[True, False, True], k1=[0, -1, 1], counters=[0] * 12,
+              arrivals=[[], [], []], order=[])
+
+
+@example(case=dict(_EMPTY, service=("winners", [], [])))
+@example(case=dict(_EMPTY, service=("tdma", 7, 1)))
+@example(case=dict(_EMPTY, service=("winners", [2, 0], [4.0, 4.0]),
+                   arrivals=[[4.0, 1.0], [], [4.0]], order=[2, 0, 1]))
+@example(case=dict(_EMPTY, service=("tdma", 8, 0),
+                   arrivals=[[2.0, 8.0, 9.0], [4.0], []], order=[3, 1, 0, 2]))
+@settings(max_examples=300, deadline=None)
+@given(case=traffic_frames())
+def test_settle_frame_matches_chronological_reference(case):
+    k = len(case["full"])
+    frame = case["frame"]
+    counts = np.array([len(a) for a in case["arrivals"]], dtype=np.int64)
+    owner = np.repeat(np.arange(k), counts)[case["order"]]
+    times = np.array([t for a in case["arrivals"] for t in a], dtype=float)[case["order"]]
+    ref = _state(case)
+    ref.generated += counts
+    sorted_times = [np.sort(a) for a in case["arrivals"]]
+    kind, *spec = case["service"]
+    if kind == "tdma":
+        slots, offset = spec
+        owners = (offset + np.arange(slots)) % k
+        slot_end = (np.arange(slots) + 1) * 2.0
+        service = _service_rounds(k, owners, slot_end)
+        expect = _tdma_frame_traffic(frame, owners, slot_end, sorted_times,
+                                     ref.full, ref.k1, ref.dropped, ref.delivered,
+                                     ref.delay_sum)
+    else:
+        winners, instants = spec
+        service = _service_rounds(k, np.array(winners, dtype=np.int64), instants)
+        deliver_t = dict(zip(winners, instants))
+        for dev in range(k):
+            _apply_frame_traffic(frame, dev, sorted_times[dev], deliver_t.get(dev),
+                                 ref.full, ref.k1, ref.dropped, ref.delivered,
+                                 ref.delay_sum)
+        expect = (len(winners), 0)
+
+    buf = _state(case)
+    assert _settle_frame(frame, counts, owner, times, service, buf) == expect
+    for name in ("full", "k1", "generated", "dropped", "delivered", "delay_sum"):
+        assert np.array_equal(getattr(buf, name), getattr(ref, name)), name
+
+
+# ---------------------------------------------------------------------------
+# invariants of whole runs
+
+
+@settings(max_examples=50, deadline=None)
+@given(sizes=st.lists(st.integers(0, 20), min_size=1, max_size=3),
+       lam=st.floats(0.0, 4.0), alpha=st.floats(0.1, 5.0),
+       p_inl=st.floats(1e-3, 1.0), horizon=st.integers(1, 8),
+       seed=st.integers(0, 2**16))
+def test_run_invariants(sizes, lam, alpha, p_inl, horizon, seed):
+    tc = TimingConstants()
+    cfg = ClassConfig(class_sizes=tuple(sizes), p_inl=p_inl, alpha=alpha,
+                      arrival_rate=lam)
+    plan = plan_for(cfg, tc, horizon, alpha, p_inl)
+    runs = {
+        "hybrid": lambda h: run_hybrid(cfg, tc, plan, h, seed, collect_traces=True),
+        "csma": lambda h: run_csma(cfg, tc, p_inl, h, seed),
+        "tdma": lambda h: run_tdma(cfg, tc, h, seed),
+    }
+    for variant, run in runs.items():
+        rep = run(horizon)
+        buffered = rep.generated - rep.delivered - rep.dropped
+        assert ((buffered == 0) | (buffered == 1)).all(), variant
+        assert sum(rep.m_per_frame) == int(rep.delivered.sum())
+        if variant == "tdma":
+            # every owned slot delivers or idles; an empty network owns none
+            slots = int(tc.t_frame_us / tc.t_r_us) if cfg.total_devices else 0
+            assert all(f.m_realized + f.tdma_idle_slots == slots for f in rep.per_frame)
+            continue
+        # a shorter run is a prefix of the longer one: per-frame deliveries
+        before = np.zeros_like(rep.delivered)
+        for h in range(1, horizon + 1):
+            after = run(h).delivered if h < horizon else rep.delivered
+            assert (after - before <= 1).all(), (variant, h)
+            before = after
+        for f in rep.per_frame:
+            assert f.m_realized <= f.n_active
+        for f, tr in zip(rep.per_frame, rep.traces or ()):
+            used = tc.t_nof_us + f.t_cop_us + tc.t_anc_us + f.m_realized * tc.t_r_us
+            assert used <= tc.t_frame_us + 1e-6
+            assert (tr.mode_time_us >= -1e-9).all()
+            assert np.allclose(tr.mode_time_us.sum(axis=1), tc.t_frame_us, atol=1e-6)
