@@ -78,65 +78,52 @@ class CopExpectation:
     success_component_us: float
 
 
-def _log_survive(mix: ContentionMixture):
-    """Sum of n*log(1-p) over entries with p < 1, and the count of
-    entries whose (1-p)^n factor is exactly zero."""
-    log_sum = 0.0
-    zero_entries = 0
-    for p, n in mix.entries:
-        if p >= 1.0:
-            zero_entries += 1
-        else:
-            log_sum += n * math.log1p(-p)
-    return log_sum, zero_entries
+def slot_law(probs, counts) -> tuple[float, float, list[float]]:
+    """Law of a slot in which each of ``counts[i]`` devices transmits with
+    probability ``probs[i]``: P(idle) = prod (1-p)^n, P(busy) without
+    cancellation, and per entry the lone-transmitter term
+    n*p*(1-p)^(n-1) * prod_other (1-p)^n, whose sum is P(success).
+
+    A zero count adds nothing.  An entry with p = 1 keeps every slot busy
+    and has a lone transmitter only as the single such device.  The
+    planner's closed forms and the simulator's slot engine both use it.
+    """
+    log_stay = [math.log1p(-p) if p < 1.0 else 0.0 for p in probs]
+    log_sum, zeros = 0.0, 0
+    for p, n, stay in zip(probs, counts, log_stay):
+        if n > 0 and p >= 1.0:
+            zeros += 1
+        elif n > 0:
+            log_sum += n * stay
+    terms = []
+    for p, n, stay in zip(probs, counts, log_stay):
+        lone = n > 0 and (zeros == 0 or zeros == 1 and n == 1 and p >= 1.0)
+        terms.append(n * p * math.exp(log_sum - stay) if lone else 0.0)
+    if zeros:
+        return 0.0, 1.0, terms
+    return math.exp(log_sum), -math.expm1(log_sum), terms
+
+
+def _mixture_law(mix: ContentionMixture) -> tuple[float, float, list[float]]:
+    return slot_law([p for p, _ in mix.entries], [n for _, n in mix.entries])
 
 
 def prob_no_transmission(mix: ContentionMixture) -> float:
     """P(no device transmits in a slot) = prod (1 - p)^n."""
-    log_sum, zeros = _log_survive(mix)
-    if zeros:
-        return 0.0
-    return math.exp(log_sum)
-
-
-def _prob_busy(mix: ContentionMixture) -> float:
-    """1 - P(N_cd = 0), computed without cancellation."""
-    log_sum, zeros = _log_survive(mix)
-    if zeros:
-        return 1.0
-    return -math.expm1(log_sum)
-
-
-def _single_transmitter_terms(mix: ContentionMixture) -> list[float]:
-    """Per-entry probability that exactly one device transmits and it
-    belongs to that entry: n*p*(1-p)^(n-1) * prod_other (1-p)^n."""
-    log_sum, zeros = _log_survive(mix)
-    terms = []
-    for p, n in mix.entries:
-        if p >= 1.0:
-            if n == 1 and zeros == 1:
-                term = n * p * math.exp(log_sum)
-            else:
-                term = 0.0
-        elif zeros:
-            term = 0.0
-        else:
-            term = n * p * math.exp(log_sum - math.log1p(-p))
-        terms.append(term)
-    return terms
+    return _mixture_law(mix)[0]
 
 
 def prob_single_transmission(mix: ContentionMixture) -> float:
     """Unconditional P(exactly one device transmits in a slot)."""
-    return sum(_single_transmitter_terms(mix))
+    return sum(_mixture_law(mix)[2])
 
 
 def prob_success_given_busy(mix: ContentionMixture) -> float:
     """P(exactly one transmitter | at least one transmitter)."""
-    busy = _prob_busy(mix)
+    _, busy, terms = _mixture_law(mix)
     if busy <= 0.0:
         raise DegenerateMixtureError("no device can transmit in this mixture")
-    return min(1.0, prob_single_transmission(mix) / busy)
+    return min(1.0, sum(terms) / busy)
 
 
 def prob_collision_given_busy(mix: ContentionMixture) -> float:
@@ -155,10 +142,10 @@ def expected_collisions(mix: ContentionMixture) -> float:
 
 def expected_idle(mix: ContentionMixture, delta_idle_us: float) -> float:
     """Mean idle time preceding one busy slot."""
-    busy = _prob_busy(mix)
+    p_idle, busy, _ = _mixture_law(mix)
     if busy <= 0.0:
         raise DegenerateMixtureError("channel can never become busy")
-    return delta_idle_us * prob_no_transmission(mix) / busy
+    return delta_idle_us * p_idle / busy
 
 
 def expected_tcop(m: int, mix: ContentionMixture, tc: TimingConstants) -> CopExpectation:
@@ -187,7 +174,7 @@ def expected_tcop(m: int, mix: ContentionMixture, tc: TimingConstants) -> CopExp
 def success_shares(mix: ContentionMixture) -> list[float]:
     """Probability that each entry owns the lone transmitter, given a
     successful slot."""
-    terms = _single_transmitter_terms(mix)
+    terms = _mixture_law(mix)[2]
     total = sum(terms)
     if total <= 0.0:
         raise DegenerateMixtureError("no entry can produce a lone transmitter")
@@ -207,8 +194,7 @@ def ordered_sum(x: np.ndarray) -> np.ndarray:
 
 
 def _lone_transmitter_rows(prob: np.ndarray, counts: np.ndarray):
-    """Row-wise `_single_transmitter_terms`, `prob_no_transmission` and
-    `_prob_busy`: returns (terms, p_idle, p_busy)."""
+    """Row-wise `slot_law`: returns (terms, p_idle, p_busy)."""
     present = counts > 0
     certain = present & (prob >= 1.0)
     zeros = certain.sum(axis=-1)[..., None]

@@ -9,15 +9,19 @@ winning device of a successful slot is drawn uniformly from its class.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analytics import slot_law
 from .domain import US_PER_S, ClassConfig, TimingConstants
 from .priority import escalated_probability
 
-_BLOCK = 512
+_PASS_CAP = 4096  # busy slots drawn in one pass at most: bounds its arrays
+_RUN_CAP = 2**40  # idle runs clipped here keep a pass's slot sums in int64
 
 
 class PlanMismatchError(ValueError):
@@ -108,10 +112,17 @@ def run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
     probability: zero transmitters cost an idle slot, one a success (plus
     ``success_extra_us``, e.g. an immediate data transmission), two or
     more a collision.  Stops when the winner target or time limit is
-    reached, or when ``max_slots`` slots have elapsed.
+    reached, or when ``max_slots`` slots have elapsed; the slot that
+    reaches a limit counts in full.  Raises `ValueError` when neither
+    limit is set and successes cannot end the period.
+
+    Slots are i.i.d. under `analytics.slot_law` while the contenders stay
+    the same, so each pass draws a stretch of them at once (README,
+    "Simulator"); with ``drain`` a winner leaves, and a pass ends at its
+    first success.
     """
-    counts = counts.astype(np.int64).copy()
-    probs = np.asarray(probs, dtype=float)
+    counts = [int(n) for n in counts]
+    probs = [float(p) for p in probs]
     d_idle, d_coll = tc.delta_idle_us, tc.delta_coll_us
     d_succ = tc.delta_succ_us + success_extra_us
     succ_groups: list[int] = []
@@ -119,7 +130,7 @@ def run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
     elapsed = 0.0
     n_idle = n_coll = n_slots = 0
     idle_time = idle_final = coll_time = coll_tx = listen = 0.0
-    idle_run = 0.0  # idle time since the last busy slot
+    law = None  # slot_law of the current contenders
 
     def done() -> bool:
         if m_target is not None and len(succ_groups) >= m_target:
@@ -131,8 +142,11 @@ def run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
         return False
 
     while not done():
-        remaining = int(counts.sum())
-        if remaining == 0:
+        if law is None:
+            law = slot_law(probs, counts)
+        _, p_busy, terms = law
+        remaining = sum(counts)
+        if p_busy == 0.0:
             # nothing left to transmit: the channel idles out the clock
             if time_limit_us is None or elapsed >= time_limit_us:
                 break
@@ -148,74 +162,89 @@ def run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
             n_slots += gap_slots
             idle_time += gap_slots * d_idle
             break
-        draws = rng.binomial(counts[:, None], probs[:, None],
-                             size=(len(counts), _BLOCK))
-        totals = draws.sum(axis=0)
-        dur = np.where(totals == 0, d_idle, np.where(totals == 1, d_succ, d_coll))
-        cum = elapsed + np.cumsum(dur)
+        p_lone = sum(terms)
+        if ((p_lone <= 0.0 or not drain and m_target is None)
+                and time_limit_us is None and max_slots is None):
+            raise ValueError("no limit is set and no success can end the contention")
 
-        # how many slots of this block can be consumed before a stop
-        n_take = _BLOCK
-        succ_pos = np.nonzero(totals == 1)[0]
-        if drain and len(succ_pos):
-            # counts change after a drained success: redraw from there on
-            n_take = min(n_take, int(succ_pos[0]) + 1)
-        if m_target is not None:
-            needed = m_target - len(succ_groups)
-            if len(succ_pos) >= needed:
-                n_take = min(n_take, int(succ_pos[needed - 1]) + 1)
+        # busy slots this pass may hold, their types and idle runs
+        cap = _PASS_CAP
         if time_limit_us is not None:
-            over = np.nonzero(cum >= time_limit_us)[0]
-            if len(over):
-                n_take = min(n_take, int(over[0]) + 1)
+            cap = min(cap, math.ceil(min((time_limit_us - elapsed) / d_coll, cap)) + 1)
         if max_slots is not None:
-            n_take = min(n_take, max_slots - n_slots)
-        if n_take <= 0:
-            break
-
-        tot = totals[:n_take]
-        idx_succ = np.nonzero(tot == 1)[0]
-        idx_coll = np.nonzero(tot >= 2)[0]
-        n_idle_blk = n_take - len(idx_succ) - len(idx_coll)
-        coll_transmitters = int(tot[idx_coll].sum())
-
-        n_slots += n_take
-        n_idle += n_idle_blk
-        idle_time += n_idle_blk * d_idle
-        n_coll += len(idx_coll)
-        coll_time += len(idx_coll) * d_coll
-        coll_tx += coll_transmitters * d_coll
-        listen += (remaining * n_idle_blk * d_idle
-                   + (len(idx_coll) * remaining - coll_transmitters) * d_coll
-                   + len(idx_succ) * (remaining - 1) * d_succ)
-
-        # idle runs: only the run directly preceding a success is "final"
-        busy_pos = np.sort(np.concatenate([idx_succ, idx_coll]))
-        for s in idx_succ:
-            j = int(np.searchsorted(busy_pos, s))
-            if j == 0:
-                idle_final += idle_run + s * d_idle
-            else:
-                idle_final += (s - int(busy_pos[j - 1]) - 1) * d_idle
-        if len(busy_pos):
-            idle_run = (n_take - 1 - int(busy_pos[-1])) * d_idle
+            cap = min(cap, max_slots - n_slots)
+        q = min(1.0, p_lone / p_busy)  # P(success | busy)
+        if drain:
+            until = int(rng.geometric(q)) if q > 0.0 else cap + 1
+            success = np.arange(min(until, cap)) == until - 1
         else:
-            idle_run += n_take * d_idle
+            success = rng.random(cap) < q
+        idle = np.minimum(rng.geometric(p_busy, size=len(success)) - 1, _RUN_CAP)
+        wins = success.nonzero()[0].tolist()
 
-        for s in idx_succ:
-            grp = int(np.argmax(draws[:, s] == 1))
-            succ_groups.append(grp)
-            succ_times.append(float(cum[s]))
+        # keep the whole pass, unless a stop falls inside it
+        n_busy = len(success)
+        last, run = n_busy - 1, int(idle[-1])
+        cut = run + 1  # slots kept from the last run, its busy slot included
+        slots_end = n_slots + int(idle.sum()) + n_busy
+        t_end = (elapsed + (slots_end - n_slots - n_busy) * d_idle
+                 + (n_busy - len(wins)) * d_coll + len(wins) * d_succ)
+        if (wins not in ([], [last])
+                or time_limit_us is not None and t_end >= time_limit_us
+                or max_slots is not None and slots_end >= max_slots):
+            # cut at the first busy slot that reaches a stop; a time or
+            # slot limit can fall inside the idle run in front of it
+            ends = (idle * d_idle + np.where(success, d_succ, d_coll)).cumsum() + elapsed
+            slot_ends = (idle + 1).cumsum() + n_slots
+            if m_target is not None and len(wins) >= m_target - len(succ_groups):
+                last = wins[m_target - len(succ_groups) - 1]
+            if time_limit_us is not None:
+                last = min(last, int(ends.searchsorted(time_limit_us)))
+            if max_slots is not None:
+                last = min(last, int(slot_ends.searchsorted(max_slots)))
+            run_t, run_slots = ((float(ends[last - 1]), int(slot_ends[last - 1]))
+                                if last else (elapsed, n_slots))
+            run = int(idle[last])
+            cut = run + 1
+            if time_limit_us is not None:
+                cut = min(cut, math.ceil(min((time_limit_us - run_t) / d_idle, cut)))
+            if max_slots is not None:
+                cut = min(cut, max_slots - run_slots)
+            n_busy = last + (cut > run)
+            slots_end = run_slots + cut
+            t_end = float(ends[last]) if cut > run else run_t + cut * d_idle
+            wins = [j for j in wins if j < n_busy]
+            win_times = ends[wins].tolist()
+        else:
+            win_times = [t_end] * len(wins)
+
+        idle_kept = slots_end - n_slots - n_busy
+        n_c = n_busy - len(wins)
+        tx = _collision_sizes(rng, counts, probs, n_c, p_busy - p_lone)
+        tx_sum = int(tx.sum())
+        n_idle += idle_kept
+        idle_time += idle_kept * d_idle
+        n_coll += n_c
+        coll_time += n_c * d_coll
+        coll_tx += tx_sum * d_coll
+        listen += (remaining * idle_kept * d_idle
+                   + (n_c * remaining - tx_sum) * d_coll
+                   + len(wins) * (remaining - 1) * d_succ)
+        if wins:
+            idle_final += sum(idle[wins].tolist()) * d_idle
+            succ_times += win_times
+            groups = _pick_groups(rng, terms, len(wins))
+            succ_groups += groups
             if drain:
-                counts[grp] -= 1
+                counts[groups[0]] -= 1
+                law = None
         if events is not None:
-            kinds = np.where(tot == 0, "idle", np.where(tot == 1, "success",
-                                                        "collision"))
-            starts = np.concatenate(([elapsed], cum[:n_take - 1]))
-            for s in range(n_take):
-                events.append((str(kinds[s]), float(starts[s]), float(dur[s]),
-                               int(tot[s])))
-        elapsed = float(cum[n_take - 1])
+            runs = idle[:last + 1].tolist()
+            runs[-1] = min(cut, run)
+            _log_pass(events, elapsed, runs, success[:n_busy].tolist(), tx.tolist(),
+                      d_idle, d_succ, d_coll)
+        n_slots = slots_end
+        elapsed = t_end
 
     return CopOutcome(
         success_groups=tuple(succ_groups), success_times_us=tuple(succ_times),
@@ -224,6 +253,45 @@ def run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
         coll_time_us=coll_time, coll_tx_time_us=coll_tx,
         listen_time_us=listen, n_slots=n_slots,
     )
+
+
+def _collision_sizes(rng: np.random.Generator, counts: list, probs: list, n: int,
+                     p_coll: float) -> np.ndarray:
+    """Transmitter counts of ``n`` collisions: per-group binomial draws,
+    redrawn until two or more devices transmit (``p_coll`` of them are)."""
+    sizes = np.empty(0, dtype=np.int64)
+    while len(sizes) < n:
+        rows = min(math.ceil((n - len(sizes)) / p_coll), _PASS_CAP)
+        draw = rng.binomial(counts, probs, size=(rows, len(counts))).sum(axis=1)
+        sizes = np.concatenate((sizes, draw[draw >= 2]))
+    return sizes[:n]
+
+
+def _pick_groups(rng: np.random.Generator, terms: list, n: int) -> list[int]:
+    """Groups of ``n`` lone transmitters, one uniform each, in proportion
+    to the groups' lone-transmitter terms."""
+    cum = list(itertools.accumulate(terms))
+    picks = [bisect.bisect_right(cum, u * cum[-1]) for u in rng.random(n).tolist()]
+    if len(cum) in picks:
+        # u * total rounded up to the total: the last group that can win
+        top = max(j for j, term in enumerate(terms) if term > 0.0)
+        picks = [min(j, top) for j in picks]
+    return picks
+
+
+def _log_pass(events: list, t: float, runs: list, kinds: list, sizes: list,
+              d_idle: float, d_succ: float, d_coll: float) -> None:
+    """Append one pass as (kind, start_us, duration_us, transmitters)
+    events: ``runs[j]`` idle slots, then busy slot j if there is one."""
+    sizes = iter(sizes)
+    for run, kind in itertools.zip_longest(runs, kinds):
+        if run:
+            events.append(("idle", t, run * d_idle, 0))
+            t += run * d_idle
+        if kind is not None:
+            events.append(("success", t, d_succ, 1) if kind
+                          else ("collision", t, d_coll, next(sizes)))
+            t += events[-1][2]
 
 
 def simulate_cop_slots(counts_by_prob: list[tuple[float, int]], tc: TimingConstants,
@@ -317,19 +385,21 @@ def _service_rounds(k: int, devices: np.ndarray, instants_us) -> np.ndarray:
     return grid
 
 
-def _arrive(frame: int, n: np.ndarray, buf: _Buffers) -> None:
+def _arrive(frame: int, n: np.ndarray, buf: _Buffers) -> int:
     """``n[dev]`` packets reach each buffer between two services.  Each
     replaces the one waiting, so all but the last are dropped, and the
-    last one is buffered."""
+    last one is buffered.  Returns how many empty buffers filled."""
     got = n > 0
+    filled = int((got & ~buf.full).sum())
     buf.dropped += np.where(got, n - 1 + buf.full, 0)
     buf.full |= got
     buf.k1[got] = frame
+    return filled
 
 
 def _settle_frame(frame: int, counts: np.ndarray, owner: np.ndarray,
                   times: np.ndarray, service_us: np.ndarray,
-                  buf: _Buffers) -> tuple[int, int]:
+                  buf: _Buffers) -> tuple[int, int, int]:
     """Apply one frame of arrivals and services to every buffer at once.
 
     ``counts[dev]`` arrivals belong to each device; ``owner[i]`` and
@@ -338,15 +408,16 @@ def _settle_frame(frame: int, counts: np.ndarray, owner: np.ndarray,
     instants come first and increase down the rows.  An arrival strictly
     before a service instant is buffered before it; one at the instant or
     later comes after.  A service delivers a full buffer and empties it,
-    and finds an empty one idle.  Returns (delivered, idle services).
+    and finds an empty one idle.  Returns (delivered, idle services,
+    empty buffers filled by an arrival).
     """
     k = len(counts)
     buf.generated += counts
-    n_delivered = n_idle = 0
+    n_delivered = n_idle = n_filled = 0
     seen = np.zeros(k, dtype=np.int64)
     for instants in service_us:
         before = np.bincount(owner[times < instants[owner]], minlength=k)
-        _arrive(frame, before - seen, buf)
+        n_filled += _arrive(frame, before - seen, buf)
         seen = before
         served = np.isfinite(instants)
         hit = served & buf.full
@@ -356,8 +427,8 @@ def _settle_frame(frame: int, counts: np.ndarray, owner: np.ndarray,
         buf.delivered += hit
         buf.delay_sum[hit] += frame - buf.k1[hit]
         buf.full[hit] = False
-    _arrive(frame, counts - seen, buf)
-    return n_delivered, n_idle
+    n_filled += _arrive(frame, counts - seen, buf)
+    return n_delivered, n_idle, n_filled
 
 
 def _group_actives(active_ids: np.ndarray, q_arr: np.ndarray, d_arr: np.ndarray,
@@ -545,7 +616,9 @@ def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
 
 def run_tdma(cfg: ClassConfig, tc: TimingConstants, frames: int, seed: int) -> SimReport:
     """Reservation-only baseline: static cyclic slot ownership spanning
-    frames; an owned slot is wasted when the owner's buffer is empty."""
+    frames; an owned slot is wasted when the owner's buffer is empty.  A
+    frame's ``n_active`` counts its buffer occupancies (full at the start,
+    or filled by an arrival), each ended by at most one delivery."""
     rng, buf, report = _start("tdma", cfg, tc, frames, seed)
     k = cfg.total_devices
     slots = int(tc.t_frame_us / tc.t_r_us)
@@ -553,13 +626,14 @@ def run_tdma(cfg: ClassConfig, tc: TimingConstants, frames: int, seed: int) -> S
     slot_end = (slot_ids + 1) * tc.t_r_us
 
     for frame in range(frames):
-        n_active_start = int(buf.full.sum())
+        n_full = int(buf.full.sum())
         owners = (frame * slots + slot_ids) % k
-        m_real, idle_slots = _settle_frame(frame, *_poisson_arrivals(rng, cfg, tc),
-                                           _service_rounds(k, owners, slot_end), buf)
+        m_real, idle_slots, n_filled = _settle_frame(
+            frame, *_poisson_arrivals(rng, cfg, tc),
+            _service_rounds(k, owners, slot_end), buf)
 
         report.per_frame.append(FrameSummary(
-            frame=frame, n_active=n_active_start, m_realized=m_real,
+            frame=frame, n_active=n_full + n_filled, m_realized=m_real,
             t_cop_us=0.0, n_idle_slots=0, n_collisions=0, idle_time_us=0.0,
             idle_final_time_us=0.0, coll_time_us=0.0, coll_tx_time_us=0.0,
             listen_time_us=0.0, winner_wait_time_us=0.0,

@@ -18,6 +18,7 @@ from hymac.analytics import (
     prob_no_transmission,
     prob_single_transmission,
     prob_success_given_busy,
+    slot_law,
     success_shares,
     tcop_hessian,
 )
@@ -104,6 +105,17 @@ def test_enumeration_oracle_sample(tc):
             mean_idle_series(p0, tc.delta_idle_us), rel=1e-9, abs=1e-9)
 
 
+def test_slot_law_skips_empty_entries():
+    # a drained group keeps its place in the simulator's arrays, at count 0
+    p_idle, p_busy, terms = slot_law([0.3, 1.0, 0.6], [3, 0, 2])
+    mix = ContentionMixture(((0.3, 3), (0.6, 2)))
+    assert p_idle == prob_no_transmission(mix)
+    assert p_busy == pytest.approx(1.0 - prob_no_transmission(mix), abs=1e-15)
+    assert terms[1] == 0.0
+    assert sum(terms) == prob_single_transmission(mix)
+    assert slot_law([0.5], [0]) == (1.0, 0.0, [0.0])
+
+
 def test_probability_conservation():
     for entries in random_mixtures(50, seed=99):
         mix = ContentionMixture(entries)
@@ -137,6 +149,9 @@ def test_certain_transmitter_edge_cases():
 
     pair = ContentionMixture(((1.0, 2),))
     assert prob_single_transmission(pair) == 0.0
+    # the simulator's view of the same slots: a p = 1 device is never idle
+    assert slot_law([1.0], [1]) == (0.0, 1.0, [1.0])
+    assert slot_law([1.0], [2]) == (0.0, 1.0, [0.0])
     with pytest.raises(DivergentExpectationError):
         expected_collisions(pair)
 
