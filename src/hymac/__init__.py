@@ -34,7 +34,6 @@ from .optimizer import (
     FrameDecision,
     FramePlan,
     channel_utility,
-    evolve_population,
     optimize,
     plan_for,
     utility_grid,
@@ -48,7 +47,7 @@ __all__ = [
     "FrameDecision", "FramePlan", "PopulationState", "Scenario", "SimReport",
     "TimingConstants", "asymptotic_tcop", "avg_delay", "channel_utility",
     "channel_utility_of", "drop_ratio", "dump_scenario", "energy_per_frame",
-    "escalated_probability", "evolve_population", "expected_tcop",
+    "escalated_probability", "expected_tcop",
     "load_scenario", "optimize", "plan_for", "prob_no_transmission",
     "prob_single_transmission", "prob_success_given_busy", "run_csma",
     "run_hybrid", "run_tdma", "simulate_cop_slots", "tcop_hessian",

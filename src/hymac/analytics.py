@@ -2,8 +2,8 @@
 
 Slot-level success/collision probabilities, expected collisions and idle
 time per successful contention, the expected contention-period duration,
-per-class success shares, expected new arrivals, and the large-population
-asymptotic form of the contention duration together with its Hessian.
+per-class success shares, and the large-population asymptotic form of the
+contention duration together with its Hessian.
 
 Products of many (1 - p) factors are evaluated in log space so mixtures
 with thousands of devices do not underflow.  The single-transmitter
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .domain import US_PER_S, TimingConstants
-from .priority import escalated_probability
+from .domain import TimingConstants
 
 
 class DegenerateMixtureError(ValueError):
@@ -51,18 +50,6 @@ class ContentionMixture:
             if n > 0:
                 ent.append((float(p), float(n)))
         object.__setattr__(self, "entries", tuple(ent))
-
-    @classmethod
-    def from_virtual_counts(cls, virtual_counts: dict[int, float],
-                            alpha: float, p_inl: float) -> "ContentionMixture":
-        return cls(tuple(
-            (escalated_probability(rho, alpha, p_inl), n)
-            for rho, n in sorted(virtual_counts.items())
-        ))
-
-    @property
-    def total(self) -> float:
-        return sum(n for _, n in self.entries)
 
 
 @dataclass(frozen=True)
@@ -126,11 +113,6 @@ def prob_success_given_busy(mix: ContentionMixture) -> float:
     return min(1.0, sum(terms) / busy)
 
 
-def prob_collision_given_busy(mix: ContentionMixture) -> float:
-    """P(two or more transmitters | at least one transmitter)."""
-    return 1.0 - prob_success_given_busy(mix)
-
-
 def expected_collisions(mix: ContentionMixture) -> float:
     """Mean number of collisions preceding one successful contention."""
     p_succ = prob_success_given_busy(mix)
@@ -171,10 +153,9 @@ def expected_tcop(m: int, mix: ContentionMixture, tc: TimingConstants) -> CopExp
     )
 
 
-def success_shares(mix: ContentionMixture) -> list[float]:
+def success_shares(terms: list[float]) -> list[float]:
     """Probability that each entry owns the lone transmitter, given a
-    successful slot."""
-    terms = _mixture_law(mix)[2]
+    successful slot, from the entries' lone-transmitter terms (`slot_law`)."""
     total = sum(terms)
     if total <= 0.0:
         raise DegenerateMixtureError("no entry can produce a lone transmitter")
@@ -213,10 +194,9 @@ def expected_attempt_rows(prob: np.ndarray, counts: np.ndarray,
                           tc: TimingConstants):
     """Row-wise ``expected_tcop(1, mix, tc).e_attempt_us``.
 
-    Returns (e_attempt_us, terms, p_lone): the cost is nan where the
-    scalar form raises `DegenerateMixtureError` or
-    `DivergentExpectationError`; terms and their row sum p_lone are the
-    lone-transmitter terms that `success_shares` normalizes.
+    Returns (e_attempt_us, terms): the cost is nan where the scalar form
+    raises `DegenerateMixtureError` or `DivergentExpectationError`; terms
+    are the lone-transmitter terms that `success_shares` normalizes.
     """
     terms, p_idle, p_busy = _lone_transmitter_rows(prob, counts)
     p_lone = ordered_sum(terms)
@@ -226,18 +206,7 @@ def expected_attempt_rows(prob: np.ndarray, counts: np.ndarray,
         e_idle = tc.delta_idle_us * p_idle / p_busy
         e_attempt = (e_nc + 1.0) * e_idle + e_nc * tc.delta_coll_us + tc.delta_succ_us
     undefined = (p_busy <= 0.0) | (p_succ <= 0.0)
-    return np.where(undefined, np.nan, e_attempt), terms, p_lone
-
-
-def expected_new_arrivals(empty_count: float, arrival_rate: float,
-                          t_frame_us: float) -> float:
-    """Mean number of empty devices gaining a packet during one frame."""
-    if empty_count < 0:
-        raise ValueError("empty device count must be nonnegative")
-    if arrival_rate < 0:
-        raise ValueError("arrival rate must be nonnegative")
-    g = -math.expm1(-arrival_rate * t_frame_us / US_PER_S)
-    return empty_count * g
+    return np.where(undefined, np.nan, e_attempt), terms
 
 
 # Large-population asymptotics: every active device is mapped onto one

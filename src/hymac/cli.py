@@ -200,7 +200,7 @@ def _cmd_sweep(args) -> int:
 
     grid = optimizer.utility_grid(sc.classes, sc.timing, sc.horizon,
                                   alpha_grid, p_grid)
-    best = max(grid, key=lambda key: (grid[key], (-key[0], -key[1])))
+    best = optimizer.best_cell(grid)
     lines = [f"alpha={a:g} p_inl={p:g} utility={grid[(a, p)]:.6g}"
              for a in alpha_grid for p in p_grid]
     print("\n".join(lines))

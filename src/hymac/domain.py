@@ -100,8 +100,7 @@ class PopulationState:
     """Expected active-device counts keyed by (class q, failure count d).
 
     The virtual class of a (q, d) cell is q + d - 1; cells of equal
-    virtual class share one contending probability and are aggregated by
-    ``virtual_counts``.
+    virtual class share one contending probability.
     """
 
     frame_index: int
@@ -117,18 +116,6 @@ class PopulationState:
             if n > 0:
                 clean[(int(q), int(d))] = float(n)
         object.__setattr__(self, "counts", clean)
-
-    @property
-    def virtual_counts(self) -> dict[int, float]:
-        agg: dict[int, float] = {}
-        for (q, d), n in self.counts.items():
-            rho = q + d - 1
-            agg[rho] = agg.get(rho, 0.0) + n
-        return agg
-
-    @property
-    def total(self) -> float:
-        return sum(self.counts.values())
 
 
 @dataclass(frozen=True)

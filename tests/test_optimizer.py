@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hymac.analytics import ContentionMixture, expected_tcop
+import planner_oracle as oracle
+from hymac.analytics import ContentionMixture, expected_tcop, success_shares
 from hymac.domain import ClassConfig, PopulationState, TimingConstants
 from hymac.optimizer import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_P_INL_GRID,
-    InfeasibleWinnersError,
     NoFeasiblePointError,
     _apportion_winners,
     _grid_winners,
+    best_cell,
     channel_utility,
     dump_plan,
-    evolve_population,
     initial_population,
     load_plan,
     max_feasible_m,
@@ -45,31 +45,46 @@ def test_channel_utility_examples(tc):
 
 def test_initial_population(tc):
     cfg = ClassConfig(class_sizes=(100, 50), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
-    pop = initial_population(cfg, tc)
+    pop = initial_population(cfg, tc, 2)
     g = 1 - math.exp(-1)
-    assert pop.counts[(1, 0)] == pytest.approx(100 * g)
-    assert pop.counts[(2, 0)] == pytest.approx(50 * g)
-    assert pop.frame_index == 0
+    assert pop.shape == (2, 2, 1)  # (cells, class q, failure count d)
+    assert pop[:, 0, 0] == pytest.approx([100 * g, 100 * g])
+    assert pop[:, 1, 0] == pytest.approx([50 * g, 50 * g])
+
+
+def test_mixture_of_sums_virtual_classes():
+    # (q, d) = (1, 1) and (2, 0) share virtual class 1
+    pop = np.array([[[3.0, 4.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 1.0]]])
+    prob = np.array([[0.1, 0.2, 0.4, 0.8, 1.0, 1.0]])
+    probs, counts = mixture_of(pop, prob)
+    assert counts.tolist() == [[3.0, 6.0, 0.0, 0.0, 1.0]]
+    assert probs.tolist() == [[0.1, 0.2, 0.4, 0.8, 1.0]]
+
+
+def _one_cell_m(mix: ContentionMixture, tc) -> int:
+    prob = np.array([[p for p, _ in mix.entries]])
+    counts = np.array([[n for _, n in mix.entries]])
+    m, terms = max_feasible_m((prob, counts), tc)
+    assert terms.shape == counts.shape
+    return int(m[0])
 
 
 def test_max_feasible_m_population_cap(tc):
     # one certain transmitter: exactly one winner available
-    mix = ContentionMixture(((1.0, 1),))
-    assert max_feasible_m(mix, tc) == 1
+    assert _one_cell_m(ContentionMixture(((1.0, 1),)), tc) == 1
 
 
 def test_max_feasible_m_time_cap(tc):
     mix = ContentionMixture(((0.05, 20),))
     e_attempt = expected_tcop(1, mix, tc).e_attempt_us
     expect = min(20, int(tc.t_frame_us / (e_attempt + tc.t_r_us)))
-    assert max_feasible_m(mix, tc) == expect
+    assert _one_cell_m(mix, tc) == expect
     assert expect == 20  # cheap contention: limited by the population
 
 
 def test_max_feasible_m_choked_mixture(tc):
     # overwhelming simultaneous transmissions: no winner is ever expected
-    mix = ContentionMixture(((0.5, 1000.0),))
-    assert max_feasible_m(mix, tc) == 0
+    assert _one_cell_m(ContentionMixture(((0.5, 1000.0),)), tc) == 0
 
 
 def test_apportion_winners_rounding():
@@ -90,7 +105,7 @@ def test_evolve_pure_promotion(tc):
     # no winners and no arrivals: everyone moves up one failure level
     cfg = ClassConfig(class_sizes=(10,), p_inl=0.1, alpha=1.0, arrival_rate=0.0)
     pop = PopulationState(frame_index=0, counts={(1, 0): 4.0, (1, 2): 2.0})
-    nxt = evolve_population(pop, 0, 1.0, 0.1, cfg, tc)
+    nxt = oracle.evolve_population(pop, 0, 1.0, 0.1, cfg, tc)
     assert nxt.counts == {(1, 1): 4.0, (1, 3): 2.0}
     assert nxt.frame_index == 1
 
@@ -100,10 +115,10 @@ def test_evolve_mass_conservation(tc):
     g = cfg.arrival_probability(tc)
     pop = PopulationState(frame_index=0, counts={(1, 0): 60.0, (1, 1): 20.0})
     m = 40
-    nxt = evolve_population(pop, m, 1.0, 0.1, cfg, tc)
-    survivors = pop.total - m
+    nxt = oracle.evolve_population(pop, m, 1.0, 0.1, cfg, tc)
+    survivors = sum(pop.counts.values()) - m
     expect_total = survivors + (100 - survivors) * g
-    assert nxt.total == pytest.approx(expect_total, rel=1e-9)
+    assert sum(nxt.counts.values()) == pytest.approx(expect_total, rel=1e-9)
     # arrivals land at the preliminary level
     assert nxt.counts[(1, 0)] == pytest.approx((100 - survivors) * g, rel=1e-9)
 
@@ -111,9 +126,8 @@ def test_evolve_mass_conservation(tc):
 def test_evolve_winner_split_matches_success_shares(tc):
     cfg = ClassConfig(class_sizes=(100,), p_inl=0.05, alpha=1.0, arrival_rate=0.0)
     pop = PopulationState(frame_index=0, counts={(1, 0): 50.0, (1, 1): 30.0})
-    nxt = evolve_population(pop, 10, 1.0, 0.05, cfg, tc)
-    from hymac.analytics import success_shares
-    shares = success_shares(mixture_of(pop, 1.0, 0.05))
+    nxt = oracle.evolve_population(pop, 10, 1.0, 0.05, cfg, tc)
+    shares = success_shares(oracle.lone_terms(oracle.mixture_of(pop, 1.0, 0.05)))
     removed0 = 50.0 - sum(n for (q, d), n in nxt.counts.items() if d == 1)
     removed1 = 30.0 - sum(n for (q, d), n in nxt.counts.items() if d == 2)
     # winners split across virtual classes close to the analytic shares
@@ -126,8 +140,8 @@ def test_evolve_winner_split_matches_success_shares(tc):
 def test_evolve_rejects_oversubscription(tc):
     cfg = ClassConfig(class_sizes=(10,), p_inl=0.1, alpha=1.0, arrival_rate=0.0)
     pop = PopulationState(frame_index=0, counts={(1, 0): 5.0})
-    with pytest.raises(InfeasibleWinnersError):
-        evolve_population(pop, 6, 1.0, 0.1, cfg, tc)
+    with pytest.raises(oracle.InfeasibleWinnersError):
+        oracle.evolve_population(pop, 6, 1.0, 0.1, cfg, tc)
 
 
 def test_plan_for_consistency(tc, small_cfg):
@@ -135,6 +149,8 @@ def test_plan_for_consistency(tc, small_cfg):
     assert plan.horizon == 10
     assert plan.utility == pytest.approx(
         channel_utility([d.m_opt for d in plan.per_frame], tc))
+    with pytest.raises(ValueError):
+        plan_for(small_cfg, tc, 0, 1.0, 0.05)
     for d in plan.per_frame:
         assert d.m_opt >= 0
         assert d.t_cop_opt_us >= 0.0
@@ -151,15 +167,15 @@ def test_greedy_matches_exhaustive_toy(tc):
     def best_from(pop, frames_left):
         if frames_left == 0:
             return 0
-        mix = mixture_of(pop, cfg.alpha, cfg.p_inl)
-        cap = max_feasible_m(mix, tc)
+        mix = oracle.mixture_of(pop, cfg.alpha, cfg.p_inl)
+        cap = oracle.max_feasible_m(mix, tc)
         best = 0
         for m in range(cap + 1):
-            nxt = evolve_population(pop, m, cfg.alpha, cfg.p_inl, cfg, tc)
+            nxt = oracle.evolve_population(pop, m, cfg.alpha, cfg.p_inl, cfg, tc)
             best = max(best, m + best_from(nxt, frames_left - 1))
         return best
 
-    exhaustive = best_from(initial_population(cfg, tc), horizon)
+    exhaustive = best_from(oracle.initial_population(cfg, tc), horizon)
     greedy = sum(d.m_opt for d in plan_for(cfg, tc, horizon,
                                            cfg.alpha, cfg.p_inl).per_frame)
     assert greedy == exhaustive
@@ -189,10 +205,10 @@ def test_plan_roundtrip(tc, small_cfg, tmp_path):
         pytest.approx([d.t_cop_opt_us for d in plan.per_frame])
 
 
-# The batched grid evaluator against the per-cell recursion it replaces.
+# The array pass against the dict-of-(q, d) recursion it replaced.
 
 def _loop_optimize(plans):
-    """The per-cell search `optimize` ran before the batched evaluator."""
+    """The per-cell search `optimize` ran before the array pass."""
     best = None
     for plan in plans:
         if best is None or plan.utility > best.utility + 1e-15:
@@ -200,18 +216,32 @@ def _loop_optimize(plans):
     return best
 
 
+def _assert_plans_equal(plan, ref):
+    """Whole plans, frame by frame: m_opt, t_cop_opt_us and population."""
+    assert (plan.alpha_opt, plan.p_inl_opt) == (ref.alpha_opt, ref.p_inl_opt)
+    assert len(plan.per_frame) == len(ref.per_frame)
+    for t, (got, want) in enumerate(zip(plan.per_frame, ref.per_frame)):
+        cell = (ref.alpha_opt, ref.p_inl_opt, t)
+        assert got.m_opt == want.m_opt, cell
+        assert got.t_cop_opt_us == want.t_cop_opt_us, cell
+        assert got.population.frame_index == want.population.frame_index, cell
+        assert got.population.counts == want.population.counts, cell
+    assert plan == ref
+
+
 def _assert_grid_matches(cfg, tc, horizon, alpha_grid, p_inl_grid):
-    plans = [plan_for(cfg, tc, horizon, a, p) for a in alpha_grid for p in p_inl_grid]
+    refs = [oracle.plan_for(cfg, tc, horizon, a, p) for a in alpha_grid for p in p_inl_grid]
     wins = _grid_winners(cfg, tc, horizon, alpha_grid, p_inl_grid)
-    assert wins.shape == (len(plans), horizon)
-    for plan, row in zip(plans, wins):
-        assert row.tolist() == [d.m_opt for d in plan.per_frame], \
-            (plan.alpha_opt, plan.p_inl_opt)
+    assert wins.shape == (len(refs), horizon)
+    for ref, row in zip(refs, wins):
+        assert row.tolist() == [d.m_opt for d in ref.per_frame], \
+            (ref.alpha_opt, ref.p_inl_opt)
+        _assert_plans_equal(plan_for(cfg, tc, horizon, ref.alpha_opt, ref.p_inl_opt), ref)
     grid = utility_grid(cfg, tc, horizon, alpha_grid, p_inl_grid)
-    for plan in plans:
-        utility = grid[(plan.alpha_opt, plan.p_inl_opt)]
-        assert type(utility) is float and utility == plan.utility
-    assert optimize(cfg, tc, horizon, alpha_grid, p_inl_grid) == _loop_optimize(plans)
+    for ref in refs:
+        utility = grid[(ref.alpha_opt, ref.p_inl_opt)]
+        assert type(utility) is float and utility == ref.utility
+    assert optimize(cfg, tc, horizon, alpha_grid, p_inl_grid) == _loop_optimize(refs)
     return wins
 
 
@@ -247,11 +277,20 @@ def test_grid_winners_resolving_grid(tc):
 def test_grid_winners_past_escalation_overflow(tc):
     # (1 + 5) ** rho overflows a float from rho = 397, which the largest
     # virtual class of the three-class layout reaches in frame 396
-    plan = plan_for(_layout(1200), tc, 420, 5.0, 0.1)
+    ref = oracle.plan_for(_layout(1200), tc, 420, 5.0, 0.1)
+    _assert_plans_equal(plan_for(_layout(1200), tc, 420, 5.0, 0.1), ref)
     wins = _grid_winners(_layout(1200), tc, 420, (5.0,), (0.1,))
-    assert wins[0].tolist() == [d.m_opt for d in plan.per_frame]
+    assert wins[0].tolist() == [d.m_opt for d in ref.per_frame]
 
 
 def test_optimize_empty_grid(tc, small_cfg):
     with pytest.raises(NoFeasiblePointError):
         optimize(small_cfg, tc, 5, (), (0.1,))
+
+
+def test_best_cell_keeps_the_first_of_a_tie():
+    grid = {(2.0, 0.3): 0.0, (2.0, 0.2): 0.0, (1.0, 0.3): 5e-16, (1.0, 0.2): 0.4}
+    assert best_cell(grid) == (1.0, 0.2)
+    assert best_cell({cell: 0.0 for cell in grid}) == (2.0, 0.3)
+    with pytest.raises(NoFeasiblePointError):
+        best_cell({})

@@ -29,7 +29,7 @@ from hymac.simulator import (
 
 
 def reports_equal(a, b):
-    return (a.m_per_frame == b.m_per_frame
+    return (a.per_frame == b.per_frame
             and np.array_equal(a.generated, b.generated)
             and np.array_equal(a.dropped, b.dropped)
             and np.array_equal(a.delivered, b.delivered)
@@ -376,7 +376,7 @@ def test_hybrid_accounting(tc, small_cfg):
     rep = run_hybrid(small_cfg, tc, plan, 10, seed=2)
     buffered = rep.generated - rep.delivered - rep.dropped
     assert (buffered >= 0).all() and (buffered <= 1).all()
-    assert sum(rep.m_per_frame) == int(rep.delivered.sum())
+    assert sum(f.m_realized for f in rep.per_frame) == int(rep.delivered.sum())
     for f in rep.per_frame:
         assert f.m_realized <= f.n_active
         assert f.t_cop_us + f.m_realized * tc.t_r_us <= tc.t_frame_us
@@ -388,7 +388,7 @@ def test_hybrid_no_arrivals_is_silent(tc):
     rep = run_hybrid(cfg, tc, plan, 5, seed=1)
     assert rep.generated.sum() == 0
     assert rep.delivered.sum() == 0
-    assert all(m == 0 for m in rep.m_per_frame)
+    assert all(f.m_realized == 0 for f in rep.per_frame)
 
 
 def test_hybrid_choked_run_draws_no_slot(tc, monkeypatch):
@@ -482,7 +482,7 @@ def test_tdma_saturated_small_network(tc):
                       arrival_rate=100.0)
     rep = run_tdma(cfg, tc, 3, seed=8)
     slots = int(tc.t_frame_us / tc.t_r_us)
-    assert all(m == slots for m in rep.m_per_frame)
+    assert all(f.m_realized == slots for f in rep.per_frame)
 
 
 def test_tdma_rotation_covers_all_devices(tc):
@@ -682,7 +682,7 @@ def test_run_invariants(sizes, lam, alpha, p_inl, horizon, seed):
         rep = run(horizon)
         buffered = rep.generated - rep.delivered - rep.dropped
         assert ((buffered == 0) | (buffered == 1)).all(), variant
-        assert sum(rep.m_per_frame) == int(rep.delivered.sum())
+        assert sum(f.m_realized for f in rep.per_frame) == int(rep.delivered.sum())
         # a delivery ends one buffer occupancy; with more TDMA slots than
         # devices (K = 3, lambda = 4) a device is served several times a frame
         for f in rep.per_frame:
