@@ -56,13 +56,8 @@ class ContentionMixture:
 class CopExpectation:
     """Expected per-success contention cost and total contention duration."""
 
-    e_collisions: float
-    e_idle_us: float
     e_attempt_us: float
     e_tcop_us: float
-    idle_component_us: float
-    collision_component_us: float
-    success_component_us: float
 
 
 def slot_law(probs, counts) -> tuple[float, float, list[float]]:
@@ -135,22 +130,11 @@ def expected_tcop(m: int, mix: ContentionMixture, tc: TimingConstants) -> CopExp
     if m < 0:
         raise ValueError("number of successes must be nonnegative")
     if m == 0:
-        return CopExpectation(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return CopExpectation(0.0, 0.0)
     e_nc = expected_collisions(mix)
     e_idle = expected_idle(mix, tc.delta_idle_us)
-    idle_part = (e_nc + 1.0) * e_idle
-    coll_part = e_nc * tc.delta_coll_us
-    succ_part = tc.delta_succ_us
-    e_attempt = idle_part + coll_part + succ_part
-    return CopExpectation(
-        e_collisions=e_nc,
-        e_idle_us=e_idle,
-        e_attempt_us=e_attempt,
-        e_tcop_us=m * e_attempt,
-        idle_component_us=idle_part,
-        collision_component_us=coll_part,
-        success_component_us=succ_part,
-    )
+    e_attempt = (e_nc + 1.0) * e_idle + e_nc * tc.delta_coll_us + tc.delta_succ_us
+    return CopExpectation(e_attempt_us=e_attempt, e_tcop_us=m * e_attempt)
 
 
 def success_shares(terms: list[float]) -> list[float]:

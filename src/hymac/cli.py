@@ -71,9 +71,12 @@ def _parse_sweep(text: str) -> dict[str, list[float]]:
             raise ConfigError(f"bad sweep axis {part!r}, expected name=v1:v2:...")
         name, values = part.split("=", 1)
         try:
-            axes[name.strip()] = [float(v) for v in values.split(":") if v]
+            grid = [float(v) for v in values.split(":") if v]
         except ValueError as exc:
             raise ConfigError(f"bad sweep values in {part!r}") from exc
+        if not grid:
+            raise ConfigError(f"empty sweep axis {part!r}")
+        axes[name.strip()] = grid
     return axes
 
 
@@ -89,8 +92,6 @@ def build_parser() -> _Parser:
     run.add_argument("--seeds", help="comma-separated seed list")
     run.add_argument("--out", help="output directory for CSV exports")
     run.add_argument("--plan", help="reuse a previously exported plan YAML")
-    run.add_argument("--trace", action="store_true",
-                     help="collect per-frame event traces (hybrid only)")
     run.add_argument("--print-config", action="store_true",
                      help="echo the resolved configuration and exit")
 
@@ -117,15 +118,12 @@ def _apply_overrides(sc: Scenario, args) -> Scenario:
 
 
 def _run_one(task):
-    variant, sc_doc, plan, seed, collect_traces = task
-    from .domain import scenario_from_dict
-    sc = scenario_from_dict(sc_doc)
+    variant, sc, plan, seed = task
     if variant == "hybrid":
         # contend at the planned cell, not the scenario's starting point
         cfg = replace(sc.classes, alpha=plan.alpha_opt, p_inl=plan.p_inl_opt)
         return simulator.run_hybrid(cfg, sc.timing, plan, sc.horizon, seed,
-                                    escalation=sc.escalation,
-                                    collect_traces=collect_traces)
+                                    escalation=sc.escalation)
     if variant == "csma":
         return simulator.run_csma(sc.classes, sc.timing, sc.classes.p_inl,
                                   sc.horizon, seed)
@@ -158,11 +156,9 @@ def _cmd_run(args) -> int:
         if plan is not None and not args.plan:
             optimizer.dump_plan(plan, out_dir / "plan.yaml")
 
-    sc_doc = scenario_to_dict(sc)
     for variant in variants:
-        tasks = [(variant, sc_doc, plan, seed, args.trace and variant == "hybrid")
-                 for seed in sc.seeds]
-        if workers > 1 and len(tasks) > 1 and not args.trace:
+        tasks = [(variant, sc, plan, seed) for seed in sc.seeds]
+        if workers > 1 and len(tasks) > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 reports = list(pool.map(_run_one, tasks))
         else:

@@ -37,9 +37,6 @@ class CopOutcome:
     t_elapsed_us: float
     n_idle_slots: int
     n_collisions: int
-    idle_time_us: float
-    idle_final_time_us: float              # idle runs directly preceding a success
-    coll_time_us: float
     coll_tx_time_us: float                 # collision durations weighted by transmitters
     listen_time_us: float                  # contender time spent listening, not transmitting
     n_slots: int
@@ -55,9 +52,6 @@ class FrameSummary:
     t_cop_us: float
     n_idle_slots: int
     n_collisions: int
-    idle_time_us: float
-    idle_final_time_us: float
-    coll_time_us: float
     coll_tx_time_us: float
     listen_time_us: float
     winner_wait_time_us: float             # winners staying awake until the end of COP
@@ -66,13 +60,11 @@ class FrameSummary:
 
 @dataclass(frozen=True)
 class FrameTrace:
-    """Detailed event log of one frame (produced on request)."""
+    """Winners and failure counts of one hybrid frame (produced on request)."""
 
     frame: int
-    events: tuple                           # (kind, start_us, duration_us, n_transmitters)
     winners: tuple                          # (device id, top slot index) in order
-    mode_time_us: np.ndarray                # (K, 4) time per device in tx/rx/idle/sleep
-    d_before: np.ndarray | None = None      # per-device failure count at contention time
+    d_before: np.ndarray                    # per-device failure count at contention time
 
 
 @dataclass
@@ -100,8 +92,7 @@ def _device_classes(cfg: ClassConfig) -> np.ndarray:
 def run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
             tc: TimingConstants, *, m_target: int | None = None,
             time_limit_us: float | None = None, success_extra_us: float = 0.0,
-            drain: bool = True, max_slots: int | None = None,
-            events: list | None = None) -> CopOutcome:
+            drain: bool = True, max_slots: int | None = None) -> CopOutcome:
     """Slotted p-persistent contention among groups of identical devices.
 
     Each slot every remaining contender transmits with its group
@@ -125,7 +116,7 @@ def run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
     succ_times: list[float] = []
     elapsed = 0.0
     n_idle = n_coll = n_slots = 0
-    idle_time = idle_final = coll_time = coll_tx = listen = 0.0
+    coll_tx = listen = 0.0
     law = None  # slot_law of the current contenders
 
     def done() -> bool:
@@ -151,12 +142,9 @@ def run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
                 gap_slots = min(gap_slots, max_slots - n_slots)
             if gap_slots <= 0:
                 break
-            if events is not None:
-                events.append(("idle", elapsed, gap_slots * d_idle, 0))
             elapsed += gap_slots * d_idle
             n_idle += gap_slots
             n_slots += gap_slots
-            idle_time += gap_slots * d_idle
             break
         p_lone = sum(terms)
         if ((p_lone <= 0.0 or not drain and m_target is None)
@@ -180,8 +168,7 @@ def run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
 
         # keep the whole pass, unless a stop falls inside it
         n_busy = len(success)
-        last, run = n_busy - 1, int(idle[-1])
-        cut = run + 1  # slots kept from the last run, its busy slot included
+        last = n_busy - 1
         slots_end = n_slots + int(idle.sum()) + n_busy
         t_end = (elapsed + (slots_end - n_slots - n_busy) * d_idle
                  + (n_busy - len(wins)) * d_coll + len(wins) * d_succ)
@@ -201,7 +188,7 @@ def run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
             run_t, run_slots = ((float(ends[last - 1]), int(slot_ends[last - 1]))
                                 if last else (elapsed, n_slots))
             run = int(idle[last])
-            cut = run + 1
+            cut = run + 1  # slots kept from the last run, its busy slot included
             if time_limit_us is not None:
                 cut = min(cut, math.ceil(min((time_limit_us - run_t) / d_idle, cut)))
             if max_slots is not None:
@@ -219,35 +206,25 @@ def run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
         tx = _collision_sizes(rng, counts, probs, n_c, p_busy - p_lone)
         tx_sum = int(tx.sum())
         n_idle += idle_kept
-        idle_time += idle_kept * d_idle
         n_coll += n_c
-        coll_time += n_c * d_coll
         coll_tx += tx_sum * d_coll
         listen += (remaining * idle_kept * d_idle
                    + (n_c * remaining - tx_sum) * d_coll
                    + len(wins) * (remaining - 1) * d_succ)
         if wins:
-            idle_final += sum(idle[wins].tolist()) * d_idle
             succ_times += win_times
             groups = _pick_groups(rng, terms, len(wins))
             succ_groups += groups
             if drain:
                 counts[groups[0]] -= 1
                 law = None
-        if events is not None:
-            runs = idle[:last + 1].tolist()
-            runs[-1] = min(cut, run)
-            _log_pass(events, elapsed, runs, success[:n_busy].tolist(), tx.tolist(),
-                      d_idle, d_succ, d_coll)
         n_slots = slots_end
         elapsed = t_end
 
     return CopOutcome(
         success_groups=tuple(succ_groups), success_times_us=tuple(succ_times),
         t_elapsed_us=elapsed, n_idle_slots=n_idle, n_collisions=n_coll,
-        idle_time_us=idle_time, idle_final_time_us=idle_final,
-        coll_time_us=coll_time, coll_tx_time_us=coll_tx,
-        listen_time_us=listen, n_slots=n_slots,
+        coll_tx_time_us=coll_tx, listen_time_us=listen, n_slots=n_slots,
     )
 
 
@@ -273,21 +250,6 @@ def _pick_groups(rng: np.random.Generator, terms: list, n: int) -> list[int]:
         top = max(j for j, term in enumerate(terms) if term > 0.0)
         picks = [min(j, top) for j in picks]
     return picks
-
-
-def _log_pass(events: list, t: float, runs: list, kinds: list, sizes: list,
-              d_idle: float, d_succ: float, d_coll: float) -> None:
-    """Append one pass as (kind, start_us, duration_us, transmitters)
-    events: ``runs[j]`` idle slots, then busy slot j if there is one."""
-    sizes = iter(sizes)
-    for run, kind in itertools.zip_longest(runs, kinds):
-        if run:
-            events.append(("idle", t, run * d_idle, 0))
-            t += run * d_idle
-        if kind is not None:
-            events.append(("success", t, d_succ, 1) if kind
-                          else ("collision", t, d_coll, next(sizes)))
-            t += events[-1][2]
 
 
 def simulate_cop_slots(counts_by_prob: list[tuple[float, int]], tc: TimingConstants,
@@ -464,9 +426,8 @@ def _cop_summary(frame: int, n_active: int, m_realized: int, cop: CopOutcome,
     return FrameSummary(
         frame=frame, n_active=n_active, m_realized=m_realized,
         t_cop_us=cop.t_elapsed_us, n_idle_slots=cop.n_idle_slots,
-        n_collisions=cop.n_collisions, idle_time_us=cop.idle_time_us,
-        idle_final_time_us=cop.idle_final_time_us, coll_time_us=cop.coll_time_us,
-        coll_tx_time_us=cop.coll_tx_time_us, listen_time_us=cop.listen_time_us,
+        n_collisions=cop.n_collisions, coll_tx_time_us=cop.coll_tx_time_us,
+        listen_time_us=cop.listen_time_us,
         winner_wait_time_us=winner_wait_us,
     )
 
@@ -495,7 +456,6 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
         decision = plan.per_frame[frame]
         active_ids = np.nonzero(buf.full)[0]
         n_active = len(active_ids)
-        ev_log: list | None = [] if collect_traces else None
         d_snapshot = d_arr.copy() if collect_traces else None
 
         scripted = winner_script.get(frame) if winner_script else None
@@ -510,14 +470,13 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
                              success_times_us=tuple((j + 1) * tc.delta_succ_us
                                                     for j in range(len(winner_ids))),
                              t_elapsed_us=t_cop, n_idle_slots=0, n_collisions=0,
-                             idle_time_us=0.0, idle_final_time_us=0.0,
-                             coll_time_us=0.0, coll_tx_time_us=0.0,
-                             listen_time_us=0.0, n_slots=len(winner_ids))
+                             coll_tx_time_us=0.0, listen_time_us=0.0,
+                             n_slots=len(winner_ids))
         else:
             members, counts, probs = _group_actives(active_ids, q_arr, d_arr,
                                                     cfg.alpha, cfg.p_inl, escalation)
             cop = run_cop(rng, counts, probs, tc, m_target=decision.m_opt,
-                          time_limit_us=decision.t_cop_opt_us, events=ev_log)
+                          time_limit_us=decision.t_cop_opt_us)
             winner_ids = _draw_winners(rng, members, cop.success_groups)
 
         # cap data slots to what fits after NP, COP and AP
@@ -545,46 +504,12 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
         _settle_frame(frame, *arrivals, service, buf)
 
         winner_wait = sum(cop.t_elapsed_us - t for t in cop.success_times_us[:m_real])
-        summary = _cop_summary(frame, n_active, m_real, cop, winner_wait)
-        report.per_frame.append(summary)
+        report.per_frame.append(_cop_summary(frame, n_active, m_real, cop, winner_wait))
         if collect_traces:
-            report.traces.append(_build_trace(frame, ev_log or [], winner_ids,
-                                              summary, q_arr, active_ids, tc,
-                                              d_snapshot))
+            report.traces.append(FrameTrace(
+                frame=frame, winners=tuple((int(d), j) for j, d in enumerate(winner_ids)),
+                d_before=d_snapshot))
     return report
-
-
-def _build_trace(frame: int, events: list, winner_ids, summary: FrameSummary,
-                 q_arr: np.ndarray, active_ids: np.ndarray,
-                 tc: TimingConstants, d_before: np.ndarray | None = None) -> FrameTrace:
-    """Per-device time-in-mode ledger (tx / rx / idle / sleep).
-
-    Contention listening and collision transmission time is attributed in
-    expectation (equal shares among the frame's active devices), since
-    the engine samples transmitter counts, not identities.
-    """
-    k = len(q_arr)
-    mode = np.zeros((k, 4))
-    mode[:, 1] += tc.t_nof_us                       # NP: everyone receives
-    n_active = summary.n_active
-    if n_active:
-        mode[active_ids, 1] += tc.t_anc_us          # AP: actives receive
-        share_listen = summary.listen_time_us / n_active
-        share_colltx = summary.coll_tx_time_us / n_active
-        mode[active_ids, 2] += share_listen
-        mode[active_ids, 0] += share_colltx
-    for j, dev in enumerate(winner_ids):
-        mode[dev, 0] += tc.delta_succ_us + tc.t_r_us
-        mode[dev, 3] += summary.m_realized * tc.t_r_us - tc.t_r_us
-    loser_mask = np.zeros(k, dtype=bool)
-    loser_mask[active_ids] = True
-    loser_mask[np.array(winner_ids, dtype=np.int64)] = False
-    mode[loser_mask, 3] += summary.m_realized * tc.t_r_us   # losers sleep out the TOP
-    used = mode.sum(axis=1)
-    mode[:, 3] += np.maximum(0.0, tc.t_frame_us - used)
-    return FrameTrace(frame=frame, events=tuple(events),
-                      winners=tuple((int(d), j) for j, d in enumerate(winner_ids)),
-                      mode_time_us=mode, d_before=d_before)
 
 
 def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
@@ -631,8 +556,7 @@ def run_tdma(cfg: ClassConfig, tc: TimingConstants, frames: int, seed: int) -> S
 
         report.per_frame.append(FrameSummary(
             frame=frame, n_active=n_full + n_filled, m_realized=m_real,
-            t_cop_us=0.0, n_idle_slots=0, n_collisions=0, idle_time_us=0.0,
-            idle_final_time_us=0.0, coll_time_us=0.0, coll_tx_time_us=0.0,
+            t_cop_us=0.0, n_idle_slots=0, n_collisions=0, coll_tx_time_us=0.0,
             listen_time_us=0.0, winner_wait_time_us=0.0,
             tdma_idle_slots=idle_slots,
         ))

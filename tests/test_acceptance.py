@@ -199,7 +199,7 @@ def test_criterion_04_monte_carlo_calibration():
     e_idle = expected_idle(mix, TC.delta_idle_us)
     # idle run length per busy slot is geometric with mean p0/(1-p0)
     se_idle = TC.delta_idle_us * math.sqrt(p0 / (1 - p0) ** 2 / busy)
-    d_idle = abs(out.idle_time_us / busy - e_idle)
+    d_idle = abs(out.n_idle_slots * TC.delta_idle_us / busy - e_idle)
 
     ok = d_succ < 3 * se_succ and d_idle < 3 * se_idle
     verdict(4, "Monte-Carlo slot process calibrates against the model", ok,

@@ -127,6 +127,13 @@ def test_sweep_bad_axis(tmp_path, capsys):
                  "--sweep", "bogus=1:2"]) == EXIT_CONFIG
 
 
+def test_sweep_empty_axis_is_config_error(tmp_path, capsys):
+    path = write_scenario(tmp_path)
+    for axes in ("alpha=", "p_inl=:", "alpha=0.5,p_inl="):
+        assert main(["sweep", "--scenario", str(path), "--sweep", axes]) == EXIT_CONFIG
+        assert "empty sweep axis" in capsys.readouterr().err
+
+
 def test_validate(capsys):
     assert main(["validate"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -164,3 +171,17 @@ def test_bad_workers_env_is_config_error(tmp_path, capsys, monkeypatch):
         assert main(["run", "--scenario", str(path)]) == EXIT_CONFIG
         assert "HYMAC_WORKERS" in capsys.readouterr().err
     assert planned == []  # rejected before planning
+
+
+def test_worker_pool_writes_the_serial_outputs(tmp_path, capsys, monkeypatch):
+    doc = dict(SCENARIO, protocol=dict(SCENARIO["protocol"], variant="all"))
+    path = write_scenario(tmp_path, doc)
+    outputs = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("HYMAC_WORKERS", workers)
+        out = tmp_path / f"workers{workers}"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        outputs[workers] = (stdout, {f.name: f.read_bytes() for f in out.iterdir()})
+    assert len(outputs["1"][1]) == 1 + 3 * 2 * 2  # plan, then two CSVs per run
+    assert outputs["2"] == outputs["1"]

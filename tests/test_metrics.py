@@ -25,8 +25,7 @@ from hymac.simulator import FrameSummary, SimReport, run_hybrid
 
 def make_summary(**kw):
     base = dict(frame=0, n_active=0, m_realized=0, t_cop_us=0.0, n_idle_slots=0,
-                n_collisions=0, idle_time_us=0.0, idle_final_time_us=0.0,
-                coll_time_us=0.0, coll_tx_time_us=0.0, listen_time_us=0.0,
+                n_collisions=0, coll_tx_time_us=0.0, listen_time_us=0.0,
                 winner_wait_time_us=0.0)
     base.update(kw)
     return FrameSummary(**base)
@@ -64,8 +63,7 @@ def test_energy_identities():
 def test_hybrid_energy_hand_computed(tc):
     f = make_summary(n_active=10, m_realized=2, coll_tx_time_us=3 * 29.7,
                      listen_time_us=500.0, winner_wait_time_us=100.0,
-                     idle_time_us=200.0, idle_final_time_us=50.0,
-                     coll_time_us=29.7, n_collisions=1)
+                     n_collisions=1)
     e = energy_per_frame(f, tc, 100, "hybrid")
     assert e.e_np == pytest.approx(100 * 1.0 * 10.0 * 1e-6)
     assert e.e_ap == pytest.approx(10 * 1.0 * 10.0 * 1e-6)

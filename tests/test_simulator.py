@@ -45,8 +45,7 @@ _BLOCK = 512
 def _block_run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
                    tc: TimingConstants, *, m_target: int | None = None,
                    time_limit_us: float | None = None, success_extra_us: float = 0.0,
-                   drain: bool = True, max_slots: int | None = None,
-                   events: list | None = None) -> CopOutcome:
+                   drain: bool = True, max_slots: int | None = None) -> CopOutcome:
     """Reference engine: `run_cop` as one binomial draw per group and slot,
     in blocks of ``_BLOCK`` slots, redrawn from the slot after each drained
     success.  Same arguments and outcome; the same law, other draws."""
@@ -58,8 +57,7 @@ def _block_run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarr
     succ_times: list[float] = []
     elapsed = 0.0
     n_idle = n_coll = n_slots = 0
-    idle_time = idle_final = coll_time = coll_tx = listen = 0.0
-    idle_run = 0.0  # idle time since the last busy slot
+    coll_tx = listen = 0.0
 
     def done() -> bool:
         if m_target is not None and len(succ_groups) >= m_target:
@@ -81,12 +79,9 @@ def _block_run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarr
                 gap_slots = min(gap_slots, max_slots - n_slots)
             if gap_slots <= 0:
                 break
-            if events is not None:
-                events.append(("idle", elapsed, gap_slots * d_idle, 0))
             elapsed += gap_slots * d_idle
             n_idle += gap_slots
             n_slots += gap_slots
-            idle_time += gap_slots * d_idle
             break
         draws = rng.binomial(counts[:, None], probs[:, None],
                              size=(len(counts), _BLOCK))
@@ -121,26 +116,11 @@ def _block_run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarr
 
         n_slots += n_take
         n_idle += n_idle_blk
-        idle_time += n_idle_blk * d_idle
         n_coll += len(idx_coll)
-        coll_time += len(idx_coll) * d_coll
         coll_tx += coll_transmitters * d_coll
         listen += (remaining * n_idle_blk * d_idle
                    + (len(idx_coll) * remaining - coll_transmitters) * d_coll
                    + len(idx_succ) * (remaining - 1) * d_succ)
-
-        # idle runs: only the run directly preceding a success is "final"
-        busy_pos = np.sort(np.concatenate([idx_succ, idx_coll]))
-        for s in idx_succ:
-            j = int(np.searchsorted(busy_pos, s))
-            if j == 0:
-                idle_final += idle_run + s * d_idle
-            else:
-                idle_final += (s - int(busy_pos[j - 1]) - 1) * d_idle
-        if len(busy_pos):
-            idle_run = (n_take - 1 - int(busy_pos[-1])) * d_idle
-        else:
-            idle_run += n_take * d_idle
 
         for s in idx_succ:
             grp = int(np.argmax(draws[:, s] == 1))
@@ -148,21 +128,12 @@ def _block_run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarr
             succ_times.append(float(cum[s]))
             if drain:
                 counts[grp] -= 1
-        if events is not None:
-            kinds = np.where(tot == 0, "idle", np.where(tot == 1, "success",
-                                                        "collision"))
-            starts = np.concatenate(([elapsed], cum[:n_take - 1]))
-            for s in range(n_take):
-                events.append((str(kinds[s]), float(starts[s]), float(dur[s]),
-                               int(tot[s])))
         elapsed = float(cum[n_take - 1])
 
     return CopOutcome(
         success_groups=tuple(succ_groups), success_times_us=tuple(succ_times),
         t_elapsed_us=elapsed, n_idle_slots=n_idle, n_collisions=n_coll,
-        idle_time_us=idle_time, idle_final_time_us=idle_final,
-        coll_time_us=coll_time, coll_tx_time_us=coll_tx,
-        listen_time_us=listen, n_slots=n_slots,
+        coll_tx_time_us=coll_tx, listen_time_us=listen, n_slots=n_slots,
     )
 
 
@@ -221,8 +192,11 @@ _STOPS = {
 
 
 def test_cop_accounting_identity(tc):
+    """Slot counts and durations add up to the period; a time limit stops
+    it within the slot that reaches the limit."""
     for name, (counts, probs, kw) in _STOPS.items():
         d_succ = tc.delta_succ_us + kw.get("success_extra_us", 0.0)
+        longest_slot = max(tc.delta_idle_us, tc.delta_coll_us, d_succ)
         for seed in range(20):
             out = run_cop(np.random.default_rng(seed), np.array(counts),
                           np.array(probs), tc, **kw)
@@ -231,43 +205,12 @@ def test_cop_accounting_identity(tc):
                      + out.n_collisions * tc.delta_coll_us
                      + n_succ * d_succ)
             assert out.t_elapsed_us == pytest.approx(total), name
-            assert out.idle_final_time_us <= out.idle_time_us + 1e-9, name
             assert out.n_slots == out.n_idle_slots + out.n_collisions + n_succ, name
             if "max_slots" in kw:
                 assert out.n_slots <= kw["max_slots"], name
-
-
-def test_cop_trace_tiles_the_period(tc):
-    """Events run back to back from 0 to t_elapsed and agree with the
-    counters; the slot that reaches a time limit is the last one."""
-    ends_in_idle = dict.fromkeys(_STOPS, 0)
-    for name, (counts, probs, kw) in _STOPS.items():
-        for seed in range(20):
-            events: list = []
-            out = run_cop(np.random.default_rng(seed), np.array(counts),
-                          np.array(probs), tc, events=events, **kw)
-            t = 0.0
-            for kind, start, duration, n_tx in events:
-                assert start == pytest.approx(t) and duration > 0, name
-                assert n_tx >= 2 if kind == "collision" else n_tx == (kind == "success")
-                t = start + duration
-            assert t == pytest.approx(out.t_elapsed_us), name
-            colls = [n for kind, _, _, n in events if kind == "collision"]
-            assert len(colls) == out.n_collisions, name
-            assert sum(colls) * tc.delta_coll_us == pytest.approx(out.coll_tx_time_us)
-            assert sum(d for kind, _, d, _ in events if kind == "idle") == \
-                pytest.approx(out.idle_time_us)
             limit = kw.get("time_limit_us", math.inf)
-            if events and out.t_elapsed_us >= limit:
-                kind, _, duration, _ = events[-1]
-                last_slot = tc.delta_idle_us if kind == "idle" else duration
-                assert out.t_elapsed_us - last_slot < limit, name
-            if events and events[-1][0] == "idle" and len(out.success_groups) < \
-                    kw.get("m_target", math.inf):
-                ends_in_idle[name] += 1
-    # the idle-run cases do stop inside an idle run
-    assert ends_in_idle["time limit in an idle run"] > 0
-    assert ends_in_idle["slot limit in an idle run"] > 0
+            if out.t_elapsed_us >= limit:
+                assert out.t_elapsed_us - longest_slot < limit, name
 
 
 def test_cop_without_success_or_limit_raises(tc, rng):
@@ -306,8 +249,8 @@ _ORACLE_CASES = {
     "time cut in an idle run": ([2], [0.03], dict(m_target=5, time_limit_us=400.0)),
     "slot cut in an idle run": ([2, 1], [0.03, 0.05], dict(m_target=3, max_slots=37)),
 }
-_COP_STATS = ("successes", "idle slots", "collisions", "t_elapsed", "idle_final",
-              "coll_tx", "listen", "n_slots", "first winner's group")
+_COP_STATS = ("successes", "idle slots", "collisions", "t_elapsed", "coll_tx",
+              "listen", "n_slots", "first winner's group")
 
 
 def _cop_sample(engine, tc, counts, probs, kw, seeds) -> np.ndarray:
@@ -317,8 +260,8 @@ def _cop_sample(engine, tc, counts, probs, kw, seeds) -> np.ndarray:
         out = engine(np.random.default_rng(seed), np.array(counts), np.array(probs),
                      tc, **kw)
         rows.append((len(out.success_groups), out.n_idle_slots, out.n_collisions,
-                     out.t_elapsed_us, out.idle_final_time_us, out.coll_tx_time_us,
-                     out.listen_time_us, out.n_slots,
+                     out.t_elapsed_us, out.coll_tx_time_us, out.listen_time_us,
+                     out.n_slots,
                      out.success_groups[0] if out.success_groups else -1))
     return np.array(rows, dtype=float).T
 
@@ -419,15 +362,6 @@ def test_hybrid_escalation_toggle(tc, small_cfg):
     flat = run_hybrid(small_cfg, tc, plan, 6, seed=9, escalation=False,
                       collect_traces=True)
     assert all(tr.d_before.max() == 0 for tr in flat.traces)
-
-
-def test_hybrid_trace_time_budget(tc, small_cfg):
-    plan = plan_for(small_cfg, tc, 4, 1.0, 0.05)
-    rep = run_hybrid(small_cfg, tc, plan, 4, seed=4, collect_traces=True)
-    for tr in rep.traces:
-        # per-device tx/rx/idle/sleep times tile the whole frame
-        assert np.allclose(tr.mode_time_us.sum(axis=1), tc.t_frame_us, atol=1e-6)
-        assert (tr.mode_time_us >= -1e-9).all()
 
 
 def test_hybrid_scripted_replay_basic(tc):
@@ -698,8 +632,11 @@ def test_run_invariants(sizes, lam, alpha, p_inl, horizon, seed):
             after = run(h).delivered if h < horizon else rep.delivered
             assert (after - before <= 1).all(), (variant, h)
             before = after
-        for f, tr in zip(rep.per_frame, rep.traces or ()):
-            used = tc.t_nof_us + f.t_cop_us + tc.t_anc_us + f.m_realized * tc.t_r_us
-            assert used <= tc.t_frame_us + 1e-6
-            assert (tr.mode_time_us >= -1e-9).all()
-            assert np.allclose(tr.mode_time_us.sum(axis=1), tc.t_frame_us, atol=1e-6)
+        if variant == "hybrid":
+            # the four periods fit into the frame, and each trace names
+            # the frame's winners
+            for f in rep.per_frame:
+                used = tc.t_nof_us + f.t_cop_us + tc.t_anc_us + f.m_realized * tc.t_r_us
+                assert used <= tc.t_frame_us + 1e-6
+            assert [len(tr.winners) for tr in rep.traces] == \
+                [f.m_realized for f in rep.per_frame]
