@@ -9,8 +9,6 @@ winning device of a successful slot is drawn uniformly from its class.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -19,10 +17,6 @@ import numpy as np
 from .analytics import slot_law
 from .domain import US_PER_S, ClassConfig, TimingConstants
 from .priority import escalated_probability
-
-_PASS_CAP = 4096  # busy slots drawn in one pass at most: bounds its arrays
-_RUN_CAP = 2**40  # idle runs clipped here keep a pass's slot sums in int64
-
 
 class PlanMismatchError(ValueError):
     """Plan horizon or dimensions do not match the requested run."""
@@ -103,153 +97,235 @@ def run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
     reaches a limit counts in full.  Raises `ValueError` when neither
     limit is set and successes cannot end the period.
 
-    Slots are i.i.d. under `analytics.slot_law` while the contenders stay
-    the same, so each pass draws a stretch of them at once (README,
-    "Simulator"); with ``drain`` a winner leaves, and a pass ends at its
-    first success.
+    Slots are i.i.d. while the contenders stay the same, so the engine
+    draws a stretch at a time (README, "Simulator"): the slots before the
+    next success, how many of them are idle, and the success's group, each
+    by inversion of one uniform.  With ``drain`` a winner leaves, and the
+    law is updated for the rest.  The transmitters of all collisions are
+    drawn at the end.
     """
     counts = [int(n) for n in counts]
     probs = [float(p) for p in probs]
     d_idle, d_coll = tc.delta_idle_us, tc.delta_coll_us
     d_succ = tc.delta_succ_us + success_extra_us
+    d_fail = max(d_idle, d_coll)  # longest slot without a success
+    t_stop = math.inf if time_limit_us is None else time_limit_us
+    slot_stop = math.inf if max_slots is None else max_slots
+    target = math.inf if m_target is None else m_target
+    uniform = _uniforms(rng).__next__
     succ_groups: list[int] = []
     succ_times: list[float] = []
     elapsed = 0.0
     n_idle = n_coll = n_slots = 0
-    coll_tx = listen = 0.0
-    law = None  # slot_law of the current contenders
+    listen = 0.0
+    collided = []  # (collisions, group counts, P(collision)) per slot law
+    contenders = law = None
 
-    def done() -> bool:
-        if m_target is not None and len(succ_groups) >= m_target:
-            return True
-        if time_limit_us is not None and elapsed >= time_limit_us:
-            return True
-        if max_slots is not None and n_slots >= max_slots:
-            return True
-        return False
-
-    while not done():
+    while elapsed < t_stop and n_slots < slot_stop and len(succ_groups) < target:
         if law is None:
-            law = slot_law(probs, counts)
-        _, p_busy, terms = law
-        remaining = sum(counts)
+            contenders = contenders or _Contenders(probs, counts)
+            law = contenders.law()
+        p_idle, p_busy, p_lone, weights = law
         if p_busy == 0.0:
             # nothing left to transmit: the channel idles out the clock
-            if time_limit_us is None or elapsed >= time_limit_us:
+            if time_limit_us is None:
                 break
-            gap_slots = math.ceil((time_limit_us - elapsed) / d_idle)
-            if max_slots is not None:
-                gap_slots = min(gap_slots, max_slots - n_slots)
-            if gap_slots <= 0:
-                break
+            gap_slots = min(math.ceil((time_limit_us - elapsed) / d_idle),
+                            slot_stop - n_slots)
             elapsed += gap_slots * d_idle
             n_idle += gap_slots
             n_slots += gap_slots
             break
-        p_lone = sum(terms)
         if ((p_lone <= 0.0 or not drain and m_target is None)
                 and time_limit_us is None and max_slots is None):
             raise ValueError("no limit is set and no success can end the contention")
 
-        # busy slots this pass may hold, their types and idle runs
-        cap = _PASS_CAP
-        if time_limit_us is not None:
-            cap = min(cap, math.ceil(min((time_limit_us - elapsed) / d_coll, cap)) + 1)
-        if max_slots is not None:
-            cap = min(cap, max_slots - n_slots)
-        q = min(1.0, p_lone / p_busy)  # P(success | busy)
+        # the failed slots before the next success, taken in chunks inside
+        # which no limit falls: as many as surely end before the time
+        # limit (or one) and fit under the slot limit
+        remaining = contenders.remaining
+        gap = _failures(uniform(), p_lone)
+        p_coll = p_busy - p_lone
+        idle_share = p_idle / (p_idle + p_coll) if gap else 0.0
+        n_c = 0
+        while gap and elapsed < t_stop and n_slots < slot_stop:
+            k = min(gap, slot_stop - n_slots)
+            if time_limit_us is not None:
+                k = min(k, max(1, math.ceil((t_stop - elapsed) / d_fail) - 1))
+            idle = _binomial(uniform, k, idle_share)
+            spent = idle * d_idle + (k - idle) * d_coll
+            elapsed += spent
+            listen += remaining * spent
+            n_idle += idle
+            n_c += k - idle
+            n_slots += k
+            gap -= k
+        if n_c:
+            n_coll += n_c
+            collided.append((n_c, tuple(counts), p_coll))
+        if gap or elapsed >= t_stop or n_slots >= slot_stop:
+            break  # a limit came first
+
+        elapsed += d_succ
+        n_slots += 1
+        listen += (remaining - 1) * d_succ
+        succ_times.append(elapsed)
+        group = _pick(weights, uniform() * sum(weights))
+        succ_groups.append(group)
         if drain:
-            until = int(rng.geometric(q)) if q > 0.0 else cap + 1
-            success = np.arange(min(until, cap)) == until - 1
-        else:
-            success = rng.random(cap) < q
-        idle = np.minimum(rng.geometric(p_busy, size=len(success)) - 1, _RUN_CAP)
-        wins = success.nonzero()[0].tolist()
+            contenders.drain(group)
+            law = None
 
-        # keep the whole pass, unless a stop falls inside it
-        n_busy = len(success)
-        last = n_busy - 1
-        slots_end = n_slots + int(idle.sum()) + n_busy
-        t_end = (elapsed + (slots_end - n_slots - n_busy) * d_idle
-                 + (n_busy - len(wins)) * d_coll + len(wins) * d_succ)
-        if (wins not in ([], [last])
-                or time_limit_us is not None and t_end >= time_limit_us
-                or max_slots is not None and slots_end >= max_slots):
-            # cut at the first busy slot that reaches a stop; a time or
-            # slot limit can fall inside the idle run in front of it
-            ends = (idle * d_idle + np.where(success, d_succ, d_coll)).cumsum() + elapsed
-            slot_ends = (idle + 1).cumsum() + n_slots
-            if m_target is not None and len(wins) >= m_target - len(succ_groups):
-                last = wins[m_target - len(succ_groups) - 1]
-            if time_limit_us is not None:
-                last = min(last, int(ends.searchsorted(time_limit_us)))
-            if max_slots is not None:
-                last = min(last, int(slot_ends.searchsorted(max_slots)))
-            run_t, run_slots = ((float(ends[last - 1]), int(slot_ends[last - 1]))
-                                if last else (elapsed, n_slots))
-            run = int(idle[last])
-            cut = run + 1  # slots kept from the last run, its busy slot included
-            if time_limit_us is not None:
-                cut = min(cut, math.ceil(min((time_limit_us - run_t) / d_idle, cut)))
-            if max_slots is not None:
-                cut = min(cut, max_slots - run_slots)
-            n_busy = last + (cut > run)
-            slots_end = run_slots + cut
-            t_end = float(ends[last]) if cut > run else run_t + cut * d_idle
-            wins = [j for j in wins if j < n_busy]
-            win_times = ends[wins].tolist()
-        else:
-            win_times = [t_end] * len(wins)
-
-        idle_kept = slots_end - n_slots - n_busy
-        n_c = n_busy - len(wins)
-        tx = _collision_sizes(rng, counts, probs, n_c, p_busy - p_lone)
-        tx_sum = int(tx.sum())
-        n_idle += idle_kept
-        n_coll += n_c
-        coll_tx += tx_sum * d_coll
-        listen += (remaining * idle_kept * d_idle
-                   + (n_c * remaining - tx_sum) * d_coll
-                   + len(wins) * (remaining - 1) * d_succ)
-        if wins:
-            succ_times += win_times
-            groups = _pick_groups(rng, terms, len(wins))
-            succ_groups += groups
-            if drain:
-                counts[groups[0]] -= 1
-                law = None
-        n_slots = slots_end
-        elapsed = t_end
-
+    tx = _collision_transmitters(rng, probs, collided, n_slots)
     return CopOutcome(
         success_groups=tuple(succ_groups), success_times_us=tuple(succ_times),
         t_elapsed_us=elapsed, n_idle_slots=n_idle, n_collisions=n_coll,
-        coll_tx_time_us=coll_tx, listen_time_us=listen, n_slots=n_slots,
+        coll_tx_time_us=tx * d_coll, listen_time_us=listen - tx * d_coll,
+        n_slots=n_slots,
     )
 
 
-def _collision_sizes(rng: np.random.Generator, counts: list, probs: list, n: int,
-                     p_coll: float) -> np.ndarray:
-    """Transmitter counts of ``n`` collisions: per-group binomial draws,
-    redrawn until two or more devices transmit (``p_coll`` of them are)."""
-    sizes = np.empty(0, dtype=np.int64)
-    while len(sizes) < n:
-        rows = min(math.ceil((n - len(sizes)) / p_coll), _PASS_CAP)
-        draw = rng.binomial(counts, probs, size=(rows, len(counts))).sum(axis=1)
-        sizes = np.concatenate((sizes, draw[draw >= 2]))
-    return sizes[:n]
+def _uniforms(rng: np.random.Generator):
+    """Uniforms on (0, 1] from ``rng``, drawn a block at a time when the
+    last block is used up; each block is twice as long as the one before."""
+    size = 1
+    while True:
+        yield from (1.0 - rng.random(size)).tolist()
+        size *= 2
 
 
-def _pick_groups(rng: np.random.Generator, terms: list, n: int) -> list[int]:
-    """Groups of ``n`` lone transmitters, one uniform each, in proportion
-    to the groups' lone-transmitter terms."""
-    cum = list(itertools.accumulate(terms))
-    picks = [bisect.bisect_right(cum, u * cum[-1]) for u in rng.random(n).tolist()]
-    if len(cum) in picks:
-        # u * total rounded up to the total: the last group that can win
-        top = max(j for j, term in enumerate(terms) if term > 0.0)
-        picks = [min(j, top) for j in picks]
-    return picks
+def _failures(u: float, p: float):
+    """Failures before the first success of probability ``p``, by inversion
+    of a uniform ``u`` on (0, 1]: a whole number, or inf when ``p`` is 0."""
+    if p <= 0.0:
+        return math.inf
+    if p >= 1.0:
+        return 0
+    x = math.log(u) / math.log1p(-p)
+    return math.floor(x) if x < math.inf else math.inf
+
+
+def _binomial(uniform, k: int, p: float) -> int:
+    """Binomial(k, p) by inversion of one uniform, summing the terms from
+    the less likely outcome's side, so the loop runs about min(p, 1 - p) * k
+    times.  The engine calls it on at most the failed slots before a
+    success, where that mean stays below one whatever the law; a certain
+    outcome takes no uniform."""
+    flip = p > 0.5
+    q = 1.0 - p if flip else p
+    x = 0
+    if q > 0.0:
+        u = uniform()
+        term = math.exp(k * math.log1p(-q))
+        cdf = term
+        odds = q / (1.0 - q)
+        while cdf < u and x < k:
+            x += 1
+            term *= (k - x + 1) / x * odds
+            cdf += term
+    return k - x if flip else x
+
+
+class _Contenders:
+    """Group counts and the law of their next slot, kept up to date as
+    winners drain.
+
+    log P(idle) = sum n_g log1p(-p_g) over the groups with p < 1, held
+    exactly as a whole multiple of the finest binary fraction among the
+    log1p(-p_g), so a drain changes it by one integer whatever the number
+    of drains before.  Each lone-transmitter term is w_g P(idle) with
+    w_g = n_g p_g / (1 - p_g), so a success's group is picked on the
+    weights w alone.  While a p = 1 device remains, the law comes from
+    `analytics.slot_law`.
+    """
+
+    def __init__(self, probs: list[float], counts: list[int]):
+        self.probs = probs
+        self.counts = counts  # shared with the caller, drained in place
+        self._odds = [p / (1.0 - p) if p < 1.0 else 0.0 for p in probs]
+        stay = [math.log1p(-p).as_integer_ratio() if p < 1.0 else (0, 1) for p in probs]
+        self._unit = max((den for _, den in stay), default=1)  # a power of two
+        self._stay = [num * (self._unit // den) for num, den in stay]
+        self._log_idle = sum(n * s for n, s in zip(counts, self._stay))
+        self.weights = [n * r for n, r in zip(counts, self._odds)]
+        self.certain = sum(n for n, p in zip(counts, probs) if p >= 1.0)
+        self.remaining = sum(counts)
+
+    def law(self) -> tuple[float, float, float, list[float]]:
+        """(P(idle), P(busy), P(success), weights proportional to the
+        groups' lone-transmitter terms)."""
+        if self.certain:
+            p_idle, p_busy, terms = slot_law(self.probs, self.counts)
+            return p_idle, p_busy, min(sum(terms), p_busy), terms
+        log_idle = self._log_idle / self._unit  # correctly rounded
+        total = sum(self.weights)
+        p_busy = -math.expm1(log_idle)
+        if self.remaining == 1:
+            return math.exp(log_idle), p_busy, p_busy, self.weights  # one cannot collide
+        # P(success) = total * P(idle), formed in logs so it stays exact
+        # where P(idle) alone is subnormal
+        p_lone = math.exp(log_idle + math.log(total)) if total > 0.0 else 0.0
+        return math.exp(log_idle), p_busy, min(p_lone, p_busy), self.weights
+
+    def drain(self, group: int) -> None:
+        """One winner of ``group`` leaves."""
+        self.counts[group] -= 1
+        self.remaining -= 1
+        if self.probs[group] >= 1.0:
+            self.certain -= 1
+        else:
+            self._log_idle -= self._stay[group]
+            self.weights[group] = self.counts[group] * self._odds[group]
+
+
+def _pick(weights: list[float], x: float) -> int:
+    """The group whose share of the running sum of ``weights`` holds
+    ``x``, for 0 < x <= sum(weights)."""
+    for group, w in enumerate(weights):
+        if x <= w:
+            return group
+        x -= w
+    # rounding left x above the sum: the last group that can win
+    return max(g for g, w in enumerate(weights) if w > 0.0)
+
+
+def _collision_transmitters(rng: np.random.Generator, probs: list[float],
+                            collided: list, max_draws: int) -> int:
+    """Transmitters summed over collisions, from ``collided``: per slot law,
+    (collisions, group counts, P(collision)).
+
+    A collision's transmitters are per-group binomial draws conditioned on
+    two or more.  Where P(fewer than two transmit) is lost against 1 in
+    double precision (P(collision) == 1), the total of c collisions is one
+    Binomial(c * n_g, p_g) per group (sums of binomials with equal p,
+    Devroye 1986), and all such laws share one draw.  Otherwise the draws
+    are rejected until two or more transmit: each round draws every law
+    about the number its missing collisions need, at most ``max_draws``,
+    and a law keeps its first accepted draws.
+    """
+    summed = [0] * len(probs)
+    laws = []
+    for n_c, counts, p_coll in collided:
+        if p_coll == 1.0:
+            summed = [s + n_c * n for s, n in zip(summed, counts)]
+        else:
+            laws.append((n_c, counts, p_coll))
+    total = int(rng.binomial(summed, probs).sum()) if any(summed) else 0
+    if not laws:
+        return total
+    need = np.array([n_c for n_c, _, _ in laws])
+    counts = np.array([c for _, c, _ in laws], dtype=np.int64)
+    accept = np.array([p_coll for _, _, p_coll in laws])
+    while need.any():
+        per_law = np.minimum(np.ceil(need / accept), max_draws).astype(np.int64)
+        law_of = np.repeat(np.arange(len(laws)), per_law)
+        sizes = rng.binomial(counts[law_of], probs).sum(axis=1)
+        accepted = np.cumsum(sizes >= 2)
+        before = np.concatenate(([0], accepted))[np.cumsum(per_law) - per_law]
+        keep = (sizes >= 2) & (accepted - before[law_of] <= need[law_of])
+        total += int(sizes[keep].sum())
+        need -= np.bincount(law_of[keep], minlength=len(laws))
+    return total
 
 
 def simulate_cop_slots(counts_by_prob: list[tuple[float, int]], tc: TimingConstants,
@@ -409,11 +485,12 @@ def _group_actives(active_ids: np.ndarray, q_arr: np.ndarray, d_arr: np.ndarray,
 def _draw_winners(rng: np.random.Generator, pools: list[list],
                   groups) -> list[int]:
     """One winner per success, uniform over the remaining devices of its
-    group's pool; a drawn device is swap-removed from the pool."""
+    group's pool, from one block of uniforms; a drawn device is
+    swap-removed from the pool."""
     winners = []
-    for grp in groups:
+    for grp, u in zip(groups, rng.random(len(groups)).tolist()):
         pool = pools[grp]
-        pick = int(rng.integers(len(pool)))
+        pick = int(u * len(pool))  # below len(pool), as u < 1
         winners.append(int(pool[pick]))
         pool[pick] = pool[-1]
         pool.pop()
@@ -515,7 +592,9 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
 def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
              seed: int) -> SimReport:
     """Contention-only baseline: the whole frame is one p-persistent
-    contention and a winner sends its data packet immediately."""
+    contention and a winner sends its data packet immediately.  No slot
+    starts after t_frame - (delta_succ + t_r), so every slot, a success
+    with its data packet included, ends inside the frame."""
     if not 0.0 < p <= 1.0:
         raise ValueError("contending probability must lie in (0, 1]")
     rng, buf, report = _start("csma", cfg, tc, frames, seed)
@@ -525,7 +604,8 @@ def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
         active_ids = np.nonzero(buf.full)[0]
         n_active = len(active_ids)
         cop = run_cop(rng, np.array([n_active], dtype=np.int64), np.array([p]), tc,
-                      time_limit_us=tc.t_frame_us, success_extra_us=tc.t_r_us)
+                      time_limit_us=tc.t_frame_us - (tc.delta_succ_us + tc.t_r_us),
+                      success_extra_us=tc.t_r_us)
         winner_ids = _draw_winners(rng, [list(active_ids)], cop.success_groups)
 
         service = _service_rounds(k, np.array(winner_ids, dtype=np.int64),

@@ -19,12 +19,16 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
-def pytest_terminal_summary(terminalreporter):
+def pytest_terminal_summary(terminalreporter, config):
+    """Print the acceptance scoreboard, and keep it as JSON in the pytest
+    cache (``.pytest_cache/v/hymac/acceptance``) when the cache is on."""
     try:
-        from test_acceptance import VERDICTS
+        from test_acceptance import RECORDS, VERDICTS
     except ImportError:
         return
     if VERDICTS:
         terminalreporter.section("acceptance criteria")
         for line in VERDICTS:
             terminalreporter.write_line(line)
+    if RECORDS and getattr(config, "cache", None) is not None:
+        config.cache.set("hymac/acceptance", RECORDS)

@@ -52,7 +52,8 @@ HYBRID_SLOT_CEILING = int((TC.t_frame_us - TC.t_nof_us - TC.t_anc_us)
 _PLAN_CACHE: dict = {}
 
 
-VERDICTS: list = []
+VERDICTS: list = []  # the printed scoreboard lines
+RECORDS: list = []   # the same verdicts as {criterion, name, passed, detail}
 
 
 def verdict(num: int, name: str, passed: bool, detail: str = "") -> None:
@@ -61,6 +62,7 @@ def verdict(num: int, name: str, passed: bool, detail: str = "") -> None:
     if detail:
         line += f"  -- {detail}"
     VERDICTS.append(line)
+    RECORDS.append({"criterion": num, "name": name, "passed": bool(passed), "detail": detail})
     print(line, file=sys.__stdout__, flush=True)
 
 

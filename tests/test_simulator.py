@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from hymac.analytics import (
     ContentionMixture,
     prob_no_transmission,
     prob_success_given_busy,
+    slot_law,
 )
 from hymac.domain import ClassConfig, TimingConstants
 from hymac.optimizer import optimize, plan_for
@@ -18,6 +20,7 @@ from hymac.simulator import (
     CopOutcome,
     PlanMismatchError,
     _Buffers,
+    _Contenders,
     _service_rounds,
     _settle_frame,
     run_cop,
@@ -191,26 +194,98 @@ _STOPS = {
 }
 
 
-def test_cop_accounting_identity(tc):
-    """Slot counts and durations add up to the period; a time limit stops
-    it within the slot that reaches the limit."""
-    for name, (counts, probs, kw) in _STOPS.items():
-        d_succ = tc.delta_succ_us + kw.get("success_extra_us", 0.0)
-        longest_slot = max(tc.delta_idle_us, tc.delta_coll_us, d_succ)
+@st.composite
+def cop_periods(draw):
+    """`run_cop` arguments with a time or slot limit (or both), so every
+    period ends: (counts, probs, keywords)."""
+    n_groups = draw(st.integers(1, 4))
+    counts = draw(st.lists(st.integers(0, 300), min_size=n_groups, max_size=n_groups))
+    probs = draw(st.lists(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+                          min_size=n_groups, max_size=n_groups))
+    kw = dict(drain=draw(st.booleans()),
+              success_extra_us=draw(st.sampled_from([0.0, 100.0, 2000.0])))
+    limits = draw(st.sampled_from(["time", "slots", "both"]))
+    if limits != "slots":
+        kw["time_limit_us"] = draw(st.floats(0.0, 20_000.0))
+    if limits != "time":
+        kw["max_slots"] = draw(st.integers(0, 2000))
+    kw["m_target"] = draw(st.one_of(st.none(), st.integers(0, 50)))
+    return counts, probs, kw
+
+
+def _stop_examples(test):
+    for counts, probs, kw in _STOPS.values():
         for seed in range(20):
-            out = run_cop(np.random.default_rng(seed), np.array(counts),
-                          np.array(probs), tc, **kw)
-            n_succ = len(out.success_groups)
-            total = (out.n_idle_slots * tc.delta_idle_us
-                     + out.n_collisions * tc.delta_coll_us
-                     + n_succ * d_succ)
-            assert out.t_elapsed_us == pytest.approx(total), name
-            assert out.n_slots == out.n_idle_slots + out.n_collisions + n_succ, name
-            if "max_slots" in kw:
-                assert out.n_slots <= kw["max_slots"], name
-            limit = kw.get("time_limit_us", math.inf)
-            if out.t_elapsed_us >= limit:
-                assert out.t_elapsed_us - longest_slot < limit, name
+            test = example(period=(counts, probs, kw), seed=seed)(test)
+    return test
+
+
+@_stop_examples
+@settings(max_examples=200, deadline=None)
+@given(period=cop_periods(), seed=st.integers(0, 2**16))
+def test_cop_accounting_identity(period, seed):
+    """Slot counts and durations tile the period; a limit stops it within
+    the slot that reaches it; at most ``m_target`` successes, no group
+    drains below zero, and each collision has two or more transmitters."""
+    counts, probs, kw = period
+    tc = TimingConstants()
+    out = run_cop(np.random.default_rng(seed), np.array(counts), np.array(probs), tc, **kw)
+    d_succ = tc.delta_succ_us + kw.get("success_extra_us", 0.0)
+    n_succ = len(out.success_groups)
+    total = (out.n_idle_slots * tc.delta_idle_us + out.n_collisions * tc.delta_coll_us
+             + n_succ * d_succ)
+    assert out.t_elapsed_us == pytest.approx(total)
+    assert out.n_slots == out.n_idle_slots + out.n_collisions + n_succ
+    if kw.get("max_slots") is not None:
+        assert out.n_slots <= kw["max_slots"]
+    limit = kw.get("time_limit_us", math.inf)
+    if out.t_elapsed_us >= limit:
+        longest_slot = max(tc.delta_idle_us, tc.delta_coll_us, d_succ)
+        assert out.t_elapsed_us - longest_slot < limit
+    if kw.get("m_target") is not None:
+        assert n_succ <= kw["m_target"]
+    if kw.get("drain", True):
+        drained = np.bincount(out.success_groups, minlength=len(counts))
+        assert (drained <= np.array(counts)).all()
+    assert list(out.success_times_us) == sorted(out.success_times_us)
+    assert all(t <= out.t_elapsed_us for t in out.success_times_us)
+    assert out.coll_tx_time_us >= 2 * out.n_collisions * tc.delta_coll_us - 1e-6
+    assert out.listen_time_us >= -1e-6
+
+
+def _agree(a: float, b: float) -> bool:
+    """Within 1e-12 relative; below the smallest normal double, where
+    precision runs out, within that double."""
+    return math.isclose(a, b, rel_tol=1e-12, abs_tol=sys.float_info.min)
+
+
+@settings(max_examples=300, deadline=None)
+@given(groups=st.lists(st.tuples(st.integers(0, 2000),
+                                 st.one_of(st.just(1.0),
+                                           st.floats(0.0, 1.0, exclude_min=True))),
+                       min_size=1, max_size=11),
+       data=st.data())
+def test_contenders_track_slot_law(groups, data):
+    """The O(1) law update after drains against `slot_law` recomputed from
+    the remaining counts: P(idle), P(busy) and each lone-transmitter term."""
+    counts = [n for n, _ in groups]
+    probs = [p for _, p in groups]
+    contenders = _Contenders(probs, counts)  # drains ``counts`` in place
+    for _ in range(data.draw(st.integers(0, 8))):
+        p_idle, p_busy, p_lone, weights = contenders.law()
+        ref_idle, ref_busy, ref_terms = slot_law(probs, counts)
+        assert _agree(p_idle, ref_idle)
+        assert _agree(p_busy, ref_busy)
+        total = sum(weights)
+        terms = [p_lone * (w / total) if total > 0.0 else 0.0 for w in weights]
+        assert all(_agree(a, b) for a, b in zip(terms, ref_terms))
+        live = [g for g, n in enumerate(counts) if n > 0]
+        if not live:
+            break
+        group = data.draw(st.sampled_from(live))
+        for _ in range(data.draw(st.integers(1, counts[group]))):
+            contenders.drain(group)
+        assert contenders.remaining == sum(counts)
 
 
 def test_cop_without_success_or_limit_raises(tc, rng):
@@ -248,20 +323,27 @@ _ORACLE_CASES = {
     "no drain": ([10, 5], [0.05, 0.1], dict(drain=False, max_slots=120)),
     "time cut in an idle run": ([2], [0.03], dict(m_target=5, time_limit_us=400.0)),
     "slot cut in an idle run": ([2, 1], [0.03, 0.05], dict(m_target=3, max_slots=37)),
+    # P(fewer than two transmit) is lost against 1: collisions summed in one draw
+    "one-draw collisions": ([1200], [0.1],
+                            dict(time_limit_us=3000.0, success_extra_us=2000.0)),
+    "multi-group drain": ([300, 40, 20], [0.002, 0.004, 0.008], dict(m_target=40)),
 }
 _COP_STATS = ("successes", "idle slots", "collisions", "t_elapsed", "coll_tx",
               "listen", "n_slots", "first winner's group")
 
 
 def _cop_sample(engine, tc, counts, probs, kw, seeds) -> np.ndarray:
-    """One row per statistic of `_COP_STATS`, one column per seed."""
+    """One row per statistic of `_COP_STATS`, one column per seed.  Times
+    are rounded to 1e-6 us: the engines add the same slot durations in
+    other orders, which changes only the last bits."""
     rows = []
     for seed in seeds:
         out = engine(np.random.default_rng(seed), np.array(counts), np.array(probs),
                      tc, **kw)
+        times = (round(t, 6) for t in (out.t_elapsed_us, out.coll_tx_time_us,
+                                        out.listen_time_us))
         rows.append((len(out.success_groups), out.n_idle_slots, out.n_collisions,
-                     out.t_elapsed_us, out.coll_tx_time_us, out.listen_time_us,
-                     out.n_slots,
+                     *times, out.n_slots,
                      out.success_groups[0] if out.success_groups else -1))
     return np.array(rows, dtype=float).T
 
@@ -408,6 +490,24 @@ def test_csma_deterministic(tc, small_cfg):
 def test_csma_validates_probability(tc, small_cfg):
     with pytest.raises(ValueError):
         run_csma(small_cfg, tc, 0.0, 5, seed=1)
+
+
+@pytest.mark.parametrize("p", [0.1, 5e-4])
+def test_csma_frames_end_inside_the_frame(tc, monkeypatch, p):
+    # choked (every slot collides) and resolving contention at K = 1200: no
+    # slot, and no success with its data packet, runs past the frame end
+    cfg = ClassConfig(class_sizes=(1180, 10, 10), p_inl=p, alpha=1.0,
+                      arrival_rate=1.0)
+    outcomes = []
+
+    def recorded(*args, **kw):
+        outcomes.append(run_cop(*args, **kw))
+        return outcomes[-1]
+
+    monkeypatch.setattr(simulator, "run_cop", recorded)
+    rep = run_csma(cfg, tc, p, 20, seed=3)
+    assert all(f.t_cop_us <= tc.t_frame_us for f in rep.per_frame)
+    assert all(t <= tc.t_frame_us for out in outcomes for t in out.success_times_us)
 
 
 def test_tdma_saturated_small_network(tc):
