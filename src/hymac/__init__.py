@@ -23,9 +23,7 @@ from .domain import (
 )
 from .metrics import (
     EnergyBreakdown,
-    avg_delay,
     channel_utility_of,
-    drop_ratio,
     energy_per_frame,
     write_device_csv,
     write_frame_csv,
@@ -45,8 +43,8 @@ __all__ = [
     "ClassConfig", "ConfigError", "ContentionMixture", "CopExpectation",
     "DegenerateMixtureError", "DivergentExpectationError", "EnergyBreakdown",
     "FrameDecision", "FramePlan", "PopulationState", "Scenario", "SimReport",
-    "TimingConstants", "asymptotic_tcop", "avg_delay", "channel_utility",
-    "channel_utility_of", "drop_ratio", "dump_scenario", "energy_per_frame",
+    "TimingConstants", "asymptotic_tcop", "channel_utility",
+    "channel_utility_of", "dump_scenario", "energy_per_frame",
     "escalated_probability", "expected_tcop",
     "load_scenario", "optimize", "plan_for", "prob_no_transmission",
     "prob_single_transmission", "prob_success_given_busy", "run_csma",

@@ -114,16 +114,13 @@ def _apply_overrides(sc: Scenario, args) -> Scenario:
         kw["horizon"] = args.frames
     if args.seeds:
         kw["seeds"] = _parse_seeds(args.seeds)
-    return sc.with_overrides(**kw) if kw else sc
+    return replace(sc, **kw)
 
 
 def _run_one(task):
     variant, sc, plan, seed = task
     if variant == "hybrid":
-        # contend at the planned cell, not the scenario's starting point
-        cfg = replace(sc.classes, alpha=plan.alpha_opt, p_inl=plan.p_inl_opt)
-        return simulator.run_hybrid(cfg, sc.timing, plan, sc.horizon, seed,
-                                    escalation=sc.escalation)
+        return simulator.run_hybrid(sc.classes, sc.timing, plan, sc.horizon, seed)
     if variant == "csma":
         return simulator.run_csma(sc.classes, sc.timing, sc.classes.p_inl,
                                   sc.horizon, seed)
@@ -184,10 +181,8 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     sc = load_scenario(args.scenario)
     if args.frames:
-        sc = sc.with_overrides(horizon=args.frames)
-    axes = dict(sc.sweep)
-    if args.sweep:
-        axes.update(_parse_sweep(args.sweep))
+        sc = replace(sc, horizon=args.frames)
+    axes = _parse_sweep(args.sweep) if args.sweep else {}
     alpha_grid = tuple(axes.get("alpha", optimizer.DEFAULT_ALPHA_GRID))
     p_grid = tuple(axes.get("p_inl", optimizer.DEFAULT_P_INL_GRID))
     unknown = set(axes) - {"alpha", "p_inl"}

@@ -9,7 +9,7 @@ milliseconds and the short control messages in microseconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import yaml
 
@@ -128,8 +128,6 @@ class Scenario:
     variant: str = "hybrid"
     horizon: int = 200
     seeds: tuple[int, ...] = tuple(range(1, 11))
-    escalation: bool = True
-    sweep: dict = field(default_factory=dict)  # axis name -> list of values
 
     def __post_init__(self):
         if self.variant not in ("hybrid", "csma", "tdma", "all"):
@@ -139,9 +137,6 @@ class Scenario:
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-
-    def with_overrides(self, **kw) -> "Scenario":
-        return replace(self, **kw)
 
 
 # Scenario (de)serialization.  Keys in the `timing` section use the
@@ -156,7 +151,18 @@ _TIMING_KEYS_US = {
 _TIMING_KEYS_W = {"p_tx": "p_tx_w", "p_rx": "p_rx_w", "p_idle": "p_idle_w"}
 
 
+def _known(doc, keys, section: str) -> dict:
+    """``doc`` as a mapping whose keys all lie in ``keys``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{section} must be a mapping")
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {sorted(map(str, unknown))}")
+    return doc
+
+
 def timing_from_dict(doc: dict) -> TimingConstants:
+    _known(doc, {**_TIMING_KEYS_MS, **_TIMING_KEYS_US, **_TIMING_KEYS_W}, "timing")
     kw = {}
     for key, attr in _TIMING_KEYS_MS.items():
         if key in doc:
@@ -164,9 +170,6 @@ def timing_from_dict(doc: dict) -> TimingConstants:
     for key, attr in {**_TIMING_KEYS_US, **_TIMING_KEYS_W}.items():
         if key in doc:
             kw[attr] = float(doc[key])
-    unknown = set(doc) - set(_TIMING_KEYS_MS) - set(_TIMING_KEYS_US) - set(_TIMING_KEYS_W)
-    if unknown:
-        raise ConfigError(f"unknown timing keys: {sorted(unknown)}")
     return TimingConstants(**kw)
 
 
@@ -178,11 +181,11 @@ def timing_to_dict(tc: TimingConstants) -> dict:
 
 
 def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
-    if not isinstance(doc, dict):
-        raise ConfigError("scenario document must be a mapping")
+    doc = _known(doc, ("name", "timing", "classes", "arrival", "protocol"), "scenario")
     timing = timing_from_dict(doc.get("timing", {}))
-    cls = doc.get("classes", {})
-    arrival = doc.get("arrival", {})
+    cls = _known(doc.get("classes", {}), ("sizes", "p_inl", "alpha"), "classes")
+    arrival = _known(doc.get("arrival", {}), ("lambda",), "arrival")
+    proto = _known(doc.get("protocol", {}), ("variant", "horizon", "seeds"), "protocol")
     try:
         classes = ClassConfig(
             class_sizes=tuple(cls.get("sizes", (1,))),
@@ -190,9 +193,8 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
             alpha=float(cls.get("alpha", 1.0)),
             arrival_rate=float(arrival.get("lambda", 1.0)),
         )
-    except (TypeError, AttributeError) as exc:
+    except TypeError as exc:
         raise ConfigError(f"bad classes/arrival section: {exc}") from exc
-    proto = doc.get("protocol", {})
     return Scenario(
         name=doc.get("name", name),
         timing=timing,
@@ -200,13 +202,11 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
         variant=proto.get("variant", "hybrid"),
         horizon=int(proto.get("horizon", 200)),
         seeds=tuple(proto.get("seeds", range(1, 11))),
-        escalation=bool(proto.get("escalation", True)),
-        sweep={k: list(v) for k, v in doc.get("sweep", {}).items()},
     )
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
-    doc = {
+    return {
         "name": sc.name,
         "timing": timing_to_dict(sc.timing),
         "classes": {
@@ -219,12 +219,8 @@ def scenario_to_dict(sc: Scenario) -> dict:
             "variant": sc.variant,
             "horizon": sc.horizon,
             "seeds": list(sc.seeds),
-            "escalation": sc.escalation,
         },
     }
-    if sc.sweep:
-        doc["sweep"] = {k: list(v) for k, v in sc.sweep.items()}
-    return doc
 
 
 def load_scenario(path) -> Scenario:

@@ -15,16 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import TimingConstants
+from .optimizer import channel_utility
 from .simulator import FrameSummary, SimReport
 
 US_PER_J = 1e-6  # W * us -> J
 
 FRAME_CSV_SCHEMA = "hymac-frame-csv v1"
 DEVICE_CSV_SCHEMA = "hymac-device-csv v1"
-
-
-class UndefinedRatioError(ZeroDivisionError):
-    """The requested ratio has an empty denominator (no traffic yet)."""
 
 
 @dataclass(frozen=True)
@@ -89,37 +86,7 @@ def mean_frame_energy(report: SimReport) -> float:
 
 def channel_utility_of(report: SimReport) -> float:
     """Fraction of frame time carrying successfully delivered data."""
-    frames = len(report.per_frame)
-    if frames == 0:
-        return 0.0
-    m_sum = sum(f.m_realized for f in report.per_frame)
-    return m_sum * report.tc.t_r_us / (frames * report.tc.t_frame_us)
-
-
-def drop_ratio(report: SimReport, device: int | None = None) -> float:
-    """Dropped / generated packets, per device or network-wide."""
-    if device is None:
-        gen = int(report.generated.sum())
-        drp = int(report.dropped.sum())
-    else:
-        gen = int(report.generated[device])
-        drp = int(report.dropped[device])
-    if gen == 0:
-        raise UndefinedRatioError("no packets generated")
-    return drp / gen
-
-
-def avg_delay(report: SimReport, device: int | None = None) -> float:
-    """Mean delivery delay in frame counts (0 = delivered in its arrival frame)."""
-    if device is None:
-        del_count = int(report.delivered.sum())
-        dsum = int(report.delay_frames_sum.sum())
-    else:
-        del_count = int(report.delivered[device])
-        dsum = int(report.delay_frames_sum[device])
-    if del_count == 0:
-        raise UndefinedRatioError("no packets delivered")
-    return dsum / del_count
+    return channel_utility((f.m_realized for f in report.per_frame), report.tc)
 
 
 def _fmt(x: float) -> str:

@@ -466,12 +466,12 @@ def _settle_frame(frame: int, counts: np.ndarray, owner: np.ndarray,
 
 
 def _group_actives(active_ids: np.ndarray, q_arr: np.ndarray, d_arr: np.ndarray,
-                   alpha: float, p_inl: float, escalate: bool):
-    """Partition active devices into virtual-class groups with their
-    contending probabilities."""
+                   alpha: float, p_inl: float):
+    """Partition active devices into virtual-class groups rho = q + d - 1
+    with their contending probabilities."""
     if len(active_ids) == 0:
         return [], np.empty(0, dtype=np.int64), np.empty(0)
-    rho = q_arr[active_ids] - 1 + (d_arr[active_ids] if escalate else 0)
+    rho = q_arr[active_ids] - 1 + d_arr[active_ids]
     order = np.argsort(rho, kind="stable")
     active_sorted = active_ids[order]
     rho_sorted = rho[order]
@@ -510,10 +510,15 @@ def _cop_summary(frame: int, n_active: int, m_realized: int, cop: CopOutcome,
 
 
 def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: int,
-               *, escalation: bool = True, collect_traces: bool = False,
+               *, collect_traces: bool = False,
                arrival_script: dict | None = None,
                winner_script: dict | None = None) -> SimReport:
     """Simulate the four-period frame protocol under a contention plan.
+
+    Devices contend at the plan's cell (``plan.alpha_opt``,
+    ``plan.p_inl_opt``), and every loser escalates to the next virtual
+    class in the following frame; ``cfg`` gives only the class sizes and
+    the arrival rate.
 
     ``arrival_script``/``winner_script`` (frame index -> scripted arrival
     times per device / ordered winner ids) replace the random draws for
@@ -551,7 +556,7 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
                              n_slots=len(winner_ids))
         else:
             members, counts, probs = _group_actives(active_ids, q_arr, d_arr,
-                                                    cfg.alpha, cfg.p_inl, escalation)
+                                                    plan.alpha_opt, plan.p_inl_opt)
             cop = run_cop(rng, counts, probs, tc, m_target=decision.m_opt,
                           time_limit_us=decision.t_cop_opt_us)
             winner_ids = _draw_winners(rng, members, cop.success_groups)
@@ -566,8 +571,7 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
         is_winner = np.zeros(k, dtype=bool)
         is_winner[winner_arr] = True
         losers = active_ids[~is_winner[active_ids]]
-        if escalation:
-            d_arr[losers] += 1
+        d_arr[losers] += 1
         d_arr[winner_arr] = 0
 
         # winner j sends in TOP slot j and is served at its end

@@ -66,23 +66,17 @@ def verdict(num: int, name: str, passed: bool, detail: str = "") -> None:
     print(line, file=sys.__stdout__, flush=True)
 
 
-def std_layout(k: int, lam: float, p_inl: float = 0.1,
-               alpha: float = 1.0) -> ClassConfig:
-    """Reference heterogeneous layout: two ten-device high-priority
-    classes on top of a bulk low-priority class."""
-    return ClassConfig(class_sizes=(k - 20, 10, 10), p_inl=p_inl, alpha=alpha,
-                       arrival_rate=lam)
+def layout_cfg(k: int, lam: float, layout: str = "het") -> ClassConfig:
+    """The "het" reference layout puts two ten-device high-priority classes
+    on top of a bulk low-priority class; any other layout is one class."""
+    sizes = (k - 20, 10, 10) if layout == "het" else (k,)
+    return ClassConfig(class_sizes=sizes, p_inl=0.1, alpha=1.0, arrival_rate=lam)
 
 
 def plan_at(k: int, lam: float, layout: str = "het", horizon: int = 200):
     key = (k, lam, layout, horizon)
     if key not in _PLAN_CACHE:
-        if layout == "het":
-            cfg = std_layout(k, lam)
-        else:
-            cfg = ClassConfig(class_sizes=(k,), p_inl=0.1, alpha=1.0,
-                              arrival_rate=lam)
-        _PLAN_CACHE[key] = optimize(cfg, TC, horizon)
+        _PLAN_CACHE[key] = optimize(layout_cfg(k, lam, layout), TC, horizon)
     return _PLAN_CACHE[key]
 
 
@@ -103,11 +97,7 @@ def hybrid_reports(k: int, lam: float, seeds, frames: int, layout: str = "het"):
     if key in _SIM_CACHE:
         return _SIM_CACHE[key]
     plan = plan_at(k, lam, layout)
-    if layout == "het":
-        cfg = std_layout(k, lam, p_inl=plan.p_inl_opt, alpha=plan.alpha_opt)
-    else:
-        cfg = ClassConfig(class_sizes=(k,), p_inl=plan.p_inl_opt,
-                          alpha=plan.alpha_opt, arrival_rate=lam)
+    cfg = layout_cfg(k, lam, layout)
     reports = [run_hybrid(cfg, TC, plan, frames, seed=s) for s in seeds]
     _SIM_CACHE[key] = (reports, plan, cfg)
     return _SIM_CACHE[key]

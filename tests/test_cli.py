@@ -1,8 +1,9 @@
+import pytest
 import yaml
 
-from hymac import optimizer, simulator
+from hymac import metrics, optimizer, simulator
 from hymac.cli import EXIT_CONFIG, EXIT_OK, EXIT_USAGE, main
-from hymac.domain import ClassConfig, TimingConstants
+from hymac.domain import ClassConfig, TimingConstants, load_scenario, scenario_from_dict
 
 SCENARIO = {
     "name": "cli-test",
@@ -146,20 +147,37 @@ def test_run_simulates_the_planned_cell(tmp_path, capsys, monkeypatch):
            "arrival": {"lambda": 0.2},
            "protocol": {"variant": "hybrid", "horizon": 50, "seeds": [1]}}
     path = write_scenario(tmp_path, doc)
-    simulated = []
-    run_hybrid = simulator.run_hybrid
-
-    def spy(cfg, *args, **kwargs):
-        simulated.append(cfg)
-        return run_hybrid(cfg, *args, **kwargs)
-
     monkeypatch.delenv("HYMAC_WORKERS", raising=False)
-    monkeypatch.setattr(simulator, "run_hybrid", spy)
     out = tmp_path / "out"
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == EXIT_OK
     plan = optimizer.load_plan(out / "plan.yaml")
     assert (plan.alpha_opt, plan.p_inl_opt) == (0.5, 0.1)
-    assert [(c.alpha, c.p_inl) for c in simulated] == [(0.5, 0.1)]
+    sc = load_scenario(path)
+    rep = simulator.run_hybrid(sc.classes, sc.timing, plan, sc.horizon, seed=1)
+    assert sum(f.m_realized for f in rep.per_frame) > 0
+    metrics.write_frame_csv(rep, tmp_path / "frames.csv")
+    metrics.write_device_csv(rep, tmp_path / "devices.csv")
+    for name in ("frames", "devices"):
+        assert ((out / f"{name}_hybrid_seed1.csv").read_bytes()
+                == (tmp_path / f"{name}.csv").read_bytes())
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("protocol", "escalation", False), (None, "sweep", {"alpha": [0.5]})])
+def test_run_rejects_removed_scenario_keys(tmp_path, capsys, section, key, value):
+    # the plan sets the contention rule; a file that still tries to set it fails
+    doc = dict(SCENARIO, protocol=dict(SCENARIO["protocol"]))
+    (doc[section] if section else doc)[key] = value
+    path = write_scenario(tmp_path, doc)
+    assert main(["run", "--scenario", str(path)]) == EXIT_CONFIG
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_print_config_loads_back(tmp_path, capsys):
+    path = write_scenario(tmp_path)
+    assert main(["run", "--scenario", str(path), "--print-config"]) == EXIT_OK
+    printed = scenario_from_dict(yaml.safe_load(capsys.readouterr().out))
+    assert printed == load_scenario(path)
 
 
 def test_bad_workers_env_is_config_error(tmp_path, capsys, monkeypatch):

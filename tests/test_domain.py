@@ -1,6 +1,8 @@
 import math
+from pathlib import Path
 
 import pytest
+import yaml
 
 from hymac.domain import (
     ClassConfig,
@@ -89,7 +91,6 @@ def test_scenario_roundtrip(tmp_path):
         "classes": {"sizes": [100, 10, 10], "p_inl": 0.2, "alpha": 2.0},
         "arrival": {"lambda": 0.5},
         "protocol": {"variant": "all", "horizon": 50, "seeds": [1, 2, 3]},
-        "sweep": {"alpha": [1.0, 2.0]},
     })
     path = tmp_path / "sc.yaml"
     dump_scenario(sc, path)
@@ -104,3 +105,21 @@ def test_scenario_validation():
     with pytest.raises(ConfigError):
         Scenario(name="x", timing=TimingConstants(),
                  classes=ClassConfig((1,), 0.1, 1.0, 1.0), seeds=(1, 1))
+
+
+@pytest.mark.parametrize("section", [None, "classes", "arrival", "protocol"])
+def test_scenario_rejects_unknown_keys(section):
+    doc = {"classes": {"sizes": [5]}, "arrival": {}, "protocol": {}}
+    (doc[section] if section else doc)["bogus"] = 1
+    with pytest.raises(ConfigError, match="bogus"):
+        scenario_from_dict(doc)
+
+
+def test_readme_scenario_example_loads():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Scenario file", 1)[1]
+    example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    sc = scenario_from_dict(yaml.safe_load(example))
+    assert sc.name == "example"
+    assert sc.classes.class_sizes == (30, 10)
+    assert sc.seeds == (1, 2, 3)

@@ -8,10 +8,7 @@ from hymac.metrics import (
     DEVICE_CSV_SCHEMA,
     FRAME_CSV_SCHEMA,
     EnergyBreakdown,
-    UndefinedRatioError,
-    avg_delay,
     channel_utility_of,
-    drop_ratio,
     energy_per_frame,
     energy_series,
     mean_frame_energy,
@@ -95,25 +92,33 @@ def test_channel_utility_of(tc, cfg1200):
     assert channel_utility_of(make_report(tc, cfg1200)) == 0.0
 
 
-def test_ratio_metrics(tc):
+def device_rows(rep, path):
+    write_device_csv(rep, path)
+    return list(csv.DictReader(path.read_text().splitlines()[1:]))
+
+
+def test_ratio_metrics(tc, tmp_path):
     cfg = ClassConfig(class_sizes=(2, 1), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
     rep = make_report(tc, cfg,
                       generated=np.array([10, 5, 4]),
                       dropped=np.array([2, 0, 1]),
                       delivered=np.array([8, 5, 3]),
                       delay_frames_sum=np.array([16, 5, 3]))
-    assert drop_ratio(rep) == pytest.approx(3 / 19)
-    assert drop_ratio(rep, device=0) == pytest.approx(0.2)
-    assert avg_delay(rep) == pytest.approx(24 / 16)
-    assert avg_delay(rep, device=1) == pytest.approx(1.0)
+    merged = merge_reports([rep])
+    assert merged["drop_ratio"] == pytest.approx(3 / 19)
+    assert merged["avg_delay_frames"] == pytest.approx(24 / 16)
+    rows = device_rows(rep, tmp_path / "devices.csv")
+    assert float(rows[0]["drop_ratio"]) == pytest.approx(0.2)
+    assert float(rows[1]["avg_delay_frames"]) == pytest.approx(1.0)
 
 
-def test_undefined_ratios(tc, cfg1200):
-    rep = make_report(tc, cfg1200)
-    with pytest.raises(UndefinedRatioError):
-        drop_ratio(rep)
-    with pytest.raises(UndefinedRatioError):
-        avg_delay(rep, device=3)
+def test_undefined_ratios(tc, tmp_path):
+    # no packet generated or delivered: both ratios are left out, not 0
+    rep = make_report(tc, ClassConfig((3, 1), 0.1, 1.0, 1.0))
+    merged = merge_reports([rep])
+    assert "drop_ratio" not in merged and "avg_delay_frames" not in merged
+    rows = device_rows(rep, tmp_path / "devices.csv")
+    assert [(r["drop_ratio"], r["avg_delay_frames"]) for r in rows] == [("", "")] * 4
 
 
 def test_csv_export_roundtrip(tc, tmp_path, small_cfg):

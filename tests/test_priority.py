@@ -12,7 +12,7 @@ def test_virtual_class_merges_hierarchy_and_escalation():
     # contend as one virtual class, rho = q - 1 + d = 2
     q = np.array([3, 1, 1])
     d = np.array([0, 2, 0])
-    members, counts, probs = _group_actives(np.arange(3), q, d, 1.0, 0.1, True)
+    members, counts, probs = _group_actives(np.arange(3), q, d, 1.0, 0.1)
     assert members == [[2], [0, 1]]
     assert counts.tolist() == [1, 2]
     assert probs.tolist() == [escalated_probability(0, 1.0, 0.1),
@@ -75,7 +75,7 @@ def test_equivalent_cells_share_probability(cells, alpha, p_inl):
     # devices of equal q - 1 + d form one contention group at its probability
     q, d = (np.array(col) for col in zip(*cells))
     members, counts, probs = _group_actives(np.arange(len(cells)), q, d,
-                                            alpha, p_inl, True)
+                                            alpha, p_inl)
     assert sorted(int(m) for grp in members for m in grp) == list(range(len(cells)))
     group_rho = []
     for grp, n, p in zip(members, counts, probs):

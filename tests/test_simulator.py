@@ -423,7 +423,6 @@ def test_hybrid_choked_run_draws_no_slot(tc, monkeypatch):
                       arrival_rate=1.0)
     plan = optimize(cfg, tc, 200)
     assert all(d.m_opt == 0 for d in plan.per_frame)
-    cfg = replace(cfg, alpha=plan.alpha_opt, p_inl=plan.p_inl_opt)
     new = run_hybrid(cfg, tc, plan, 200, seed=511025151)
     monkeypatch.setattr(simulator, "run_cop", _block_run_cop)
     old = run_hybrid(cfg, tc, plan, 200, seed=511025151)
@@ -437,13 +436,14 @@ def test_hybrid_plan_too_short(tc, small_cfg):
         run_hybrid(small_cfg, tc, plan, 5, seed=1)
 
 
-def test_hybrid_escalation_toggle(tc, small_cfg):
-    plan = plan_for(small_cfg, tc, 6, 1.0, 0.05)
-    rep = run_hybrid(small_cfg, tc, plan, 6, seed=9, collect_traces=True)
-    assert any(tr.d_before.max() > 0 for tr in rep.traces[1:])
-    flat = run_hybrid(small_cfg, tc, plan, 6, seed=9, escalation=False,
-                      collect_traces=True)
-    assert all(tr.d_before.max() == 0 for tr in flat.traces)
+def test_hybrid_contends_at_the_plan_cell(tc, small_cfg):
+    # the plan's (alpha, p_inl) sets the contention; the config's do not
+    plan = plan_for(small_cfg, tc, 8, 1.0, 0.05)
+    other = replace(small_cfg, alpha=2.0, p_inl=0.3)
+    a = run_hybrid(small_cfg, tc, plan, 8, seed=5)
+    b = run_hybrid(other, tc, plan, 8, seed=5)
+    assert sum(f.m_realized for f in a.per_frame) > 0
+    assert reports_equal(a, b)
 
 
 def test_hybrid_scripted_replay_basic(tc):
