@@ -110,7 +110,7 @@ def _apply_overrides(sc: Scenario, args) -> Scenario:
     kw = {}
     if args.variant:
         kw["variant"] = args.variant
-    if args.frames:
+    if args.frames is not None:
         kw["horizon"] = args.frames
     if args.seeds:
         kw["seeds"] = _parse_seeds(args.seeds)
@@ -180,7 +180,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     sc = load_scenario(args.scenario)
-    if args.frames:
+    if args.frames is not None:
         sc = replace(sc, horizon=args.frames)
     axes = _parse_sweep(args.sweep) if args.sweep else {}
     alpha_grid = tuple(axes.get("alpha", optimizer.DEFAULT_ALPHA_GRID))

@@ -204,9 +204,7 @@ def plan_for(cfg: ClassConfig, tc: TimingConstants, horizon: int,
             _recursion(cfg, tc, horizon, [(alpha, p_inl)])):
         m_opt, t_cop = int(m[0]), 0.0
         if m_opt > 0:
-            occupied = counts[0] > 0
-            mix = ContentionMixture(tuple(zip(prob[0, occupied].tolist(),
-                                              counts[0, occupied].tolist())))
+            mix = ContentionMixture(tuple(zip(prob[0].tolist(), counts[0].tolist())))
             t_cop = expected_tcop(m_opt, mix, tc).e_tcop_us
         q, d = np.nonzero(pop[0])
         cells = dict(zip(zip((q + 1).tolist(), d.tolist()), pop[0, q, d].tolist()))

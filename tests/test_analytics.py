@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hymac import analytics
 from hymac.analytics import (
@@ -10,13 +12,16 @@ from hymac.analytics import (
     DegenerateMixtureError,
     DivergentExpectationError,
     asymptotic_tcop,
+    expected_attempt_rows,
     expected_collisions,
     expected_idle,
     expected_tcop,
+    ordered_sum,
     prob_no_transmission,
     prob_single_transmission,
     prob_success_given_busy,
     slot_law,
+    slot_law_rows,
     success_shares,
     tcop_hessian,
 )
@@ -112,6 +117,51 @@ def test_slot_law_skips_empty_entries():
     assert terms[1] == 0.0
     assert sum(terms) == prob_single_transmission(mix)
     assert slot_law([0.5], [0]) == (1.0, 0.0, [0.0])
+
+
+_probs = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
+_counts = st.one_of(st.just(0.0), st.just(1.0), st.integers(0, 2000).map(float),
+                    st.floats(0.0, 2000.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(st.tuples(_probs, _counts), max_size=8),
+                     min_size=1, max_size=6),
+       pad=_probs)
+def test_rows_match_one_row_calls(rows, pad):
+    """Each row of a batch, padded to the batch width with zero counts,
+    against the scalar forms on that row alone, bit for bit: the slot law
+    (`slot_law` keeps the padding, `ContentionMixture` drops it) and the
+    per-success cost (nan where `expected_tcop` raises)."""
+    tc = TimingConstants()
+    width = max(len(row) for row in rows)
+    padded = [row + [(pad, 0.0)] * (width - len(row)) for row in rows]
+    prob = np.array([[p for p, _ in row] for row in padded]).reshape(len(rows), width)
+    counts = np.array([[n for _, n in row] for row in padded]).reshape(len(rows), width)
+    p_idle, p_busy, terms = slot_law_rows(prob, counts)
+    e_attempt, cost_terms = expected_attempt_rows(prob, counts, tc)
+    assert np.array_equal(cost_terms, terms)
+    for i, row in enumerate(padded):
+        law = slot_law(prob[i].tolist(), counts[i].tolist())
+        assert law == (p_idle[i], p_busy[i], terms[i].tolist())
+        mix = ContentionMixture(tuple(row))
+        assert prob_no_transmission(mix) == p_idle[i]
+        assert prob_single_transmission(mix) == ordered_sum(terms[i])
+        try:
+            want = expected_tcop(1, mix, tc).e_attempt_us
+        except (DegenerateMixtureError, DivergentExpectationError):
+            want = math.nan
+        assert np.array_equal(e_attempt[i], want, equal_nan=True)
+
+
+def test_ordered_sum_runs_left_to_right():
+    # as Python's sum: each 1e-16 is lost against 1.0 (np.sum pairs them up)
+    tiny = np.array([1.0] + [1e-16] * 16)
+    assert ordered_sum(tiny) == sum(tiny.tolist()) == 1.0
+    assert ordered_sum(np.tile(tiny, (2, 1))).tolist() == [1.0, 1.0]
+    assert ordered_sum(np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
+    assert ordered_sum(np.zeros(0)) == 0.0
+    assert slot_law([], []) == (1.0, 0.0, [])
 
 
 def test_probability_conservation():
@@ -250,6 +300,12 @@ def test_asymptotic_validation(tc):
         asymptotic_tcop(-1, 1.0, 0.1, 100, tc)
     with pytest.raises(ValueError):
         asymptotic_tcop(1, 1.0, 0.1, 0, tc)
+    # the Hessian rejects the same arguments
+    for m, big_l in ((-1, 100), (100, 0), (100, -5)):
+        with pytest.raises(ValueError):
+            tcop_hessian(m, 1.0, 0.1, big_l, tc)
+    with pytest.raises(ValueError):
+        tcop_hessian(100, 5.0, 0.5, 100, tc)
 
 
 def test_asymptotic_overflow_maps_to_inf(tc):

@@ -83,6 +83,13 @@ def test_run_plan_too_short(tmp_path, capsys):
                  "--plan", str(out / "plan.yaml")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_zero_frames_is_config_error(tmp_path, capsys, command):
+    # a horizon of 0 is rejected like any other below one, not ignored
+    path = write_scenario(tmp_path)
+    assert main([command, "--scenario", str(path), "--frames", "0"]) == EXIT_CONFIG
+
+
 def test_run_all_variants(tmp_path, capsys):
     doc = dict(SCENARIO, protocol=dict(SCENARIO["protocol"], variant="all",
                                        seeds=[1]))
