@@ -112,7 +112,7 @@ def _apply_overrides(sc: Scenario, args) -> Scenario:
         kw["variant"] = args.variant
     if args.frames is not None:
         kw["horizon"] = args.frames
-    if args.seeds:
+    if args.seeds is not None:
         kw["seeds"] = _parse_seeds(args.seeds)
     return replace(sc, **kw)
 

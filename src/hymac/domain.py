@@ -134,6 +134,8 @@ class Scenario:
             raise ConfigError(f"unknown protocol variant {self.variant!r}")
         if self.horizon < 1:
             raise ConfigError("horizon must be at least one frame")
+        if not self.seeds:
+            raise ConfigError("seeds must not be empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))

@@ -73,15 +73,17 @@ def initial_population(cfg: ClassConfig, tc: TimingConstants, n_cells: int) -> n
     return np.tile(fresh[:, None], (n_cells, 1, 1))
 
 
-def mixture_of(pop: np.ndarray, prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def mixture_of(pop: np.ndarray, d0: int,
+               prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each cell's contention mixture as two (cells, rho) arrays: the
     contending probability and the expected actives of every virtual class
-    rho = q + d - 1, summed by shifted adds in class order."""
+    rho = q + d - 1 that the window of failure counts from ``d0`` reaches,
+    summed by shifted adds in class order."""
     n_cells, n_q, width = pop.shape
     counts = np.zeros((n_cells, n_q + width - 1))
     for q in range(n_q):
         counts[:, q:q + width] += pop[:, q]
-    return prob[:, :n_q + width - 1], counts
+    return prob[:, d0:d0 + n_q + width - 1], counts
 
 
 def max_feasible_m(mix: tuple[np.ndarray, np.ndarray],
@@ -138,17 +140,19 @@ def _apportion_winners(quotas: list[float], caps: list[float], m_total: int) -> 
     return won
 
 
-def evolve_population(pop: np.ndarray, mix: tuple[np.ndarray, np.ndarray],
+def evolve_population(pop: np.ndarray, d0: int, mix: tuple[np.ndarray, np.ndarray],
                       terms: np.ndarray, m: np.ndarray, cfg: ClassConfig,
-                      tc: TimingConstants) -> np.ndarray:
+                      tc: TimingConstants) -> tuple[np.ndarray, int]:
     """One step of the expected-value population recursion, for every cell.
 
-    A cell's m winners are split over its virtual classes by their
-    success shares and `_apportion_winners`, and within a virtual class
-    over its (q, d) cells in proportion to the cell counts; they leave.
-    Losers carry one more failure, and empty devices that saw an arrival
-    re-enter at d = 0.  Counts at or below `_COUNT_EPS` are dropped.
-    Returns the next state, one failure count wider.
+    The state is the window of failure-count columns some cell occupies,
+    ``pop[:, :, j]`` holding d = d0 + j.  A cell's m winners are split
+    over its virtual classes by their success shares and
+    `_apportion_winners`, and within a virtual class over its (q, d) cells
+    in proportion to the cell counts; they leave.  Losers carry one more
+    failure, and empty devices that saw an arrival re-enter at d = 0.
+    Counts at or below `_COUNT_EPS` are dropped.  Returns the next window,
+    trimmed of all-zero leading and trailing columns, and its first d.
     """
     counts = mix[1]
     n_cells, n_q, width = pop.shape
@@ -158,41 +162,49 @@ def evolve_population(pop: np.ndarray, mix: tuple[np.ndarray, np.ndarray],
         m_c = int(m[c])
         quotas = [m_c * s for s in success_shares(terms[c, occupied].tolist())]
         won[c, occupied] = _apportion_winners(quotas, counts[c, occupied].tolist(), m_c)
-    rho = np.arange(n_q)[:, None] + np.arange(width)  # virtual class of (q, d)
+    rho = np.arange(n_q)[:, None] + np.arange(width)  # virtual class of (q, d), less d0
     class_n = counts[:, rho]
     cell_w = np.divide(won[:, rho] * pop, class_n, out=np.zeros_like(pop),
                        where=class_n > 0)
     left = np.maximum(0.0, pop - cell_w)
-    nxt = np.zeros((n_cells, n_q, width + 1))
-    nxt[:, :, 1:] = np.where(left > _COUNT_EPS, left, 0.0)
+    survivors = np.where(left > _COUNT_EPS, left, 0.0)  # at d0 + 1 + j
     # survivors are summed from the most failures down, in the order the
     # dict recursion of tests/planner_oracle.py adds them
-    active = ordered_sum(nxt[:, :, :0:-1])
+    active = ordered_sum(survivors[:, :, ::-1])
     sizes = np.array(cfg.class_sizes, dtype=float)
     arrivals = np.maximum(0.0, sizes - active) * cfg.arrival_probability(tc)
-    nxt[:, :, 0] = np.where(arrivals > _COUNT_EPS, arrivals, 0.0)
-    return nxt
+    arrivals = np.where(arrivals > _COUNT_EPS, arrivals, 0.0)
+    if arrivals.any():  # the window reaches back to d = 0
+        gap = np.zeros((n_cells, n_q, d0))
+        nxt, start = np.concatenate([arrivals[:, :, None], gap, survivors], axis=2), 0
+    else:
+        nxt, start = survivors, d0 + 1
+    # dropping all-zero columns only drops zero terms from left-to-right sums
+    occupied = np.flatnonzero(nxt.any(axis=(0, 1)))
+    lo, hi = (occupied[0], occupied[-1] + 1) if occupied.size else (0, 1)
+    return nxt[:, :, lo:hi], start + int(lo)
 
 
 def _recursion(cfg: ClassConfig, tc: TimingConstants, horizon: int, cells: list):
     """The planner recursion for all (alpha, p_inl) cells at once.
 
-    Yields (population, mixture, winners) per frame: the (cells, q, d)
-    array of expected actives before the frame's contention, its
-    `mixture_of`, and the `max_feasible_m` winner counts.
+    Yields (population, d0, mixture, winners) per frame: the (cells, q, d)
+    window of expected actives before the frame's contention, the failure
+    count d0 of its first column, its `mixture_of`, and the
+    `max_feasible_m` winner counts.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least one frame")
     n_rho = cfg.q_count + horizon - 1
     prob = np.array([[escalated_probability(rho, a, p) for rho in range(n_rho)]
                      for a, p in cells]).reshape(len(cells), n_rho)
-    pop = initial_population(cfg, tc, len(cells))
+    pop, d0 = initial_population(cfg, tc, len(cells)), 0
     for t in range(horizon):
-        mix = mixture_of(pop, prob)
+        mix = mixture_of(pop, d0, prob)
         m, terms = max_feasible_m(mix, tc)
-        yield pop, mix, m
+        yield pop, d0, mix, m
         if t + 1 < horizon:  # no frame follows the last one
-            pop = evolve_population(pop, mix, terms, m, cfg, tc)
+            pop, d0 = evolve_population(pop, d0, mix, terms, m, cfg, tc)
 
 
 def plan_for(cfg: ClassConfig, tc: TimingConstants, horizon: int,
@@ -200,14 +212,14 @@ def plan_for(cfg: ClassConfig, tc: TimingConstants, horizon: int,
     """Greedy per-frame plan for one fixed (alpha, p_inl) cell, with each
     frame's predicted population and expected contention duration."""
     decisions = []
-    for t, (pop, (prob, counts), m) in enumerate(
+    for t, (pop, d0, (prob, counts), m) in enumerate(
             _recursion(cfg, tc, horizon, [(alpha, p_inl)])):
         m_opt, t_cop = int(m[0]), 0.0
         if m_opt > 0:
             mix = ContentionMixture(tuple(zip(prob[0].tolist(), counts[0].tolist())))
             t_cop = expected_tcop(m_opt, mix, tc).e_tcop_us
         q, d = np.nonzero(pop[0])
-        cells = dict(zip(zip((q + 1).tolist(), d.tolist()), pop[0, q, d].tolist()))
+        cells = dict(zip(zip((q + 1).tolist(), (d + d0).tolist()), pop[0, q, d].tolist()))
         decisions.append(FrameDecision(m_opt=m_opt, t_cop_opt_us=t_cop,
                                        population=PopulationState(t, cells)))
     utility = channel_utility([dec.m_opt for dec in decisions], tc)
@@ -220,7 +232,7 @@ def _grid_winners(cfg: ClassConfig, tc: TimingConstants, horizon: int,
     """Per-frame winner counts of every (alpha, p_inl) cell, shaped
     (cells, horizon), with alpha the outer and p_inl the inner loop."""
     cells = [(a, p) for a in alpha_grid for p in p_inl_grid]
-    return np.array([m for _, _, m in _recursion(cfg, tc, horizon, cells)],
+    return np.array([m for *_, m in _recursion(cfg, tc, horizon, cells)],
                     dtype=np.int64).reshape(horizon, len(cells)).T
 
 

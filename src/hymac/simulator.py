@@ -467,8 +467,8 @@ def _settle_frame(frame: int, counts: np.ndarray, owner: np.ndarray,
 
 def _group_actives(active_ids: np.ndarray, q_arr: np.ndarray, d_arr: np.ndarray,
                    alpha: float, p_inl: float):
-    """Partition active devices into virtual-class groups rho = q + d - 1
-    with their contending probabilities."""
+    """Partition active devices into virtual-class groups rho = q + d - 1,
+    as arrays of device ids, with their contending probabilities."""
     if len(active_ids) == 0:
         return [], np.empty(0, dtype=np.int64), np.empty(0)
     rho = q_arr[active_ids] - 1 + d_arr[active_ids]
@@ -479,19 +479,23 @@ def _group_actives(active_ids: np.ndarray, q_arr: np.ndarray, d_arr: np.ndarray,
     members = np.split(active_sorted, starts[1:])
     counts = np.array([len(m) for m in members], dtype=np.int64)
     probs = np.array([escalated_probability(int(r), alpha, p_inl) for r in groups])
-    return [list(m) for m in members], counts, probs
+    return members, counts, probs
 
 
-def _draw_winners(rng: np.random.Generator, pools: list[list],
+def _draw_winners(rng: np.random.Generator, pools: list[np.ndarray],
                   groups) -> list[int]:
     """One winner per success, uniform over the remaining devices of its
     group's pool, from one block of uniforms; a drawn device is
-    swap-removed from the pool."""
+    swap-removed from the pool.  A pool becomes a list only when a
+    success first draws from it, so choked frames convert no ids."""
     winners = []
+    drawn: dict[int, list[int]] = {}
     for grp, u in zip(groups, rng.random(len(groups)).tolist()):
-        pool = pools[grp]
+        pool = drawn.get(grp)
+        if pool is None:
+            pool = drawn[grp] = pools[grp].tolist()
         pick = int(u * len(pool))  # below len(pool), as u < 1
-        winners.append(int(pool[pick]))
+        winners.append(pool[pick])
         pool[pick] = pool[-1]
         pool.pop()
     return winners
@@ -610,7 +614,7 @@ def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
         cop = run_cop(rng, np.array([n_active], dtype=np.int64), np.array([p]), tc,
                       time_limit_us=tc.t_frame_us - (tc.delta_succ_us + tc.t_r_us),
                       success_extra_us=tc.t_r_us)
-        winner_ids = _draw_winners(rng, [list(active_ids)], cop.success_groups)
+        winner_ids = _draw_winners(rng, [active_ids], cop.success_groups)
 
         service = _service_rounds(k, np.array(winner_ids, dtype=np.int64),
                                   cop.success_times_us)

@@ -180,6 +180,23 @@ def test_run_rejects_removed_scenario_keys(tmp_path, capsys, section, key, value
     assert f"'{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds", ["", ","])
+def test_empty_seed_override_is_config_error(tmp_path, capsys, monkeypatch, seeds):
+    # an empty list neither falls back to the scenario's seeds nor plans first
+    path = write_scenario(tmp_path)
+    planned = []
+    monkeypatch.setattr(optimizer, "optimize", lambda *a, **kw: planned.append(a))
+    assert main(["run", "--scenario", str(path), "--seeds", seeds]) == EXIT_CONFIG
+    assert "seeds" in capsys.readouterr().err
+    assert planned == []
+
+
+def test_empty_scenario_seeds_is_config_error(tmp_path, capsys):
+    doc = dict(SCENARIO, protocol=dict(SCENARIO["protocol"], seeds=[]))
+    assert main(["run", "--scenario", str(write_scenario(tmp_path, doc))]) == EXIT_CONFIG
+    assert "seeds" in capsys.readouterr().err
+
+
 def test_print_config_loads_back(tmp_path, capsys):
     path = write_scenario(tmp_path)
     assert main(["run", "--scenario", str(path), "--print-config"]) == EXIT_OK

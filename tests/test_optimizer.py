@@ -14,9 +14,11 @@ from hymac.optimizer import (
     NoFeasiblePointError,
     _apportion_winners,
     _grid_winners,
+    _recursion,
     best_cell,
     channel_utility,
     dump_plan,
+    evolve_population,
     initial_population,
     load_plan,
     max_feasible_m,
@@ -55,10 +57,14 @@ def test_initial_population(tc):
 def test_mixture_of_sums_virtual_classes():
     # (q, d) = (1, 1) and (2, 0) share virtual class 1
     pop = np.array([[[3.0, 4.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 1.0]]])
-    prob = np.array([[0.1, 0.2, 0.4, 0.8, 1.0, 1.0]])
-    probs, counts = mixture_of(pop, prob)
+    prob = np.array([[0.1, 0.2, 0.4, 0.8, 1.0, 1.0, 1.0]])
+    probs, counts = mixture_of(pop, 0, prob)
     assert counts.tolist() == [[3.0, 6.0, 0.0, 0.0, 1.0]]
     assert probs.tolist() == [[0.1, 0.2, 0.4, 0.8, 1.0]]
+    # the same window from d = 2 covers virtual classes 2 to 6
+    probs, counts = mixture_of(pop, 2, prob)
+    assert counts.tolist() == [[3.0, 6.0, 0.0, 0.0, 1.0]]
+    assert probs.tolist() == [[0.4, 0.8, 1.0, 1.0, 1.0]]
 
 
 def _one_cell_m(mix: ContentionMixture, tc) -> int:
@@ -281,6 +287,48 @@ def test_grid_winners_past_escalation_overflow(tc):
     _assert_plans_equal(plan_for(_layout(1200), tc, 420, 5.0, 0.1), ref)
     wins = _grid_winners(_layout(1200), tc, 420, (5.0,), (0.1,))
     assert wins[0].tolist() == [d.m_opt for d in ref.per_frame]
+
+
+def _trimmed_windows(cfg, tc, horizon, cells):
+    """Each frame's (window, d0), checked to start and end on a column
+    that some cell occupies."""
+    windows = [(pop, d0) for pop, d0, _, _ in _recursion(cfg, tc, horizon, cells)]
+    for pop, _ in windows:
+        assert pop[:, :, 0].any() and pop[:, :, -1].any()
+    return windows
+
+
+def test_default_grid_window_leaves_the_empty_columns(tc):
+    # on the choked default grid only a few late failure counts are occupied
+    cells = [(a, p) for a in DEFAULT_ALPHA_GRID for p in DEFAULT_P_INL_GRID]
+    pop, d0 = _trimmed_windows(_layout(1200), tc, 200, cells)[-1]
+    assert d0 > 0
+    assert pop.shape[2] <= 30
+
+
+def test_evolve_population_trims_empty_columns(tc):
+    # the counts at d = 4 and d = 6 fall to the drop threshold and no device
+    # is empty, so the next window is the one occupied column d = 6
+    cfg = ClassConfig(class_sizes=(3,), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
+    pop = np.array([[[5e-10, 3.0, 5e-10]]])
+    mix = mixture_of(pop, 4, np.full((1, 8), 0.1))
+    nxt, d0 = evolve_population(pop, 4, mix, np.zeros((1, 3)), np.array([0]), cfg, tc)
+    assert (nxt.tolist(), d0) == ([[[3.0]]], 6)
+
+
+def test_window_reaches_back_to_arrivals(tc):
+    # three devices that all hold a packet and at p_inl = 1e-6 cannot afford
+    # a success: the window leaves d = 0 until escalation lets one win and
+    # the arrivals that follow re-enter at d = 0
+    cfg = ClassConfig(class_sizes=(3,), p_inl=1e-6, alpha=1.0, arrival_rate=25.0)
+    windows = _trimmed_windows(cfg, tc, 20, [(1.0, 1e-6)])
+    assert [d0 for _, d0 in windows[:4]] == [0, 1, 2, 0]
+    _assert_plans_equal(plan_for(cfg, tc, 20, 1.0, 1e-6),
+                        oracle.plan_for(cfg, tc, 20, 1.0, 1e-6))
+    # in a grid the window reaches back for every cell once one has arrivals
+    pop, d0 = _trimmed_windows(cfg, tc, 20, [(1.0, 1e-6), (0.5, 1e-6)])[3]
+    assert d0 == 0 and pop[:, 0, 0].tolist() != [0.0, 0.0] and 0.0 in pop[:, 0, 0]
+    _assert_grid_matches(cfg, tc, 20, (1.0, 0.5), (1e-6,))
 
 
 def test_optimize_empty_grid(tc, small_cfg):

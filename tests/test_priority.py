@@ -13,7 +13,7 @@ def test_virtual_class_merges_hierarchy_and_escalation():
     q = np.array([3, 1, 1])
     d = np.array([0, 2, 0])
     members, counts, probs = _group_actives(np.arange(3), q, d, 1.0, 0.1)
-    assert members == [[2], [0, 1]]
+    assert [m.tolist() for m in members] == [[2], [0, 1]]
     assert counts.tolist() == [1, 2]
     assert probs.tolist() == [escalated_probability(0, 1.0, 0.1),
                               escalated_probability(2, 1.0, 0.1)]
