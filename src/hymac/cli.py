@@ -69,14 +69,16 @@ def _parse_sweep(text: str) -> dict[str, list[float]]:
             continue
         if "=" not in part:
             raise ConfigError(f"bad sweep axis {part!r}, expected name=v1:v2:...")
-        name, values = part.split("=", 1)
+        name, values = (s.strip() for s in part.split("=", 1))
+        if name in axes:
+            raise ConfigError(f"sweep axis {name!r} given twice")
         try:
             grid = [float(v) for v in values.split(":") if v]
         except ValueError as exc:
             raise ConfigError(f"bad sweep values in {part!r}") from exc
         if not grid:
             raise ConfigError(f"empty sweep axis {part!r}")
-        axes[name.strip()] = grid
+        axes[name] = grid
     return axes
 
 

@@ -134,11 +134,17 @@ class Scenario:
             raise ConfigError(f"unknown protocol variant {self.variant!r}")
         if self.horizon < 1:
             raise ConfigError("horizon must be at least one frame")
-        if not self.seeds:
+        try:
+            seeds = tuple(int(s) for s in self.seeds)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"seeds must be integers, got {self.seeds!r}") from exc
+        if not seeds:
             raise ConfigError("seeds must not be empty")
-        if len(set(self.seeds)) != len(self.seeds):
+        if len(set(seeds)) != len(seeds):
             raise ConfigError("seeds must be distinct")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if min(seeds) < 0:
+            raise ConfigError(f"seeds must be nonnegative, got {min(seeds)}")
+        object.__setattr__(self, "seeds", seeds)
 
 
 # Scenario (de)serialization.  Keys in the `timing` section use the
@@ -163,16 +169,21 @@ def _known(doc, keys, section: str) -> dict:
     return doc
 
 
+def _number(doc: dict, key: str, default, section: str, kind=float):
+    """``doc[key]``, or ``default`` when absent, as a ``kind``."""
+    value = doc.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{section}.{key} must be a number, got {value!r}") from exc
+
+
 def timing_from_dict(doc: dict) -> TimingConstants:
-    _known(doc, {**_TIMING_KEYS_MS, **_TIMING_KEYS_US, **_TIMING_KEYS_W}, "timing")
-    kw = {}
-    for key, attr in _TIMING_KEYS_MS.items():
-        if key in doc:
-            kw[attr] = float(doc[key]) * US_PER_MS
-    for key, attr in {**_TIMING_KEYS_US, **_TIMING_KEYS_W}.items():
-        if key in doc:
-            kw[attr] = float(doc[key])
-    return TimingConstants(**kw)
+    keys = {**_TIMING_KEYS_MS, **_TIMING_KEYS_US, **_TIMING_KEYS_W}
+    _known(doc, keys, "timing")
+    return TimingConstants(**{
+        attr: _number(doc, key, None, "timing") * (US_PER_MS if key in _TIMING_KEYS_MS else 1)
+        for key, attr in keys.items() if key in doc})
 
 
 def timing_to_dict(tc: TimingConstants) -> dict:
@@ -191,9 +202,9 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
     try:
         classes = ClassConfig(
             class_sizes=tuple(cls.get("sizes", (1,))),
-            p_inl=float(cls.get("p_inl", 0.1)),
-            alpha=float(cls.get("alpha", 1.0)),
-            arrival_rate=float(arrival.get("lambda", 1.0)),
+            p_inl=_number(cls, "p_inl", 0.1, "classes"),
+            alpha=_number(cls, "alpha", 1.0, "classes"),
+            arrival_rate=_number(arrival, "lambda", 1.0, "arrival"),
         )
     except TypeError as exc:
         raise ConfigError(f"bad classes/arrival section: {exc}") from exc
@@ -202,8 +213,8 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
         timing=timing,
         classes=classes,
         variant=proto.get("variant", "hybrid"),
-        horizon=int(proto.get("horizon", 200)),
-        seeds=tuple(proto.get("seeds", range(1, 11))),
+        horizon=_number(proto, "horizon", 200, "protocol", int),
+        seeds=proto.get("seeds", range(1, 11)),
     )
 
 
@@ -225,12 +236,18 @@ def scenario_to_dict(sc: Scenario) -> dict:
     }
 
 
-def load_scenario(path) -> Scenario:
+def load_yaml(path):
+    """The document of a YAML file; a syntax error is a `ConfigError`."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    if doc is None:
-        doc = {}
-    return scenario_from_dict(doc)
+        try:
+            return yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path} is not valid YAML: {exc}") from exc
+
+
+def load_scenario(path) -> Scenario:
+    doc = load_yaml(path)
+    return scenario_from_dict({} if doc is None else doc)
 
 
 def dump_scenario(sc: Scenario, path) -> None:

@@ -24,7 +24,7 @@ from .analytics import (
     ordered_sum,
     success_shares,
 )
-from .domain import ClassConfig, PopulationState, TimingConstants
+from .domain import ClassConfig, ConfigError, PopulationState, TimingConstants, load_yaml
 from .priority import escalated_probability
 
 DEFAULT_ALPHA_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 2.0, 3.0, 4.0, 5.0)
@@ -281,12 +281,16 @@ def dump_plan(plan: FramePlan, path) -> None:
 
 
 def load_plan(path) -> FramePlan:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    decisions = tuple(
-        FrameDecision(m_opt=int(row["m_opt"]), t_cop_opt_us=float(row["t_cop_opt_us"]))
-        for row in doc["per_frame"]
-    )
-    return FramePlan(alpha_opt=float(doc["alpha_opt"]),
-                     p_inl_opt=float(doc["p_inl_opt"]),
-                     per_frame=decisions, utility=float(doc["utility"]))
+    doc = load_yaml(path)
+    try:
+        decisions = tuple(
+            FrameDecision(m_opt=int(row["m_opt"]), t_cop_opt_us=float(row["t_cop_opt_us"]))
+            for row in doc["per_frame"]
+        )
+        return FramePlan(alpha_opt=float(doc["alpha_opt"]),
+                         p_inl_opt=float(doc["p_inl_opt"]),
+                         per_frame=decisions, utility=float(doc["utility"]))
+    except KeyError as exc:
+        raise ConfigError(f"plan file {path} lacks the key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"plan file {path} is malformed: {exc}") from exc

@@ -1,8 +1,8 @@
 """Frame-by-frame stochastic simulation of the hybrid access protocol,
 plus contention-only (p-persistent) and reservation-only (TDMA) baselines.
 
-One run is a single sequential event loop over frames driven by one seeded
-RNG, so identical inputs reproduce identical reports.  Contention slots are
+All three protocols run in one frame loop driven by one seeded RNG, so
+identical inputs reproduce identical reports.  Contention slots are
 sampled per virtual class (devices inside a class are exchangeable); the
 winning device of a successful slot is drawn uniformly from its class.
 """
@@ -10,7 +10,7 @@ winning device of a successful slot is drawn uniformly from its class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,9 +78,10 @@ class SimReport:
     delay_frames_sum: np.ndarray | None = None
     traces: list[FrameTrace] | None = None
 
-
-def _device_classes(cfg: ClassConfig) -> np.ndarray:
-    return np.repeat(np.arange(1, cfg.q_count + 1), cfg.class_sizes)
+    def __post_init__(self):
+        if self.device_class is None:
+            self.device_class = np.repeat(np.arange(1, self.cfg.q_count + 1),
+                                          self.cfg.class_sizes)
 
 
 def run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
@@ -358,28 +359,6 @@ class _Buffers:
         return cls(np.zeros(k, dtype=bool), *counters)
 
 
-def _start(variant: str, cfg: ClassConfig, tc: TimingConstants, frames: int,
-           seed: int, *, warm_up: bool = True, traces: bool = False):
-    """Seeded RNG, empty buffers and the report that shares their arrays.
-
-    The warm-up is one arrival frame before the first protocol frame, so
-    frame 0 starts with the stationary share of active devices.
-    """
-    k = cfg.total_devices
-    rng = np.random.default_rng(seed)
-    buf = _Buffers.empty(k)
-    report = SimReport(variant=variant, seed=seed, frames=frames, tc=tc, cfg=cfg,
-                       device_class=_device_classes(cfg), generated=buf.generated,
-                       dropped=buf.dropped, delivered=buf.delivered,
-                       delay_frames_sum=buf.delay_sum,
-                       traces=[] if traces else None)
-    if warm_up:
-        counts = rng.poisson(_mean_arrivals(cfg, tc), size=k)
-        buf.generated += counts
-        _arrive(-1, counts, buf)
-    return rng, buf, report
-
-
 def _mean_arrivals(cfg: ClassConfig, tc: TimingConstants) -> float:
     return cfg.arrival_rate / US_PER_S * tc.t_frame_us
 
@@ -473,10 +452,8 @@ def _group_actives(active_ids: np.ndarray, q_arr: np.ndarray, d_arr: np.ndarray,
         return [], np.empty(0, dtype=np.int64), np.empty(0)
     rho = q_arr[active_ids] - 1 + d_arr[active_ids]
     order = np.argsort(rho, kind="stable")
-    active_sorted = active_ids[order]
-    rho_sorted = rho[order]
-    groups, starts = np.unique(rho_sorted, return_index=True)
-    members = np.split(active_sorted, starts[1:])
+    groups, starts = np.unique(rho[order], return_index=True)
+    members = np.split(active_ids[order], starts[1:])
     counts = np.array([len(m) for m in members], dtype=np.int64)
     probs = np.array([escalated_probability(int(r), alpha, p_inl) for r in groups])
     return members, counts, probs
@@ -501,16 +478,52 @@ def _draw_winners(rng: np.random.Generator, pools: list[np.ndarray],
     return winners
 
 
-def _cop_summary(frame: int, n_active: int, m_realized: int, cop: CopOutcome,
-                 winner_wait_us: float = 0.0) -> FrameSummary:
-    """The `FrameSummary` of a frame whose contention ended as ``cop``."""
-    return FrameSummary(
-        frame=frame, n_active=n_active, m_realized=m_realized,
-        t_cop_us=cop.t_elapsed_us, n_idle_slots=cop.n_idle_slots,
-        n_collisions=cop.n_collisions, coll_tx_time_us=cop.coll_tx_time_us,
-        listen_time_us=cop.listen_time_us,
-        winner_wait_time_us=winner_wait_us,
-    )
+_NO_COP = CopOutcome(success_groups=(), success_times_us=(), t_elapsed_us=0.0,
+                     n_idle_slots=0, n_collisions=0, coll_tx_time_us=0.0,
+                     listen_time_us=0.0, n_slots=0)
+
+
+def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None) -> SimReport:
+    """Run ``report.frames`` frames of one protocol into ``report``.
+
+    The loop owns the seeded RNG, the warm-up (one arrival frame before
+    frame 0, skipped under ``arrival_script``), the arrivals, the buffers
+    and the `FrameSummary`.  ``serve(rng, frame, active_ids)`` gives the
+    protocol's schedule: the contention outcome (None without contention),
+    the served devices in service order, their service instants and the
+    winners' wait.  ``m_realized`` counts deliveries, ``tdma_idle_slots``
+    services of an empty buffer, and ``n_active`` the buffers full at the
+    frame start, plus, without contention, those filled during the frame.
+    """
+    cfg, tc, k = report.cfg, report.tc, report.cfg.total_devices
+    rng = np.random.default_rng(report.seed)
+    buf = _Buffers.empty(k)
+    report.generated, report.dropped = buf.generated, buf.dropped
+    report.delivered, report.delay_frames_sum = buf.delivered, buf.delay_sum
+    if arrival_script is None:
+        counts = rng.poisson(_mean_arrivals(cfg, tc), size=k)
+        buf.generated += counts
+        _arrive(-1, counts, buf)
+
+    for frame in range(report.frames):
+        active_ids = np.nonzero(buf.full)[0]
+        cop, devices, instants_us, wait_us = serve(rng, frame, active_ids)
+        if arrival_script is None:
+            arrivals = _poisson_arrivals(rng, cfg, tc)
+        else:
+            arrivals = _scripted_arrivals(arrival_script.get(frame, {}), k)
+        m_real, n_idle, n_filled = _settle_frame(
+            frame, *arrivals, _service_rounds(k, devices, instants_us), buf)
+        n_active = len(active_ids) + (n_filled if cop is None else 0)
+        cop = cop or _NO_COP
+        report.per_frame.append(FrameSummary(
+            frame=frame, n_active=n_active, m_realized=m_real,
+            t_cop_us=cop.t_elapsed_us, n_idle_slots=cop.n_idle_slots,
+            n_collisions=cop.n_collisions, coll_tx_time_us=cop.coll_tx_time_us,
+            listen_time_us=cop.listen_time_us, winner_wait_time_us=wait_us,
+            tdma_idle_slots=n_idle,
+        ))
+    return report
 
 
 def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: int,
@@ -526,75 +539,56 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
 
     ``arrival_script``/``winner_script`` (frame index -> scripted arrival
     times per device / ordered winner ids) replace the random draws for
-    deterministic replay scenarios.
+    deterministic replay scenarios.  Scripted winners must be distinct
+    devices, active at the frame start.
     """
     if len(plan.per_frame) < frames:
         raise PlanMismatchError(
             f"plan covers {len(plan.per_frame)} frames, run needs {frames}")
-    rng, buf, report = _start("hybrid", cfg, tc, frames, seed,
-                              warm_up=arrival_script is None, traces=collect_traces)
-    k = cfg.total_devices
-    q_arr = report.device_class
-    d_arr = np.zeros(k, dtype=np.int64)
-    overhead = tc.t_nof_us + tc.t_anc_us
+    report = SimReport(variant="hybrid", seed=seed, frames=frames, tc=tc, cfg=cfg,
+                       traces=[] if collect_traces else None)
+    d_arr = np.zeros(cfg.total_devices, dtype=np.int64)
 
-    for frame in range(frames):
-        decision = plan.per_frame[frame]
-        active_ids = np.nonzero(buf.full)[0]
-        n_active = len(active_ids)
-        d_snapshot = d_arr.copy() if collect_traces else None
-
+    def serve(rng, frame, active_ids):
         scripted = winner_script.get(frame) if winner_script else None
         if scripted is not None:
             winner_ids = [int(w) for w in scripted]
-            active_set = set(int(a) for a in active_ids)
-            for w in winner_ids:
-                if w not in active_set:
-                    raise ValueError(f"scripted winner {w} not active in frame {frame}")
-            t_cop = len(winner_ids) * tc.delta_succ_us
-            cop = CopOutcome(success_groups=tuple(range(len(winner_ids))),
-                             success_times_us=tuple((j + 1) * tc.delta_succ_us
-                                                    for j in range(len(winner_ids))),
-                             t_elapsed_us=t_cop, n_idle_slots=0, n_collisions=0,
-                             coll_tx_time_us=0.0, listen_time_us=0.0,
-                             n_slots=len(winner_ids))
+            n = len(winner_ids)
+            if len(set(winner_ids)) < n or not set(winner_ids) <= set(active_ids.tolist()):
+                raise ValueError(f"scripted winners {winner_ids} of frame {frame} "
+                                 "must be distinct active devices")
+            cop = replace(_NO_COP, success_groups=tuple(range(n)), n_slots=n,
+                          success_times_us=tuple((j + 1) * tc.delta_succ_us
+                                                 for j in range(n)),
+                          t_elapsed_us=n * tc.delta_succ_us)
         else:
-            members, counts, probs = _group_actives(active_ids, q_arr, d_arr,
-                                                    plan.alpha_opt, plan.p_inl_opt)
+            decision = plan.per_frame[frame]
+            members, counts, probs = _group_actives(active_ids, report.device_class,
+                                                    d_arr, plan.alpha_opt, plan.p_inl_opt)
             cop = run_cop(rng, counts, probs, tc, m_target=decision.m_opt,
                           time_limit_us=decision.t_cop_opt_us)
             winner_ids = _draw_winners(rng, members, cop.success_groups)
 
         # cap data slots to what fits after NP, COP and AP
-        room = tc.t_frame_us - overhead - cop.t_elapsed_us
-        m_fit = max(0, int(room / tc.t_r_us))
-        winner_ids = winner_ids[:m_fit]
+        room = tc.t_frame_us - (tc.t_nof_us + tc.t_anc_us) - cop.t_elapsed_us
+        winner_ids = winner_ids[:max(0, int(room / tc.t_r_us))]
         m_real = len(winner_ids)
+        if collect_traces:
+            report.traces.append(FrameTrace(
+                frame=frame, winners=tuple((int(d), j) for j, d in enumerate(winner_ids)),
+                d_before=d_arr.copy()))
 
         winner_arr = np.array(winner_ids, dtype=np.int64)
-        is_winner = np.zeros(k, dtype=bool)
-        is_winner[winner_arr] = True
-        losers = active_ids[~is_winner[active_ids]]
-        d_arr[losers] += 1
+        d_arr[active_ids] += 1  # losers escalate, winners start over
         d_arr[winner_arr] = 0
 
         # winner j sends in TOP slot j and is served at its end
         top_start = tc.t_nof_us + cop.t_elapsed_us + tc.t_anc_us
-        service = _service_rounds(k, winner_arr,
-                                  top_start + (np.arange(m_real) + 1) * tc.t_r_us)
-        if arrival_script is not None:
-            arrivals = _scripted_arrivals(arrival_script.get(frame, {}), k)
-        else:
-            arrivals = _poisson_arrivals(rng, cfg, tc)
-        _settle_frame(frame, *arrivals, service, buf)
-
         winner_wait = sum(cop.t_elapsed_us - t for t in cop.success_times_us[:m_real])
-        report.per_frame.append(_cop_summary(frame, n_active, m_real, cop, winner_wait))
-        if collect_traces:
-            report.traces.append(FrameTrace(
-                frame=frame, winners=tuple((int(d), j) for j, d in enumerate(winner_ids)),
-                d_before=d_snapshot))
-    return report
+        return (cop, winner_arr, top_start + (np.arange(m_real) + 1) * tc.t_r_us,
+                winner_wait)
+
+    return _frame_loop(report, serve, arrival_script)
 
 
 def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
@@ -605,23 +599,15 @@ def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
     with its data packet included, ends inside the frame."""
     if not 0.0 < p <= 1.0:
         raise ValueError("contending probability must lie in (0, 1]")
-    rng, buf, report = _start("csma", cfg, tc, frames, seed)
-    k = cfg.total_devices
 
-    for frame in range(frames):
-        active_ids = np.nonzero(buf.full)[0]
-        n_active = len(active_ids)
-        cop = run_cop(rng, np.array([n_active], dtype=np.int64), np.array([p]), tc,
+    def serve(rng, frame, active_ids):
+        cop = run_cop(rng, np.array([len(active_ids)], dtype=np.int64), np.array([p]), tc,
                       time_limit_us=tc.t_frame_us - (tc.delta_succ_us + tc.t_r_us),
                       success_extra_us=tc.t_r_us)
-        winner_ids = _draw_winners(rng, [active_ids], cop.success_groups)
+        winners = _draw_winners(rng, [active_ids], cop.success_groups)
+        return cop, np.array(winners, dtype=np.int64), cop.success_times_us, 0.0
 
-        service = _service_rounds(k, np.array(winner_ids, dtype=np.int64),
-                                  cop.success_times_us)
-        _settle_frame(frame, *_poisson_arrivals(rng, cfg, tc), service, buf)
-
-        report.per_frame.append(_cop_summary(frame, n_active, len(winner_ids), cop))
-    return report
+    return _frame_loop(SimReport("csma", seed, frames, tc, cfg), serve)
 
 
 def run_tdma(cfg: ClassConfig, tc: TimingConstants, frames: int, seed: int) -> SimReport:
@@ -629,23 +615,12 @@ def run_tdma(cfg: ClassConfig, tc: TimingConstants, frames: int, seed: int) -> S
     frames; an owned slot is wasted when the owner's buffer is empty.  A
     frame's ``n_active`` counts its buffer occupancies (full at the start,
     or filled by an arrival), each ended by at most one delivery."""
-    rng, buf, report = _start("tdma", cfg, tc, frames, seed)
     k = cfg.total_devices
     slots = int(tc.t_frame_us / tc.t_r_us)
     slot_ids = np.arange(slots if k else 0)  # an empty network owns no slot
     slot_end = (slot_ids + 1) * tc.t_r_us
 
-    for frame in range(frames):
-        n_full = int(buf.full.sum())
-        owners = (frame * slots + slot_ids) % k
-        m_real, idle_slots, n_filled = _settle_frame(
-            frame, *_poisson_arrivals(rng, cfg, tc),
-            _service_rounds(k, owners, slot_end), buf)
+    def serve(rng, frame, active_ids):
+        return None, (frame * slots + slot_ids) % k, slot_end, 0.0
 
-        report.per_frame.append(FrameSummary(
-            frame=frame, n_active=n_full + n_filled, m_realized=m_real,
-            t_cop_us=0.0, n_idle_slots=0, n_collisions=0, coll_tx_time_us=0.0,
-            listen_time_us=0.0, winner_wait_time_us=0.0,
-            tdma_idle_slots=idle_slots,
-        ))
-    return report
+    return _frame_loop(SimReport("tdma", seed, frames, tc, cfg), serve)

@@ -197,6 +197,26 @@ def test_empty_scenario_seeds_is_config_error(tmp_path, capsys):
     assert "seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("files, argv, needle", [
+    ({"s.yaml": "classes: [1,\n"}, "run --scenario {d}/s.yaml", "s.yaml"),
+    ({"p.yaml": "per_frame: {\n"}, "run --scenario {d}/scenario.yaml --plan {d}/p.yaml",
+     "p.yaml"),
+    ({"p.yaml": "alpha_opt: 1.0\n"}, "run --scenario {d}/scenario.yaml --plan {d}/p.yaml",
+     "'per_frame'"),
+    ({"s.yaml": "classes: {p_inl: abc}\n"}, "run --scenario {d}/s.yaml", "p_inl"),
+    ({}, "run --scenario {d}/scenario.yaml --seeds=-1", "seeds"),
+    ({}, "sweep --scenario {d}/scenario.yaml --sweep alpha=0.5,alpha=0.6", "'alpha'"),
+], ids=["scenario-yaml-syntax", "plan-yaml-syntax", "plan-without-per_frame",
+        "p_inl-not-a-number", "negative-seed", "repeated-sweep-axis"])
+def test_malformed_input_is_config_error(tmp_path, capsys, files, argv, needle):
+    # exit 2, with a message that names the file or the key at fault
+    write_scenario(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv.format(d=tmp_path).split()) == EXIT_CONFIG
+    assert needle in capsys.readouterr().err
+
+
 def test_print_config_loads_back(tmp_path, capsys):
     path = write_scenario(tmp_path)
     assert main(["run", "--scenario", str(path), "--print-config"]) == EXIT_OK

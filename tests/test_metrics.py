@@ -32,7 +32,6 @@ def make_report(tc, cfg, variant="hybrid", frames=(), **arrays):
     k = cfg.total_devices
     rep = SimReport(variant=variant, seed=0, frames=len(frames), tc=tc, cfg=cfg)
     rep.per_frame = list(frames)
-    rep.device_class = np.repeat(np.arange(1, cfg.q_count + 1), cfg.class_sizes)
     for name in ("generated", "dropped", "delivered", "delay_frames_sum"):
         setattr(rep, name, np.asarray(arrays.get(name, np.zeros(k, dtype=int))))
     return rep

@@ -271,7 +271,11 @@ def _layout(k):
 
 @pytest.mark.parametrize("k", [500, 800, 1200])
 def test_grid_winners_default_grid(tc, k):
-    _assert_grid_matches(_layout(k), tc, 200, DEFAULT_ALPHA_GRID, DEFAULT_P_INL_GRID)
+    # every cell is choked, and the window leaves d = 0 by frame 28, so 40
+    # frames cover the offset d0 > 0
+    cells = [(a, p) for a in DEFAULT_ALPHA_GRID for p in DEFAULT_P_INL_GRID]
+    assert _trimmed_windows(_layout(k), tc, 40, cells)[-1][1] > 0
+    _assert_grid_matches(_layout(k), tc, 40, DEFAULT_ALPHA_GRID, DEFAULT_P_INL_GRID)
 
 
 def test_grid_winners_resolving_grid(tc):

@@ -465,6 +465,11 @@ def test_hybrid_scripted_winner_must_be_active(tc):
     with pytest.raises(ValueError):
         run_hybrid(cfg, tc, plan, 1, seed=1,
                    arrival_script={0: {}}, winner_script={0: [1]})
+    # a repeated winner would hold two data slots for one packet
+    plan = plan_for(cfg, tc, 2, 1.0, 0.5)
+    with pytest.raises(ValueError, match="distinct"):
+        run_hybrid(cfg, tc, plan, 2, seed=1, arrival_script={0: {0: [100.0]}, 1: {}},
+                   winner_script={1: [0, 0]})
 
 
 # ---------------------------------------------------------------------------
@@ -725,12 +730,16 @@ def test_run_invariants(sizes, lam, alpha, p_inl, horizon, seed):
             # every owned slot delivers or idles; an empty network owns none
             slots = int(tc.t_frame_us / tc.t_r_us) if cfg.total_devices else 0
             assert all(f.m_realized + f.tdma_idle_slots == slots for f in rep.per_frame)
-            continue
-        # a shorter run is a prefix of the longer one: per-frame deliveries
+        else:
+            assert all(f.tdma_idle_slots == 0 for f in rep.per_frame), variant
+        # a shorter run is a prefix of the longer one: each frame's
+        # m_realized is its deliveries, at most one per device outside TDMA
         before = np.zeros_like(rep.delivered)
         for h in range(1, horizon + 1):
             after = run(h).delivered if h < horizon else rep.delivered
-            assert (after - before <= 1).all(), (variant, h)
+            assert rep.per_frame[h - 1].m_realized == int((after - before).sum()), \
+                (variant, h)
+            assert variant == "tdma" or (after - before <= 1).all(), (variant, h)
             before = after
         if variant == "hybrid":
             # the four periods fit into the frame, and each trace names
