@@ -129,14 +129,6 @@ def expected_attempt_rows(prob: np.ndarray, counts: np.ndarray,
     return np.where(undefined, np.nan, wait.e_attempt), terms
 
 
-def slot_law(probs, counts) -> tuple[float, float, list[float]]:
-    """`slot_law_rows` of one mixture given as two sequences.  The
-    simulator's slot engine uses it while a p = 1 device contends."""
-    p_idle, p_busy, terms = slot_law_rows(np.array(probs, dtype=float),
-                                          np.array(counts, dtype=float))
-    return float(p_idle), float(p_busy), terms.tolist()
-
-
 def _wait(mix: ContentionMixture, delta_idle_us: float = 0.0,
           delta_coll_us: float = 0.0, delta_succ_us: float = 0.0,
           divergent: bool = True) -> _Wait:
@@ -190,7 +182,7 @@ def expected_tcop(m: int, mix: ContentionMixture, tc: TimingConstants) -> CopExp
 
 def success_shares(terms: list[float]) -> list[float]:
     """Probability that each entry owns the lone transmitter, given a
-    successful slot, from the entries' lone-transmitter terms (`slot_law`)."""
+    successful slot, from the entries' lone-transmitter terms (`slot_law_rows`)."""
     total = sum(terms)
     if total <= 0.0:
         raise DegenerateMixtureError("no entry can produce a lone transmitter")

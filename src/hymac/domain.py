@@ -100,22 +100,12 @@ class PopulationState:
     """Expected active-device counts keyed by (class q, failure count d).
 
     The virtual class of a (q, d) cell is q + d - 1; cells of equal
-    virtual class share one contending probability.
+    virtual class share one contending probability.  An unchecked record:
+    its builder keeps q >= 1, d >= 0 and every count positive.
     """
 
     frame_index: int
     counts: dict = field(default_factory=dict)  # (q, d) -> expected count
-
-    def __post_init__(self):
-        clean = {}
-        for (q, d), n in self.counts.items():
-            if q < 1 or d < 0:
-                raise ConfigError(f"invalid population cell (q={q}, d={d})")
-            if n < 0:
-                raise ConfigError(f"negative count in population cell (q={q}, d={d})")
-            if n > 0:
-                clean[(int(q), int(d))] = float(n)
-        object.__setattr__(self, "counts", clean)
 
 
 @dataclass(frozen=True)
@@ -169,13 +159,28 @@ def _known(doc, keys, section: str) -> dict:
     return doc
 
 
+def _is(value, kind) -> bool:
+    """Whether ``value`` is an int (``kind=int``) or a number: any int or
+    float.  A bool or a string is neither."""
+    types = int if kind is int else (int, float)
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def _number(doc: dict, key: str, default, section: str, kind=float):
     """``doc[key]``, or ``default`` when absent, as a ``kind``."""
     value = doc.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{section}.{key} must be a number, got {value!r}") from exc
+    if not _is(value, kind):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{section}.{key} must be {what}, got {value!r}")
+    return kind(value)
+
+
+def _integers(doc: dict, key: str, default, section: str) -> tuple[int, ...]:
+    """``doc[key]``, or ``default`` when absent, as a tuple of ints."""
+    value = doc.get(key, default)
+    if not isinstance(value, (list, tuple)) or not all(_is(v, int) for v in value):
+        raise ConfigError(f"{section}.{key} must be a list of integers, got {value!r}")
+    return tuple(value)
 
 
 def timing_from_dict(doc: dict) -> TimingConstants:
@@ -199,22 +204,19 @@ def scenario_from_dict(doc: dict, name: str = "scenario") -> Scenario:
     cls = _known(doc.get("classes", {}), ("sizes", "p_inl", "alpha"), "classes")
     arrival = _known(doc.get("arrival", {}), ("lambda",), "arrival")
     proto = _known(doc.get("protocol", {}), ("variant", "horizon", "seeds"), "protocol")
-    try:
-        classes = ClassConfig(
-            class_sizes=tuple(cls.get("sizes", (1,))),
-            p_inl=_number(cls, "p_inl", 0.1, "classes"),
-            alpha=_number(cls, "alpha", 1.0, "classes"),
-            arrival_rate=_number(arrival, "lambda", 1.0, "arrival"),
-        )
-    except TypeError as exc:
-        raise ConfigError(f"bad classes/arrival section: {exc}") from exc
+    classes = ClassConfig(
+        class_sizes=_integers(cls, "sizes", (1,), "classes"),
+        p_inl=_number(cls, "p_inl", 0.1, "classes"),
+        alpha=_number(cls, "alpha", 1.0, "classes"),
+        arrival_rate=_number(arrival, "lambda", 1.0, "arrival"),
+    )
     return Scenario(
         name=doc.get("name", name),
         timing=timing,
         classes=classes,
         variant=proto.get("variant", "hybrid"),
         horizon=_number(proto, "horizon", 200, "protocol", int),
-        seeds=proto.get("seeds", range(1, 11)),
+        seeds=_integers(proto, "seeds", tuple(range(1, 11)), "protocol"),
     )
 
 

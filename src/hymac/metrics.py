@@ -102,7 +102,7 @@ def write_frame_csv(report: SimReport, path) -> None:
         w.writerow(["frame", "n_active", "m", "t_cop_us", "utility",
                     "e_np_j", "e_cop_j", "e_ap_j", "e_top_j", "e_frame_j"])
         for f, e in zip(report.per_frame, energies):
-            util = f.m_realized * report.tc.t_r_us / report.tc.t_frame_us
+            util = channel_utility([f.m_realized], report.tc)
             w.writerow([f.frame + 1, f.n_active, f.m_realized, _fmt(f.t_cop_us),
                         _fmt(util), _fmt(e.e_np), _fmt(e.e_cop), _fmt(e.e_ap),
                         _fmt(e.e_top), _fmt(e.e_frame)])

@@ -17,13 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .analytics import (
-    ContentionMixture,
-    expected_attempt_rows,
-    expected_tcop,
-    ordered_sum,
-    success_shares,
-)
+from .analytics import expected_attempt_rows, ordered_sum, success_shares
+from .analytics import expected_tcop  # noqa: F401  (bench/spans.py wraps this name)
 from .domain import ClassConfig, ConfigError, PopulationState, TimingConstants, load_yaml
 from .priority import escalated_probability
 
@@ -86,18 +81,21 @@ def mixture_of(pop: np.ndarray, d0: int,
     return prob[:, d0:d0 + n_q + width - 1], counts
 
 
-def max_feasible_m(mix: tuple[np.ndarray, np.ndarray],
-                   tc: TimingConstants) -> tuple[np.ndarray, np.ndarray]:
-    """Each cell's largest winner budget whose expected contention plus
+def max_feasible_m(mix: tuple[np.ndarray, np.ndarray], tc: TimingConstants
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each cell's largest winner budget m whose expected contention plus
     data slots still fit into one frame, capped by the active population,
-    and the mixture's lone-transmitter terms.  A cell where no success
-    can happen gets no winners."""
+    its expected contention duration m * e_attempt (0 where m = 0), and
+    the mixture's lone-transmitter terms.  A cell where no success can
+    happen gets no winners."""
     e_attempt, terms = expected_attempt_rows(*mix, tc)
     total = np.floor(ordered_sum(mix[1]) + _COUNT_EPS)
     with np.errstate(invalid="ignore"):
         fit = np.floor(tc.t_frame_us / (e_attempt + tc.t_r_us))
     m = np.where((total > 0) & np.isfinite(e_attempt), np.minimum(total, fit), 0.0)
-    return m.astype(np.int64), terms
+    m = m.astype(np.int64)
+    t_cop = np.multiply(m, e_attempt, out=np.zeros_like(e_attempt), where=m > 0)
+    return m, t_cop, terms
 
 
 def _apportion_winners(quotas: list[float], caps: list[float], m_total: int) -> list[float]:
@@ -140,21 +138,21 @@ def _apportion_winners(quotas: list[float], caps: list[float], m_total: int) -> 
     return won
 
 
-def evolve_population(pop: np.ndarray, d0: int, mix: tuple[np.ndarray, np.ndarray],
-                      terms: np.ndarray, m: np.ndarray, cfg: ClassConfig,
+def evolve_population(pop: np.ndarray, d0: int, counts: np.ndarray, terms: np.ndarray,
+                      m: np.ndarray, cfg: ClassConfig,
                       tc: TimingConstants) -> tuple[np.ndarray, int]:
     """One step of the expected-value population recursion, for every cell.
 
     The state is the window of failure-count columns some cell occupies,
     ``pop[:, :, j]`` holding d = d0 + j.  A cell's m winners are split
-    over its virtual classes by their success shares and
+    over its virtual classes (``counts``, the expected actives of each, as
+    `mixture_of` sums them) by their success shares and
     `_apportion_winners`, and within a virtual class over its (q, d) cells
     in proportion to the cell counts; they leave.  Losers carry one more
     failure, and empty devices that saw an arrival re-enter at d = 0.
     Counts at or below `_COUNT_EPS` are dropped.  Returns the next window,
     trimmed of all-zero leading and trailing columns, and its first d.
     """
-    counts = mix[1]
     n_cells, n_q, width = pop.shape
     won = np.zeros_like(counts)
     for c in np.flatnonzero(m):
@@ -188,10 +186,10 @@ def evolve_population(pop: np.ndarray, d0: int, mix: tuple[np.ndarray, np.ndarra
 def _recursion(cfg: ClassConfig, tc: TimingConstants, horizon: int, cells: list):
     """The planner recursion for all (alpha, p_inl) cells at once.
 
-    Yields (population, d0, mixture, winners) per frame: the (cells, q, d)
+    Yields (population, d0, winners, t_cop) per frame: the (cells, q, d)
     window of expected actives before the frame's contention, the failure
-    count d0 of its first column, its `mixture_of`, and the
-    `max_feasible_m` winner counts.
+    count d0 of its first column, and the `max_feasible_m` winner counts
+    and expected contention durations.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least one frame")
@@ -201,10 +199,10 @@ def _recursion(cfg: ClassConfig, tc: TimingConstants, horizon: int, cells: list)
     pop, d0 = initial_population(cfg, tc, len(cells)), 0
     for t in range(horizon):
         mix = mixture_of(pop, d0, prob)
-        m, terms = max_feasible_m(mix, tc)
-        yield pop, d0, mix, m
+        m, t_cop, terms = max_feasible_m(mix, tc)
+        yield pop, d0, m, t_cop
         if t + 1 < horizon:  # no frame follows the last one
-            pop, d0 = evolve_population(pop, d0, mix, terms, m, cfg, tc)
+            pop, d0 = evolve_population(pop, d0, mix[1], terms, m, cfg, tc)
 
 
 def plan_for(cfg: ClassConfig, tc: TimingConstants, horizon: int,
@@ -212,15 +210,10 @@ def plan_for(cfg: ClassConfig, tc: TimingConstants, horizon: int,
     """Greedy per-frame plan for one fixed (alpha, p_inl) cell, with each
     frame's predicted population and expected contention duration."""
     decisions = []
-    for t, (pop, d0, (prob, counts), m) in enumerate(
-            _recursion(cfg, tc, horizon, [(alpha, p_inl)])):
-        m_opt, t_cop = int(m[0]), 0.0
-        if m_opt > 0:
-            mix = ContentionMixture(tuple(zip(prob[0].tolist(), counts[0].tolist())))
-            t_cop = expected_tcop(m_opt, mix, tc).e_tcop_us
+    for t, (pop, d0, m, t_cop) in enumerate(_recursion(cfg, tc, horizon, [(alpha, p_inl)])):
         q, d = np.nonzero(pop[0])
         cells = dict(zip(zip((q + 1).tolist(), (d + d0).tolist()), pop[0, q, d].tolist()))
-        decisions.append(FrameDecision(m_opt=m_opt, t_cop_opt_us=t_cop,
+        decisions.append(FrameDecision(m_opt=int(m[0]), t_cop_opt_us=float(t_cop[0]),
                                        population=PopulationState(t, cells)))
     utility = channel_utility([dec.m_opt for dec in decisions], tc)
     return FramePlan(alpha_opt=alpha, p_inl_opt=p_inl,
@@ -232,7 +225,7 @@ def _grid_winners(cfg: ClassConfig, tc: TimingConstants, horizon: int,
     """Per-frame winner counts of every (alpha, p_inl) cell, shaped
     (cells, horizon), with alpha the outer and p_inl the inner loop."""
     cells = [(a, p) for a in alpha_grid for p in p_inl_grid]
-    return np.array([m for *_, m in _recursion(cfg, tc, horizon, cells)],
+    return np.array([m for _, _, m, _ in _recursion(cfg, tc, horizon, cells)],
                     dtype=np.int64).reshape(horizon, len(cells)).T
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analytics import slot_law
+from .analytics import slot_law_rows
 from .domain import US_PER_S, ClassConfig, TimingConstants
 from .priority import escalated_probability
 
@@ -237,7 +237,7 @@ class _Contenders:
     of drains before.  Each lone-transmitter term is w_g P(idle) with
     w_g = n_g p_g / (1 - p_g), so a success's group is picked on the
     weights w alone.  While a p = 1 device remains, the law comes from
-    `analytics.slot_law`.
+    `analytics.slot_law_rows`.
     """
 
     def __init__(self, probs: list[float], counts: list[int]):
@@ -256,7 +256,9 @@ class _Contenders:
         """(P(idle), P(busy), P(success), weights proportional to the
         groups' lone-transmitter terms)."""
         if self.certain:
-            p_idle, p_busy, terms = slot_law(self.probs, self.counts)
+            law = slot_law_rows(np.array(self.probs, dtype=float),
+                                np.array(self.counts, dtype=float))
+            p_idle, p_busy, terms = float(law[0]), float(law[1]), law[2].tolist()
             return p_idle, p_busy, min(sum(terms), p_busy), terms
         log_idle = self._log_idle / self._unit  # correctly rounded
         total = sum(self.weights)

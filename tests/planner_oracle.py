@@ -16,7 +16,7 @@ from hymac.analytics import (
     DegenerateMixtureError,
     DivergentExpectationError,
     expected_tcop,
-    slot_law,
+    slot_law_rows,
     success_shares,
 )
 from hymac.domain import US_PER_S, ClassConfig, PopulationState, TimingConstants
@@ -56,13 +56,13 @@ def virtual_counts(pop: PopulationState) -> dict[int, float]:
 
 def lone_terms(mix: ContentionMixture) -> list[float]:
     """The mixture's lone-transmitter terms, as `success_shares` takes them."""
-    return slot_law([p for p, _ in mix.entries], [n for _, n in mix.entries])[2]
+    return slot_law_rows(*mix.row())[2].tolist()
 
 
 def initial_population(cfg: ClassConfig, tc: TimingConstants) -> PopulationState:
     g = cfg.arrival_probability(tc)
     counts = {(q, 0): size * g
-              for q, size in enumerate(cfg.class_sizes, start=1) if size > 0}
+              for q, size in enumerate(cfg.class_sizes, start=1) if size * g > 0}
     return PopulationState(frame_index=0, counts=counts)
 
 

@@ -20,7 +20,6 @@ from hymac.analytics import (
     prob_no_transmission,
     prob_single_transmission,
     prob_success_given_busy,
-    slot_law,
     slot_law_rows,
     success_shares,
     tcop_hessian,
@@ -110,13 +109,15 @@ def test_enumeration_oracle_sample(tc):
 
 def test_slot_law_skips_empty_entries():
     # a drained group keeps its place in the simulator's arrays, at count 0
-    p_idle, p_busy, terms = slot_law([0.3, 1.0, 0.6], [3, 0, 2])
+    p_idle, p_busy, terms = slot_law_rows(np.array([0.3, 1.0, 0.6]),
+                                          np.array([3.0, 0.0, 2.0]))
     mix = ContentionMixture(((0.3, 3), (0.6, 2)))
     assert p_idle == prob_no_transmission(mix)
     assert p_busy == pytest.approx(1.0 - prob_no_transmission(mix), abs=1e-15)
     assert terms[1] == 0.0
     assert sum(terms) == prob_single_transmission(mix)
-    assert slot_law([0.5], [0]) == (1.0, 0.0, [0.0])
+    p_idle, p_busy, terms = slot_law_rows(np.array([0.5]), np.array([0.0]))
+    assert (p_idle, p_busy, terms.tolist()) == (1.0, 0.0, [0.0])
 
 
 _probs = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
@@ -131,8 +132,8 @@ _counts = st.one_of(st.just(0.0), st.just(1.0), st.integers(0, 2000).map(float),
 def test_rows_match_one_row_calls(rows, pad):
     """Each row of a batch, padded to the batch width with zero counts,
     against the scalar forms on that row alone, bit for bit: the slot law
-    (`slot_law` keeps the padding, `ContentionMixture` drops it) and the
-    per-success cost (nan where `expected_tcop` raises)."""
+    (a one-row `slot_law_rows` keeps the padding, `ContentionMixture` drops
+    it) and the per-success cost (nan where `expected_tcop` raises)."""
     tc = TimingConstants()
     width = max(len(row) for row in rows)
     padded = [row + [(pad, 0.0)] * (width - len(row)) for row in rows]
@@ -142,8 +143,8 @@ def test_rows_match_one_row_calls(rows, pad):
     e_attempt, cost_terms = expected_attempt_rows(prob, counts, tc)
     assert np.array_equal(cost_terms, terms)
     for i, row in enumerate(padded):
-        law = slot_law(prob[i].tolist(), counts[i].tolist())
-        assert law == (p_idle[i], p_busy[i], terms[i].tolist())
+        idle, busy, row_terms = slot_law_rows(prob[i], counts[i])
+        assert (idle, busy, row_terms.tolist()) == (p_idle[i], p_busy[i], terms[i].tolist())
         mix = ContentionMixture(tuple(row))
         assert prob_no_transmission(mix) == p_idle[i]
         assert prob_single_transmission(mix) == ordered_sum(terms[i])
@@ -161,7 +162,8 @@ def test_ordered_sum_runs_left_to_right():
     assert ordered_sum(np.tile(tiny, (2, 1))).tolist() == [1.0, 1.0]
     assert ordered_sum(np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
     assert ordered_sum(np.zeros(0)) == 0.0
-    assert slot_law([], []) == (1.0, 0.0, [])
+    p_idle, p_busy, terms = slot_law_rows(np.zeros(0), np.zeros(0))
+    assert (p_idle, p_busy, terms.tolist()) == (1.0, 0.0, [])
 
 
 def test_probability_conservation():
@@ -175,7 +177,8 @@ def test_probability_conservation():
 
 def test_success_shares_sum_to_one():
     for entries in random_mixtures(50, seed=7):
-        shares = success_shares(slot_law(*zip(*entries))[2])
+        prob, counts = np.array(entries).T
+        shares = success_shares(slot_law_rows(prob, counts)[2].tolist())
         assert sum(shares) == pytest.approx(1.0, abs=1e-12)
         assert all(s >= 0 for s in shares)
 
@@ -198,8 +201,9 @@ def test_certain_transmitter_edge_cases():
     pair = ContentionMixture(((1.0, 2),))
     assert prob_single_transmission(pair) == 0.0
     # the simulator's view of the same slots: a p = 1 device is never idle
-    assert slot_law([1.0], [1]) == (0.0, 1.0, [1.0])
-    assert slot_law([1.0], [2]) == (0.0, 1.0, [0.0])
+    for n, lone in ((1.0, 1.0), (2.0, 0.0)):
+        p_idle, p_busy, terms = slot_law_rows(np.array([1.0]), np.array([n]))
+        assert (p_idle, p_busy, terms.tolist()) == (0.0, 1.0, [lone])
     with pytest.raises(DivergentExpectationError):
         expected_collisions(pair)
 

@@ -37,3 +37,7 @@ def test_planned_frames_carry_populations():
         assert isinstance(decision.population, PopulationState)
         assert decision.population.frame_index == t
         assert len(decision.population.counts) > 0
+        # `PopulationState` checks nothing, so the planner must build it with
+        # only occupied, valid cells; `bench/worker.py` counts these cells
+        assert all(q >= 1 and d >= 0 and n > 0
+                   for (q, d), n in decision.population.counts.items())

@@ -206,8 +206,17 @@ def test_empty_scenario_seeds_is_config_error(tmp_path, capsys):
     ({"s.yaml": "classes: {p_inl: abc}\n"}, "run --scenario {d}/s.yaml", "p_inl"),
     ({}, "run --scenario {d}/scenario.yaml --seeds=-1", "seeds"),
     ({}, "sweep --scenario {d}/scenario.yaml --sweep alpha=0.5,alpha=0.6", "'alpha'"),
+    # values of the wrong type are refused, not coerced
+    ({"s.yaml": "protocol: {seeds: '12'}\n"}, "run --scenario {d}/s.yaml", "seeds"),
+    ({"s.yaml": "protocol: {seeds: [1.5, 2]}\n"}, "run --scenario {d}/s.yaml", "seeds"),
+    ({"s.yaml": "protocol: {horizon: 3.7}\n"}, "run --scenario {d}/s.yaml", "horizon"),
+    ({"s.yaml": "protocol: {horizon: true}\n"}, "run --scenario {d}/s.yaml", "horizon"),
+    ({"s.yaml": "classes: {sizes: [2.9, 1]}\n"}, "run --scenario {d}/s.yaml", "sizes"),
+    ({"s.yaml": "classes: {p_inl: true}\n"}, "run --scenario {d}/s.yaml", "p_inl"),
 ], ids=["scenario-yaml-syntax", "plan-yaml-syntax", "plan-without-per_frame",
-        "p_inl-not-a-number", "negative-seed", "repeated-sweep-axis"])
+        "p_inl-not-a-number", "negative-seed", "repeated-sweep-axis",
+        "seeds-string", "seeds-float", "horizon-float", "horizon-bool",
+        "sizes-float", "p_inl-bool"])
 def test_malformed_input_is_config_error(tmp_path, capsys, files, argv, needle):
     # exit 2, with a message that names the file or the key at fault
     write_scenario(tmp_path)

@@ -67,15 +67,6 @@ def test_population_state_aggregation():
     assert sum(pop.counts.values()) == pytest.approx(10.0)
 
 
-def test_population_state_drops_zero_cells():
-    pop = PopulationState(frame_index=0, counts={(1, 0): 0.0, (2, 1): 5.0})
-    assert (1, 0) not in pop.counts
-    with pytest.raises(ConfigError):
-        PopulationState(frame_index=0, counts={(0, 0): 1.0})
-    with pytest.raises(ConfigError):
-        PopulationState(frame_index=0, counts={(1, 0): -1.0})
-
-
 def test_timing_from_dict_units():
     tc = timing_from_dict({"t_frame": 500, "t_r": 1, "t_req": 20.0})
     assert tc.t_frame_us == 500_000.0

@@ -70,7 +70,7 @@ def test_mixture_of_sums_virtual_classes():
 def _one_cell_m(mix: ContentionMixture, tc) -> int:
     prob = np.array([[p for p, _ in mix.entries]])
     counts = np.array([[n for _, n in mix.entries]])
-    m, terms = max_feasible_m((prob, counts), tc)
+    m, _, terms = max_feasible_m((prob, counts), tc)
     assert terms.shape == counts.shape
     return int(m[0])
 
@@ -296,7 +296,7 @@ def test_grid_winners_past_escalation_overflow(tc):
 def _trimmed_windows(cfg, tc, horizon, cells):
     """Each frame's (window, d0), checked to start and end on a column
     that some cell occupies."""
-    windows = [(pop, d0) for pop, d0, _, _ in _recursion(cfg, tc, horizon, cells)]
+    windows = [(pop, d0) for pop, d0, *_ in _recursion(cfg, tc, horizon, cells)]
     for pop, _ in windows:
         assert pop[:, :, 0].any() and pop[:, :, -1].any()
     return windows
@@ -315,8 +315,8 @@ def test_evolve_population_trims_empty_columns(tc):
     # is empty, so the next window is the one occupied column d = 6
     cfg = ClassConfig(class_sizes=(3,), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
     pop = np.array([[[5e-10, 3.0, 5e-10]]])
-    mix = mixture_of(pop, 4, np.full((1, 8), 0.1))
-    nxt, d0 = evolve_population(pop, 4, mix, np.zeros((1, 3)), np.array([0]), cfg, tc)
+    _, counts = mixture_of(pop, 4, np.full((1, 8), 0.1))
+    nxt, d0 = evolve_population(pop, 4, counts, np.zeros((1, 3)), np.array([0]), cfg, tc)
     assert (nxt.tolist(), d0) == ([[[3.0]]], 6)
 
 

@@ -12,7 +12,7 @@ from hymac.analytics import (
     ContentionMixture,
     prob_no_transmission,
     prob_success_given_busy,
-    slot_law,
+    slot_law_rows,
 )
 from hymac.domain import ClassConfig, TimingConstants
 from hymac.optimizer import optimize, plan_for
@@ -266,14 +266,15 @@ def _agree(a: float, b: float) -> bool:
                        min_size=1, max_size=11),
        data=st.data())
 def test_contenders_track_slot_law(groups, data):
-    """The O(1) law update after drains against `slot_law` recomputed from
+    """The O(1) law update after drains against `slot_law_rows` recomputed from
     the remaining counts: P(idle), P(busy) and each lone-transmitter term."""
     counts = [n for n, _ in groups]
     probs = [p for _, p in groups]
     contenders = _Contenders(probs, counts)  # drains ``counts`` in place
     for _ in range(data.draw(st.integers(0, 8))):
         p_idle, p_busy, p_lone, weights = contenders.law()
-        ref_idle, ref_busy, ref_terms = slot_law(probs, counts)
+        ref_idle, ref_busy, ref_terms = slot_law_rows(np.array(probs, dtype=float),
+                                                      np.array(counts, dtype=float))
         assert _agree(p_idle, ref_idle)
         assert _agree(p_busy, ref_busy)
         total = sum(weights)
