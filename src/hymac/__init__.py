@@ -1,15 +1,10 @@
 """Hybrid contention/reservation medium-access model, optimizer and simulator."""
 
 from .analytics import (
-    ContentionMixture,
-    CopExpectation,
     DegenerateMixtureError,
     DivergentExpectationError,
     asymptotic_tcop,
     expected_tcop,
-    prob_no_transmission,
-    prob_single_transmission,
-    prob_success_given_busy,
     tcop_hessian,
 )
 from .domain import (
@@ -40,16 +35,14 @@ from .priority import escalated_probability
 from .simulator import SimReport, run_csma, run_hybrid, run_tdma, simulate_cop_slots
 
 __all__ = [
-    "ClassConfig", "ConfigError", "ContentionMixture", "CopExpectation",
-    "DegenerateMixtureError", "DivergentExpectationError", "EnergyBreakdown",
-    "FrameDecision", "FramePlan", "PopulationState", "Scenario", "SimReport",
+    "ClassConfig", "ConfigError", "DegenerateMixtureError",
+    "DivergentExpectationError", "EnergyBreakdown", "FrameDecision",
+    "FramePlan", "PopulationState", "Scenario", "SimReport",
     "TimingConstants", "asymptotic_tcop", "channel_utility",
     "channel_utility_of", "dump_scenario", "energy_per_frame",
-    "escalated_probability", "expected_tcop",
-    "load_scenario", "optimize", "plan_for", "prob_no_transmission",
-    "prob_single_transmission", "prob_success_given_busy", "run_csma",
-    "run_hybrid", "run_tdma", "simulate_cop_slots", "tcop_hessian",
-    "utility_grid", "write_device_csv", "write_frame_csv",
+    "escalated_probability", "expected_tcop", "load_scenario", "optimize",
+    "plan_for", "run_csma", "run_hybrid", "run_tdma", "simulate_cop_slots",
+    "tcop_hessian", "utility_grid", "write_device_csv", "write_frame_csv",
 ]
 
 __version__ = "0.1.0"

@@ -6,9 +6,10 @@ per-class success shares, and the large-population asymptotic form of the
 contention duration together with its Hessian.
 
 The slot law and the cost of one success have one implementation each,
-row-wise over a batch of mixtures (`slot_law_rows`, `_attempt_rows`), for
-the planner's cells.  Every scalar form is a one-row call of them, so a
-mixture priced alone gets the same bits as in a batch.
+row-wise over a batch of mixtures (`slot_law_rows`, `_attempt_rows` and
+its priced form `expected_tcop`), for the planner's cells.  There are no
+scalar forms: a mixture priced alone is a one-row call and gets the same
+bits as in a batch.
 
 Products of many (1 - p) factors are evaluated in log space so mixtures
 with thousands of devices do not underflow.  The single-transmitter
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
@@ -35,40 +35,6 @@ class DegenerateMixtureError(ValueError):
 
 class DivergentExpectationError(ArithmeticError):
     """A success is impossible, so waiting times have no finite mean."""
-
-
-@dataclass(frozen=True)
-class ContentionMixture:
-    """Occupied virtual classes: (contending probability, device count).
-
-    Counts may be fractional; the optimizer propagates expected values.
-    """
-
-    entries: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        ent = []
-        for p, n in self.entries:
-            if not 0.0 < p <= 1.0:
-                raise ValueError(f"contending probability {p} outside (0, 1]")
-            if n < 0:
-                raise ValueError("device count must be nonnegative")
-            if n > 0:
-                ent.append((float(p), float(n)))
-        object.__setattr__(self, "entries", tuple(ent))
-
-    def row(self) -> tuple[np.ndarray, np.ndarray]:
-        """(probabilities, counts): the mixture as one row for the row forms."""
-        pairs = np.array(self.entries, dtype=float).reshape(-1, 2)
-        return pairs[:, 0], pairs[:, 1]
-
-
-@dataclass(frozen=True)
-class CopExpectation:
-    """Expected per-success contention cost and total contention duration."""
-
-    e_attempt_us: float
-    e_tcop_us: float
 
 
 def ordered_sum(x: np.ndarray) -> np.ndarray:
@@ -119,65 +85,14 @@ def _attempt_rows(prob: np.ndarray, counts: np.ndarray, delta_idle_us: float,
     return _Wait(p_busy, p_succ, e_nc, e_idle, e_attempt), terms
 
 
-def expected_attempt_rows(prob: np.ndarray, counts: np.ndarray,
-                          tc: TimingConstants):
-    """Row-wise ``expected_tcop(1, mix, tc).e_attempt_us`` and the
-    lone-transmitter terms; the cost is nan where `expected_tcop` raises."""
+def expected_tcop(prob: np.ndarray, counts: np.ndarray, tc: TimingConstants):
+    """Row-wise expected cost (us) of one successful contention, and the
+    lone-transmitter terms.  The cost is nan where the channel is never
+    busy or never succeeds; m successes take m times it on average."""
     wait, terms = _attempt_rows(prob, counts, tc.delta_idle_us,
                                 tc.delta_coll_us, tc.delta_succ_us)
     undefined = (wait.p_busy <= 0.0) | (wait.p_succ <= 0.0)
     return np.where(undefined, np.nan, wait.e_attempt), terms
-
-
-def _wait(mix: ContentionMixture, delta_idle_us: float = 0.0,
-          delta_coll_us: float = 0.0, delta_succ_us: float = 0.0,
-          divergent: bool = True) -> _Wait:
-    """`_attempt_rows` of one mixture, as floats.  Raises
-    `DegenerateMixtureError` where the channel is never busy and, with
-    ``divergent``, `DivergentExpectationError` where it never succeeds."""
-    rows, _ = _attempt_rows(*mix.row(), delta_idle_us, delta_coll_us, delta_succ_us)
-    wait = _Wait(*map(float, rows))
-    if wait.p_busy <= 0.0:
-        raise DegenerateMixtureError("no device can transmit in this mixture")
-    if divergent and wait.p_succ <= 0.0:
-        raise DivergentExpectationError(
-            "success probability is zero; collisions never terminate")
-    return wait
-
-
-def prob_no_transmission(mix: ContentionMixture) -> float:
-    """P(no device transmits in a slot) = prod (1 - p)^n."""
-    return float(slot_law_rows(*mix.row())[0])
-
-
-def prob_single_transmission(mix: ContentionMixture) -> float:
-    """Unconditional P(exactly one device transmits in a slot)."""
-    return float(ordered_sum(slot_law_rows(*mix.row())[2]))
-
-
-def prob_success_given_busy(mix: ContentionMixture) -> float:
-    """P(exactly one transmitter | at least one transmitter)."""
-    return _wait(mix, divergent=False).p_succ
-
-
-def expected_collisions(mix: ContentionMixture) -> float:
-    """Mean number of collisions preceding one successful contention."""
-    return _wait(mix).e_nc
-
-
-def expected_idle(mix: ContentionMixture, delta_idle_us: float) -> float:
-    """Mean idle time preceding one busy slot."""
-    return _wait(mix, delta_idle_us, divergent=False).e_idle
-
-
-def expected_tcop(m: int, mix: ContentionMixture, tc: TimingConstants) -> CopExpectation:
-    """Expected contention-period duration for m successful contentions."""
-    if m < 0:
-        raise ValueError("number of successes must be nonnegative")
-    if m == 0:
-        return CopExpectation(0.0, 0.0)
-    e_attempt = _wait(mix, tc.delta_idle_us, tc.delta_coll_us, tc.delta_succ_us).e_attempt
-    return CopExpectation(e_attempt_us=e_attempt, e_tcop_us=m * e_attempt)
 
 
 def success_shares(terms: list[float]) -> list[float]:

@@ -190,6 +190,12 @@ def _cmd_sweep(args) -> int:
     unknown = set(axes) - {"alpha", "p_inl"}
     if unknown:
         raise ConfigError(f"unknown sweep axes: {sorted(unknown)}")
+    for name, grid in (("alpha", alpha_grid), ("p_inl", p_grid)):
+        for value in grid:  # each cell must be a valid class layout
+            try:
+                replace(sc.classes, **{name: value})
+            except ConfigError as exc:
+                raise ConfigError(f"sweep axis {name}: {exc}, got {value!r}") from exc
 
     grid = optimizer.utility_grid(sc.classes, sc.timing, sc.horizon,
                                   alpha_grid, p_grid)
@@ -220,11 +226,10 @@ def _cmd_validate(args) -> int:
             checks.append(("scenario parses and validates", False, str(exc)))
 
     # slot probabilities against exhaustive enumeration of a small mixture
-    mix = analytics.ContentionMixture(((0.3, 3), (0.6, 2)))
+    p_idle, _, terms = analytics.slot_law_rows(np.array([0.3, 0.6]), np.array([3.0, 2.0]))
     p0 = (0.7 ** 3) * (0.4 ** 2)
     p1 = (3 * 0.3 * 0.7 ** 2 * 0.4 ** 2) + (2 * 0.6 * 0.4 * 0.7 ** 3)
-    ok = (abs(analytics.prob_no_transmission(mix) - p0) < 1e-12
-          and abs(analytics.prob_single_transmission(mix) - p1) < 1e-12)
+    ok = bool(abs(p_idle - p0) < 1e-12 and abs(terms.sum() - p1) < 1e-12)
     checks.append(("closed forms match direct enumeration", ok, ""))
 
     # curvature matrix is symmetric, linear in the winner count and
@@ -240,8 +245,7 @@ def _cmd_validate(args) -> int:
     # simulated slot frequencies against the analytic model
     sim = simulator.simulate_cop_slots([(0.05, 20)], tc, n_slots=20_000, seed=7)
     p0_hat = sim.n_idle_slots / sim.n_slots
-    p0_ref = analytics.prob_no_transmission(
-        analytics.ContentionMixture(((0.05, 20),)))
+    p0_ref = float(analytics.slot_law_rows(np.array([0.05]), np.array([20.0]))[0])
     se = (p0_ref * (1 - p0_ref) / sim.n_slots) ** 0.5
     ok = abs(p0_hat - p0_ref) < 4 * se
     checks.append(("simulator slot process matches the model", ok,

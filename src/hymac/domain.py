@@ -76,7 +76,7 @@ class ClassConfig:
             raise ConfigError("class sizes must be a non-empty list of counts >= 0")
         if not 0.0 < self.p_inl <= 1.0:
             raise ConfigError("p_inl must lie in (0, 1]")
-        if self.alpha <= 0:
+        if not self.alpha > 0:  # nan too
             raise ConfigError("alpha must be strictly positive")
         if self.arrival_rate < 0:
             raise ConfigError("arrival rate must be nonnegative")

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .analytics import expected_attempt_rows, ordered_sum, success_shares
-from .analytics import expected_tcop  # noqa: F401  (bench/spans.py wraps this name)
-from .domain import ClassConfig, ConfigError, PopulationState, TimingConstants, load_yaml
+from .analytics import expected_tcop, ordered_sum, success_shares
+from .domain import (ClassConfig, ConfigError, PopulationState, TimingConstants, _is,
+                     load_yaml)
 from .priority import escalated_probability
 
 DEFAULT_ALPHA_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 2.0, 3.0, 4.0, 5.0)
@@ -88,7 +88,7 @@ def max_feasible_m(mix: tuple[np.ndarray, np.ndarray], tc: TimingConstants
     its expected contention duration m * e_attempt (0 where m = 0), and
     the mixture's lone-transmitter terms.  A cell where no success can
     happen gets no winners."""
-    e_attempt, terms = expected_attempt_rows(*mix, tc)
+    e_attempt, terms = expected_tcop(*mix, tc)
     total = np.floor(ordered_sum(mix[1]) + _COUNT_EPS)
     with np.errstate(invalid="ignore"):
         fit = np.floor(tc.t_frame_us / (e_attempt + tc.t_r_us))
@@ -273,17 +273,38 @@ def dump_plan(plan: FramePlan, path) -> None:
         yaml.safe_dump(doc, fh, sort_keys=False)
 
 
+# each plan key: the type of its value and the range the value must lie in
+_PLAN_VALUES = {
+    "alpha_opt": (float, lambda v: 0 < v < math.inf, "positive"),
+    "p_inl_opt": (float, lambda v: 0 < v <= 1, "in (0, 1]"),
+    "utility": (float, lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "m_opt": (int, lambda v: v >= 0, "nonnegative"),
+    "t_cop_opt_us": (float, lambda v: 0 <= v < math.inf, "nonnegative"),
+}
+
+
+def _plan_value(doc, key: str, path):
+    """``doc[key]`` of a plan file, checked against `_PLAN_VALUES`."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ConfigError(f"plan file {path} lacks the key {key!r}")
+    kind, ok, what = _PLAN_VALUES[key]
+    value = doc[key]
+    if not (_is(value, kind) and ok(value)):
+        name = "an integer" if kind is int else "a number"
+        raise ConfigError(f"plan file {path}: {key} must be {name} {what}, got {value!r}")
+    return kind(value)
+
+
 def load_plan(path) -> FramePlan:
+    """A plan file as `dump_plan` writes it.  A missing key, or a value of
+    the wrong type or out of range, is a `ConfigError` naming the key."""
     doc = load_yaml(path)
-    try:
-        decisions = tuple(
-            FrameDecision(m_opt=int(row["m_opt"]), t_cop_opt_us=float(row["t_cop_opt_us"]))
-            for row in doc["per_frame"]
-        )
-        return FramePlan(alpha_opt=float(doc["alpha_opt"]),
-                         p_inl_opt=float(doc["p_inl_opt"]),
-                         per_frame=decisions, utility=float(doc["utility"]))
-    except KeyError as exc:
-        raise ConfigError(f"plan file {path} lacks the key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"plan file {path} is malformed: {exc}") from exc
+    rows = doc.get("per_frame") if isinstance(doc, dict) else None
+    if not isinstance(rows, list):
+        raise ConfigError(f"plan file {path} lacks the key 'per_frame' (a list of frames)")
+    decisions = tuple(FrameDecision(m_opt=_plan_value(row, "m_opt", path),
+                                    t_cop_opt_us=_plan_value(row, "t_cop_opt_us", path))
+                      for row in rows)
+    return FramePlan(alpha_opt=_plan_value(doc, "alpha_opt", path),
+                     p_inl_opt=_plan_value(doc, "p_inl_opt", path),
+                     per_frame=decisions, utility=_plan_value(doc, "utility", path))

@@ -11,14 +11,9 @@ from __future__ import annotations
 
 import math
 
-from hymac.analytics import (
-    ContentionMixture,
-    DegenerateMixtureError,
-    DivergentExpectationError,
-    expected_tcop,
-    slot_law_rows,
-    success_shares,
-)
+import numpy as np
+
+from hymac.analytics import expected_tcop, slot_law_rows, success_shares
 from hymac.domain import US_PER_S, ClassConfig, PopulationState, TimingConstants
 from hymac.optimizer import (
     _COUNT_EPS,
@@ -54,9 +49,9 @@ def virtual_counts(pop: PopulationState) -> dict[int, float]:
     return agg
 
 
-def lone_terms(mix: ContentionMixture) -> list[float]:
+def lone_terms(mix: tuple[np.ndarray, np.ndarray]) -> list[float]:
     """The mixture's lone-transmitter terms, as `success_shares` takes them."""
-    return slot_law_rows(*mix.row())[2].tolist()
+    return slot_law_rows(*mix)[2].tolist()
 
 
 def initial_population(cfg: ClassConfig, tc: TimingConstants) -> PopulationState:
@@ -66,21 +61,21 @@ def initial_population(cfg: ClassConfig, tc: TimingConstants) -> PopulationState
     return PopulationState(frame_index=0, counts=counts)
 
 
-def mixture_of(pop: PopulationState, alpha: float, p_inl: float) -> ContentionMixture:
-    return ContentionMixture(tuple(
-        (escalated_probability(rho, alpha, p_inl), n)
-        for rho, n in sorted(virtual_counts(pop).items())
-    ))
+def mixture_of(pop: PopulationState, alpha: float,
+               p_inl: float) -> tuple[np.ndarray, np.ndarray]:
+    """The contention mixture as one row of the row forms: the contending
+    probability and the expected actives of each occupied virtual class."""
+    occupied = [(rho, n) for rho, n in sorted(virtual_counts(pop).items()) if n > 0]
+    return (np.array([escalated_probability(rho, alpha, p_inl) for rho, _ in occupied],
+                     dtype=float),
+            np.array([n for _, n in occupied], dtype=float))
 
 
-def max_feasible_m(mix: ContentionMixture, tc: TimingConstants) -> int:
-    total = int(sum(n for _, n in mix.entries) + _COUNT_EPS)
+def max_feasible_m(mix: tuple[np.ndarray, np.ndarray], tc: TimingConstants) -> int:
+    total = int(sum(mix[1].tolist()) + _COUNT_EPS)
     if total == 0:
         return 0
-    try:
-        e_attempt = expected_tcop(1, mix, tc).e_attempt_us
-    except (DegenerateMixtureError, DivergentExpectationError):
-        return 0
+    e_attempt = float(expected_tcop(*mix, tc)[0])  # nan where no success can happen
     if not math.isfinite(e_attempt):
         return 0
     return min(total, int(tc.t_frame_us / (e_attempt + tc.t_r_us)))
@@ -136,7 +131,7 @@ def plan_for(cfg: ClassConfig, tc: TimingConstants, horizon: int,
     for t in range(horizon):
         mix = mixture_of(pop, alpha, p_inl)
         m = max_feasible_m(mix, tc)
-        t_cop = expected_tcop(m, mix, tc).e_tcop_us if m > 0 else 0.0
+        t_cop = m * float(expected_tcop(*mix, tc)[0]) if m > 0 else 0.0
         decisions.append(FrameDecision(m_opt=m, t_cop_opt_us=t_cop, population=pop))
         if t + 1 < horizon:  # no frame follows the last one
             pop = evolve_population(pop, m, alpha, p_inl, cfg, tc)

@@ -17,19 +17,13 @@ from test_analytics import (
     _fd_hessian_mp,
     geometric_mean_failures,
     mean_idle_series,
+    one_row,
     random_mixtures,
     transmitter_distribution,
 )
 
 from hymac import analytics, metrics
-from hymac.analytics import (
-    ContentionMixture,
-    expected_collisions,
-    expected_idle,
-    prob_no_transmission,
-    prob_success_given_busy,
-    tcop_hessian,
-)
+from hymac.analytics import tcop_hessian
 from hymac.domain import ClassConfig, TimingConstants
 from hymac.optimizer import DEFAULT_ALPHA_GRID, DEFAULT_P_INL_GRID, optimize
 from hymac.simulator import run_csma, run_hybrid, run_tdma, simulate_cop_slots
@@ -84,9 +78,9 @@ def frame0_load(plan) -> float:
     """Expected transmitters per contention slot (sum of n*p) in the
     plan's first frame; far above one, contention cannot resolve and the
     planner allocates no winners."""
-    pop = plan.per_frame[0].population
-    return sum(p * n for p, n in
-               mixture_of(pop, plan.alpha_opt, plan.p_inl_opt).entries)
+    prob, counts = mixture_of(plan.per_frame[0].population, plan.alpha_opt,
+                              plan.p_inl_opt)
+    return sum(p * n for p, n in zip(prob.tolist(), counts.tolist()))
 
 
 _SIM_CACHE: dict = {}
@@ -158,16 +152,15 @@ def test_criterion_03_exact_enumeration_oracle():
         # probabilities bounded away from the extremes keep the absolute
         # 1e-9 target meaningful for the expectation values
         entries = tuple((0.02 + 0.33 * p, n) for p, n in entries)
-        mix = ContentionMixture(entries)
+        _, _, wait = one_row(entries, TC.delta_idle_us)
         dist = transmitter_distribution(entries)
         p0 = float(dist[0])
         p1 = float(dist[1]) if len(dist) > 1 else 0.0
         p_succ = p1 / (1.0 - p0)
         errs = [
-            abs(prob_success_given_busy(mix) - p_succ),
-            abs(expected_collisions(mix) - geometric_mean_failures(p_succ)),
-            abs(expected_idle(mix, TC.delta_idle_us)
-                - mean_idle_series(p0, TC.delta_idle_us)),
+            abs(wait.p_succ - p_succ),
+            abs(wait.e_nc - geometric_mean_failures(p_succ)),
+            abs(wait.e_idle - mean_idle_series(p0, TC.delta_idle_us)),
         ]
         worst = max(worst, *errs)
     ok = worst < 1e-9
@@ -180,15 +173,14 @@ def test_criterion_04_monte_carlo_calibration():
     """A 100k-slot contention simulation (n=500, p=0.01) matches the
     conditional success probability and mean idle time within 3 SE."""
     out = simulate_cop_slots([(0.01, 500)], TC, n_slots=100_000, seed=20)
-    mix = ContentionMixture(((0.01, 500),))
+    p0, _, wait = one_row(((0.01, 500),), TC.delta_idle_us)
     busy = out.n_slots - out.n_idle_slots
 
-    p_succ = prob_success_given_busy(mix)
+    p_succ = wait.p_succ
     se_succ = math.sqrt(p_succ * (1 - p_succ) / busy)
     d_succ = abs(len(out.success_groups) / busy - p_succ)
 
-    p0 = prob_no_transmission(mix)
-    e_idle = expected_idle(mix, TC.delta_idle_us)
+    e_idle = wait.e_idle
     # idle run length per busy slot is geometric with mean p0/(1-p0)
     se_idle = TC.delta_idle_us * math.sqrt(p0 / (1 - p0) ** 2 / busy)
     d_idle = abs(out.n_idle_slots * TC.delta_idle_us / busy - e_idle)

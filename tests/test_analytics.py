@@ -8,18 +8,11 @@ from hypothesis import strategies as st
 
 from hymac import analytics
 from hymac.analytics import (
-    ContentionMixture,
-    DegenerateMixtureError,
     DivergentExpectationError,
+    _attempt_rows,
     asymptotic_tcop,
-    expected_attempt_rows,
-    expected_collisions,
-    expected_idle,
     expected_tcop,
     ordered_sum,
-    prob_no_transmission,
-    prob_single_transmission,
-    prob_success_given_busy,
     slot_law_rows,
     success_shares,
     tcop_hessian,
@@ -73,37 +66,54 @@ def random_mixtures(count, seed, max_classes=4, max_devices=20):
     return out
 
 
+def one_row(entries, delta_idle_us=0.0):
+    """A mixture of (probability, count) pairs through the row forms as one
+    row: P(no transmitter), P(exactly one transmitter) and the wait for
+    one success (`analytics._attempt_rows`, idle slots of
+    ``delta_idle_us``), all as floats."""
+    prob, counts = np.array(entries, dtype=float).reshape(-1, 2).T
+    p_idle, _, terms = slot_law_rows(prob, counts)
+    wait, _ = _attempt_rows(prob, counts, delta_idle_us)
+    return float(p_idle), float(ordered_sum(terms)), type(wait)(*map(float, wait))
+
+
+def cost(entries, tc) -> float:
+    """`expected_tcop` of one mixture: the mean cost of one success (us)."""
+    prob, counts = np.array(entries, dtype=float).reshape(-1, 2).T
+    return float(expected_tcop(prob, counts, tc)[0])
+
+
 # ---------------------------------------------------------------------------
 # slot probabilities
 
 
 def test_single_entry_hand_example():
-    mix = ContentionMixture(((0.3, 3),))
-    assert prob_no_transmission(mix) == pytest.approx(0.7 ** 3, abs=1e-15)
-    assert prob_single_transmission(mix) == pytest.approx(3 * 0.3 * 0.7 ** 2, abs=1e-15)
+    p_idle, p_one, _ = one_row(((0.3, 3),))
+    assert p_idle == pytest.approx(0.7 ** 3, abs=1e-15)
+    assert p_one == pytest.approx(3 * 0.3 * 0.7 ** 2, abs=1e-15)
 
 
 def test_two_entry_hand_example():
-    mix = ContentionMixture(((0.3, 3), (0.6, 2)))
+    p_idle, p_one, wait = one_row(((0.3, 3), (0.6, 2)))
     p0 = 0.7 ** 3 * 0.4 ** 2
     p1 = 3 * 0.3 * 0.7 ** 2 * 0.4 ** 2 + 2 * 0.6 * 0.4 * 0.7 ** 3
-    assert prob_no_transmission(mix) == pytest.approx(p0, abs=1e-15)
-    assert prob_single_transmission(mix) == pytest.approx(p1, abs=1e-15)
-    assert prob_success_given_busy(mix) == pytest.approx(p1 / (1 - p0), abs=1e-14)
+    assert p_idle == pytest.approx(p0, abs=1e-15)
+    assert p_one == pytest.approx(p1, abs=1e-15)
+    assert wait.p_succ == pytest.approx(p1 / (1 - p0), abs=1e-14)
 
 
 def test_enumeration_oracle_sample(tc):
     for entries in random_mixtures(50, seed=421):
-        mix = ContentionMixture(entries)
+        p_idle, p_one, wait = one_row(entries, tc.delta_idle_us)
         dist = transmitter_distribution(entries)
         p0, p1 = float(dist[0]), float(dist[1]) if len(dist) > 1 else 0.0
-        assert prob_no_transmission(mix) == pytest.approx(p0, abs=1e-9)
-        assert prob_single_transmission(mix) == pytest.approx(p1, abs=1e-9)
+        assert p_idle == pytest.approx(p0, abs=1e-9)
+        assert p_one == pytest.approx(p1, abs=1e-9)
         p_succ = p1 / (1.0 - p0)
-        assert prob_success_given_busy(mix) == pytest.approx(p_succ, abs=1e-9)
-        assert expected_collisions(mix) == pytest.approx(
+        assert wait.p_succ == pytest.approx(p_succ, abs=1e-9)
+        assert wait.e_nc == pytest.approx(
             geometric_mean_failures(p_succ), rel=1e-9, abs=1e-9)
-        assert expected_idle(mix, tc.delta_idle_us) == pytest.approx(
+        assert wait.e_idle == pytest.approx(
             mean_idle_series(p0, tc.delta_idle_us), rel=1e-9, abs=1e-9)
 
 
@@ -111,11 +121,11 @@ def test_slot_law_skips_empty_entries():
     # a drained group keeps its place in the simulator's arrays, at count 0
     p_idle, p_busy, terms = slot_law_rows(np.array([0.3, 1.0, 0.6]),
                                           np.array([3.0, 0.0, 2.0]))
-    mix = ContentionMixture(((0.3, 3), (0.6, 2)))
-    assert p_idle == prob_no_transmission(mix)
-    assert p_busy == pytest.approx(1.0 - prob_no_transmission(mix), abs=1e-15)
+    p0, p1, _ = one_row(((0.3, 3), (0.6, 2)))
+    assert p_idle == p0
+    assert p_busy == pytest.approx(1.0 - p0, abs=1e-15)
     assert terms[1] == 0.0
-    assert sum(terms) == prob_single_transmission(mix)
+    assert sum(terms) == p1
     p_idle, p_busy, terms = slot_law_rows(np.array([0.5]), np.array([0.0]))
     assert (p_idle, p_busy, terms.tolist()) == (1.0, 0.0, [0.0])
 
@@ -131,28 +141,26 @@ _counts = st.one_of(st.just(0.0), st.just(1.0), st.integers(0, 2000).map(float),
        pad=_probs)
 def test_rows_match_one_row_calls(rows, pad):
     """Each row of a batch, padded to the batch width with zero counts,
-    against the scalar forms on that row alone, bit for bit: the slot law
-    (a one-row `slot_law_rows` keeps the padding, `ContentionMixture` drops
-    it) and the per-success cost (nan where `expected_tcop` raises)."""
+    against one-row calls on that row alone, bit for bit: the slot law and
+    the per-success cost (nan where no success can happen), both with the
+    padding and with every zero-count entry dropped."""
     tc = TimingConstants()
     width = max(len(row) for row in rows)
     padded = [row + [(pad, 0.0)] * (width - len(row)) for row in rows]
     prob = np.array([[p for p, _ in row] for row in padded]).reshape(len(rows), width)
     counts = np.array([[n for _, n in row] for row in padded]).reshape(len(rows), width)
     p_idle, p_busy, terms = slot_law_rows(prob, counts)
-    e_attempt, cost_terms = expected_attempt_rows(prob, counts, tc)
+    e_attempt, cost_terms = expected_tcop(prob, counts, tc)
     assert np.array_equal(cost_terms, terms)
     for i, row in enumerate(padded):
         idle, busy, row_terms = slot_law_rows(prob[i], counts[i])
         assert (idle, busy, row_terms.tolist()) == (p_idle[i], p_busy[i], terms[i].tolist())
-        mix = ContentionMixture(tuple(row))
-        assert prob_no_transmission(mix) == p_idle[i]
-        assert prob_single_transmission(mix) == ordered_sum(terms[i])
-        try:
-            want = expected_tcop(1, mix, tc).e_attempt_us
-        except (DegenerateMixtureError, DivergentExpectationError):
-            want = math.nan
-        assert np.array_equal(e_attempt[i], want, equal_nan=True)
+        assert np.array_equal(expected_tcop(prob[i], counts[i], tc)[0], e_attempt[i],
+                              equal_nan=True)
+        kept = np.array([(p, n) for p, n in row if n > 0]).reshape(-1, 2).T
+        idle, _, kept_terms = slot_law_rows(*kept)
+        assert (idle, ordered_sum(kept_terms)) == (p_idle[i], ordered_sum(terms[i]))
+        assert np.array_equal(expected_tcop(*kept, tc)[0], e_attempt[i], equal_nan=True)
 
 
 def test_ordered_sum_runs_left_to_right():
@@ -168,10 +176,8 @@ def test_ordered_sum_runs_left_to_right():
 
 def test_probability_conservation():
     for entries in random_mixtures(50, seed=99):
-        mix = ContentionMixture(entries)
-        p0 = prob_no_transmission(mix)
-        p1 = prob_single_transmission(mix)
-        p_many = (1 - p0) * (1 - prob_success_given_busy(mix))
+        p0, p1, wait = one_row(entries)
+        p_many = (1 - p0) * (1 - wait.p_succ)
         assert p0 + p1 + p_many == pytest.approx(1.0, abs=1e-12)
 
 
@@ -184,43 +190,38 @@ def test_success_shares_sum_to_one():
 
 
 def test_no_underflow_for_large_populations():
-    mix = ContentionMixture(((0.1, 50_000.0),))
-    assert prob_no_transmission(mix) == 0.0  # below double-precision range
+    p_idle, _, wait = one_row(((0.1, 50_000.0),))
+    assert p_idle == 0.0  # below double-precision range
     # conditional success still well-defined via log-space evaluation
-    assert 0.0 <= prob_success_given_busy(mix) <= 1.0
+    assert 0.0 <= wait.p_succ <= 1.0
 
 
-def test_certain_transmitter_edge_cases():
-    solo = ContentionMixture(((1.0, 1),))
-    assert prob_no_transmission(solo) == 0.0
-    assert prob_single_transmission(solo) == 1.0
-    assert prob_success_given_busy(solo) == 1.0
-    assert expected_collisions(solo) == 0.0
-    assert expected_idle(solo, 10.0) == 0.0
+def test_certain_transmitter_edge_cases(tc):
+    p_idle, p_one, wait = one_row(((1.0, 1),), 10.0)
+    assert (p_idle, p_one, wait.p_succ) == (0.0, 1.0, 1.0)
+    assert (wait.e_nc, wait.e_idle) == (0.0, 0.0)
 
-    pair = ContentionMixture(((1.0, 2),))
-    assert prob_single_transmission(pair) == 0.0
+    _, p_one, wait = one_row(((1.0, 2),))
+    assert (p_one, wait.p_succ) == (0.0, 0.0)
     # the simulator's view of the same slots: a p = 1 device is never idle
     for n, lone in ((1.0, 1.0), (2.0, 0.0)):
         p_idle, p_busy, terms = slot_law_rows(np.array([1.0]), np.array([n]))
         assert (p_idle, p_busy, terms.tolist()) == (0.0, 1.0, [lone])
-    with pytest.raises(DivergentExpectationError):
-        expected_collisions(pair)
+    # a p = 1 pair never succeeds: one success has no finite cost
+    assert math.isnan(cost(((1.0, 2),), tc))
 
 
-def test_empty_mixture_is_degenerate():
-    mix = ContentionMixture(((0.5, 0.0),))
-    assert prob_no_transmission(mix) == 1.0
-    with pytest.raises(DegenerateMixtureError):
-        prob_success_given_busy(mix)
-    with pytest.raises(DegenerateMixtureError):
-        expected_idle(mix, 10.0)
+def test_empty_mixture_is_degenerate(tc):
+    for entries in (((0.5, 0.0),), ()):
+        p_idle, p_busy, _ = slot_law_rows(*np.array(entries, dtype=float).reshape(-1, 2).T)
+        assert (p_idle, p_busy) == (1.0, 0.0)  # never busy
+        assert math.isnan(cost(entries, tc))
 
 
 def test_fractional_counts_accepted(tc):
-    mix = ContentionMixture(((0.1, 12.5),))
-    assert prob_no_transmission(mix) == pytest.approx(0.9 ** 12.5, abs=1e-12)
-    assert expected_tcop(3, mix, tc).e_tcop_us > 0
+    p_idle, _, _ = one_row(((0.1, 12.5),))
+    assert p_idle == pytest.approx(0.9 ** 12.5, abs=1e-12)
+    assert 3 * cost(((0.1, 12.5),), tc) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -228,36 +229,22 @@ def test_fractional_counts_accepted(tc):
 
 
 def test_expected_tcop_structure(tc):
-    mix = ContentionMixture(((0.1, 10),))
-    exp = expected_tcop(5, mix, tc)
-    e_nc = expected_collisions(mix)
-    e_idle = expected_idle(mix, tc.delta_idle_us)
-    attempt = (e_nc + 1) * e_idle + e_nc * tc.delta_coll_us + tc.delta_succ_us
-    assert exp.e_attempt_us == pytest.approx(attempt, rel=1e-12)
-    assert exp.e_tcop_us == pytest.approx(5 * attempt, rel=1e-12)
-
-
-def test_expected_tcop_linear_in_m(tc):
-    mix = ContentionMixture(((0.2, 8), (0.4, 3)))
-    one = expected_tcop(1, mix, tc).e_tcop_us
-    for m in (2, 7, 50):
-        assert expected_tcop(m, mix, tc).e_tcop_us == pytest.approx(m * one, rel=1e-12)
-    assert expected_tcop(0, mix, tc).e_tcop_us == 0.0
-    with pytest.raises(ValueError):
-        expected_tcop(-1, mix, tc)
+    _, _, wait = one_row(((0.1, 10),), tc.delta_idle_us)
+    attempt = ((wait.e_nc + 1) * wait.e_idle + wait.e_nc * tc.delta_coll_us
+               + tc.delta_succ_us)
+    assert cost(((0.1, 10),), tc) == pytest.approx(attempt, rel=1e-12)
 
 
 def test_monte_carlo_slot_frequencies(tc, rng):
     entries = ((0.05, 12), (0.15, 4))
-    mix = ContentionMixture(entries)
+    p_idle, p_one, _ = one_row(entries)
     n_slots = 60_000
     counts = np.array([n for _, n in entries])
     probs = np.array([p for p, _ in entries])
     draws = rng.binomial(counts[:, None], probs[:, None], size=(2, n_slots)).sum(axis=0)
     p0_hat = np.mean(draws == 0)
     p1_hat = np.mean(draws == 1)
-    for hat, ref in ((p0_hat, prob_no_transmission(mix)),
-                     (p1_hat, prob_single_transmission(mix))):
+    for hat, ref in ((p0_hat, p_idle), (p1_hat, p_one)):
         se = math.sqrt(ref * (1 - ref) / n_slots)
         assert abs(hat - ref) < 3.5 * se
 
@@ -288,7 +275,7 @@ def test_asymptotic_matches_exact_single_class(tc):
     alpha, p_inl, m = 1.0, 1e-4, 100
     for big_l in (10_000, 100_000):
         x = (1 + alpha) * p_inl
-        exact = expected_tcop(m, ContentionMixture(((x, big_l),)), tc).e_tcop_us
+        exact = m * cost(((x, big_l),), tc)
         asym = asymptotic_tcop(m, alpha, p_inl, big_l, tc)
         assert asym == pytest.approx(exact, rel=1e-2)
         gap = m * (tc.delta_coll_us - tc.delta_idle_us) / big_l

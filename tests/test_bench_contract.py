@@ -9,6 +9,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from hymac import analytics, optimizer
 from hymac.domain import ClassConfig, PopulationState, TimingConstants
 from hymac.optimizer import plan_for
 
@@ -41,3 +42,18 @@ def test_planned_frames_carry_populations():
         # only occupied, valid cells; `bench/worker.py` counts these cells
         assert all(q >= 1 and d >= 0 and n > 0
                    for (q, d), n in decision.population.counts.items())
+
+
+def test_plan_for_prices_each_frame_through_the_wrapped_name(monkeypatch):
+    # the benchmark times the closed forms by wrapping `optimizer.expected_tcop`,
+    # so the planner must call it by that name, once per planned frame
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return analytics.expected_tcop(*args)
+
+    monkeypatch.setattr(optimizer, "expected_tcop", counting)
+    cfg = ClassConfig(class_sizes=(40, 5), p_inl=0.05, alpha=1.0, arrival_rate=1.0)
+    plan_for(cfg, TimingConstants(), 7, 1.0, 0.05)
+    assert len(calls) == 7

@@ -197,6 +197,19 @@ def test_empty_scenario_seeds_is_config_error(tmp_path, capsys):
     assert "seeds" in capsys.readouterr().err
 
 
+def plan_yaml(key, value):
+    """A four-frame plan file for `SCENARIO`, valid but for ``key`` set to
+    ``value`` (in the first frame, for a per-frame key)."""
+    doc = {"alpha_opt": 1.0, "p_inl_opt": 0.05, "utility": 0.0,
+           "per_frame": [{"frame": t + 1, "m_opt": 0, "t_cop_opt_us": 0.0}
+                         for t in range(4)]}
+    (doc["per_frame"][0] if key in doc["per_frame"][0] else doc)[key] = value
+    return yaml.safe_dump(doc)
+
+
+_WITH_PLAN = "run --scenario {d}/scenario.yaml --plan {d}/p.yaml"
+
+
 @pytest.mark.parametrize("files, argv, needle", [
     ({"s.yaml": "classes: [1,\n"}, "run --scenario {d}/s.yaml", "s.yaml"),
     ({"p.yaml": "per_frame: {\n"}, "run --scenario {d}/scenario.yaml --plan {d}/p.yaml",
@@ -213,10 +226,24 @@ def test_empty_scenario_seeds_is_config_error(tmp_path, capsys):
     ({"s.yaml": "protocol: {horizon: true}\n"}, "run --scenario {d}/s.yaml", "horizon"),
     ({"s.yaml": "classes: {sizes: [2.9, 1]}\n"}, "run --scenario {d}/s.yaml", "sizes"),
     ({"s.yaml": "classes: {p_inl: true}\n"}, "run --scenario {d}/s.yaml", "p_inl"),
+    # plan values are refused, not coerced or passed on to the simulator
+    ({"p.yaml": plan_yaml("m_opt", 2.9)}, _WITH_PLAN, "m_opt"),
+    ({"p.yaml": plan_yaml("m_opt", True)}, _WITH_PLAN, "m_opt"),
+    ({"p.yaml": plan_yaml("m_opt", -5)}, _WITH_PLAN, "m_opt"),
+    ({"p.yaml": plan_yaml("t_cop_opt_us", -100.0)}, _WITH_PLAN, "t_cop_opt_us"),
+    ({"p.yaml": plan_yaml("p_inl_opt", 5.0)}, _WITH_PLAN, "p_inl_opt"),
+    # sweep values outside the class layout's ranges, before any planning
+    ({}, "sweep --scenario {d}/scenario.yaml --sweep p_inl=1.5", "sweep axis p_inl"),
+    ({}, "sweep --scenario {d}/scenario.yaml --sweep p_inl=nan", "sweep axis p_inl"),
+    ({}, "sweep --scenario {d}/scenario.yaml --sweep alpha=-1", "sweep axis alpha"),
+    ({}, "sweep --scenario {d}/scenario.yaml --sweep alpha=nan", "sweep axis alpha"),
 ], ids=["scenario-yaml-syntax", "plan-yaml-syntax", "plan-without-per_frame",
         "p_inl-not-a-number", "negative-seed", "repeated-sweep-axis",
         "seeds-string", "seeds-float", "horizon-float", "horizon-bool",
-        "sizes-float", "p_inl-bool"])
+        "sizes-float", "p_inl-bool", "plan-m_opt-float", "plan-m_opt-bool",
+        "plan-m_opt-negative", "plan-t_cop-negative", "plan-p_inl_opt-above-one",
+        "sweep-p_inl-above-one", "sweep-p_inl-nan", "sweep-alpha-negative",
+        "sweep-alpha-nan"])
 def test_malformed_input_is_config_error(tmp_path, capsys, files, argv, needle):
     # exit 2, with a message that names the file or the key at fault
     write_scenario(tmp_path)

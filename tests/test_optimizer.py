@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import planner_oracle as oracle
-from hymac.analytics import ContentionMixture, expected_tcop, success_shares
+from hymac.analytics import expected_tcop, success_shares
 from hymac.domain import ClassConfig, PopulationState, TimingConstants
 from hymac.optimizer import (
     DEFAULT_ALPHA_GRID,
@@ -67,9 +67,9 @@ def test_mixture_of_sums_virtual_classes():
     assert probs.tolist() == [[0.4, 0.8, 1.0, 1.0, 1.0]]
 
 
-def _one_cell_m(mix: ContentionMixture, tc) -> int:
-    prob = np.array([[p for p, _ in mix.entries]])
-    counts = np.array([[n for _, n in mix.entries]])
+def _one_cell_m(entries, tc) -> int:
+    prob = np.array([[p for p, _ in entries]], dtype=float)
+    counts = np.array([[n for _, n in entries]], dtype=float)
     m, _, terms = max_feasible_m((prob, counts), tc)
     assert terms.shape == counts.shape
     return int(m[0])
@@ -77,20 +77,19 @@ def _one_cell_m(mix: ContentionMixture, tc) -> int:
 
 def test_max_feasible_m_population_cap(tc):
     # one certain transmitter: exactly one winner available
-    assert _one_cell_m(ContentionMixture(((1.0, 1),)), tc) == 1
+    assert _one_cell_m(((1.0, 1),), tc) == 1
 
 
 def test_max_feasible_m_time_cap(tc):
-    mix = ContentionMixture(((0.05, 20),))
-    e_attempt = expected_tcop(1, mix, tc).e_attempt_us
+    e_attempt = float(expected_tcop(np.array([0.05]), np.array([20.0]), tc)[0])
     expect = min(20, int(tc.t_frame_us / (e_attempt + tc.t_r_us)))
-    assert _one_cell_m(mix, tc) == expect
+    assert _one_cell_m(((0.05, 20),), tc) == expect
     assert expect == 20  # cheap contention: limited by the population
 
 
 def test_max_feasible_m_choked_mixture(tc):
     # overwhelming simultaneous transmissions: no winner is ever expected
-    assert _one_cell_m(ContentionMixture(((0.5, 1000.0),)), tc) == 0
+    assert _one_cell_m(((0.5, 1000.0),), tc) == 0
 
 
 def test_apportion_winners_rounding():

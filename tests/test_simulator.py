@@ -7,13 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_analytics import one_row
+
 from hymac import simulator
-from hymac.analytics import (
-    ContentionMixture,
-    prob_no_transmission,
-    prob_success_given_busy,
-    slot_law_rows,
-)
+from hymac.analytics import slot_law_rows
 from hymac.domain import ClassConfig, TimingConstants
 from hymac.optimizer import optimize, plan_for
 from hymac.simulator import (
@@ -373,13 +370,12 @@ def test_cop_matches_block_oracle(tc, case):
 def test_cop_matches_slot_model(tc):
     # non-draining slot process against the analytic slot probabilities
     out = simulate_cop_slots([(0.05, 20)], tc, n_slots=100_000, seed=11)
-    mix = ContentionMixture(((0.05, 20),))
-    p0 = prob_no_transmission(mix)
+    p0, _, wait = one_row(((0.05, 20),))
     se0 = math.sqrt(p0 * (1 - p0) / out.n_slots)
     assert abs(out.n_idle_slots / out.n_slots - p0) < 3.5 * se0
 
     busy = out.n_slots - out.n_idle_slots
-    p_succ = prob_success_given_busy(mix)
+    p_succ = wait.p_succ
     se1 = math.sqrt(p_succ * (1 - p_succ) / busy)
     assert abs(len(out.success_groups) / busy - p_succ) < 3.5 * se1
 
