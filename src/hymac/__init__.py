@@ -10,7 +10,6 @@ from .analytics import (
 from .domain import (
     ClassConfig,
     ConfigError,
-    PopulationState,
     Scenario,
     TimingConstants,
     dump_scenario,
@@ -37,7 +36,7 @@ from .simulator import SimReport, run_csma, run_hybrid, run_tdma, simulate_cop_s
 __all__ = [
     "ClassConfig", "ConfigError", "DegenerateMixtureError",
     "DivergentExpectationError", "EnergyBreakdown", "FrameDecision",
-    "FramePlan", "PopulationState", "Scenario", "SimReport",
+    "FramePlan", "Scenario", "SimReport",
     "TimingConstants", "asymptotic_tcop", "channel_utility",
     "channel_utility_of", "dump_scenario", "energy_per_frame",
     "escalated_probability", "expected_tcop", "load_scenario", "optimize",

@@ -9,7 +9,7 @@ milliseconds and the short control messages in microseconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import yaml
 
@@ -42,8 +42,9 @@ class TimingConstants:
         for name in ("t_frame_us", "t_r_us", "t_req_us", "t_nof_us",
                      "t_anc_us", "t_ack_us", "sifs_us", "bifs_us",
                      "delta_idle_us", "p_tx_w", "p_rx_w", "p_idle_w"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and strictly positive")
         if self.t_r_us >= self.t_frame_us:
             raise ConfigError("transmission slot must be shorter than the frame")
         if self.t_req_us + self.sifs_us + self.t_ack_us + self.bifs_us >= self.t_frame_us:
@@ -78,8 +79,8 @@ class ClassConfig:
             raise ConfigError("p_inl must lie in (0, 1]")
         if not self.alpha > 0:  # nan too
             raise ConfigError("alpha must be strictly positive")
-        if self.arrival_rate < 0:
-            raise ConfigError("arrival rate must be nonnegative")
+        if not (math.isfinite(self.arrival_rate) and self.arrival_rate >= 0):
+            raise ConfigError("arrival rate (lambda) must be finite and nonnegative")
         object.__setattr__(self, "class_sizes", tuple(int(k) for k in self.class_sizes))
 
     @property
@@ -93,19 +94,6 @@ class ClassConfig:
     def arrival_probability(self, tc: TimingConstants) -> float:
         """Probability that a device sees at least one arrival in a frame."""
         return -math.expm1(-self.arrival_rate * tc.t_frame_us / US_PER_S)
-
-
-@dataclass(frozen=True)
-class PopulationState:
-    """Expected active-device counts keyed by (class q, failure count d).
-
-    The virtual class of a (q, d) cell is q + d - 1; cells of equal
-    virtual class share one contending probability.  An unchecked record:
-    its builder keeps q >= 1, d >= 0 and every count positive.
-    """
-
-    frame_index: int
-    counts: dict = field(default_factory=dict)  # (q, d) -> expected count
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ the per-frame winner budget is greedy-maximal: the objective is a
 nondecreasing function of every per-frame winner count, so the largest
 count satisfying the frame-duration constraint is optimal along the
 deterministic expected-value population recursion.  One array pass runs
-that recursion for every cell at once (README, "Planner"): `plan_for` is
-its one-cell call, `utility_grid` and `optimize` its grid call.
+that recursion for every cell at once (README, "Planner"): `utility_grid`
+and `optimize` are its grid calls, and `plan_for` is `optimize` on one
+cell.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import numpy as np
 import yaml
 
 from .analytics import expected_tcop, ordered_sum, success_shares
-from .domain import (ClassConfig, ConfigError, PopulationState, TimingConstants, _is,
-                     load_yaml)
+from .domain import ClassConfig, ConfigError, TimingConstants, _is, load_yaml
 from .priority import escalated_probability
 
 DEFAULT_ALPHA_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 2.0, 3.0, 4.0, 5.0)
@@ -36,7 +36,7 @@ class NoFeasiblePointError(RuntimeError):
 class FrameDecision:
     m_opt: int
     t_cop_opt_us: float
-    population: PopulationState | None = None  # predicted pre-frame state
+    population: None = None  # never set; bench/worker.py reads it for population_cells_max
 
 
 @dataclass(frozen=True)
@@ -205,28 +205,16 @@ def _recursion(cfg: ClassConfig, tc: TimingConstants, horizon: int, cells: list)
             pop, d0 = evolve_population(pop, d0, mix[1], terms, m, cfg, tc)
 
 
-def plan_for(cfg: ClassConfig, tc: TimingConstants, horizon: int,
-             alpha: float, p_inl: float) -> FramePlan:
-    """Greedy per-frame plan for one fixed (alpha, p_inl) cell, with each
-    frame's predicted population and expected contention duration."""
-    decisions = []
-    for t, (pop, d0, m, t_cop) in enumerate(_recursion(cfg, tc, horizon, [(alpha, p_inl)])):
-        q, d = np.nonzero(pop[0])
-        cells = dict(zip(zip((q + 1).tolist(), (d + d0).tolist()), pop[0, q, d].tolist()))
-        decisions.append(FrameDecision(m_opt=int(m[0]), t_cop_opt_us=float(t_cop[0]),
-                                       population=PopulationState(t, cells)))
-    utility = channel_utility([dec.m_opt for dec in decisions], tc)
-    return FramePlan(alpha_opt=alpha, p_inl_opt=p_inl,
-                     per_frame=tuple(decisions), utility=utility)
-
-
-def _grid_winners(cfg: ClassConfig, tc: TimingConstants, horizon: int,
-                  alpha_grid, p_inl_grid) -> np.ndarray:
-    """Per-frame winner counts of every (alpha, p_inl) cell, shaped
-    (cells, horizon), with alpha the outer and p_inl the inner loop."""
+def _grid_pass(cfg: ClassConfig, tc: TimingConstants, horizon: int,
+               alpha_grid, p_inl_grid) -> dict[tuple[float, float], tuple[list, list]]:
+    """Every (alpha, p_inl) cell's per-frame winner counts and expected
+    contention durations, from one pass, in grid order (alpha outer, p_inl
+    inner)."""
     cells = [(a, p) for a in alpha_grid for p in p_inl_grid]
-    return np.array([m for _, _, m, _ in _recursion(cfg, tc, horizon, cells)],
-                    dtype=np.int64).reshape(horizon, len(cells)).T
+    frames = [(m, t_cop) for _, _, m, t_cop in _recursion(cfg, tc, horizon, cells)]
+    wins, t_cops = (np.array(rows).reshape(horizon, len(cells)).T.tolist()
+                    for rows in zip(*frames))
+    return dict(zip(cells, zip(wins, t_cops)))
 
 
 def best_cell(grid: dict[tuple[float, float], float]) -> tuple[float, float]:
@@ -244,19 +232,29 @@ def best_cell(grid: dict[tuple[float, float], float]) -> tuple[float, float]:
 def optimize(cfg: ClassConfig, tc: TimingConstants, horizon: int,
              alpha_grid=DEFAULT_ALPHA_GRID,
              p_inl_grid=DEFAULT_P_INL_GRID) -> FramePlan:
-    """Best plan over the (alpha, p_inl) grid: the `best_cell` of
-    `utility_grid`, rebuilt by `plan_for`."""
-    grid = utility_grid(cfg, tc, horizon, alpha_grid, p_inl_grid)
-    return plan_for(cfg, tc, horizon, *best_cell(grid))
+    """Best plan over the (alpha, p_inl) grid: the `best_cell` of one grid
+    pass, with that cell's winner counts and contention durations."""
+    rows = _grid_pass(cfg, tc, horizon, alpha_grid, p_inl_grid)
+    grid = {cell: channel_utility(wins, tc) for cell, (wins, _) in rows.items()}
+    best = best_cell(grid)
+    decisions = tuple(FrameDecision(m_opt=m, t_cop_opt_us=t_cop)
+                      for m, t_cop in zip(*rows[best]))
+    return FramePlan(alpha_opt=best[0], p_inl_opt=best[1],
+                     per_frame=decisions, utility=grid[best])
+
+
+def plan_for(cfg: ClassConfig, tc: TimingConstants, horizon: int,
+             alpha: float, p_inl: float) -> FramePlan:
+    """Greedy per-frame plan for one fixed (alpha, p_inl) cell."""
+    return optimize(cfg, tc, horizon, (alpha,), (p_inl,))
 
 
 def utility_grid(cfg: ClassConfig, tc: TimingConstants, horizon: int,
                  alpha_grid=DEFAULT_ALPHA_GRID,
                  p_inl_grid=DEFAULT_P_INL_GRID) -> dict[tuple[float, float], float]:
     """Analytic utility of every grid cell (for sweep tables)."""
-    wins = _grid_winners(cfg, tc, horizon, alpha_grid, p_inl_grid)
-    cells = [(a, p) for a in alpha_grid for p in p_inl_grid]
-    return {cell: channel_utility(row.tolist(), tc) for cell, row in zip(cells, wins)}
+    rows = _grid_pass(cfg, tc, horizon, alpha_grid, p_inl_grid)
+    return {cell: channel_utility(wins, tc) for cell, (wins, _) in rows.items()}
 
 
 def dump_plan(plan: FramePlan, path) -> None:

@@ -1,5 +1,6 @@
 """The planner's expected-value population recursion over dicts of (q, d)
-cells, one (alpha, p_inl) cell at a time.
+cells, one (alpha, p_inl) cell at a time.  A population is a plain dict
+``{(q, d): n}`` of expected actives by class q and failure count d.
 
 This is the scalar form the array pass in `hymac.optimizer` replaced; the
 tests keep it as the reference that `plan_for`, `utility_grid` and
@@ -14,7 +15,7 @@ import math
 import numpy as np
 
 from hymac.analytics import expected_tcop, slot_law_rows, success_shares
-from hymac.domain import US_PER_S, ClassConfig, PopulationState, TimingConstants
+from hymac.domain import US_PER_S, ClassConfig, TimingConstants
 from hymac.optimizer import (
     _COUNT_EPS,
     FrameDecision,
@@ -40,10 +41,10 @@ def expected_new_arrivals(empty_count: float, arrival_rate: float,
     return empty_count * g
 
 
-def virtual_counts(pop: PopulationState) -> dict[int, float]:
+def virtual_counts(pop: dict) -> dict[int, float]:
     """Expected actives per virtual class rho = q + d - 1."""
     agg: dict[int, float] = {}
-    for (q, d), n in pop.counts.items():
+    for (q, d), n in pop.items():
         rho = q + d - 1
         agg[rho] = agg.get(rho, 0.0) + n
     return agg
@@ -54,14 +55,13 @@ def lone_terms(mix: tuple[np.ndarray, np.ndarray]) -> list[float]:
     return slot_law_rows(*mix)[2].tolist()
 
 
-def initial_population(cfg: ClassConfig, tc: TimingConstants) -> PopulationState:
+def initial_population(cfg: ClassConfig, tc: TimingConstants) -> dict:
     g = cfg.arrival_probability(tc)
-    counts = {(q, 0): size * g
-              for q, size in enumerate(cfg.class_sizes, start=1) if size * g > 0}
-    return PopulationState(frame_index=0, counts=counts)
+    return {(q, 0): size * g
+            for q, size in enumerate(cfg.class_sizes, start=1) if size * g > 0}
 
 
-def mixture_of(pop: PopulationState, alpha: float,
+def mixture_of(pop: dict, alpha: float,
                p_inl: float) -> tuple[np.ndarray, np.ndarray]:
     """The contention mixture as one row of the row forms: the contending
     probability and the expected actives of each occupied virtual class."""
@@ -81,11 +81,11 @@ def max_feasible_m(mix: tuple[np.ndarray, np.ndarray], tc: TimingConstants) -> i
     return min(total, int(tc.t_frame_us / (e_attempt + tc.t_r_us)))
 
 
-def evolve_population(state: PopulationState, m_total: int, alpha: float,
+def evolve_population(state: dict, m_total: int, alpha: float,
                       p_inl: float, cfg: ClassConfig,
-                      tc: TimingConstants) -> PopulationState:
+                      tc: TimingConstants) -> dict:
     vc = virtual_counts(state)
-    active = sum(state.counts.values())
+    active = sum(state.values())
     if m_total > int(active + _COUNT_EPS):
         raise InfeasibleWinnersError(
             f"{m_total} winners requested from {active:.3f} active devices")
@@ -102,7 +102,7 @@ def evolve_population(state: PopulationState, m_total: int, alpha: float,
     # remove winners (within a virtual class, spread over its (q, d)
     # cells in proportion to the cell counts) and promote survivors
     survivors: dict[tuple[int, int], float] = {}
-    for (q, d), n in state.counts.items():
+    for (q, d), n in state.items():
         rho = q + d - 1
         w = winners_by_rho.get(rho, 0.0)
         cell_w = w * n / vc[rho] if vc.get(rho, 0.0) > 0 else 0.0
@@ -119,22 +119,23 @@ def evolve_population(state: PopulationState, m_total: int, alpha: float,
         if u_q > _COUNT_EPS:
             counts[(q, 0)] = counts.get((q, 0), 0.0) + u_q
 
-    return PopulationState(frame_index=state.frame_index + 1, counts=counts)
+    return counts
 
 
 def plan_for(cfg: ClassConfig, tc: TimingConstants, horizon: int,
-             alpha: float, p_inl: float) -> FramePlan:
+             alpha: float, p_inl: float) -> tuple[FramePlan, list[dict]]:
+    """The plan of one cell, and the population before each of its frames."""
     if horizon < 1:
         raise ValueError("horizon must be at least one frame")
-    pop = initial_population(cfg, tc)
+    pops = [initial_population(cfg, tc)]
     decisions = []
     for t in range(horizon):
-        mix = mixture_of(pop, alpha, p_inl)
+        mix = mixture_of(pops[-1], alpha, p_inl)
         m = max_feasible_m(mix, tc)
         t_cop = m * float(expected_tcop(*mix, tc)[0]) if m > 0 else 0.0
-        decisions.append(FrameDecision(m_opt=m, t_cop_opt_us=t_cop, population=pop))
+        decisions.append(FrameDecision(m_opt=m, t_cop_opt_us=t_cop))
         if t + 1 < horizon:  # no frame follows the last one
-            pop = evolve_population(pop, m, alpha, p_inl, cfg, tc)
+            pops.append(evolve_population(pops[-1], m, alpha, p_inl, cfg, tc))
     utility = channel_utility([d.m_opt for d in decisions], tc)
     return FramePlan(alpha_opt=alpha, p_inl_opt=p_inl,
-                     per_frame=tuple(decisions), utility=utility)
+                     per_frame=tuple(decisions), utility=utility), pops

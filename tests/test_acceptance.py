@@ -12,7 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from planner_oracle import mixture_of
+from planner_oracle import initial_population, mixture_of
 from test_analytics import (
     _fd_hessian_mp,
     geometric_mean_failures,
@@ -74,11 +74,11 @@ def plan_at(k: int, lam: float, layout: str = "het", horizon: int = 200):
     return _PLAN_CACHE[key]
 
 
-def frame0_load(plan) -> float:
+def frame0_load(cfg: ClassConfig, plan) -> float:
     """Expected transmitters per contention slot (sum of n*p) in the
     plan's first frame; far above one, contention cannot resolve and the
     planner allocates no winners."""
-    prob, counts = mixture_of(plan.per_frame[0].population, plan.alpha_opt,
+    prob, counts = mixture_of(initial_population(cfg, TC), plan.alpha_opt,
                               plan.p_inl_opt)
     return sum(p * n for p, n in zip(prob.tolist(), counts.tolist()))
 
@@ -117,7 +117,7 @@ def test_criterion_01_reference_utility_maxima():
         if not ok:
             failures.append(f"K={k}: utility {plan.utility:.4f} vs {target}, "
                             f"argmax ({plan.alpha_opt:g},{plan.p_inl_opt:g}), "
-                            f"frame-0 sum(n*p)={frame0_load(plan):.1f}")
+                            f"frame-0 sum(n*p)={frame0_load(layout_cfg(k, 1.0), plan):.1f}")
     verdict(1, "grid search reproduces reference utility maxima",
             not failures, "; ".join(failures))
     assert not failures, failures
@@ -129,14 +129,14 @@ def test_criterion_02_simulation_matches_analytic_utility():
     failures = []
     details = []
     for k in REFERENCE_OPTIMA:
-        reports, plan, _ = hybrid_reports(k, 1.0, range(1, 11), 200)
+        reports, plan, cfg = hybrid_reports(k, 1.0, range(1, 11), 200)
         mean_util = float(np.mean([metrics.channel_utility_of(r)
                                    for r in reports]))
         details.append(f"K={k}: sim {mean_util:.4f} vs plan {plan.utility:.4f}")
         if plan.utility == 0.0:
             # no winners planned: both utilities are 0 and agree trivially
             details[-1] += (f" (vacuous: no winners planned, frame-0 "
-                            f"sum(n*p)={frame0_load(plan):.1f})")
+                            f"sum(n*p)={frame0_load(cfg, plan):.1f})")
         if abs(mean_util - plan.utility) > 0.03:
             failures.append(details[-1])
     verdict(2, "simulation agrees with the analytic utility",
@@ -326,7 +326,7 @@ def test_criterion_07_fairness_bands():
 def test_criterion_08_priority_ordering():
     """Heterogeneous 1180/10/10 network: mean drop ratio and mean delay
     strictly ordered class 3 < class 2 < class 1 over 10 seeds."""
-    reports, plan, _ = hybrid_reports(1200, 1.0, range(1, 11), 200)
+    reports, plan, cfg = hybrid_reports(1200, 1.0, range(1, 11), 200)
     gen = sum(r.generated for r in reports)
     drp = sum(r.dropped for r in reports)
     dlv = sum(r.delivered for r in reports)
@@ -348,7 +348,7 @@ def test_criterion_08_priority_ordering():
               + ("; delay undefined for classes " + str(undefined)
                  if undefined else
                  "; delay " + "/".join(f"c{c}={delays[c]:.2f}" for c in (1, 2, 3)))
-              + f"; frame-0 sum(n*p)={frame0_load(plan):.1f}")
+              + f"; frame-0 sum(n*p)={frame0_load(cfg, plan):.1f}")
     ok = drop_ok and delay_ok
     verdict(8, "priority classes strictly ordered in drops and delay", ok, detail)
     assert ok, detail
@@ -361,8 +361,8 @@ def test_criterion_09_delay_grows_with_population():
     loads = {}
     undefined = []
     for k in (500, 800, 1200):
-        reports, plan, _ = hybrid_reports(k, 1.0, range(1, 11), 200)
-        loads[k] = frame0_load(plan)
+        reports, plan, cfg = hybrid_reports(k, 1.0, range(1, 11), 200)
+        loads[k] = frame0_load(cfg, plan)
         dlv = sum(int(r.delivered.sum()) for r in reports)
         if dlv == 0:
             undefined.append(k)
@@ -395,7 +395,7 @@ def test_criterion_10_energy_ordering():
             metrics.mean_frame_energy(run_tdma(cfg, TC, frames, seed=s))
             for s in seeds]))
         details.append(f"K={k}: tdma={e_t:.4f}J hybrid={e_h:.4f}J csma={e_c:.4f}J"
-                       f" frame-0 sum(n*p)={frame0_load(plan):.1f}")
+                       f" frame-0 sum(n*p)={frame0_load(cfg, plan):.1f}")
         if not (e_t < e_h < e_c):
             failures.append(details[-1])
     verdict(10, "energy per frame ordered tdma < hybrid < csma",

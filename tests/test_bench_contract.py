@@ -1,19 +1,23 @@
 """The names the benchmark harness wraps must exist in the package.
 
 `bench/spans.py` replaces `hymac` module attributes by name with timing
-wrappers, and `bench/worker.py` reads each planned frame's population.  A
+wrappers, and `bench/worker.py` reads each planned frame's `population`.  A
 rename in the package would otherwise surface only when the benchmark runs.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-from hymac import analytics, optimizer
-from hymac.domain import ClassConfig, PopulationState, TimingConstants
-from hymac.optimizer import plan_for
+import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+from hymac import analytics, optimizer
+from hymac.domain import ClassConfig, TimingConstants
+from hymac.optimizer import dump_plan, load_plan, optimize, plan_for
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS, WORKER = BENCH / "spans.py", BENCH / "worker.py"
 
 
 def _bench_spans():
@@ -31,22 +35,34 @@ def test_wrapped_names_resolve():
     assert not missing, missing
 
 
-def test_planned_frames_carry_populations():
-    cfg = ClassConfig(class_sizes=(40, 5), p_inl=0.05, alpha=1.0, arrival_rate=1.0)
-    plan = plan_for(cfg, TimingConstants(), 3, 1.0, 0.05)
-    for t, decision in enumerate(plan.per_frame):
-        assert isinstance(decision.population, PopulationState)
-        assert decision.population.frame_index == t
-        assert len(decision.population.counts) > 0
-        # `PopulationState` checks nothing, so the planner must build it with
-        # only occupied, valid cells; `bench/worker.py` counts these cells
-        assert all(q >= 1 and d >= 0 and n > 0
-                   for (q, d), n in decision.population.counts.items())
+def _population_cells_max():
+    """The expression `bench/worker.py` evaluates for its
+    `optimizer.population_cells_max` metric, compiled from its source."""
+    tree = ast.parse(WORKER.read_text(encoding="utf-8"))
+    value, = [v for node in ast.walk(tree) if isinstance(node, ast.Dict)
+              for k, v in zip(node.keys, node.values)
+              if isinstance(k, ast.Constant) and k.value == "optimizer.population_cells_max"]
+    return compile(ast.Expression(value), str(WORKER), "eval")
 
 
-def test_plan_for_prices_each_frame_through_the_wrapped_name(monkeypatch):
-    # the benchmark times the closed forms by wrapping `optimizer.expected_tcop`,
-    # so the planner must call it by that name, once per planned frame
+CFG = ClassConfig(class_sizes=(40, 5), p_inl=0.05, alpha=1.0, arrival_rate=1.0)
+
+
+def test_population_metric_reads_zero_on_every_plan(tmp_path):
+    # plans carry no populations, but the benchmark still reads the field
+    tc = TimingConstants()
+    metric = _population_cells_max()
+    planned = plan_for(CFG, tc, 3, 1.0, 0.05)
+    dump_plan(planned, tmp_path / "plan.yaml")
+    for plan in (planned, optimize(CFG, tc, 3, (0.5, 1.0), (0.05, 0.1)),
+                 load_plan(tmp_path / "plan.yaml")):
+        assert eval(metric, {"plan": plan}) == 0
+
+
+@pytest.fixture
+def tcop_calls(monkeypatch) -> list:
+    """The calls the planner makes through `optimizer.expected_tcop`, the
+    name the benchmark wraps to time the closed forms."""
     calls = []
 
     def counting(*args):
@@ -54,6 +70,20 @@ def test_plan_for_prices_each_frame_through_the_wrapped_name(monkeypatch):
         return analytics.expected_tcop(*args)
 
     monkeypatch.setattr(optimizer, "expected_tcop", counting)
-    cfg = ClassConfig(class_sizes=(40, 5), p_inl=0.05, alpha=1.0, arrival_rate=1.0)
-    plan_for(cfg, TimingConstants(), 7, 1.0, 0.05)
-    assert len(calls) == 7
+    return calls
+
+
+def test_plan_for_prices_each_frame_through_the_wrapped_name(tcop_calls):
+    plan_for(CFG, TimingConstants(), 7, 1.0, 0.05)
+    assert len(tcop_calls) == 7
+
+
+def test_optimize_plans_in_one_pass(monkeypatch, tcop_calls):
+    # one grid pass prices each frame once for every cell, and the chosen
+    # cell's plan is read off that pass, not planned again
+    def replan(*args):
+        raise AssertionError("optimize called plan_for")
+
+    monkeypatch.setattr(optimizer, "plan_for", replan)
+    optimize(CFG, TimingConstants(), 6, (0.5, 1.0), (0.05, 0.1))
+    assert len(tcop_calls) == 6

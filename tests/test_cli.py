@@ -226,6 +226,13 @@ _WITH_PLAN = "run --scenario {d}/scenario.yaml --plan {d}/p.yaml"
     ({"s.yaml": "protocol: {horizon: true}\n"}, "run --scenario {d}/s.yaml", "horizon"),
     ({"s.yaml": "classes: {sizes: [2.9, 1]}\n"}, "run --scenario {d}/s.yaml", "sizes"),
     ({"s.yaml": "classes: {p_inl: true}\n"}, "run --scenario {d}/s.yaml", "p_inl"),
+    # non-finite values are refused where numpy would fail or print nan
+    ({"s.yaml": "arrival: {lambda: .nan}\n"}, "run --scenario {d}/s.yaml", "lambda"),
+    ({"s.yaml": "arrival: {lambda: .inf}\n"}, "run --scenario {d}/s.yaml", "lambda"),
+    ({"s.yaml": "timing: {t_r: .nan}\n"}, "run --scenario {d}/s.yaml", "t_r"),
+    ({"s.yaml": "timing: {t_frame: .inf}\n"}, "run --scenario {d}/s.yaml", "t_frame"),
+    ({"s.yaml": "timing: {p_idle: .nan}\n"}, "run --scenario {d}/s.yaml", "p_idle"),
+    ({"s.yaml": "timing: {delta_idle: .inf}\n"}, "run --scenario {d}/s.yaml", "delta_idle"),
     # plan values are refused, not coerced or passed on to the simulator
     ({"p.yaml": plan_yaml("m_opt", 2.9)}, _WITH_PLAN, "m_opt"),
     ({"p.yaml": plan_yaml("m_opt", True)}, _WITH_PLAN, "m_opt"),
@@ -240,7 +247,8 @@ _WITH_PLAN = "run --scenario {d}/scenario.yaml --plan {d}/p.yaml"
 ], ids=["scenario-yaml-syntax", "plan-yaml-syntax", "plan-without-per_frame",
         "p_inl-not-a-number", "negative-seed", "repeated-sweep-axis",
         "seeds-string", "seeds-float", "horizon-float", "horizon-bool",
-        "sizes-float", "p_inl-bool", "plan-m_opt-float", "plan-m_opt-bool",
+        "sizes-float", "p_inl-bool", "lambda-nan", "lambda-inf", "t_r-nan",
+        "t_frame-inf", "p_idle-nan", "delta_idle-inf", "plan-m_opt-float", "plan-m_opt-bool",
         "plan-m_opt-negative", "plan-t_cop-negative", "plan-p_inl_opt-above-one",
         "sweep-p_inl-above-one", "sweep-p_inl-nan", "sweep-alpha-negative",
         "sweep-alpha-nan"])

@@ -7,7 +7,6 @@ import yaml
 from hymac.domain import (
     ClassConfig,
     ConfigError,
-    PopulationState,
     Scenario,
     TimingConstants,
     dump_scenario,
@@ -59,12 +58,11 @@ def test_arrival_probability(tc):
 
 
 def test_population_state_aggregation():
-    pop = PopulationState(frame_index=0,
-                          counts={(1, 0): 3.0, (2, 0): 2.0, (1, 1): 4.0, (3, 2): 1.0})
+    pop = {(1, 0): 3.0, (2, 0): 2.0, (1, 1): 4.0, (3, 2): 1.0}
     # (2, 0) and (1, 1) share virtual class 1
     assert virtual_counts(pop) == {0: 3.0, 1: 6.0, 4: 1.0}
     assert max(virtual_counts(pop)) == 4  # highest occupied virtual class
-    assert sum(pop.counts.values()) == pytest.approx(10.0)
+    assert sum(pop.values()) == pytest.approx(10.0)
 
 
 def test_timing_from_dict_units():

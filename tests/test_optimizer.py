@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 import planner_oracle as oracle
 from hymac.analytics import expected_tcop, success_shares
-from hymac.domain import ClassConfig, PopulationState, TimingConstants
+from hymac.domain import ClassConfig, TimingConstants
 from hymac.optimizer import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_P_INL_GRID,
     NoFeasiblePointError,
     _apportion_winners,
-    _grid_winners,
+    _grid_pass,
     _recursion,
     best_cell,
     channel_utility,
@@ -109,32 +109,30 @@ def test_apportion_winners_respects_caps():
 def test_evolve_pure_promotion(tc):
     # no winners and no arrivals: everyone moves up one failure level
     cfg = ClassConfig(class_sizes=(10,), p_inl=0.1, alpha=1.0, arrival_rate=0.0)
-    pop = PopulationState(frame_index=0, counts={(1, 0): 4.0, (1, 2): 2.0})
-    nxt = oracle.evolve_population(pop, 0, 1.0, 0.1, cfg, tc)
-    assert nxt.counts == {(1, 1): 4.0, (1, 3): 2.0}
-    assert nxt.frame_index == 1
+    nxt = oracle.evolve_population({(1, 0): 4.0, (1, 2): 2.0}, 0, 1.0, 0.1, cfg, tc)
+    assert nxt == {(1, 1): 4.0, (1, 3): 2.0}
 
 
 def test_evolve_mass_conservation(tc):
     cfg = ClassConfig(class_sizes=(100,), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
     g = cfg.arrival_probability(tc)
-    pop = PopulationState(frame_index=0, counts={(1, 0): 60.0, (1, 1): 20.0})
+    pop = {(1, 0): 60.0, (1, 1): 20.0}
     m = 40
     nxt = oracle.evolve_population(pop, m, 1.0, 0.1, cfg, tc)
-    survivors = sum(pop.counts.values()) - m
+    survivors = sum(pop.values()) - m
     expect_total = survivors + (100 - survivors) * g
-    assert sum(nxt.counts.values()) == pytest.approx(expect_total, rel=1e-9)
+    assert sum(nxt.values()) == pytest.approx(expect_total, rel=1e-9)
     # arrivals land at the preliminary level
-    assert nxt.counts[(1, 0)] == pytest.approx((100 - survivors) * g, rel=1e-9)
+    assert nxt[(1, 0)] == pytest.approx((100 - survivors) * g, rel=1e-9)
 
 
 def test_evolve_winner_split_matches_success_shares(tc):
     cfg = ClassConfig(class_sizes=(100,), p_inl=0.05, alpha=1.0, arrival_rate=0.0)
-    pop = PopulationState(frame_index=0, counts={(1, 0): 50.0, (1, 1): 30.0})
+    pop = {(1, 0): 50.0, (1, 1): 30.0}
     nxt = oracle.evolve_population(pop, 10, 1.0, 0.05, cfg, tc)
     shares = success_shares(oracle.lone_terms(oracle.mixture_of(pop, 1.0, 0.05)))
-    removed0 = 50.0 - sum(n for (q, d), n in nxt.counts.items() if d == 1)
-    removed1 = 30.0 - sum(n for (q, d), n in nxt.counts.items() if d == 2)
+    removed0 = 50.0 - sum(n for (q, d), n in nxt.items() if d == 1)
+    removed1 = 30.0 - sum(n for (q, d), n in nxt.items() if d == 2)
     # winners split across virtual classes close to the analytic shares
     # (integer rounding moves at most one winner per class)
     assert removed0 + removed1 == pytest.approx(10.0, abs=1e-9)
@@ -144,9 +142,8 @@ def test_evolve_winner_split_matches_success_shares(tc):
 
 def test_evolve_rejects_oversubscription(tc):
     cfg = ClassConfig(class_sizes=(10,), p_inl=0.1, alpha=1.0, arrival_rate=0.0)
-    pop = PopulationState(frame_index=0, counts={(1, 0): 5.0})
     with pytest.raises(oracle.InfeasibleWinnersError):
-        oracle.evolve_population(pop, 6, 1.0, 0.1, cfg, tc)
+        oracle.evolve_population({(1, 0): 5.0}, 6, 1.0, 0.1, cfg, tc)
 
 
 def test_plan_for_consistency(tc, small_cfg):
@@ -201,13 +198,7 @@ def test_plan_roundtrip(tc, small_cfg, tmp_path):
     plan = plan_for(small_cfg, tc, 5, 1.0, 0.05)
     path = tmp_path / "plan.yaml"
     dump_plan(plan, path)
-    back = load_plan(path)
-    assert back.alpha_opt == plan.alpha_opt
-    assert back.p_inl_opt == plan.p_inl_opt
-    assert back.utility == pytest.approx(plan.utility)
-    assert [d.m_opt for d in back.per_frame] == [d.m_opt for d in plan.per_frame]
-    assert [d.t_cop_opt_us for d in back.per_frame] == \
-        pytest.approx([d.t_cop_opt_us for d in plan.per_frame])
+    assert load_plan(path) == plan
 
 
 # The array pass against the dict-of-(q, d) recursion it replaced.
@@ -221,33 +212,51 @@ def _loop_optimize(plans):
     return best
 
 
-def _assert_plans_equal(plan, ref):
-    """Whole plans, frame by frame: m_opt, t_cop_opt_us and population."""
-    assert (plan.alpha_opt, plan.p_inl_opt) == (ref.alpha_opt, ref.p_inl_opt)
-    assert len(plan.per_frame) == len(ref.per_frame)
-    for t, (got, want) in enumerate(zip(plan.per_frame, ref.per_frame)):
-        cell = (ref.alpha_opt, ref.p_inl_opt, t)
-        assert got.m_opt == want.m_opt, cell
-        assert got.t_cop_opt_us == want.t_cop_opt_us, cell
-        assert got.population.frame_index == want.population.frame_index, cell
-        assert got.population.counts == want.population.counts, cell
-    assert plan == ref
+def _populations(cfg, tc, horizon, alpha, p_inl):
+    """The population before each frame of a one-cell pass, as the oracle's
+    ``{(q, d): n}`` dicts of the nonzero window entries."""
+    pops = []
+    for pop, d0, *_ in _recursion(cfg, tc, horizon, [(alpha, p_inl)]):
+        q, d = np.nonzero(pop[0])
+        pops.append(dict(zip(zip((q + 1).tolist(), (d + d0).tolist()),
+                             pop[0, q, d].tolist())))
+    return pops
+
+
+def _assert_plans_equal(cfg, tc, plan, ref):
+    """Whole plans, frame by frame: m_opt and t_cop_opt_us, and the one-cell
+    pass's populations against the oracle's."""
+    ref_plan, ref_pops = ref
+    cell = (ref_plan.alpha_opt, ref_plan.p_inl_opt)
+    assert (plan.alpha_opt, plan.p_inl_opt) == cell
+    assert len(plan.per_frame) == len(ref_plan.per_frame)
+    for t, (got, want) in enumerate(zip(plan.per_frame, ref_plan.per_frame)):
+        assert got.m_opt == want.m_opt, (cell, t)
+        assert got.t_cop_opt_us == want.t_cop_opt_us, (cell, t)
+    assert plan == ref_plan
+    pops = _populations(cfg, tc, plan.horizon, *cell)
+    assert len(pops) == len(ref_pops)
+    for t, (got, want) in enumerate(zip(pops, ref_pops)):
+        assert got == want, (cell, t)
 
 
 def _assert_grid_matches(cfg, tc, horizon, alpha_grid, p_inl_grid):
     refs = [oracle.plan_for(cfg, tc, horizon, a, p) for a in alpha_grid for p in p_inl_grid]
-    wins = _grid_winners(cfg, tc, horizon, alpha_grid, p_inl_grid)
-    assert wins.shape == (len(refs), horizon)
-    for ref, row in zip(refs, wins):
-        assert row.tolist() == [d.m_opt for d in ref.per_frame], \
-            (ref.alpha_opt, ref.p_inl_opt)
-        _assert_plans_equal(plan_for(cfg, tc, horizon, ref.alpha_opt, ref.p_inl_opt), ref)
-    grid = utility_grid(cfg, tc, horizon, alpha_grid, p_inl_grid)
+    rows = _grid_pass(cfg, tc, horizon, alpha_grid, p_inl_grid)
+    assert list(rows) == list(dict.fromkeys((a, p) for a in alpha_grid for p in p_inl_grid))
     for ref in refs:
+        cell = (ref[0].alpha_opt, ref[0].p_inl_opt)
+        wins, t_cops = rows[cell]
+        assert wins == [d.m_opt for d in ref[0].per_frame], cell
+        assert t_cops == [d.t_cop_opt_us for d in ref[0].per_frame], cell
+        _assert_plans_equal(cfg, tc, plan_for(cfg, tc, horizon, *cell), ref)
+    grid = utility_grid(cfg, tc, horizon, alpha_grid, p_inl_grid)
+    for ref, _ in refs:
         utility = grid[(ref.alpha_opt, ref.p_inl_opt)]
         assert type(utility) is float and utility == ref.utility
-    assert optimize(cfg, tc, horizon, alpha_grid, p_inl_grid) == _loop_optimize(refs)
-    return wins
+    assert optimize(cfg, tc, horizon, alpha_grid, p_inl_grid) == \
+        _loop_optimize([ref for ref, _ in refs])
+    return rows
 
 
 @settings(max_examples=150, deadline=None)
@@ -279,17 +288,14 @@ def test_grid_winners_default_grid(tc, k):
 
 def test_grid_winners_resolving_grid(tc):
     p_inl_grid = tuple(np.geomspace(1e-4, 1e-2, 7).tolist())
-    wins = _assert_grid_matches(_layout(1200), tc, 200, (0.5, 1.0, 2.0), p_inl_grid)
-    assert wins.max() > 400  # hundreds of winners per frame
+    rows = _assert_grid_matches(_layout(1200), tc, 200, (0.5, 1.0, 2.0), p_inl_grid)
+    assert max(max(wins) for wins, _ in rows.values()) > 400  # hundreds per frame
 
 
 def test_grid_winners_past_escalation_overflow(tc):
     # (1 + 5) ** rho overflows a float from rho = 397, which the largest
     # virtual class of the three-class layout reaches in frame 396
-    ref = oracle.plan_for(_layout(1200), tc, 420, 5.0, 0.1)
-    _assert_plans_equal(plan_for(_layout(1200), tc, 420, 5.0, 0.1), ref)
-    wins = _grid_winners(_layout(1200), tc, 420, (5.0,), (0.1,))
-    assert wins[0].tolist() == [d.m_opt for d in ref.per_frame]
+    _assert_grid_matches(_layout(1200), tc, 420, (5.0,), (0.1,))
 
 
 def _trimmed_windows(cfg, tc, horizon, cells):
@@ -326,8 +332,7 @@ def test_window_reaches_back_to_arrivals(tc):
     cfg = ClassConfig(class_sizes=(3,), p_inl=1e-6, alpha=1.0, arrival_rate=25.0)
     windows = _trimmed_windows(cfg, tc, 20, [(1.0, 1e-6)])
     assert [d0 for _, d0 in windows[:4]] == [0, 1, 2, 0]
-    _assert_plans_equal(plan_for(cfg, tc, 20, 1.0, 1e-6),
-                        oracle.plan_for(cfg, tc, 20, 1.0, 1e-6))
+    _assert_grid_matches(cfg, tc, 20, (1.0,), (1e-6,))
     # in a grid the window reaches back for every cell once one has arrivals
     pop, d0 = _trimmed_windows(cfg, tc, 20, [(1.0, 1e-6), (0.5, 1e-6)])[3]
     assert d0 == 0 and pop[:, 0, 0].tolist() != [0.0, 0.0] and 0.0 in pop[:, 0, 0]
