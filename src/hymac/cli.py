@@ -197,11 +197,18 @@ def _cmd_sweep(args) -> int:
             except ConfigError as exc:
                 raise ConfigError(f"sweep axis {name}: {exc}, got {value!r}") from exc
 
-    grid = optimizer.utility_grid(sc.classes, sc.timing, sc.horizon,
-                                  alpha_grid, p_grid)
+    rows = optimizer._grid_pass(sc.classes, sc.timing, sc.horizon, alpha_grid, p_grid)
+    grid = {cell: optimizer.channel_utility(wins, sc.timing)
+            for cell, (wins, _, _) in rows.items()}
     best = optimizer.best_cell(grid)
-    lines = [f"alpha={a:g} p_inl={p:g} utility={grid[(a, p)]:.6g}"
-             for a in alpha_grid for p in p_grid]
+    lines = []
+    for a in alpha_grid:
+        for p in p_grid:
+            line = f"alpha={a:g} p_inl={p:g} utility={grid[(a, p)]:.6g}"
+            choked_from = rows[(a, p)][2]
+            if choked_from is not None:
+                line += f" choked_from={choked_from}"
+            lines.append(line)
     print("\n".join(lines))
     print(f"best: alpha={best[0]:g} p_inl={best[1]:g} utility={grid[best]:.6g}")
     if args.out:

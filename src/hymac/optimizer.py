@@ -183,38 +183,98 @@ def evolve_population(pop: np.ndarray, d0: int, counts: np.ndarray, terms: np.nd
     return nxt[:, :, lo:hi], start + int(lo)
 
 
+def _powers(base: float, n: int) -> list[float]:
+    """``base ** rho`` for rho < n as Python computes it, inf once it
+    overflows (from then on every power does, as base > 1)."""
+    out = []
+    for rho in range(n):
+        try:
+            out.append(base ** rho)
+        except OverflowError:  # e.g. alpha = 5 from rho = 397
+            return out + [math.inf] * (n - rho)
+    return out
+
+
+def _escalation_table(cells: list, n_rho: int) -> np.ndarray:
+    """`escalated_probability` of every cell (rows) and virtual class
+    rho < n_rho (columns), from one Python ``(1 + alpha) ** rho`` per
+    distinct alpha and rho.  Not `np.power`: it differs from Python's
+    ``**`` in the last bit for some arguments (34,916 entries of a
+    9,000-cell by 420 table under numpy 2.4.6)."""
+    for a, p in cells:
+        escalated_probability(0, a, p)  # a bad cell raises its ValueError
+    row: dict[float, int] = {}
+    for a, _ in cells:
+        row.setdefault(a, len(row))
+    scale = np.array([_powers(1.0 + a, n_rho) for a in row]).reshape(len(row), n_rho)
+    p_inl = np.array([p for _, p in cells], dtype=float)
+    scaled = scale[np.array([row[a] for a, _ in cells], dtype=np.intp)] * p_inl[:, None]
+    return np.minimum(1.0, scaled)
+
+
 def _recursion(cfg: ClassConfig, tc: TimingConstants, horizon: int, cells: list):
     """The planner recursion for all (alpha, p_inl) cells at once.
 
-    Yields (population, d0, winners, t_cop) per frame: the (cells, q, d)
-    window of expected actives before the frame's contention, the failure
-    count d0 of its first column, and the `max_feasible_m` winner counts
-    and expected contention durations.
+    Yields (population, d0, winners, t_cop, choked) per frame: the
+    (live cells, q, d) window of expected actives before the frame's
+    contention, the failure count d0 of its first column, and for every
+    cell the `max_feasible_m` winner count and expected contention
+    duration and whether it is choked by the end of the frame.
+
+    A cell is choked in the frame where its expected devices at p = 1 sum
+    to more than one: no slot can then hold a lone transmitter
+    (`slot_law_rows`), so it plans m = 0.  The choke is final.  With
+    m = 0 nothing leaves, every (q, d) count moves to d + 1, where the
+    probability is no lower, and arrivals only add; so the p = 1 mass
+    cannot fall.  `evolve_population` drops no count above `_COUNT_EPS`,
+    and only the first frame's fresh arrivals, one count per class, can
+    lie below it, which the bound's margin covers.  A choked cell is
+    retired: its rows leave the window, it plans 0 winners in 0 us for
+    every frame left, and only the live cells evolve (the next window is
+    trimmed to them).  Once no cell is live, nothing is evolved.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least one frame")
-    n_rho = cfg.q_count + horizon - 1
-    prob = np.array([[escalated_probability(rho, a, p) for rho in range(n_rho)]
-                     for a, p in cells]).reshape(len(cells), n_rho)
-    pop, d0 = initial_population(cfg, tc, len(cells)), 0
+    n_cells = len(cells)
+    full = 1.0 + (cfg.q_count + 1) * _COUNT_EPS
+    prob = _escalation_table(cells, cfg.q_count + horizon - 1)
+    live = np.arange(n_cells)  # the cells the window holds, in grid order
+    choked = np.zeros(n_cells, dtype=bool)
+    pop, d0 = initial_population(cfg, tc, n_cells), 0
     for t in range(horizon):
-        mix = mixture_of(pop, d0, prob)
-        m, t_cop, terms = max_feasible_m(mix, tc)
-        yield pop, d0, m, t_cop
-        if t + 1 < horizon:  # no frame follows the last one
-            pop, d0 = evolve_population(pop, d0, mix[1], terms, m, cfg, tc)
+        m, t_cop = np.zeros(n_cells, dtype=np.int64), np.zeros(n_cells)
+        if live.size:
+            mix = mixture_of(pop, d0, prob)
+            won, t_cop[live], terms = max_feasible_m(mix, tc)
+            m[live] = won
+            absorbed = ordered_sum(mix[1] * (mix[0] >= 1.0)) > full
+            choked = choked.copy()
+            choked[live[absorbed]] = True
+        yield pop, d0, m, t_cop, choked
+        if t + 1 == horizon or not live.size:  # no frame follows, or none evolves
+            continue
+        counts = mix[1]
+        if absorbed.any():
+            keep = ~absorbed
+            live, pop, prob = live[keep], pop[keep], prob[keep]
+            counts, terms, won = counts[keep], terms[keep], won[keep]
+        if live.size:
+            pop, d0 = evolve_population(pop, d0, counts, terms, won, cfg, tc)
 
 
-def _grid_pass(cfg: ClassConfig, tc: TimingConstants, horizon: int,
-               alpha_grid, p_inl_grid) -> dict[tuple[float, float], tuple[list, list]]:
+def _grid_pass(cfg: ClassConfig, tc: TimingConstants, horizon: int, alpha_grid,
+               p_inl_grid) -> dict[tuple[float, float], tuple[list, list, int | None]]:
     """Every (alpha, p_inl) cell's per-frame winner counts and expected
-    contention durations, from one pass, in grid order (alpha outer, p_inl
-    inner)."""
+    contention durations, and the frame (1-based, as in a plan file) from
+    which it is choked, None if never, from one pass, in grid order
+    (alpha outer, p_inl inner)."""
     cells = [(a, p) for a in alpha_grid for p in p_inl_grid]
-    frames = [(m, t_cop) for _, _, m, t_cop in _recursion(cfg, tc, horizon, cells)]
-    wins, t_cops = (np.array(rows).reshape(horizon, len(cells)).T.tolist()
-                    for rows in zip(*frames))
-    return dict(zip(cells, zip(wins, t_cops)))
+    frames = [(m, t_cop, choked) for _, _, m, t_cop, choked
+              in _recursion(cfg, tc, horizon, cells)]
+    wins, t_cops, choked = (np.array(rows).reshape(horizon, len(cells)).T
+                            for rows in zip(*frames))
+    choked_from = [int(row.argmax()) + 1 if row[-1] else None for row in choked]
+    return dict(zip(cells, zip(wins.tolist(), t_cops.tolist(), choked_from)))
 
 
 def best_cell(grid: dict[tuple[float, float], float]) -> tuple[float, float]:
@@ -235,10 +295,11 @@ def optimize(cfg: ClassConfig, tc: TimingConstants, horizon: int,
     """Best plan over the (alpha, p_inl) grid: the `best_cell` of one grid
     pass, with that cell's winner counts and contention durations."""
     rows = _grid_pass(cfg, tc, horizon, alpha_grid, p_inl_grid)
-    grid = {cell: channel_utility(wins, tc) for cell, (wins, _) in rows.items()}
+    grid = {cell: channel_utility(wins, tc) for cell, (wins, _, _) in rows.items()}
     best = best_cell(grid)
+    wins, t_cops, _ = rows[best]
     decisions = tuple(FrameDecision(m_opt=m, t_cop_opt_us=t_cop)
-                      for m, t_cop in zip(*rows[best]))
+                      for m, t_cop in zip(wins, t_cops))
     return FramePlan(alpha_opt=best[0], p_inl_opt=best[1],
                      per_frame=decisions, utility=grid[best])
 
@@ -254,7 +315,7 @@ def utility_grid(cfg: ClassConfig, tc: TimingConstants, horizon: int,
                  p_inl_grid=DEFAULT_P_INL_GRID) -> dict[tuple[float, float], float]:
     """Analytic utility of every grid cell (for sweep tables)."""
     rows = _grid_pass(cfg, tc, horizon, alpha_grid, p_inl_grid)
-    return {cell: channel_utility(wins, tc) for cell, (wins, _) in rows.items()}
+    return {cell: channel_utility(wins, tc) for cell, (wins, _, _) in rows.items()}
 
 
 def dump_plan(plan: FramePlan, path) -> None:

@@ -14,7 +14,7 @@ def escalated_probability(rho: int, alpha: float, p_inl: float) -> float:
     """Contending probability of virtual class rho, capped at one."""
     if not 0.0 < p_inl <= 1.0:
         raise ValueError("p_inl must lie in (0, 1]")
-    if alpha <= 0:
+    if not alpha > 0:  # nan too
         raise ValueError("alpha must be strictly positive")
     if rho < 0:
         raise ValueError("virtual class must be >= 0")

@@ -563,6 +563,10 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
                           success_times_us=tuple((j + 1) * tc.delta_succ_us
                                                  for j in range(n)),
                           t_elapsed_us=n * tc.delta_succ_us)
+        elif plan.per_frame[frame].m_opt == 0:
+            # run_cop stops before its first slot at a target of 0 and
+            # _draw_winners draws rng.random(0), so skipping both draws nothing
+            cop, winner_ids = _NO_COP, []
         else:
             decision = plan.per_frame[frame]
             members, counts, probs = _group_actives(active_ids, report.device_class,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from hymac import analytics, optimizer
+from hymac import optimizer, simulator
 from hymac.domain import ClassConfig, TimingConstants
 from hymac.optimizer import dump_plan, load_plan, optimize, plan_for
 
@@ -59,18 +59,23 @@ def test_population_metric_reads_zero_on_every_plan(tmp_path):
         assert eval(metric, {"plan": plan}) == 0
 
 
+def _counted(monkeypatch, module, name) -> list:
+    """The calls made through ``module.name`` from now on."""
+    calls, real = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 @pytest.fixture
 def tcop_calls(monkeypatch) -> list:
     """The calls the planner makes through `optimizer.expected_tcop`, the
     name the benchmark wraps to time the closed forms."""
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return analytics.expected_tcop(*args)
-
-    monkeypatch.setattr(optimizer, "expected_tcop", counting)
-    return calls
+    return _counted(monkeypatch, optimizer, "expected_tcop")
 
 
 def test_plan_for_prices_each_frame_through_the_wrapped_name(tcop_calls):
@@ -87,3 +92,20 @@ def test_optimize_plans_in_one_pass(monkeypatch, tcop_calls):
     monkeypatch.setattr(optimizer, "plan_for", replan)
     optimize(CFG, TimingConstants(), 6, (0.5, 1.0), (0.05, 0.1))
     assert len(tcop_calls) == 6
+
+
+def test_a_choke_costs_nothing(monkeypatch, tcop_calls):
+    # on the grid-choked benchmark scenario every default cell is choked by
+    # frame 5 and retires from the pass, and the hybrid draws nothing in a
+    # frame that plans no winner
+    tc = TimingConstants()
+    cfg = ClassConfig(class_sizes=(1180, 10, 10), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
+    evolved = _counted(monkeypatch, optimizer, "evolve_population")
+    plan = optimize(cfg, tc, 200)
+    assert len(tcop_calls) <= 5 and len(evolved) <= 4
+    assert not any(d.m_opt for d in plan.per_frame)
+    cops = _counted(monkeypatch, simulator, "run_cop")
+    grouped = _counted(monkeypatch, simulator, "_group_actives")
+    report = simulator.run_hybrid(cfg, tc, plan, 20, seed=3)
+    assert (len(cops), len(grouped)) == (0, 0)
+    assert max(f.n_active for f in report.per_frame) > 1000

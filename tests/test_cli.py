@@ -129,6 +129,25 @@ def test_sweep_reports_the_cell_optimize_plans(tmp_path, capsys):
     assert (plan.alpha_opt, plan.p_inl_opt) == (2.0, 0.3)
 
 
+def test_sweep_prints_the_frame_a_cell_is_choked_from(tmp_path, capsys):
+    # every default cell is choked by frame 5 at K = 1200; the resolving
+    # cell is never choked, and the best line and the CSV stay as they were
+    doc = {"classes": {"sizes": [1180, 10, 10], "p_inl": 0.1, "alpha": 1.0},
+           "arrival": {"lambda": 1.0},
+           "protocol": {"variant": "hybrid", "horizon": 10, "seeds": [1]}}
+    path = write_scenario(tmp_path, doc)
+    assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "grid.csv")]) == EXIT_OK
+    *lines, best = capsys.readouterr().out.splitlines()
+    assert len(lines) == 100
+    frames = [int(line.split(" choked_from=")[1]) for line in lines]
+    assert max(frames) <= 5 and min(frames) == 1
+    assert best == "best: alpha=0.5 p_inl=0.1 utility=0"
+    assert "choked" not in (tmp_path / "grid.csv").read_text()
+    assert main(["sweep", "--scenario", str(path), "--sweep", "alpha=1,p_inl=5e-4"]) == EXIT_OK
+    line, _ = capsys.readouterr().out.splitlines()
+    assert line.startswith("alpha=1 p_inl=0.0005 utility=0.9") and "choked" not in line
+
+
 def test_sweep_bad_axis(tmp_path, capsys):
     path = write_scenario(tmp_path)
     assert main(["sweep", "--scenario", str(path),

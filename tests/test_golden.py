@@ -7,6 +7,7 @@ digests here.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -14,6 +15,8 @@ import yaml
 from hymac import optimizer
 from hymac.cli import EXIT_OK, main
 from hymac.domain import ClassConfig, TimingConstants
+from hymac.optimizer import FrameDecision
+from hymac.simulator import run_hybrid
 
 # the README example, at a shorter horizon
 README = {"name": "example",
@@ -26,6 +29,13 @@ K1200 = {"name": "k1200",
          "classes": {"sizes": [1180, 10, 10], "p_inl": 5e-4, "alpha": 1.0},
          "arrival": {"lambda": 1.0},
          "protocol": {"variant": "all", "horizon": 3, "seeds": [1]}}
+
+# the grid-choked benchmark layout, planned over the default grid: every
+# frame plans m_opt = 0
+K1200_CHOKED = {"name": "k1200-choked",
+                "classes": {"sizes": [1180, 10, 10], "p_inl": 0.1, "alpha": 1.0},
+                "arrival": {"lambda": 1.0},
+                "protocol": {"variant": "all", "horizon": 5, "seeds": [1]}}
 
 GOLDEN = {
     "readme": {
@@ -74,7 +84,29 @@ GOLDEN = {
         "frames_tdma_seed1.csv":
             "9bf0f31f6553789977f5f89e02a827f0625de5eaca72241b141d041f99fcf625",
     },
+    "k1200-choked": {
+        "stdout":
+            "7853756e1c68344c47081a9bdab5096c66f3e9492c3b2169b61a53111005d327",
+        "devices_csma_seed1.csv":
+            "49da2a43bbeb65b9d7f71d56ff03a062b9df0b1f41526f2d5d43716c43fda71b",
+        "devices_hybrid_seed1.csv":
+            "10a43af48c389afb79f3488e5a5ab038c1a1343bf1b2519167d0380432a5647c",
+        "devices_tdma_seed1.csv":
+            "fe8d0d6512a3b5dbc86869a1f1b873fff35fb3849bf655e93907bfdb1f11972b",
+        "frames_csma_seed1.csv":
+            "8cfba385eb983293ad33a49693630bc253cb0aff94481e01f638816bb7db3a08",
+        "frames_hybrid_seed1.csv":
+            "cd0270d14f0310b9396bf3a7a0b22be0c7fb712ee420f80a2ce2fddfbd2c4e87",
+        "frames_tdma_seed1.csv":
+            "1c95da01d8204358a2c62fc08aebb31878caf556b8fee617a9cac7f5f532c307",
+        "plan.yaml":
+            "e0d1081403b92ef0bcac6208ca65c65b3b6ecf20848151c5cf15e8e13670219c",
+    },
 }
+
+# `test_zero_winner_frames_of_a_loaded_plan_are_pinned`: the summaries and
+# traces of a resolving run whose plan has two zero-winner frames
+ZERO_WINNER_FRAMES = "b1e0de6de466822e85eae2f6031aad8f41f43ec2ee2497ad81cbb2f27c83adfd"
 
 
 def run_digests(tmp_path, capsys, doc, plan=None) -> dict[str, str]:
@@ -102,8 +134,28 @@ def _k1200_plan():
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_seeded_run_outputs_are_pinned(tmp_path, capsys, monkeypatch, case):
     monkeypatch.delenv("HYMAC_WORKERS", raising=False)
-    if case == "readme":
-        digests = run_digests(tmp_path, capsys, README)
-    else:
+    if case == "k1200-plan":
         digests = run_digests(tmp_path, capsys, K1200, _k1200_plan())
+    else:
+        digests = run_digests(tmp_path, capsys, {"readme": README,
+                                                  "k1200-choked": K1200_CHOKED}[case])
     assert digests == GOLDEN[case]
+
+
+def test_zero_winner_frames_of_a_loaded_plan_are_pinned(tc):
+    # frames 2 and 4 of a resolving plan plan no winner but keep a 500 us
+    # contention limit: they draw nothing, and every frame's summary and
+    # trace stay as they were
+    cfg = ClassConfig((1180, 10, 10), p_inl=5e-4, alpha=1.0, arrival_rate=1.0)
+    plan = optimizer.plan_for(cfg, tc, 6, 1.0, 5e-4)
+    idle = FrameDecision(m_opt=0, t_cop_opt_us=500.0)
+    plan = replace(plan, per_frame=tuple(idle if t in (1, 3) else d
+                                         for t, d in enumerate(plan.per_frame)))
+    report = run_hybrid(cfg, tc, plan, 6, seed=7, collect_traces=True)
+    digest = hashlib.sha256(repr(report.per_frame).encode())
+    for trace in report.traces:
+        digest.update(repr((trace.frame, trace.winners)).encode())
+        digest.update(trace.d_before.tobytes())
+    assert [t for t, f in enumerate(report.per_frame) if f.m_realized == 0] == [1, 3]
+    assert digest.hexdigest() == ZERO_WINNER_FRAMES
+

@@ -9,10 +9,12 @@ import planner_oracle as oracle
 from hymac.analytics import expected_tcop, success_shares
 from hymac.domain import ClassConfig, TimingConstants
 from hymac.optimizer import (
+    _COUNT_EPS,
     DEFAULT_ALPHA_GRID,
     DEFAULT_P_INL_GRID,
     NoFeasiblePointError,
     _apportion_winners,
+    _escalation_table,
     _grid_pass,
     _recursion,
     best_cell,
@@ -27,6 +29,7 @@ from hymac.optimizer import (
     plan_for,
     utility_grid,
 )
+from hymac.priority import escalated_probability
 
 
 def test_default_grids():
@@ -214,18 +217,30 @@ def _loop_optimize(plans):
 
 def _populations(cfg, tc, horizon, alpha, p_inl):
     """The population before each frame of a one-cell pass, as the oracle's
-    ``{(q, d): n}`` dicts of the nonzero window entries."""
+    ``{(q, d): n}`` dicts of the nonzero window entries, up to the frame
+    in which the cell is choked and retires from the pass."""
     pops = []
     for pop, d0, *_ in _recursion(cfg, tc, horizon, [(alpha, p_inl)]):
+        if not len(pop):  # retired
+            break
         q, d = np.nonzero(pop[0])
         pops.append(dict(zip(zip((q + 1).tolist(), (d + d0).tolist()),
                              pop[0, q, d].tolist())))
     return pops
 
 
-def _assert_plans_equal(cfg, tc, plan, ref):
+def _p1_mass(pop: dict, alpha, p_inl) -> float:
+    """Expected devices of an oracle population that contend at p = 1."""
+    probs, counts = oracle.mixture_of(pop, alpha, p_inl)
+    return sum(counts[probs >= 1.0].tolist())
+
+
+def _assert_plans_equal(cfg, tc, plan, ref, choked_from):
     """Whole plans, frame by frame: m_opt and t_cop_opt_us, and the one-cell
-    pass's populations against the oracle's."""
+    pass's populations against the oracle's up to the frame ``choked_from``
+    (1-based) in which the cell retires.  From that frame on the oracle's
+    own populations must hold the retirement invariant: more than one
+    expected device at p = 1, and no winner."""
     ref_plan, ref_pops = ref
     cell = (ref_plan.alpha_opt, ref_plan.p_inl_opt)
     assert (plan.alpha_opt, plan.p_inl_opt) == cell
@@ -235,9 +250,15 @@ def _assert_plans_equal(cfg, tc, plan, ref):
         assert got.t_cop_opt_us == want.t_cop_opt_us, (cell, t)
     assert plan == ref_plan
     pops = _populations(cfg, tc, plan.horizon, *cell)
-    assert len(pops) == len(ref_pops)
+    assert len(ref_pops) == plan.horizon
+    assert len(pops) == min(plan.horizon, choked_from or plan.horizon)
     for t, (got, want) in enumerate(zip(pops, ref_pops)):
         assert got == want, (cell, t)
+    if choked_from is None:
+        return
+    for t in range(choked_from - 1, plan.horizon):
+        assert _p1_mass(ref_pops[t], *cell) > 1 + _COUNT_EPS, (cell, t)
+        assert ref_plan.per_frame[t].m_opt == 0, (cell, t)
 
 
 def _assert_grid_matches(cfg, tc, horizon, alpha_grid, p_inl_grid):
@@ -246,10 +267,10 @@ def _assert_grid_matches(cfg, tc, horizon, alpha_grid, p_inl_grid):
     assert list(rows) == list(dict.fromkeys((a, p) for a in alpha_grid for p in p_inl_grid))
     for ref in refs:
         cell = (ref[0].alpha_opt, ref[0].p_inl_opt)
-        wins, t_cops = rows[cell]
+        wins, t_cops, choked_from = rows[cell]
         assert wins == [d.m_opt for d in ref[0].per_frame], cell
         assert t_cops == [d.t_cop_opt_us for d in ref[0].per_frame], cell
-        _assert_plans_equal(cfg, tc, plan_for(cfg, tc, horizon, *cell), ref)
+        _assert_plans_equal(cfg, tc, plan_for(cfg, tc, horizon, *cell), ref, choked_from)
     grid = utility_grid(cfg, tc, horizon, alpha_grid, p_inl_grid)
     for ref, _ in refs:
         utility = grid[(ref.alpha_opt, ref.p_inl_opt)]
@@ -272,24 +293,52 @@ def test_grid_winners_match_plan_for(sizes, lam, alpha_grid, p_inl_grid, horizon
     _assert_grid_matches(cfg, TimingConstants(), horizon, alpha_grid, p_inl_grid)
 
 
-def _layout(k):
+def _layout(k, lam=1.0):
     return ClassConfig(class_sizes=(k - 20, 10, 10), p_inl=0.1, alpha=1.0,
-                       arrival_rate=1.0)
+                       arrival_rate=lam)
 
 
 @pytest.mark.parametrize("k", [500, 800, 1200])
 def test_grid_winners_default_grid(tc, k):
-    # every cell is choked, and the window leaves d = 0 by frame 28, so 40
-    # frames cover the offset d0 > 0
-    cells = [(a, p) for a in DEFAULT_ALPHA_GRID for p in DEFAULT_P_INL_GRID]
-    assert _trimmed_windows(_layout(k), tc, 40, cells)[-1][1] > 0
-    _assert_grid_matches(_layout(k), tc, 40, DEFAULT_ALPHA_GRID, DEFAULT_P_INL_GRID)
+    # every cell is choked by frame 5 and retires, and its zero rows from
+    # there to frame 40 must still equal the oracle's plan
+    rows = _assert_grid_matches(_layout(k), tc, 40, DEFAULT_ALPHA_GRID, DEFAULT_P_INL_GRID)
+    assert sorted({choked for _, _, choked in rows.values()}) == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("k", [500, 800, 1200])
+def test_grid_winners_saturated_grid(tc, k):
+    # at lambda = 40 every device holds a packet, and at p_inl <= 1e-9 no
+    # cell can afford a success in the first frames: no device is empty,
+    # so the live window leaves d = 0 (d0 = 1, 2) until winners make room
+    cfg = _layout(k, lam=40.0)
+    cells = [(a, p) for a in DEFAULT_ALPHA_GRID for p in (1e-10, 1e-9)]
+    assert [d0 for _, d0 in _trimmed_windows(cfg, tc, 40, cells)[:4]] == [0, 1, 2, 0]
+    rows = _assert_grid_matches(cfg, tc, 40, DEFAULT_ALPHA_GRID, (1e-10, 1e-9))
+    assert all(sum(wins) > 0 for wins, _, _ in rows.values())
+
+
+def test_cell_choked_at_a_known_frame(tc):
+    # six devices at (1.0, 0.3) win in frames 1-4; in frame 7 more than one
+    # expected device contends at p = 1, so the cell is choked and retires
+    cfg = ClassConfig(class_sizes=(6,), p_inl=0.3, alpha=1.0, arrival_rate=0.3)
+    rows = _assert_grid_matches(cfg, tc, 30, (1.0,), (0.3,))
+    wins, t_cops, choked_from = rows[(1.0, 0.3)]
+    assert (wins[:5], choked_from) == ([1, 1, 2, 1, 0], 7)
+    assert not any(wins[4:]) and not any(t_cops[4:])
+    ref_pops = oracle.plan_for(cfg, tc, 30, 1.0, 0.3)[1]
+    assert _p1_mass(ref_pops[5], 1.0, 0.3) <= 1.0 < _p1_mass(ref_pops[6], 1.0, 0.3)
+    assert len(_populations(cfg, tc, 30, 1.0, 0.3)) == 7
+    # cells of one grid retire in different frames, some after winning
+    rows = _assert_grid_matches(cfg, tc, 30, DEFAULT_ALPHA_GRID, (0.05, 0.2, 0.5))
+    choked = [c for _, _, c in rows.values()]
+    assert None in choked and len(set(choked)) > 4
 
 
 def test_grid_winners_resolving_grid(tc):
     p_inl_grid = tuple(np.geomspace(1e-4, 1e-2, 7).tolist())
     rows = _assert_grid_matches(_layout(1200), tc, 200, (0.5, 1.0, 2.0), p_inl_grid)
-    assert max(max(wins) for wins, _ in rows.values()) > 400  # hundreds per frame
+    assert max(max(wins) for wins, _, _ in rows.values()) > 400  # hundreds per frame
 
 
 def test_grid_winners_past_escalation_overflow(tc):
@@ -303,16 +352,34 @@ def _trimmed_windows(cfg, tc, horizon, cells):
     that some cell occupies."""
     windows = [(pop, d0) for pop, d0, *_ in _recursion(cfg, tc, horizon, cells)]
     for pop, _ in windows:
-        assert pop[:, :, 0].any() and pop[:, :, -1].any()
+        assert not len(pop) or (pop[:, :, 0].any() and pop[:, :, -1].any())
     return windows
 
 
 def test_default_grid_window_leaves_the_empty_columns(tc):
-    # on the choked default grid only a few late failure counts are occupied
+    # on the choked default grid the window holds only the live cells'
+    # occupied columns, and no cell at all once the last one retires
     cells = [(a, p) for a in DEFAULT_ALPHA_GRID for p in DEFAULT_P_INL_GRID]
-    pop, d0 = _trimmed_windows(_layout(1200), tc, 200, cells)[-1]
-    assert d0 > 0
-    assert pop.shape[2] <= 30
+    windows = _trimmed_windows(_layout(1200), tc, 200, cells)
+    assert [pop.shape[:1] + pop.shape[2:] for pop, _ in windows[:5]] == \
+        [(100, 1), (18, 2), (9, 3), (3, 4), (1, 5)]
+    assert not any(len(pop) for pop, _ in windows[5:])
+
+
+def test_escalation_table_matches_escalated_probability():
+    # alpha = 5 overflows a float from rho = 397, and p_inl = 1 is capped
+    # from rho = 0
+    cells = [(a, p) for a in (0.05, 0.5, 1.0, 5.0) for p in (1e-4, 0.1, 1.0)]
+    cells += [(1.0, 0.1), (0.05, 1e-4)]  # repeated alphas and cells
+    table = _escalation_table(cells, 420)
+    ref = np.array([[escalated_probability(rho, a, p) for rho in range(420)]
+                    for a, p in cells])
+    assert np.array_equal(table, ref)
+    assert table[:, 0].tolist() == [min(p, 1.0) for _, p in cells]
+    assert _escalation_table([], 5).shape == (0, 5)
+    for bad in ((0.0, 0.1), (math.nan, 0.1), (1.0, 0.0), (1.0, 1.5)):
+        with pytest.raises(ValueError):
+            _escalation_table([(1.0, 0.1), bad], 5)
 
 
 def test_evolve_population_trims_empty_columns(tc):
