@@ -28,9 +28,7 @@ from .optimizer import (
     channel_utility,
     optimize,
     plan_for,
-    utility_grid,
 )
-from .priority import escalated_probability
 from .simulator import SimReport, run_csma, run_hybrid, run_tdma, simulate_cop_slots
 
 __all__ = [
@@ -39,9 +37,9 @@ __all__ = [
     "FramePlan", "Scenario", "SimReport",
     "TimingConstants", "asymptotic_tcop", "channel_utility",
     "channel_utility_of", "dump_scenario", "energy_per_frame",
-    "escalated_probability", "expected_tcop", "load_scenario", "optimize",
+    "expected_tcop", "load_scenario", "optimize",
     "plan_for", "run_csma", "run_hybrid", "run_tdma", "simulate_cop_slots",
-    "tcop_hessian", "utility_grid", "write_device_csv", "write_frame_csv",
+    "tcop_hessian", "write_device_csv", "write_frame_csv",
 ]
 
 __version__ = "0.1.0"

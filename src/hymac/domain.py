@@ -77,8 +77,8 @@ class ClassConfig:
             raise ConfigError("class sizes must be a non-empty list of counts >= 0")
         if not 0.0 < self.p_inl <= 1.0:
             raise ConfigError("p_inl must lie in (0, 1]")
-        if not self.alpha > 0:  # nan too
-            raise ConfigError("alpha must be strictly positive")
+        if not 0.0 < self.alpha < math.inf:  # nan too
+            raise ConfigError("alpha must be finite and strictly positive")
         if not (math.isfinite(self.arrival_rate) and self.arrival_rate >= 0):
             raise ConfigError("arrival rate (lambda) must be finite and nonnegative")
         object.__setattr__(self, "class_sizes", tuple(int(k) for k in self.class_sizes))

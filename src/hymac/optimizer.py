@@ -4,10 +4,10 @@ The outer search walks a grid of (alpha, p_inl) cells.  For a fixed cell
 the per-frame winner budget is greedy-maximal: the objective is a
 nondecreasing function of every per-frame winner count, so the largest
 count satisfying the frame-duration constraint is optimal along the
-deterministic expected-value population recursion.  One array pass runs
-that recursion for every cell at once (README, "Planner"): `utility_grid`
-and `optimize` are its grid calls, and `plan_for` is `optimize` on one
-cell.
+deterministic expected-value population recursion.  One array pass,
+`_grid_pass`, runs that recursion for every cell at once (README,
+"Planner"): `optimize` and `hymac sweep` read their grids off it, and
+`plan_for` is `optimize` on one cell.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import yaml
 
 from .analytics import expected_tcop, ordered_sum, success_shares
 from .domain import ClassConfig, ConfigError, TimingConstants, _is, load_yaml
-from .priority import escalated_probability
+from .priority import escalation_table
 
 DEFAULT_ALPHA_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 2.0, 3.0, 4.0, 5.0)
 DEFAULT_P_INL_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -183,35 +183,6 @@ def evolve_population(pop: np.ndarray, d0: int, counts: np.ndarray, terms: np.nd
     return nxt[:, :, lo:hi], start + int(lo)
 
 
-def _powers(base: float, n: int) -> list[float]:
-    """``base ** rho`` for rho < n as Python computes it, inf once it
-    overflows (from then on every power does, as base > 1)."""
-    out = []
-    for rho in range(n):
-        try:
-            out.append(base ** rho)
-        except OverflowError:  # e.g. alpha = 5 from rho = 397
-            return out + [math.inf] * (n - rho)
-    return out
-
-
-def _escalation_table(cells: list, n_rho: int) -> np.ndarray:
-    """`escalated_probability` of every cell (rows) and virtual class
-    rho < n_rho (columns), from one Python ``(1 + alpha) ** rho`` per
-    distinct alpha and rho.  Not `np.power`: it differs from Python's
-    ``**`` in the last bit for some arguments (34,916 entries of a
-    9,000-cell by 420 table under numpy 2.4.6)."""
-    for a, p in cells:
-        escalated_probability(0, a, p)  # a bad cell raises its ValueError
-    row: dict[float, int] = {}
-    for a, _ in cells:
-        row.setdefault(a, len(row))
-    scale = np.array([_powers(1.0 + a, n_rho) for a in row]).reshape(len(row), n_rho)
-    p_inl = np.array([p for _, p in cells], dtype=float)
-    scaled = scale[np.array([row[a] for a, _ in cells], dtype=np.intp)] * p_inl[:, None]
-    return np.minimum(1.0, scaled)
-
-
 def _recursion(cfg: ClassConfig, tc: TimingConstants, horizon: int, cells: list):
     """The planner recursion for all (alpha, p_inl) cells at once.
 
@@ -237,7 +208,7 @@ def _recursion(cfg: ClassConfig, tc: TimingConstants, horizon: int, cells: list)
         raise ValueError("horizon must be at least one frame")
     n_cells = len(cells)
     full = 1.0 + (cfg.q_count + 1) * _COUNT_EPS
-    prob = _escalation_table(cells, cfg.q_count + horizon - 1)
+    prob = escalation_table(cells, cfg.q_count + horizon - 1)
     live = np.arange(n_cells)  # the cells the window holds, in grid order
     choked = np.zeros(n_cells, dtype=bool)
     pop, d0 = initial_population(cfg, tc, n_cells), 0
@@ -310,14 +281,6 @@ def plan_for(cfg: ClassConfig, tc: TimingConstants, horizon: int,
     return optimize(cfg, tc, horizon, (alpha,), (p_inl,))
 
 
-def utility_grid(cfg: ClassConfig, tc: TimingConstants, horizon: int,
-                 alpha_grid=DEFAULT_ALPHA_GRID,
-                 p_inl_grid=DEFAULT_P_INL_GRID) -> dict[tuple[float, float], float]:
-    """Analytic utility of every grid cell (for sweep tables)."""
-    rows = _grid_pass(cfg, tc, horizon, alpha_grid, p_inl_grid)
-    return {cell: channel_utility(wins, tc) for cell, (wins, _, _) in rows.items()}
-
-
 def dump_plan(plan: FramePlan, path) -> None:
     doc = {
         "alpha_opt": plan.alpha_opt,
@@ -334,7 +297,8 @@ def dump_plan(plan: FramePlan, path) -> None:
 
 # each plan key: the type of its value and the range the value must lie in
 _PLAN_VALUES = {
-    "alpha_opt": (float, lambda v: 0 < v < math.inf, "positive"),
+    "frame": (int, lambda v: v >= 1, "positive"),
+    "alpha_opt": (float, lambda v: 0 < v < math.inf, "finite and positive"),
     "p_inl_opt": (float, lambda v: 0 < v <= 1, "in (0, 1]"),
     "utility": (float, lambda v: 0 <= v <= 1, "in [0, 1]"),
     "m_opt": (int, lambda v: v >= 0, "nonnegative"),
@@ -356,11 +320,17 @@ def _plan_value(doc, key: str, path):
 
 def load_plan(path) -> FramePlan:
     """A plan file as `dump_plan` writes it.  A missing key, or a value of
-    the wrong type or out of range, is a `ConfigError` naming the key."""
+    the wrong type or out of range, is a `ConfigError` naming the key, and
+    so is a ``per_frame`` row i (1-based) that is not frame i."""
     doc = load_yaml(path)
     rows = doc.get("per_frame") if isinstance(doc, dict) else None
     if not isinstance(rows, list):
         raise ConfigError(f"plan file {path} lacks the key 'per_frame' (a list of frames)")
+    for i, row in enumerate(rows, start=1):
+        frame = _plan_value(row, "frame", path)
+        if frame != i:
+            raise ConfigError(f"plan file {path}: per_frame row {i} holds frame {frame}, "
+                              f"not frame {i}")
     decisions = tuple(FrameDecision(m_opt=_plan_value(row, "m_opt", path),
                                     t_cop_opt_us=_plan_value(row, "t_cop_opt_us", path))
                       for row in rows)

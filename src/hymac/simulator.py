@@ -16,7 +16,7 @@ import numpy as np
 
 from .analytics import slot_law_rows
 from .domain import US_PER_S, ClassConfig, TimingConstants
-from .priority import escalated_probability
+from .priority import escalation_table
 
 class PlanMismatchError(ValueError):
     """Plan horizon or dimensions do not match the requested run."""
@@ -447,9 +447,10 @@ def _settle_frame(frame: int, counts: np.ndarray, owner: np.ndarray,
 
 
 def _group_actives(active_ids: np.ndarray, q_arr: np.ndarray, d_arr: np.ndarray,
-                   alpha: float, p_inl: float):
+                   prob: np.ndarray):
     """Partition active devices into virtual-class groups rho = q + d - 1,
-    as arrays of device ids, with their contending probabilities."""
+    as arrays of device ids, with their contending probabilities
+    ``prob[rho]`` (an `escalation_table` row)."""
     if len(active_ids) == 0:
         return [], np.empty(0, dtype=np.int64), np.empty(0)
     rho = q_arr[active_ids] - 1 + d_arr[active_ids]
@@ -457,8 +458,7 @@ def _group_actives(active_ids: np.ndarray, q_arr: np.ndarray, d_arr: np.ndarray,
     groups, starts = np.unique(rho[order], return_index=True)
     members = np.split(active_ids[order], starts[1:])
     counts = np.array([len(m) for m in members], dtype=np.int64)
-    probs = np.array([escalated_probability(int(r), alpha, p_inl) for r in groups])
-    return members, counts, probs
+    return members, counts, prob[groups]
 
 
 def _draw_winners(rng: np.random.Generator, pools: list[np.ndarray],
@@ -550,6 +550,8 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
     report = SimReport(variant="hybrid", seed=seed, frames=frames, tc=tc, cfg=cfg,
                        traces=[] if collect_traces else None)
     d_arr = np.zeros(cfg.total_devices, dtype=np.int64)
+    # in frame f no device has failed more than f times: rho <= Q - 1 + f
+    prob = escalation_table([(plan.alpha_opt, plan.p_inl_opt)], cfg.q_count + frames - 1)[0]
 
     def serve(rng, frame, active_ids):
         scripted = winner_script.get(frame) if winner_script else None
@@ -570,7 +572,7 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
         else:
             decision = plan.per_frame[frame]
             members, counts, probs = _group_actives(active_ids, report.device_class,
-                                                    d_arr, plan.alpha_opt, plan.p_inl_opt)
+                                                    d_arr, prob)
             cop = run_cop(rng, counts, probs, tc, m_target=decision.m_opt,
                           time_limit_us=decision.t_cop_opt_us)
             winner_ids = _draw_winners(rng, members, cop.success_groups)

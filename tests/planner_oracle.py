@@ -3,9 +3,11 @@ cells, one (alpha, p_inl) cell at a time.  A population is a plain dict
 ``{(q, d): n}`` of expected actives by class q and failure count d.
 
 This is the scalar form the array pass in `hymac.optimizer` replaced; the
-tests keep it as the reference that `plan_for`, `utility_grid` and
+tests keep it as the reference that the grid pass, `plan_for` and
 `optimize` must match bit for bit.  It shares only the winner rounding
-rule (`_apportion_winners`) and the closed forms with the package.
+rule (`_apportion_winners`) and the closed forms with the package.  Its
+contending probability is the scalar `escalated_probability`, the
+reference for the package's `priority.escalation_table`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,21 @@ from hymac.optimizer import (
     _apportion_winners,
     channel_utility,
 )
-from hymac.priority import escalated_probability
+
+
+def escalated_probability(rho: int, alpha: float, p_inl: float) -> float:
+    """Contending probability of virtual class rho, capped at one."""
+    if not 0.0 < p_inl <= 1.0:
+        raise ValueError("p_inl must lie in (0, 1]")
+    if not alpha > 0:  # nan too
+        raise ValueError("alpha must be strictly positive")
+    if rho < 0:
+        raise ValueError("virtual class must be >= 0")
+    try:
+        scale = (1.0 + alpha) ** rho
+    except OverflowError:  # far above the cap, e.g. alpha = 5 from rho = 397
+        return 1.0
+    return min(1.0, scale * p_inl)
 
 
 class InfeasibleWinnersError(ValueError):

@@ -226,6 +226,13 @@ def plan_yaml(key, value):
     return yaml.safe_dump(doc)
 
 
+def reordered_plan_yaml():
+    """`plan_yaml`'s plan with its first two frames swapped."""
+    doc = yaml.safe_load(plan_yaml("utility", 0.0))
+    doc["per_frame"][:2] = doc["per_frame"][1::-1]
+    return yaml.safe_dump(doc)
+
+
 _WITH_PLAN = "run --scenario {d}/scenario.yaml --plan {d}/p.yaml"
 
 
@@ -252,25 +259,30 @@ _WITH_PLAN = "run --scenario {d}/scenario.yaml --plan {d}/p.yaml"
     ({"s.yaml": "timing: {t_frame: .inf}\n"}, "run --scenario {d}/s.yaml", "t_frame"),
     ({"s.yaml": "timing: {p_idle: .nan}\n"}, "run --scenario {d}/s.yaml", "p_idle"),
     ({"s.yaml": "timing: {delta_idle: .inf}\n"}, "run --scenario {d}/s.yaml", "delta_idle"),
+    ({"s.yaml": "classes: {alpha: .inf}\n"}, "run --scenario {d}/s.yaml", "alpha"),
     # plan values are refused, not coerced or passed on to the simulator
     ({"p.yaml": plan_yaml("m_opt", 2.9)}, _WITH_PLAN, "m_opt"),
     ({"p.yaml": plan_yaml("m_opt", True)}, _WITH_PLAN, "m_opt"),
     ({"p.yaml": plan_yaml("m_opt", -5)}, _WITH_PLAN, "m_opt"),
     ({"p.yaml": plan_yaml("t_cop_opt_us", -100.0)}, _WITH_PLAN, "t_cop_opt_us"),
     ({"p.yaml": plan_yaml("p_inl_opt", 5.0)}, _WITH_PLAN, "p_inl_opt"),
+    # plan rows run in frame order, so a row out of place is refused
+    ({"p.yaml": reordered_plan_yaml()}, _WITH_PLAN, "per_frame row 1 holds frame 2"),
     # sweep values outside the class layout's ranges, before any planning
     ({}, "sweep --scenario {d}/scenario.yaml --sweep p_inl=1.5", "sweep axis p_inl"),
     ({}, "sweep --scenario {d}/scenario.yaml --sweep p_inl=nan", "sweep axis p_inl"),
     ({}, "sweep --scenario {d}/scenario.yaml --sweep alpha=-1", "sweep axis alpha"),
     ({}, "sweep --scenario {d}/scenario.yaml --sweep alpha=nan", "sweep axis alpha"),
+    ({}, "sweep --scenario {d}/scenario.yaml --sweep alpha=inf:1e308,p_inl=0.05",
+     "sweep axis alpha"),
 ], ids=["scenario-yaml-syntax", "plan-yaml-syntax", "plan-without-per_frame",
         "p_inl-not-a-number", "negative-seed", "repeated-sweep-axis",
         "seeds-string", "seeds-float", "horizon-float", "horizon-bool",
         "sizes-float", "p_inl-bool", "lambda-nan", "lambda-inf", "t_r-nan",
-        "t_frame-inf", "p_idle-nan", "delta_idle-inf", "plan-m_opt-float", "plan-m_opt-bool",
-        "plan-m_opt-negative", "plan-t_cop-negative", "plan-p_inl_opt-above-one",
-        "sweep-p_inl-above-one", "sweep-p_inl-nan", "sweep-alpha-negative",
-        "sweep-alpha-nan"])
+        "t_frame-inf", "p_idle-nan", "delta_idle-inf", "alpha-inf", "plan-m_opt-float",
+        "plan-m_opt-bool", "plan-m_opt-negative", "plan-t_cop-negative",
+        "plan-p_inl_opt-above-one", "plan-frames-reordered", "sweep-p_inl-above-one",
+        "sweep-p_inl-nan", "sweep-alpha-negative", "sweep-alpha-nan", "sweep-alpha-inf"])
 def test_malformed_input_is_config_error(tmp_path, capsys, files, argv, needle):
     # exit 2, with a message that names the file or the key at fault
     write_scenario(tmp_path)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import hymac
 from hymac.domain import (
     ClassConfig,
     ConfigError,
@@ -112,3 +113,8 @@ def test_readme_scenario_example_loads():
     assert sc.name == "example"
     assert sc.classes.class_sizes == (30, 10)
     assert sc.seeds == (1, 2, 3)
+
+
+def test_every_exported_name_resolves():
+    # a stale `hymac.__all__` entry fails only at `from hymac import *`
+    assert [name for name in hymac.__all__ if not hasattr(hymac, name)] == []

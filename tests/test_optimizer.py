@@ -14,7 +14,6 @@ from hymac.optimizer import (
     DEFAULT_P_INL_GRID,
     NoFeasiblePointError,
     _apportion_winners,
-    _escalation_table,
     _grid_pass,
     _recursion,
     best_cell,
@@ -27,9 +26,8 @@ from hymac.optimizer import (
     mixture_of,
     optimize,
     plan_for,
-    utility_grid,
 )
-from hymac.priority import escalated_probability
+from hymac.priority import escalation_table
 
 
 def test_default_grids():
@@ -192,9 +190,10 @@ def test_optimize_deterministic(tc, small_cfg):
     one = optimize(small_cfg, tc, 5, grid_a, grid_p)
     two = optimize(small_cfg, tc, 5, grid_a, grid_p)
     assert one == two
-    grid = utility_grid(small_cfg, tc, 5, grid_a, grid_p)
-    assert set(grid) == {(a, p) for a in grid_a for p in grid_p}
-    assert one.utility == pytest.approx(max(grid.values()))
+    grid = {(a, p): plan_for(small_cfg, tc, 5, a, p).utility for a in grid_a for p in grid_p}
+    for (a, p), utility in grid.items():
+        assert utility == oracle.plan_for(small_cfg, tc, 5, a, p)[0].utility
+    assert one.utility == max(grid.values())
 
 
 def test_plan_roundtrip(tc, small_cfg, tmp_path):
@@ -270,11 +269,9 @@ def _assert_grid_matches(cfg, tc, horizon, alpha_grid, p_inl_grid):
         wins, t_cops, choked_from = rows[cell]
         assert wins == [d.m_opt for d in ref[0].per_frame], cell
         assert t_cops == [d.t_cop_opt_us for d in ref[0].per_frame], cell
+        utility = channel_utility(wins, tc)
+        assert type(utility) is float and utility == ref[0].utility, cell
         _assert_plans_equal(cfg, tc, plan_for(cfg, tc, horizon, *cell), ref, choked_from)
-    grid = utility_grid(cfg, tc, horizon, alpha_grid, p_inl_grid)
-    for ref, _ in refs:
-        utility = grid[(ref.alpha_opt, ref.p_inl_opt)]
-        assert type(utility) is float and utility == ref.utility
     assert optimize(cfg, tc, horizon, alpha_grid, p_inl_grid) == \
         _loop_optimize([ref for ref, _ in refs])
     return rows
@@ -371,15 +368,12 @@ def test_escalation_table_matches_escalated_probability():
     # from rho = 0
     cells = [(a, p) for a in (0.05, 0.5, 1.0, 5.0) for p in (1e-4, 0.1, 1.0)]
     cells += [(1.0, 0.1), (0.05, 1e-4)]  # repeated alphas and cells
-    table = _escalation_table(cells, 420)
-    ref = np.array([[escalated_probability(rho, a, p) for rho in range(420)]
+    table = escalation_table(cells, 420)
+    ref = np.array([[oracle.escalated_probability(rho, a, p) for rho in range(420)]
                     for a, p in cells])
     assert np.array_equal(table, ref)
     assert table[:, 0].tolist() == [min(p, 1.0) for _, p in cells]
-    assert _escalation_table([], 5).shape == (0, 5)
-    for bad in ((0.0, 0.1), (math.nan, 0.1), (1.0, 0.0), (1.0, 1.5)):
-        with pytest.raises(ValueError):
-            _escalation_table([(1.0, 0.1), bad], 5)
+    assert escalation_table([], 5).shape == (0, 5)
 
 
 def test_evolve_population_trims_empty_columns(tc):

@@ -12,7 +12,7 @@ from test_analytics import one_row
 from hymac import simulator
 from hymac.analytics import slot_law_rows
 from hymac.domain import ClassConfig, TimingConstants
-from hymac.optimizer import optimize, plan_for
+from hymac.optimizer import plan_for
 from hymac.simulator import (
     CopOutcome,
     PlanMismatchError,
@@ -411,20 +411,6 @@ def test_hybrid_no_arrivals_is_silent(tc):
     assert rep.generated.sum() == 0
     assert rep.delivered.sum() == 0
     assert all(f.m_realized == 0 for f in rep.per_frame)
-
-
-def test_hybrid_choked_run_draws_no_slot(tc, monkeypatch):
-    # the grid-choked benchmark scenario: every frame plans m_opt = 0, so
-    # the engine draws nothing and the report cannot depend on it
-    cfg = ClassConfig(class_sizes=(1180, 10, 10), p_inl=0.1, alpha=1.0,
-                      arrival_rate=1.0)
-    plan = optimize(cfg, tc, 200)
-    assert all(d.m_opt == 0 for d in plan.per_frame)
-    new = run_hybrid(cfg, tc, plan, 200, seed=511025151)
-    monkeypatch.setattr(simulator, "run_cop", _block_run_cop)
-    old = run_hybrid(cfg, tc, plan, 200, seed=511025151)
-    assert new.per_frame == old.per_frame
-    assert reports_equal(new, old)
 
 
 def test_hybrid_plan_too_short(tc, small_cfg):
