@@ -12,7 +12,6 @@ from .domain import (
     ConfigError,
     Scenario,
     TimingConstants,
-    dump_scenario,
     load_scenario,
 )
 from .metrics import (
@@ -36,7 +35,7 @@ __all__ = [
     "DivergentExpectationError", "EnergyBreakdown", "FrameDecision",
     "FramePlan", "Scenario", "SimReport",
     "TimingConstants", "asymptotic_tcop", "channel_utility",
-    "channel_utility_of", "dump_scenario", "energy_per_frame",
+    "channel_utility_of", "energy_per_frame",
     "expected_tcop", "load_scenario", "optimize",
     "plan_for", "run_csma", "run_hybrid", "run_tdma", "simulate_cop_slots",
     "tcop_hessian", "write_device_csv", "write_frame_csv",

@@ -141,9 +141,6 @@ def _cmd_run(args) -> int:
     if "hybrid" in variants:
         if args.plan:
             plan = optimizer.load_plan(args.plan)
-            if plan.horizon < sc.horizon:
-                raise ConfigError(
-                    f"plan covers {plan.horizon} frames, scenario needs {sc.horizon}")
         else:
             plan = optimizer.optimize(sc.classes, sc.timing, sc.horizon)
             print(f"plan: alpha_opt={plan.alpha_opt:g} p_inl_opt={plan.p_inl_opt:g} "
@@ -197,27 +194,20 @@ def _cmd_sweep(args) -> int:
             except ConfigError as exc:
                 raise ConfigError(f"sweep axis {name}: {exc}, got {value!r}") from exc
 
-    rows = optimizer._grid_pass(sc.classes, sc.timing, sc.horizon, alpha_grid, p_grid)
-    grid = {cell: optimizer.channel_utility(wins, sc.timing)
-            for cell, (wins, _, _) in rows.items()}
-    best = optimizer.best_cell(grid)
-    lines = []
-    for a in alpha_grid:
-        for p in p_grid:
-            line = f"alpha={a:g} p_inl={p:g} utility={grid[(a, p)]:.6g}"
-            choked_from = rows[(a, p)][2]
-            if choked_from is not None:
-                line += f" choked_from={choked_from}"
-            lines.append(line)
-    print("\n".join(lines))
-    print(f"best: alpha={best[0]:g} p_inl={best[1]:g} utility={grid[best]:.6g}")
+    plan, utilities, choked_from = optimizer.grid_search(
+        sc.classes, sc.timing, sc.horizon, alpha_grid, p_grid)
+    cells = [(a, p) for a in alpha_grid for p in p_grid]
+    for (a, p), utility, choked in zip(cells, utilities, choked_from):
+        choke = f" choked_from={choked}" if choked else ""
+        print(f"alpha={a:g} p_inl={p:g} utility={utility:.6g}{choke}")
+    print(f"best: alpha={plan.alpha_opt:g} p_inl={plan.p_inl_opt:g} "
+          f"utility={plan.utility:.6g}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("# hymac-sweep-csv v1\n")
             fh.write("alpha,p_inl,utility\n")
-            for a in alpha_grid:
-                for p in p_grid:
-                    fh.write(f"{a:g},{p:g},{grid[(a, p)]:.9g}\n")
+            for (a, p), utility in zip(cells, utilities):
+                fh.write(f"{a:g},{p:g},{utility:.9g}\n")
     return EXIT_OK
 
 

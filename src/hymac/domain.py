@@ -238,8 +238,3 @@ def load_yaml(path):
 def load_scenario(path) -> Scenario:
     doc = load_yaml(path)
     return scenario_from_dict({} if doc is None else doc)
-
-
-def dump_scenario(sc: Scenario, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(scenario_to_dict(sc), fh, sort_keys=False)

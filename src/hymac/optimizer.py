@@ -5,8 +5,9 @@ the per-frame winner budget is greedy-maximal: the objective is a
 nondecreasing function of every per-frame winner count, so the largest
 count satisfying the frame-duration constraint is optimal along the
 deterministic expected-value population recursion.  One array pass,
-`_grid_pass`, runs that recursion for every cell at once (README,
-"Planner"): `optimize` and `hymac sweep` read their grids off it, and
+`_recursion`, runs that recursion for every cell at once (README,
+"Planner"), and `grid_search` reads the best plan and every cell's
+utility off it: `optimize` and `hymac sweep` use its result, and
 `plan_for` is `optimize` on one cell.
 """
 
@@ -186,11 +187,13 @@ def evolve_population(pop: np.ndarray, d0: int, counts: np.ndarray, terms: np.nd
 def _recursion(cfg: ClassConfig, tc: TimingConstants, horizon: int, cells: list):
     """The planner recursion for all (alpha, p_inl) cells at once.
 
-    Yields (population, d0, winners, t_cop, choked) per frame: the
-    (live cells, q, d) window of expected actives before the frame's
-    contention, the failure count d0 of its first column, and for every
-    cell the `max_feasible_m` winner count and expected contention
-    duration and whether it is choked by the end of the frame.
+    Yields (population, d0, live, winners, t_cop, choked_from) per frame:
+    the (live cells, q, d) window of expected actives before the frame's
+    contention, the failure count d0 of its first column, the grid indices
+    of the live cells, and for each of them the `max_feasible_m` winner
+    count and expected contention duration.  ``choked_from`` is one array
+    over all cells, the same each frame, holding the frame (1-based, as in
+    a plan file) in which a cell was choked, 0 while it is not.
 
     A cell is choked in the frame where its expected devices at p = 1 sum
     to more than one: no slot can then hold a lone transmitter
@@ -202,77 +205,68 @@ def _recursion(cfg: ClassConfig, tc: TimingConstants, horizon: int, cells: list)
     lie below it, which the bound's margin covers.  A choked cell is
     retired: its rows leave the window, it plans 0 winners in 0 us for
     every frame left, and only the live cells evolve (the next window is
-    trimmed to them).  Once no cell is live, nothing is evolved.
+    trimmed to them).  The pass ends when no cell is live.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least one frame")
     n_cells = len(cells)
     full = 1.0 + (cfg.q_count + 1) * _COUNT_EPS
     prob = escalation_table(cells, cfg.q_count + horizon - 1)
     live = np.arange(n_cells)  # the cells the window holds, in grid order
-    choked = np.zeros(n_cells, dtype=bool)
+    choked_from = np.zeros(n_cells, dtype=np.int64)
     pop, d0 = initial_population(cfg, tc, n_cells), 0
     for t in range(horizon):
-        m, t_cop = np.zeros(n_cells, dtype=np.int64), np.zeros(n_cells)
-        if live.size:
-            mix = mixture_of(pop, d0, prob)
-            won, t_cop[live], terms = max_feasible_m(mix, tc)
-            m[live] = won
-            absorbed = ordered_sum(mix[1] * (mix[0] >= 1.0)) > full
-            choked = choked.copy()
-            choked[live[absorbed]] = True
-        yield pop, d0, m, t_cop, choked
-        if t + 1 == horizon or not live.size:  # no frame follows, or none evolves
-            continue
+        mix = mixture_of(pop, d0, prob)
+        won, t_cop, terms = max_feasible_m(mix, tc)
+        absorbed = ordered_sum(mix[1] * (mix[0] >= 1.0)) > full
+        choked_from[live[absorbed]] = t + 1
+        yield pop, d0, live, won, t_cop, choked_from
         counts = mix[1]
         if absorbed.any():
             keep = ~absorbed
             live, pop, prob = live[keep], pop[keep], prob[keep]
             counts, terms, won = counts[keep], terms[keep], won[keep]
-        if live.size:
-            pop, d0 = evolve_population(pop, d0, counts, terms, won, cfg, tc)
+        if t + 1 == horizon or not live.size:  # no frame follows, or no cell
+            return
+        pop, d0 = evolve_population(pop, d0, counts, terms, won, cfg, tc)
 
 
-def _grid_pass(cfg: ClassConfig, tc: TimingConstants, horizon: int, alpha_grid,
-               p_inl_grid) -> dict[tuple[float, float], tuple[list, list, int | None]]:
-    """Every (alpha, p_inl) cell's per-frame winner counts and expected
-    contention durations, and the frame (1-based, as in a plan file) from
-    which it is choked, None if never, from one pass, in grid order
-    (alpha outer, p_inl inner)."""
+def grid_search(cfg: ClassConfig, tc: TimingConstants, horizon: int,
+                alpha_grid=DEFAULT_ALPHA_GRID, p_inl_grid=DEFAULT_P_INL_GRID
+                ) -> tuple[FramePlan, list[float], list[int]]:
+    """The search over the (alpha, p_inl) grid, from one `_recursion` pass.
+
+    Each cell's per-frame winner counts and expected contention durations
+    fill a preallocated row, which stays 0 from the frame after the cell
+    retires.  Returns the best cell's plan, read off its two rows, and
+    every cell's utility and choke frame (0 if never), in grid order
+    (alpha outer, p_inl inner).  The best cell is the first whose utility
+    beats every earlier one by more than 1e-15, so the search is
+    deterministic and the first of a tie wins.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be at least one frame")
     cells = [(a, p) for a in alpha_grid for p in p_inl_grid]
-    frames = [(m, t_cop, choked) for _, _, m, t_cop, choked
-              in _recursion(cfg, tc, horizon, cells)]
-    wins, t_cops, choked = (np.array(rows).reshape(horizon, len(cells)).T
-                            for rows in zip(*frames))
-    choked_from = [int(row.argmax()) + 1 if row[-1] else None for row in choked]
-    return dict(zip(cells, zip(wins.tolist(), t_cops.tolist(), choked_from)))
-
-
-def best_cell(grid: dict[tuple[float, float], float]) -> tuple[float, float]:
-    """The first cell, in grid order, whose utility beats every earlier
-    one by more than 1e-15; the search is deterministic."""
-    best = None
-    for cell, utility in grid.items():
-        if best is None or utility > grid[best] + 1e-15:
-            best = cell
-    if best is None:
+    if not cells:
         raise NoFeasiblePointError("empty parameter grid")
-    return best
+    wins = np.zeros((len(cells), horizon), dtype=np.int64)
+    t_cops = np.zeros((len(cells), horizon))
+    for t, (_, _, live, won, t_cop, choked_from) in enumerate(
+            _recursion(cfg, tc, horizon, cells)):
+        wins[live, t], t_cops[live, t] = won, t_cop
+    utilities = [channel_utility(row, tc) for row in wins.tolist()]
+    best = 0
+    for i, utility in enumerate(utilities):
+        if utility > utilities[best] + 1e-15:
+            best = i
+    decisions = tuple(map(FrameDecision, wins[best].tolist(), t_cops[best].tolist()))
+    plan = FramePlan(*cells[best], per_frame=decisions, utility=utilities[best])
+    return plan, utilities, choked_from.tolist()
 
 
 def optimize(cfg: ClassConfig, tc: TimingConstants, horizon: int,
              alpha_grid=DEFAULT_ALPHA_GRID,
              p_inl_grid=DEFAULT_P_INL_GRID) -> FramePlan:
-    """Best plan over the (alpha, p_inl) grid: the `best_cell` of one grid
-    pass, with that cell's winner counts and contention durations."""
-    rows = _grid_pass(cfg, tc, horizon, alpha_grid, p_inl_grid)
-    grid = {cell: channel_utility(wins, tc) for cell, (wins, _, _) in rows.items()}
-    best = best_cell(grid)
-    wins, t_cops, _ = rows[best]
-    decisions = tuple(FrameDecision(m_opt=m, t_cop_opt_us=t_cop)
-                      for m, t_cop in zip(wins, t_cops))
-    return FramePlan(alpha_opt=best[0], p_inl_opt=best[1],
-                     per_frame=decisions, utility=grid[best])
+    """Best plan over the (alpha, p_inl) grid, as `grid_search` finds it."""
+    return grid_search(cfg, tc, horizon, alpha_grid, p_inl_grid)[0]
 
 
 def plan_for(cfg: ClassConfig, tc: TimingConstants, horizon: int,

@@ -15,10 +15,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analytics import slot_law_rows
-from .domain import US_PER_S, ClassConfig, TimingConstants
+from .domain import US_PER_S, ClassConfig, ConfigError, TimingConstants
 from .priority import escalation_table
 
-class PlanMismatchError(ValueError):
+
+class PlanMismatchError(ConfigError):
     """Plan horizon or dimensions do not match the requested run."""
 
 
@@ -550,6 +551,10 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
     report = SimReport(variant="hybrid", seed=seed, frames=frames, tc=tc, cfg=cfg,
                        traces=[] if collect_traces else None)
     d_arr = np.zeros(cfg.total_devices, dtype=np.int64)
+    # a loaded plan's COP limit is capped so that NP, COP and AP fit the
+    # frame; the slot that reaches the limit counts in full
+    cop_room = tc.t_frame_us - (tc.t_nof_us + tc.t_anc_us) - max(
+        tc.delta_idle_us, tc.delta_succ_us)
     # in frame f no device has failed more than f times: rho <= Q - 1 + f
     prob = escalation_table([(plan.alpha_opt, plan.p_inl_opt)], cfg.q_count + frames - 1)[0]
 
@@ -574,7 +579,7 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
             members, counts, probs = _group_actives(active_ids, report.device_class,
                                                     d_arr, prob)
             cop = run_cop(rng, counts, probs, tc, m_target=decision.m_opt,
-                          time_limit_us=decision.t_cop_opt_us)
+                          time_limit_us=min(decision.t_cop_opt_us, cop_room))
             winner_ids = _draw_winners(rng, members, cop.success_groups)
 
         # cap data slots to what fits after NP, COP and AP

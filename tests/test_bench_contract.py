@@ -11,8 +11,9 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+import yaml
 
-from hymac import optimizer, simulator
+from hymac import cli, optimizer, simulator
 from hymac.domain import ClassConfig, TimingConstants
 from hymac.optimizer import dump_plan, load_plan, optimize, plan_for
 
@@ -109,3 +110,15 @@ def test_a_choke_costs_nothing(monkeypatch, tcop_calls):
     report = simulator.run_hybrid(cfg, tc, plan, 20, seed=3)
     assert (len(cops), len(grouped)) == (0, 0)
     assert max(f.n_active for f in report.per_frame) > 1000
+
+
+def test_sweep_reads_the_one_pass(tmp_path, capsys, tcop_calls):
+    # `hymac sweep` prints from the same grid search: on the K = 1200
+    # default grid it prices the 5 frames up to the last cell's choke
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump({
+        "classes": {"sizes": [1180, 10, 10], "p_inl": 0.1, "alpha": 1.0},
+        "arrival": {"lambda": 1.0}, "protocol": {"horizon": 200}}))
+    assert cli.main(["sweep", "--scenario", str(path)]) == cli.EXIT_OK
+    assert len(tcop_calls) <= 5
+    assert len(capsys.readouterr().out.splitlines()) == 100 + 1

@@ -111,6 +111,13 @@ def test_sweep(tmp_path, capsys):
     assert text[1] == "alpha,p_inl,utility"
     assert len(text) == 2 + 4
     assert "best:" in capsys.readouterr().out
+    # a repeated axis value gives cells of its own, each on its line
+    assert main(["sweep", "--scenario", str(path),
+                 "--sweep", "alpha=1:1,p_inl=0.1:0.2"]) == EXIT_OK
+    *lines, best = capsys.readouterr().out.splitlines()
+    assert [line.split(" utility=")[0] for line in lines] == \
+        ["alpha=1 p_inl=0.1", "alpha=1 p_inl=0.2"] * 2
+    assert best.startswith("best: alpha=1 p_inl=0.1 ")
 
 
 def test_sweep_reports_the_cell_optimize_plans(tmp_path, capsys):
@@ -293,10 +300,17 @@ def test_malformed_input_is_config_error(tmp_path, capsys, files, argv, needle):
 
 
 def test_print_config_loads_back(tmp_path, capsys):
-    path = write_scenario(tmp_path)
-    assert main(["run", "--scenario", str(path), "--print-config"]) == EXIT_OK
-    printed = scenario_from_dict(yaml.safe_load(capsys.readouterr().out))
-    assert printed == load_scenario(path)
+    non_default = {
+        "name": "rt",
+        "classes": {"sizes": [100, 10, 10], "p_inl": 0.2, "alpha": 2.0},
+        "arrival": {"lambda": 0.5},
+        "protocol": {"variant": "all", "horizon": 50, "seeds": [1, 2, 3]},
+    }
+    for doc in (SCENARIO, non_default):
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", "--scenario", str(path), "--print-config"]) == EXIT_OK
+        printed = scenario_from_dict(yaml.safe_load(capsys.readouterr().out))
+        assert printed == load_scenario(path)
 
 
 def test_bad_workers_env_is_config_error(tmp_path, capsys, monkeypatch):

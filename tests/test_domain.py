@@ -10,10 +10,7 @@ from hymac.domain import (
     ConfigError,
     Scenario,
     TimingConstants,
-    dump_scenario,
-    load_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     timing_from_dict,
 )
 from planner_oracle import virtual_counts
@@ -73,19 +70,6 @@ def test_timing_from_dict_units():
     assert tc.t_req_us == 20.0
     with pytest.raises(ConfigError):
         timing_from_dict({"bogus": 1})
-
-
-def test_scenario_roundtrip(tmp_path):
-    sc = scenario_from_dict({
-        "name": "rt",
-        "classes": {"sizes": [100, 10, 10], "p_inl": 0.2, "alpha": 2.0},
-        "arrival": {"lambda": 0.5},
-        "protocol": {"variant": "all", "horizon": 50, "seeds": [1, 2, 3]},
-    })
-    path = tmp_path / "sc.yaml"
-    dump_scenario(sc, path)
-    back = load_scenario(path)
-    assert scenario_to_dict(back) == scenario_to_dict(sc)
 
 
 def test_scenario_validation():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import planner_oracle as oracle
+from hymac import optimizer
 from hymac.analytics import expected_tcop, success_shares
 from hymac.domain import ClassConfig, TimingConstants
 from hymac.optimizer import (
@@ -14,12 +15,11 @@ from hymac.optimizer import (
     DEFAULT_P_INL_GRID,
     NoFeasiblePointError,
     _apportion_winners,
-    _grid_pass,
     _recursion,
-    best_cell,
     channel_utility,
     dump_plan,
     evolve_population,
+    grid_search,
     initial_population,
     load_plan,
     max_feasible_m,
@@ -217,11 +217,9 @@ def _loop_optimize(plans):
 def _populations(cfg, tc, horizon, alpha, p_inl):
     """The population before each frame of a one-cell pass, as the oracle's
     ``{(q, d): n}`` dicts of the nonzero window entries, up to the frame
-    in which the cell is choked and retires from the pass."""
+    in which the cell is choked and the pass ends."""
     pops = []
     for pop, d0, *_ in _recursion(cfg, tc, horizon, [(alpha, p_inl)]):
-        if not len(pop):  # retired
-            break
         q, d = np.nonzero(pop[0])
         pops.append(dict(zip(zip((q + 1).tolist(), (d + d0).tolist()),
                              pop[0, q, d].tolist())))
@@ -237,9 +235,9 @@ def _p1_mass(pop: dict, alpha, p_inl) -> float:
 def _assert_plans_equal(cfg, tc, plan, ref, choked_from):
     """Whole plans, frame by frame: m_opt and t_cop_opt_us, and the one-cell
     pass's populations against the oracle's up to the frame ``choked_from``
-    (1-based) in which the cell retires.  From that frame on the oracle's
-    own populations must hold the retirement invariant: more than one
-    expected device at p = 1, and no winner."""
+    (1-based, 0 if never) in which the cell retires.  From that frame on
+    the oracle's own populations must hold the retirement invariant: more
+    than one expected device at p = 1, and no winner."""
     ref_plan, ref_pops = ref
     cell = (ref_plan.alpha_opt, ref_plan.p_inl_opt)
     assert (plan.alpha_opt, plan.p_inl_opt) == cell
@@ -250,31 +248,46 @@ def _assert_plans_equal(cfg, tc, plan, ref, choked_from):
     assert plan == ref_plan
     pops = _populations(cfg, tc, plan.horizon, *cell)
     assert len(ref_pops) == plan.horizon
-    assert len(pops) == min(plan.horizon, choked_from or plan.horizon)
+    assert len(pops) == (choked_from or plan.horizon)
     for t, (got, want) in enumerate(zip(pops, ref_pops)):
         assert got == want, (cell, t)
-    if choked_from is None:
+    if not choked_from:
         return
     for t in range(choked_from - 1, plan.horizon):
         assert _p1_mass(ref_pops[t], *cell) > 1 + _COUNT_EPS, (cell, t)
         assert ref_plan.per_frame[t].m_opt == 0, (cell, t)
 
 
+def _pass_rows(cfg, tc, horizon, cells):
+    """Each cell's winner counts and expected contention durations per
+    frame, as the pass yields them for its live cells (0 once the cell has
+    retired), and each cell's choke frame."""
+    wins = [[0] * horizon for _ in cells]
+    t_cops = [[0.0] * horizon for _ in cells]
+    for t, (_, _, live, won, t_cop, choked_from) in enumerate(
+            _recursion(cfg, tc, horizon, cells)):
+        for c, m, duration in zip(live.tolist(), won.tolist(), t_cop.tolist()):
+            wins[c][t], t_cops[c][t] = m, duration
+    return wins, t_cops, choked_from.tolist()
+
+
 def _assert_grid_matches(cfg, tc, horizon, alpha_grid, p_inl_grid):
-    refs = [oracle.plan_for(cfg, tc, horizon, a, p) for a in alpha_grid for p in p_inl_grid]
-    rows = _grid_pass(cfg, tc, horizon, alpha_grid, p_inl_grid)
-    assert list(rows) == list(dict.fromkeys((a, p) for a in alpha_grid for p in p_inl_grid))
-    for ref in refs:
-        cell = (ref[0].alpha_opt, ref[0].p_inl_opt)
-        wins, t_cops, choked_from = rows[cell]
-        assert wins == [d.m_opt for d in ref[0].per_frame], cell
-        assert t_cops == [d.t_cop_opt_us for d in ref[0].per_frame], cell
-        utility = channel_utility(wins, tc)
-        assert type(utility) is float and utility == ref[0].utility, cell
-        _assert_plans_equal(cfg, tc, plan_for(cfg, tc, horizon, *cell), ref, choked_from)
-    assert optimize(cfg, tc, horizon, alpha_grid, p_inl_grid) == \
+    """Every cell's rows of one grid pass, its utility and its choke frame
+    from `grid_search`, and the plan `grid_search` picks, against the
+    oracle's plans; returns the pass's rows and choke frames."""
+    cells = [(a, p) for a in alpha_grid for p in p_inl_grid]
+    refs = [oracle.plan_for(cfg, tc, horizon, a, p) for a, p in cells]
+    wins, t_cops, choked = _pass_rows(cfg, tc, horizon, cells)
+    plan, utilities, choked_from = grid_search(cfg, tc, horizon, alpha_grid, p_inl_grid)
+    assert choked_from == choked and len(utilities) == len(cells)
+    for i, (cell, ref) in enumerate(zip(cells, refs)):
+        assert wins[i] == [d.m_opt for d in ref[0].per_frame], cell
+        assert t_cops[i] == [d.t_cop_opt_us for d in ref[0].per_frame], cell
+        assert type(utilities[i]) is float and utilities[i] == ref[0].utility, cell
+        _assert_plans_equal(cfg, tc, plan_for(cfg, tc, horizon, *cell), ref, choked_from[i])
+    assert plan == optimize(cfg, tc, horizon, alpha_grid, p_inl_grid) == \
         _loop_optimize([ref for ref, _ in refs])
-    return rows
+    return wins, t_cops, choked_from
 
 
 @settings(max_examples=150, deadline=None)
@@ -299,8 +312,9 @@ def _layout(k, lam=1.0):
 def test_grid_winners_default_grid(tc, k):
     # every cell is choked by frame 5 and retires, and its zero rows from
     # there to frame 40 must still equal the oracle's plan
-    rows = _assert_grid_matches(_layout(k), tc, 40, DEFAULT_ALPHA_GRID, DEFAULT_P_INL_GRID)
-    assert sorted({choked for _, _, choked in rows.values()}) == [1, 2, 3, 4, 5]
+    *_, choked = _assert_grid_matches(_layout(k), tc, 40, DEFAULT_ALPHA_GRID,
+                                      DEFAULT_P_INL_GRID)
+    assert sorted(set(choked)) == [1, 2, 3, 4, 5]
 
 
 @pytest.mark.parametrize("k", [500, 800, 1200])
@@ -311,31 +325,29 @@ def test_grid_winners_saturated_grid(tc, k):
     cfg = _layout(k, lam=40.0)
     cells = [(a, p) for a in DEFAULT_ALPHA_GRID for p in (1e-10, 1e-9)]
     assert [d0 for _, d0 in _trimmed_windows(cfg, tc, 40, cells)[:4]] == [0, 1, 2, 0]
-    rows = _assert_grid_matches(cfg, tc, 40, DEFAULT_ALPHA_GRID, (1e-10, 1e-9))
-    assert all(sum(wins) > 0 for wins, _, _ in rows.values())
+    wins, _, _ = _assert_grid_matches(cfg, tc, 40, DEFAULT_ALPHA_GRID, (1e-10, 1e-9))
+    assert all(sum(row) > 0 for row in wins)
 
 
 def test_cell_choked_at_a_known_frame(tc):
     # six devices at (1.0, 0.3) win in frames 1-4; in frame 7 more than one
     # expected device contends at p = 1, so the cell is choked and retires
     cfg = ClassConfig(class_sizes=(6,), p_inl=0.3, alpha=1.0, arrival_rate=0.3)
-    rows = _assert_grid_matches(cfg, tc, 30, (1.0,), (0.3,))
-    wins, t_cops, choked_from = rows[(1.0, 0.3)]
+    (wins,), (t_cops,), (choked_from,) = _assert_grid_matches(cfg, tc, 30, (1.0,), (0.3,))
     assert (wins[:5], choked_from) == ([1, 1, 2, 1, 0], 7)
     assert not any(wins[4:]) and not any(t_cops[4:])
     ref_pops = oracle.plan_for(cfg, tc, 30, 1.0, 0.3)[1]
     assert _p1_mass(ref_pops[5], 1.0, 0.3) <= 1.0 < _p1_mass(ref_pops[6], 1.0, 0.3)
     assert len(_populations(cfg, tc, 30, 1.0, 0.3)) == 7
     # cells of one grid retire in different frames, some after winning
-    rows = _assert_grid_matches(cfg, tc, 30, DEFAULT_ALPHA_GRID, (0.05, 0.2, 0.5))
-    choked = [c for _, _, c in rows.values()]
-    assert None in choked and len(set(choked)) > 4
+    *_, choked = _assert_grid_matches(cfg, tc, 30, DEFAULT_ALPHA_GRID, (0.05, 0.2, 0.5))
+    assert 0 in choked and len(set(choked)) > 4
 
 
 def test_grid_winners_resolving_grid(tc):
     p_inl_grid = tuple(np.geomspace(1e-4, 1e-2, 7).tolist())
-    rows = _assert_grid_matches(_layout(1200), tc, 200, (0.5, 1.0, 2.0), p_inl_grid)
-    assert max(max(wins) for wins, _, _ in rows.values()) > 400  # hundreds per frame
+    wins, _, _ = _assert_grid_matches(_layout(1200), tc, 200, (0.5, 1.0, 2.0), p_inl_grid)
+    assert max(max(row) for row in wins) > 400  # hundreds per frame
 
 
 def test_grid_winners_past_escalation_overflow(tc):
@@ -349,18 +361,18 @@ def _trimmed_windows(cfg, tc, horizon, cells):
     that some cell occupies."""
     windows = [(pop, d0) for pop, d0, *_ in _recursion(cfg, tc, horizon, cells)]
     for pop, _ in windows:
-        assert not len(pop) or (pop[:, :, 0].any() and pop[:, :, -1].any())
+        assert pop[:, :, 0].any() and pop[:, :, -1].any()
     return windows
 
 
 def test_default_grid_window_leaves_the_empty_columns(tc):
     # on the choked default grid the window holds only the live cells'
-    # occupied columns, and no cell at all once the last one retires
+    # occupied columns, and the pass stops after frame 5, in which the
+    # last cell retires
     cells = [(a, p) for a in DEFAULT_ALPHA_GRID for p in DEFAULT_P_INL_GRID]
     windows = _trimmed_windows(_layout(1200), tc, 200, cells)
-    assert [pop.shape[:1] + pop.shape[2:] for pop, _ in windows[:5]] == \
+    assert [pop.shape[:1] + pop.shape[2:] for pop, _ in windows] == \
         [(100, 1), (18, 2), (9, 3), (3, 4), (1, 5)]
-    assert not any(len(pop) for pop, _ in windows[5:])
 
 
 def test_escalation_table_matches_escalated_probability():
@@ -405,9 +417,19 @@ def test_optimize_empty_grid(tc, small_cfg):
         optimize(small_cfg, tc, 5, (), (0.1,))
 
 
-def test_best_cell_keeps_the_first_of_a_tie():
-    grid = {(2.0, 0.3): 0.0, (2.0, 0.2): 0.0, (1.0, 0.3): 5e-16, (1.0, 0.2): 0.4}
-    assert best_cell(grid) == (1.0, 0.2)
-    assert best_cell({cell: 0.0 for cell in grid}) == (2.0, 0.3)
+def test_grid_search_keeps_the_first_of_a_tie(monkeypatch, tc, small_cfg):
+    # the best cell is the first in grid order whose utility beats every
+    # earlier one by more than 1e-15; the cells' utilities are set here
+    def best(utilities):
+        given = iter(utilities)
+        monkeypatch.setattr(optimizer, "channel_utility", lambda wins, tc: next(given))
+        plan, got, _ = grid_search(small_cfg, tc, 3, (2.0, 1.0), (0.3, 0.2))
+        assert got == utilities
+        return plan.alpha_opt, plan.p_inl_opt, plan.utility
+
+    assert best([0.0, 0.0, 5e-16, 0.4]) == (1.0, 0.2, 0.4)
+    assert best([0.0] * 4) == (2.0, 0.3, 0.0)
+    assert best([0.3, 0.3 + 5e-16, 0.3, 0.2]) == (2.0, 0.3, 0.3)
+    assert best([0.0, 5e-16, 1.1e-15, 1.1e-15]) == (1.0, 0.3, 1.1e-15)
     with pytest.raises(NoFeasiblePointError):
-        best_cell({})
+        grid_search(small_cfg, tc, 5, (1.0,), ())

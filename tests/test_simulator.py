@@ -12,7 +12,7 @@ from test_analytics import one_row
 from hymac import simulator
 from hymac.analytics import slot_law_rows
 from hymac.domain import ClassConfig, TimingConstants
-from hymac.optimizer import plan_for
+from hymac.optimizer import FrameDecision, FramePlan, plan_for
 from hymac.simulator import (
     CopOutcome,
     PlanMismatchError,
@@ -417,6 +417,17 @@ def test_hybrid_plan_too_short(tc, small_cfg):
     plan = plan_for(small_cfg, tc, 3, 1.0, 0.05)
     with pytest.raises(PlanMismatchError):
         run_hybrid(small_cfg, tc, plan, 5, seed=1)
+
+
+def test_loaded_plan_cop_fits_the_frame(tc):
+    # a plan file may hold any finite t_cop_opt_us; the COP still stops in
+    # time for NP, COP, AP and the data slots to fit into the frame
+    cfg = ClassConfig(class_sizes=(30, 10), p_inl=0.05, alpha=1.0, arrival_rate=0.2)
+    plan = FramePlan(1.0, 0.05, (FrameDecision(m_opt=50, t_cop_opt_us=5e6),) * 20, 0.0)
+    rep = run_hybrid(cfg, tc, plan, 20, seed=1)
+    for f in rep.per_frame:
+        used = tc.t_nof_us + f.t_cop_us + tc.t_anc_us + f.m_realized * tc.t_r_us
+        assert tc.t_frame_us - 100 < used <= tc.t_frame_us, f.frame
 
 
 def test_hybrid_contends_at_the_plan_cell(tc, small_cfg):
