@@ -18,13 +18,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import analytics, metrics, optimizer, simulator
 from .domain import (
     ConfigError,
     Scenario,
     TimingConstants,
+    dump_yaml,
     load_scenario,
     scenario_to_dict,
 )
@@ -132,19 +132,17 @@ def _run_one(task):
 def _cmd_run(args) -> int:
     sc = _apply_overrides(load_scenario(args.scenario), args)
     if args.print_config:
-        yaml.safe_dump(scenario_to_dict(sc), sys.stdout, sort_keys=False)
+        dump_yaml(scenario_to_dict(sc), sys.stdout)
         return EXIT_OK
 
     workers = _parse_workers(os.environ.get("HYMAC_WORKERS", "1"))
     variants = ["hybrid", "csma", "tdma"] if sc.variant == "all" else [sc.variant]
-    plan = None
-    if "hybrid" in variants:
-        if args.plan:
-            plan = optimizer.load_plan(args.plan)
-        else:
-            plan = optimizer.optimize(sc.classes, sc.timing, sc.horizon)
-            print(f"plan: alpha_opt={plan.alpha_opt:g} p_inl_opt={plan.p_inl_opt:g} "
-                  f"analytic_utility={plan.utility:.6g}")
+    # a given plan file is checked under every variant, used by the hybrid
+    plan = optimizer.load_plan(args.plan) if args.plan else None
+    if "hybrid" in variants and plan is None:
+        plan = optimizer.optimize(sc.classes, sc.timing, sc.horizon)
+        print(f"plan: alpha_opt={plan.alpha_opt:g} p_inl_opt={plan.p_inl_opt:g} "
+              f"analytic_utility={plan.utility:.6g}")
 
     out_dir = Path(args.out) if args.out else None
     if out_dir:

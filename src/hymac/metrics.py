@@ -9,7 +9,6 @@ energy.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,37 +92,34 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
+def _write_csv(path, schema: str, header: str, rows) -> None:
+    """A schema comment line, then the header and rows as ``csv.writer``
+    writes them (no field needs quoting), in one write."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("".join([f"# {schema}\n{header}\r\n", *rows]))
+
+
 def write_frame_csv(report: SimReport, path) -> None:
     """Per-frame CSV: realized schedule, utility contribution and energy."""
-    energies = energy_series(report)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {FRAME_CSV_SCHEMA}\n")
-        w = csv.writer(fh)
-        w.writerow(["frame", "n_active", "m", "t_cop_us", "utility",
-                    "e_np_j", "e_cop_j", "e_ap_j", "e_top_j", "e_frame_j"])
-        for f, e in zip(report.per_frame, energies):
-            util = channel_utility([f.m_realized], report.tc)
-            w.writerow([f.frame + 1, f.n_active, f.m_realized, _fmt(f.t_cop_us),
-                        _fmt(util), _fmt(e.e_np), _fmt(e.e_cop), _fmt(e.e_ap),
-                        _fmt(e.e_top), _fmt(e.e_frame)])
+    tc = report.tc
+    rows = [f"{f.frame + 1},{f.n_active},{f.m_realized},{_fmt(f.t_cop_us)},"
+            f"{_fmt(channel_utility([f.m_realized], tc))},{_fmt(e.e_np)},{_fmt(e.e_cop)},"
+            f"{_fmt(e.e_ap)},{_fmt(e.e_top)},{_fmt(e.e_frame)}\r\n"
+            for f, e in zip(report.per_frame, energy_series(report))]
+    _write_csv(path, FRAME_CSV_SCHEMA, "frame,n_active,m,t_cop_us,utility,"
+               "e_np_j,e_cop_j,e_ap_j,e_top_j,e_frame_j", rows)
 
 
 def write_device_csv(report: SimReport, path) -> None:
     """Per-device CSV: traffic counters, drop ratio and mean delay."""
-    k = report.cfg.total_devices
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {DEVICE_CSV_SCHEMA}\n")
-        w = csv.writer(fh)
-        w.writerow(["device", "class", "generated", "dropped", "delivered",
-                    "drop_ratio", "avg_delay_frames"])
-        for dev in range(k):
-            gen = int(report.generated[dev])
-            drp = int(report.dropped[dev])
-            dlv = int(report.delivered[dev])
-            ratio = _fmt(drp / gen) if gen else ""
-            delay = _fmt(report.delay_frames_sum[dev] / dlv) if dlv else ""
-            w.writerow([dev + 1, int(report.device_class[dev]),
-                        gen, drp, dlv, ratio, delay])
+    columns = (report.device_class, report.generated, report.dropped,
+               report.delivered, report.delay_frames_sum)
+    rows = [f"{dev},{cls},{gen},{drp},{dlv},{_fmt(drp / gen) if gen else ''},"
+            f"{_fmt(dsum / dlv) if dlv else ''}\r\n"
+            for dev, cls, gen, drp, dlv, dsum
+            in zip(range(1, report.cfg.total_devices + 1), *(c.tolist() for c in columns))]
+    _write_csv(path, DEVICE_CSV_SCHEMA, "device,class,generated,dropped,delivered,"
+               "drop_ratio,avg_delay_frames", rows)
 
 
 def merge_reports(reports: list[SimReport]) -> dict[str, float]:

@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
 from .analytics import expected_tcop, ordered_sum, success_shares
-from .domain import ClassConfig, ConfigError, TimingConstants, _is, load_yaml
+from .domain import ClassConfig, ConfigError, TimingConstants, _is, dump_yaml, load_yaml
 from .priority import escalation_table
 
 DEFAULT_ALPHA_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 2.0, 3.0, 4.0, 5.0)
@@ -286,7 +285,7 @@ def dump_plan(plan: FramePlan, path) -> None:
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
+        dump_yaml(doc, fh)
 
 
 # each plan key: the type of its value and the range the value must lie in

@@ -368,23 +368,22 @@ def _mean_arrivals(cfg: ClassConfig, tc: TimingConstants) -> float:
 
 def _poisson_arrivals(rng: np.random.Generator, cfg: ClassConfig,
                       tc: TimingConstants):
-    """One frame of arrivals: per-device counts, then the owner and the
-    (unsorted) time of every arrival."""
+    """One frame of arrivals: per-device counts, then the time of every
+    arrival, device by device (unsorted within a device)."""
     counts = rng.poisson(_mean_arrivals(cfg, tc), size=cfg.total_devices)
-    times = rng.random(int(counts.sum())) * tc.t_frame_us
-    return counts, np.repeat(np.arange(cfg.total_devices), counts), times
+    return counts, rng.random(int(counts.sum())) * tc.t_frame_us
 
 
 def _scripted_arrivals(script: dict, k: int):
     """``{device: arrival times}`` as the arrays of `_poisson_arrivals`."""
     counts = np.zeros(k, dtype=np.int64)
-    owner: list[int] = []
     times: list[float] = []
-    for dev, dev_times in script.items():
-        counts[dev] = len(dev_times)
-        owner += [dev] * len(dev_times)
-        times += [float(t) for t in dev_times]
-    return counts, np.array(owner, dtype=np.int64), np.array(times, dtype=float)
+    for dev in sorted(script):
+        if not 0 <= dev < k:
+            raise ValueError(f"scripted arrival for device {dev} outside 0..{k - 1}")
+        counts[dev] = len(script[dev])
+        times += [float(t) for t in script[dev]]
+    return counts, np.array(times, dtype=float)
 
 
 def _service_rounds(k: int, devices: np.ndarray, instants_us) -> np.ndarray:
@@ -395,7 +394,7 @@ def _service_rounds(k: int, devices: np.ndarray, instants_us) -> np.ndarray:
     slot owners repeat every K slots, so a device owning several slots of
     one frame is served once per round, in time order.
     """
-    rounds = -(-len(devices) // k) if len(devices) else 0
+    rounds = -(-len(devices) // k)
     grid = np.full((rounds, k), np.inf)
     grid[np.arange(len(devices)) // k, devices] = instants_us
     return grid
@@ -406,44 +405,47 @@ def _arrive(frame: int, n: np.ndarray, buf: _Buffers) -> int:
     replaces the one waiting, so all but the last are dropped, and the
     last one is buffered.  Returns how many empty buffers filled."""
     got = n > 0
-    filled = int((got & ~buf.full).sum())
-    buf.dropped += np.where(got, n - 1 + buf.full, 0)
+    new = got & ~buf.full
+    buf.dropped += n  # every packet but the one that fills an empty buffer
+    buf.dropped -= new
     buf.full |= got
-    buf.k1[got] = frame
-    return filled
+    np.putmask(buf.k1, got, frame)
+    return np.count_nonzero(new)
 
 
-def _settle_frame(frame: int, counts: np.ndarray, owner: np.ndarray,
-                  times: np.ndarray, service_us: np.ndarray,
-                  buf: _Buffers) -> tuple[int, int, int]:
+def _settle_frame(frame: int, counts: np.ndarray, times: np.ndarray,
+                  devices: np.ndarray, instants_us, buf: _Buffers) -> tuple[int, int, int]:
     """Apply one frame of arrivals and services to every buffer at once.
 
-    ``counts[dev]`` arrivals belong to each device; ``owner[i]`` and
-    ``times[i]`` give each arrival's device and time.  ``service_us`` has
-    one row per service round (see `_service_rounds`): a device's finite
-    instants come first and increase down the rows.  An arrival strictly
-    before a service instant is buffered before it; one at the instant or
-    later comes after.  A service delivers a full buffer and empties it,
-    and finds an empty one idle.  Returns (delivered, idle services,
-    empty buffers filled by an arrival).
+    ``counts[dev]`` arrivals belong to each device, and ``times`` holds
+    their times, device by device.  ``devices[j]`` is served at
+    ``instants_us[j]``, in time order (see `_service_rounds`).  An arrival
+    strictly before a service instant is buffered before it; one at the
+    instant or later comes after.  A service delivers a full buffer and
+    empties it, and finds an empty one idle.  Returns (delivered, idle
+    services, empty buffers filled by an arrival).
     """
     k = len(counts)
     buf.generated += counts
     n_delivered = n_idle = n_filled = 0
-    seen = np.zeros(k, dtype=np.int64)
-    for instants in service_us:
-        before = np.bincount(owner[times < instants[owner]], minlength=k)
-        n_filled += _arrive(frame, before - seen, buf)
-        seen = before
-        served = np.isfinite(instants)
-        hit = served & buf.full
-        n_hit = int(hit.sum())
-        n_delivered += n_hit
-        n_idle += int(served.sum()) - n_hit
-        buf.delivered += hit
-        buf.delay_sum[hit] += frame - buf.k1[hit]
-        buf.full[hit] = False
-    n_filled += _arrive(frame, counts - seen, buf)
+    rest = counts  # the arrivals after the frame's last service
+    if len(devices):  # arrivals are split at the services only in a frame that has one
+        owner = np.repeat(np.arange(k), counts)
+        seen = np.zeros(k, dtype=np.int64)
+        for instants in _service_rounds(k, devices, instants_us):
+            before = np.bincount(owner[times < instants[owner]], minlength=k)
+            n_filled += _arrive(frame, before - seen, buf)
+            seen = before
+            served = np.isfinite(instants)
+            hit = served & buf.full
+            n_hit = int(hit.sum())
+            n_delivered += n_hit
+            n_idle += int(served.sum()) - n_hit
+            buf.delivered += hit
+            buf.delay_sum[hit] += frame - buf.k1[hit]
+            buf.full[hit] = False
+        rest = counts - seen
+    n_filled += _arrive(frame, rest, buf)
     return n_delivered, n_idle, n_filled
 
 
@@ -515,8 +517,7 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None) ->
             arrivals = _poisson_arrivals(rng, cfg, tc)
         else:
             arrivals = _scripted_arrivals(arrival_script.get(frame, {}), k)
-        m_real, n_idle, n_filled = _settle_frame(
-            frame, *arrivals, _service_rounds(k, devices, instants_us), buf)
+        m_real, n_idle, n_filled = _settle_frame(frame, *arrivals, devices, instants_us, buf)
         n_active = len(active_ids) + (n_filled if cop is None else 0)
         cop = cop or _NO_COP
         report.per_frame.append(FrameSummary(

@@ -122,3 +122,26 @@ def test_sweep_reads_the_one_pass(tmp_path, capsys, tcop_calls):
     assert cli.main(["sweep", "--scenario", str(path)]) == cli.EXIT_OK
     assert len(tcop_calls) <= 5
     assert len(capsys.readouterr().out.splitlines()) == 100 + 1
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_yaml_files_go_through_libyaml(tmp_path, capsys, monkeypatch):
+    # with libyaml present, scenario and plan files are read and written by
+    # its C pair: PyYAML's pure-Python scanner and emitter take 3-5x as long
+    # on a 200-frame plan
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump({
+        "classes": {"sizes": [30, 10], "p_inl": 0.05, "alpha": 1.0},
+        "arrival": {"lambda": 0.2}, "protocol": {"horizon": 5, "seeds": [1]}}))
+
+    def pure(*args, **kwargs):
+        raise AssertionError("PyYAML's pure-Python scanner or emitter was used")
+
+    monkeypatch.setattr(yaml.emitter.Emitter, "__init__", pure)
+    monkeypatch.setattr(yaml.scanner.Scanner, "__init__", pure)
+    out = tmp_path / "out"
+    run = ["run", "--scenario", str(path)]
+    assert cli.main(run + ["--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(run + ["--plan", str(out / "plan.yaml"), "--seeds", "2"]) == cli.EXIT_OK
+    assert cli.main(run + ["--print-config"]) == cli.EXIT_OK
+    assert "AssertionError" not in capsys.readouterr().err

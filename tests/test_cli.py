@@ -275,6 +275,9 @@ _WITH_PLAN = "run --scenario {d}/scenario.yaml --plan {d}/p.yaml"
     ({"p.yaml": plan_yaml("p_inl_opt", 5.0)}, _WITH_PLAN, "p_inl_opt"),
     # plan rows run in frame order, so a row out of place is refused
     ({"p.yaml": reordered_plan_yaml()}, _WITH_PLAN, "per_frame row 1 holds frame 2"),
+    # a given plan file is checked whether or not the hybrid runs
+    ({"p.yaml": "per_frame: {\n"}, _WITH_PLAN + " --variant csma", "p.yaml"),
+    ({"p.yaml": "per_frame: {\n"}, _WITH_PLAN + " --variant tdma", "p.yaml"),
     # sweep values outside the class layout's ranges, before any planning
     ({}, "sweep --scenario {d}/scenario.yaml --sweep p_inl=1.5", "sweep axis p_inl"),
     ({}, "sweep --scenario {d}/scenario.yaml --sweep p_inl=nan", "sweep axis p_inl"),
@@ -288,7 +291,8 @@ _WITH_PLAN = "run --scenario {d}/scenario.yaml --plan {d}/p.yaml"
         "sizes-float", "p_inl-bool", "lambda-nan", "lambda-inf", "t_r-nan",
         "t_frame-inf", "p_idle-nan", "delta_idle-inf", "alpha-inf", "plan-m_opt-float",
         "plan-m_opt-bool", "plan-m_opt-negative", "plan-t_cop-negative",
-        "plan-p_inl_opt-above-one", "plan-frames-reordered", "sweep-p_inl-above-one",
+        "plan-p_inl_opt-above-one", "plan-frames-reordered", "plan-invalid-csma",
+        "plan-invalid-tdma", "sweep-p_inl-above-one",
         "sweep-p_inl-nan", "sweep-alpha-negative", "sweep-alpha-nan", "sweep-alpha-inf"])
 def test_malformed_input_is_config_error(tmp_path, capsys, files, argv, needle):
     # exit 2, with a message that names the file or the key at fault

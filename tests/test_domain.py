@@ -1,8 +1,11 @@
+import io
 import math
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hymac
 from hymac.domain import (
@@ -10,6 +13,8 @@ from hymac.domain import (
     ConfigError,
     Scenario,
     TimingConstants,
+    dump_yaml,
+    load_yaml,
     scenario_from_dict,
     timing_from_dict,
 )
@@ -89,11 +94,14 @@ def test_scenario_rejects_unknown_keys(section):
         scenario_from_dict(doc)
 
 
-def test_readme_scenario_example_loads():
+def test_readme_scenario_example_loads(tmp_path):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Scenario file", 1)[1]
     example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
-    sc = scenario_from_dict(yaml.safe_load(example))
+    path = tmp_path / "scenario.yaml"
+    path.write_text(example, encoding="utf-8")
+    assert load_yaml(path) == yaml.safe_load(example)
+    sc = scenario_from_dict(load_yaml(path))
     assert sc.name == "example"
     assert sc.classes.class_sizes == (30, 10)
     assert sc.seeds == (1, 2, 3)
@@ -102,3 +110,38 @@ def test_readme_scenario_example_loads():
 def test_every_exported_name_resolves():
     # a stale `hymac.__all__` entry fails only at `from hymac import *`
     assert [name for name in hymac.__all__ if not hasattr(hymac, name)] == []
+
+
+_numbers = st.floats(allow_nan=False)
+
+
+@st.composite
+def scenario_docs(draw, names=st.text(max_size=40)):
+    """Scenario-shaped documents, their values unchecked."""
+    return {"name": draw(names),
+            "classes": {"sizes": draw(st.lists(st.integers(0, 10**6), max_size=4)),
+                        "p_inl": draw(_numbers), "alpha": draw(_numbers)},
+            "arrival": {"lambda": draw(_numbers)},
+            "timing": {"t_r": draw(_numbers), "t_req": draw(_numbers)},
+            "protocol": {"variant": draw(st.sampled_from(["hybrid", "csma", "tdma", "all"])),
+                         "horizon": draw(st.integers(-10, 10**6)),
+                         "seeds": draw(st.lists(st.integers(0, 2**63 - 1), max_size=4))}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=scenario_docs())
+def test_load_yaml_matches_the_pure_loader(tmp_path_factory, doc):
+    text = yaml.safe_dump(doc, sort_keys=False)
+    path = tmp_path_factory.mktemp("scenario") / "scenario.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert load_yaml(path) == yaml.safe_load(text) == doc
+
+
+# printable names: the two emitters fold a long double-quoted string of
+# escaped characters at different points, which both load back alike
+@settings(max_examples=100, deadline=None)
+@given(doc=scenario_docs(names=st.text(st.characters(min_codepoint=32, max_codepoint=126))))
+def test_dump_yaml_writes_the_pure_emitters_bytes(doc):
+    out = io.StringIO()
+    dump_yaml(doc, out)
+    assert out.getvalue() == yaml.safe_dump(doc, sort_keys=False)

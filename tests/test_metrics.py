@@ -3,7 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from hymac.domain import ClassConfig
+import csv_oracle
+from hymac.domain import ClassConfig, TimingConstants
 from hymac.metrics import (
     DEVICE_CSV_SCHEMA,
     FRAME_CSV_SCHEMA,
@@ -17,7 +18,7 @@ from hymac.metrics import (
     write_frame_csv,
 )
 from hymac.optimizer import plan_for
-from hymac.simulator import FrameSummary, SimReport, run_hybrid
+from hymac.simulator import FrameSummary, SimReport, run_csma, run_hybrid, run_tdma
 
 
 def make_summary(**kw):
@@ -140,6 +141,50 @@ def test_csv_export_roundtrip(tc, tmp_path, small_cfg):
     assert dlines[0] == f"# {DEVICE_CSV_SCHEMA}"
     drows = list(csv.reader(dlines[1:]))
     assert len(drows) == 1 + small_cfg.total_devices
+
+
+def _csv_reports(variant: str, sizes: tuple[int, ...], lam: float, p_inl: float,
+                 frames: int) -> list[SimReport]:
+    tc = TimingConstants()
+    cfg = ClassConfig(class_sizes=sizes, p_inl=p_inl, alpha=1.0, arrival_rate=lam)
+    if variant == "hybrid":
+        plan = plan_for(cfg, tc, frames, 1.0, p_inl)
+        return [run_hybrid(cfg, tc, plan, frames, seed=s) for s in (1, 2)]
+    if variant == "csma":
+        return [run_csma(cfg, tc, p_inl, frames, seed=s) for s in (1, 2)]
+    return [run_tdma(cfg, tc, frames, seed=s) for s in (1, 2)]
+
+
+@pytest.mark.parametrize("variant", ["hybrid", "csma", "tdma"])
+@pytest.mark.parametrize("sizes, lam, p_inl, frames", [
+    ((0,), 1.0, 0.1, 3),                  # K = 0: header lines only
+    ((20, 5), 0.05, 0.05, 4),             # devices that generated or delivered nothing
+    ((30, 10), 0.2, 0.05, 20),            # the README layout
+    ((1180, 10, 10), 1.0, 5e-4, 3),       # the benchmark layout, 1200 devices
+], ids=["k0", "sparse", "readme", "k1200"])
+def test_csv_writers_match_the_csv_writer_reference(tmp_path, variant, sizes, lam, p_inl,
+                                                    frames):
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    for rep in _csv_reports(variant, sizes, lam, p_inl, frames):
+        for write, write_ref in ((write_frame_csv, csv_oracle.write_frame_csv),
+                                 (write_device_csv, csv_oracle.write_device_csv)):
+            write(rep, ours)
+            write_ref(rep, ref)
+            assert ours.read_bytes() == ref.read_bytes(), (write.__name__, rep.seed)
+
+
+def test_device_csv_matches_the_reference_on_edge_counters(tc, tmp_path):
+    # generated = 0, delivered = 0, ratios that need all nine digits, and
+    # counters past 2**32
+    cfg = ClassConfig(class_sizes=(3, 2, 1), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
+    rep = make_report(tc, cfg,
+                      generated=np.array([0, 3, 7, 0, 2**40, 9]),
+                      dropped=np.array([0, 1, 2, 0, 2**33 + 1, 9]),
+                      delivered=np.array([0, 0, 5, 0, 2**39 - 3, 0]),
+                      delay_frames_sum=np.array([0, 0, 11, 0, 2**45 + 7, 0]))
+    write_device_csv(rep, tmp_path / "ours.csv")
+    csv_oracle.write_device_csv(rep, tmp_path / "ref.csv")
+    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_energy_series_matches_mean(tc, small_cfg):

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import yaml
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import planner_oracle as oracle
@@ -13,6 +14,8 @@ from hymac.optimizer import (
     _COUNT_EPS,
     DEFAULT_ALPHA_GRID,
     DEFAULT_P_INL_GRID,
+    FrameDecision,
+    FramePlan,
     NoFeasiblePointError,
     _apportion_winners,
     _recursion,
@@ -200,6 +203,42 @@ def test_plan_roundtrip(tc, small_cfg, tmp_path):
     plan = plan_for(small_cfg, tc, 5, 1.0, 0.05)
     path = tmp_path / "plan.yaml"
     dump_plan(plan, path)
+    assert load_plan(path) == plan
+
+
+# plan values across the float range: zero, subnormals, integral floats, 1e308
+_SPECIAL = (0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-310, 1.0, 100.0, 1e308)
+
+
+def _floats(lo: float, hi: float):
+    return st.one_of(st.sampled_from([x for x in _SPECIAL if lo <= x <= hi]),
+                     st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def plans(draw):
+    # horizons 0-250 and m up to 2000; values in the ranges `load_plan` accepts
+    frames = draw(st.lists(st.tuples(st.integers(0, 2000), _floats(0.0, 1e308)),
+                           max_size=250))
+    return FramePlan(alpha_opt=draw(_floats(5e-324, 1e308)),
+                     p_inl_opt=draw(_floats(5e-324, 1.0)),
+                     per_frame=tuple(FrameDecision(m, t) for m, t in frames),
+                     utility=draw(_floats(0.0, 1.0)))
+
+
+@example(plan=FramePlan(1.0, 1.0, (), 0.0))
+@example(plan=FramePlan(1e308, 5e-324, tuple(FrameDecision(2000, t) for t in _SPECIAL), 1.0))
+@settings(max_examples=60, deadline=None)
+@given(plan=plans())
+def test_plan_file_matches_the_pure_yaml_pair(tmp_path_factory, plan):
+    # `dump_plan` writes the bytes of PyYAML's pure-Python emitter, and
+    # `load_plan` reads them back as the same plan
+    doc = {"alpha_opt": plan.alpha_opt, "p_inl_opt": plan.p_inl_opt, "utility": plan.utility,
+           "per_frame": [{"frame": i + 1, "m_opt": d.m_opt, "t_cop_opt_us": d.t_cop_opt_us}
+                         for i, d in enumerate(plan.per_frame)]}
+    path = tmp_path_factory.mktemp("plan") / "plan.yaml"
+    dump_plan(plan, path)
+    assert path.read_bytes() == yaml.safe_dump(doc, sort_keys=False).encode("utf-8")
     assert load_plan(path) == plan
 
 

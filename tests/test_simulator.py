@@ -18,7 +18,6 @@ from hymac.simulator import (
     PlanMismatchError,
     _Buffers,
     _Contenders,
-    _service_rounds,
     _settle_frame,
     run_cop,
     run_csma,
@@ -466,6 +465,15 @@ def test_hybrid_scripted_winner_must_be_active(tc):
                    winner_script={1: [0, 0]})
 
 
+def test_scripted_arrival_outside_the_network_is_refused(tc):
+    # a negative id would index from the end and land on another device
+    cfg = ClassConfig(class_sizes=(2,), p_inl=0.5, alpha=1.0, arrival_rate=1.0)
+    plan = plan_for(cfg, tc, 1, 1.0, 0.5)
+    for dev in (-1, 2):
+        with pytest.raises(ValueError, match="outside"):
+            run_hybrid(cfg, tc, plan, 1, seed=1, arrival_script={0: {dev: [100.0]}})
+
+
 # ---------------------------------------------------------------------------
 # baselines
 
@@ -661,8 +669,10 @@ def test_settle_frame_matches_chronological_reference(case):
     k = len(case["full"])
     frame = case["frame"]
     counts = np.array([len(a) for a in case["arrivals"]], dtype=np.int64)
-    owner = np.repeat(np.arange(k), counts)[case["order"]]
-    times = np.array([t for a in case["arrivals"] for t in a], dtype=float)[case["order"]]
+    # device by device, as `_settle_frame` takes them, each device's unsorted
+    order = np.array(case["order"], dtype=np.int64)
+    order = order[np.argsort(np.repeat(np.arange(k), counts)[order], kind="stable")]
+    times = np.array([t for a in case["arrivals"] for t in a], dtype=float)[order]
     ref = _state(case)
     ref.generated += counts
     sorted_times = [np.sort(a) for a in case["arrivals"]]
@@ -671,13 +681,13 @@ def test_settle_frame_matches_chronological_reference(case):
         slots, offset = spec
         owners = (offset + np.arange(slots)) % k
         slot_end = (np.arange(slots) + 1) * 2.0
-        service = _service_rounds(k, owners, slot_end)
+        devices, instants = owners, slot_end
         expect = _tdma_frame_traffic(frame, owners, slot_end, sorted_times,
                                      ref.full, ref.k1, ref.dropped, ref.delivered,
                                      ref.delay_sum)
     else:
         winners, instants = spec
-        service = _service_rounds(k, np.array(winners, dtype=np.int64), instants)
+        devices = np.array(winners, dtype=np.int64)
         deliver_t = dict(zip(winners, instants))
         filled = sum(_apply_frame_traffic(frame, dev, sorted_times[dev],
                                           deliver_t.get(dev), ref.full, ref.k1,
@@ -686,7 +696,7 @@ def test_settle_frame_matches_chronological_reference(case):
         expect = (len(winners), 0, filled)
 
     buf = _state(case)
-    assert _settle_frame(frame, counts, owner, times, service, buf) == expect
+    assert _settle_frame(frame, counts, times, devices, instants, buf) == expect
     for name in ("full", "k1", "generated", "dropped", "delivered", "delay_sum"):
         assert np.array_equal(getattr(buf, name), getattr(ref, name)), name
 
