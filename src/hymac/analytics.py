@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-import mpmath as mp
 import numpy as np
 
 from .domain import TimingConstants
@@ -108,6 +107,8 @@ def success_shares(terms: list[float]) -> list[float]:
 # effective contending probability x = (1 + alpha) * p_inl over l_total
 # devices.  Values grow like (1 - x)^(-l_total), so the evaluation runs
 # in arbitrary precision and only the final cast may overflow to inf.
+# mpmath is imported inside the functions that use it, so importing hymac
+# (and every `hymac run`) does not load it.
 
 _ASYM_DPS = 60
 
@@ -116,6 +117,8 @@ def _asym_mp(alpha, p_inl, l_total):
     """The checked arguments of the asymptotic forms, in arbitrary
     precision: x = (1 + alpha) * p_inl, L = l_total, 1 / (L x) and
     v = (L x)^-1 (1 - x)^-(L-1)."""
+    import mpmath as mp
+
     if l_total < 1:
         raise ValueError("population must be at least one device")
     x = (mp.mpf(1) + mp.mpf(alpha)) * mp.mpf(p_inl)
@@ -150,6 +153,8 @@ def asymptotic_tcop(m: int, alpha: float, p_inl: float, l_total: int,
         raise ValueError("number of successes must be nonnegative")
     if m == 0:
         return 0.0
+    import mpmath as mp
+
     with mp.workdps(_ASYM_DPS):
         return _to_float(m * _asym_attempt_mp(alpha, p_inl, l_total, tc))
 
@@ -157,6 +162,8 @@ def asymptotic_tcop(m: int, alpha: float, p_inl: float, l_total: int,
 def _hessian_mp(m, alpha, p_inl, l_total, tc: TimingConstants):
     """Analytic Hessian of the asymptotic contention duration with
     respect to (m, p_inl, alpha), as an mpmath matrix."""
+    import mpmath as mp
+
     x, big_l, _, v = _asym_mp(alpha, p_inl, l_total)
     rise = 1 + mp.mpf(alpha)  # dx / dp_inl
     p = mp.mpf(p_inl)
@@ -187,6 +194,8 @@ def tcop_hessian(m: int, alpha: float, p_inl: float, l_total: int,
     """
     if m < 0:
         raise ValueError("number of successes must be nonnegative")
+    import mpmath as mp
+
     with mp.workdps(_ASYM_DPS):
         hess = _hessian_mp(m, alpha, p_inl, l_total, tc)
         if normalize:

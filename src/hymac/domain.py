@@ -233,12 +233,15 @@ def scenario_to_dict(sc: Scenario) -> dict:
 
 
 def load_yaml(path):
-    """The document of a YAML file; a syntax error is a `ConfigError`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The document of a YAML file.  A file that cannot be opened or
+    decoded as UTF-8, or a syntax error, is a `ConfigError` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return yaml.load(fh, Loader=_YAML_LOADER)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path} is not valid YAML: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path} is not valid YAML: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path} cannot be read: {exc}") from exc
 
 
 def dump_yaml(doc, stream) -> None:

@@ -2,14 +2,16 @@
 plus contention-only (p-persistent) and reservation-only (TDMA) baselines.
 
 All three protocols run in one frame loop driven by one seeded RNG, so
-identical inputs reproduce identical reports.  Contention slots are
-sampled per virtual class (devices inside a class are exchangeable); the
-winning device of a successful slot is drawn uniformly from its class.
+identical inputs reproduce identical reports.  A contention period is
+drawn as an exponential race: one key per device orders the winners, and
+the gaps between successes follow the slot law of the devices left, per
+virtual class (devices inside a class are exchangeable).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,13 +30,14 @@ class CopOutcome:
     """Aggregate result of one contention period (or slot batch)."""
 
     success_groups: tuple[int, ...]        # group index per success, in order
-    success_times_us: tuple[float, ...]    # elapsed time at each success
+    success_times_us: tuple[float, ...]    # time at each success (none in a slot batch)
     t_elapsed_us: float
     n_idle_slots: int
     n_collisions: int
     coll_tx_time_us: float                 # collision durations weighted by transmitters
     listen_time_us: float                  # contender time spent listening, not transmitting
     n_slots: int
+    winners: tuple[int, ...] = ()          # device id per success (none for a slot batch)
 
 
 @dataclass(frozen=True)
@@ -88,102 +91,60 @@ class SimReport:
 def run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
             tc: TimingConstants, *, m_target: int | None = None,
             time_limit_us: float | None = None, success_extra_us: float = 0.0,
-            drain: bool = True, max_slots: int | None = None) -> CopOutcome:
-    """Slotted p-persistent contention among groups of identical devices.
+            ids: np.ndarray | None = None) -> CopOutcome:
+    """Slotted p-persistent contention among groups of identical devices,
+    in which every winner leaves.
 
     Each slot every remaining contender transmits with its group
     probability: zero transmitters cost an idle slot, one a success (plus
     ``success_extra_us``, e.g. an immediate data transmission), two or
-    more a collision.  Stops when the winner target or time limit is
-    reached, or when ``max_slots`` slots have elapsed; the slot that
-    reaches a limit counts in full.  Raises `ValueError` when neither
-    limit is set and successes cannot end the period.
+    more a collision.  Stops when the winner target or the time limit is
+    reached; the slot that reaches the limit counts in full.  Once no
+    contender that can transmit is left, the channel idles up to the time
+    limit.  Raises `ValueError` when no limit is set and successes cannot
+    end the period.  ``ids`` names the devices, group after group (their
+    positions in that order by default); ``winners`` holds the winners'.
 
-    Slots are i.i.d. while the contenders stay the same, so the engine
-    draws a stretch at a time (README, "Simulator"): the slots before the
-    next success, how many of them are idle, and the success's group, each
-    by inversion of one uniform.  With ``drain`` a winner leaves, and the
-    law is updated for the rest.  The transmitters of all collisions are
-    drawn at the end.
+    The period is an exponential race (README, "Simulator").  The gap
+    before the first success is walked; once that success lands inside
+    the limit, the winners' order comes from one key per device
+    (`_race`), and all later gaps from one array draw each.  Only a gap
+    that may cross the time limit is walked.  The transmitters of all
+    collisions are drawn at the end.
     """
-    counts = [int(n) for n in counts]
-    probs = [float(p) for p in probs]
-    d_idle, d_coll = tc.delta_idle_us, tc.delta_coll_us
-    d_succ = tc.delta_succ_us + success_extra_us
-    d_fail = max(d_idle, d_coll)  # longest slot without a success
-    t_stop = math.inf if time_limit_us is None else time_limit_us
-    slot_stop = math.inf if max_slots is None else max_slots
-    target = math.inf if m_target is None else m_target
+    counts = np.asarray(counts, dtype=np.int64)
+    probs = np.asarray(probs, dtype=float)
+    period = _Period(tc, success_extra_us, time_limit_us)
     uniform = _uniforms(rng).__next__
-    succ_groups: list[int] = []
-    succ_times: list[float] = []
-    elapsed = 0.0
-    n_idle = n_coll = n_slots = 0
-    listen = 0.0
-    collided = []  # (collisions, group counts, P(collision)) per slot law
-    contenders = law = None
+    count_list, prob_list = counts.tolist(), probs.tolist()
+    n_dev = sum(count_list)
+    # a p = 0 device never transmits
+    n_live = sum(n for n, p in zip(count_list, prob_list) if p > 0.0)
+    target = math.inf if m_target is None else m_target
+    n_win = int(min(target, n_live))
+    won = groups = np.empty(0, dtype=np.int64)
+    n_succ = 0
+    if n_win:
+        # no key is drawn before the first success lands, so a period that
+        # chokes from its start draws only the walk of its first gap
+        _, p_lone, p_coll, share = _slot_law(count_list, prob_list)
+        if period.walk(uniform, _failures(uniform(), p_lone), counts, p_coll, share, n_dev):
+            won = _race(rng, counts, probs, n_win)
+            groups = np.searchsorted(np.cumsum(counts), won, side="right")
+            n_succ = 1 + period.drain(rng, uniform, counts, probs, groups)
+    if n_succ == n_live < target:
+        period.idle_out(n_dev - n_live)
 
-    while elapsed < t_stop and n_slots < slot_stop and len(succ_groups) < target:
-        if law is None:
-            contenders = contenders or _Contenders(probs, counts)
-            law = contenders.law()
-        p_idle, p_busy, p_lone, weights = law
-        if p_busy == 0.0:
-            # nothing left to transmit: the channel idles out the clock
-            if time_limit_us is None:
-                break
-            gap_slots = min(math.ceil((time_limit_us - elapsed) / d_idle),
-                            slot_stop - n_slots)
-            elapsed += gap_slots * d_idle
-            n_idle += gap_slots
-            n_slots += gap_slots
-            break
-        if ((p_lone <= 0.0 or not drain and m_target is None)
-                and time_limit_us is None and max_slots is None):
-            raise ValueError("no limit is set and no success can end the contention")
-
-        # the failed slots before the next success, taken in chunks inside
-        # which no limit falls: as many as surely end before the time
-        # limit (or one) and fit under the slot limit
-        remaining = contenders.remaining
-        gap = _failures(uniform(), p_lone)
-        p_coll = p_busy - p_lone
-        idle_share = p_idle / (p_idle + p_coll) if gap else 0.0
-        n_c = 0
-        while gap and elapsed < t_stop and n_slots < slot_stop:
-            k = min(gap, slot_stop - n_slots)
-            if time_limit_us is not None:
-                k = min(k, max(1, math.ceil((t_stop - elapsed) / d_fail) - 1))
-            idle = _binomial(uniform, k, idle_share)
-            spent = idle * d_idle + (k - idle) * d_coll
-            elapsed += spent
-            listen += remaining * spent
-            n_idle += idle
-            n_c += k - idle
-            n_slots += k
-            gap -= k
-        if n_c:
-            n_coll += n_c
-            collided.append((n_c, tuple(counts), p_coll))
-        if gap or elapsed >= t_stop or n_slots >= slot_stop:
-            break  # a limit came first
-
-        elapsed += d_succ
-        n_slots += 1
-        listen += (remaining - 1) * d_succ
-        succ_times.append(elapsed)
-        group = _pick(weights, uniform() * sum(weights))
-        succ_groups.append(group)
-        if drain:
-            contenders.drain(group)
-            law = None
-
-    tx = _collision_transmitters(rng, probs, collided, n_slots)
+    tx = _collision_transmitters(rng, probs, period.summed, period.collided)
+    won = won[:n_succ]
     return CopOutcome(
-        success_groups=tuple(succ_groups), success_times_us=tuple(succ_times),
-        t_elapsed_us=elapsed, n_idle_slots=n_idle, n_collisions=n_coll,
-        coll_tx_time_us=tx * d_coll, listen_time_us=listen - tx * d_coll,
-        n_slots=n_slots,
+        success_groups=tuple(groups[:n_succ].tolist()),
+        success_times_us=tuple(np.concatenate(period.times).tolist()) if period.times else (),
+        t_elapsed_us=period.elapsed, n_idle_slots=period.n_idle,
+        n_collisions=period.n_coll, coll_tx_time_us=tx * period.d_coll,
+        listen_time_us=period.listen - tx * period.d_coll,
+        n_slots=period.n_idle + period.n_coll + n_succ,
+        winners=tuple((won if ids is None else ids[won]).tolist()),
     )
 
 
@@ -228,121 +189,338 @@ def _binomial(uniform, k: int, p: float) -> int:
     return k - x if flip else x
 
 
-class _Contenders:
-    """Group counts and the law of their next slot, kept up to date as
-    winners drain.
+def _slot_law(counts: list[int], probs: list[float]):
+    """(P(idle), P(success), P(collision), P(idle | no success)) of a slot
+    of one mixture, in floats, by the rules of `analytics.slot_law_rows`:
+    a p = 1 device keeps every slot busy and is a lone transmitter only as
+    the single such device, and a lone contender cannot collide.  Without
+    a p = 1 device, P(success) = W P(idle) with the weight
+    W = sum n p / (1 - p), formed in logs, so it stays exact where P(idle)
+    alone is subnormal."""
+    certain = sum(n for n, p in zip(counts, probs) if p >= 1.0)
+    log_idle = sum(n * math.log1p(-p) for n, p in zip(counts, probs) if p < 1.0)
+    if certain:
+        p_idle, p_busy = 0.0, 1.0
+        p_lone = math.exp(log_idle) if certain == 1 else 0.0
+    else:
+        p_idle, p_busy = math.exp(log_idle), -math.expm1(log_idle)
+        weight = sum(n * p / (1.0 - p) for n, p in zip(counts, probs) if p < 1.0)
+        p_lone = min(math.exp(log_idle + math.log(weight)), p_busy) if weight > 0.0 else 0.0
+    p_coll = p_busy - p_lone if sum(counts) > 1 else 0.0
+    fail = p_idle + p_coll
+    return p_idle, p_lone, p_coll, p_idle / fail if fail > 0.0 else 0.0
 
-    log P(idle) = sum n_g log1p(-p_g) over the groups with p < 1, held
-    exactly as a whole multiple of the finest binary fraction among the
-    log1p(-p_g), so a drain changes it by one integer whatever the number
-    of drains before.  Each lone-transmitter term is w_g P(idle) with
-    w_g = n_g p_g / (1 - p_g), so a success's group is picked on the
-    weights w alone.  While a p = 1 device remains, the law comes from
-    `analytics.slot_law_rows`.
+
+# The law of the gap before each success of a race, per row of remaining
+# group counts: P(success) of a slot, P(collision) and P(idle | no success).
+_Gaps = namedtuple("_Gaps", "rows p_lone p_coll share")
+
+
+def _race_laws(probs: np.ndarray, rows: np.ndarray) -> _Gaps:
+    """`_Gaps` of each row of group counts, by `_slot_law`'s rules, as
+    arrays.  No row holds a p = 1 device: one such device wins first, and
+    two choke the period before any race.  log P(idle) = sum n log1p(-p)
+    and the weight W = sum n p / (1 - p) are dot products of each row's
+    own counts, so every row is as exact as its law computed afresh,
+    whatever the drains before it.  Every row holds a device that can
+    win, so W > 0."""
+    q = np.where(probs < 1.0, probs, 0.0)  # a drained p = 1 group holds no device
+    log_idle = rows @ np.log1p(-q)
+    p_idle, p_busy = np.exp(log_idle), -np.expm1(log_idle)
+    p_lone = np.minimum(np.exp(log_idle + np.log(rows @ (q / (1.0 - q)))), p_busy)
+    p_coll = np.where(rows.sum(axis=1) > 1, p_busy - p_lone, 0.0)
+    return _Gaps(rows, p_lone, p_coll, p_idle / (p_idle + p_coll))
+
+
+def _race(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
+          m: int) -> np.ndarray:
+    """The first ``m`` winners of a drained contention, in order, as
+    positions in the device list (group after group).
+
+    Whatever the gap before it, a success goes to each remaining
+    contender in proportion to r = p / (1 - p), so the winners in order
+    are the ``m`` smallest keys E / r, with one standard exponential E per
+    device (Efraimidis and Spirakis, Inf. Process. Lett. 2006).  A p = 1
+    device has key 0.  A p = 0 device, or one whose 1 / r overflows, has
+    key inf (nan for E = 0) and never comes before a device that can win.
     """
-
-    def __init__(self, probs: list[float], counts: list[int]):
-        self.probs = probs
-        self.counts = counts  # shared with the caller, drained in place
-        self._odds = [p / (1.0 - p) if p < 1.0 else 0.0 for p in probs]
-        stay = [math.log1p(-p).as_integer_ratio() if p < 1.0 else (0, 1) for p in probs]
-        self._unit = max((den for _, den in stay), default=1)  # a power of two
-        self._stay = [num * (self._unit // den) for num, den in stay]
-        self._log_idle = sum(n * s for n, s in zip(counts, self._stay))
-        self.weights = [n * r for n, r in zip(counts, self._odds)]
-        self.certain = sum(n for n, p in zip(counts, probs) if p >= 1.0)
-        self.remaining = sum(counts)
-
-    def law(self) -> tuple[float, float, float, list[float]]:
-        """(P(idle), P(busy), P(success), weights proportional to the
-        groups' lone-transmitter terms)."""
-        if self.certain:
-            law = slot_law_rows(np.array(self.probs, dtype=float),
-                                np.array(self.counts, dtype=float))
-            p_idle, p_busy, terms = float(law[0]), float(law[1]), law[2].tolist()
-            return p_idle, p_busy, min(sum(terms), p_busy), terms
-        log_idle = self._log_idle / self._unit  # correctly rounded
-        total = sum(self.weights)
-        p_busy = -math.expm1(log_idle)
-        if self.remaining == 1:
-            return math.exp(log_idle), p_busy, p_busy, self.weights  # one cannot collide
-        # P(success) = total * P(idle), formed in logs so it stays exact
-        # where P(idle) alone is subnormal
-        p_lone = math.exp(log_idle + math.log(total)) if total > 0.0 else 0.0
-        return math.exp(log_idle), p_busy, min(p_lone, p_busy), self.weights
-
-    def drain(self, group: int) -> None:
-        """One winner of ``group`` leaves."""
-        self.counts[group] -= 1
-        self.remaining -= 1
-        if self.probs[group] >= 1.0:
-            self.certain -= 1
-        else:
-            self._log_idle -= self._stay[group]
-            self.weights[group] = self.counts[group] * self._odds[group]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        keys = rng.standard_exponential(int(counts.sum())) * np.repeat((1.0 - probs) / probs,
+                                                                       counts)
+    first = np.argpartition(keys, m - 1)[:m] if m < len(keys) else np.arange(m)
+    return first[np.argsort(keys[first])]
 
 
-def _pick(weights: list[float], x: float) -> int:
-    """The group whose share of the running sum of ``weights`` holds
-    ``x``, for 0 < x <= sum(weights)."""
-    for group, w in enumerate(weights):
-        if x <= w:
-            return group
-        x -= w
-    # rounding left x above the sum: the last group that can win
-    return max(g for g, w in enumerate(weights) if w > 0.0)
+def _left_after(counts: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """The group counts left after each winner of ``groups`` in turn, one
+    row per winner."""
+    won = np.zeros((len(groups), len(counts)), dtype=np.int64)
+    won[np.arange(len(groups)), groups] = 1
+    return counts - np.cumsum(won, axis=0)
 
 
-def _collision_transmitters(rng: np.random.Generator, probs: list[float],
-                            collided: list, max_draws: int) -> int:
-    """Transmitters summed over collisions, from ``collided``: per slot law,
-    (collisions, group counts, P(collision)).
+class _Period:
+    """The clock, slot counts, listening time, success times and
+    collision laws of one contention period so far."""
 
-    A collision's transmitters are per-group binomial draws conditioned on
-    two or more.  Where P(fewer than two transmit) is lost against 1 in
-    double precision (P(collision) == 1), the total of c collisions is one
+    def __init__(self, tc: TimingConstants, success_extra_us: float,
+                 time_limit_us: float | None):
+        self.d_idle, self.d_coll = tc.delta_idle_us, tc.delta_coll_us
+        self.d_succ = tc.delta_succ_us + success_extra_us
+        self.d_fail = max(self.d_idle, self.d_coll)  # longest slot without a success
+        self.t_stop = math.inf if time_limit_us is None else time_limit_us
+        self.elapsed = self.listen = 0.0
+        self.n_idle = self.n_coll = 0
+        self.times: list = []      # arrays of success times, in order
+        # collisions where P(collision) == 1: sum of c n_g per group
+        self.summed = 0
+        # other collisions: (collisions, group counts, P(collision)) arrays
+        self.collided: list = []
+
+    def walk(self, uniform, gap, row: np.ndarray, p_coll: float, share: float,
+             remaining: int) -> bool:
+        """Walk ``gap`` failed slots of the slot law of group counts
+        ``row`` (P(collision) ``p_coll``, P(idle | no success) ``share``),
+        then the success after them, unless the time limit comes first.
+        Returns whether the success happened.
+
+        The failed slots are taken in chunks inside which the limit does
+        not fall: all of them when they surely end before it, else as
+        many as surely do, or one.  Given the gap, they are idle or
+        collisions independently, so each chunk's idle slots are one
+        binomial draw."""
+        if gap == math.inf and self.t_stop == math.inf:
+            raise ValueError("no limit is set and no success can end the contention")
+        n_c = 0
+        while gap and self.elapsed < self.t_stop:
+            k = gap
+            if self.t_stop < math.inf:
+                k = min(k, max(1, math.ceil((self.t_stop - self.elapsed) / self.d_fail) - 1))
+            idle = _binomial(uniform, k, share)
+            spent = idle * self.d_idle + (k - idle) * self.d_coll
+            self.elapsed += spent
+            self.listen += remaining * spent
+            self.n_idle += idle
+            n_c += k - idle
+            gap -= k
+        if n_c:
+            self.n_coll += n_c
+            if p_coll == 1.0:
+                self.summed = self.summed + n_c * row
+            else:
+                self.collided.append((np.array([n_c]), row[None, :], np.array([p_coll])))
+        if gap or self.elapsed >= self.t_stop:
+            return False  # the limit came first
+        self.elapsed += self.d_succ
+        self.listen += (remaining - 1) * self.d_succ
+        self.times.append(np.array([self.elapsed]))
+        return True
+
+    def drain(self, rng: np.random.Generator, uniform, counts: np.ndarray,
+              probs: np.ndarray, groups: np.ndarray) -> int:
+        """The gaps after the first success of a race whose winners come
+        from ``groups`` in order, each with its success, up to the time
+        limit.  Returns how many of these successes happen.
+
+        Gap j follows Bianchi's slot law of the counts left after j
+        winners: F_j ~ Geometric(P(success)) failed slots, of which
+        Binomial(F_j, P(idle | no success)) are idle, all drawn at once.
+        A stretch of gaps that surely end before the limit (F_j slots of
+        the longer failed kind) is taken whole; the next gap is walked."""
+        n = len(groups)
+        if n < 2:
+            return 0
+        laws = _race_laws(probs, _left_after(counts, groups[:-1]))
+        remaining = int(counts.sum()) - np.arange(1, n)
+        gaps = np.full(n - 1, np.inf)
+        np.divide(np.log(1.0 - rng.random(n - 1)), np.log1p(-laws.p_lone), out=gaps,
+                  where=laws.p_lone > 0.0)
+        gaps = np.floor(gaps)
+        # a gap that could outlast the limit, or int64, is walked
+        drawable = (gaps < 2.0 ** 62) & (gaps * self.d_fail < self.t_stop)
+        slots = np.where(drawable, gaps, 0.0).astype(np.int64)
+        idle = rng.binomial(slots, laws.share)
+        colls = slots - idle
+        spent = np.where(drawable, idle * self.d_idle + colls * self.d_coll, np.inf)
+        step = spent + self.d_succ
+        heard = remaining * spent + (remaining - 1) * self.d_succ
+
+        j = 0  # gaps done
+        while j < n - 1 and self.elapsed < self.t_stop:
+            ends = self.elapsed + np.cumsum(step[j:])
+            starts = np.concatenate(([self.elapsed], ends[:-1]))
+            safe = drawable[j:] & (starts + gaps[j:] * self.d_fail < self.t_stop)
+            k = len(safe) if safe.all() else int(np.argmin(safe))
+            if k:
+                taken = np.arange(j, j + k)
+                self.times.append(ends[:k])
+                self.elapsed = float(ends[k - 1])
+                self.listen += float(heard[taken].sum())
+                self.n_idle += int(idle[taken].sum())
+                self.n_coll += int(colls[taken].sum())
+                hit = taken[colls[taken] > 0]
+                one = laws.p_coll[hit] == 1.0
+                self.summed = self.summed + colls[hit[one]] @ laws.rows[hit[one]]
+                hit = hit[~one]
+                self.collided.append((colls[hit], laws.rows[hit], laws.p_coll[hit]))
+                j += k
+            if j < n - 1 and self.elapsed < self.t_stop:
+                gap = int(gaps[j]) if gaps[j] < math.inf else math.inf
+                if not self.walk(uniform, gap, laws.rows[j], float(laws.p_coll[j]),
+                                 float(laws.share[j]), int(remaining[j])):
+                    break
+                j += 1
+        return j
+
+    def idle_out(self, remaining: int) -> None:
+        """No contender can transmit: the channel idles up to the limit."""
+        if self.elapsed < self.t_stop < math.inf:
+            n = math.ceil((self.t_stop - self.elapsed) / self.d_idle)
+            self.elapsed += n * self.d_idle
+            self.n_idle += n
+            self.listen += remaining * n * self.d_idle
+
+
+def _collision_transmitters(rng: np.random.Generator, probs: np.ndarray,
+                            summed, collided: list) -> int:
+    """Transmitters summed over collisions.
+
+    Where P(fewer than two transmit) is lost against 1 in double
+    precision (P(collision) == 1), the total of c collisions is one
     Binomial(c * n_g, p_g) per group (sums of binomials with equal p,
-    Devroye 1986), and all such laws share one draw.  Otherwise the draws
-    are rejected until two or more transmit: each round draws every law
-    about the number its missing collisions need, at most ``max_draws``,
-    and a law keeps its first accepted draws.
+    Devroye 1986): ``summed`` holds sum c n_g per group over all such
+    laws (or 0), for one draw.  ``collided`` holds arrays (n_c, rows,
+    p_coll) of the others: ``n_c[i]`` collisions under the slot law of
+    group counts ``rows[i]``, whose P(collision) is ``p_coll[i]``.  Each
+    of these is drawn on its own from the law conditioned on two or more
+    transmitters.  Where that law is likely, P(collision) >= 1/2, the
+    per-group binomials are drawn unconditioned and drawn again where
+    fewer than two transmit: at most half the draws are lost, in fewer
+    array steps than the direct draw (`_conditioned_transmitters`) takes,
+    which serves the rarer collisions.
     """
-    summed = [0] * len(probs)
-    laws = []
-    for n_c, counts, p_coll in collided:
-        if p_coll == 1.0:
-            summed = [s + n_c * n for s, n in zip(summed, counts)]
-        else:
-            laws.append((n_c, counts, p_coll))
-    total = int(rng.binomial(summed, probs).sum()) if any(summed) else 0
-    if not laws:
-        return total
-    need = np.array([n_c for n_c, _, _ in laws])
-    counts = np.array([c for _, c, _ in laws], dtype=np.int64)
-    accept = np.array([p_coll for _, _, p_coll in laws])
-    while need.any():
-        per_law = np.minimum(np.ceil(need / accept), max_draws).astype(np.int64)
-        law_of = np.repeat(np.arange(len(laws)), per_law)
-        sizes = rng.binomial(counts[law_of], probs).sum(axis=1)
-        accepted = np.cumsum(sizes >= 2)
-        before = np.concatenate(([0], accepted))[np.cumsum(per_law) - per_law]
-        keep = (sizes >= 2) & (accepted - before[law_of] <= need[law_of])
-        total += int(sizes[keep].sum())
-        need -= np.bincount(law_of[keep], minlength=len(laws))
-    return total
+    tx = int(rng.binomial(summed, probs).sum()) if np.any(summed) else 0
+    if not collided:
+        return tx
+    n_c, rows, p_coll = (np.concatenate(part) for part in zip(*collided))
+    likely = p_coll >= 0.5
+    if likely.any():
+        tx += int(_redrawn_transmitters(
+            rng, probs, np.repeat(rows[likely], n_c[likely], axis=0)).sum())
+    if not likely.all():
+        tx += int(_conditioned_transmitters(rng, probs, rows[~likely], n_c[~likely]).sum())
+    return tx
+
+
+def _redrawn_transmitters(rng: np.random.Generator, probs: np.ndarray,
+                          rows: np.ndarray) -> np.ndarray:
+    """The transmitters of one collision per row of group counts: the
+    per-group binomials, drawn again where fewer than two transmit."""
+    sizes = rng.binomial(rows, probs).sum(axis=1)
+    short = np.flatnonzero(sizes < 2)
+    while len(short):
+        sizes[short] = rng.binomial(rows[short], probs).sum(axis=1)
+        short = short[sizes[short] < 2]
+    return sizes
+
+
+def _conditioned_transmitters(rng: np.random.Generator, probs: np.ndarray,
+                              rows: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """The transmitters of ``reps[i]`` collisions under each row of group
+    counts, one entry per collision: the per-group binomials conditioned
+    on two or more transmitting, drawn without rejection.
+
+    A p = 1 device always transmits, so beside one of them a single
+    transmitter among the rest completes the collision.  Counting group
+    after group, the draw picks the group in which the needed transmitters
+    are complete, together with how many of them came before it (0 or 1),
+    then that group's transmitters given that they complete the need
+    (`_truncated_binomial`).  The later groups transmit unconditioned.
+    """
+    certain = probs >= 1.0
+    p = np.where(certain, 0.0, probs)
+    n = np.where(certain, 0, rows)
+    extra = (rows * certain).sum(axis=1)  # 0, or 1: one more is needed
+    stay = n * np.log1p(-p)               # log P(no transmitter in the group)
+    odds = n * (p / (1.0 - p))            # P(exactly one) / P(none)
+    some = -np.expm1(stay)
+    two = np.where(n >= 2, np.maximum(some - odds * np.exp(stay), 0.0), 0.0)
+    none_before = np.exp(np.cumsum(stay, axis=1) - stay)
+    one_before = none_before * (np.cumsum(odds, axis=1) - odds)
+    pair = (extra == 0)[:, None]
+    weights = np.stack([none_before * np.where(pair, two, some),
+                        np.where(pair, one_before * some, 0.0)], axis=-1)
+    cum = np.cumsum(weights.reshape(len(rows), -1), axis=1)
+
+    law = np.repeat(np.arange(len(rows)), reps)
+    u = 1.0 - rng.random((2, len(law)))
+    cum = cum[law]
+    group, before = np.divmod((cum < u[0, :, None] * cum[:, -1:]).sum(axis=1), 2)
+    need = 2 - extra[law] - before
+    tail = np.where(need == 2, two[law, group], some[law, group])
+    inside = _truncated_binomial(u[1], n[law, group], p[group], need, tail)
+    later = np.where(np.arange(len(probs)) > group[:, None], n[law], 0)
+    return extra[law] + before + inside + rng.binomial(later, p).sum(axis=1)
+
+
+def _truncated_binomial(u: np.ndarray, n: np.ndarray, p: np.ndarray,
+                        least: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Binomial(n, p) given at least ``least`` (1 or 2), whose probability
+    is ``tail``, per entry by inversion of ``u`` on (0, 1]: the pmf is
+    summed up from ``least``, each entry until its sum reaches its
+    uniform.  The steps are about the draw's excess over ``least``."""
+    odds = p / (1.0 - p)
+    first = np.where(least == 1, n * odds, n * (n - 1) / 2 * odds * odds)
+    term = first * np.exp(n * np.log1p(-p)) / tail
+    x, cdf = least.copy(), term.copy()
+    todo = np.flatnonzero((cdf < u) & (x < n))
+    while len(todo):
+        x[todo] += 1
+        term[todo] *= (n[todo] - x[todo] + 1) / x[todo] * odds[todo]
+        cdf[todo] += term[todo]
+        todo = todo[(cdf[todo] < u[todo]) & (x[todo] < n[todo])]
+    return x
 
 
 def simulate_cop_slots(counts_by_prob: list[tuple[float, int]], tc: TimingConstants,
                        n_slots: int, seed: int) -> CopOutcome:
     """Monte-Carlo slot process over a static mixture (winners rejoin).
 
-    Calibration entry point: runs the simulator's contention engine for a
-    fixed number of slots without draining winners.
+    Calibration entry point: ``n_slots`` slots of the simulator's slot law
+    for fixed counts (`_slot_batch`).
     """
     rng = np.random.default_rng(seed)
-    probs = np.array([p for p, _ in counts_by_prob])
-    counts = np.array([n for _, n in counts_by_prob])
-    return run_cop(rng, counts, probs, tc, drain=False, max_slots=n_slots)
+    probs = np.array([p for p, _ in counts_by_prob], dtype=float)
+    counts = np.array([n for _, n in counts_by_prob], dtype=np.int64)
+    return _slot_batch(rng, counts, probs, tc, n_slots)
+
+
+def _slot_batch(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
+                tc: TimingConstants, n_slots: int) -> CopOutcome:
+    """``n_slots`` slots of a static mixture.  They are i.i.d., so the idle,
+    success and collision counts are one multinomial draw, and each
+    success's group is drawn in proportion to its lone-transmitter term.
+    The slots have no order: the outcome holds no success times and names
+    no winners."""
+    d_idle, d_coll, d_succ = tc.delta_idle_us, tc.delta_coll_us, tc.delta_succ_us
+    p_idle, p_lone, p_coll, _ = _slot_law(counts.tolist(), probs.tolist())
+    n_idle, n_succ, n_coll = rng.multinomial(n_slots, [p_idle, p_lone, p_coll]).tolist()
+    terms = slot_law_rows(probs, counts)[2]
+    groups = rng.choice(len(probs), size=n_succ, p=terms / terms.sum()) if n_succ else []
+    if p_coll == 1.0:
+        tx = _collision_transmitters(rng, probs, n_coll * counts, [])
+    else:
+        tx = _collision_transmitters(rng, probs, 0, [(np.array([n_coll]), counts[None, :],
+                                                       np.array([p_coll]))])
+    n_dev = int(counts.sum())
+    t_fail = n_idle * d_idle + n_coll * d_coll
+    return CopOutcome(
+        success_groups=tuple(int(g) for g in groups), success_times_us=(),
+        t_elapsed_us=t_fail + n_succ * d_succ, n_idle_slots=n_idle, n_collisions=n_coll,
+        coll_tx_time_us=tx * d_coll,
+        listen_time_us=n_dev * t_fail + (n_dev - 1) * n_succ * d_succ - tx * d_coll,
+        n_slots=n_slots,
+    )
 
 
 @dataclass
@@ -451,36 +629,13 @@ def _settle_frame(frame: int, counts: np.ndarray, times: np.ndarray,
 
 def _group_actives(active_ids: np.ndarray, q_arr: np.ndarray, d_arr: np.ndarray,
                    prob: np.ndarray):
-    """Partition active devices into virtual-class groups rho = q + d - 1,
-    as arrays of device ids, with their contending probabilities
+    """Active devices by virtual-class group rho = q + d - 1: their ids,
+    group after group, each group's count and its contending probability
     ``prob[rho]`` (an `escalation_table` row)."""
-    if len(active_ids) == 0:
-        return [], np.empty(0, dtype=np.int64), np.empty(0)
     rho = q_arr[active_ids] - 1 + d_arr[active_ids]
     order = np.argsort(rho, kind="stable")
-    groups, starts = np.unique(rho[order], return_index=True)
-    members = np.split(active_ids[order], starts[1:])
-    counts = np.array([len(m) for m in members], dtype=np.int64)
-    return members, counts, prob[groups]
-
-
-def _draw_winners(rng: np.random.Generator, pools: list[np.ndarray],
-                  groups) -> list[int]:
-    """One winner per success, uniform over the remaining devices of its
-    group's pool, from one block of uniforms; a drawn device is
-    swap-removed from the pool.  A pool becomes a list only when a
-    success first draws from it, so choked frames convert no ids."""
-    winners = []
-    drawn: dict[int, list[int]] = {}
-    for grp, u in zip(groups, rng.random(len(groups)).tolist()):
-        pool = drawn.get(grp)
-        if pool is None:
-            pool = drawn[grp] = pools[grp].tolist()
-        pick = int(u * len(pool))  # below len(pool), as u < 1
-        winners.append(pool[pick])
-        pool[pick] = pool[-1]
-        pool.pop()
-    return winners
+    groups, counts = np.unique(rho[order], return_counts=True)
+    return active_ids[order], counts, prob[groups]
 
 
 _NO_COP = CopOutcome(success_groups=(), success_times_us=(), t_elapsed_us=0.0,
@@ -568,24 +723,24 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
                 raise ValueError(f"scripted winners {winner_ids} of frame {frame} "
                                  "must be distinct active devices")
             cop = replace(_NO_COP, success_groups=tuple(range(n)), n_slots=n,
+                          winners=tuple(winner_ids),
                           success_times_us=tuple((j + 1) * tc.delta_succ_us
                                                  for j in range(n)),
                           t_elapsed_us=n * tc.delta_succ_us)
         elif plan.per_frame[frame].m_opt == 0:
-            # run_cop stops before its first slot at a target of 0 and
-            # _draw_winners draws rng.random(0), so skipping both draws nothing
-            cop, winner_ids = _NO_COP, []
+            # run_cop stops before its first slot at a target of 0, so
+            # skipping it draws nothing
+            cop = _NO_COP
         else:
             decision = plan.per_frame[frame]
-            members, counts, probs = _group_actives(active_ids, report.device_class,
-                                                    d_arr, prob)
+            ids, counts, probs = _group_actives(active_ids, report.device_class,
+                                                d_arr, prob)
             cop = run_cop(rng, counts, probs, tc, m_target=decision.m_opt,
-                          time_limit_us=min(decision.t_cop_opt_us, cop_room))
-            winner_ids = _draw_winners(rng, members, cop.success_groups)
+                          time_limit_us=min(decision.t_cop_opt_us, cop_room), ids=ids)
 
         # cap data slots to what fits after NP, COP and AP
         room = tc.t_frame_us - (tc.t_nof_us + tc.t_anc_us) - cop.t_elapsed_us
-        winner_ids = winner_ids[:max(0, int(room / tc.t_r_us))]
+        winner_ids = cop.winners[:max(0, int(room / tc.t_r_us))]
         m_real = len(winner_ids)
         if collect_traces:
             report.traces.append(FrameTrace(
@@ -598,7 +753,7 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
 
         # winner j sends in TOP slot j and is served at its end
         top_start = tc.t_nof_us + cop.t_elapsed_us + tc.t_anc_us
-        winner_wait = sum(cop.t_elapsed_us - t for t in cop.success_times_us[:m_real])
+        winner_wait = m_real * cop.t_elapsed_us - math.fsum(cop.success_times_us[:m_real])
         return (cop, winner_arr, top_start + (np.arange(m_real) + 1) * tc.t_r_us,
                 winner_wait)
 
@@ -617,9 +772,8 @@ def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
     def serve(rng, frame, active_ids):
         cop = run_cop(rng, np.array([len(active_ids)], dtype=np.int64), np.array([p]), tc,
                       time_limit_us=tc.t_frame_us - (tc.delta_succ_us + tc.t_r_us),
-                      success_extra_us=tc.t_r_us)
-        winners = _draw_winners(rng, [active_ids], cop.success_groups)
-        return cop, np.array(winners, dtype=np.int64), cop.success_times_us, 0.0
+                      success_extra_us=tc.t_r_us, ids=active_ids)
+        return cop, np.array(cop.winners, dtype=np.int64), cop.success_times_us, 0.0
 
     return _frame_loop(SimReport("csma", seed, frames, tc, cfg), serve)
 

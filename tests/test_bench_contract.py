@@ -8,6 +8,7 @@ rename in the package would otherwise surface only when the benchmark runs.
 import ast
 import importlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import yaml
 
 from hymac import cli, optimizer, simulator
 from hymac.domain import ClassConfig, TimingConstants
-from hymac.optimizer import dump_plan, load_plan, optimize, plan_for
+from hymac.optimizer import FrameDecision, dump_plan, load_plan, optimize, plan_for
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SPANS, WORKER = BENCH / "spans.py", BENCH / "worker.py"
@@ -110,6 +111,29 @@ def test_a_choke_costs_nothing(monkeypatch, tcop_calls):
     report = simulator.run_hybrid(cfg, tc, plan, 20, seed=3)
     assert (len(cops), len(grouped)) == (0, 0)
     assert max(f.n_active for f in report.per_frame) > 1000
+
+
+def test_contention_periods_go_through_the_wrapped_name(monkeypatch):
+    # the harness pauses in and times every contention period through
+    # `simulator.run_cop`, and counts `cop_successes` as the entries of
+    # `success_groups`: one call per frame that plans winners, one entry
+    # per winner drawn
+    tc = TimingConstants()
+    cfg = ClassConfig(class_sizes=(1180, 10, 10), p_inl=5e-4, alpha=1.0, arrival_rate=1.0)
+    plan = plan_for(cfg, tc, 4, 1.0, 5e-4)
+    plan = replace(plan, per_frame=tuple(FrameDecision(0, 500.0) if t == 1 else d
+                                         for t, d in enumerate(plan.per_frame)))
+    outcomes, real = [], simulator.run_cop
+
+    def recorded(*args, **kwargs):
+        outcomes.append(real(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(simulator, "run_cop", recorded)
+    report = simulator.run_hybrid(cfg, tc, plan, 4, seed=2, collect_traces=True)
+    assert len(outcomes) == sum(d.m_opt > 0 for d in plan.per_frame) == 3
+    drawn = sum(len(trace.winners) for trace in report.traces)
+    assert sum(len(o.success_groups) for o in outcomes) == drawn > 1000
 
 
 def test_sweep_reads_the_one_pass(tmp_path, capsys, tcop_calls):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 import yaml
 
@@ -26,6 +31,16 @@ def test_usage_error_exit_code(capsys):
 
 def test_missing_scenario_file_exit_code(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path / "nope.yaml")]) == EXIT_CONFIG
+
+
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    # only the asymptotic forms (`hymac validate`) use mpmath, so a run
+    # does not pay for its import
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, hymac.cli; sys.exit('mpmath' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_bad_scenario_exit_code(tmp_path, capsys):
@@ -285,6 +300,9 @@ _WITH_PLAN = "run --scenario {d}/scenario.yaml --plan {d}/p.yaml"
     ({}, "sweep --scenario {d}/scenario.yaml --sweep alpha=nan", "sweep axis alpha"),
     ({}, "sweep --scenario {d}/scenario.yaml --sweep alpha=inf:1e308,p_inl=0.05",
      "sweep axis alpha"),
+    # files that cannot be read: bytes that are not UTF-8, a directory
+    ({"s.yaml": b"name: \xff\xfe\n"}, "run --scenario {d}/s.yaml", "s.yaml"),
+    ({"p.yaml/": None}, _WITH_PLAN, "p.yaml"),
 ], ids=["scenario-yaml-syntax", "plan-yaml-syntax", "plan-without-per_frame",
         "p_inl-not-a-number", "negative-seed", "repeated-sweep-axis",
         "seeds-string", "seeds-float", "horizon-float", "horizon-bool",
@@ -293,12 +311,18 @@ _WITH_PLAN = "run --scenario {d}/scenario.yaml --plan {d}/p.yaml"
         "plan-m_opt-bool", "plan-m_opt-negative", "plan-t_cop-negative",
         "plan-p_inl_opt-above-one", "plan-frames-reordered", "plan-invalid-csma",
         "plan-invalid-tdma", "sweep-p_inl-above-one",
-        "sweep-p_inl-nan", "sweep-alpha-negative", "sweep-alpha-nan", "sweep-alpha-inf"])
+        "sweep-p_inl-nan", "sweep-alpha-negative", "sweep-alpha-nan", "sweep-alpha-inf",
+        "scenario-not-utf-8", "plan-is-a-directory"])
 def test_malformed_input_is_config_error(tmp_path, capsys, files, argv, needle):
     # exit 2, with a message that names the file or the key at fault
     write_scenario(tmp_path)
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        if name.endswith("/"):
+            (tmp_path / name).mkdir()
+        elif isinstance(text, bytes):
+            (tmp_path / name).write_bytes(text)
+        else:
+            (tmp_path / name).write_text(text)
     assert main(argv.format(d=tmp_path).split()) == EXIT_CONFIG
     assert needle in capsys.readouterr().err
 

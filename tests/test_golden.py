@@ -40,27 +40,27 @@ K1200_CHOKED = {"name": "k1200-choked",
 GOLDEN = {
     "readme": {
         "stdout":
-            "21e883506cc0189b61a81c450a511c70468a185c214572a39cba69cf14912d8b",
+            "b70574701ef423a8a925d41e9c1f415cceed3f974806ac2994d04443a6a6483b",
         "devices_csma_seed1.csv":
-            "19bedcd1f0bc2eb863c0921838542ea6f78136c9c5aef10e342a3158da91b0e0",
+            "9ccc7b7b6c01bd36f4e41fc5b681fc180e5fde6b2b5da621828089976064a9e9",
         "devices_csma_seed2.csv":
-            "9db4c71bdc680fd7764f18bb8baa1f6cda2d35f553e1ded9f490a3791d8b0130",
+            "7dfbffd21ac72259d9fabfb5c750ba68886ccc3799a062a49201b3575991242c",
         "devices_hybrid_seed1.csv":
-            "cc5145999f9c9427add3b6ac56fab8f4803c7ac9ea49fe6dd561672aecc1296e",
+            "b2ac63da0d62af0652ad03e03f0e15f70e1483d9699d1273c47048c79211e543",
         "devices_hybrid_seed2.csv":
-            "37fbe4afd06debac9cb2aaf53c21a10c43c0b0a6ddab54cd59dc5751d44f59c7",
+            "fdff0beb5c9f7946412c36a49645b1a7fba918e60231a1a3ff403a8c59f7eaf9",
         "devices_tdma_seed1.csv":
             "b3f4b91a211244f23278e5aad7df563fa3f2c0dab943f2f937d88a7b54245225",
         "devices_tdma_seed2.csv":
             "2f91a324a551e9014ca43917dc964b49286c2c185ea84c10d60ba62f91a3741f",
         "frames_csma_seed1.csv":
-            "1dfc96c335a0a8ba902d72671835f0bfdda94c3b3aa4b9319e85a309660b67dc",
+            "8ac2c91e65bfbabb338ddedc87b7f33997d26ab0b536283e4e26f7d47f4ddda4",
         "frames_csma_seed2.csv":
-            "5eeccbe190a59f91bf1c3efb27a7919e6f812cda2871f7fb9c2a30a888d0d235",
+            "05bd465dea4750d219d4d7f2906986eaee0c083ca527b0b206439aa721de2ac0",
         "frames_hybrid_seed1.csv":
-            "bede9710e2220000e510cef319fd7544d405cab90190568ad6f521b65e2674d1",
+            "27ebbf54c46ee1ff780d3139dabab9917c506e682a0f9c273aea06c5e20100ab",
         "frames_hybrid_seed2.csv":
-            "566d2ee473ee3ed45607d23e8f03d69cc472c79b92d66382a8aa9eefa910d0ee",
+            "28c3d0cba75416a7102b03c68acebccf59666eb6233d32235725f67b257cd334",
         "frames_tdma_seed1.csv":
             "711ce720ee10d52a1ade0086fdf0305b8fb6af5f94123f5502e134aee9df6893",
         "frames_tdma_seed2.csv":
@@ -70,17 +70,17 @@ GOLDEN = {
     },
     "k1200-plan": {
         "stdout":
-            "3c5d7895d2946b05c1aec093df03c8fb6b958cc1bf4a149f76c683e62156c26a",
+            "2b9ca202877fbeac386083bad641c4a19df51a722918845a994909ba372d8530",
         "devices_csma_seed1.csv":
-            "e57fd63c6b62324b7092f01a2faf55045a2aa774f7c6c2e01f36349c619d7c9d",
+            "a0384916fc90057263a79d909459553ac4512fda75565b275112243e2693abe2",
         "devices_hybrid_seed1.csv":
-            "c6a86c076ed4377b13e0df29e4577ee022f8f593aa3778a7277cb057d53b90af",
+            "30fb6a119c7a8b3bbb1de5218b7feb336a9ed24332a1dd43668acd9eae2cc140",
         "devices_tdma_seed1.csv":
             "507501ac67453a107f14b8d9dcf0e9540188a748f47483d1696a7d8b95d19f14",
         "frames_csma_seed1.csv":
-            "769c2ab3eb1e04e741b353bf7ebbca1f946b8de0f6eacceffefdb6e2f2570f41",
+            "d2c1d3621940bd2ef8072a8e152270db8fa816a0107b0d7fc89db97f7934a1d8",
         "frames_hybrid_seed1.csv":
-            "69ef80970eb76f74e11770754dd94e5f4c4dc543f90424aaa5cfc9b3567e6405",
+            "c17881fdeedc7c96b24122ad4c74868edaa7f49e4e86f0a04a0486548cf122a8",
         "frames_tdma_seed1.csv":
             "9bf0f31f6553789977f5f89e02a827f0625de5eaca72241b141d041f99fcf625",
     },
@@ -106,7 +106,7 @@ GOLDEN = {
 
 # `test_zero_winner_frames_of_a_loaded_plan_are_pinned`: the summaries and
 # traces of a resolving run whose plan has two zero-winner frames
-ZERO_WINNER_FRAMES = "b1e0de6de466822e85eae2f6031aad8f41f43ec2ee2497ad81cbb2f27c83adfd"
+ZERO_WINNER_FRAMES = "9f79488d2018b09ec992832ef0b9a3eef10ac2b93226c7703b0722aef43eae0b"
 
 
 def run_digests(tmp_path, capsys, doc, plan=None) -> dict[str, str]:

@@ -19,8 +19,8 @@ def test_virtual_class_merges_hierarchy_and_escalation():
     # contend as one virtual class, rho = q - 1 + d = 2
     q = np.array([3, 1, 1])
     d = np.array([0, 2, 0])
-    members, counts, probs = _group_actives(np.arange(3), q, d, _row(1.0, 0.1, 5))
-    assert [m.tolist() for m in members] == [[2], [0, 1]]
+    ids, counts, probs = _group_actives(np.arange(3), q, d, _row(1.0, 0.1, 5))
+    assert ids.tolist() == [2, 0, 1]
     assert counts.tolist() == [1, 2]
     assert probs.tolist() == [escalated_probability(0, 1.0, 0.1),
                               escalated_probability(2, 1.0, 0.1)]
@@ -83,8 +83,9 @@ def test_probability_bounds_and_monotonicity(alpha, p_inl):
 def test_equivalent_cells_share_probability(cells, alpha, p_inl):
     # devices of equal q - 1 + d form one contention group at its probability
     q, d = (np.array(col) for col in zip(*cells))
-    members, counts, probs = _group_actives(np.arange(len(cells)), q, d,
-                                            _row(alpha, p_inl, 15))
+    ids, counts, probs = _group_actives(np.arange(len(cells)), q, d,
+                                        _row(alpha, p_inl, 15))
+    members = np.split(ids, np.cumsum(counts)[:-1])
     assert sorted(int(m) for grp in members for m in grp) == list(range(len(cells)))
     group_rho = []
     for grp, n, p in zip(members, counts, probs):

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 import sys
 from dataclasses import replace
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_analytics import one_row
+from test_analytics import one_row, transmitter_distribution
 
 from hymac import simulator
 from hymac.analytics import slot_law_rows
@@ -17,8 +19,14 @@ from hymac.simulator import (
     CopOutcome,
     PlanMismatchError,
     _Buffers,
-    _Contenders,
+    _conditioned_transmitters,
+    _left_after,
+    _race,
+    _race_laws,
+    _redrawn_transmitters,
     _settle_frame,
+    _slot_batch,
+    _slot_law,
     run_cop,
     run_csma,
     run_hybrid,
@@ -182,30 +190,25 @@ _STOPS = {
     "winner target": ([15], [0.1], dict(m_target=5, time_limit_us=50_000.0)),
     "time limit": ([50], [0.5], dict(time_limit_us=500.0)),
     "time limit in an idle run": ([2], [0.03], dict(m_target=5, time_limit_us=400.0)),
-    "slot limit in an idle run": ([2, 1], [0.03, 0.05], dict(m_target=3, max_slots=37)),
     "drained, then idle": ([2, 1], [0.5, 0.9],
                            dict(time_limit_us=3000.0, success_extra_us=100.0)),
-    "no drain, slot limit": ([20], [0.05], dict(drain=False, max_slots=5000)),
     "choked, several passes": ([60], [0.3], dict(time_limit_us=200_000.0)),
+    "time limit mid-race": ([300, 40, 20], [0.002, 0.004, 0.008],
+                            dict(m_target=40, time_limit_us=1500.0)),
 }
 
 
 @st.composite
 def cop_periods(draw):
-    """`run_cop` arguments with a time or slot limit (or both), so every
-    period ends: (counts, probs, keywords)."""
+    """`run_cop` arguments with a time limit, so every period ends:
+    (counts, probs, keywords)."""
     n_groups = draw(st.integers(1, 4))
     counts = draw(st.lists(st.integers(0, 300), min_size=n_groups, max_size=n_groups))
     probs = draw(st.lists(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
                           min_size=n_groups, max_size=n_groups))
-    kw = dict(drain=draw(st.booleans()),
-              success_extra_us=draw(st.sampled_from([0.0, 100.0, 2000.0])))
-    limits = draw(st.sampled_from(["time", "slots", "both"]))
-    if limits != "slots":
-        kw["time_limit_us"] = draw(st.floats(0.0, 20_000.0))
-    if limits != "time":
-        kw["max_slots"] = draw(st.integers(0, 2000))
-    kw["m_target"] = draw(st.one_of(st.none(), st.integers(0, 50)))
+    kw = dict(success_extra_us=draw(st.sampled_from([0.0, 100.0, 2000.0])),
+              time_limit_us=draw(st.floats(0.0, 20_000.0)),
+              m_target=draw(st.one_of(st.none(), st.integers(0, 50))))
     return counts, probs, kw
 
 
@@ -220,9 +223,10 @@ def _stop_examples(test):
 @settings(max_examples=200, deadline=None)
 @given(period=cop_periods(), seed=st.integers(0, 2**16))
 def test_cop_accounting_identity(period, seed):
-    """Slot counts and durations tile the period; a limit stops it within
-    the slot that reaches it; at most ``m_target`` successes, no group
-    drains below zero, and each collision has two or more transmitters."""
+    """Slot counts and durations tile the period; the time limit stops it
+    within the slot that reaches it; at most ``m_target`` successes, each
+    by a distinct device of its group, and each collision has two or more
+    transmitters."""
     counts, probs, kw = period
     tc = TimingConstants()
     out = run_cop(np.random.default_rng(seed), np.array(counts), np.array(probs), tc, **kw)
@@ -232,17 +236,16 @@ def test_cop_accounting_identity(period, seed):
              + n_succ * d_succ)
     assert out.t_elapsed_us == pytest.approx(total)
     assert out.n_slots == out.n_idle_slots + out.n_collisions + n_succ
-    if kw.get("max_slots") is not None:
-        assert out.n_slots <= kw["max_slots"]
-    limit = kw.get("time_limit_us", math.inf)
+    limit = kw["time_limit_us"]
     if out.t_elapsed_us >= limit:
         longest_slot = max(tc.delta_idle_us, tc.delta_coll_us, d_succ)
         assert out.t_elapsed_us - longest_slot < limit
     if kw.get("m_target") is not None:
         assert n_succ <= kw["m_target"]
-    if kw.get("drain", True):
-        drained = np.bincount(out.success_groups, minlength=len(counts))
-        assert (drained <= np.array(counts)).all()
+    # winners are named by their positions, group after group
+    assert len(set(out.winners)) == len(out.winners) == n_succ
+    group_of = np.repeat(np.arange(len(counts)), counts)
+    assert group_of[list(out.winners)].tolist() == list(out.success_groups)
     assert list(out.success_times_us) == sorted(out.success_times_us)
     assert all(t <= out.t_elapsed_us for t in out.success_times_us)
     assert out.coll_tx_time_us >= 2 * out.n_collisions * tc.delta_coll_us - 1e-6
@@ -255,46 +258,122 @@ def _agree(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=1e-12, abs_tol=sys.float_info.min)
 
 
+def _race_groups(rng, counts, probs, m):
+    return np.searchsorted(np.cumsum(counts), _race(rng, counts, probs, m), side="right")
+
+
 @settings(max_examples=300, deadline=None)
 @given(groups=st.lists(st.tuples(st.integers(0, 2000),
                                  st.one_of(st.just(1.0),
                                            st.floats(0.0, 1.0, exclude_min=True))),
                        min_size=1, max_size=11),
-       data=st.data())
-def test_contenders_track_slot_law(groups, data):
-    """The O(1) law update after drains against `slot_law_rows` recomputed from
-    the remaining counts: P(idle), P(busy) and each lone-transmitter term."""
-    counts = [n for n, _ in groups]
-    probs = [p for _, p in groups]
-    contenders = _Contenders(probs, counts)  # drains ``counts`` in place
-    for _ in range(data.draw(st.integers(0, 8))):
-        p_idle, p_busy, p_lone, weights = contenders.law()
-        ref_idle, ref_busy, ref_terms = slot_law_rows(np.array(probs, dtype=float),
-                                                      np.array(counts, dtype=float))
+       seed=st.integers(0, 2**16))
+def test_race_laws_follow_the_remaining_counts(groups, seed):
+    """The slot law before each success of a race against `slot_law_rows`
+    of the counts left: P(idle), P(busy) and the lone-transmitter terms,
+    whose sum is P(success); a lone contender cannot collide.  The first
+    gap's law is `_slot_law`'s, the later ones `_race_laws`' with the
+    winners drained one at a time."""
+    probs = np.array([p for _, p in groups])
+    # at most one p = 1 device: two choke the period before any race
+    certain = probs >= 1.0
+    counts = np.array([n if not c else min(n, 1) * (i == np.argmax(certain))
+                       for i, ((n, _), c) in enumerate(zip(groups, certain))])
+    m = min(int(counts.sum()), 60)
+    if m == 0:
+        return
+    order = _race_groups(np.random.default_rng(seed), counts, probs, m)
+    rows = np.vstack([counts, _left_after(counts, order[:-1])])  # before each success
+    race = _race_laws(probs, rows[1:])
+    for j, row in enumerate(rows):
+        ref_idle, ref_busy, ref_terms = slot_law_rows(probs, row.astype(float))
+        p_idle, *first = _slot_law(row.tolist(), probs.tolist())
         assert _agree(p_idle, ref_idle)
-        assert _agree(p_busy, ref_busy)
-        total = sum(weights)
-        terms = [p_lone * (w / total) if total > 0.0 else 0.0 for w in weights]
-        assert all(_agree(a, b) for a, b in zip(terms, ref_terms))
-        live = [g for g, n in enumerate(counts) if n > 0]
-        if not live:
-            break
-        group = data.draw(st.sampled_from(live))
-        for _ in range(data.draw(st.integers(1, counts[group]))):
-            contenders.drain(group)
-        assert contenders.remaining == sum(counts)
+        laws = [first] + ([[race.p_lone[j - 1], race.p_coll[j - 1], race.share[j - 1]]]
+                          if j else [])
+        for p_lone, p_coll, share in laws:
+            assert _agree(p_lone, min(math.fsum(ref_terms), ref_busy))
+            if row.sum() > 1:
+                assert _agree(p_lone + p_coll, ref_busy)
+            else:
+                assert p_coll == 0.0
+            fail = ref_idle + p_coll
+            assert _agree(share, ref_idle / fail if fail > 0.0 else 0.0)
+
+
+def _chi2_agrees(observed: np.ndarray, expected: np.ndarray) -> bool:
+    """Pearson's statistic over the cells expecting five or more (the rest
+    pooled) below its 0.1% critical value (Wilson-Hilferty)."""
+    small = expected < 5.0
+    obs = np.append(observed[~small], observed[small].sum())
+    exp = np.append(expected[~small], expected[small].sum())
+    keep = exp > 0.0
+    stat = float((((obs - exp) ** 2)[keep] / exp[keep]).sum())
+    df = int(keep.sum()) - 1
+    crit = df * (1.0 - 2.0 / (9 * df) + 3.09 * math.sqrt(2.0 / (9 * df))) ** 3
+    return stat < crit
+
+
+@pytest.mark.parametrize("counts, probs", [
+    ((3, 2, 1), (0.05, 0.2, 0.6)),
+    ((2, 2, 1), (0.1, 0.3, 1.0)),   # the p = 1 device always wins first
+])
+def test_race_order_is_successive_sampling(counts, probs):
+    """The first three winners' devices over 30,000 races against the
+    exact successive-sampling probabilities: each next winner is a
+    remaining device in proportion to r = p / (1 - p), a p = 1 device
+    first."""
+    counts, probs = np.array(counts), np.array(probs)
+    r = np.repeat([p / (1.0 - p) if p < 1.0 else math.inf for p in probs], counts)
+    n, draws = len(r), 30_000
+    exact = {}
+    for seq in itertools.permutations(range(n), 3):
+        prob, left = 1.0, list(range(n))
+        for d in seq:
+            live = [i for i in left if r[i] == np.inf] or left
+            prob *= (d in live) * (1.0 if r[d] == np.inf else r[d] / r[live].sum())
+            left.remove(d)
+        exact[seq] = prob
+    rng = np.random.default_rng(17)
+    seen = collections.Counter(tuple(_race(rng, counts, probs, 3).tolist())
+                               for _ in range(draws))
+    assert set(seen) <= {s for s, p in exact.items() if p > 0.0}
+    seqs = sorted(exact)
+    assert _chi2_agrees(np.array([seen[s] for s in seqs], dtype=float),
+                        draws * np.array([exact[s] for s in seqs]))
+
+
+@pytest.mark.parametrize("probs, rows", [
+    ((0.05, 0.3, 0.6), ((3, 2, 4), (0, 5, 1))),
+    ((1.0, 0.1, 0.02), ((1, 3, 2), (1, 0, 40))),   # one p = 1 device: one more needed
+    ((0.002, 0.01, 0.2), ((40, 5, 2), (300, 0, 0))),
+])
+def test_collision_transmitters_follow_the_conditioned_law(probs, rows):
+    """20,000 collisions per law against the exact Poisson-binomial pmf of
+    the transmitters conditioned on two or more: drawn directly, and, where
+    P(collision) >= 1/2, also by drawing again below two."""
+    probs, rows = np.array(probs), np.array(rows)
+    n = 20_000
+    direct = _conditioned_transmitters(np.random.default_rng(8), probs, rows,
+                                       np.full(len(rows), n))
+    for law, row in enumerate(rows):
+        pmf = transmitter_distribution([(p, int(c)) for p, c in zip(probs, row)])
+        draws = [direct[law * n:(law + 1) * n]]
+        if pmf[2:].sum() >= 0.5:
+            draws.append(_redrawn_transmitters(np.random.default_rng(9), probs,
+                                               np.repeat(row[None, :], n, axis=0)))
+        for sample in draws:
+            seen = np.bincount(sample, minlength=len(pmf))
+            assert len(seen) == len(pmf) and seen[:2].sum() == 0
+            assert _chi2_agrees(seen[2:].astype(float), n * pmf[2:] / pmf[2:].sum())
 
 
 def test_cop_without_success_or_limit_raises(tc, rng):
-    # every slot collides and no time or slot limit ends the period
+    # every slot collides and no time limit ends the period
     with pytest.raises(ValueError):
         run_cop(rng, np.array([3]), np.array([1.0]), tc, m_target=1)
     with pytest.raises(ValueError):
-        run_cop(rng, np.array([1, 1]), np.array([1.0, 1.0]), tc, m_target=1,
-                drain=False)
-    # winners rejoin and nothing counts them: no stop at all
-    with pytest.raises(ValueError):
-        run_cop(rng, np.array([3]), np.array([0.5]), tc, drain=False)
+        run_cop(rng, np.array([1, 1]), np.array([1.0, 1.0]), tc, m_target=1)
     # draining every contender ends the period without a limit
     out = run_cop(rng, np.array([3]), np.array([0.5]), tc)
     assert len(out.success_groups) == 3
@@ -317,9 +396,10 @@ _ORACLE_CASES = {
     "csma, success extra": ([20], [0.05],
                             dict(time_limit_us=20_000.0, success_extra_us=2000.0)),
     "choked csma": ([60], [0.3], dict(time_limit_us=3000.0, success_extra_us=2000.0)),
+    # slot batches (winners rejoin), against `simulate_cop_slots`'s engine
     "no drain": ([10, 5], [0.05, 0.1], dict(drain=False, max_slots=120)),
     "time cut in an idle run": ([2], [0.03], dict(m_target=5, time_limit_us=400.0)),
-    "slot cut in an idle run": ([2, 1], [0.03, 0.05], dict(m_target=3, max_slots=37)),
+    "slot cut in an idle run": ([2, 1], [0.03, 0.05], dict(drain=False, max_slots=37)),
     # P(fewer than two transmit) is lost against 1: collisions summed in one draw
     "one-draw collisions": ([1200], [0.1],
                             dict(time_limit_us=3000.0, success_extra_us=2000.0)),
@@ -327,6 +407,12 @@ _ORACLE_CASES = {
 }
 _COP_STATS = ("successes", "idle slots", "collisions", "t_elapsed", "coll_tx",
               "listen", "n_slots", "first winner's group")
+
+
+def _batch(rng, counts, probs, tc, *, drain, max_slots) -> CopOutcome:
+    """`simulate_cop_slots`'s engine under the block oracle's keywords."""
+    assert not drain
+    return _slot_batch(rng, counts, probs, tc, max_slots)
 
 
 def _cop_sample(engine, tc, counts, probs, kw, seeds) -> np.ndarray:
@@ -347,14 +433,22 @@ def _cop_sample(engine, tc, counts, probs, kw, seeds) -> np.ndarray:
 
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
 def test_cop_matches_block_oracle(tc, case):
-    """Two samples of 500 seeded periods, one per engine: each statistic's
-    means within 4 standard errors, and the Kolmogorov-Smirnov distance
-    below its 0.1% critical value, 1.95 * sqrt(2 / n)."""
+    """Two samples of 500 seeded periods, one per engine, agree in law
+    (`_assert_same_law`).  A slot batch runs `simulate_cop_slots`'s engine."""
     counts, probs, kw = _ORACLE_CASES[case]
     n = 500
     ref = _cop_sample(_block_run_cop, tc, counts, probs, kw, range(n))
-    new = _cop_sample(run_cop, tc, counts, probs, kw, range(n, 2 * n))
-    for name, a, b in zip(_COP_STATS, ref, new):
+    engine = _batch if "max_slots" in kw else run_cop
+    new = _cop_sample(engine, tc, counts, probs, kw, range(n, 2 * n))
+    _assert_same_law(_COP_STATS, ref, new)
+
+
+def _assert_same_law(names, ref, new):
+    """Per statistic (rows of ``ref`` and ``new``, one sample per engine):
+    the means within 4 standard errors, and the Kolmogorov-Smirnov
+    distance below its 0.1% critical value, 1.95 * sqrt(2 / n)."""
+    n = ref.shape[1]
+    for name, a, b in zip(names, ref, new):
         se = math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / n)
         if se == 0.0:
             assert a[0] == b[0], name  # the same constant in both samples
@@ -364,6 +458,37 @@ def test_cop_matches_block_oracle(tc, case):
         ks = np.abs(np.searchsorted(np.sort(a), grid, side="right")
                     - np.searchsorted(np.sort(b), grid, side="right")).max() / n
         assert ks < 1.95 * math.sqrt(2 / n), name
+
+
+_CROSSING_STATS = ("successes", "t_elapsed", "crossing gap", "idle slots", "collisions")
+
+
+def _crossing_sample(engine, tc, counts, probs, kw, seeds) -> np.ndarray:
+    """Per seed: the successes, the period's length, the time from the
+    last success to the end (the gap the limit cut), the idle slots and the
+    collisions."""
+    rows = []
+    for seed in seeds:
+        out = engine(np.random.default_rng(seed), np.array(counts), np.array(probs),
+                     tc, **kw)
+        last = out.success_times_us[-1] if out.success_times_us else 0.0
+        rows.append((len(out.success_groups), round(out.t_elapsed_us, 6),
+                     round(out.t_elapsed_us - last, 6), out.n_idle_slots, out.n_collisions))
+    return np.array(rows, dtype=float).T
+
+
+@pytest.mark.parametrize("limit_us", [300.0, 1500.0])
+def test_crossing_gap_matches_block_oracle(tc, limit_us):
+    """A drain that the time limit cuts mid-race: the walked gap that
+    crosses the limit, and the period around it, against the block oracle
+    in two samples of 500 periods."""
+    counts, probs = [300, 40, 20], [0.002, 0.004, 0.008]
+    kw = dict(m_target=40, time_limit_us=limit_us)
+    n = 500
+    ref = _crossing_sample(_block_run_cop, tc, counts, probs, kw, range(n))
+    new = _crossing_sample(run_cop, tc, counts, probs, kw, range(n, 2 * n))
+    assert (new[0] < 40).mean() > 0.99  # the limit binds
+    _assert_same_law(_CROSSING_STATS, ref, new)
 
 
 def test_cop_matches_slot_model(tc):
