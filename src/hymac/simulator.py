@@ -191,8 +191,9 @@ def _binomial(uniform, k: int, p: float) -> int:
 
 def _slot_law(counts: list[int], probs: list[float]):
     """(P(idle), P(success), P(collision), P(idle | no success)) of a slot
-    of one mixture, in floats, by the rules of `analytics.slot_law_rows`:
-    a p = 1 device keeps every slot busy and is a lone transmitter only as
+    of one mixture, in floats, by the rules of `analytics.slot_law_rows`
+    (the gap before a first success takes no numpy call, which would cost
+    more than a whole choked period): a p = 1 device keeps every slot busy and is a lone transmitter only as
     the single such device, and a lone contender cannot collide.  Without
     a p = 1 device, P(success) = W P(idle) with the weight
     W = sum n p / (1 - p), formed in logs, so it stays exact where P(idle)
@@ -216,19 +217,23 @@ def _slot_law(counts: list[int], probs: list[float]):
 _Gaps = namedtuple("_Gaps", "rows p_lone p_coll share")
 
 
+def _slot_laws(probs: np.ndarray, rows: np.ndarray):
+    """(P(idle), P(success), P(collision), lone-transmitter terms) of each
+    row of group counts (a 1-D ``rows`` is one mixture), from
+    `analytics.slot_law_rows`: P(success) is the sum of the terms, at
+    most P(busy), and a lone contender cannot collide."""
+    p_idle, p_busy, terms = slot_law_rows(probs, rows)
+    p_lone = np.minimum(terms.sum(axis=-1), p_busy)
+    p_coll = np.where(rows.sum(axis=-1) > 1, p_busy - p_lone, 0.0)
+    return p_idle, p_lone, p_coll, terms
+
+
 def _race_laws(probs: np.ndarray, rows: np.ndarray) -> _Gaps:
-    """`_Gaps` of each row of group counts, by `_slot_law`'s rules, as
-    arrays.  No row holds a p = 1 device: one such device wins first, and
-    two choke the period before any race.  log P(idle) = sum n log1p(-p)
-    and the weight W = sum n p / (1 - p) are dot products of each row's
-    own counts, so every row is as exact as its law computed afresh,
-    whatever the drains before it.  Every row holds a device that can
-    win, so W > 0."""
-    q = np.where(probs < 1.0, probs, 0.0)  # a drained p = 1 group holds no device
-    log_idle = rows @ np.log1p(-q)
-    p_idle, p_busy = np.exp(log_idle), -np.expm1(log_idle)
-    p_lone = np.minimum(np.exp(log_idle + np.log(rows @ (q / (1.0 - q)))), p_busy)
-    p_coll = np.where(rows.sum(axis=1) > 1, p_busy - p_lone, 0.0)
+    """`_Gaps` of each row of group counts.  No row holds a p = 1 device:
+    one such device wins first, and two choke the period before any race.
+    Each row's law comes from its own counts, so no rounding carries over
+    from one drain to the next."""
+    p_idle, p_lone, p_coll, _ = _slot_laws(probs, rows)
     return _Gaps(rows, p_lone, p_coll, p_idle / (p_idle + p_coll))
 
 
@@ -274,7 +279,7 @@ class _Period:
         self.times: list = []      # arrays of success times, in order
         # collisions where P(collision) == 1: sum of c n_g per group
         self.summed = 0
-        # other collisions: (collisions, group counts, P(collision)) arrays
+        # other collisions: (collisions, group counts) arrays
         self.collided: list = []
 
     def walk(self, uniform, gap, row: np.ndarray, p_coll: float, share: float,
@@ -308,7 +313,7 @@ class _Period:
             if p_coll == 1.0:
                 self.summed = self.summed + n_c * row
             else:
-                self.collided.append((np.array([n_c]), row[None, :], np.array([p_coll])))
+                self.collided.append((np.array([n_c]), row[None, :]))
         if gap or self.elapsed >= self.t_stop:
             return False  # the limit came first
         self.elapsed += self.d_succ
@@ -333,8 +338,9 @@ class _Period:
         laws = _race_laws(probs, _left_after(counts, groups[:-1]))
         remaining = int(counts.sum()) - np.arange(1, n)
         gaps = np.full(n - 1, np.inf)
-        np.divide(np.log(1.0 - rng.random(n - 1)), np.log1p(-laws.p_lone), out=gaps,
-                  where=laws.p_lone > 0.0)
+        with np.errstate(over="ignore"):  # a subnormal P(success): inf, as in `_failures`
+            np.divide(np.log(1.0 - rng.random(n - 1)), np.log1p(-laws.p_lone), out=gaps,
+                      where=laws.p_lone > 0.0)
         gaps = np.floor(gaps)
         # a gap that could outlast the limit, or int64, is walked
         drawable = (gaps < 2.0 ** 62) & (gaps * self.d_fail < self.t_stop)
@@ -362,7 +368,8 @@ class _Period:
                 one = laws.p_coll[hit] == 1.0
                 self.summed = self.summed + colls[hit[one]] @ laws.rows[hit[one]]
                 hit = hit[~one]
-                self.collided.append((colls[hit], laws.rows[hit], laws.p_coll[hit]))
+                if len(hit):
+                    self.collided.append((colls[hit], laws.rows[hit]))
                 j += k
             if j < n - 1 and self.elapsed < self.t_stop:
                 gap = int(gaps[j]) if gaps[j] < math.inf else math.inf
@@ -389,39 +396,17 @@ def _collision_transmitters(rng: np.random.Generator, probs: np.ndarray,
     precision (P(collision) == 1), the total of c collisions is one
     Binomial(c * n_g, p_g) per group (sums of binomials with equal p,
     Devroye 1986): ``summed`` holds sum c n_g per group over all such
-    laws (or 0), for one draw.  ``collided`` holds arrays (n_c, rows,
-    p_coll) of the others: ``n_c[i]`` collisions under the slot law of
-    group counts ``rows[i]``, whose P(collision) is ``p_coll[i]``.  Each
-    of these is drawn on its own from the law conditioned on two or more
-    transmitters.  Where that law is likely, P(collision) >= 1/2, the
-    per-group binomials are drawn unconditioned and drawn again where
-    fewer than two transmit: at most half the draws are lost, in fewer
-    array steps than the direct draw (`_conditioned_transmitters`) takes,
-    which serves the rarer collisions.
+    laws (or 0), for one draw.  ``collided`` holds array pairs (n_c, rows)
+    of the others: ``n_c[i]`` collisions under the slot law of group
+    counts ``rows[i]``.  Each of these is drawn on its own from the law
+    conditioned on two or more transmitters, without rejection
+    (`_conditioned_transmitters`).
     """
     tx = int(rng.binomial(summed, probs).sum()) if np.any(summed) else 0
     if not collided:
         return tx
-    n_c, rows, p_coll = (np.concatenate(part) for part in zip(*collided))
-    likely = p_coll >= 0.5
-    if likely.any():
-        tx += int(_redrawn_transmitters(
-            rng, probs, np.repeat(rows[likely], n_c[likely], axis=0)).sum())
-    if not likely.all():
-        tx += int(_conditioned_transmitters(rng, probs, rows[~likely], n_c[~likely]).sum())
-    return tx
-
-
-def _redrawn_transmitters(rng: np.random.Generator, probs: np.ndarray,
-                          rows: np.ndarray) -> np.ndarray:
-    """The transmitters of one collision per row of group counts: the
-    per-group binomials, drawn again where fewer than two transmit."""
-    sizes = rng.binomial(rows, probs).sum(axis=1)
-    short = np.flatnonzero(sizes < 2)
-    while len(short):
-        sizes[short] = rng.binomial(rows[short], probs).sum(axis=1)
-        short = short[sizes[short] < 2]
-    return sizes
+    n_c, rows = (np.concatenate(part) for part in zip(*collided))
+    return tx + int(_conditioned_transmitters(rng, probs, rows, n_c).sum())
 
 
 def _conditioned_transmitters(rng: np.random.Generator, probs: np.ndarray,
@@ -503,15 +488,13 @@ def _slot_batch(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
     The slots have no order: the outcome holds no success times and names
     no winners."""
     d_idle, d_coll, d_succ = tc.delta_idle_us, tc.delta_coll_us, tc.delta_succ_us
-    p_idle, p_lone, p_coll, _ = _slot_law(counts.tolist(), probs.tolist())
+    p_idle, p_lone, p_coll, terms = _slot_laws(probs, counts)
     n_idle, n_succ, n_coll = rng.multinomial(n_slots, [p_idle, p_lone, p_coll]).tolist()
-    terms = slot_law_rows(probs, counts)[2]
     groups = rng.choice(len(probs), size=n_succ, p=terms / terms.sum()) if n_succ else []
     if p_coll == 1.0:
         tx = _collision_transmitters(rng, probs, n_coll * counts, [])
     else:
-        tx = _collision_transmitters(rng, probs, 0, [(np.array([n_coll]), counts[None, :],
-                                                       np.array([p_coll]))])
+        tx = _collision_transmitters(rng, probs, 0, [(np.array([n_coll]), counts[None, :])])
     n_dev = int(counts.sum())
     t_fail = n_idle * d_idle + n_coll * d_coll
     return CopOutcome(

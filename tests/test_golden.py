@@ -40,15 +40,15 @@ K1200_CHOKED = {"name": "k1200-choked",
 GOLDEN = {
     "readme": {
         "stdout":
-            "b70574701ef423a8a925d41e9c1f415cceed3f974806ac2994d04443a6a6483b",
+            "f433b0611abc649df30db74a3b91da37907d0f527cde93bd6ad75c99d94654fe",
         "devices_csma_seed1.csv":
             "9ccc7b7b6c01bd36f4e41fc5b681fc180e5fde6b2b5da621828089976064a9e9",
         "devices_csma_seed2.csv":
             "7dfbffd21ac72259d9fabfb5c750ba68886ccc3799a062a49201b3575991242c",
         "devices_hybrid_seed1.csv":
-            "b2ac63da0d62af0652ad03e03f0e15f70e1483d9699d1273c47048c79211e543",
+            "f35a663733f2d8ba1f44cb6a6fdeffe42eab1259b6c2507486dfc7fae000e1da",
         "devices_hybrid_seed2.csv":
-            "fdff0beb5c9f7946412c36a49645b1a7fba918e60231a1a3ff403a8c59f7eaf9",
+            "abaa7c2dc047e8a805a0f4c12ea1872b8d800a4aa8618e6521b12c5bd1632f69",
         "devices_tdma_seed1.csv":
             "b3f4b91a211244f23278e5aad7df563fa3f2c0dab943f2f937d88a7b54245225",
         "devices_tdma_seed2.csv":
@@ -58,9 +58,9 @@ GOLDEN = {
         "frames_csma_seed2.csv":
             "05bd465dea4750d219d4d7f2906986eaee0c083ca527b0b206439aa721de2ac0",
         "frames_hybrid_seed1.csv":
-            "27ebbf54c46ee1ff780d3139dabab9917c506e682a0f9c273aea06c5e20100ab",
+            "91f3a88c6fce9af52620dee489eae1162e1c559bd0d3d6965dec4d6da12fcefb",
         "frames_hybrid_seed2.csv":
-            "28c3d0cba75416a7102b03c68acebccf59666eb6233d32235725f67b257cd334",
+            "cbcb1e2558c89e55fc756f4c2940f9b75e48ff165188fec09641019146cbc65e",
         "frames_tdma_seed1.csv":
             "711ce720ee10d52a1ade0086fdf0305b8fb6af5f94123f5502e134aee9df6893",
         "frames_tdma_seed2.csv":
@@ -106,7 +106,7 @@ GOLDEN = {
 
 # `test_zero_winner_frames_of_a_loaded_plan_are_pinned`: the summaries and
 # traces of a resolving run whose plan has two zero-winner frames
-ZERO_WINNER_FRAMES = "9f79488d2018b09ec992832ef0b9a3eef10ac2b93226c7703b0722aef43eae0b"
+ZERO_WINNER_FRAMES = "883f480255542a3511c0c1366fafd8da94f1bc15c22cc4ce97d64530b503ac33"
 
 
 def run_digests(tmp_path, capsys, doc, plan=None) -> dict[str, str]:

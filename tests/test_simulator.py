@@ -23,7 +23,6 @@ from hymac.simulator import (
     _left_after,
     _race,
     _race_laws,
-    _redrawn_transmitters,
     _settle_frame,
     _slot_batch,
     _slot_law,
@@ -195,6 +194,8 @@ _STOPS = {
     "choked, several passes": ([60], [0.3], dict(time_limit_us=200_000.0)),
     "time limit mid-race": ([300, 40, 20], [0.002, 0.004, 0.008],
                             dict(m_target=40, time_limit_us=1500.0)),
+    "subnormal P(success) after a p = 1 winner": ([1, 1], [1.0, 5e-324],
+                                                  dict(time_limit_us=1.0)),
 }
 
 
@@ -269,36 +270,36 @@ def _race_groups(rng, counts, probs, m):
                        min_size=1, max_size=11),
        seed=st.integers(0, 2**16))
 def test_race_laws_follow_the_remaining_counts(groups, seed):
-    """The slot law before each success of a race against `slot_law_rows`
-    of the counts left: P(idle), P(busy) and the lone-transmitter terms,
-    whose sum is P(success); a lone contender cannot collide.  The first
-    gap's law is `_slot_law`'s, the later ones `_race_laws`' with the
-    winners drained one at a time."""
+    """The slot law before each success against `slot_law_rows` of the
+    counts left: P(idle), P(busy) and the lone-transmitter terms, whose
+    sum is P(success); a lone contender cannot collide.  The first gap's
+    law, `_slot_law`, on any counts (with two or more p = 1 devices no
+    slot succeeds); the later ones, `_race_laws`, along a random race
+    order with the winners drained one at a time."""
     probs = np.array([p for _, p in groups])
-    # at most one p = 1 device: two choke the period before any race
+    counts = np.array([n for n, _ in groups])
+    p_idle, *first = _slot_law(counts.tolist(), probs.tolist())
+    assert _agree(p_idle, slot_law_rows(probs, counts.astype(float))[0])
+    laws = [(counts, first)]
+    # at most one p = 1 device in a race: two choke the period before it
     certain = probs >= 1.0
     counts = np.array([n if not c else min(n, 1) * (i == np.argmax(certain))
                        for i, ((n, _), c) in enumerate(zip(groups, certain))])
     m = min(int(counts.sum()), 60)
-    if m == 0:
-        return
-    order = _race_groups(np.random.default_rng(seed), counts, probs, m)
-    rows = np.vstack([counts, _left_after(counts, order[:-1])])  # before each success
-    race = _race_laws(probs, rows[1:])
-    for j, row in enumerate(rows):
+    if m >= 2:
+        order = _race_groups(np.random.default_rng(seed), counts, probs, m)
+        rows = _left_after(counts, order[:-1])  # before each success after the first
+        race = _race_laws(probs, rows)
+        laws += zip(rows, zip(race.p_lone, race.p_coll, race.share))
+    for row, (p_lone, p_coll, share) in laws:
         ref_idle, ref_busy, ref_terms = slot_law_rows(probs, row.astype(float))
-        p_idle, *first = _slot_law(row.tolist(), probs.tolist())
-        assert _agree(p_idle, ref_idle)
-        laws = [first] + ([[race.p_lone[j - 1], race.p_coll[j - 1], race.share[j - 1]]]
-                          if j else [])
-        for p_lone, p_coll, share in laws:
-            assert _agree(p_lone, min(math.fsum(ref_terms), ref_busy))
-            if row.sum() > 1:
-                assert _agree(p_lone + p_coll, ref_busy)
-            else:
-                assert p_coll == 0.0
-            fail = ref_idle + p_coll
-            assert _agree(share, ref_idle / fail if fail > 0.0 else 0.0)
+        assert _agree(p_lone, min(math.fsum(ref_terms), ref_busy))
+        if row.sum() > 1:
+            assert _agree(p_lone + p_coll, ref_busy)
+        else:
+            assert p_coll == 0.0
+        fail = ref_idle + p_coll
+        assert _agree(share, ref_idle / fail if fail > 0.0 else 0.0)
 
 
 def _chi2_agrees(observed: np.ndarray, expected: np.ndarray) -> bool:
@@ -350,22 +351,16 @@ def test_race_order_is_successive_sampling(counts, probs):
 ])
 def test_collision_transmitters_follow_the_conditioned_law(probs, rows):
     """20,000 collisions per law against the exact Poisson-binomial pmf of
-    the transmitters conditioned on two or more: drawn directly, and, where
-    P(collision) >= 1/2, also by drawing again below two."""
+    the transmitters conditioned on two or more."""
     probs, rows = np.array(probs), np.array(rows)
     n = 20_000
     direct = _conditioned_transmitters(np.random.default_rng(8), probs, rows,
                                        np.full(len(rows), n))
     for law, row in enumerate(rows):
         pmf = transmitter_distribution([(p, int(c)) for p, c in zip(probs, row)])
-        draws = [direct[law * n:(law + 1) * n]]
-        if pmf[2:].sum() >= 0.5:
-            draws.append(_redrawn_transmitters(np.random.default_rng(9), probs,
-                                               np.repeat(row[None, :], n, axis=0)))
-        for sample in draws:
-            seen = np.bincount(sample, minlength=len(pmf))
-            assert len(seen) == len(pmf) and seen[:2].sum() == 0
-            assert _chi2_agrees(seen[2:].astype(float), n * pmf[2:] / pmf[2:].sum())
+        seen = np.bincount(direct[law * n:(law + 1) * n], minlength=len(pmf))
+        assert len(seen) == len(pmf) and seen[:2].sum() == 0
+        assert _chi2_agrees(seen[2:].astype(float), n * pmf[2:] / pmf[2:].sum())
 
 
 def test_cop_without_success_or_limit_raises(tc, rng):
