@@ -523,16 +523,22 @@ class _Buffers:
         return cls(np.zeros(k, dtype=bool), *counters)
 
 
-def _mean_arrivals(cfg: ClassConfig, tc: TimingConstants) -> float:
-    return cfg.arrival_rate / US_PER_S * tc.t_frame_us
-
-
 def _poisson_arrivals(rng: np.random.Generator, cfg: ClassConfig,
-                      tc: TimingConstants):
-    """One frame of arrivals: per-device counts, then the time of every
-    arrival, device by device (unsorted within a device)."""
-    counts = rng.poisson(_mean_arrivals(cfg, tc), size=cfg.total_devices)
-    return counts, rng.random(int(counts.sum())) * tc.t_frame_us
+                      tc: TimingConstants, timed: bool):
+    """One frame of arrivals as one marked Poisson process: (per-device
+    counts, the owner of every arrival, their times, or None when not
+    ``timed``).
+
+    Every device's arrivals are Poisson(lambda T) and independent, so
+    together they are one Poisson(K lambda T) process whose arrivals each
+    belong to a uniform device at a uniform time in the frame (superposition
+    and marking, Kingman 1993): one total, one owner per arrival, and one
+    time per arrival, drawn only when a service needs them."""
+    k = cfg.total_devices
+    per_device = cfg.arrival_rate / US_PER_S * tc.t_frame_us  # lambda T
+    owner = rng.integers(0, k, rng.poisson(k * per_device))
+    times = rng.random(len(owner)) * tc.t_frame_us if timed else None
+    return np.bincount(owner, minlength=k), owner, times
 
 
 def _scripted_arrivals(script: dict, k: int):
@@ -544,7 +550,7 @@ def _scripted_arrivals(script: dict, k: int):
             raise ValueError(f"scripted arrival for device {dev} outside 0..{k - 1}")
         counts[dev] = len(script[dev])
         times += [float(t) for t in script[dev]]
-    return counts, np.array(times, dtype=float)
+    return counts, np.repeat(np.arange(k), counts), np.array(times, dtype=float)
 
 
 def _service_rounds(k: int, devices: np.ndarray, instants_us) -> np.ndarray:
@@ -574,12 +580,14 @@ def _arrive(frame: int, n: np.ndarray, buf: _Buffers) -> int:
     return np.count_nonzero(new)
 
 
-def _settle_frame(frame: int, counts: np.ndarray, times: np.ndarray,
-                  devices: np.ndarray, instants_us, buf: _Buffers) -> tuple[int, int, int]:
+def _settle_frame(frame: int, counts: np.ndarray, owner: np.ndarray,
+                  times: np.ndarray | None, devices: np.ndarray, instants_us,
+                  buf: _Buffers) -> tuple[int, int, int]:
     """Apply one frame of arrivals and services to every buffer at once.
 
-    ``counts[dev]`` arrivals belong to each device, and ``times`` holds
-    their times, device by device.  ``devices[j]`` is served at
+    ``counts[dev]`` arrivals belong to each device; arrival i belongs to
+    device ``owner[i]`` and comes at ``times[i]``, in any order (the times
+    are read only in a frame with a service).  ``devices[j]`` is served at
     ``instants_us[j]``, in time order (see `_service_rounds`).  An arrival
     strictly before a service instant is buffered before it; one at the
     instant or later comes after.  A service delivers a full buffer and
@@ -591,7 +599,6 @@ def _settle_frame(frame: int, counts: np.ndarray, times: np.ndarray,
     n_delivered = n_idle = n_filled = 0
     rest = counts  # the arrivals after the frame's last service
     if len(devices):  # arrivals are split at the services only in a frame that has one
-        owner = np.repeat(np.arange(k), counts)
         seen = np.zeros(k, dtype=np.int64)
         for instants in _service_rounds(k, devices, instants_us):
             before = np.bincount(owner[times < instants[owner]], minlength=k)
@@ -634,9 +641,12 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None) ->
     and the `FrameSummary`.  ``serve(rng, frame, active_ids)`` gives the
     protocol's schedule: the contention outcome (None without contention),
     the served devices in service order, their service instants and the
-    winners' wait.  ``m_realized`` counts deliveries, ``tdma_idle_slots``
-    services of an empty buffer, and ``n_active`` the buffers full at the
-    frame start, plus, without contention, those filled during the frame.
+    winners' wait.  The schedule comes before the frame's arrivals, which
+    are drawn with their times only when it serves some device
+    (`_poisson_arrivals`).  ``m_realized`` counts deliveries,
+    ``tdma_idle_slots`` services of an empty buffer, and ``n_active`` the
+    buffers full at the frame start, plus, without contention, those
+    filled during the frame.
     """
     cfg, tc, k = report.cfg, report.tc, report.cfg.total_devices
     rng = np.random.default_rng(report.seed)
@@ -644,7 +654,7 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None) ->
     report.generated, report.dropped = buf.generated, buf.dropped
     report.delivered, report.delay_frames_sum = buf.delivered, buf.delay_sum
     if arrival_script is None:
-        counts = rng.poisson(_mean_arrivals(cfg, tc), size=k)
+        counts, _, _ = _poisson_arrivals(rng, cfg, tc, timed=False)
         buf.generated += counts
         _arrive(-1, counts, buf)
 
@@ -652,7 +662,7 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None) ->
         active_ids = np.nonzero(buf.full)[0]
         cop, devices, instants_us, wait_us = serve(rng, frame, active_ids)
         if arrival_script is None:
-            arrivals = _poisson_arrivals(rng, cfg, tc)
+            arrivals = _poisson_arrivals(rng, cfg, tc, timed=len(devices) > 0)
         else:
             arrivals = _scripted_arrivals(arrival_script.get(frame, {}), k)
         m_real, n_idle, n_filled = _settle_frame(frame, *arrivals, devices, instants_us, buf)

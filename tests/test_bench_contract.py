@@ -113,6 +113,44 @@ def test_a_choke_costs_nothing(monkeypatch, tcop_calls):
     assert max(f.n_active for f in report.per_frame) > 1000
 
 
+def _timed_arrivals(monkeypatch) -> list:
+    """Whether each draw through `simulator._poisson_arrivals` from now on
+    drew arrival times."""
+    timed, real = [], simulator._poisson_arrivals
+
+    def recording(*args, **kwargs):
+        arrivals = real(*args, **kwargs)
+        timed.append(arrivals[2] is not None)
+        return arrivals
+
+    monkeypatch.setattr(simulator, "_poisson_arrivals", recording)
+    return timed
+
+
+def test_a_frame_without_a_service_draws_no_arrival_times(monkeypatch):
+    # on the grid-choked benchmark scenario no hybrid frame plans a winner
+    # and no CSMA frame has a success, so neither draws arrival times; a
+    # TDMA frame and a resolving hybrid frame serve devices and draw them
+    # (the warm-up before frame 0 draws counts only)
+    tc = TimingConstants()
+    cfg = ClassConfig(class_sizes=(1180, 10, 10), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
+    plan = optimize(cfg, tc, 200)
+    assert not any(d.m_opt for d in plan.per_frame)
+    timed = _timed_arrivals(monkeypatch)
+    simulator.run_hybrid(cfg, tc, plan, 20, seed=3)
+    assert timed == [False] * 21
+    timed.clear()
+    report = simulator.run_csma(cfg, tc, 0.1, 5, seed=3)
+    assert timed == [False] * 6 and not any(f.m_realized for f in report.per_frame)
+    timed.clear()
+    simulator.run_tdma(cfg, tc, 5, seed=3)
+    assert timed == [False] + [True] * 5
+    timed.clear()
+    resolving = replace(cfg, p_inl=5e-4)
+    simulator.run_hybrid(resolving, tc, plan_for(resolving, tc, 3, 1.0, 5e-4), 3, seed=3)
+    assert timed == [False] + [True] * 3
+
+
 def test_contention_periods_go_through_the_wrapped_name(monkeypatch):
     # the harness pauses in and times every contention period through
     # `simulator.run_cop`, and counts `cop_successes` as the entries of

@@ -33,14 +33,28 @@ def test_missing_scenario_file_exit_code(tmp_path, capsys):
     assert main(["run", "--scenario", str(tmp_path / "nope.yaml")]) == EXIT_CONFIG
 
 
-def test_importing_the_cli_leaves_mpmath_unloaded():
-    # only the asymptotic forms (`hymac validate`) use mpmath, so a run
-    # does not pay for its import
+def _loaded_by_importing_the_cli(*modules):
+    """Which of ``modules`` a fresh interpreter holds after `import hymac.cli`."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = "import sys, hymac.cli; sys.exit('mpmath' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = f"import sys, hymac.cli; print(*[m for m in {modules!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return done.stdout.split()
+
+
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    # only the asymptotic forms (`hymac validate`) use mpmath, so a run
+    # does not pay for its import
+    assert _loaded_by_importing_the_cli("mpmath") == []
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # only a run with HYMAC_WORKERS > 1 uses the pool, so a serial run does
+    # not pay for importing it or multiprocessing
+    assert _loaded_by_importing_the_cli("concurrent.futures.process",
+                                        "multiprocessing") == []
 
 
 def test_bad_scenario_exit_code(tmp_path, capsys):

@@ -40,65 +40,65 @@ K1200_CHOKED = {"name": "k1200-choked",
 GOLDEN = {
     "readme": {
         "stdout":
-            "f433b0611abc649df30db74a3b91da37907d0f527cde93bd6ad75c99d94654fe",
+            "9d512f8bdc05d285cab0417177261f071b26be27fbccec32d65607d9e4480ca7",
         "devices_csma_seed1.csv":
-            "9ccc7b7b6c01bd36f4e41fc5b681fc180e5fde6b2b5da621828089976064a9e9",
+            "dd4410624802c9f578353c49a6a3e7e87794c65eb26e929863c4f421ba45067b",
         "devices_csma_seed2.csv":
-            "7dfbffd21ac72259d9fabfb5c750ba68886ccc3799a062a49201b3575991242c",
+            "bb59fdfd935540b65bee214eea61b364377304c8b1d6faf872bf6ce27224a1a1",
         "devices_hybrid_seed1.csv":
-            "f35a663733f2d8ba1f44cb6a6fdeffe42eab1259b6c2507486dfc7fae000e1da",
+            "6158c75199b1c6448f7ff8a1fa970b18c691e754c8ea6e360ff021372c8449d8",
         "devices_hybrid_seed2.csv":
-            "abaa7c2dc047e8a805a0f4c12ea1872b8d800a4aa8618e6521b12c5bd1632f69",
+            "42c3350631a4c62ba3dd8cb4a8981efcda486f001e7170cced13e4d2e8bcfcee",
         "devices_tdma_seed1.csv":
-            "b3f4b91a211244f23278e5aad7df563fa3f2c0dab943f2f937d88a7b54245225",
+            "309f4fa40b7bb639b8a0109f299243f78add35f5ce8a95507f3c87778ab08827",
         "devices_tdma_seed2.csv":
-            "2f91a324a551e9014ca43917dc964b49286c2c185ea84c10d60ba62f91a3741f",
+            "616aab9243fa1e9c6d662633cc14e97a6c6164154b293e85d3eaa88bee618814",
         "frames_csma_seed1.csv":
-            "8ac2c91e65bfbabb338ddedc87b7f33997d26ab0b536283e4e26f7d47f4ddda4",
+            "71e74b2283685de9a0d8f054367763b99a1f6430a878f85c3ae2befeb77ed838",
         "frames_csma_seed2.csv":
-            "05bd465dea4750d219d4d7f2906986eaee0c083ca527b0b206439aa721de2ac0",
+            "0b5cc4b9321e75e590a6b2f124125c003b1a74c443c31c115bebac677d4c4cfb",
         "frames_hybrid_seed1.csv":
-            "91f3a88c6fce9af52620dee489eae1162e1c559bd0d3d6965dec4d6da12fcefb",
+            "9192ecf0ab3b89802563f8411dfbed396fd7514bf72670e8141838b03d83512b",
         "frames_hybrid_seed2.csv":
-            "cbcb1e2558c89e55fc756f4c2940f9b75e48ff165188fec09641019146cbc65e",
+            "4fff5ede700ff60b2fa32b7297268806507452de08e3df87e7cd7112d7bef574",
         "frames_tdma_seed1.csv":
-            "711ce720ee10d52a1ade0086fdf0305b8fb6af5f94123f5502e134aee9df6893",
+            "d46d0e37582c0291b172192d76fb2ac1b9c8c861abcad0f357374e1de23eab1a",
         "frames_tdma_seed2.csv":
-            "9d86f2793202579bdaedb2c202a82357905f94483d564bfc7a8e59bf121cd343",
+            "c2b00f4417fc5c43185a7f1f1b35dfc0adb38ad9258f0c6f889466de6f17674f",
         "plan.yaml":
             "b537b1fd5b975c321c0b1961756204ed84dcfac3e2a1656ce3c462aa625a779b",
     },
     "k1200-plan": {
         "stdout":
-            "2b9ca202877fbeac386083bad641c4a19df51a722918845a994909ba372d8530",
+            "7c5dee8aaccb5c65816922d924d086bbd5b0532404ecb1019b9a03963c29888f",
         "devices_csma_seed1.csv":
-            "a0384916fc90057263a79d909459553ac4512fda75565b275112243e2693abe2",
+            "0a935311404db695cebfce5b7d24ea71f0215e0f0de1c32fd70e732993baadf3",
         "devices_hybrid_seed1.csv":
-            "30fb6a119c7a8b3bbb1de5218b7feb336a9ed24332a1dd43668acd9eae2cc140",
+            "53d0191f3ab29479e0d663cba450a1b6448207e2bdb920f3c6f3719025330ed6",
         "devices_tdma_seed1.csv":
-            "507501ac67453a107f14b8d9dcf0e9540188a748f47483d1696a7d8b95d19f14",
+            "90c753cd68546b2c25739df3183bf1e18f4ab9bbebc03780a3c631920cbd1fa6",
         "frames_csma_seed1.csv":
-            "d2c1d3621940bd2ef8072a8e152270db8fa816a0107b0d7fc89db97f7934a1d8",
+            "7589923c7e264bc49f040ca00c3cd57bd06a3fab0c9b98d993f5f7d0dde8babd",
         "frames_hybrid_seed1.csv":
-            "c17881fdeedc7c96b24122ad4c74868edaa7f49e4e86f0a04a0486548cf122a8",
+            "3acc94569b8b04b5257a3c0d87b9b1afbd6e4915e8e54260eaf1ce656110f0a6",
         "frames_tdma_seed1.csv":
-            "9bf0f31f6553789977f5f89e02a827f0625de5eaca72241b141d041f99fcf625",
+            "0c51f50c008fc362316f6ccf25a7ca57b0eebc4e1d9004803880066c8247c6c1",
     },
     "k1200-choked": {
         "stdout":
-            "7853756e1c68344c47081a9bdab5096c66f3e9492c3b2169b61a53111005d327",
+            "621e89dfff98de9253abc2c5ed4baf4f3f3a5817160726ae4f305bf7a5520bd7",
         "devices_csma_seed1.csv":
-            "49da2a43bbeb65b9d7f71d56ff03a062b9df0b1f41526f2d5d43716c43fda71b",
+            "98ebcb7c8ed398108d1772d274c89d0d5a7d90f655a29196d6b2e5471bced7d1",
         "devices_hybrid_seed1.csv":
-            "10a43af48c389afb79f3488e5a5ab038c1a1343bf1b2519167d0380432a5647c",
+            "25b4195d6ca31869ee77f6bf0e212889c234b233452b9a3a2a18968c82a7234f",
         "devices_tdma_seed1.csv":
-            "fe8d0d6512a3b5dbc86869a1f1b873fff35fb3849bf655e93907bfdb1f11972b",
+            "676b8a8d644531e9a4fb954caf76bd8bb650a06d2de9a702dcfe6527fa06fae5",
         "frames_csma_seed1.csv":
-            "8cfba385eb983293ad33a49693630bc253cb0aff94481e01f638816bb7db3a08",
+            "51576cf812d589e6fac8cd9d84a62e8418b4c0733e6b0da4cd5898f1955633f7",
         "frames_hybrid_seed1.csv":
-            "cd0270d14f0310b9396bf3a7a0b22be0c7fb712ee420f80a2ce2fddfbd2c4e87",
+            "eab70a14c8b5b7707a52881da39c1b8496c1efadab108c7b71674adabb0ac160",
         "frames_tdma_seed1.csv":
-            "1c95da01d8204358a2c62fc08aebb31878caf556b8fee617a9cac7f5f532c307",
+            "465579e2fb1b12f14b9e85bb5d269985ff3ca6ff84158ac41cd9898be6117f86",
         "plan.yaml":
             "e0d1081403b92ef0bcac6208ca65c65b3b6ecf20848151c5cf15e8e13670219c",
     },
@@ -106,7 +106,7 @@ GOLDEN = {
 
 # `test_zero_winner_frames_of_a_loaded_plan_are_pinned`: the summaries and
 # traces of a resolving run whose plan has two zero-winner frames
-ZERO_WINNER_FRAMES = "883f480255542a3511c0c1366fafd8da94f1bc15c22cc4ce97d64530b503ac33"
+ZERO_WINNER_FRAMES = "6899e3cf15a29e4407a45c03cf3cae32bd297054dc90947210bf2e17b66f8070"
 
 
 def run_digests(tmp_path, capsys, doc, plan=None) -> dict[str, str]:

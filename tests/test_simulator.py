@@ -13,7 +13,7 @@ from test_analytics import one_row, transmitter_distribution
 
 from hymac import simulator
 from hymac.analytics import slot_law_rows
-from hymac.domain import ClassConfig, TimingConstants
+from hymac.domain import US_PER_S, ClassConfig, TimingConstants
 from hymac.optimizer import FrameDecision, FramePlan, plan_for
 from hymac.simulator import (
     CopOutcome,
@@ -21,6 +21,7 @@ from hymac.simulator import (
     _Buffers,
     _conditioned_transmitters,
     _left_after,
+    _poisson_arrivals,
     _race,
     _race_laws,
     _settle_frame,
@@ -669,6 +670,47 @@ def test_tdma_deterministic(tc, small_cfg):
 
 
 # ---------------------------------------------------------------------------
+# arrivals
+
+@pytest.mark.parametrize("lam_t", [1.0, 0.2])
+def test_marked_arrivals_follow_the_per_device_law(tc, lam_t):
+    """20,000 frames of one marked Poisson draw against the law it stands
+    for: K devices, each with independent Poisson(lambda T) arrivals at
+    uniform times in the frame."""
+    cfg = ClassConfig((3, 2), p_inl=0.05, alpha=1.0,
+                      arrival_rate=lam_t * US_PER_S / tc.t_frame_us)
+    k, frames = cfg.total_devices, 20_000
+    rng = np.random.default_rng(29)
+    counts, owners, times = zip(*(_poisson_arrivals(rng, cfg, tc, timed=True)
+                                     for _ in range(frames)))
+    counts, owners, times = np.array(counts), np.concatenate(owners), np.concatenate(times)
+    assert np.array_equal(counts.sum(axis=0), np.bincount(owners, minlength=k))
+
+    # each device's count is Poisson(lambda T), the tail folded into the last cell
+    top = int(counts.max()) + 1
+    pmf = np.array([math.exp(-lam_t) * lam_t ** x / math.factorial(x) for x in range(top)])
+    pmf[-1] = 1.0 - pmf[:-1].sum()
+    assert _chi2_agrees(np.bincount(counts.ravel(), minlength=top).astype(float),
+                        k * frames * pmf)
+    # two devices of one frame are independent: their zero / non-zero pairs
+    # against the product of the exact marginals
+    zero = math.exp(-lam_t)
+    pairs = np.bincount(2 * (counts[:, 0] == 0) + (counts[:, k - 1] == 0), minlength=4)
+    assert _chi2_agrees(pairs.astype(float),
+                        frames * np.outer([1 - zero, zero], [1 - zero, zero]).ravel())
+    # every device owns an arrival alike
+    assert _chi2_agrees(np.bincount(owners, minlength=k).astype(float),
+                        np.full(k, len(owners) / k))
+    # times are uniform on [0, T): Kolmogorov-Smirnov below its 0.1%
+    # critical value, sqrt(ln(2 / 0.001) / 2)
+    u = np.sort(times) / tc.t_frame_us
+    n = len(u)
+    assert 0.0 <= u[0] and u[-1] < 1.0
+    ks = max((np.arange(1, n + 1) / n - u).max(), (u - np.arange(n) / n).max())
+    assert ks * math.sqrt(n) < math.sqrt(math.log(2 / 0.001) / 2)
+
+
+# ---------------------------------------------------------------------------
 # traffic step against the chronological per-device reference
 
 
@@ -789,9 +831,9 @@ def test_settle_frame_matches_chronological_reference(case):
     k = len(case["full"])
     frame = case["frame"]
     counts = np.array([len(a) for a in case["arrivals"]], dtype=np.int64)
-    # device by device, as `_settle_frame` takes them, each device's unsorted
+    # in a random order across devices, as a marked Poisson process draws them
     order = np.array(case["order"], dtype=np.int64)
-    order = order[np.argsort(np.repeat(np.arange(k), counts)[order], kind="stable")]
+    owner = np.repeat(np.arange(k), counts)[order]
     times = np.array([t for a in case["arrivals"] for t in a], dtype=float)[order]
     ref = _state(case)
     ref.generated += counts
@@ -816,7 +858,9 @@ def test_settle_frame_matches_chronological_reference(case):
         expect = (len(winners), 0, filled)
 
     buf = _state(case)
-    assert _settle_frame(frame, counts, times, devices, instants, buf) == expect
+    if not len(devices):
+        times = None  # a frame without a service reads no arrival time
+    assert _settle_frame(frame, counts, owner, times, devices, instants, buf) == expect
     for name in ("full", "k1", "generated", "dropped", "delivered", "delay_sum"):
         assert np.array_equal(getattr(buf, name), getattr(ref, name)), name
 
@@ -826,6 +870,8 @@ def test_settle_frame_matches_chronological_reference(case):
 
 
 @example(sizes=[3], lam=4.0, alpha=1.0, p_inl=0.1, horizon=5, seed=1)
+@example(sizes=[0, 0], lam=1.0, alpha=1.0, p_inl=0.1, horizon=3, seed=1)   # K = 0
+@example(sizes=[4, 2], lam=0.0, alpha=1.0, p_inl=0.1, horizon=3, seed=1)   # no arrival
 @settings(max_examples=50, deadline=None)
 @given(sizes=st.lists(st.integers(0, 20), min_size=1, max_size=3),
        lam=st.floats(0.0, 4.0), alpha=st.floats(0.1, 5.0),
