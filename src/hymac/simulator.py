@@ -15,6 +15,9 @@ from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+# numpy loads its random module on first use, in over 10 ms: loaded here, it
+# is paid on import and not inside the first simulated seed
+import numpy.random
 
 from .analytics import slot_law_rows
 from .domain import US_PER_S, ClassConfig, ConfigError, TimingConstants
@@ -338,12 +341,14 @@ class _Period:
         laws = _race_laws(probs, _left_after(counts, groups[:-1]))
         remaining = int(counts.sum()) - np.arange(1, n)
         gaps = np.full(n - 1, np.inf)
-        with np.errstate(over="ignore"):  # a subnormal P(success): inf, as in `_failures`
+        # a subnormal P(success) gives an inf gap, as in `_failures`, and a
+        # gap near the largest double an inf duration: either is walked
+        with np.errstate(over="ignore"):
             np.divide(np.log(1.0 - rng.random(n - 1)), np.log1p(-laws.p_lone), out=gaps,
                       where=laws.p_lone > 0.0)
-        gaps = np.floor(gaps)
-        # a gap that could outlast the limit, or int64, is walked
-        drawable = (gaps < 2.0 ** 62) & (gaps * self.d_fail < self.t_stop)
+            gaps = np.floor(gaps)
+            # a gap that could outlast the limit, or int64, is walked
+            drawable = (gaps < 2.0 ** 62) & (gaps * self.d_fail < self.t_stop)
         slots = np.where(drawable, gaps, 0.0).astype(np.int64)
         idle = rng.binomial(slots, laws.share)
         colls = slots - idle
@@ -355,7 +360,8 @@ class _Period:
         while j < n - 1 and self.elapsed < self.t_stop:
             ends = self.elapsed + np.cumsum(step[j:])
             starts = np.concatenate(([self.elapsed], ends[:-1]))
-            safe = drawable[j:] & (starts + gaps[j:] * self.d_fail < self.t_stop)
+            with np.errstate(over="ignore"):
+                safe = drawable[j:] & (starts + gaps[j:] * self.d_fail < self.t_stop)
             k = len(safe) if safe.all() else int(np.argmin(safe))
             if k:
                 taken = np.arange(j, j + k)
@@ -541,6 +547,52 @@ def _poisson_arrivals(rng: np.random.Generator, cfg: ClassConfig,
     return np.bincount(owner, minlength=k), owner, times
 
 
+def _quiet_arrivals(rng: np.random.Generator, cfg: ClassConfig, tc: TimingConstants,
+                    frames: int):
+    """A stretch of ``frames`` frames of arrivals with no service in it, per
+    device: (arrivals, first frame holding one, last frame holding one),
+    the first being ``frames`` for a device with none.
+
+    A frame holds an arrival of a device independently, with probability
+    q = 1 - exp(-lambda T), so the first such frame is Geometric(q) - 1
+    and so is, counted back from the stretch end, the gap after the last.
+    An end frame holds its first arrival at tau = -ln(1 - U q) (in units
+    of 1 / lambda) and Poisson(lambda T - tau) after it, the frames between
+    Poisson(lambda T) each: one Poisson draw sums them, so the stretch
+    costs O(K) variates whatever its length."""
+    k = cfg.total_devices
+    per_frame = cfg.arrival_rate / US_PER_S * tc.t_frame_us  # lambda T
+    q = cfg.arrival_probability(tc)
+    count = np.zeros(k, dtype=np.int64)
+    if q == 0.0:  # no arrival; Geometric(0) has no law
+        return count, np.full(k, frames), np.full(k, frames)
+    # a tiny q gives first frames up to int64's maximum: only the devices
+    # with an arrival in the stretch are drawn on
+    first = np.minimum(rng.geometric(q, k) - 1, frames)
+    last = first.copy()
+    some = np.flatnonzero(first < frames)
+    head = first[some]
+    tail = np.maximum(head, frames - rng.geometric(q, len(some)))
+    two = tail > head
+    # rounding may put tau a hair above lambda T
+    after = np.maximum(per_frame + np.log1p(-q * rng.random((2, len(some)))), 0.0)
+    between = per_frame * np.maximum(tail - head - 1, 0)
+    count[some] = 1 + two + rng.poisson(after[0] + two * after[1] + between)
+    last[some] = tail
+    return count, first, last
+
+
+def _scripted_stretch(script: dict, start: int, stop: int, k: int):
+    """The scripted arrivals of frames ``start`` to ``stop`` - 1 as the
+    arrays of `_quiet_arrivals`."""
+    frames = stop - start
+    counts = np.array([_scripted_arrivals(script.get(f, {}), k)[0]
+                       for f in range(start, stop)]).reshape(frames, k)
+    got = counts > 0
+    first = np.where(got.any(axis=0), got.argmax(axis=0), frames)
+    return counts.sum(axis=0), first, frames - 1 - got[::-1].argmax(axis=0)
+
+
 def _scripted_arrivals(script: dict, k: int):
     """``{device: arrival times}`` as the arrays of `_poisson_arrivals`."""
     counts = np.zeros(k, dtype=np.int64)
@@ -633,7 +685,8 @@ _NO_COP = CopOutcome(success_groups=(), success_times_us=(), t_elapsed_us=0.0,
                      listen_time_us=0.0, n_slots=0)
 
 
-def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None) -> SimReport:
+def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None,
+                quiet=frozenset(), rest=None) -> SimReport:
     """Run ``report.frames`` frames of one protocol into ``report``.
 
     The loop owns the seeded RNG, the warm-up (one arrival frame before
@@ -647,6 +700,14 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None) ->
     ``tdma_idle_slots`` services of an empty buffer, and ``n_active`` the
     buffers full at the frame start, plus, without contention, those
     filled during the frame.
+
+    ``quiet`` holds the frames known before the run to have neither a
+    contention period nor a service.  Each maximal stretch of them is one
+    step: its arrivals are drawn together (`_quiet_arrivals`), its frames
+    count the buffers full at their start, and ``rest(start, stop, wake)``
+    hands the protocol the frame of the stretch from which each device is
+    active: 0 when full at its start, the frame after its first arrival,
+    or the stretch length.
     """
     cfg, tc, k = report.cfg, report.tc, report.cfg.total_devices
     rng = np.random.default_rng(report.seed)
@@ -658,7 +719,27 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None) ->
         buf.generated += counts
         _arrive(-1, counts, buf)
 
-    for frame in range(report.frames):
+    frame = 0
+    while frame < report.frames:
+        stop = frame
+        while stop in quiet:
+            stop += 1
+        if stop > frame:
+            frames = stop - frame
+            if arrival_script is None:
+                counts, first, last = _quiet_arrivals(rng, cfg, tc, frames)
+            else:
+                counts, first, last = _scripted_stretch(arrival_script, frame, stop, k)
+            wake = np.where(buf.full, 0, np.minimum(first + 1, frames))
+            buf.generated += counts
+            _arrive(frame + last, counts, buf)
+            rest(frame, stop, wake)
+            n_active = np.cumsum(np.bincount(wake, minlength=frames + 1))[:frames]
+            # no contention, no delivery, no wait
+            report.per_frame += [FrameSummary(f, n, 0, 0.0, 0, 0, 0.0, 0.0, 0.0)
+                                 for f, n in zip(range(frame, stop), n_active.tolist())]
+            frame = stop
+            continue
         active_ids = np.nonzero(buf.full)[0]
         cop, devices, instants_us, wait_us = serve(rng, frame, active_ids)
         if arrival_script is None:
@@ -675,6 +756,7 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None) ->
             listen_time_us=cop.listen_time_us, winner_wait_time_us=wait_us,
             tdma_idle_slots=n_idle,
         ))
+        frame += 1
     return report
 
 
@@ -707,6 +789,17 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
     # in frame f no device has failed more than f times: rho <= Q - 1 + f
     prob = escalation_table([(plan.alpha_opt, plan.p_inl_opt)], cfg.q_count + frames - 1)[0]
 
+    quiet = {f for f in range(frames)
+             if plan.per_frame[f].m_opt == 0 and (winner_script or {}).get(f) is None}
+
+    def rest(start, stop, wake):
+        # every device active in a frame of a quiet stretch loses it
+        if collect_traces:
+            report.traces += [FrameTrace(frame=f, winners=(),
+                                         d_before=d_arr + np.maximum(f - start - wake, 0))
+                              for f in range(start, stop)]
+        d_arr[:] += np.maximum(stop - start - wake, 0)
+
     def serve(rng, frame, active_ids):
         scripted = winner_script.get(frame) if winner_script else None
         if scripted is not None:
@@ -720,10 +813,6 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
                           success_times_us=tuple((j + 1) * tc.delta_succ_us
                                                  for j in range(n)),
                           t_elapsed_us=n * tc.delta_succ_us)
-        elif plan.per_frame[frame].m_opt == 0:
-            # run_cop stops before its first slot at a target of 0, so
-            # skipping it draws nothing
-            cop = _NO_COP
         else:
             decision = plan.per_frame[frame]
             ids, counts, probs = _group_actives(active_ids, report.device_class,
@@ -750,7 +839,7 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
         return (cop, winner_arr, top_start + (np.arange(m_real) + 1) * tc.t_r_us,
                 winner_wait)
 
-    return _frame_loop(report, serve, arrival_script)
+    return _frame_loop(report, serve, arrival_script, quiet, rest)
 
 
 def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,

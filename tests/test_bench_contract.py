@@ -98,8 +98,8 @@ def test_optimize_plans_in_one_pass(monkeypatch, tcop_calls):
 
 def test_a_choke_costs_nothing(monkeypatch, tcop_calls):
     # on the grid-choked benchmark scenario every default cell is choked by
-    # frame 5 and retires from the pass, and the hybrid draws nothing in a
-    # frame that plans no winner
+    # frame 5 and retires from the pass, and the hybrid's 200 frames that
+    # plan no winner are one quiet stretch: one arrival draw, no contention
     tc = TimingConstants()
     cfg = ClassConfig(class_sizes=(1180, 10, 10), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
     evolved = _counted(monkeypatch, optimizer, "evolve_population")
@@ -108,8 +108,11 @@ def test_a_choke_costs_nothing(monkeypatch, tcop_calls):
     assert not any(d.m_opt for d in plan.per_frame)
     cops = _counted(monkeypatch, simulator, "run_cop")
     grouped = _counted(monkeypatch, simulator, "_group_actives")
-    report = simulator.run_hybrid(cfg, tc, plan, 20, seed=3)
+    stretches = _counted(monkeypatch, simulator, "_quiet_arrivals")
+    report = simulator.run_hybrid(cfg, tc, plan, 200, seed=3)
     assert (len(cops), len(grouped)) == (0, 0)
+    assert [args[3] for args in stretches] == [200]
+    assert len(report.per_frame) == 200
     assert max(f.n_active for f in report.per_frame) > 1000
 
 
@@ -128,17 +131,19 @@ def _timed_arrivals(monkeypatch) -> list:
 
 
 def test_a_frame_without_a_service_draws_no_arrival_times(monkeypatch):
-    # on the grid-choked benchmark scenario no hybrid frame plans a winner
-    # and no CSMA frame has a success, so neither draws arrival times; a
-    # TDMA frame and a resolving hybrid frame serve devices and draw them
-    # (the warm-up before frame 0 draws counts only)
+    # on the grid-choked benchmark scenario no hybrid frame plans a winner,
+    # so after the warm-up the hybrid's arrivals are one quiet stretch with
+    # no time; no CSMA frame has a success, so none draws times; a TDMA
+    # frame and a resolving hybrid frame serve devices and draw them (the
+    # warm-up before frame 0 draws counts only)
     tc = TimingConstants()
     cfg = ClassConfig(class_sizes=(1180, 10, 10), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
     plan = optimize(cfg, tc, 200)
     assert not any(d.m_opt for d in plan.per_frame)
     timed = _timed_arrivals(monkeypatch)
+    stretches = _counted(monkeypatch, simulator, "_quiet_arrivals")
     simulator.run_hybrid(cfg, tc, plan, 20, seed=3)
-    assert timed == [False] * 21
+    assert timed == [False] and [args[3] for args in stretches] == [20]
     timed.clear()
     report = simulator.run_csma(cfg, tc, 0.1, 5, seed=3)
     assert timed == [False] * 6 and not any(f.m_realized for f in report.per_frame)
@@ -149,6 +154,7 @@ def test_a_frame_without_a_service_draws_no_arrival_times(monkeypatch):
     resolving = replace(cfg, p_inl=5e-4)
     simulator.run_hybrid(resolving, tc, plan_for(resolving, tc, 3, 1.0, 5e-4), 3, seed=3)
     assert timed == [False] + [True] * 3
+    assert len(stretches) == 1  # CSMA and TDMA frames are never quiet
 
 
 def test_contention_periods_go_through_the_wrapped_name(monkeypatch):

@@ -31,7 +31,7 @@ K1200 = {"name": "k1200",
          "protocol": {"variant": "all", "horizon": 3, "seeds": [1]}}
 
 # the grid-choked benchmark layout, planned over the default grid: every
-# frame plans m_opt = 0
+# frame plans m_opt = 0, so the hybrid run is one quiet stretch
 K1200_CHOKED = {"name": "k1200-choked",
                 "classes": {"sizes": [1180, 10, 10], "p_inl": 0.1, "alpha": 1.0},
                 "arrival": {"lambda": 1.0},
@@ -86,17 +86,17 @@ GOLDEN = {
     },
     "k1200-choked": {
         "stdout":
-            "621e89dfff98de9253abc2c5ed4baf4f3f3a5817160726ae4f305bf7a5520bd7",
+            "d687ae179b2d90e5ce1b1588ff2280fbb30fa4e5cd16b22dd7fc54382625d083",
         "devices_csma_seed1.csv":
             "98ebcb7c8ed398108d1772d274c89d0d5a7d90f655a29196d6b2e5471bced7d1",
         "devices_hybrid_seed1.csv":
-            "25b4195d6ca31869ee77f6bf0e212889c234b233452b9a3a2a18968c82a7234f",
+            "c3880d703a8d2d729089b812821f73dae42e931722eb16f185db388af59cacea",
         "devices_tdma_seed1.csv":
             "676b8a8d644531e9a4fb954caf76bd8bb650a06d2de9a702dcfe6527fa06fae5",
         "frames_csma_seed1.csv":
             "51576cf812d589e6fac8cd9d84a62e8418b4c0733e6b0da4cd5898f1955633f7",
         "frames_hybrid_seed1.csv":
-            "eab70a14c8b5b7707a52881da39c1b8496c1efadab108c7b71674adabb0ac160",
+            "ccd3eac07ccb6537c1cfb3a1b21e73e3ae1d0bec78c44e789c5e7db465653447",
         "frames_tdma_seed1.csv":
             "465579e2fb1b12f14b9e85bb5d269985ff3ca6ff84158ac41cd9898be6117f86",
         "plan.yaml":
@@ -106,7 +106,7 @@ GOLDEN = {
 
 # `test_zero_winner_frames_of_a_loaded_plan_are_pinned`: the summaries and
 # traces of a resolving run whose plan has two zero-winner frames
-ZERO_WINNER_FRAMES = "6899e3cf15a29e4407a45c03cf3cae32bd297054dc90947210bf2e17b66f8070"
+ZERO_WINNER_FRAMES = "fd22817f31940afd532ed82124d3b098d699371c78d790133c400d4c59dc068c"
 
 
 def run_digests(tmp_path, capsys, doc, plan=None) -> dict[str, str]:
@@ -144,8 +144,8 @@ def test_seeded_run_outputs_are_pinned(tmp_path, capsys, monkeypatch, case):
 
 def test_zero_winner_frames_of_a_loaded_plan_are_pinned(tc):
     # frames 2 and 4 of a resolving plan plan no winner but keep a 500 us
-    # contention limit: they draw nothing, and every frame's summary and
-    # trace stay as they were
+    # contention limit: each is a one-frame quiet stretch, with no
+    # contention, and every frame's summary and trace are pinned
     cfg = ClassConfig((1180, 10, 10), p_inl=5e-4, alpha=1.0, arrival_rate=1.0)
     plan = optimizer.plan_for(cfg, tc, 6, 1.0, 5e-4)
     idle = FrameDecision(m_opt=0, t_cop_opt_us=500.0)

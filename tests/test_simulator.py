@@ -22,6 +22,7 @@ from hymac.simulator import (
     _conditioned_transmitters,
     _left_after,
     _poisson_arrivals,
+    _quiet_arrivals,
     _race,
     _race_laws,
     _settle_frame,
@@ -197,6 +198,9 @@ _STOPS = {
                             dict(m_target=40, time_limit_us=1500.0)),
     "subnormal P(success) after a p = 1 winner": ([1, 1], [1.0, 5e-324],
                                                   dict(time_limit_us=1.0)),
+    # a gap near the largest double overflows when timed: it is walked
+    "huge gap after a p = 1 winner": ([2, 1], [1.1125369292536007e-308, 1.0],
+                                      dict(time_limit_us=1.0)),
 }
 
 
@@ -303,17 +307,32 @@ def test_race_laws_follow_the_remaining_counts(groups, seed):
         assert _agree(share, ref_idle / fail if fail > 0.0 else 0.0)
 
 
+def _chi2_below_critical(stat: float, df: int) -> bool:
+    """A chi-square statistic below its 0.1% critical value (Wilson-Hilferty)."""
+    return stat < df * (1.0 - 2.0 / (9 * df) + 3.09 * math.sqrt(2.0 / (9 * df))) ** 3
+
+
 def _chi2_agrees(observed: np.ndarray, expected: np.ndarray) -> bool:
     """Pearson's statistic over the cells expecting five or more (the rest
-    pooled) below its 0.1% critical value (Wilson-Hilferty)."""
+    pooled) below its 0.1% critical value."""
     small = expected < 5.0
     obs = np.append(observed[~small], observed[small].sum())
     exp = np.append(expected[~small], expected[small].sum())
     keep = exp > 0.0
     stat = float((((obs - exp) ** 2)[keep] / exp[keep]).sum())
-    df = int(keep.sum()) - 1
-    crit = df * (1.0 - 2.0 / (9 * df) + 3.09 * math.sqrt(2.0 / (9 * df))) ** 3
-    return stat < crit
+    return _chi2_below_critical(stat, int(keep.sum()) - 1)
+
+
+def _same_law(a: np.ndarray, b: np.ndarray) -> bool:
+    """Two samples of one size agree cell by cell: the two-sample Pearson
+    statistic, sum (a - b)^2 / (a + b), over the cells holding ten or more
+    of both together (the rest pooled), below its 0.1% critical value."""
+    small = a + b < 10
+    a = np.append(a[~small], a[small].sum())
+    b = np.append(b[~small], b[small].sum())
+    keep = a + b > 0
+    stat = float((((a - b) ** 2)[keep] / (a + b)[keep]).sum())
+    return _chi2_below_critical(stat, int(keep.sum()) - 1)
 
 
 @pytest.mark.parametrize("counts, probs", [
@@ -587,12 +606,37 @@ def test_hybrid_scripted_winner_must_be_active(tc):
 
 
 def test_scripted_arrival_outside_the_network_is_refused(tc):
-    # a negative id would index from the end and land on another device
+    # a negative id would index from the end and land on another device; a
+    # frame with winners and a quiet one read the script alike
     cfg = ClassConfig(class_sizes=(2,), p_inl=0.5, alpha=1.0, arrival_rate=1.0)
     plan = plan_for(cfg, tc, 1, 1.0, 0.5)
-    for dev in (-1, 2):
+    quiet = replace(plan, per_frame=(FrameDecision(m_opt=0, t_cop_opt_us=0.0),))
+    for dev, run_plan in itertools.product((-1, 2), (plan, quiet)):
         with pytest.raises(ValueError, match="outside"):
-            run_hybrid(cfg, tc, plan, 1, seed=1, arrival_script={0: {dev: [100.0]}})
+            run_hybrid(cfg, tc, run_plan, 1, seed=1, arrival_script={0: {dev: [100.0]}})
+
+
+def test_scripted_quiet_stretch_replays_frame_by_frame(tc):
+    # a scripted frame is never quiet, so scripting no winner in the plan's
+    # zero-winner frames runs them one by one: the stretch reads the same
+    # arrivals off the script to the same bytes
+    cfg = ClassConfig(class_sizes=(4, 2), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
+    t = 900_000.0
+    arrivals = {0: {0: [100.0, t], 3: [t]}, 1: {1: [t]}, 2: {1: [t, t], 5: [t]},
+                3: {0: [t]}, 5: {2: [t]}, 6: {4: [t]}}
+    plan = plan_for(cfg, tc, 7, 1.0, 0.1)
+    idle = FrameDecision(m_opt=0, t_cop_opt_us=500.0)
+    quiet = (0, 1, 2, 4, 6)
+    plan = replace(plan, per_frame=tuple(idle if f in quiet else d
+                                         for f, d in enumerate(plan.per_frame)))
+    winners = {3: [0, 1], 5: [3]}
+    a, b = (run_hybrid(cfg, tc, plan, 7, seed=1, collect_traces=True,
+                       arrival_script=arrivals, winner_script=script)
+            for script in (winners, {f: [] for f in quiet} | winners))
+    assert reports_equal(a, b) and a.generated.sum() == 10
+    assert [(tr.frame, tr.winners) for tr in a.traces] == \
+        [(tr.frame, tr.winners) for tr in b.traces]
+    assert all(np.array_equal(x.d_before, y.d_before) for x, y in zip(a.traces, b.traces))
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +752,74 @@ def test_marked_arrivals_follow_the_per_device_law(tc, lam_t):
     assert 0.0 <= u[0] and u[-1] < 1.0
     ks = max((np.arange(1, n + 1) / n - u).max(), (u - np.arange(n) / n).max())
     assert ks * math.sqrt(n) < math.sqrt(math.log(2 / 0.001) / 2)
+
+
+def _stretch_outcomes(count, first, last, frames: int) -> np.ndarray:
+    """Each device's (first, last, arrivals) of a quiet stretch as one
+    integer; a device with no arrival has first = last = ``frames``."""
+    last = np.where(count > 0, last, frames)
+    return (first * (frames + 1) + last) * 10_000 + count
+
+
+@pytest.mark.parametrize("frames", [1, 5, 7])
+@pytest.mark.parametrize("lam_t", [0.2, 1.0, 3.0])
+def test_quiet_stretch_follows_the_per_frame_law(tc, lam_t, frames):
+    """20,000 devices' (first frame with an arrival, last such frame,
+    arrivals) over a stretch drawn in one step, against the same read off
+    ``frames`` per-frame draws, cell by cell."""
+    cfg = ClassConfig((20_000,), p_inl=0.05, alpha=1.0,
+                      arrival_rate=lam_t * US_PER_S / tc.t_frame_us)
+    rng = np.random.default_rng(31)
+    per_frame = np.array([_poisson_arrivals(rng, cfg, tc, timed=False)[0]
+                          for _ in range(frames)])
+    got = per_frame > 0
+    first = np.where(got.any(axis=0), got.argmax(axis=0), frames)
+    last = frames - 1 - got[::-1].argmax(axis=0)
+    reference = _stretch_outcomes(per_frame.sum(axis=0), first, last, frames)
+    drawn = _stretch_outcomes(*_quiet_arrivals(rng, cfg, tc, frames), frames)
+    cells, seen = np.unique(np.concatenate([reference, drawn]), return_inverse=True)
+    seen = seen.reshape(2, -1)
+    assert _same_law(np.bincount(seen[0], minlength=len(cells)),
+                     np.bincount(seen[1], minlength=len(cells)))
+
+
+@pytest.mark.parametrize("lam, sizes", [
+    (0.0, (6,)),      # no arrival: Geometric(0) has no law
+    (1e-300, (6,)),   # first frames at int64's maximum
+    (40.0, (6,)),     # lambda T >= 37: q rounds to 1
+    (1.0, (0,)),      # K = 0
+])
+def test_quiet_stretch_edges(tc, lam, sizes):
+    cfg = ClassConfig(sizes, p_inl=0.05, alpha=1.0, arrival_rate=lam)
+    for frames in (1, 6):
+        count, first, last = _quiet_arrivals(np.random.default_rng(3), cfg, tc, frames)
+        got = count > 0
+        assert len(count) == len(first) == len(last) == sum(sizes)
+        assert np.array_equal(first < frames, got) and (first <= frames).all()
+        assert (first[got] <= last[got]).all() and (last[got] < frames).all()
+        assert (count[got] >= 1 + (last[got] > first[got])).all()
+        if lam >= 37:
+            assert (first == 0).all() and (last == frames - 1).all()
+        elif lam < 1:
+            assert not got.any()
+
+
+def test_a_quiet_stretch_escalates_every_loser(tc):
+    # at lambda T = 40 every buffer is full from the warm-up on: over four
+    # zero-winner frames each device loses four times, and each frame keeps
+    # its trace
+    cfg = ClassConfig((6, 2), p_inl=0.1, alpha=1.0, arrival_rate=40.0)
+    plan = plan_for(cfg, tc, 6, 1.0, 0.1)
+    assert plan.per_frame[4].m_opt > 0
+    idle = FrameDecision(m_opt=0, t_cop_opt_us=500.0)
+    plan = replace(plan, per_frame=(idle,) * 4 + plan.per_frame[4:])
+    report = run_hybrid(cfg, tc, plan, 6, seed=1, collect_traces=True)
+    assert [trace.frame for trace in report.traces] == list(range(6))
+    for frame, trace in enumerate(report.traces[:5]):
+        assert trace.winners == () or frame == 4
+        assert (trace.d_before == frame).all(), frame
+    assert [f.n_active for f in report.per_frame[:4]] == [8] * 4
+    assert report.per_frame[4].t_cop_us > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -869,19 +981,35 @@ def test_settle_frame_matches_chronological_reference(case):
 # invariants of whole runs
 
 
-@example(sizes=[3], lam=4.0, alpha=1.0, p_inl=0.1, horizon=5, seed=1)
-@example(sizes=[0, 0], lam=1.0, alpha=1.0, p_inl=0.1, horizon=3, seed=1)   # K = 0
-@example(sizes=[4, 2], lam=0.0, alpha=1.0, p_inl=0.1, horizon=3, seed=1)   # no arrival
+def _case(**kw):
+    """An explicit example of `test_run_invariants`: ``kw`` over defaults."""
+    return dict(sizes=[4, 2], lam=1.0, alpha=1.0, p_inl=0.1, horizon=5, seed=1,
+                idle=frozenset()) | kw
+
+
+@example(**_case(sizes=[3], lam=4.0))
+@example(**_case(sizes=[0, 0], horizon=3))         # K = 0
+@example(**_case(lam=0.0, horizon=3))              # no arrival
+@example(**_case(lam=1e-300, idle={1, 2}))         # Geometric(q) at int64's maximum
+@example(**_case(lam=40.0, idle={1, 2}))           # lambda T >= 37: q rounds to 1
+@example(**_case(idle={2}))                        # a one-frame quiet stretch
+@example(**_case(idle={0, 1}))                     # a stretch at frame 0
+@example(**_case(idle={3, 4}))                     # a stretch that ends the horizon
 @settings(max_examples=50, deadline=None)
 @given(sizes=st.lists(st.integers(0, 20), min_size=1, max_size=3),
        lam=st.floats(0.0, 4.0), alpha=st.floats(0.1, 5.0),
        p_inl=st.floats(1e-3, 1.0), horizon=st.integers(1, 8),
-       seed=st.integers(0, 2**16))
-def test_run_invariants(sizes, lam, alpha, p_inl, horizon, seed):
+       seed=st.integers(0, 2**16), idle=st.frozensets(st.integers(0, 7)))
+def test_run_invariants(sizes, lam, alpha, p_inl, horizon, seed, idle):
+    """Whole-run invariants of the three protocols.  The hybrid's plan
+    also gets zero-winner frames at ``idle``, as a loaded plan may have."""
     tc = TimingConstants()
     cfg = ClassConfig(class_sizes=tuple(sizes), p_inl=p_inl, alpha=alpha,
                       arrival_rate=lam)
     plan = plan_for(cfg, tc, horizon, alpha, p_inl)
+    no_winner = FrameDecision(m_opt=0, t_cop_opt_us=500.0)
+    plan = replace(plan, per_frame=tuple(no_winner if f in idle else d
+                                         for f, d in enumerate(plan.per_frame)))
     runs = {
         "hybrid": lambda h: run_hybrid(cfg, tc, plan, h, seed, collect_traces=True),
         "csma": lambda h: run_csma(cfg, tc, p_inl, h, seed),
@@ -917,5 +1045,5 @@ def test_run_invariants(sizes, lam, alpha, p_inl, horizon, seed):
             for f in rep.per_frame:
                 used = tc.t_nof_us + f.t_cop_us + tc.t_anc_us + f.m_realized * tc.t_r_us
                 assert used <= tc.t_frame_us + 1e-6
-            assert [len(tr.winners) for tr in rep.traces] == \
-                [f.m_realized for f in rep.per_frame]
+            assert [(tr.frame, len(tr.winners)) for tr in rep.traces] == \
+                [(f.frame, f.m_realized) for f in rep.per_frame]
