@@ -1,11 +1,13 @@
 """Frame-by-frame stochastic simulation of the hybrid access protocol,
 plus contention-only (p-persistent) and reservation-only (TDMA) baselines.
 
-All three protocols run in one frame loop driven by one seeded RNG, so
-identical inputs reproduce identical reports.  A contention period is
-drawn as an exponential race: one key per device orders the winners, and
-the gaps between successes follow the slot law of the devices left, per
-virtual class (devices inside a class are exchangeable).
+Every run draws from one seeded RNG, so identical inputs reproduce
+identical reports.  The two protocols with contention run in one frame
+loop; TDMA's schedule is fixed, so its run is one sweep over every
+device's service intervals.  A contention period is drawn as an
+exponential race: one key per device orders the winners, and the gaps
+between successes follow the slot law of the devices left, per virtual
+class (devices inside a class are exchangeable).
 """
 
 from __future__ import annotations
@@ -605,68 +607,45 @@ def _scripted_arrivals(script: dict, k: int):
     return counts, np.repeat(np.arange(k), counts), np.array(times, dtype=float)
 
 
-def _service_rounds(k: int, devices: np.ndarray, instants_us) -> np.ndarray:
-    """Service instants as a (rounds, K) array padded with +inf.
-
-    The j-th instant of the frame goes to round j // K.  Distinct devices
-    (hybrid and csma winners, at most K) all fall in round 0; TDMA's cyclic
-    slot owners repeat every K slots, so a device owning several slots of
-    one frame is served once per round, in time order.
-    """
-    rounds = -(-len(devices) // k)
-    grid = np.full((rounds, k), np.inf)
-    grid[np.arange(len(devices)) // k, devices] = instants_us
-    return grid
-
-
-def _arrive(frame: int, n: np.ndarray, buf: _Buffers) -> int:
+def _arrive(frame: int, n: np.ndarray, buf: _Buffers) -> None:
     """``n[dev]`` packets reach each buffer between two services.  Each
     replaces the one waiting, so all but the last are dropped, and the
-    last one is buffered.  Returns how many empty buffers filled."""
+    last one is buffered."""
     got = n > 0
-    new = got & ~buf.full
     buf.dropped += n  # every packet but the one that fills an empty buffer
-    buf.dropped -= new
+    buf.dropped -= got & ~buf.full
     buf.full |= got
     np.putmask(buf.k1, got, frame)
-    return np.count_nonzero(new)
 
 
 def _settle_frame(frame: int, counts: np.ndarray, owner: np.ndarray,
                   times: np.ndarray | None, devices: np.ndarray, instants_us,
-                  buf: _Buffers) -> tuple[int, int, int]:
+                  buf: _Buffers) -> int:
     """Apply one frame of arrivals and services to every buffer at once.
 
     ``counts[dev]`` arrivals belong to each device; arrival i belongs to
     device ``owner[i]`` and comes at ``times[i]``, in any order (the times
-    are read only in a frame with a service).  ``devices[j]`` is served at
-    ``instants_us[j]``, in time order (see `_service_rounds`).  An arrival
-    strictly before a service instant is buffered before it; one at the
-    instant or later comes after.  A service delivers a full buffer and
-    empties it, and finds an empty one idle.  Returns (delivered, idle
-    services, empty buffers filled by an arrival).
+    are read only in a frame with a service).  Distinct devices
+    ``devices[j]``, each holding a packet (a contention winner is active at
+    the frame start), are served at ``instants_us[j]``.  An arrival
+    strictly before its device's service instant is buffered before it;
+    one at the instant or later comes after.  A service delivers the
+    buffer and empties it.  Returns the deliveries.
     """
     k = len(counts)
     buf.generated += counts
-    n_delivered = n_idle = n_filled = 0
-    rest = counts  # the arrivals after the frame's last service
+    rest = counts  # the arrivals after the device's service, or all of them
     if len(devices):  # arrivals are split at the services only in a frame that has one
-        seen = np.zeros(k, dtype=np.int64)
-        for instants in _service_rounds(k, devices, instants_us):
-            before = np.bincount(owner[times < instants[owner]], minlength=k)
-            n_filled += _arrive(frame, before - seen, buf)
-            seen = before
-            served = np.isfinite(instants)
-            hit = served & buf.full
-            n_hit = int(hit.sum())
-            n_delivered += n_hit
-            n_idle += int(served.sum()) - n_hit
-            buf.delivered += hit
-            buf.delay_sum[hit] += frame - buf.k1[hit]
-            buf.full[hit] = False
-        rest = counts - seen
-    n_filled += _arrive(frame, rest, buf)
-    return n_delivered, n_idle, n_filled
+        instants = np.full(k, np.inf)
+        instants[devices] = instants_us
+        before = np.bincount(owner[times < instants[owner]], minlength=k)
+        _arrive(frame, before, buf)
+        buf.delivered[devices] += 1
+        buf.delay_sum[devices] += frame - buf.k1[devices]
+        buf.full[devices] = False
+        rest = counts - before
+    _arrive(frame, rest, buf)
+    return len(devices)
 
 
 def _group_actives(active_ids: np.ndarray, q_arr: np.ndarray, d_arr: np.ndarray,
@@ -687,19 +666,17 @@ _NO_COP = CopOutcome(success_groups=(), success_times_us=(), t_elapsed_us=0.0,
 
 def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None,
                 quiet=frozenset(), rest=None) -> SimReport:
-    """Run ``report.frames`` frames of one protocol into ``report``.
+    """Run ``report.frames`` frames of a protocol with contention (the
+    hybrid or CSMA) into ``report``.
 
     The loop owns the seeded RNG, the warm-up (one arrival frame before
     frame 0, skipped under ``arrival_script``), the arrivals, the buffers
     and the `FrameSummary`.  ``serve(rng, frame, active_ids)`` gives the
-    protocol's schedule: the contention outcome (None without contention),
-    the served devices in service order, their service instants and the
-    winners' wait.  The schedule comes before the frame's arrivals, which
-    are drawn with their times only when it serves some device
-    (`_poisson_arrivals`).  ``m_realized`` counts deliveries,
-    ``tdma_idle_slots`` services of an empty buffer, and ``n_active`` the
-    buffers full at the frame start, plus, without contention, those
-    filled during the frame.
+    protocol's schedule: the contention outcome, the winners in service
+    order, their service instants and the winners' wait.  The schedule
+    comes before the frame's arrivals, which are drawn with their times
+    only when it serves some device (`_poisson_arrivals`).  ``m_realized``
+    counts deliveries and ``n_active`` the buffers full at the frame start.
 
     ``quiet`` holds the frames known before the run to have neither a
     contention period nor a service.  Each maximal stretch of them is one
@@ -746,15 +723,12 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None,
             arrivals = _poisson_arrivals(rng, cfg, tc, timed=len(devices) > 0)
         else:
             arrivals = _scripted_arrivals(arrival_script.get(frame, {}), k)
-        m_real, n_idle, n_filled = _settle_frame(frame, *arrivals, devices, instants_us, buf)
-        n_active = len(active_ids) + (n_filled if cop is None else 0)
-        cop = cop or _NO_COP
+        m_real = _settle_frame(frame, *arrivals, devices, instants_us, buf)
         report.per_frame.append(FrameSummary(
-            frame=frame, n_active=n_active, m_realized=m_real,
+            frame=frame, n_active=len(active_ids), m_realized=m_real,
             t_cop_us=cop.t_elapsed_us, n_idle_slots=cop.n_idle_slots,
             n_collisions=cop.n_collisions, coll_tx_time_us=cop.coll_tx_time_us,
             listen_time_us=cop.listen_time_us, winner_wait_time_us=wait_us,
-            tdma_idle_slots=n_idle,
         ))
         frame += 1
     return report
@@ -860,17 +834,85 @@ def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
     return _frame_loop(SimReport("csma", seed, frames, tc, cfg), serve)
 
 
+# cells of the (interval, device) grid that the TDMA sweep draws at a time
+_SWEEP_CELLS = 1 << 12
+
+
 def run_tdma(cfg: ClassConfig, tc: TimingConstants, frames: int, seed: int) -> SimReport:
     """Reservation-only baseline: static cyclic slot ownership spanning
     frames; an owned slot is wasted when the owner's buffer is empty.  A
     frame's ``n_active`` counts its buffer occupancies (full at the start,
-    or filled by an arrival), each ended by at most one delivery."""
+    or filled by an arrival), each ended by at most one delivery.
+
+    With S slots a frame, device s mod K owns service s, at the end of
+    slot s mod S of frame s // S.  The schedule is fixed, so the run is
+    one sweep over every device's service intervals, each from its
+    previous service (or the warm-up frame's start) to its next (or the
+    run's end), a block of intervals of every device at a time.  In frame
+    units an interval's first arrival comes E1 / lambda T after its start
+    and its last E2 / lambda T before its end, with Poisson(lambda T)
+    arrivals a frame between them (README, "Simulator")."""
     k = cfg.total_devices
-    slots = int(tc.t_frame_us / tc.t_r_us)
-    slot_ids = np.arange(slots if k else 0)  # an empty network owns no slot
-    slot_end = (slot_ids + 1) * tc.t_r_us
-
-    def serve(rng, frame, active_ids):
-        return None, (frame * slots + slot_ids) % k, slot_end, 0.0
-
-    return _frame_loop(SimReport("tdma", seed, frames, tc, cfg), serve)
+    slots = int(tc.t_frame_us / tc.t_r_us) if k else 0  # an empty network owns no slot
+    n_serv = frames * slots
+    lam_t = cfg.arrival_rate / US_PER_S * tc.t_frame_us
+    slot_end = (np.arange(slots) + 1) * (tc.t_r_us / tc.t_frame_us)  # in frames
+    rng = np.random.default_rng(seed)
+    occupied, distinct, delivered, delay = (np.zeros(k, dtype=np.int64) for _ in range(4))
+    span = np.zeros(k)      # summed time from first to distinct last arrival
+    # occupancies begun minus those ended before each frame: n_active's steps
+    steps = np.zeros(frames + 1, dtype=np.int64)
+    m_real = np.zeros(frames, dtype=np.int64)
+    # interval j of device d ends at service d + jK; the last is unserved
+    n_cols = -(-n_serv // k) + 1 if k else 0
+    # intervals per device and block: 1, 2, 4, ... up to the cell budget, so a
+    # short run draws little and a long one stays in O(K) memory
+    j0, cols, most = 0, 1, max(1, _SWEEP_CELLS // max(k, 1))
+    while j0 < n_cols:
+        # row 0 holds the services before the block's intervals, row i + 1
+        # the services that end its i-th; one past the run ends with the run
+        s = np.arange((j0 - 1) * k, (j0 + cols) * k).reshape(cols + 1, k)
+        t = slot_end[s % slots]
+        t += s // slots
+        f_end = s[1:] // slots
+        past = s >= n_serv
+        t[past] = frames
+        f_end[past[1:]] = frames - 1    # the interval's last frame in the run
+        if j0 == 0:
+            t[0] = -1.0                 # the warm-up frame's start
+        end = t[1:]
+        # a fixed shape per block: a shorter run draws a prefix of the cells
+        e = rng.standard_exponential((2, cols, k))
+        with np.errstate(divide="ignore", over="ignore"):
+            e /= lam_t  # inf, no arrival, where lambda T is 0 or subnormal
+        first, last = e
+        first += t[:-1]
+        np.subtract(end, last, out=last)
+        got = ~past[:-1] & (first < end)
+        two = got & (last > first)
+        gap = last - first
+        gap[~two] = 0.0
+        span += gap.sum(axis=0)
+        np.copyto(last, first, where=~two)
+        hit = got & ~past[1:]                 # served, with a packet waiting
+        occupied += got.sum(axis=0)
+        distinct += two.sum(axis=0)
+        delivered += hit.sum(axis=0)
+        # rounding may put a frame's last service instant a hair past the
+        # frame's end: an arrival before that instant is still in the frame
+        lag = f_end - np.minimum(np.floor(last), f_end)
+        lag[~hit] = 0.0
+        delay += lag.sum(axis=0).astype(np.int64)
+        f_first = np.minimum(np.floor(first[got]), f_end[got])
+        steps += np.bincount(np.maximum(f_first, 0).astype(np.int64), minlength=frames + 1)
+        steps -= np.bincount(f_end[got] + 1, minlength=frames + 1)
+        m_real += np.bincount(f_end[hit], minlength=frames)
+        j0, cols = j0 + cols, min(2 * cols, most)
+    generated = occupied + distinct + rng.poisson(lam_t * span)
+    n_active = np.cumsum(steps)[:frames]
+    report = SimReport("tdma", seed, frames, tc, cfg, generated=generated,
+                       dropped=generated - occupied, delivered=delivered,
+                       delay_frames_sum=delay)
+    report.per_frame = [FrameSummary(f, n, m, 0.0, 0, 0, 0.0, 0.0, 0.0, slots - m)
+                        for f, (n, m) in enumerate(zip(n_active.tolist(), m_real.tolist()))]
+    return report

@@ -133,9 +133,9 @@ def _timed_arrivals(monkeypatch) -> list:
 def test_a_frame_without_a_service_draws_no_arrival_times(monkeypatch):
     # on the grid-choked benchmark scenario no hybrid frame plans a winner,
     # so after the warm-up the hybrid's arrivals are one quiet stretch with
-    # no time; no CSMA frame has a success, so none draws times; a TDMA
-    # frame and a resolving hybrid frame serve devices and draw them (the
-    # warm-up before frame 0 draws counts only)
+    # no time; no CSMA frame has a success, so none draws times; a
+    # resolving hybrid frame serves devices and draws them (the warm-up
+    # before frame 0 draws counts only); TDMA draws no frame's arrivals
     tc = TimingConstants()
     cfg = ClassConfig(class_sizes=(1180, 10, 10), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
     plan = optimize(cfg, tc, 200)
@@ -149,12 +149,24 @@ def test_a_frame_without_a_service_draws_no_arrival_times(monkeypatch):
     assert timed == [False] * 6 and not any(f.m_realized for f in report.per_frame)
     timed.clear()
     simulator.run_tdma(cfg, tc, 5, seed=3)
-    assert timed == [False] + [True] * 5
+    assert timed == []
     timed.clear()
     resolving = replace(cfg, p_inl=5e-4)
     simulator.run_hybrid(resolving, tc, plan_for(resolving, tc, 3, 1.0, 5e-4), 3, seed=3)
     assert timed == [False] + [True] * 3
-    assert len(stretches) == 1  # CSMA and TDMA frames are never quiet
+    assert len(stretches) == 1  # CSMA frames are never quiet
+
+
+def test_tdma_is_one_sweep_without_a_frame_loop(monkeypatch):
+    # on the baselines-choked scenario TDMA draws its whole run over its
+    # fixed schedule: no frame's arrivals, no per-frame traffic step
+    tc = TimingConstants()
+    cfg = ClassConfig(class_sizes=(1180, 10, 10), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
+    arrivals = _counted(monkeypatch, simulator, "_poisson_arrivals")
+    settled = _counted(monkeypatch, simulator, "_settle_frame")
+    report = simulator.run_tdma(cfg, tc, 20, seed=3)
+    assert (len(arrivals), len(settled)) == (0, 0)
+    assert len(report.per_frame) == 20 and report.delivered.sum() > 0
 
 
 def test_contention_periods_go_through_the_wrapped_name(monkeypatch):

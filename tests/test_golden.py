@@ -40,7 +40,7 @@ K1200_CHOKED = {"name": "k1200-choked",
 GOLDEN = {
     "readme": {
         "stdout":
-            "9d512f8bdc05d285cab0417177261f071b26be27fbccec32d65607d9e4480ca7",
+            "de1ee933bfd183b7929d05a630e955b7b40b14cf95bcada854f62ffedef52df1",
         "devices_csma_seed1.csv":
             "dd4410624802c9f578353c49a6a3e7e87794c65eb26e929863c4f421ba45067b",
         "devices_csma_seed2.csv":
@@ -50,9 +50,9 @@ GOLDEN = {
         "devices_hybrid_seed2.csv":
             "42c3350631a4c62ba3dd8cb4a8981efcda486f001e7170cced13e4d2e8bcfcee",
         "devices_tdma_seed1.csv":
-            "309f4fa40b7bb639b8a0109f299243f78add35f5ce8a95507f3c87778ab08827",
+            "f4c97306bc5236895c04d16082c7daf2db01484e8069895434801f1cf68fc3d5",
         "devices_tdma_seed2.csv":
-            "616aab9243fa1e9c6d662633cc14e97a6c6164154b293e85d3eaa88bee618814",
+            "853375a2c796b64552ba0f0749dcc91d12a3f824beb2915751386cba18047583",
         "frames_csma_seed1.csv":
             "71e74b2283685de9a0d8f054367763b99a1f6430a878f85c3ae2befeb77ed838",
         "frames_csma_seed2.csv":
@@ -62,43 +62,43 @@ GOLDEN = {
         "frames_hybrid_seed2.csv":
             "4fff5ede700ff60b2fa32b7297268806507452de08e3df87e7cd7112d7bef574",
         "frames_tdma_seed1.csv":
-            "d46d0e37582c0291b172192d76fb2ac1b9c8c861abcad0f357374e1de23eab1a",
+            "1892757c17cc63dbda75fbd6684cda65c53c3afd9116d4b1d183444083572745",
         "frames_tdma_seed2.csv":
-            "c2b00f4417fc5c43185a7f1f1b35dfc0adb38ad9258f0c6f889466de6f17674f",
+            "2eebd586de752ebc3457ac445e84a894cef570ab623341a4bfc5617ad3e01f05",
         "plan.yaml":
             "b537b1fd5b975c321c0b1961756204ed84dcfac3e2a1656ce3c462aa625a779b",
     },
     "k1200-plan": {
         "stdout":
-            "7c5dee8aaccb5c65816922d924d086bbd5b0532404ecb1019b9a03963c29888f",
+            "3d8fa7b2f13cca8a180ebf06a71e9f9b782931cf8c37a049e2c767e0d738e17c",
         "devices_csma_seed1.csv":
             "0a935311404db695cebfce5b7d24ea71f0215e0f0de1c32fd70e732993baadf3",
         "devices_hybrid_seed1.csv":
             "53d0191f3ab29479e0d663cba450a1b6448207e2bdb920f3c6f3719025330ed6",
         "devices_tdma_seed1.csv":
-            "90c753cd68546b2c25739df3183bf1e18f4ab9bbebc03780a3c631920cbd1fa6",
+            "27ecf574a16a523a01008fa16455bc87c7913d2274c4914bae844f91222f000f",
         "frames_csma_seed1.csv":
             "7589923c7e264bc49f040ca00c3cd57bd06a3fab0c9b98d993f5f7d0dde8babd",
         "frames_hybrid_seed1.csv":
             "3acc94569b8b04b5257a3c0d87b9b1afbd6e4915e8e54260eaf1ce656110f0a6",
         "frames_tdma_seed1.csv":
-            "0c51f50c008fc362316f6ccf25a7ca57b0eebc4e1d9004803880066c8247c6c1",
+            "31f2af6db8a0b34b3d65bb647dc99ee569305db67033a4f6f617f8bca0787e02",
     },
     "k1200-choked": {
         "stdout":
-            "d687ae179b2d90e5ce1b1588ff2280fbb30fa4e5cd16b22dd7fc54382625d083",
+            "2e8673483927586f631cb489bd452364037b4264c2f4e3737f80eeeb7ecd4b49",
         "devices_csma_seed1.csv":
             "98ebcb7c8ed398108d1772d274c89d0d5a7d90f655a29196d6b2e5471bced7d1",
         "devices_hybrid_seed1.csv":
             "c3880d703a8d2d729089b812821f73dae42e931722eb16f185db388af59cacea",
         "devices_tdma_seed1.csv":
-            "676b8a8d644531e9a4fb954caf76bd8bb650a06d2de9a702dcfe6527fa06fae5",
+            "214cc8178e0dcb17deefc88785b3a7af393064dc478db560e8c5f73f89c9e980",
         "frames_csma_seed1.csv":
             "51576cf812d589e6fac8cd9d84a62e8418b4c0733e6b0da4cd5898f1955633f7",
         "frames_hybrid_seed1.csv":
             "ccd3eac07ccb6537c1cfb3a1b21e73e3ae1d0bec78c44e789c5e7db465653447",
         "frames_tdma_seed1.csv":
-            "465579e2fb1b12f14b9e85bb5d269985ff3ca6ff84158ac41cd9898be6117f86",
+            "5a14517416c8a2edf5f034391d5b24ebbcb95c0efea5c116aa9d1252ad501cad",
         "plan.yaml":
             "e0d1081403b92ef0bcac6208ca65c65b3b6ecf20848151c5cf15e8e13670219c",
     },

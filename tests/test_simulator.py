@@ -829,9 +829,7 @@ def test_a_quiet_stretch_escalates_every_loser(tc):
 def _apply_frame_traffic(frame, dev, arr_times, deliver_t, buf_full, buf_k1,
                          dropped, delivered, delay_sum):
     """Hybrid and csma reference: one device's sorted arrivals around its
-    delivery instant (the winner's buffer is full).  Returns how many
-    arrivals found the buffer empty."""
-    filled = 0
+    delivery instant (the winner's buffer is full)."""
     i = 0
     if deliver_t is not None:
         while i < len(arr_times) and arr_times[i] < deliver_t:
@@ -844,19 +842,16 @@ def _apply_frame_traffic(frame, dev, arr_times, deliver_t, buf_full, buf_k1,
     while i < len(arr_times):
         if buf_full[dev]:
             dropped[dev] += 1
-        else:
-            filled += 1
         buf_full[dev] = True
         buf_k1[dev] = frame
         i += 1
-    return filled
 
 
 def _tdma_frame_traffic(frame, owners, slot_end, arr_times, buf_full, buf_k1,
                         dropped, delivered, delay_sum):
-    """TDMA reference: each device's sorted arrivals and owned slots in
-    time order.  Returns (delivered, idle slots, arrivals into an empty
-    buffer)."""
+    """TDMA reference for one frame: each device's sorted arrivals and
+    owned slots in time order.  Returns (delivered, idle slots, arrivals
+    into an empty buffer)."""
     opportunities: dict[int, list[float]] = {}
     for dev, t in zip(owners, slot_end):
         opportunities.setdefault(int(dev), []).append(float(t))
@@ -893,30 +888,24 @@ def _tdma_frame_traffic(frame, owners, slot_end, arr_times, buf_full, buf_k1,
 @st.composite
 def traffic_frames(draw):
     """One frame of buffer state, arrivals and services on an integer time
-    grid, so arrivals land exactly on service instants too."""
+    grid, so arrivals land exactly on service instants too: distinct
+    winners, each holding a packet, as the hybrid and CSMA serve."""
     k = draw(st.integers(1, 6))
     frame = draw(st.integers(0, 4))
     full = draw(st.lists(st.booleans(), min_size=k, max_size=k))
     k1 = draw(st.lists(st.integers(-1, frame), min_size=k, max_size=k))
     counters = draw(st.lists(st.integers(0, 5), min_size=4 * k, max_size=4 * k))
-    if draw(st.booleans()):
-        # TDMA: slot ends 2, 4, ...; more slots than devices gives several rounds
-        service = ("tdma", draw(st.integers(0, 3 * k + 1)), draw(st.integers(0, 50)))
-        horizon = 2 * service[1] + 2
-    else:
-        # hybrid/csma: distinct winners, each holding a packet
-        winners = draw(st.lists(st.integers(0, k - 1), unique=True, max_size=k))
-        instants = draw(st.lists(st.integers(0, 12), min_size=len(winners),
-                                 max_size=len(winners)))
-        for dev in winners:
-            full[dev] = True
-        service = ("winners", winners, [float(t) for t in instants])
-        horizon = 12
-    arrivals = draw(st.lists(st.lists(st.integers(0, horizon), max_size=4),
+    winners = draw(st.lists(st.integers(0, k - 1), unique=True, max_size=k))
+    instants = draw(st.lists(st.integers(0, 12), min_size=len(winners),
+                             max_size=len(winners)))
+    for dev in winners:
+        full[dev] = True
+    arrivals = draw(st.lists(st.lists(st.integers(0, 12), max_size=4),
                              min_size=k, max_size=k))
     total = sum(len(a) for a in arrivals)
     order = draw(st.permutations(range(total)))
-    return dict(frame=frame, full=full, k1=k1, counters=counters, service=service,
+    return dict(frame=frame, full=full, k1=k1, counters=counters, winners=winners,
+                instants=[float(t) for t in instants],
                 arrivals=[[float(t) for t in a] for a in arrivals], order=order)
 
 
@@ -931,12 +920,9 @@ _EMPTY = dict(frame=2, full=[True, False, True], k1=[0, -1, 1], counters=[0] * 1
               arrivals=[[], [], []], order=[])
 
 
-@example(case=dict(_EMPTY, service=("winners", [], [])))
-@example(case=dict(_EMPTY, service=("tdma", 7, 1)))
-@example(case=dict(_EMPTY, service=("winners", [2, 0], [4.0, 4.0]),
+@example(case=dict(_EMPTY, winners=[], instants=[]))
+@example(case=dict(_EMPTY, winners=[2, 0], instants=[4.0, 4.0],
                    arrivals=[[4.0, 1.0], [], [4.0]], order=[2, 0, 1]))
-@example(case=dict(_EMPTY, service=("tdma", 8, 0),
-                   arrivals=[[2.0, 8.0, 9.0], [4.0], []], order=[3, 1, 0, 2]))
 @settings(max_examples=300, deadline=None)
 @given(case=traffic_frames())
 def test_settle_frame_matches_chronological_reference(case):
@@ -949,32 +935,89 @@ def test_settle_frame_matches_chronological_reference(case):
     times = np.array([t for a in case["arrivals"] for t in a], dtype=float)[order]
     ref = _state(case)
     ref.generated += counts
-    sorted_times = [np.sort(a) for a in case["arrivals"]]
-    kind, *spec = case["service"]
-    if kind == "tdma":
-        slots, offset = spec
-        owners = (offset + np.arange(slots)) % k
-        slot_end = (np.arange(slots) + 1) * 2.0
-        devices, instants = owners, slot_end
-        expect = _tdma_frame_traffic(frame, owners, slot_end, sorted_times,
-                                     ref.full, ref.k1, ref.dropped, ref.delivered,
-                                     ref.delay_sum)
-    else:
-        winners, instants = spec
-        devices = np.array(winners, dtype=np.int64)
-        deliver_t = dict(zip(winners, instants))
-        filled = sum(_apply_frame_traffic(frame, dev, sorted_times[dev],
-                                          deliver_t.get(dev), ref.full, ref.k1,
-                                          ref.dropped, ref.delivered, ref.delay_sum)
-                     for dev in range(k))
-        expect = (len(winners), 0, filled)
+    winners, instants = case["winners"], case["instants"]
+    deliver_t = dict(zip(winners, instants))
+    for dev, arr_times in enumerate(case["arrivals"]):
+        _apply_frame_traffic(frame, dev, sorted(arr_times), deliver_t.get(dev), ref.full,
+                             ref.k1, ref.dropped, ref.delivered, ref.delay_sum)
 
     buf = _state(case)
-    if not len(devices):
+    devices = np.array(winners, dtype=np.int64)
+    if not winners:
         times = None  # a frame without a service reads no arrival time
-    assert _settle_frame(frame, counts, owner, times, devices, instants, buf) == expect
+    assert _settle_frame(frame, counts, owner, times, devices, instants, buf) == len(winners)
     for name in ("full", "k1", "generated", "dropped", "delivered", "delay_sum"):
         assert np.array_equal(getattr(buf, name), getattr(ref, name)), name
+
+
+# ---------------------------------------------------------------------------
+# TDMA sweep against the per-frame reference
+
+
+def _tdma_per_frame(cfg, tc, frames: int, rng):
+    """A TDMA run frame by frame: one warm-up frame of arrivals, then each
+    frame's marked Poisson arrivals (`_poisson_arrivals`) settled around
+    its owned slots by `_tdma_frame_traffic`.  Returns what
+    `_tdma_outcomes` reads off a `run_tdma` report."""
+    k = cfg.total_devices
+    slots = int(tc.t_frame_us / tc.t_r_us)
+    slot_end = (np.arange(slots) + 1) * tc.t_r_us
+    counts, _, _ = _poisson_arrivals(rng, cfg, tc, timed=False)
+    full, k1 = counts > 0, np.full(k, -1, dtype=np.int64)
+    generated, dropped = counts.copy(), np.maximum(counts - 1, 0)
+    delivered, delay = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
+    per_frame = []
+    for frame in range(frames):
+        counts, owner, times = _poisson_arrivals(rng, cfg, tc, timed=True)
+        generated += counts
+        arr_times = [np.sort(times[owner == dev]) for dev in range(k)]
+        owners = (frame * slots + np.arange(slots)) % k
+        n_full = int(full.sum())
+        m_real, _, filled = _tdma_frame_traffic(frame, owners, slot_end, arr_times, full,
+                                                k1, dropped, delivered, delay)
+        per_frame.append((n_full + filled, m_real))
+    n_active, m_realized = np.array(per_frame).T
+    return dict(n_active=n_active, m_realized=m_realized, generated=generated,
+                delivered=delivered, dropped=dropped, delay=delay)
+
+
+def _tdma_outcomes(rep) -> dict:
+    """The per-frame n_active and m_realized and the per-device counters
+    of a TDMA report."""
+    return dict(n_active=np.array([f.n_active for f in rep.per_frame]),
+                m_realized=np.array([f.m_realized for f in rep.per_frame]),
+                generated=rep.generated, delivered=rep.delivered, dropped=rep.dropped,
+                delay=rep.delay_frames_sum)
+
+
+def _cells(samples: np.ndarray) -> np.ndarray:
+    """Each (run, position) value of ``samples`` as one integer cell per
+    position and value, so a position's law is compared value by value."""
+    return np.arange(samples.shape[-1]) * 1_000_000 + samples
+
+
+@pytest.mark.parametrize("sizes, slots", [((6,), 4), ((3,), 4)],
+                         ids=["K>slots", "K<slots"])
+@pytest.mark.parametrize("lam_t", [0.2, 1.0, 3.0])
+def test_tdma_sweep_follows_the_per_frame_law(lam_t, sizes, slots):
+    """1,000 four-frame TDMA runs of the sweep against as many of the
+    per-frame reference: per frame n_active and m_realized, per device
+    generated, delivered, dropped and delay, each by two-sample
+    chi-square.  With K > slots a service interval spans frames; with
+    K < slots a device owns one or two slots of a frame."""
+    tc = TimingConstants(t_r_us=TimingConstants().t_frame_us / slots)
+    cfg = ClassConfig(sizes, p_inl=0.05, alpha=1.0,
+                      arrival_rate=lam_t * US_PER_S / tc.t_frame_us)
+    frames, runs = 4, 1000
+    rng = np.random.default_rng(37)
+    reference = [_tdma_per_frame(cfg, tc, frames, rng) for _ in range(runs)]
+    swept = [_tdma_outcomes(run_tdma(cfg, tc, frames, seed)) for seed in range(runs)]
+    for name in reference[0]:
+        a, b = (_cells(np.array([run[name] for run in side])) for side in (reference, swept))
+        cells, seen = np.unique(np.concatenate([a.ravel(), b.ravel()]), return_inverse=True)
+        seen = seen.reshape(2, -1)
+        assert _same_law(np.bincount(seen[0], minlength=len(cells)),
+                         np.bincount(seen[1], minlength=len(cells))), name
 
 
 # ---------------------------------------------------------------------------
@@ -988,7 +1031,9 @@ def _case(**kw):
 
 
 @example(**_case(sizes=[3], lam=4.0))
-@example(**_case(sizes=[0, 0], horizon=3))         # K = 0
+@example(**_case(sizes=[0, 0], horizon=3))         # K = 0: TDMA owns no slot
+@example(**_case(sizes=[7]))                       # 500 TDMA slots a frame: 71 K + 3
+@example(**_case(lam=1e-311))                      # TDMA's E / lambda T overflows
 @example(**_case(lam=0.0, horizon=3))              # no arrival
 @example(**_case(lam=1e-300, idle={1, 2}))         # Geometric(q) at int64's maximum
 @example(**_case(lam=40.0, idle={1, 2}))           # lambda T >= 37: q rounds to 1
