@@ -3,11 +3,12 @@ plus contention-only (p-persistent) and reservation-only (TDMA) baselines.
 
 Every run draws from one seeded RNG, so identical inputs reproduce
 identical reports.  The two protocols with contention run in one frame
-loop; TDMA's schedule is fixed, so its run is one sweep over every
-device's service intervals.  A contention period is drawn as an
-exponential race: one key per device orders the winners, and the gaps
-between successes follow the slot law of the devices left, per virtual
-class (devices inside a class are exchangeable).
+loop; TDMA's schedule is fixed, so its run is one sweep.  All three draw
+arrivals by one law, on each device's service intervals (`_Arrivals`).
+A contention period is drawn as an exponential race: one key per device
+orders the winners, and the gaps between successes follow the slot law
+of the devices left, per virtual class (devices inside a class are
+exchangeable).
 """
 
 from __future__ import annotations
@@ -514,138 +515,87 @@ def _slot_batch(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
     )
 
 
-@dataclass
-class _Buffers:
-    """Every device's one-packet buffer and packet counters, as arrays."""
+class _Arrivals:
+    """Every device's Poisson arrivals, ``lam_t`` a frame, read off its
+    service intervals on one time axis in frames, the warm-up frame being
+    [-1, 0) (README, "Simulator").
 
-    full: np.ndarray        # a packet is waiting
-    k1: np.ndarray          # frame in which the waiting packet arrived
-    generated: np.ndarray
-    dropped: np.ndarray
-    delivered: np.ndarray
-    delay_sum: np.ndarray   # frames from arrival to delivery, summed
+    A device holds one packet between two services.  An interval opens at
+    a service instant, or at -1, and its first arrival comes E / lambda T
+    later, E standard exponential (`first_after`).  Read back from the
+    interval's end, its last arrival comes E' / lambda T before it, unless
+    that is before the first, which is then also the last (`last_before`).
+    Given both, the arrivals between them are Poisson of rate lambda (time
+    reversal and marking, Kingman 1993), so a device's arrivals are its
+    occupancies (intervals closed with an arrival), its distinct last
+    arrivals and one Poisson draw over its summed spans (`generated`).
+    The ``ids`` of the devices are read only by `_Script`."""
 
-    @classmethod
-    def empty(cls, k: int) -> _Buffers:
-        counters = (np.zeros(k, dtype=np.int64) for _ in range(5))
-        return cls(np.zeros(k, dtype=bool), *counters)
+    def __init__(self, rng: np.random.Generator, lam_t: float):
+        self.rng, self.lam_t = rng, lam_t
 
+    def _gaps(self, shape) -> np.ndarray:
+        with np.errstate(divide="ignore", over="ignore"):
+            # inf, no arrival, where lambda T is 0 or subnormal
+            return self.rng.standard_exponential(shape) / self.lam_t
 
-def _poisson_arrivals(rng: np.random.Generator, cfg: ClassConfig,
-                      tc: TimingConstants, timed: bool):
-    """One frame of arrivals as one marked Poisson process: (per-device
-    counts, the owner of every arrival, their times, or None when not
-    ``timed``).
+    def first_after(self, start, ids=None) -> np.ndarray:
+        """The first arrival at or after each ``start``."""
+        return start + self._gaps(np.shape(start))
 
-    Every device's arrivals are Poisson(lambda T) and independent, so
-    together they are one Poisson(K lambda T) process whose arrivals each
-    belong to a uniform device at a uniform time in the frame (superposition
-    and marking, Kingman 1993): one total, one owner per arrival, and one
-    time per arrival, drawn only when a service needs them."""
-    k = cfg.total_devices
-    per_device = cfg.arrival_rate / US_PER_S * tc.t_frame_us  # lambda T
-    owner = rng.integers(0, k, rng.poisson(k * per_device))
-    times = rng.random(len(owner)) * tc.t_frame_us if timed else None
-    return np.bincount(owner, minlength=k), owner, times
+    def last_before(self, first, end, ids=None):
+        """(last arrival, span from the first to it) of intervals that
+        hold an arrival, the first at ``first``, and close at ``end``."""
+        return _spans(first, np.maximum(first, end - self._gaps(np.shape(first))))
 
-
-def _quiet_arrivals(rng: np.random.Generator, cfg: ClassConfig, tc: TimingConstants,
-                    frames: int):
-    """A stretch of ``frames`` frames of arrivals with no service in it, per
-    device: (arrivals, first frame holding one, last frame holding one),
-    the first being ``frames`` for a device with none.
-
-    A frame holds an arrival of a device independently, with probability
-    q = 1 - exp(-lambda T), so the first such frame is Geometric(q) - 1
-    and so is, counted back from the stretch end, the gap after the last.
-    An end frame holds its first arrival at tau = -ln(1 - U q) (in units
-    of 1 / lambda) and Poisson(lambda T - tau) after it, the frames between
-    Poisson(lambda T) each: one Poisson draw sums them, so the stretch
-    costs O(K) variates whatever its length."""
-    k = cfg.total_devices
-    per_frame = cfg.arrival_rate / US_PER_S * tc.t_frame_us  # lambda T
-    q = cfg.arrival_probability(tc)
-    count = np.zeros(k, dtype=np.int64)
-    if q == 0.0:  # no arrival; Geometric(0) has no law
-        return count, np.full(k, frames), np.full(k, frames)
-    # a tiny q gives first frames up to int64's maximum: only the devices
-    # with an arrival in the stretch are drawn on
-    first = np.minimum(rng.geometric(q, k) - 1, frames)
-    last = first.copy()
-    some = np.flatnonzero(first < frames)
-    head = first[some]
-    tail = np.maximum(head, frames - rng.geometric(q, len(some)))
-    two = tail > head
-    # rounding may put tau a hair above lambda T
-    after = np.maximum(per_frame + np.log1p(-q * rng.random((2, len(some)))), 0.0)
-    between = per_frame * np.maximum(tail - head - 1, 0)
-    count[some] = 1 + two + rng.poisson(after[0] + two * after[1] + between)
-    last[some] = tail
-    return count, first, last
+    def generated(self, occupied, distinct, span) -> np.ndarray:
+        return occupied + distinct + self.rng.poisson(self.lam_t * span)
 
 
-def _scripted_stretch(script: dict, start: int, stop: int, k: int):
-    """The scripted arrivals of frames ``start`` to ``stop`` - 1 as the
-    arrays of `_quiet_arrivals`."""
-    frames = stop - start
-    counts = np.array([_scripted_arrivals(script.get(f, {}), k)[0]
-                       for f in range(start, stop)]).reshape(frames, k)
-    got = counts > 0
-    first = np.where(got.any(axis=0), got.argmax(axis=0), frames)
-    return counts.sum(axis=0), first, frames - 1 - got[::-1].argmax(axis=0)
+class _Script:
+    """Scripted arrivals, ``{frame: {device: times in the frame (us)}}``,
+    as `_Arrivals`: each device's times, sorted, on the frame axis.  An
+    arrival at a service instant counts as after it."""
+
+    def __init__(self, script: dict, tc: TimingConstants, k: int, frames: int):
+        times: list[list[float]] = [[] for _ in range(k)]
+        for frame, arrivals in script.items():
+            for dev, stamps in arrivals.items():
+                if not 0 <= dev < k:
+                    raise ValueError(f"scripted arrival for device {dev} outside 0..{k - 1}")
+                for t in stamps:
+                    if frame < 0 or not 0.0 <= t < tc.t_frame_us:
+                        raise ValueError(
+                            f"scripted arrival at {t} us of frame {frame} for device {dev} "
+                            f"outside frames 0, 1, ... and [0, {tc.t_frame_us}) us")
+                    times[dev].append(frame + t / tc.t_frame_us)
+        # an inf at the end stands for no later arrival
+        self.times = [np.append(np.sort(t), math.inf) for t in times]
+        self.frames = frames
+
+    def first_after(self, start, ids) -> np.ndarray:
+        return np.array([self.times[d][np.searchsorted(self.times[d], x)]
+                         for d, x in zip(ids, start)], dtype=float)
+
+    def last_before(self, first, end, ids):
+        last = [self.times[d][np.searchsorted(self.times[d], x) - 1]
+                for d, x in zip(ids, np.broadcast_to(end, np.shape(first)))]
+        return _spans(first, np.array(last, dtype=float))
+
+    def generated(self, *_) -> np.ndarray:
+        return np.array([np.searchsorted(t, self.frames) for t in self.times], dtype=np.int64)
 
 
-def _scripted_arrivals(script: dict, k: int):
-    """``{device: arrival times}`` as the arrays of `_poisson_arrivals`."""
-    counts = np.zeros(k, dtype=np.int64)
-    times: list[float] = []
-    for dev in sorted(script):
-        if not 0 <= dev < k:
-            raise ValueError(f"scripted arrival for device {dev} outside 0..{k - 1}")
-        counts[dev] = len(script[dev])
-        times += [float(t) for t in script[dev]]
-    return counts, np.repeat(np.arange(k), counts), np.array(times, dtype=float)
+def _spans(first: np.ndarray, last: np.ndarray):
+    """``last`` and its span from ``first``: 0 where they are one arrival."""
+    return last, np.subtract(last, first, out=np.zeros(np.shape(last)), where=last > first)
 
 
-def _arrive(frame: int, n: np.ndarray, buf: _Buffers) -> None:
-    """``n[dev]`` packets reach each buffer between two services.  Each
-    replaces the one waiting, so all but the last are dropped, and the
-    last one is buffered."""
-    got = n > 0
-    buf.dropped += n  # every packet but the one that fills an empty buffer
-    buf.dropped -= got & ~buf.full
-    buf.full |= got
-    np.putmask(buf.k1, got, frame)
-
-
-def _settle_frame(frame: int, counts: np.ndarray, owner: np.ndarray,
-                  times: np.ndarray | None, devices: np.ndarray, instants_us,
-                  buf: _Buffers) -> int:
-    """Apply one frame of arrivals and services to every buffer at once.
-
-    ``counts[dev]`` arrivals belong to each device; arrival i belongs to
-    device ``owner[i]`` and comes at ``times[i]``, in any order (the times
-    are read only in a frame with a service).  Distinct devices
-    ``devices[j]``, each holding a packet (a contention winner is active at
-    the frame start), are served at ``instants_us[j]``.  An arrival
-    strictly before its device's service instant is buffered before it;
-    one at the instant or later comes after.  A service delivers the
-    buffer and empties it.  Returns the deliveries.
-    """
-    k = len(counts)
-    buf.generated += counts
-    rest = counts  # the arrivals after the device's service, or all of them
-    if len(devices):  # arrivals are split at the services only in a frame that has one
-        instants = np.full(k, np.inf)
-        instants[devices] = instants_us
-        before = np.bincount(owner[times < instants[owner]], minlength=k)
-        _arrive(frame, before, buf)
-        buf.delivered[devices] += 1
-        buf.delay_sum[devices] += frame - buf.k1[devices]
-        buf.full[devices] = False
-        rest = counts - before
-    _arrive(frame, rest, buf)
-    return len(devices)
+def _delays(frame, last: np.ndarray) -> np.ndarray:
+    """Frames from each last arrival to a service in ``frame``.  Rounding
+    may put a frame's last service instant a hair past the frame's end: an
+    arrival before that instant is still in the frame."""
+    return frame - np.minimum(np.floor(last), frame)
 
 
 def _group_actives(active_ids: np.ndarray, q_arr: np.ndarray, d_arr: np.ndarray,
@@ -669,32 +619,41 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None,
     """Run ``report.frames`` frames of a protocol with contention (the
     hybrid or CSMA) into ``report``.
 
-    The loop owns the seeded RNG, the warm-up (one arrival frame before
-    frame 0, skipped under ``arrival_script``), the arrivals, the buffers
-    and the `FrameSummary`.  ``serve(rng, frame, active_ids)`` gives the
-    protocol's schedule: the contention outcome, the winners in service
-    order, their service instants and the winners' wait.  The schedule
-    comes before the frame's arrivals, which are drawn with their times
-    only when it serves some device (`_poisson_arrivals`).  ``m_realized``
-    counts deliveries and ``n_active`` the buffers full at the frame start.
+    The loop owns the seeded RNG, the arrivals (`_Arrivals`, or `_Script`
+    under ``arrival_script``), the packet counters and the `FrameSummary`.
+    Each device keeps only ``first``, its first arrival since its last
+    service, and is active in frame f when ``first`` < f.
+    ``serve(rng, frame, active_ids)`` gives the protocol's schedule: the
+    contention outcome, the winners in service order, their service
+    instants and the winners' wait.  A service closes the winner's
+    interval, delivers its last arrival and opens the next; ``m_realized``
+    counts deliveries and ``n_active`` the active devices.  The intervals
+    still open are closed at the run's end, and only then are the packets
+    generated drawn.
 
     ``quiet`` holds the frames known before the run to have neither a
     contention period nor a service.  Each maximal stretch of them is one
-    step: its arrivals are drawn together (`_quiet_arrivals`), its frames
-    count the buffers full at their start, and ``rest(start, stop, wake)``
-    hands the protocol the frame of the stretch from which each device is
-    active: 0 when full at its start, the frame after its first arrival,
-    or the stretch length.
+    step that draws nothing: ``rest(start, stop, wake)`` hands the
+    protocol the frame of the stretch from which each device is active,
+    0 when active at its start, or the stretch length.
     """
     cfg, tc, k = report.cfg, report.tc, report.cfg.total_devices
     rng = np.random.default_rng(report.seed)
-    buf = _Buffers.empty(k)
-    report.generated, report.dropped = buf.generated, buf.dropped
-    report.delivered, report.delay_frames_sum = buf.delivered, buf.delay_sum
     if arrival_script is None:
-        counts, _, _ = _poisson_arrivals(rng, cfg, tc, timed=False)
-        buf.generated += counts
-        _arrive(-1, counts, buf)
+        arrivals = _Arrivals(rng, cfg.arrival_rate / US_PER_S * tc.t_frame_us)
+    else:
+        arrivals = _Script(arrival_script, tc, k, report.frames)
+    first = arrivals.first_after(np.full(k, -1.0), np.arange(k))
+    occupied, distinct, delivered, delay = (np.zeros(k, dtype=np.int64) for _ in range(4))
+    span = np.zeros(k)
+
+    def close(ids, end):
+        """Close the intervals of devices ``ids`` at ``end``."""
+        last, gap = arrivals.last_before(first[ids], end, ids)
+        occupied[ids] += 1
+        distinct[ids] += gap > 0.0
+        span[ids] += gap
+        return last
 
     frame = 0
     while frame < report.frames:
@@ -703,13 +662,7 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None,
             stop += 1
         if stop > frame:
             frames = stop - frame
-            if arrival_script is None:
-                counts, first, last = _quiet_arrivals(rng, cfg, tc, frames)
-            else:
-                counts, first, last = _scripted_stretch(arrival_script, frame, stop, k)
-            wake = np.where(buf.full, 0, np.minimum(first + 1, frames))
-            buf.generated += counts
-            _arrive(frame + last, counts, buf)
+            wake = np.clip(np.floor(first) + 1 - frame, 0, frames).astype(np.int64)
             rest(frame, stop, wake)
             n_active = np.cumsum(np.bincount(wake, minlength=frames + 1))[:frames]
             # no contention, no delivery, no wait
@@ -717,20 +670,24 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None,
                                  for f, n in zip(range(frame, stop), n_active.tolist())]
             frame = stop
             continue
-        active_ids = np.nonzero(buf.full)[0]
+        active_ids = np.flatnonzero(first < frame)
         cop, devices, instants_us, wait_us = serve(rng, frame, active_ids)
-        if arrival_script is None:
-            arrivals = _poisson_arrivals(rng, cfg, tc, timed=len(devices) > 0)
-        else:
-            arrivals = _scripted_arrivals(arrival_script.get(frame, {}), k)
-        m_real = _settle_frame(frame, *arrivals, devices, instants_us, buf)
+        if len(devices):
+            served = frame + np.asarray(instants_us) / tc.t_frame_us
+            delay[devices] += _delays(frame, close(devices, served)).astype(np.int64)
+            delivered[devices] += 1
+            first[devices] = arrivals.first_after(served, devices)
         report.per_frame.append(FrameSummary(
-            frame=frame, n_active=len(active_ids), m_realized=m_real,
+            frame=frame, n_active=len(active_ids), m_realized=len(devices),
             t_cop_us=cop.t_elapsed_us, n_idle_slots=cop.n_idle_slots,
             n_collisions=cop.n_collisions, coll_tx_time_us=cop.coll_tx_time_us,
             listen_time_us=cop.listen_time_us, winner_wait_time_us=wait_us,
         ))
         frame += 1
+    close(np.flatnonzero(first < report.frames), float(report.frames))
+    report.generated = arrivals.generated(occupied, distinct, span)
+    report.dropped = report.generated - occupied
+    report.delivered, report.delay_frames_sum = delivered, delay
     return report
 
 
@@ -747,8 +704,9 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
 
     ``arrival_script``/``winner_script`` (frame index -> scripted arrival
     times per device / ordered winner ids) replace the random draws for
-    deterministic replay scenarios.  Scripted winners must be distinct
-    devices, active at the frame start.
+    deterministic replay scenarios.  Scripted arrivals lie in [0, t_frame)
+    of frames 0, 1, ...; scripted winners must be distinct devices,
+    active at the frame start.
     """
     if len(plan.per_frame) < frames:
         raise PlanMismatchError(
@@ -846,18 +804,14 @@ def run_tdma(cfg: ClassConfig, tc: TimingConstants, frames: int, seed: int) -> S
 
     With S slots a frame, device s mod K owns service s, at the end of
     slot s mod S of frame s // S.  The schedule is fixed, so the run is
-    one sweep over every device's service intervals, each from its
-    previous service (or the warm-up frame's start) to its next (or the
-    run's end), a block of intervals of every device at a time.  In frame
-    units an interval's first arrival comes E1 / lambda T after its start
-    and its last E2 / lambda T before its end, with Poisson(lambda T)
-    arrivals a frame between them (README, "Simulator")."""
+    one sweep over every device's service intervals (`_Arrivals`), each
+    from its previous service (or the warm-up frame's start) to its next
+    (or the run's end), a block of intervals of every device at a time."""
     k = cfg.total_devices
     slots = int(tc.t_frame_us / tc.t_r_us) if k else 0  # an empty network owns no slot
     n_serv = frames * slots
-    lam_t = cfg.arrival_rate / US_PER_S * tc.t_frame_us
     slot_end = (np.arange(slots) + 1) * (tc.t_r_us / tc.t_frame_us)  # in frames
-    rng = np.random.default_rng(seed)
+    arrivals = _Arrivals(np.random.default_rng(seed), cfg.arrival_rate / US_PER_S * tc.t_frame_us)
     occupied, distinct, delivered, delay = (np.zeros(k, dtype=np.int64) for _ in range(4))
     span = np.zeros(k)      # summed time from first to distinct last arrival
     # occupancies begun minus those ended before each frame: n_active's steps
@@ -882,25 +836,15 @@ def run_tdma(cfg: ClassConfig, tc: TimingConstants, frames: int, seed: int) -> S
             t[0] = -1.0                 # the warm-up frame's start
         end = t[1:]
         # a fixed shape per block: a shorter run draws a prefix of the cells
-        e = rng.standard_exponential((2, cols, k))
-        with np.errstate(divide="ignore", over="ignore"):
-            e /= lam_t  # inf, no arrival, where lambda T is 0 or subnormal
-        first, last = e
-        first += t[:-1]
-        np.subtract(end, last, out=last)
+        first = arrivals.first_after(t[:-1])
+        last, gap = arrivals.last_before(first, end)
         got = ~past[:-1] & (first < end)
-        two = got & (last > first)
-        gap = last - first
-        gap[~two] = 0.0
-        span += gap.sum(axis=0)
-        np.copyto(last, first, where=~two)
         hit = got & ~past[1:]                 # served, with a packet waiting
         occupied += got.sum(axis=0)
-        distinct += two.sum(axis=0)
+        distinct += (gap > 0.0).sum(axis=0)
+        span += gap.sum(axis=0)
         delivered += hit.sum(axis=0)
-        # rounding may put a frame's last service instant a hair past the
-        # frame's end: an arrival before that instant is still in the frame
-        lag = f_end - np.minimum(np.floor(last), f_end)
+        lag = _delays(f_end, last)
         lag[~hit] = 0.0
         delay += lag.sum(axis=0).astype(np.int64)
         f_first = np.minimum(np.floor(first[got]), f_end[got])
@@ -908,7 +852,7 @@ def run_tdma(cfg: ClassConfig, tc: TimingConstants, frames: int, seed: int) -> S
         steps -= np.bincount(f_end[got] + 1, minlength=frames + 1)
         m_real += np.bincount(f_end[hit], minlength=frames)
         j0, cols = j0 + cols, min(2 * cols, most)
-    generated = occupied + distinct + rng.poisson(lam_t * span)
+    generated = arrivals.generated(occupied, distinct, span)
     n_active = np.cumsum(steps)[:frames]
     report = SimReport("tdma", seed, frames, tc, cfg, generated=generated,
                        dropped=generated - occupied, delivered=delivered,

@@ -96,10 +96,24 @@ def test_optimize_plans_in_one_pass(monkeypatch, tcop_calls):
     assert len(tcop_calls) == 6
 
 
+def _arrival_draws(monkeypatch) -> list:
+    """The shape of every draw of arrival gaps (`simulator._Arrivals`)
+    from now on."""
+    shapes, real = [], simulator._Arrivals._gaps
+
+    def recording(self, shape):
+        shapes.append(shape)
+        return real(self, shape)
+
+    monkeypatch.setattr(simulator._Arrivals, "_gaps", recording)
+    return shapes
+
+
 def test_a_choke_costs_nothing(monkeypatch, tcop_calls):
     # on the grid-choked benchmark scenario every default cell is choked by
     # frame 5 and retires from the pass, and the hybrid's 200 frames that
-    # plan no winner are one quiet stretch: one arrival draw, no contention
+    # plan no winner are one quiet stretch: no contention, and no arrival
+    # drawn but the warm-up's and the run end's
     tc = TimingConstants()
     cfg = ClassConfig(class_sizes=(1180, 10, 10), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
     evolved = _counted(monkeypatch, optimizer, "evolve_population")
@@ -108,64 +122,45 @@ def test_a_choke_costs_nothing(monkeypatch, tcop_calls):
     assert not any(d.m_opt for d in plan.per_frame)
     cops = _counted(monkeypatch, simulator, "run_cop")
     grouped = _counted(monkeypatch, simulator, "_group_actives")
-    stretches = _counted(monkeypatch, simulator, "_quiet_arrivals")
+    draws = _arrival_draws(monkeypatch)
     report = simulator.run_hybrid(cfg, tc, plan, 200, seed=3)
     assert (len(cops), len(grouped)) == (0, 0)
-    assert [args[3] for args in stretches] == [200]
+    assert len(draws) == 2 and draws[0] == (1200,)
     assert len(report.per_frame) == 200
     assert max(f.n_active for f in report.per_frame) > 1000
 
 
-def _timed_arrivals(monkeypatch) -> list:
-    """Whether each draw through `simulator._poisson_arrivals` from now on
-    drew arrival times."""
-    timed, real = [], simulator._poisson_arrivals
-
-    def recording(*args, **kwargs):
-        arrivals = real(*args, **kwargs)
-        timed.append(arrivals[2] is not None)
-        return arrivals
-
-    monkeypatch.setattr(simulator, "_poisson_arrivals", recording)
-    return timed
-
-
 def test_a_frame_without_a_service_draws_no_arrival_times(monkeypatch):
-    # on the grid-choked benchmark scenario no hybrid frame plans a winner,
-    # so after the warm-up the hybrid's arrivals are one quiet stretch with
-    # no time; no CSMA frame has a success, so none draws times; a
-    # resolving hybrid frame serves devices and draws them (the warm-up
-    # before frame 0 draws counts only); TDMA draws no frame's arrivals
+    # on the grid-choked benchmark scenario no hybrid frame plans a winner
+    # and no CSMA frame has a success, so each run draws arrivals only for
+    # its warm-up and its end; a resolving hybrid frame draws them for its
+    # served devices only: the last arrival before and the first after
     tc = TimingConstants()
     cfg = ClassConfig(class_sizes=(1180, 10, 10), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
     plan = optimize(cfg, tc, 200)
     assert not any(d.m_opt for d in plan.per_frame)
-    timed = _timed_arrivals(monkeypatch)
-    stretches = _counted(monkeypatch, simulator, "_quiet_arrivals")
+    draws = _arrival_draws(monkeypatch)
     simulator.run_hybrid(cfg, tc, plan, 20, seed=3)
-    assert timed == [False] and [args[3] for args in stretches] == [20]
-    timed.clear()
+    assert len(draws) == 2 and draws[0] == (1200,)
+    draws.clear()
     report = simulator.run_csma(cfg, tc, 0.1, 5, seed=3)
-    assert timed == [False] * 6 and not any(f.m_realized for f in report.per_frame)
-    timed.clear()
-    simulator.run_tdma(cfg, tc, 5, seed=3)
-    assert timed == []
-    timed.clear()
+    assert len(draws) == 2 and not any(f.m_realized for f in report.per_frame)
+    draws.clear()
     resolving = replace(cfg, p_inl=5e-4)
-    simulator.run_hybrid(resolving, tc, plan_for(resolving, tc, 3, 1.0, 5e-4), 3, seed=3)
-    assert timed == [False] + [True] * 3
-    assert len(stretches) == 1  # CSMA frames are never quiet
+    report = simulator.run_hybrid(resolving, tc, plan_for(resolving, tc, 3, 1.0, 5e-4), 3,
+                                  seed=3)
+    served = [(f.m_realized,) for f in report.per_frame]
+    assert draws[1:-1] == [n for n in served for _ in range(2)] and min(served) > (100,)
 
 
 def test_tdma_is_one_sweep_without_a_frame_loop(monkeypatch):
     # on the baselines-choked scenario TDMA draws its whole run over its
-    # fixed schedule: no frame's arrivals, no per-frame traffic step
+    # fixed schedule, with no frame loop
     tc = TimingConstants()
     cfg = ClassConfig(class_sizes=(1180, 10, 10), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
-    arrivals = _counted(monkeypatch, simulator, "_poisson_arrivals")
-    settled = _counted(monkeypatch, simulator, "_settle_frame")
+    loops = _counted(monkeypatch, simulator, "_frame_loop")
     report = simulator.run_tdma(cfg, tc, 20, seed=3)
-    assert (len(arrivals), len(settled)) == (0, 0)
+    assert loops == []
     assert len(report.per_frame) == 20 and report.delivered.sum() > 0
 
 

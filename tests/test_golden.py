@@ -40,27 +40,27 @@ K1200_CHOKED = {"name": "k1200-choked",
 GOLDEN = {
     "readme": {
         "stdout":
-            "de1ee933bfd183b7929d05a630e955b7b40b14cf95bcada854f62ffedef52df1",
+            "73bf697ab366cf92b4154a6071ba208bee4212a967f81a505dc397e9ca6606a8",
         "devices_csma_seed1.csv":
-            "dd4410624802c9f578353c49a6a3e7e87794c65eb26e929863c4f421ba45067b",
+            "17c05148ca3057167193991a9a49cf2143118fa90ca88f2c976b90cc38b3b5f2",
         "devices_csma_seed2.csv":
-            "bb59fdfd935540b65bee214eea61b364377304c8b1d6faf872bf6ce27224a1a1",
+            "c738a2d064addcf032fbe2907e9a7981eaa34f417bf0522db1e2b2eb6954bda7",
         "devices_hybrid_seed1.csv":
-            "6158c75199b1c6448f7ff8a1fa970b18c691e754c8ea6e360ff021372c8449d8",
+            "ce43292fba9036a96c148ec5cc0dd1ed14504bda17a10b3104e38139cf84c2f1",
         "devices_hybrid_seed2.csv":
-            "42c3350631a4c62ba3dd8cb4a8981efcda486f001e7170cced13e4d2e8bcfcee",
+            "f98756f582d18eca6d4575597887d1a82ed19c3110fb2afc360bd894b4316a26",
         "devices_tdma_seed1.csv":
             "f4c97306bc5236895c04d16082c7daf2db01484e8069895434801f1cf68fc3d5",
         "devices_tdma_seed2.csv":
             "853375a2c796b64552ba0f0749dcc91d12a3f824beb2915751386cba18047583",
         "frames_csma_seed1.csv":
-            "71e74b2283685de9a0d8f054367763b99a1f6430a878f85c3ae2befeb77ed838",
+            "3e7aae065e095c7b0def08d58597a47fe026659a0893888cd594c085302335fd",
         "frames_csma_seed2.csv":
-            "0b5cc4b9321e75e590a6b2f124125c003b1a74c443c31c115bebac677d4c4cfb",
+            "14b797d2c0205a5bda5b72d034330ee8648b403cc09e32d0a588479f3f75383f",
         "frames_hybrid_seed1.csv":
-            "9192ecf0ab3b89802563f8411dfbed396fd7514bf72670e8141838b03d83512b",
+            "180fcac034bf048dbb5629b4ced29838c61955758495008f4f46e7581a64b649",
         "frames_hybrid_seed2.csv":
-            "4fff5ede700ff60b2fa32b7297268806507452de08e3df87e7cd7112d7bef574",
+            "a91ca8be1fd15a87abe95cf433f65c882fced2361b829c4e2d409503cc25813c",
         "frames_tdma_seed1.csv":
             "1892757c17cc63dbda75fbd6684cda65c53c3afd9116d4b1d183444083572745",
         "frames_tdma_seed2.csv":
@@ -70,33 +70,33 @@ GOLDEN = {
     },
     "k1200-plan": {
         "stdout":
-            "3d8fa7b2f13cca8a180ebf06a71e9f9b782931cf8c37a049e2c767e0d738e17c",
+            "a2f8831ff019ec00fd6624a19767537c8a823a3391ce142a13a2edc5b9a08b62",
         "devices_csma_seed1.csv":
-            "0a935311404db695cebfce5b7d24ea71f0215e0f0de1c32fd70e732993baadf3",
+            "20478fb67b9c3a3267e1ab178aac783cde404d29fd3d930f8c3a01f0ad72227f",
         "devices_hybrid_seed1.csv":
-            "53d0191f3ab29479e0d663cba450a1b6448207e2bdb920f3c6f3719025330ed6",
+            "2bebeea75d058ecede6fa7ac901f895ddeaf526966988731363c984218e73a22",
         "devices_tdma_seed1.csv":
             "27ecf574a16a523a01008fa16455bc87c7913d2274c4914bae844f91222f000f",
         "frames_csma_seed1.csv":
-            "7589923c7e264bc49f040ca00c3cd57bd06a3fab0c9b98d993f5f7d0dde8babd",
+            "c475796ab02b150256cab5a46c9b19f1d2c0d96bc5d9d1178a3a081b92b5186a",
         "frames_hybrid_seed1.csv":
-            "3acc94569b8b04b5257a3c0d87b9b1afbd6e4915e8e54260eaf1ce656110f0a6",
+            "61dc65edcd5cca06ec544eaf7226d88260007dae9dfd8f0bee786e9d965083c2",
         "frames_tdma_seed1.csv":
             "31f2af6db8a0b34b3d65bb647dc99ee569305db67033a4f6f617f8bca0787e02",
     },
     "k1200-choked": {
         "stdout":
-            "2e8673483927586f631cb489bd452364037b4264c2f4e3737f80eeeb7ecd4b49",
+            "ed0c13efcbea27b8c08da5770ee92882cff2fdcf7c5412c56c8fd5b555bf5437",
         "devices_csma_seed1.csv":
-            "98ebcb7c8ed398108d1772d274c89d0d5a7d90f655a29196d6b2e5471bced7d1",
+            "b012f4aa3042c7e5d03343e988390c9a776f212742246a9e6c9a93033efc8f1f",
         "devices_hybrid_seed1.csv":
-            "c3880d703a8d2d729089b812821f73dae42e931722eb16f185db388af59cacea",
+            "9b791c08129c393706bf9f2f32a19d08069c6efb8a61aab662ae8fb296c9ba94",
         "devices_tdma_seed1.csv":
             "214cc8178e0dcb17deefc88785b3a7af393064dc478db560e8c5f73f89c9e980",
         "frames_csma_seed1.csv":
-            "51576cf812d589e6fac8cd9d84a62e8418b4c0733e6b0da4cd5898f1955633f7",
+            "f80c15a4036dae736172eccb98878650b2a151db06aebfdad2d8e112b3d140f6",
         "frames_hybrid_seed1.csv":
-            "ccd3eac07ccb6537c1cfb3a1b21e73e3ae1d0bec78c44e789c5e7db465653447",
+            "ae0a98aeaa41fe4b2707463298ee5d377460f2c5ae3b228461c77fc5ebc37f94",
         "frames_tdma_seed1.csv":
             "5a14517416c8a2edf5f034391d5b24ebbcb95c0efea5c116aa9d1252ad501cad",
         "plan.yaml":
@@ -106,7 +106,7 @@ GOLDEN = {
 
 # `test_zero_winner_frames_of_a_loaded_plan_are_pinned`: the summaries and
 # traces of a resolving run whose plan has two zero-winner frames
-ZERO_WINNER_FRAMES = "fd22817f31940afd532ed82124d3b098d699371c78d790133c400d4c59dc068c"
+ZERO_WINNER_FRAMES = "171fbd73ca3b30cee2fd8128c3d0f23bedeac4c085639888110b92786ef92da0"
 
 
 def run_digests(tmp_path, capsys, doc, plan=None) -> dict[str, str]:

@@ -18,14 +18,10 @@ from hymac.optimizer import FrameDecision, FramePlan, plan_for
 from hymac.simulator import (
     CopOutcome,
     PlanMismatchError,
-    _Buffers,
     _conditioned_transmitters,
     _left_after,
-    _poisson_arrivals,
-    _quiet_arrivals,
     _race,
     _race_laws,
-    _settle_frame,
     _slot_batch,
     _slot_law,
     run_cop,
@@ -592,6 +588,23 @@ def test_hybrid_scripted_replay_basic(tc):
     assert rep.delay_frames_sum.tolist() == [1, 0]  # arrived frame 0, sent frame 1
 
 
+def test_scripted_arrival_at_the_service_instant_comes_after_it(tc):
+    # frame 1's one scripted winner sends in TOP slot 0 and is served at its
+    # end: an arrival at that instant waits for the next service, one just
+    # before it replaces the packet delivered
+    cfg = ClassConfig(class_sizes=(2,), p_inl=0.5, alpha=1.0, arrival_rate=1.0)
+    plan = plan_for(cfg, tc, 2, 1.0, 0.5)
+    served = tc.t_nof_us + tc.delta_succ_us + tc.t_anc_us + tc.t_r_us
+    outcomes = []
+    for t in (served, served - 1.0):
+        rep = run_hybrid(cfg, tc, plan, 2, seed=1,
+                         arrival_script={0: {0: [100.0]}, 1: {0: [t]}},
+                         winner_script={0: [], 1: [0]})
+        outcomes.append((rep.generated[0], rep.dropped[0], rep.delivered[0],
+                         rep.delay_frames_sum[0]))
+    assert outcomes == [(2, 0, 1, 1), (2, 1, 1, 0)]
+
+
 def test_hybrid_scripted_winner_must_be_active(tc):
     cfg = ClassConfig(class_sizes=(2,), p_inl=0.5, alpha=1.0, arrival_rate=1.0)
     plan = plan_for(cfg, tc, 1, 1.0, 0.5)
@@ -607,13 +620,21 @@ def test_hybrid_scripted_winner_must_be_active(tc):
 
 def test_scripted_arrival_outside_the_network_is_refused(tc):
     # a negative id would index from the end and land on another device; a
-    # frame with winners and a quiet one read the script alike
+    # time outside the frame, or a negative frame, would put the arrival in
+    # another frame; a frame with winners and a quiet one read the script
+    # alike
     cfg = ClassConfig(class_sizes=(2,), p_inl=0.5, alpha=1.0, arrival_rate=1.0)
     plan = plan_for(cfg, tc, 1, 1.0, 0.5)
     quiet = replace(plan, per_frame=(FrameDecision(m_opt=0, t_cop_opt_us=0.0),))
-    for dev, run_plan in itertools.product((-1, 2), (plan, quiet)):
-        with pytest.raises(ValueError, match="outside"):
-            run_hybrid(cfg, tc, run_plan, 1, seed=1, arrival_script={0: {dev: [100.0]}})
+    outside = [{0: {-1: [100.0]}}, {0: {2: [100.0]}}, {0: {1: [-1.0]}},
+               {0: {1: [tc.t_frame_us]}}, {-1: {1: [100.0]}}]
+    for script, run_plan in itertools.product(outside, (plan, quiet)):
+        (frame, arrivals), = script.items()
+        (dev, _), = arrivals.items()
+        with pytest.raises(ValueError, match=f"outside") as refused:
+            run_hybrid(cfg, tc, run_plan, 1, seed=1, arrival_script=script)
+        assert f"device {dev}" in str(refused.value)
+        assert dev in (-1, 2) or f"frame {frame}" in str(refused.value)
 
 
 def test_scripted_quiet_stretch_replays_frame_by_frame(tc):
@@ -714,95 +735,7 @@ def test_tdma_deterministic(tc, small_cfg):
 
 
 # ---------------------------------------------------------------------------
-# arrivals
-
-@pytest.mark.parametrize("lam_t", [1.0, 0.2])
-def test_marked_arrivals_follow_the_per_device_law(tc, lam_t):
-    """20,000 frames of one marked Poisson draw against the law it stands
-    for: K devices, each with independent Poisson(lambda T) arrivals at
-    uniform times in the frame."""
-    cfg = ClassConfig((3, 2), p_inl=0.05, alpha=1.0,
-                      arrival_rate=lam_t * US_PER_S / tc.t_frame_us)
-    k, frames = cfg.total_devices, 20_000
-    rng = np.random.default_rng(29)
-    counts, owners, times = zip(*(_poisson_arrivals(rng, cfg, tc, timed=True)
-                                     for _ in range(frames)))
-    counts, owners, times = np.array(counts), np.concatenate(owners), np.concatenate(times)
-    assert np.array_equal(counts.sum(axis=0), np.bincount(owners, minlength=k))
-
-    # each device's count is Poisson(lambda T), the tail folded into the last cell
-    top = int(counts.max()) + 1
-    pmf = np.array([math.exp(-lam_t) * lam_t ** x / math.factorial(x) for x in range(top)])
-    pmf[-1] = 1.0 - pmf[:-1].sum()
-    assert _chi2_agrees(np.bincount(counts.ravel(), minlength=top).astype(float),
-                        k * frames * pmf)
-    # two devices of one frame are independent: their zero / non-zero pairs
-    # against the product of the exact marginals
-    zero = math.exp(-lam_t)
-    pairs = np.bincount(2 * (counts[:, 0] == 0) + (counts[:, k - 1] == 0), minlength=4)
-    assert _chi2_agrees(pairs.astype(float),
-                        frames * np.outer([1 - zero, zero], [1 - zero, zero]).ravel())
-    # every device owns an arrival alike
-    assert _chi2_agrees(np.bincount(owners, minlength=k).astype(float),
-                        np.full(k, len(owners) / k))
-    # times are uniform on [0, T): Kolmogorov-Smirnov below its 0.1%
-    # critical value, sqrt(ln(2 / 0.001) / 2)
-    u = np.sort(times) / tc.t_frame_us
-    n = len(u)
-    assert 0.0 <= u[0] and u[-1] < 1.0
-    ks = max((np.arange(1, n + 1) / n - u).max(), (u - np.arange(n) / n).max())
-    assert ks * math.sqrt(n) < math.sqrt(math.log(2 / 0.001) / 2)
-
-
-def _stretch_outcomes(count, first, last, frames: int) -> np.ndarray:
-    """Each device's (first, last, arrivals) of a quiet stretch as one
-    integer; a device with no arrival has first = last = ``frames``."""
-    last = np.where(count > 0, last, frames)
-    return (first * (frames + 1) + last) * 10_000 + count
-
-
-@pytest.mark.parametrize("frames", [1, 5, 7])
-@pytest.mark.parametrize("lam_t", [0.2, 1.0, 3.0])
-def test_quiet_stretch_follows_the_per_frame_law(tc, lam_t, frames):
-    """20,000 devices' (first frame with an arrival, last such frame,
-    arrivals) over a stretch drawn in one step, against the same read off
-    ``frames`` per-frame draws, cell by cell."""
-    cfg = ClassConfig((20_000,), p_inl=0.05, alpha=1.0,
-                      arrival_rate=lam_t * US_PER_S / tc.t_frame_us)
-    rng = np.random.default_rng(31)
-    per_frame = np.array([_poisson_arrivals(rng, cfg, tc, timed=False)[0]
-                          for _ in range(frames)])
-    got = per_frame > 0
-    first = np.where(got.any(axis=0), got.argmax(axis=0), frames)
-    last = frames - 1 - got[::-1].argmax(axis=0)
-    reference = _stretch_outcomes(per_frame.sum(axis=0), first, last, frames)
-    drawn = _stretch_outcomes(*_quiet_arrivals(rng, cfg, tc, frames), frames)
-    cells, seen = np.unique(np.concatenate([reference, drawn]), return_inverse=True)
-    seen = seen.reshape(2, -1)
-    assert _same_law(np.bincount(seen[0], minlength=len(cells)),
-                     np.bincount(seen[1], minlength=len(cells)))
-
-
-@pytest.mark.parametrize("lam, sizes", [
-    (0.0, (6,)),      # no arrival: Geometric(0) has no law
-    (1e-300, (6,)),   # first frames at int64's maximum
-    (40.0, (6,)),     # lambda T >= 37: q rounds to 1
-    (1.0, (0,)),      # K = 0
-])
-def test_quiet_stretch_edges(tc, lam, sizes):
-    cfg = ClassConfig(sizes, p_inl=0.05, alpha=1.0, arrival_rate=lam)
-    for frames in (1, 6):
-        count, first, last = _quiet_arrivals(np.random.default_rng(3), cfg, tc, frames)
-        got = count > 0
-        assert len(count) == len(first) == len(last) == sum(sizes)
-        assert np.array_equal(first < frames, got) and (first <= frames).all()
-        assert (first[got] <= last[got]).all() and (last[got] < frames).all()
-        assert (count[got] >= 1 + (last[got] > first[got])).all()
-        if lam >= 37:
-            assert (first == 0).all() and (last == frames - 1).all()
-        elif lam < 1:
-            assert not got.any()
-
+# quiet stretches
 
 def test_a_quiet_stretch_escalates_every_loser(tc):
     # at lambda T = 40 every buffer is full from the warm-up on: over four
@@ -823,7 +756,13 @@ def test_a_quiet_stretch_escalates_every_loser(tc):
 
 
 # ---------------------------------------------------------------------------
-# traffic step against the chronological per-device reference
+# the interval law against per-frame, per-device references
+
+
+def _frame_arrivals(rng, k: int, lam_t: float, t_frame_us: float) -> list:
+    """One frame of arrivals per device: Poisson(lambda T) of them, at
+    uniform times in the frame, sorted."""
+    return [np.sort(rng.random(n) * t_frame_us) for n in rng.poisson(lam_t, k).tolist()]
 
 
 def _apply_frame_traffic(frame, dev, arr_times, deliver_t, buf_full, buf_k1,
@@ -845,6 +784,35 @@ def _apply_frame_traffic(frame, dev, arr_times, deliver_t, buf_full, buf_k1,
         buf_full[dev] = True
         buf_k1[dev] = frame
         i += 1
+
+
+def _per_frame_loop(report, serve, arrival_script=None, quiet=frozenset(), rest=None):
+    """Reference for `simulator._frame_loop`, with its arguments: one buffer
+    per device, and every frame's own arrivals per device
+    (`_frame_arrivals`, after a warm-up frame of them) settled around its
+    service by `_apply_frame_traffic`.  Every frame is served, a quiet one
+    too: a zero-winner hybrid frame draws no contention and escalates every
+    loser, as ``rest`` does."""
+    cfg, tc, k = report.cfg, report.tc, report.cfg.total_devices
+    lam_t = cfg.arrival_rate / US_PER_S * tc.t_frame_us
+    rng = np.random.default_rng(report.seed)
+    full, k1 = np.zeros(k, dtype=bool), np.full(k, -1, dtype=np.int64)
+    generated, dropped, delivered, delay = (np.zeros(k, dtype=np.int64) for _ in range(4))
+    for frame in range(-1, report.frames):
+        served = {}
+        if frame >= 0:
+            active_ids = np.flatnonzero(full)
+            _, devices, instants_us, _ = serve(rng, frame, active_ids)
+            served = dict(zip(np.asarray(devices).tolist(), instants_us))
+            report.per_frame.append(simulator.FrameSummary(
+                frame, len(active_ids), len(served), 0.0, 0, 0, 0.0, 0.0, 0.0))
+        for dev, times in enumerate(_frame_arrivals(rng, k, lam_t, tc.t_frame_us)):
+            generated[dev] += len(times)
+            _apply_frame_traffic(frame, dev, times, served.get(dev), full, k1, dropped,
+                                 delivered, delay)
+    report.generated, report.dropped = generated, dropped
+    report.delivered, report.delay_frames_sum = delivered, delay
+    return report
 
 
 def _tdma_frame_traffic(frame, owners, slot_end, arr_times, buf_full, buf_k1,
@@ -885,92 +853,23 @@ def _tdma_frame_traffic(frame, owners, slot_end, arr_times, buf_full, buf_k1,
     return m_real, idle_slots, filled
 
 
-@st.composite
-def traffic_frames(draw):
-    """One frame of buffer state, arrivals and services on an integer time
-    grid, so arrivals land exactly on service instants too: distinct
-    winners, each holding a packet, as the hybrid and CSMA serve."""
-    k = draw(st.integers(1, 6))
-    frame = draw(st.integers(0, 4))
-    full = draw(st.lists(st.booleans(), min_size=k, max_size=k))
-    k1 = draw(st.lists(st.integers(-1, frame), min_size=k, max_size=k))
-    counters = draw(st.lists(st.integers(0, 5), min_size=4 * k, max_size=4 * k))
-    winners = draw(st.lists(st.integers(0, k - 1), unique=True, max_size=k))
-    instants = draw(st.lists(st.integers(0, 12), min_size=len(winners),
-                             max_size=len(winners)))
-    for dev in winners:
-        full[dev] = True
-    arrivals = draw(st.lists(st.lists(st.integers(0, 12), max_size=4),
-                             min_size=k, max_size=k))
-    total = sum(len(a) for a in arrivals)
-    order = draw(st.permutations(range(total)))
-    return dict(frame=frame, full=full, k1=k1, counters=counters, winners=winners,
-                instants=[float(t) for t in instants],
-                arrivals=[[float(t) for t in a] for a in arrivals], order=order)
-
-
-def _state(case):
-    k = len(case["full"])
-    c = np.array(case["counters"], dtype=np.int64).reshape(4, k)
-    return _Buffers(np.array(case["full"]), np.array(case["k1"], dtype=np.int64),
-                    *(row.copy() for row in c))
-
-
-_EMPTY = dict(frame=2, full=[True, False, True], k1=[0, -1, 1], counters=[0] * 12,
-              arrivals=[[], [], []], order=[])
-
-
-@example(case=dict(_EMPTY, winners=[], instants=[]))
-@example(case=dict(_EMPTY, winners=[2, 0], instants=[4.0, 4.0],
-                   arrivals=[[4.0, 1.0], [], [4.0]], order=[2, 0, 1]))
-@settings(max_examples=300, deadline=None)
-@given(case=traffic_frames())
-def test_settle_frame_matches_chronological_reference(case):
-    k = len(case["full"])
-    frame = case["frame"]
-    counts = np.array([len(a) for a in case["arrivals"]], dtype=np.int64)
-    # in a random order across devices, as a marked Poisson process draws them
-    order = np.array(case["order"], dtype=np.int64)
-    owner = np.repeat(np.arange(k), counts)[order]
-    times = np.array([t for a in case["arrivals"] for t in a], dtype=float)[order]
-    ref = _state(case)
-    ref.generated += counts
-    winners, instants = case["winners"], case["instants"]
-    deliver_t = dict(zip(winners, instants))
-    for dev, arr_times in enumerate(case["arrivals"]):
-        _apply_frame_traffic(frame, dev, sorted(arr_times), deliver_t.get(dev), ref.full,
-                             ref.k1, ref.dropped, ref.delivered, ref.delay_sum)
-
-    buf = _state(case)
-    devices = np.array(winners, dtype=np.int64)
-    if not winners:
-        times = None  # a frame without a service reads no arrival time
-    assert _settle_frame(frame, counts, owner, times, devices, instants, buf) == len(winners)
-    for name in ("full", "k1", "generated", "dropped", "delivered", "delay_sum"):
-        assert np.array_equal(getattr(buf, name), getattr(ref, name)), name
-
-
-# ---------------------------------------------------------------------------
-# TDMA sweep against the per-frame reference
-
-
 def _tdma_per_frame(cfg, tc, frames: int, rng):
     """A TDMA run frame by frame: one warm-up frame of arrivals, then each
-    frame's marked Poisson arrivals (`_poisson_arrivals`) settled around
-    its owned slots by `_tdma_frame_traffic`.  Returns what
-    `_tdma_outcomes` reads off a `run_tdma` report."""
+    frame's arrivals per device (`_frame_arrivals`) settled around its
+    owned slots by `_tdma_frame_traffic`.  Returns what `_outcomes` reads
+    off a `run_tdma` report."""
     k = cfg.total_devices
+    lam_t = cfg.arrival_rate / US_PER_S * tc.t_frame_us
     slots = int(tc.t_frame_us / tc.t_r_us)
     slot_end = (np.arange(slots) + 1) * tc.t_r_us
-    counts, _, _ = _poisson_arrivals(rng, cfg, tc, timed=False)
+    counts = rng.poisson(lam_t, k)
     full, k1 = counts > 0, np.full(k, -1, dtype=np.int64)
     generated, dropped = counts.copy(), np.maximum(counts - 1, 0)
     delivered, delay = np.zeros(k, dtype=np.int64), np.zeros(k, dtype=np.int64)
     per_frame = []
     for frame in range(frames):
-        counts, owner, times = _poisson_arrivals(rng, cfg, tc, timed=True)
-        generated += counts
-        arr_times = [np.sort(times[owner == dev]) for dev in range(k)]
+        arr_times = _frame_arrivals(rng, k, lam_t, tc.t_frame_us)
+        generated += [len(times) for times in arr_times]
         owners = (frame * slots + np.arange(slots)) % k
         n_full = int(full.sum())
         m_real, _, filled = _tdma_frame_traffic(frame, owners, slot_end, arr_times, full,
@@ -981,9 +880,9 @@ def _tdma_per_frame(cfg, tc, frames: int, rng):
                 delivered=delivered, dropped=dropped, delay=delay)
 
 
-def _tdma_outcomes(rep) -> dict:
+def _outcomes(rep) -> dict:
     """The per-frame n_active and m_realized and the per-device counters
-    of a TDMA report."""
+    of a report."""
     return dict(n_active=np.array([f.n_active for f in rep.per_frame]),
                 m_realized=np.array([f.m_realized for f in rep.per_frame]),
                 generated=rep.generated, delivered=rep.delivered, dropped=rep.dropped,
@@ -994,6 +893,103 @@ def _cells(samples: np.ndarray) -> np.ndarray:
     """Each (run, position) value of ``samples`` as one integer cell per
     position and value, so a position's law is compared value by value."""
     return np.arange(samples.shape[-1]) * 1_000_000 + samples
+
+
+def _same_cells(a: np.ndarray, b: np.ndarray) -> bool:
+    """Two samples of one size of integer cells have one law: `_same_law`
+    on each cell's count."""
+    cells, seen = np.unique(np.concatenate([a.ravel(), b.ravel()]), return_inverse=True)
+    seen = seen.reshape(2, -1)
+    return _same_law(np.bincount(seen[0], minlength=len(cells)),
+                     np.bincount(seen[1], minlength=len(cells)))
+
+
+def _assert_same_laws(reference: list, model: list):
+    """Each outcome of `_outcomes`, position by position, has one law in
+    the two samples of runs."""
+    for name in reference[0]:
+        assert _same_cells(*(_cells(np.array([run[name] for run in side]))
+                             for side in (reference, model))), name
+
+
+@pytest.mark.parametrize("variant", ["hybrid", "csma"])
+@pytest.mark.parametrize("lam_t", [0.2, 1.0, 3.0])
+def test_service_intervals_follow_the_per_frame_law(monkeypatch, lam_t, variant):
+    """1,000 five-frame runs of the interval model against as many of the
+    per-frame reference (`_per_frame_loop`), compared as the TDMA sweep
+    is.  Data slots of an eighth of a frame spread the services over the
+    frame.  The hybrid's plan has no winner in frames 1 and 2, a quiet
+    stretch."""
+    tc = TimingConstants(t_r_us=TimingConstants().t_frame_us / 8)
+    cfg = ClassConfig((4, 2), p_inl=0.2, alpha=1.0,
+                      arrival_rate=lam_t * US_PER_S / tc.t_frame_us)
+    frames, runs = 5, 1000
+    plan = plan_for(cfg, tc, frames, 1.0, 0.2)
+    idle = FrameDecision(m_opt=0, t_cop_opt_us=500.0)
+    plan = replace(plan, per_frame=tuple(idle if f in (1, 2) else d
+                                         for f, d in enumerate(plan.per_frame)))
+
+    def run(seed):
+        if variant == "hybrid":
+            return _outcomes(run_hybrid(cfg, tc, plan, frames, seed))
+        return _outcomes(run_csma(cfg, tc, 0.2, frames, seed))
+
+    model = [run(seed) for seed in range(runs)]
+    monkeypatch.setattr(simulator, "_frame_loop", _per_frame_loop)
+    reference = [run(seed) for seed in range(runs, 2 * runs)]
+    assert sum(run["m_realized"].sum() for run in model) > runs
+    _assert_same_laws(reference, model)
+
+
+def _quiet_plan(frames: int) -> FramePlan:
+    """A loaded plan with no winner in any of its ``frames`` frames."""
+    return FramePlan(1.0, 0.1, (FrameDecision(m_opt=0, t_cop_opt_us=500.0),) * frames, 0.0)
+
+
+@pytest.mark.parametrize("frames", [1, 5, 7])
+@pytest.mark.parametrize("lam_t", [0.2, 1.0, 3.0])
+def test_quiet_stretch_follows_the_per_frame_law(monkeypatch, tc, lam_t, frames):
+    """10,000 devices through ``frames`` zero-winner hybrid frames, one
+    quiet stretch, then a frame scripted to have no winner, against the
+    per-frame reference (`_per_frame_loop`): each device's failures at
+    that last frame (one per frame of the stretch it was active in),
+    generated and dropped, as one cell, by two-sample chi-square."""
+    cfg = ClassConfig((10_000,), p_inl=0.1, alpha=1.0,
+                      arrival_rate=lam_t * US_PER_S / tc.t_frame_us)
+    plan = _quiet_plan(frames + 1)
+
+    def outcomes(seed):
+        rep = run_hybrid(cfg, tc, plan, frames + 1, seed, collect_traces=True,
+                         winner_script={frames: []})
+        return (rep.traces[-1].d_before * 1000 + rep.generated) * 1000 + rep.dropped
+
+    drawn = outcomes(1)
+    monkeypatch.setattr(simulator, "_frame_loop", _per_frame_loop)
+    assert _same_cells(outcomes(2), drawn)
+
+
+@pytest.mark.parametrize("lam, sizes", [
+    (0.0, (6,)),      # no arrival: every gap is inf
+    (1e-300, (6,)),   # first arrivals near 1e300 frames
+    (40.0, (6,)),     # every device active from the warm-up on
+    (1.0, (0,)),      # K = 0
+])
+def test_quiet_stretch_edges(tc, lam, sizes):
+    # a hybrid run that is one quiet stretch: no delivery, each device with
+    # an arrival holds one packet at the end, and a device active from
+    # frame a has failed f - a times by frame f
+    cfg = ClassConfig(sizes, p_inl=0.05, alpha=1.0, arrival_rate=lam)
+    for frames in (1, 6):
+        rep = run_hybrid(cfg, tc, _quiet_plan(frames), frames, seed=3, collect_traces=True)
+        n_active = [f.n_active for f in rep.per_frame]
+        assert len(rep.generated) == sum(sizes) and rep.delivered.sum() == 0
+        assert np.array_equal(rep.generated - rep.dropped, rep.generated > 0)
+        assert n_active == sorted(n_active) and max(n_active) <= sum(sizes)
+        if lam >= 37:
+            assert n_active == [sum(sizes)] * frames
+            assert all((tr.d_before == tr.frame).all() for tr in rep.traces)
+        elif lam < 1:
+            assert not rep.generated.any() and not any(n_active)
 
 
 @pytest.mark.parametrize("sizes, slots", [((6,), 4), ((3,), 4)],
@@ -1011,13 +1007,8 @@ def test_tdma_sweep_follows_the_per_frame_law(lam_t, sizes, slots):
     frames, runs = 4, 1000
     rng = np.random.default_rng(37)
     reference = [_tdma_per_frame(cfg, tc, frames, rng) for _ in range(runs)]
-    swept = [_tdma_outcomes(run_tdma(cfg, tc, frames, seed)) for seed in range(runs)]
-    for name in reference[0]:
-        a, b = (_cells(np.array([run[name] for run in side])) for side in (reference, swept))
-        cells, seen = np.unique(np.concatenate([a.ravel(), b.ravel()]), return_inverse=True)
-        seen = seen.reshape(2, -1)
-        assert _same_law(np.bincount(seen[0], minlength=len(cells)),
-                         np.bincount(seen[1], minlength=len(cells))), name
+    _assert_same_laws(reference, [_outcomes(run_tdma(cfg, tc, frames, seed))
+                                  for seed in range(runs)])
 
 
 # ---------------------------------------------------------------------------
@@ -1035,8 +1026,11 @@ def _case(**kw):
 @example(**_case(sizes=[7]))                       # 500 TDMA slots a frame: 71 K + 3
 @example(**_case(lam=1e-311))                      # TDMA's E / lambda T overflows
 @example(**_case(lam=0.0, horizon=3))              # no arrival
-@example(**_case(lam=1e-300, idle={1, 2}))         # Geometric(q) at int64's maximum
-@example(**_case(lam=40.0, idle={1, 2}))           # lambda T >= 37: q rounds to 1
+@example(**_case(lam=1e-300, idle={1, 2}))         # first arrivals near 1e300 frames
+@example(**_case(lam=40.0, idle={1, 2}))           # every device active in every frame
+@example(**_case(sizes=[6], lam=40.0, horizon=6, idle=frozenset(range(6))))
+@example(**_case(sizes=[6], lam=0.0, horizon=6, idle=frozenset(range(6))))
+@example(**_case(sizes=[0], idle={0}))             # K = 0 in a quiet stretch
 @example(**_case(idle={2}))                        # a one-frame quiet stretch
 @example(**_case(idle={0, 1}))                     # a stretch at frame 0
 @example(**_case(idle={3, 4}))                     # a stretch that ends the horizon
@@ -1065,6 +1059,9 @@ def test_run_invariants(sizes, lam, alpha, p_inl, horizon, seed, idle):
         buffered = rep.generated - rep.delivered - rep.dropped
         assert ((buffered == 0) | (buffered == 1)).all(), variant
         assert sum(f.m_realized for f in rep.per_frame) == int(rep.delivered.sum())
+        # a delivery waited from the warm-up frame at most
+        delay = rep.delay_frames_sum
+        assert ((0 <= delay) & (delay <= (horizon + 1) * rep.delivered)).all(), variant
         # a delivery ends one buffer occupancy; with more TDMA slots than
         # devices (K = 3, lambda = 4) a device is served several times a frame
         for f in rep.per_frame:
@@ -1075,11 +1072,14 @@ def test_run_invariants(sizes, lam, alpha, p_inl, horizon, seed, idle):
             assert all(f.m_realized + f.tdma_idle_slots == slots for f in rep.per_frame)
         else:
             assert all(f.tdma_idle_slots == 0 for f in rep.per_frame), variant
-        # a shorter run is a prefix of the longer one: each frame's
-        # m_realized is its deliveries, at most one per device outside TDMA
+        # a shorter run's frames and deliveries are a prefix of the longer
+        # one's: each frame's m_realized is its deliveries, at most one per
+        # device outside TDMA
         before = np.zeros_like(rep.delivered)
         for h in range(1, horizon + 1):
-            after = run(h).delivered if h < horizon else rep.delivered
+            shorter = run(h) if h < horizon else rep
+            assert shorter.per_frame == rep.per_frame[:h], (variant, h)
+            after = shorter.delivered
             assert rep.per_frame[h - 1].m_realized == int((after - before).sum()), \
                 (variant, h)
             assert variant == "tdma" or (after - before <= 1).all(), (variant, h)
