@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import yaml
 
 US_PER_MS = 1000.0
@@ -55,6 +56,8 @@ class TimingConstants:
             raise ConfigError("transmission slot must be shorter than the frame")
         if self.t_req_us + self.sifs_us + self.t_ack_us + self.bifs_us >= self.t_frame_us:
             raise ConfigError("a single successful contention must fit in a frame")
+        if self.room_us <= 0:
+            raise ConfigError("NP and AP must leave room in the frame")
 
     @property
     def delta_coll_us(self) -> float:
@@ -63,6 +66,24 @@ class TimingConstants:
     @property
     def delta_succ_us(self) -> float:
         return self.t_req_us + self.sifs_us + self.t_ack_us + self.bifs_us
+
+    @property
+    def room_us(self) -> float:
+        """The frame budget (README, "Simulator"): what the notification
+        and announcement periods (NP, AP) leave for the COP and the TOP."""
+        return self.t_frame_us - (self.t_nof_us + self.t_anc_us)
+
+    def fit(self, t_cop_us, cost_us=0.0):
+        """The fit rule: the largest whole m with t_cop + m (cost + t_r)
+        in the room, for ``t_cop_us`` of contention spent and ``cost_us``
+        per further winner; negative where t_cop alone passes the room."""
+        return np.floor((self.room_us - t_cop_us) / (cost_us + self.t_r_us))
+
+    def contention_cap(self, room_us: float, success_extra_us: float = 0.0) -> float:
+        """The contention cap: ``room_us`` less the longest slot, an idle
+        one or a success (with ``success_extra_us`` of data); a collision
+        is shorter.  A slot that starts before it ends in the room."""
+        return room_us - max(self.delta_idle_us, self.delta_succ_us + success_extra_us)
 
 
 @dataclass(frozen=True)

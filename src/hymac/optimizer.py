@@ -84,14 +84,15 @@ def mixture_of(pop: np.ndarray, d0: int,
 def max_feasible_m(mix: tuple[np.ndarray, np.ndarray], tc: TimingConstants
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each cell's largest winner budget m whose expected contention plus
-    data slots still fit into one frame, capped by the active population,
-    its expected contention duration m * e_attempt (0 where m = 0), and
-    the mixture's lone-transmitter terms.  A cell where no success can
-    happen gets no winners."""
+    data slots fit the frame's room after NP and AP (`TimingConstants.fit`
+    at e_attempt per winner), capped by the active population, its
+    expected contention duration m * e_attempt (0 where m = 0), and the
+    mixture's lone-transmitter terms.  A cell where no success can happen
+    gets no winners."""
     e_attempt, terms = expected_tcop(*mix, tc)
     total = np.floor(ordered_sum(mix[1]) + _COUNT_EPS)
     with np.errstate(invalid="ignore"):
-        fit = np.floor(tc.t_frame_us / (e_attempt + tc.t_r_us))
+        fit = tc.fit(0.0, e_attempt)
     m = np.where((total > 0) & np.isfinite(e_attempt), np.minimum(total, fit), 0.0)
     m = m.astype(np.int64)
     t_cop = np.multiply(m, e_attempt, out=np.zeros_like(e_attempt), where=m > 0)

@@ -691,6 +691,13 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None,
     return report
 
 
+def _cop_limit(decision, tc: TimingConstants) -> float:
+    """The hybrid's COP time limit in a plan's frame ``decision``: the
+    plan's expected duration, capped by the contention cap of the room,
+    so that a loaded plan's COP also ends in time for AP."""
+    return min(decision.t_cop_opt_us, tc.contention_cap(tc.room_us))
+
+
 def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: int,
                *, collect_traces: bool = False,
                arrival_script: dict | None = None,
@@ -714,10 +721,6 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
     report = SimReport(variant="hybrid", seed=seed, frames=frames, tc=tc, cfg=cfg,
                        traces=[] if collect_traces else None)
     d_arr = np.zeros(cfg.total_devices, dtype=np.int64)
-    # a loaded plan's COP limit is capped so that NP, COP and AP fit the
-    # frame; the slot that reaches the limit counts in full
-    cop_room = tc.t_frame_us - (tc.t_nof_us + tc.t_anc_us) - max(
-        tc.delta_idle_us, tc.delta_succ_us)
     # in frame f no device has failed more than f times: rho <= Q - 1 + f
     prob = escalation_table([(plan.alpha_opt, plan.p_inl_opt)], cfg.q_count + frames - 1)[0]
 
@@ -750,11 +753,10 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
             ids, counts, probs = _group_actives(active_ids, report.device_class,
                                                 d_arr, prob)
             cop = run_cop(rng, counts, probs, tc, m_target=decision.m_opt,
-                          time_limit_us=min(decision.t_cop_opt_us, cop_room), ids=ids)
+                          time_limit_us=_cop_limit(decision, tc), ids=ids)
 
-        # cap data slots to what fits after NP, COP and AP
-        room = tc.t_frame_us - (tc.t_nof_us + tc.t_anc_us) - cop.t_elapsed_us
-        winner_ids = cop.winners[:max(0, int(room / tc.t_r_us))]
+        # cap data slots to what fits the room after the COP
+        winner_ids = cop.winners[:max(0, int(tc.fit(cop.t_elapsed_us)))]
         m_real = len(winner_ids)
         if collect_traces:
             report.traces.append(FrameTrace(
@@ -777,16 +779,17 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
 def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
              seed: int) -> SimReport:
     """Contention-only baseline: the whole frame is one p-persistent
-    contention and a winner sends its data packet immediately.  No slot
-    starts after t_frame - (delta_succ + t_r), so every slot, a success
-    with its data packet included, ends inside the frame."""
+    contention and a winner sends its data packet immediately.  Its time
+    limit is the contention cap of the whole frame: no slot starts after
+    t_frame - max(delta_idle, delta_succ + t_r), so every slot, an idle
+    one or a success with its data packet, ends inside the frame."""
     if not 0.0 < p <= 1.0:
         raise ValueError("contending probability must lie in (0, 1]")
+    limit = tc.contention_cap(tc.t_frame_us, tc.t_r_us)
 
     def serve(rng, frame, active_ids):
         cop = run_cop(rng, np.array([len(active_ids)], dtype=np.int64), np.array([p]), tc,
-                      time_limit_us=tc.t_frame_us - (tc.delta_succ_us + tc.t_r_us),
-                      success_extra_us=tc.t_r_us, ids=active_ids)
+                      time_limit_us=limit, success_extra_us=tc.t_r_us, ids=active_ids)
         return cop, np.array(cop.winners, dtype=np.int64), cop.success_times_us, 0.0
 
     return _frame_loop(SimReport("csma", seed, frames, tc, cfg), serve)

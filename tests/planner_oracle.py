@@ -5,7 +5,8 @@ cells, one (alpha, p_inl) cell at a time.  A population is a plain dict
 This is the scalar form the array pass in `hymac.optimizer` replaced; the
 tests keep it as the reference that the grid pass, `plan_for` and
 `optimize` must match bit for bit.  It shares only the winner rounding
-rule (`_apportion_winners`) and the closed forms with the package.  Its
+rule (`_apportion_winners`), the frame's fit rule (`TimingConstants.fit`)
+and the closed forms with the package.  Its
 contending probability is the scalar `escalated_probability`, the
 reference for the package's `priority.escalation_table`.
 """
@@ -94,7 +95,7 @@ def max_feasible_m(mix: tuple[np.ndarray, np.ndarray], tc: TimingConstants) -> i
     e_attempt = float(expected_tcop(*mix, tc)[0])  # nan where no success can happen
     if not math.isfinite(e_attempt):
         return 0
-    return min(total, int(tc.t_frame_us / (e_attempt + tc.t_r_us)))
+    return min(total, int(tc.fit(0.0, e_attempt)))
 
 
 def evolve_population(state: dict, m_total: int, alpha: float,

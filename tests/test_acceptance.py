@@ -40,8 +40,7 @@ REFERENCE_OPTIMA = {
 # data slots one frame can carry: the whole frame under reservation only,
 # the frame minus the notification and announcement broadcasts in the hybrid
 TDMA_SLOTS = int(TC.t_frame_us // TC.t_r_us)
-HYBRID_SLOT_CEILING = int((TC.t_frame_us - TC.t_nof_us - TC.t_anc_us)
-                          // TC.t_r_us)
+HYBRID_SLOT_CEILING = int(TC.room_us // TC.t_r_us)
 
 _PLAN_CACHE: dict = {}
 

@@ -2,6 +2,7 @@ import io
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -40,6 +41,25 @@ def test_timing_validation():
         TimingConstants(t_r_us=-1.0)
     with pytest.raises(ConfigError):
         TimingConstants(t_frame_us=1.0)  # data slot no longer fits
+    with pytest.raises(ConfigError):
+        TimingConstants(t_nof_us=6e5, t_anc_us=4e5)  # no room after NP and AP
+
+
+def test_frame_budget(tc):
+    # the room after NP and AP
+    assert tc.room_us == 1_000_000.0 - 10.0 - 10.0
+    # the fit rule: the largest m with t_cop + m (cost + t_r) in the room
+    assert tc.fit(0.0) == 499
+    assert tc.fit(tc.room_us - 2 * tc.t_r_us) == 2
+    assert tc.fit(tc.room_us - 2 * tc.t_r_us + 1e-3) == 1
+    assert tc.fit(tc.room_us + 1.0) < 0
+    assert tc.fit(0.0, np.array([0.0, 80.0])).tolist() == [499.0, 480.0]
+    # the contention cap: the room less the period's longest slot
+    assert tc.contention_cap(tc.room_us) == tc.room_us - tc.delta_succ_us
+    assert tc.contention_cap(1e6, tc.t_r_us) == 1e6 - (tc.delta_succ_us + tc.t_r_us)
+    slow = TimingConstants(delta_idle_us=7000.0)
+    assert slow.contention_cap(slow.room_us) == slow.room_us - 7000.0
+    assert slow.contention_cap(1e6, slow.t_r_us) == 1e6 - 7000.0
 
 
 def test_class_config_validation():

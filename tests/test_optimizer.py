@@ -84,11 +84,28 @@ def test_max_feasible_m_population_cap(tc):
     assert _one_cell_m(((1.0, 1),), tc) == 1
 
 
+def _frame0_mixture(k: int, alpha: float, p_inl: float, tc):
+    """The frame-0 mixture of one cell on the layout K-20/10/10, lambda = 1."""
+    cfg = ClassConfig((k - 20, 10, 10), p_inl=p_inl, alpha=alpha, arrival_rate=1.0)
+    prob = escalation_table([(alpha, p_inl)], cfg.q_count)
+    return mixture_of(initial_population(cfg, tc, 1), 0, prob)
+
+
 def test_max_feasible_m_time_cap(tc):
+    # the room after the notification and announcement periods, NP and AP
+    room = tc.t_frame_us - tc.t_nof_us - tc.t_anc_us
     e_attempt = float(expected_tcop(np.array([0.05]), np.array([20.0]), tc)[0])
-    expect = min(20, int(tc.t_frame_us / (e_attempt + tc.t_r_us)))
+    expect = min(20, int(room / (e_attempt + tc.t_r_us)))
     assert _one_cell_m(((0.05, 20),), tc) == expect
     assert expect == 20  # cheap contention: limited by the population
+    # K = 800 at (0.7, 10 ** -2.6): the room caps m where the whole frame
+    # would take one winner more
+    prob, counts = _frame0_mixture(800, 0.7, 10 ** -2.6, tc)
+    e_attempt = float(expected_tcop(prob, counts, tc)[0][0])
+    expect = int(room / (e_attempt + tc.t_r_us))
+    assert expect < counts.sum()
+    assert (expect, int(tc.t_frame_us / (e_attempt + tc.t_r_us))) == (480, 481)
+    assert _one_cell_m(tuple(zip(prob[0].tolist(), counts[0].tolist())), tc) == expect
 
 
 def test_max_feasible_m_choked_mixture(tc):
@@ -151,17 +168,42 @@ def test_evolve_rejects_oversubscription(tc):
 
 
 def test_plan_for_consistency(tc, small_cfg):
-    plan = plan_for(small_cfg, tc, 10, 1.0, 0.05)
-    assert plan.horizon == 10
-    assert plan.utility == pytest.approx(
-        channel_utility([d.m_opt for d in plan.per_frame], tc))
     with pytest.raises(ValueError):
         plan_for(small_cfg, tc, 0, 1.0, 0.05)
-    for d in plan.per_frame:
-        assert d.m_opt >= 0
-        assert d.t_cop_opt_us >= 0.0
-        # schedule always fits into the frame
-        assert d.t_cop_opt_us + d.m_opt * tc.t_r_us <= tc.t_frame_us + 1e-6
+    big = [ClassConfig((k - 20, 10, 10), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
+           for k in (800, 1200)]
+    # in the last two, m = floor(t_frame / (e_attempt + t_r)) would overrun
+    # NP and AP by 15.5 and 9.4 us
+    for cfg, horizon, alpha, p_inl in ((small_cfg, 10, 1.0, 0.05),
+                                       (big[0], 1, 0.7, 10 ** -2.6),
+                                       (big[1], 1, 3.0, 10 ** -3.8)):
+        plan = plan_for(cfg, tc, horizon, alpha, p_inl)
+        assert plan.horizon == horizon
+        assert plan.utility == pytest.approx(
+            channel_utility([d.m_opt for d in plan.per_frame], tc))
+        assert any(d.m_opt for d in plan.per_frame)
+        for d in plan.per_frame:
+            assert d.m_opt >= 0
+            assert d.t_cop_opt_us >= 0.0
+            # NP, COP, AP and the data slots fit into the frame
+            used = tc.t_nof_us + d.t_cop_opt_us + tc.t_anc_us + d.m_opt * tc.t_r_us
+            assert used <= tc.t_frame_us, (cfg.total_devices, alpha, p_inl)
+
+
+@pytest.mark.parametrize("k", [800, 1200])
+def test_planned_frames_fit_after_np_and_ap(tc, k):
+    """Every (cell, frame) of a resolving log grid plans NP, COP, AP and
+    its data slots within the frame."""
+    cfg = ClassConfig((k - 20, 10, 10), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
+    cells = [(a, p) for a in DEFAULT_ALPHA_GRID for p in np.logspace(-4, -1, 31).tolist()]
+    over, planned = [], 0
+    for t, (_, _, live, m, t_cop, _) in enumerate(_recursion(cfg, tc, 10, cells)):
+        used = tc.t_nof_us + t_cop + tc.t_anc_us + m * tc.t_r_us
+        over += [(cells[c], t, u) for c, u in zip(live.tolist(), used.tolist())
+                 if u > tc.t_frame_us]
+        planned += int((m > 0).sum())
+    assert planned > 1000
+    assert not over, f"{len(over)} frames overrun, e.g. {over[:3]}"
 
 
 def test_greedy_matches_exhaustive_toy(tc):

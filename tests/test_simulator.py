@@ -1018,7 +1018,7 @@ def test_tdma_sweep_follows_the_per_frame_law(lam_t, sizes, slots):
 def _case(**kw):
     """An explicit example of `test_run_invariants`: ``kw`` over defaults."""
     return dict(sizes=[4, 2], lam=1.0, alpha=1.0, p_inl=0.1, horizon=5, seed=1,
-                idle=frozenset()) | kw
+                idle=frozenset(), delta_idle=10.0) | kw
 
 
 @example(**_case(sizes=[3], lam=4.0))
@@ -1034,15 +1034,19 @@ def _case(**kw):
 @example(**_case(idle={2}))                        # a one-frame quiet stretch
 @example(**_case(idle={0, 1}))                     # a stretch at frame 0
 @example(**_case(idle={3, 4}))                     # a stretch that ends the horizon
+@example(**_case(lam=0.0, delta_idle=7000.0))      # CSMA idles out to its limit
 @settings(max_examples=50, deadline=None)
 @given(sizes=st.lists(st.integers(0, 20), min_size=1, max_size=3),
        lam=st.floats(0.0, 4.0), alpha=st.floats(0.1, 5.0),
        p_inl=st.floats(1e-3, 1.0), horizon=st.integers(1, 8),
-       seed=st.integers(0, 2**16), idle=st.frozensets(st.integers(0, 7)))
-def test_run_invariants(sizes, lam, alpha, p_inl, horizon, seed, idle):
+       seed=st.integers(0, 2**16), idle=st.frozensets(st.integers(0, 7)),
+       delta_idle=st.sampled_from([10.0, 100.0, 7000.0]))
+def test_run_invariants(sizes, lam, alpha, p_inl, horizon, seed, idle, delta_idle):
     """Whole-run invariants of the three protocols.  The hybrid's plan
-    also gets zero-winner frames at ``idle``, as a loaded plan may have."""
-    tc = TimingConstants()
+    also gets zero-winner frames at ``idle``, as a loaded plan may have.
+    An idle slot (``delta_idle``) may outlast a success (39.7 us), or a
+    CSMA success with its data packet (2039.7 us)."""
+    tc = TimingConstants(delta_idle_us=delta_idle)
     cfg = ClassConfig(class_sizes=tuple(sizes), p_inl=p_inl, alpha=alpha,
                       arrival_rate=lam)
     plan = plan_for(cfg, tc, horizon, alpha, p_inl)
@@ -1092,3 +1096,6 @@ def test_run_invariants(sizes, lam, alpha, p_inl, horizon, seed, idle):
                 assert used <= tc.t_frame_us + 1e-6
             assert [(tr.frame, len(tr.winners)) for tr in rep.traces] == \
                 [(f.frame, f.m_realized) for f in rep.per_frame]
+        if variant == "csma":
+            # CSMA's contention, data packets included, fits into the frame
+            assert all(f.t_cop_us <= tc.t_frame_us for f in rep.per_frame)
