@@ -19,7 +19,9 @@ US_PER_S = 1_000_000.0
 
 # PyYAML's libyaml pair where PyYAML was built with it, else the pure-Python
 # pair: ~3-5x faster on plan files, with the same bytes and documents
-# (README "Install" names the two edge cases where they differ)
+# (README "Install" names the two edge cases where they differ).  The
+# dumper writes only `hymac run --print-config`: `optimizer.dump_plan`
+# writes plan files itself
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import expected_tcop, ordered_sum, success_shares
-from .domain import ClassConfig, ConfigError, TimingConstants, _is, dump_yaml, load_yaml
+from .domain import ClassConfig, ConfigError, TimingConstants, _is, load_yaml
 from .priority import escalation_table
 
 DEFAULT_ALPHA_GRID = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 2.0, 3.0, 4.0, 5.0)
@@ -229,6 +229,16 @@ def _recursion(cfg: ClassConfig, tc: TimingConstants, horizon: int, cells: list)
         pop, d0 = evolve_population(pop, d0, counts, terms, won, cfg, tc)
 
 
+def _first_best(utilities: list[float]) -> int:
+    """The index of the first utility that beats every earlier one by more
+    than 1e-15: the search is deterministic and the first of a tie wins."""
+    best = 0
+    for i, utility in enumerate(utilities):
+        if utility > utilities[best] + 1e-15:
+            best = i
+    return best
+
+
 def grid_search(cfg: ClassConfig, tc: TimingConstants, horizon: int,
                 alpha_grid=DEFAULT_ALPHA_GRID, p_inl_grid=DEFAULT_P_INL_GRID
                 ) -> tuple[FramePlan, list[float], list[int]]:
@@ -238,9 +248,7 @@ def grid_search(cfg: ClassConfig, tc: TimingConstants, horizon: int,
     fill a preallocated row, which stays 0 from the frame after the cell
     retires.  Returns the best cell's plan, read off its two rows, and
     every cell's utility and choke frame (0 if never), in grid order
-    (alpha outer, p_inl inner).  The best cell is the first whose utility
-    beats every earlier one by more than 1e-15, so the search is
-    deterministic and the first of a tie wins.
+    (alpha outer, p_inl inner).  The best cell is the `_first_best`.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least one frame")
@@ -252,11 +260,10 @@ def grid_search(cfg: ClassConfig, tc: TimingConstants, horizon: int,
     for t, (_, _, live, won, t_cop, choked_from) in enumerate(
             _recursion(cfg, tc, horizon, cells)):
         wins[live, t], t_cops[live, t] = won, t_cop
-    utilities = [channel_utility(row, tc) for row in wins.tolist()]
-    best = 0
-    for i, utility in enumerate(utilities):
-        if utility > utilities[best] + 1e-15:
-            best = i
+    # `channel_utility` of every row at once: the integer sums are exact,
+    # so each utility is the same float
+    utilities = (wins.sum(axis=1) * tc.t_r_us / (horizon * tc.t_frame_us)).tolist()
+    best = _first_best(utilities)
     decisions = tuple(map(FrameDecision, wins[best].tolist(), t_cops[best].tolist()))
     plan = FramePlan(*cells[best], per_frame=decisions, utility=utilities[best])
     return plan, utilities, choked_from.tolist()
@@ -275,18 +282,29 @@ def plan_for(cfg: ClassConfig, tc: TimingConstants, horizon: int,
     return optimize(cfg, tc, horizon, (alpha,), (p_inl,))
 
 
+def _yaml_float(x: float) -> str:
+    """``x`` as PyYAML's ``SafeRepresenter.represent_float`` writes it."""
+    x = float(x)  # the repr of a numpy float is not the number alone
+    if x != x:
+        return ".nan"
+    if x in (math.inf, -math.inf):
+        return ".inf" if x > 0 else "-.inf"
+    text = repr(x).lower()
+    return text.replace("e", ".0e", 1) if "." not in text and "e" in text else text
+
+
 def dump_plan(plan: FramePlan, path) -> None:
-    doc = {
-        "alpha_opt": plan.alpha_opt,
-        "p_inl_opt": plan.p_inl_opt,
-        "utility": plan.utility,
-        "per_frame": [
-            {"frame": i + 1, "m_opt": d.m_opt, "t_cop_opt_us": d.t_cop_opt_us}
-            for i, d in enumerate(plan.per_frame)
-        ],
-    }
+    """``plan`` as a YAML file: the bytes ``yaml.safe_dump`` writes for the
+    document ``{alpha_opt, p_inl_opt, utility, per_frame: [{frame, m_opt,
+    t_cop_opt_us}, ...]}`` with its keys in this order, written directly."""
+    rows = [f"- frame: {i}\n  m_opt: {d.m_opt}\n  t_cop_opt_us: {_yaml_float(d.t_cop_opt_us)}\n"
+            for i, d in enumerate(plan.per_frame, start=1)]
+    head = (f"alpha_opt: {_yaml_float(plan.alpha_opt)}\n"
+            f"p_inl_opt: {_yaml_float(plan.p_inl_opt)}\n"
+            f"utility: {_yaml_float(plan.utility)}\n"
+            f"per_frame:{'' if rows else ' []'}\n")
     with open(path, "w", encoding="utf-8") as fh:
-        dump_yaml(doc, fh)
+        fh.write("".join([head, *rows]))
 
 
 # each plan key: the type of its value and the range the value must lie in

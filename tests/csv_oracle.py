@@ -1,6 +1,11 @@
-"""The CSV writers as they were before `hymac.metrics` joined each file
-into one write: one ``csv.writer`` row per frame or device.  The tests keep
-them as the reference whose bytes the package's writers must match."""
+"""The references the package's CSV writers and energy ledger are held to.
+
+The CSV writers are as they were before `hymac.metrics` joined each file
+into one write: one ``csv.writer`` row per frame or device.  The ledger is
+the scalar one `hymac.metrics` kept before its columns: one
+`EnergyBreakdown` per frame, built from that frame's counters alone.  The
+tests keep them as the references whose bytes and floats the package must
+match."""
 
 from __future__ import annotations
 
@@ -9,10 +14,52 @@ import csv
 from hymac.metrics import (
     DEVICE_CSV_SCHEMA,
     FRAME_CSV_SCHEMA,
-    _fmt,
+    US_PER_J,
+    EnergyBreakdown,
     channel_utility,
-    energy_series,
 )
+
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".9g")
+
+
+def _cop_energy_ledger(f, tc, success_extra_us: float = 0.0) -> float:
+    tx_time = f.coll_tx_time_us + f.m_realized * (tc.delta_succ_us + success_extra_us)
+    listen_time = f.listen_time_us + f.winner_wait_time_us
+    return (tc.p_tx_w * tx_time + tc.p_idle_w * listen_time) * US_PER_J
+
+
+def energy_per_frame(f, tc, k_total: int, variant: str = "hybrid") -> EnergyBreakdown:
+    """Network energy breakdown of one simulated frame."""
+    if variant == "hybrid":
+        e_np = tc.p_rx_w * tc.t_nof_us * k_total * US_PER_J
+        e_cop = _cop_energy_ledger(f, tc)
+        e_ap = tc.p_rx_w * tc.t_anc_us * f.n_active * US_PER_J
+        e_s = tc.p_tx_w * tc.t_r_us * f.m_realized * US_PER_J
+        e_in = (tc.p_idle_w * tc.t_r_us
+                * (f.n_active - f.m_realized) * f.m_realized * US_PER_J)
+        return EnergyBreakdown(e_np, e_cop, e_ap, e_s, max(0.0, e_in))
+    if variant == "csma":
+        e_cop = _cop_energy_ledger(f, tc, success_extra_us=tc.t_r_us)
+        return EnergyBreakdown(0.0, e_cop, 0.0, 0.0, 0.0)
+    if variant == "tdma":
+        e_s = tc.p_tx_w * tc.t_r_us * f.m_realized * US_PER_J
+        e_in = tc.p_idle_w * tc.t_r_us * f.tdma_idle_slots * US_PER_J
+        return EnergyBreakdown(0.0, 0.0, 0.0, e_s, e_in)
+    raise ValueError(f"unknown protocol variant {variant!r}")
+
+
+def energy_series(report) -> list[EnergyBreakdown]:
+    k = report.cfg.total_devices
+    return [energy_per_frame(f, report.tc, k, report.variant) for f in report.per_frame]
+
+
+def mean_frame_energy(report) -> float:
+    series = energy_series(report)
+    if not series:
+        return 0.0
+    return sum(e.e_frame for e in series) / len(series)
 
 
 def write_frame_csv(report, path) -> None:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from hymac import cli, optimizer, simulator
+from hymac import cli, domain, metrics, optimizer, simulator
 from hymac.domain import ClassConfig, TimingConstants
 from hymac.optimizer import FrameDecision, dump_plan, load_plan, optimize, plan_for
 
@@ -199,11 +199,36 @@ def test_sweep_reads_the_one_pass(tmp_path, capsys, tcop_calls):
     assert len(capsys.readouterr().out.splitlines()) == 100 + 1
 
 
+def test_outputs_are_written_from_the_columns(tmp_path, capsys, monkeypatch):
+    # `hymac run` prices its energy from the column ledger, never frame by
+    # frame, writes its plan file without PyYAML's dumper, and reads every
+    # cell's utility off the grid in one array operation
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump({
+        "classes": {"sizes": [30, 10], "p_inl": 0.05, "alpha": 1.0},
+        "arrival": {"lambda": 0.2}, "protocol": {"horizon": 5, "seeds": [1, 2]}}))
+
+    def banned(*args, **kwargs):
+        raise AssertionError("a per-frame or emitter path was used")
+
+    for module, name in ((metrics, "energy_per_frame"), (domain, "dump_yaml"),
+                         (yaml, "dump_all"), (optimizer, "channel_utility")):
+        monkeypatch.setattr(module, name, banned)
+    out = tmp_path / "out"
+    argv = ["run", "--scenario", str(path), "--variant", "all", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert len(list(out.glob("*.csv"))) == 3 * 2 * 2
+    assert load_plan(out / "plan.yaml") == optimizer.optimize(
+        ClassConfig((30, 10), 0.05, 1.0, 0.2), TimingConstants(), 5)
+
+
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
 def test_yaml_files_go_through_libyaml(tmp_path, capsys, monkeypatch):
-    # with libyaml present, scenario and plan files are read and written by
-    # its C pair: PyYAML's pure-Python scanner and emitter take 3-5x as long
-    # on a 200-frame plan
+    # with libyaml present, scenario and plan files are read, and
+    # `--print-config` written, by its C pair: PyYAML's pure-Python scanner
+    # and emitter take 3-5x as long on a 200-frame plan (plan files are
+    # written without an emitter)
     path = tmp_path / "scenario.yaml"
     path.write_text(yaml.safe_dump({
         "classes": {"sizes": [30, 10], "p_inl": 0.05, "alpha": 1.0},

@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import csv_oracle
 from hymac.domain import ClassConfig, TimingConstants
@@ -10,6 +12,7 @@ from hymac.metrics import (
     FRAME_CSV_SCHEMA,
     EnergyBreakdown,
     channel_utility_of,
+    energy_ledger,
     energy_per_frame,
     energy_series,
     mean_frame_energy,
@@ -192,8 +195,7 @@ def test_energy_series_matches_mean(tc, small_cfg):
     rep = run_hybrid(small_cfg, tc, plan, 5, seed=7)
     series = energy_series(rep)
     assert len(series) == 5
-    assert mean_frame_energy(rep) == pytest.approx(
-        sum(e.e_frame for e in series) / 5)
+    assert mean_frame_energy(rep) == sum(e.e_frame for e in series) / 5
 
 
 def test_merge_reports(tc, small_cfg):
@@ -205,3 +207,54 @@ def test_merge_reports(tc, small_cfg):
     assert 0.0 <= merged["utility_mean"] <= 1.0
     with pytest.raises(ValueError):
         merge_reports([])
+
+
+# The column ledger against the scalar ledger of `csv_oracle`: zeros, counts
+# up to 1e6 (m may pass n_active, where e_in is clipped to 0) and times up
+# to 1e300, where every product and sum stays finite.  The timings and powers
+# are drawn too: the default ones are so round that a product regrouped or
+# a sum split would often give the same float
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_counts = st.one_of(st.sampled_from([0, 1, 10**6]), st.integers(0, 10**6))
+_times = st.one_of(st.sampled_from([0.0, 5e-324, 1e300]), _finite(0.0, 1e300))
+_timings = st.builds(
+    TimingConstants, t_frame_us=_finite(1e5, 1e7), t_r_us=_finite(1.0, 1e4),
+    **{name: _finite(0.1, 100.0) for name in (
+        "t_req_us", "t_nof_us", "t_anc_us", "t_ack_us", "sifs_us", "bifs_us")},
+    **{name: _finite(1e-3, 10.0) for name in ("p_tx_w", "p_rx_w", "p_idle_w")})
+
+
+@st.composite
+def frame_lists(draw):
+    rows = draw(st.lists(st.tuples(_counts, _counts, st.booleans(), _times, _counts, _counts,
+                                   _times, _times, _times, _counts), max_size=20))
+    # m passes n_active only where drawn so
+    return [FrameSummary(i, n, m if over else min(m, n), *rest)
+            for i, (n, m, over, *rest) in enumerate(rows)]
+
+
+@example(tc=TimingConstants(), variant="hybrid", k=0, runs=[[]])
+@example(tc=TimingConstants(), variant="csma", k=1, runs=[[], []])
+@example(tc=TimingConstants(), variant="tdma", k=5, runs=[[]])
+@settings(max_examples=60, deadline=None)
+@given(tc=_timings,
+       variant=st.sampled_from(["hybrid", "csma", "tdma"]), k=st.integers(0, 3000),
+       runs=st.lists(frame_lists(), min_size=1, max_size=3))
+def test_column_ledger_matches_the_scalar_ledger_to_the_bit(tc, variant, k, runs):
+    cfg = ClassConfig(class_sizes=(k,), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
+    reports = [make_report(tc, cfg, variant, frames) for frames in runs]
+    for rep in reports:
+        ledger = energy_ledger(rep.per_frame, tc, k, variant)
+        ref = csv_oracle.energy_series(rep)
+        for name in ("e_np", "e_cop", "e_ap", "e_s", "e_in", "e_top", "e_frame"):
+            column = getattr(ledger, name)
+            assert column.dtype == np.float64 and column.shape == (len(ref),)
+            assert column.tolist() == [getattr(e, name) for e in ref], name
+        assert energy_series(rep) == ref
+        assert [energy_per_frame(f, tc, k, variant) for f in rep.per_frame] == ref
+        assert mean_frame_energy(rep) == csv_oracle.mean_frame_energy(rep)
+    assert merge_reports(reports)["energy_per_frame_j"] == float(
+        np.mean([csv_oracle.mean_frame_energy(r) for r in reports]))

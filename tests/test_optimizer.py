@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import planner_oracle as oracle
 from hymac import optimizer
 from hymac.analytics import expected_tcop, success_shares
-from hymac.domain import ClassConfig, TimingConstants
+from hymac.domain import ClassConfig, ConfigError, TimingConstants
 from hymac.optimizer import (
     _COUNT_EPS,
     DEFAULT_ALPHA_GRID,
@@ -270,18 +270,29 @@ def plans(draw):
 
 @example(plan=FramePlan(1.0, 1.0, (), 0.0))
 @example(plan=FramePlan(1e308, 5e-324, tuple(FrameDecision(2000, t) for t in _SPECIAL), 1.0))
+# values `load_plan` refuses, which `dump_plan` still writes as PyYAML does
+@example(plan=FramePlan(1.0, 0.5, (FrameDecision(3, 10.0), FrameDecision(1, math.inf)), 0.5))
+@example(plan=FramePlan(1.0, 0.5, (FrameDecision(3, math.nan),), 0.5))
+@example(plan=FramePlan(math.inf, 0.5, (FrameDecision(3, 10.0),), 0.5))
 @settings(max_examples=60, deadline=None)
 @given(plan=plans())
 def test_plan_file_matches_the_pure_yaml_pair(tmp_path_factory, plan):
     # `dump_plan` writes the bytes of PyYAML's pure-Python emitter, and
-    # `load_plan` reads them back as the same plan
+    # `load_plan` reads them back as the same plan, or refuses a value
+    # that is not finite
     doc = {"alpha_opt": plan.alpha_opt, "p_inl_opt": plan.p_inl_opt, "utility": plan.utility,
            "per_frame": [{"frame": i + 1, "m_opt": d.m_opt, "t_cop_opt_us": d.t_cop_opt_us}
                          for i, d in enumerate(plan.per_frame)]}
     path = tmp_path_factory.mktemp("plan") / "plan.yaml"
     dump_plan(plan, path)
     assert path.read_bytes() == yaml.safe_dump(doc, sort_keys=False).encode("utf-8")
-    assert load_plan(path) == plan
+    values = [plan.alpha_opt, plan.p_inl_opt, plan.utility,
+              *(d.t_cop_opt_us for d in plan.per_frame)]
+    if all(map(math.isfinite, values)):
+        assert load_plan(path) == plan
+    else:
+        with pytest.raises(ConfigError):
+            load_plan(path)
 
 
 # The array pass against the dict-of-(q, d) recursion it replaced.
@@ -500,17 +511,17 @@ def test_optimize_empty_grid(tc, small_cfg):
 
 def test_grid_search_keeps_the_first_of_a_tie(monkeypatch, tc, small_cfg):
     # the best cell is the first in grid order whose utility beats every
-    # earlier one by more than 1e-15; the cells' utilities are set here
-    def best(utilities):
-        given = iter(utilities)
-        monkeypatch.setattr(optimizer, "channel_utility", lambda wins, tc: next(given))
-        plan, got, _ = grid_search(small_cfg, tc, 3, (2.0, 1.0), (0.3, 0.2))
-        assert got == utilities
-        return plan.alpha_opt, plan.p_inl_opt, plan.utility
-
-    assert best([0.0, 0.0, 5e-16, 0.4]) == (1.0, 0.2, 0.4)
-    assert best([0.0] * 4) == (2.0, 0.3, 0.0)
-    assert best([0.3, 0.3 + 5e-16, 0.3, 0.2]) == (2.0, 0.3, 0.3)
-    assert best([0.0, 5e-16, 1.1e-15, 1.1e-15]) == (1.0, 0.3, 1.1e-15)
+    # earlier one by more than 1e-15
+    assert optimizer._first_best([0.0, 0.0, 5e-16, 0.4]) == 3
+    assert optimizer._first_best([0.0] * 4) == 0
+    assert optimizer._first_best([0.3, 0.3 + 5e-16, 0.3, 0.2]) == 0
+    assert optimizer._first_best([0.0, 5e-16, 1.1e-15, 1.1e-15]) == 2
+    # and the search plans the cell it picks from the utilities it returns
+    cell = plan_for(small_cfg, tc, 3, 1.0, 0.2)
+    picked = []
+    monkeypatch.setattr(optimizer, "_first_best", lambda utilities: picked.append(utilities) or 3)
+    plan, got, _ = grid_search(small_cfg, tc, 3, (2.0, 1.0), (0.3, 0.2))
+    assert picked == [got]
+    assert plan == cell and plan.utility == got[3]
     with pytest.raises(NoFeasiblePointError):
         grid_search(small_cfg, tc, 5, (1.0,), ())
