@@ -115,8 +115,8 @@ def run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
     before the first success is walked; once that success lands inside
     the limit, the winners' order comes from one key per device
     (`_race`), and all later gaps from one array draw each.  Only a gap
-    that may cross the time limit is walked.  The transmitters of all
-    collisions are drawn at the end.
+    that may cross the time limit is walked.  Each collision counts the
+    mean transmitters of its slot law given two or more (`_slot_law`).
     """
     counts = np.asarray(counts, dtype=np.int64)
     probs = np.asarray(probs, dtype=float)
@@ -133,22 +133,22 @@ def run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
     if n_win:
         # no key is drawn before the first success lands, so a period that
         # chokes from its start draws only the walk of its first gap
-        _, p_lone, p_coll, share = _slot_law(count_list, prob_list)
-        if period.walk(uniform, _failures(uniform(), p_lone), counts, p_coll, share, n_dev):
+        _, p_lone, _, share, tx = _slot_law(count_list, prob_list)
+        if period.walk(uniform, _failures(uniform(), p_lone), tx, share, n_dev):
             won = _race(rng, counts, probs, n_win)
             groups = np.searchsorted(np.cumsum(counts), won, side="right")
             n_succ = 1 + period.drain(rng, uniform, counts, probs, groups)
     if n_succ == n_live < target:
         period.idle_out(n_dev - n_live)
 
-    tx = _collision_transmitters(rng, probs, period.summed, period.collided)
+    coll_tx = period.tx * period.d_coll
     won = won[:n_succ]
     return CopOutcome(
         success_groups=tuple(groups[:n_succ].tolist()),
         success_times_us=tuple(np.concatenate(period.times).tolist()) if period.times else (),
         t_elapsed_us=period.elapsed, n_idle_slots=period.n_idle,
-        n_collisions=period.n_coll, coll_tx_time_us=tx * period.d_coll,
-        listen_time_us=period.listen - tx * period.d_coll,
+        n_collisions=period.n_coll, coll_tx_time_us=coll_tx,
+        listen_time_us=period.listen - coll_tx,
         n_slots=period.n_idle + period.n_coll + n_succ,
         winners=tuple((won if ids is None else ids[won]).tolist()),
     )
@@ -196,14 +196,21 @@ def _binomial(uniform, k: int, p: float) -> int:
 
 
 def _slot_law(counts: list[int], probs: list[float]):
-    """(P(idle), P(success), P(collision), P(idle | no success)) of a slot
-    of one mixture, in floats, by the rules of `analytics.slot_law_rows`
-    (the gap before a first success takes no numpy call, which would cost
-    more than a whole choked period): a p = 1 device keeps every slot busy and is a lone transmitter only as
-    the single such device, and a lone contender cannot collide.  Without
-    a p = 1 device, P(success) = W P(idle) with the weight
-    W = sum n p / (1 - p), formed in logs, so it stays exact where P(idle)
-    alone is subnormal."""
+    """(P(idle), P(success), P(collision), P(idle | no success), mean
+    transmitters of a collision) of a slot of one mixture, in floats, by
+    the rules of `analytics.slot_law_rows` (the gap before a first success
+    takes no numpy call, which would cost more than a whole choked
+    period): a p = 1 device keeps every slot busy and is a lone
+    transmitter only as the single such device, and a lone contender
+    cannot collide.  Without a p = 1 device, P(success) = W P(idle) with
+    the weight W = sum n p / (1 - p), formed in logs, so it stays exact
+    where P(idle) alone is subnormal.
+
+    The transmitters X of a collision count E[X | X >= 2] =
+    E[X; X >= 2] / P(collision), with E[X; X >= 2] = sum n p P(another
+    device transmits), free of cancellation: that probability is 1 beside
+    another p = 1 device, else -expm1 of the other devices' log P(idle).
+    The mean is 0 where no slot collides."""
     certain = sum(n for n, p in zip(counts, probs) if p >= 1.0)
     log_idle = sum(n * math.log1p(-p) for n, p in zip(counts, probs) if p < 1.0)
     if certain:
@@ -215,12 +222,17 @@ def _slot_law(counts: list[int], probs: list[float]):
         p_lone = min(math.exp(log_idle + math.log(weight)), p_busy) if weight > 0.0 else 0.0
     p_coll = p_busy - p_lone if sum(counts) > 1 else 0.0
     fail = p_idle + p_coll
-    return p_idle, p_lone, p_coll, p_idle / fail if fail > 0.0 else 0.0
+    hit = sum(n * p * (-math.expm1(log_idle - math.log1p(-p * (p < 1.0)))
+                       if certain == (p >= 1.0) else 1.0)
+              for n, p in zip(counts, probs))
+    return (p_idle, p_lone, p_coll, p_idle / fail if fail > 0.0 else 0.0,
+            hit / p_coll if p_coll > 0.0 else 0.0)
 
 
 # The law of the gap before each success of a race, per row of remaining
-# group counts: P(success) of a slot, P(collision) and P(idle | no success).
-_Gaps = namedtuple("_Gaps", "rows p_lone p_coll share")
+# group counts: P(success) of a slot, P(idle | no success) and the mean
+# transmitters of a collision.
+_Gaps = namedtuple("_Gaps", "p_lone share tx")
 
 
 def _slot_laws(probs: np.ndarray, rows: np.ndarray):
@@ -238,9 +250,12 @@ def _race_laws(probs: np.ndarray, rows: np.ndarray) -> _Gaps:
     """`_Gaps` of each row of group counts.  No row holds a p = 1 device:
     one such device wins first, and two choke the period before any race.
     Each row's law comes from its own counts, so no rounding carries over
-    from one drain to the next."""
+    from one drain to the next.  The mean transmitters of a collision
+    are those of `_slot_law`."""
     p_idle, p_lone, p_coll, _ = _slot_laws(probs, rows)
-    return _Gaps(rows, p_lone, p_coll, p_idle / (p_idle + p_coll))
+    log_stay = np.log1p(-probs * (probs < 1.0))  # 0 for an emptied p = 1 group
+    hit = (rows * probs * -np.expm1((rows @ log_stay)[:, None] - log_stay)).sum(axis=1)
+    return _Gaps(p_lone, p_idle / (p_idle + p_coll), hit / np.where(p_coll > 0.0, p_coll, np.inf))
 
 
 def _race(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
@@ -272,7 +287,7 @@ def _left_after(counts: np.ndarray, groups: np.ndarray) -> np.ndarray:
 
 class _Period:
     """The clock, slot counts, listening time, success times and
-    collision laws of one contention period so far."""
+    collision transmitters of one contention period so far."""
 
     def __init__(self, tc: TimingConstants, success_extra_us: float,
                  time_limit_us: float | None):
@@ -283,17 +298,13 @@ class _Period:
         self.elapsed = self.listen = 0.0
         self.n_idle = self.n_coll = 0
         self.times: list = []      # arrays of success times, in order
-        # collisions where P(collision) == 1: sum of c n_g per group
-        self.summed = 0
-        # other collisions: (collisions, group counts) arrays
-        self.collided: list = []
+        self.tx = 0.0              # transmitters summed over collisions, in the mean
 
-    def walk(self, uniform, gap, row: np.ndarray, p_coll: float, share: float,
-             remaining: int) -> bool:
-        """Walk ``gap`` failed slots of the slot law of group counts
-        ``row`` (P(collision) ``p_coll``, P(idle | no success) ``share``),
-        then the success after them, unless the time limit comes first.
-        Returns whether the success happened.
+    def walk(self, uniform, gap, tx: float, share: float, remaining: int) -> bool:
+        """Walk ``gap`` failed slots of a slot law (P(idle | no success)
+        ``share``, ``tx`` mean transmitters of a collision), then the
+        success after them, unless the time limit comes first.  Returns
+        whether the success happened.
 
         The failed slots are taken in chunks inside which the limit does
         not fall: all of them when they surely end before it, else as
@@ -314,12 +325,8 @@ class _Period:
             self.n_idle += idle
             n_c += k - idle
             gap -= k
-        if n_c:
-            self.n_coll += n_c
-            if p_coll == 1.0:
-                self.summed = self.summed + n_c * row
-            else:
-                self.collided.append((np.array([n_c]), row[None, :]))
+        self.n_coll += n_c
+        self.tx += n_c * tx
         if gap or self.elapsed >= self.t_stop:
             return False  # the limit came first
         self.elapsed += self.d_succ
@@ -373,17 +380,12 @@ class _Period:
                 self.listen += float(heard[taken].sum())
                 self.n_idle += int(idle[taken].sum())
                 self.n_coll += int(colls[taken].sum())
-                hit = taken[colls[taken] > 0]
-                one = laws.p_coll[hit] == 1.0
-                self.summed = self.summed + colls[hit[one]] @ laws.rows[hit[one]]
-                hit = hit[~one]
-                if len(hit):
-                    self.collided.append((colls[hit], laws.rows[hit]))
+                self.tx += float(colls[taken] @ laws.tx[taken])
                 j += k
             if j < n - 1 and self.elapsed < self.t_stop:
                 gap = int(gaps[j]) if gaps[j] < math.inf else math.inf
-                if not self.walk(uniform, gap, laws.rows[j], float(laws.p_coll[j]),
-                                 float(laws.share[j]), int(remaining[j])):
+                if not self.walk(uniform, gap, float(laws.tx[j]), float(laws.share[j]),
+                                 int(remaining[j])):
                     break
                 j += 1
         return j
@@ -395,85 +397,6 @@ class _Period:
             self.elapsed += n * self.d_idle
             self.n_idle += n
             self.listen += remaining * n * self.d_idle
-
-
-def _collision_transmitters(rng: np.random.Generator, probs: np.ndarray,
-                            summed, collided: list) -> int:
-    """Transmitters summed over collisions.
-
-    Where P(fewer than two transmit) is lost against 1 in double
-    precision (P(collision) == 1), the total of c collisions is one
-    Binomial(c * n_g, p_g) per group (sums of binomials with equal p,
-    Devroye 1986): ``summed`` holds sum c n_g per group over all such
-    laws (or 0), for one draw.  ``collided`` holds array pairs (n_c, rows)
-    of the others: ``n_c[i]`` collisions under the slot law of group
-    counts ``rows[i]``.  Each of these is drawn on its own from the law
-    conditioned on two or more transmitters, without rejection
-    (`_conditioned_transmitters`).
-    """
-    tx = int(rng.binomial(summed, probs).sum()) if np.any(summed) else 0
-    if not collided:
-        return tx
-    n_c, rows = (np.concatenate(part) for part in zip(*collided))
-    return tx + int(_conditioned_transmitters(rng, probs, rows, n_c).sum())
-
-
-def _conditioned_transmitters(rng: np.random.Generator, probs: np.ndarray,
-                              rows: np.ndarray, reps: np.ndarray) -> np.ndarray:
-    """The transmitters of ``reps[i]`` collisions under each row of group
-    counts, one entry per collision: the per-group binomials conditioned
-    on two or more transmitting, drawn without rejection.
-
-    A p = 1 device always transmits, so beside one of them a single
-    transmitter among the rest completes the collision.  Counting group
-    after group, the draw picks the group in which the needed transmitters
-    are complete, together with how many of them came before it (0 or 1),
-    then that group's transmitters given that they complete the need
-    (`_truncated_binomial`).  The later groups transmit unconditioned.
-    """
-    certain = probs >= 1.0
-    p = np.where(certain, 0.0, probs)
-    n = np.where(certain, 0, rows)
-    extra = (rows * certain).sum(axis=1)  # 0, or 1: one more is needed
-    stay = n * np.log1p(-p)               # log P(no transmitter in the group)
-    odds = n * (p / (1.0 - p))            # P(exactly one) / P(none)
-    some = -np.expm1(stay)
-    two = np.where(n >= 2, np.maximum(some - odds * np.exp(stay), 0.0), 0.0)
-    none_before = np.exp(np.cumsum(stay, axis=1) - stay)
-    one_before = none_before * (np.cumsum(odds, axis=1) - odds)
-    pair = (extra == 0)[:, None]
-    weights = np.stack([none_before * np.where(pair, two, some),
-                        np.where(pair, one_before * some, 0.0)], axis=-1)
-    cum = np.cumsum(weights.reshape(len(rows), -1), axis=1)
-
-    law = np.repeat(np.arange(len(rows)), reps)
-    u = 1.0 - rng.random((2, len(law)))
-    cum = cum[law]
-    group, before = np.divmod((cum < u[0, :, None] * cum[:, -1:]).sum(axis=1), 2)
-    need = 2 - extra[law] - before
-    tail = np.where(need == 2, two[law, group], some[law, group])
-    inside = _truncated_binomial(u[1], n[law, group], p[group], need, tail)
-    later = np.where(np.arange(len(probs)) > group[:, None], n[law], 0)
-    return extra[law] + before + inside + rng.binomial(later, p).sum(axis=1)
-
-
-def _truncated_binomial(u: np.ndarray, n: np.ndarray, p: np.ndarray,
-                        least: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """Binomial(n, p) given at least ``least`` (1 or 2), whose probability
-    is ``tail``, per entry by inversion of ``u`` on (0, 1]: the pmf is
-    summed up from ``least``, each entry until its sum reaches its
-    uniform.  The steps are about the draw's excess over ``least``."""
-    odds = p / (1.0 - p)
-    first = np.where(least == 1, n * odds, n * (n - 1) / 2 * odds * odds)
-    term = first * np.exp(n * np.log1p(-p)) / tail
-    x, cdf = least.copy(), term.copy()
-    todo = np.flatnonzero((cdf < u) & (x < n))
-    while len(todo):
-        x[todo] += 1
-        term[todo] *= (n[todo] - x[todo] + 1) / x[todo] * odds[todo]
-        cdf[todo] += term[todo]
-        todo = todo[(cdf[todo] < u[todo]) & (x[todo] < n[todo])]
-    return x
 
 
 def simulate_cop_slots(counts_by_prob: list[tuple[float, int]], tc: TimingConstants,
@@ -492,18 +415,15 @@ def simulate_cop_slots(counts_by_prob: list[tuple[float, int]], tc: TimingConsta
 def _slot_batch(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
                 tc: TimingConstants, n_slots: int) -> CopOutcome:
     """``n_slots`` slots of a static mixture.  They are i.i.d., so the idle,
-    success and collision counts are one multinomial draw, and each
-    success's group is drawn in proportion to its lone-transmitter term.
-    The slots have no order: the outcome holds no success times and names
-    no winners."""
+    success and collision counts are one multinomial draw, each success's
+    group is drawn in proportion to its lone-transmitter term, and each
+    collision counts the law's mean transmitters.  The slots have no
+    order: the outcome holds no success times and names no winners."""
     d_idle, d_coll, d_succ = tc.delta_idle_us, tc.delta_coll_us, tc.delta_succ_us
     p_idle, p_lone, p_coll, terms = _slot_laws(probs, counts)
     n_idle, n_succ, n_coll = rng.multinomial(n_slots, [p_idle, p_lone, p_coll]).tolist()
     groups = rng.choice(len(probs), size=n_succ, p=terms / terms.sum()) if n_succ else []
-    if p_coll == 1.0:
-        tx = _collision_transmitters(rng, probs, n_coll * counts, [])
-    else:
-        tx = _collision_transmitters(rng, probs, 0, [(np.array([n_coll]), counts[None, :])])
+    tx = n_coll * _slot_law(counts.tolist(), probs.tolist())[-1]
     n_dev = int(counts.sum())
     t_fail = n_idle * d_idle + n_coll * d_coll
     return CopOutcome(

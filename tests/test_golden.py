@@ -40,27 +40,27 @@ K1200_CHOKED = {"name": "k1200-choked",
 GOLDEN = {
     "readme": {
         "stdout":
-            "73bf697ab366cf92b4154a6071ba208bee4212a967f81a505dc397e9ca6606a8",
+            "cd3ed5efe733b564b922e9233d966a75a0bfde2eb07ea94385a4bf42ce3c0e89",
         "devices_csma_seed1.csv":
-            "17c05148ca3057167193991a9a49cf2143118fa90ca88f2c976b90cc38b3b5f2",
+            "b6c9700383872c361e18369b9f67d28a3866fe28c87203ef05801133a3111df6",
         "devices_csma_seed2.csv":
-            "c738a2d064addcf032fbe2907e9a7981eaa34f417bf0522db1e2b2eb6954bda7",
+            "01fb9ecefcb2bd398f589be8527a4c27bf8bda359c17378133631cfb98afbfb7",
         "devices_hybrid_seed1.csv":
-            "ce43292fba9036a96c148ec5cc0dd1ed14504bda17a10b3104e38139cf84c2f1",
+            "5cba597304d544c67449e5144dbc0730c79d515c1cdd66a192d7f9423215f85b",
         "devices_hybrid_seed2.csv":
-            "f98756f582d18eca6d4575597887d1a82ed19c3110fb2afc360bd894b4316a26",
+            "ce3044be8ca852deee98ae95fc88fba343ab46caa31287f6c467da04d1c9f91d",
         "devices_tdma_seed1.csv":
             "f4c97306bc5236895c04d16082c7daf2db01484e8069895434801f1cf68fc3d5",
         "devices_tdma_seed2.csv":
             "853375a2c796b64552ba0f0749dcc91d12a3f824beb2915751386cba18047583",
         "frames_csma_seed1.csv":
-            "3e7aae065e095c7b0def08d58597a47fe026659a0893888cd594c085302335fd",
+            "2fea321082224a3cfec3d150c01e866d7e68a4b1d6b6c495c82b3f7a9ae00315",
         "frames_csma_seed2.csv":
-            "14b797d2c0205a5bda5b72d034330ee8648b403cc09e32d0a588479f3f75383f",
+            "86b9fe27f94c3495cedae9883e7acfcd310a701b4dfb07ea9da5d9a75d88f861",
         "frames_hybrid_seed1.csv":
-            "180fcac034bf048dbb5629b4ced29838c61955758495008f4f46e7581a64b649",
+            "2b14bdb12074c773b6d2d0704016e12316a08e3ae1b6bc6a76aaccb7b86b1e52",
         "frames_hybrid_seed2.csv":
-            "a91ca8be1fd15a87abe95cf433f65c882fced2361b829c4e2d409503cc25813c",
+            "f442aad2f674d55a53f726e8c92653adc926c14a517e5e8df637742c3acc104b",
         "frames_tdma_seed1.csv":
             "1892757c17cc63dbda75fbd6684cda65c53c3afd9116d4b1d183444083572745",
         "frames_tdma_seed2.csv":
@@ -70,31 +70,31 @@ GOLDEN = {
     },
     "k1200-plan": {
         "stdout":
-            "a2f8831ff019ec00fd6624a19767537c8a823a3391ce142a13a2edc5b9a08b62",
+            "be3ddb01237e8503612f1b4434f51202e3f45fb787c834db58dd5eaa4e1dfc2a",
         "devices_csma_seed1.csv":
-            "20478fb67b9c3a3267e1ab178aac783cde404d29fd3d930f8c3a01f0ad72227f",
+            "ce18b4ee416f471e5a192bb1d21b740f5460f2699d027f65b6f13d27bddc3888",
         "devices_hybrid_seed1.csv":
-            "2bebeea75d058ecede6fa7ac901f895ddeaf526966988731363c984218e73a22",
+            "c2b3b98a518a0d718099c049dbb1610a4cdd30165b0a05a2cd6bc6b1f4f053f2",
         "devices_tdma_seed1.csv":
             "27ecf574a16a523a01008fa16455bc87c7913d2274c4914bae844f91222f000f",
         "frames_csma_seed1.csv":
-            "c475796ab02b150256cab5a46c9b19f1d2c0d96bc5d9d1178a3a081b92b5186a",
+            "38a8674a9cbb6a897eb25da0a162e1c545926e3f94c39ed7860285a666f63db8",
         "frames_hybrid_seed1.csv":
-            "61dc65edcd5cca06ec544eaf7226d88260007dae9dfd8f0bee786e9d965083c2",
+            "8bc1064b9f0de883d26aa13b060d7c6e9b7582182194304f096fed86e115166d",
         "frames_tdma_seed1.csv":
             "31f2af6db8a0b34b3d65bb647dc99ee569305db67033a4f6f617f8bca0787e02",
     },
     "k1200-choked": {
         "stdout":
-            "ed0c13efcbea27b8c08da5770ee92882cff2fdcf7c5412c56c8fd5b555bf5437",
+            "fc2e542d335ba3114de67b6b3c16da84ad2951595b8af0337405084784b26b5e",
         "devices_csma_seed1.csv":
-            "b012f4aa3042c7e5d03343e988390c9a776f212742246a9e6c9a93033efc8f1f",
+            "5ba8562e0a49cfe12e1896bfe5153cd2e0ce817bdc54faa48b0b7bbd7669269e",
         "devices_hybrid_seed1.csv":
             "9b791c08129c393706bf9f2f32a19d08069c6efb8a61aab662ae8fb296c9ba94",
         "devices_tdma_seed1.csv":
             "214cc8178e0dcb17deefc88785b3a7af393064dc478db560e8c5f73f89c9e980",
         "frames_csma_seed1.csv":
-            "f80c15a4036dae736172eccb98878650b2a151db06aebfdad2d8e112b3d140f6",
+            "86c2ae0473b19cfaa1f7b7142e7c27c97e62a99b1ab083cae897ea1a5fa4fea7",
         "frames_hybrid_seed1.csv":
             "ae0a98aeaa41fe4b2707463298ee5d377460f2c5ae3b228461c77fc5ebc37f94",
         "frames_tdma_seed1.csv":
@@ -106,7 +106,7 @@ GOLDEN = {
 
 # `test_zero_winner_frames_of_a_loaded_plan_are_pinned`: the summaries and
 # traces of a resolving run whose plan has two zero-winner frames
-ZERO_WINNER_FRAMES = "171fbd73ca3b30cee2fd8128c3d0f23bedeac4c085639888110b92786ef92da0"
+ZERO_WINNER_FRAMES = "72951a04d5988397a31fd0cc573f27f2431649e63de4ee88b23c9268b49b6ce5"
 
 
 def run_digests(tmp_path, capsys, doc, plan=None) -> dict[str, str]:
