@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 configuration error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -81,7 +82,10 @@ def _parse_sweep(text: str) -> dict[str, list[float]]:
     return axes
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The `hymac` parser, built once per process: parsing leaves it as it
+    was, and building it costs more than a parse."""
     parser = _Parser(prog="hymac", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

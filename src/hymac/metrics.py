@@ -10,7 +10,6 @@ energy.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from operator import attrgetter
 
 import numpy as np
 
@@ -46,13 +45,16 @@ class EnergyBreakdown:
 
 
 # the `FrameSummary` counters the ledger and the frame CSV read, in this order
-_COUNTERS = attrgetter("frame", "n_active", "m_realized", "t_cop_us", "coll_tx_time_us",
-                       "listen_time_us", "winner_wait_time_us", "tdma_idle_slots")
+_COUNTERS = [FrameSummary._fields.index(name) for name in (
+    "frame", "n_active", "m_realized", "t_cop_us", "coll_tx_time_us", "listen_time_us",
+    "winner_wait_time_us", "tdma_idle_slots")]
 
 
 def _columns(frames) -> np.ndarray:
-    """The `_COUNTERS` of ``frames`` as float64 rows, one entry per frame."""
-    return np.array(list(map(_COUNTERS, frames)), dtype=float).reshape(-1, 8).T
+    """The `_COUNTERS` of ``frames`` as float64 rows, one entry per frame,
+    from one transpose of the records."""
+    by_field = list(zip(*frames)) or np.empty((len(FrameSummary._fields), 0))
+    return np.array(by_field, dtype=float)[_COUNTERS]
 
 
 def energy_ledger(frames, tc: TimingConstants, k_total: int,
@@ -61,9 +63,15 @@ def energy_ledger(frames, tc: TimingConstants, k_total: int,
     entry takes the operations of one frame priced alone, in their order,
     so it is the same float; a regrouped product or sum would move last
     bits that seeded run summaries record."""
+    return _ledger(_columns(frames), tc, k_total, variant)
+
+
+def _ledger(columns: np.ndarray, tc: TimingConstants, k_total: int,
+            variant: str) -> EnergyBreakdown:
+    """`energy_ledger` of the frames whose `_columns` are ``columns``."""
     if variant not in ("hybrid", "csma", "tdma"):
         raise ValueError(f"unknown protocol variant {variant!r}")
-    _, n, m, _, coll, listen, wait, idle = _columns(frames)
+    _, n, m, _, coll, listen, wait, idle = columns
     zero = np.zeros(len(n))
     if variant == "tdma":
         return EnergyBreakdown(zero, zero, zero, tc.p_tx_w * tc.t_r_us * m * US_PER_J,
@@ -113,40 +121,108 @@ def channel_utility_of(report: SimReport) -> float:
     return channel_utility((f.m_realized for f in report.per_frame), report.tc)
 
 
-def _write_csv(path, schema: str, header: str, rows) -> None:
-    """A schema comment line, then the header and rows as ``csv.writer``
-    writes them (no field needs quoting), in one write."""
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # an odd multiplier: 2**64 over the golden ratio
+
+
+def _row_groups(keys) -> tuple[np.ndarray, list[int]]:
+    """The rows of the equal-length integer columns ``keys`` grouped by
+    equality: the first row of each group, and each row's group, an index
+    into those first rows.
+
+    One argsort over a key that mixes every column (wrapping uint64
+    arithmetic) brings equal rows together; `np.lexsort` sorts once per
+    column, and on five columns of 1200 rows took twice as long as this
+    whole function.  A group is a run of rows equal in every column, so
+    two unequal rows that mix to the same key only split a run: a row's
+    text may be formatted twice but is never shared with an unequal row."""
+    mixed = np.zeros(len(keys[0]), dtype=np.uint64)
+    for key in keys:
+        mixed *= _MIX
+        mixed += key.astype(np.uint64)
+    order = np.argsort(mixed)
+    # a group starts at the first sorted row and at each row unlike the one before
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ordered = key[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    groups = np.empty_like(order)
+    groups[order] = np.cumsum(new) - 1
+    return order[new], groups.tolist()
+
+
+def _write_csv(path, schema: str, header: str, numbers, texts: list[str],
+               groups: list[int]) -> None:
+    """A schema comment line, the header, and row i as its number
+    ``numbers[i]`` followed by its group's text ``texts[groups[i]]``, as
+    ``csv.writer`` writes them (no field needs quoting), in one write."""
+    fields = [None] * (2 * len(groups))
+    fields[::2] = numbers
+    fields[1::2] = map(texts.__getitem__, groups)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("".join([f"# {schema}\n{header}\r\n", *rows]))
+        fh.write(f"# {schema}\n{header}\r\n" + "%d%s" * len(groups) % tuple(fields))
 
 
-_FRAME_ROW = "{},{},{},{:.9g},{:.9g},{:.9g},{:.9g},{:.9g},{:.9g},{:.9g}\r\n".format
+_FRAME_ROW = ",{},{},{:.9g},{:.9g},{:.9g},{:.9g},{:.9g},{:.9g},{:.9g}\r\n".format
 
 
 def write_frame_csv(report: SimReport, path) -> None:
-    """Per-frame CSV: realized schedule, utility contribution and energy."""
+    """Per-frame CSV: realized schedule, utility contribution and energy.
+    Each distinct row is formatted once; rows share a text only where
+    every field is the same float to the bit, so -0.0 keeps its own."""
     tc = report.tc
-    e = _report_ledger(report)
-    frame, n, m, t_cop = _columns(report.per_frame)[:4]
-    counts = (frame + 1, n, m)  # whole numbers, written as ints
-    floats = (t_cop, m * tc.t_r_us / tc.t_frame_us, e.e_np, e.e_cop, e.e_ap, e.e_top, e.e_frame)
-    rows = map(_FRAME_ROW, *(c.astype(np.int64).tolist() for c in counts),
-               *(c.tolist() for c in floats))
+    columns = _columns(report.per_frame)
+    e = _ledger(columns, tc, report.cfg.total_devices, report.variant)
+    frame, n, m, t_cop = columns[:4]
+    table = np.array([n, m, t_cop, m * tc.t_r_us / tc.t_frame_us,
+                      e.e_np, e.e_cop, e.e_ap, e.e_top, e.e_frame])
+    firsts, groups = _row_groups(table.view(np.int64))
+    rows = table[:, firsts]
+    # n and m are whole numbers, written as ints
+    texts = list(map(_FRAME_ROW, *rows[:2].astype(np.int64).tolist(), *rows[2:].tolist()))
     _write_csv(path, FRAME_CSV_SCHEMA, "frame,n_active,m,t_cop_us,utility,"
-               "e_np_j,e_cop_j,e_ap_j,e_top_j,e_frame_j", rows)
+               "e_np_j,e_cop_j,e_ap_j,e_top_j,e_frame_j",
+               (frame + 1).astype(np.int64).tolist(), texts, groups)
+
+
+def _quotient_texts(num: list[int], den: list[int]) -> list[str]:
+    """Each ``num / den`` to nine significant digits, blank where ``den``
+    is 0.  Each distinct nonzero quotient is formatted once, so a file
+    whose rows are nearly all distinct (TDMA's), where grouping rows saves
+    nothing, still costs no more than one format per row; a zero, whose
+    sign shows in its text but not in its equality, is formatted where it
+    occurs."""
+    known: dict[float, str] = {}
+    texts = []
+    for a, b in zip(num, den):
+        if not b:
+            texts.append("")
+            continue
+        q = a / b
+        text = known.get(q) if q else None
+        if text is None:
+            text = known[q] = f"{q:.9g}"
+        texts.append(text)
+    return texts
+
+
+def _device_texts(cls, gen, drp, dlv, dsum) -> list[str]:
+    """The text after the device number of each row with these column
+    values: class, packets generated, dropped and delivered, and summed
+    delay."""
+    return list(map(",{},{},{},{},{},{}\r\n".format, cls, gen, drp, dlv,
+                    _quotient_texts(drp, gen), _quotient_texts(dsum, dlv)))
 
 
 def write_device_csv(report: SimReport, path) -> None:
-    """Per-device CSV: traffic counters, drop ratio and mean delay."""
-    g9 = "{:.9g}".format
+    """Per-device CSV: traffic counters, drop ratio and mean delay.  Each
+    distinct row is formatted once."""
     columns = (report.device_class, report.generated, report.dropped,
                report.delivered, report.delay_frames_sum)
-    rows = [f"{dev},{cls},{gen},{drp},{dlv},{g9(drp / gen) if gen else ''},"
-            f"{g9(dsum / dlv) if dlv else ''}\r\n"
-            for dev, cls, gen, drp, dlv, dsum
-            in zip(range(1, report.cfg.total_devices + 1), *(c.tolist() for c in columns))]
+    firsts, groups = _row_groups(columns)
+    texts = _device_texts(*(c[firsts].tolist() for c in columns))
     _write_csv(path, DEVICE_CSV_SCHEMA, "device,class,generated,dropped,delivered,"
-               "drop_ratio,avg_delay_frames", rows)
+               "drop_ratio,avg_delay_frames", range(1, len(groups) + 1), texts, groups)
 
 
 def merge_reports(reports: list[SimReport]) -> dict[str, float]:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 # numpy loads its random module on first use, in over 10 ms: loaded here, it
@@ -31,8 +32,7 @@ class PlanMismatchError(ConfigError):
     """Plan horizon or dimensions do not match the requested run."""
 
 
-@dataclass(frozen=True)
-class CopOutcome:
+class CopOutcome(NamedTuple):
     """Aggregate result of one contention period (or slot batch)."""
 
     success_groups: tuple[int, ...]        # group index per success, in order
@@ -46,8 +46,7 @@ class CopOutcome:
     winners: tuple[int, ...] = ()          # device id per success (none for a slot batch)
 
 
-@dataclass(frozen=True)
-class FrameSummary:
+class FrameSummary(NamedTuple):
     """Per-frame realization consumed by the metrics module."""
 
     frame: int
@@ -663,11 +662,11 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
             if len(set(winner_ids)) < n or not set(winner_ids) <= set(active_ids.tolist()):
                 raise ValueError(f"scripted winners {winner_ids} of frame {frame} "
                                  "must be distinct active devices")
-            cop = replace(_NO_COP, success_groups=tuple(range(n)), n_slots=n,
-                          winners=tuple(winner_ids),
-                          success_times_us=tuple((j + 1) * tc.delta_succ_us
-                                                 for j in range(n)),
-                          t_elapsed_us=n * tc.delta_succ_us)
+            cop = _NO_COP._replace(success_groups=tuple(range(n)), n_slots=n,
+                                   winners=tuple(winner_ids),
+                                   success_times_us=tuple((j + 1) * tc.delta_succ_us
+                                                          for j in range(n)),
+                                   t_elapsed_us=n * tc.delta_succ_us)
         else:
             decision = plan.per_frame[frame]
             ids, counts, probs = _group_actives(active_ids, report.device_class,

@@ -245,3 +245,22 @@ def test_yaml_files_go_through_libyaml(tmp_path, capsys, monkeypatch):
     assert cli.main(run + ["--plan", str(out / "plan.yaml"), "--seeds", "2"]) == cli.EXIT_OK
     assert cli.main(run + ["--print-config"]) == cli.EXIT_OK
     assert "AssertionError" not in capsys.readouterr().err
+
+
+def test_csv_rows_are_formatted_once_per_distinct_row(tmp_path, monkeypatch):
+    # the CSV writers format each distinct row once: on the grid-choked
+    # layout about 100 of the 1200 device rows and 8 of the 200 frame rows
+    # are distinct, leaving out the row number
+    tc = TimingConstants()
+    cfg = ClassConfig(class_sizes=(1180, 10, 10), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
+    report = simulator.run_hybrid(cfg, tc, optimize(cfg, tc, 200), 200, seed=1)
+    device_calls = _counted(monkeypatch, metrics, "_device_texts")
+    frame_calls = _counted(monkeypatch, metrics, "_FRAME_ROW")
+    metrics.write_device_csv(report, tmp_path / "devices.csv")
+    metrics.write_frame_csv(report, tmp_path / "frames.csv")
+    devices = set(zip(*(c.tolist() for c in (report.device_class, report.generated,
+                                              report.dropped, report.delivered,
+                                              report.delay_frames_sum))))
+    frames = {f[1:] for f in report.per_frame}
+    assert sum(len(args[0]) for args in device_calls) <= len(devices) < cfg.total_devices // 4
+    assert len(frame_calls) <= len(frames) < len(report.per_frame) // 4

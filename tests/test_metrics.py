@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csv_oracle
+from hymac import metrics
 from hymac.domain import ClassConfig, TimingConstants
 from hymac.metrics import (
     DEVICE_CSV_SCHEMA,
@@ -176,18 +177,55 @@ def test_csv_writers_match_the_csv_writer_reference(tmp_path, variant, sizes, la
             assert ours.read_bytes() == ref.read_bytes(), (write.__name__, rep.seed)
 
 
+def _edge_reports(tc):
+    """Reports whose CSV rows the writers group: edge counters, device rows
+    that repeat heavily, device rows that are all distinct, an empty
+    network, two rows whose sort keys collide, and frame rows that repeat,
+    one with ``t_cop_us`` -0.0 beside rows with 0.0."""
+    i = np.arange(1200)
+    # generated = 0, delivered = 0, ratios that need all nine digits,
+    # counters past 2**32, and zero ratios of both signs (0 / 5 and 0 / -4)
+    yield make_report(tc, ClassConfig((3, 2, 3), 0.1, 1.0, 1.0),
+                      generated=np.array([0, 3, 7, 0, 2**40, 9, 5, -4]),
+                      dropped=np.array([0, 1, 2, 0, 2**33 + 1, 9, 0, 0]),
+                      delivered=np.array([0, 0, 5, 0, 2**39 - 3, 0, 0, 0]),
+                      delay_frames_sum=np.array([0, 0, 11, 0, 2**45 + 7, 0, 0, 0]))
+    # 25 distinct device rows among 1200
+    yield make_report(tc, ClassConfig((1180, 10, 10), 0.1, 1.0, 1.0),
+                      generated=40 + i % 3, dropped=39 + i % 3 - i % 2,
+                      delivered=i % 2, delay_frames_sum=(i % 2) * (1 + i % 4))
+    # every device row distinct
+    yield make_report(tc, ClassConfig((200, 100), 0.1, 1.0, 1.0),
+                      generated=i[:300] + 1, dropped=i[:300] % 7, delivered=i[:300] % 5,
+                      delay_frames_sum=3 * i[:300] + 1)
+    # header lines only
+    yield make_report(tc, ClassConfig((0,), 0.1, 1.0, 1.0))
+    # two unequal rows whose mixed sort key is the same: delivered one
+    # higher, and the delay sum lower by the multiplier, wrapped
+    yield make_report(tc, ClassConfig((2,), 0.1, 1.0, 1.0),
+                      generated=np.array([5, 5]), dropped=np.array([1, 1]),
+                      delivered=np.array([1, 2]),
+                      delay_frames_sum=np.array([0, -int(metrics._MIX) % 2**64]))
+    busy = dict(n_active=7, m_realized=2, t_cop_us=412.5, coll_tx_time_us=30.25,
+                listen_time_us=1e3 / 3, winner_wait_time_us=12.0)
+    frames = [make_summary(frame=f, t_cop_us=-0.0 if f == 5 else 0.0, n_active=f % 2)
+              if f % 3 else make_summary(frame=f, **busy) for f in range(40)]
+    for variant in ("hybrid", "csma", "tdma"):
+        yield make_report(tc, ClassConfig((4, 3), 0.1, 1.0, 1.0), variant, frames)
+
+
 def test_device_csv_matches_the_reference_on_edge_counters(tc, tmp_path):
-    # generated = 0, delivered = 0, ratios that need all nine digits, and
-    # counters past 2**32
-    cfg = ClassConfig(class_sizes=(3, 2, 1), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
-    rep = make_report(tc, cfg,
-                      generated=np.array([0, 3, 7, 0, 2**40, 9]),
-                      dropped=np.array([0, 1, 2, 0, 2**33 + 1, 9]),
-                      delivered=np.array([0, 0, 5, 0, 2**39 - 3, 0]),
-                      delay_frames_sum=np.array([0, 0, 11, 0, 2**45 + 7, 0]))
-    write_device_csv(rep, tmp_path / "ours.csv")
-    csv_oracle.write_device_csv(rep, tmp_path / "ref.csv")
-    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # both writers, byte for byte against the `csv.writer` reference
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    for case, rep in enumerate(_edge_reports(tc)):
+        for write, write_ref in ((write_frame_csv, csv_oracle.write_frame_csv),
+                                 (write_device_csv, csv_oracle.write_device_csv)):
+            write(rep, ours)
+            write_ref(rep, ref)
+            assert ours.read_bytes() == ref.read_bytes(), (write.__name__, case)
+    # frames 1 and 5 differ only in the sign of a zero: each keeps its text
+    write_frame_csv(rep, ours)
+    assert b"\r\n2,1,0,0," in ours.read_bytes() and b"\r\n6,1,0,-0," in ours.read_bytes()
 
 
 def test_energy_series_matches_mean(tc, small_cfg):
