@@ -13,6 +13,7 @@ exchangeable).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -117,10 +118,16 @@ def run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
     that may cross the time limit is walked.  Each collision counts the
     mean transmitters of its slot law given two or more (`_slot_law`).
     """
+    return _cop(rng, _uniforms(rng).__next__, counts, probs,
+                _Period(tc, success_extra_us, time_limit_us), m_target, ids)
+
+
+def _cop(rng: np.random.Generator, uniform, counts, probs, period: _Period,
+         m_target: int | None = None, ids=None, gap=None) -> CopOutcome:
+    """`run_cop` on ``period`` with uniforms from ``uniform``; the first gap
+    is ``gap`` failed slots if given, else drawn from the first uniform."""
     counts = np.asarray(counts, dtype=np.int64)
     probs = np.asarray(probs, dtype=float)
-    period = _Period(tc, success_extra_us, time_limit_us)
-    uniform = _uniforms(rng).__next__
     count_list, prob_list = counts.tolist(), probs.tolist()
     n_dev = sum(count_list)
     # a p = 0 device never transmits
@@ -133,7 +140,9 @@ def run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
         # no key is drawn before the first success lands, so a period that
         # chokes from its start draws only the walk of its first gap
         _, p_lone, _, share, tx = _slot_law(count_list, prob_list)
-        if period.walk(uniform, _failures(uniform(), p_lone), tx, share, n_dev):
+        if gap is None:
+            gap = _failures(uniform(), p_lone)
+        if period.walk(uniform, gap, tx, share, n_dev):
             won = _race(rng, counts, probs, n_win)
             groups = np.searchsorted(np.cumsum(counts), won, side="right")
             n_succ = 1 + period.drain(rng, uniform, counts, probs, groups)
@@ -153,10 +162,10 @@ def run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
     )
 
 
-def _uniforms(rng: np.random.Generator):
+def _uniforms(rng: np.random.Generator, size: int = 1):
     """Uniforms on (0, 1] from ``rng``, drawn a block at a time when the
-    last block is used up; each block is twice as long as the one before."""
-    size = 1
+    last block is used up; the first block holds ``size``, and each is
+    twice as long as the one before."""
     while True:
         yield from (1.0 - rng.random(size)).tolist()
         size *= 2
@@ -398,6 +407,24 @@ class _Period:
             self.listen += remaining * n * self.d_idle
 
 
+def _choked_walks(rng: np.random.Generator, period: _Period, frames: int, share: float):
+    """(elapsed, idle slots, failed slots) of ``frames`` fresh periods of
+    ``period``'s timing whose first gaps surely outlast the limit.  They
+    are walked together in chunks of `_Period.walk`'s rule for the period
+    furthest on, which fit the others too; a chunk's idle slots are one
+    binomial draw over the periods still inside the limit."""
+    elapsed, idle, slots = np.zeros(frames), np.zeros(frames, np.int64), np.zeros(frames, np.int64)
+    live = np.flatnonzero(elapsed < period.t_stop)
+    while len(live):
+        k = max(1, math.ceil((period.t_stop - elapsed[live].max()) / period.d_fail) - 1)
+        got = rng.binomial(k, share, len(live))
+        elapsed[live] += got * period.d_idle + (k - got) * period.d_coll
+        idle[live] += got
+        slots[live] += k
+        live = live[elapsed[live] < period.t_stop]
+    return elapsed, idle, slots
+
+
 def simulate_cop_slots(counts_by_prob: list[tuple[float, int]], tc: TimingConstants,
                        n_slots: int, seed: int) -> CopOutcome:
     """Monte-Carlo slot process over a static mixture (winners rejoin).
@@ -534,7 +561,7 @@ _NO_COP = CopOutcome(success_groups=(), success_times_us=(), t_elapsed_us=0.0,
 
 
 def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None,
-                quiet=frozenset(), rest=None) -> SimReport:
+                quiet=frozenset(), rest=None, stretch=None) -> SimReport:
     """Run ``report.frames`` frames of a protocol with contention (the
     hybrid or CSMA) into ``report``.
 
@@ -555,6 +582,11 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None,
     step that draws nothing: ``rest(start, stop, wake)`` hands the
     protocol the frame of the stretch from which each device is active,
     0 when active at its start, or the stretch length.
+
+    ``stretch(rng, frame, active_ids, span)``, if given, serves in place of
+    ``serve`` the ``span`` frames up to the next device's wake (inf if none
+    wakes), whose active set stays ``active_ids`` until one serves: it
+    yields each one's schedule, up to and including the first that serves.
     """
     cfg, tc, k = report.cfg, report.tc, report.cfg.total_devices
     rng = np.random.default_rng(report.seed)
@@ -590,19 +622,25 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None,
             frame = stop
             continue
         active_ids = np.flatnonzero(first < frame)
-        cop, devices, instants_us, wait_us = serve(rng, frame, active_ids)
-        if len(devices):
-            served = frame + np.asarray(instants_us) / tc.t_frame_us
-            delay[devices] += _delays(frame, close(devices, served)).astype(np.int64)
-            delivered[devices] += 1
-            first[devices] = arrivals.first_after(served, devices)
-        report.per_frame.append(FrameSummary(
-            frame=frame, n_active=len(active_ids), m_realized=len(devices),
-            t_cop_us=cop.t_elapsed_us, n_idle_slots=cop.n_idle_slots,
-            n_collisions=cop.n_collisions, coll_tx_time_us=cop.coll_tx_time_us,
-            listen_time_us=cop.listen_time_us, winner_wait_time_us=wait_us,
-        ))
-        frame += 1
+        if stretch is None:
+            served = [serve(rng, frame, active_ids)]
+        else:
+            wake = np.floor(np.min(first, initial=np.inf, where=first >= frame)) + 1
+            served = itertools.islice(stretch(rng, frame, active_ids, wake - frame),
+                                      report.frames - frame)
+        for cop, devices, instants_us, wait_us in served:
+            if len(devices):
+                at = frame + np.asarray(instants_us) / tc.t_frame_us
+                delay[devices] += _delays(frame, close(devices, at)).astype(np.int64)
+                delivered[devices] += 1
+                first[devices] = arrivals.first_after(at, devices)
+            report.per_frame.append(FrameSummary(
+                frame=frame, n_active=len(active_ids), m_realized=len(devices),
+                t_cop_us=cop.t_elapsed_us, n_idle_slots=cop.n_idle_slots,
+                n_collisions=cop.n_collisions, coll_tx_time_us=cop.coll_tx_time_us,
+                listen_time_us=cop.listen_time_us, winner_wait_time_us=wait_us,
+            ))
+            frame += 1
     close(np.flatnonzero(first < report.frames), float(report.frames))
     report.generated = arrivals.generated(occupied, distinct, span)
     report.dropped = report.generated - occupied
@@ -701,17 +739,51 @@ def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
     contention and a winner sends its data packet immediately.  Its time
     limit is the contention cap of the whole frame: no slot starts after
     t_frame - max(delta_idle, delta_succ + t_r), so every slot, an idle
-    one or a success with its data packet, ends inside the frame."""
+    one or a success with its data packet, ends inside the frame.
+
+    Frames of one active set are drawn in blocks of 1, 2, 4, ... (README,
+    "Simulator"): a gap of ``most`` failed slots or more surely chokes its
+    frame, those before the first other frame, J, are walked together, J
+    is finished from its own gap, and the gaps after J are dropped."""
     if not 0.0 < p <= 1.0:
         raise ValueError("contending probability must lie in (0, 1]")
     limit = tc.contention_cap(tc.t_frame_us, tc.t_r_us)
+    # the failed slots the limit holds at the shortest
+    most = math.ceil(limit / min(tc.delta_idle_us, tc.delta_coll_us))
+    block = 1
 
-    def serve(rng, frame, active_ids):
-        cop = run_cop(rng, np.array([len(active_ids)], dtype=np.int64), np.array([p]), tc,
-                      time_limit_us=limit, success_extra_us=tc.t_r_us, ids=active_ids)
+    def serve(rng, frame, active_ids, gap=None):
+        counts, probs = np.array([len(active_ids)], dtype=np.int64), np.array([p])
+        if gap is None:
+            cop = run_cop(rng, counts, probs, tc, time_limit_us=limit,
+                          success_extra_us=tc.t_r_us, ids=active_ids)
+        else:  # the uniforms go on as run_cop's do after its first
+            cop = _cop(rng, _uniforms(rng, 2).__next__, counts, probs,
+                       _Period(tc, tc.t_r_us, limit), ids=active_ids, gap=gap)
         return cop, np.array(cop.winners, dtype=np.int64), cop.success_times_us, 0.0
 
-    return _frame_loop(SimReport("csma", seed, frames, tc, cfg), serve)
+    def stretch(rng, frame, active_ids, span):
+        nonlocal block
+        n = len(active_ids)
+        if not n:  # the channel idles out, drawing nothing
+            yield serve(rng, frame, active_ids)
+            return
+        size = int(min(block, span))
+        _, p_lone, _, share, tx = _slot_law([n], [p])
+        gaps = [_failures(u, p_lone) for u in (1.0 - rng.random(size)).tolist()]
+        j = next((i for i, gap in enumerate(gaps) if gap < most), size)  # frame J
+        elapsed, idle, slots = _choked_walks(rng, _Period(tc, tc.t_r_us, limit), j, share)
+        coll_tx = (slots - idle) * tx * tc.delta_coll_us
+        for row in zip(elapsed.tolist(), idle.tolist(), (slots - idle).tolist(),
+                       coll_tx.tolist(), (n * elapsed - coll_tx).tolist(), slots.tolist()):
+            yield CopOutcome((), (), *row), (), (), 0.0
+        block = 2 * min(j + 1, size)  # twice the frames this block served
+        if j < size:
+            last = serve(rng, frame + j, active_ids, gaps[j])
+            block = 1 if len(last[1]) else block
+            yield last
+
+    return _frame_loop(SimReport("csma", seed, frames, tc, cfg), serve, stretch=stretch)
 
 
 # cells of the (interval, device) grid that the TDMA sweep draws at a time

@@ -6,11 +6,14 @@ rename in the package would otherwise surface only when the benchmark runs.
 """
 
 import ast
+import collections
 import importlib
 import importlib.util
+import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -151,6 +154,43 @@ def test_a_frame_without_a_service_draws_no_arrival_times(monkeypatch):
                                   seed=3)
     served = [(f.m_realized,) for f in report.per_frame]
     assert draws[1:-1] == [n for n in served for _ in range(2)] and min(served) > (100,)
+
+
+class _CountingGenerator:
+    """A generator that counts its calls in ``calls``, by method name."""
+
+    def __init__(self, rng, calls: collections.Counter):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def test_choked_csma_draws_its_frames_a_block_at_a_time(monkeypatch):
+    # on the baselines-choked layout no CSMA frame has a success, so none is
+    # a contention period of its own, and frames of one active set are
+    # drawn in blocks of 1, 2, 4, ...: one gap draw and one binomial per
+    # chunk a block.  A run 8 times longer starts with the shorter run's
+    # blocks and adds at most log2(8) + 1 blocks of three calls each
+    tc = TimingConstants()
+    cfg = ClassConfig(class_sizes=(1180, 10, 10), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
+    periods = _counted(monkeypatch, simulator, "_cop")  # run_cop's too
+    calls, real = collections.Counter(), np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _CountingGenerator(real(seed), calls))
+    contention = []
+    for frames in (25, 200):
+        calls.clear()
+        report = simulator.run_csma(cfg, tc, 0.1, frames, seed=3)
+        contention.append(calls["random"] + calls["binomial"])
+    assert periods == [] and not any(f.m_realized for f in report.per_frame)
+    assert contention[1] - contention[0] <= 3 * (math.log2(200 / 25) + 1)
 
 
 def test_tdma_is_one_sweep_without_a_frame_loop(monkeypatch):

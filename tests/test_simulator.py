@@ -734,19 +734,22 @@ def test_csma_validates_probability(tc, small_cfg):
 @pytest.mark.parametrize("p", [0.1, 5e-4])
 def test_csma_frames_end_inside_the_frame(tc, monkeypatch, p):
     # choked (every slot collides) and resolving contention at K = 1200: no
-    # slot, and no success with its data packet, runs past the frame end
+    # slot, and no success with its data packet, runs past the frame end.
+    # A frame with a success is one period of `simulator._cop`, which
+    # `run_cop` also runs
     cfg = ClassConfig(class_sizes=(1180, 10, 10), p_inl=p, alpha=1.0,
                       arrival_rate=1.0)
-    outcomes = []
+    outcomes, real = [], simulator._cop
 
     def recorded(*args, **kw):
-        outcomes.append(run_cop(*args, **kw))
+        outcomes.append(real(*args, **kw))
         return outcomes[-1]
 
-    monkeypatch.setattr(simulator, "run_cop", recorded)
+    monkeypatch.setattr(simulator, "_cop", recorded)
     rep = run_csma(cfg, tc, p, 20, seed=3)
     assert all(f.t_cop_us <= tc.t_frame_us for f in rep.per_frame)
     assert all(t <= tc.t_frame_us for out in outcomes for t in out.success_times_us)
+    assert len(outcomes) == sum(f.m_realized > 0 for f in rep.per_frame)
 
 
 def test_tdma_saturated_small_network(tc):
@@ -832,13 +835,15 @@ def _apply_frame_traffic(frame, dev, arr_times, deliver_t, buf_full, buf_k1,
         i += 1
 
 
-def _per_frame_loop(report, serve, arrival_script=None, quiet=frozenset(), rest=None):
+def _per_frame_loop(report, serve, arrival_script=None, quiet=frozenset(), rest=None,
+                    stretch=None):
     """Reference for `simulator._frame_loop`, with its arguments: one buffer
     per device, and every frame's own arrivals per device
     (`_frame_arrivals`, after a warm-up frame of them) settled around its
-    service by `_apply_frame_traffic`.  Every frame is served, a quiet one
-    too: a zero-winner hybrid frame draws no contention and escalates every
-    loser, as ``rest`` does."""
+    service by `_apply_frame_traffic`.  Every frame is served by ``serve``,
+    a quiet one too: a zero-winner hybrid frame draws no contention and
+    escalates every loser, as ``rest`` does, and a CSMA frame is one
+    `run_cop` period, never part of a ``stretch``."""
     cfg, tc, k = report.cfg, report.tc, report.cfg.total_devices
     lam_t = cfg.arrival_rate / US_PER_S * tc.t_frame_us
     rng = np.random.default_rng(report.seed)
@@ -848,10 +853,11 @@ def _per_frame_loop(report, serve, arrival_script=None, quiet=frozenset(), rest=
         served = {}
         if frame >= 0:
             active_ids = np.flatnonzero(full)
-            _, devices, instants_us, _ = serve(rng, frame, active_ids)
+            cop, devices, instants_us, wait_us = serve(rng, frame, active_ids)
             served = dict(zip(np.asarray(devices).tolist(), instants_us))
             report.per_frame.append(simulator.FrameSummary(
-                frame, len(active_ids), len(served), 0.0, 0, 0, 0.0, 0.0, 0.0))
+                frame, len(active_ids), len(served), cop.t_elapsed_us, cop.n_idle_slots,
+                cop.n_collisions, cop.coll_tx_time_us, cop.listen_time_us, wait_us))
         for dev, times in enumerate(_frame_arrivals(rng, k, lam_t, tc.t_frame_us)):
             generated[dev] += len(times)
             _apply_frame_traffic(frame, dev, times, served.get(dev), full, k1, dropped,
@@ -1055,6 +1061,99 @@ def test_tdma_sweep_follows_the_per_frame_law(lam_t, sizes, slots):
     reference = [_tdma_per_frame(cfg, tc, frames, rng) for _ in range(runs)]
     _assert_same_laws(reference, [_outcomes(run_tdma(cfg, tc, frames, seed))
                                   for seed in range(runs)])
+
+
+# ---------------------------------------------------------------------------
+# CSMA's stretches against one contention period a frame
+
+_CSMA_FIELDS = ("n_active", "m_realized", "t_cop_us", "n_idle_slots", "n_collisions",
+                "coll_tx_time_us", "listen_time_us")
+
+
+def _csma_fields(cfg, tc, p: float, frames: int, seeds) -> np.ndarray:
+    """The `_CSMA_FIELDS` of every frame of seeded CSMA runs, indexed
+    (field, run, frame).  Values keep 12 significant digits: the stretch
+    adds the same slot durations as `run_cop` in another order."""
+    runs = [[[float(f"{getattr(f, name):.12g}") for name in _CSMA_FIELDS]
+             for f in run_csma(cfg, tc, p, frames, seed).per_frame] for seed in seeds]
+    return np.array(runs).transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("sizes, lam_t, p, frames, runs", [
+    ((1180, 10, 10), 1.0, 0.1, 10, 25),
+    ((3,), 3.0, 3e-6, 5, 300),
+    ((3,), 0.3, 3e-6, 5, 300),
+    ((1,), 1.0, 1.0, 5, 300),
+    ((2,), 1.0, 1.0, 5, 300),
+], ids=["choked K=1200", "half resolving", "empty frames", "one certain", "two certain"])
+def test_csma_stretch_follows_per_frame_periods(monkeypatch, tc, sizes, lam_t, p, frames,
+                                                runs):
+    """Seeded CSMA runs drawn in stretches against as many of the
+    per-frame reference (`_per_frame_loop`, one `run_cop` period a frame):
+    each frame's actives, m_realized and COP fields, and each run's totals
+    of them (which frames drawn together would correlate), by
+    `_assert_same_law`.
+
+    The benchmark layout chokes every frame.  At p = 3e-6 three devices
+    idle through nearly every slot, and a frame with an active device has
+    a success about half the time: a gap of 33,602 to 99,796 failed
+    slots, past what the limit holds at collisions but not at idle slots,
+    often ends in one.  At lambda T = 0.3 a fifth of the frames have no
+    active device.  One p = 1 device wins at once; two choke every slot."""
+    cfg = ClassConfig(sizes, p_inl=0.1, alpha=1.0,
+                      arrival_rate=lam_t * US_PER_S / tc.t_frame_us)
+    model = _csma_fields(cfg, tc, p, frames, range(runs))
+    monkeypatch.setattr(simulator, "_frame_loop", _per_frame_loop)
+    reference = _csma_fields(cfg, tc, p, frames, range(runs, 2 * runs))
+    names = [f"{name}, frame {f}" for name in _CSMA_FIELDS for f in range(frames)]
+    names += [f"{name}, run total" for name in _CSMA_FIELDS]
+
+    def rows(sample):
+        return np.concatenate([sample.transpose(0, 2, 1).reshape(-1, runs),
+                               sample.sum(axis=2)])
+
+    _assert_same_law(names, rows(reference), rows(model))
+    if p < 1e-3:
+        fields = dict(zip(_CSMA_FIELDS, model))
+        served = fields["m_realized"][fields["n_active"] > 0] > 0
+        assert 0.2 < served.mean() < 0.8
+
+
+@pytest.mark.parametrize("delta_idle", [10.0, 45.0])
+@pytest.mark.parametrize("share", [0.5, 0.02])
+def test_choked_walks_follow_the_walk(delta_idle, share):
+    """500 periods walked together by `simulator._choked_walks` against
+    500 walked one at a time by `_Period.walk`, with a gap the limit
+    cannot reach: each one's length, idle slots and failed slots, by
+    `_assert_same_law`.  An idle slot is shorter than a collision
+    (29.7 us), then longer."""
+    tc = TimingConstants(delta_idle_us=delta_idle)
+    n, limit = 500, 600.0
+    walked = simulator._choked_walks(np.random.default_rng(1),
+                                     simulator._Period(tc, 0.0, limit), n, share)
+    uniform = simulator._uniforms(np.random.default_rng(2)).__next__
+    ref = []
+    for _ in range(n):
+        one = simulator._Period(tc, 0.0, limit)
+        assert not one.walk(uniform, math.inf, 2.0, share, 3)
+        ref.append((round(one.elapsed, 6), one.n_idle, one.n_idle + one.n_coll))
+    _assert_same_law(("elapsed", "idle slots", "failed slots"), np.array(ref, dtype=float).T,
+                     np.array([walked[0].round(6), walked[1], walked[2]], dtype=float))
+
+
+def test_a_resolving_csma_draws_as_one_period_a_frame(monkeypatch, tc):
+    """Where every frame with an active device has a success, each block
+    is one frame and its gap is drawn as `run_cop` draws it: the run is,
+    to the bit, the run that serves each frame by one `run_cop` period in
+    the same frame loop.  At lambda T = 20 a served device is active again
+    by the next frame, so no wake ends a block early."""
+    cfg = ClassConfig((30, 10), p_inl=0.05, alpha=1.0, arrival_rate=20.0)
+    stretched = run_csma(cfg, tc, 0.05, 30, seed=4)
+    real = simulator._frame_loop
+    monkeypatch.setattr(simulator, "_frame_loop",
+                        lambda report, serve, stretch: real(report, serve))
+    assert reports_equal(run_csma(cfg, tc, 0.05, 30, seed=4), stretched)
+    assert all(f.m_realized for f in stretched.per_frame if f.n_active)
 
 
 # ---------------------------------------------------------------------------
