@@ -36,30 +36,39 @@ class DivergentExpectationError(ArithmeticError):
     """A success is impossible, so waiting times have no finite mean."""
 
 
-def ordered_sum(x: np.ndarray) -> np.ndarray:
-    """Sum along the last axis, strictly left to right; 0.0 over an empty axis."""
-    if x.shape[-1] == 0:
-        return np.zeros(x.shape[:-1])
-    return np.add.accumulate(x, axis=-1)[..., -1]
+def ordered_sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sum along ``axis``, strictly in order; 0.0 over an empty axis."""
+    axis %= x.ndim
+    if x.size <= 32 * x.shape[axis]:  # few sums: accumulate each
+        if x.shape[axis] == 0:
+            return np.zeros(x.shape[:axis] + x.shape[axis + 1:])
+        return np.add.accumulate(x, axis=axis)[(slice(None),) * axis + (-1, ...)]
+    # many: a step at a time for all of them, over a contiguous copy with
+    # ``axis`` first, from -0.0, which changes no sum, nor a zero's sign
+    x = x.transpose((axis, *range(axis), *range(axis + 1, x.ndim)))
+    return np.add.reduce(np.ascontiguousarray(x), axis=0, initial=-0.0)
 
 
-def slot_law_rows(prob: np.ndarray, counts: np.ndarray):
-    """Law of a slot for mixtures given as rows of two equally shaped
-    arrays (1-D arrays are one mixture): each of ``counts[i]`` devices
-    transmits with probability ``prob[i]``.  Returns per row P(idle) =
+def slot_law_rows(prob: np.ndarray, counts: np.ndarray, axis: int = -1):
+    """Law of a slot for mixtures given as rows of two arrays (1-D arrays
+    are one mixture), or with ``axis`` = 0 as columns; ``prob`` may be
+    broadcast against ``counts``: each of ``counts[i]`` devices transmits
+    with probability ``prob[i]``.  Returns per mixture P(idle) =
     prod (1-p)^n, P(busy) without cancellation, and per entry the
     lone-transmitter term n*p*(1-p)^(n-1) * prod_other (1-p)^n, whose sum
     is P(success).  A zero count adds nothing.  An entry with p = 1 keeps
     every slot busy and has a lone transmitter only as the single such
     device."""
+    beside = (None,) if axis == 0 else (..., None)  # a mixture's value by its entries
     log_stay = np.log1p(-prob * (prob < 1.0))  # 0 where p = 1
-    log_idle = ordered_sum(counts * log_stay)
-    terms = counts * prob * np.exp(log_idle[..., None] - log_stay)
-    certain = (counts > 0) & (prob >= 1.0)
-    if certain.any():  # rows with a p = 1 device are never idle
-        zeros = certain.sum(axis=-1)
-        terms = terms * np.where(certain, (counts == 1.0) & (zeros == 1)[..., None],
-                                 (zeros == 0)[..., None])
+    log_idle = ordered_sum(counts * log_stay, axis)
+    terms = counts * prob * np.exp(log_idle[beside] - log_stay)
+    sure = prob >= 1.0
+    if np.count_nonzero(sure):  # mixtures with a p = 1 device are never idle
+        certain = (counts > 0) & sure
+        zeros = certain.sum(axis=axis)
+        terms = terms * np.where(certain, (counts == 1.0) & (zeros == 1)[beside],
+                                 (zeros == 0)[beside])
         log_idle = np.where(zeros > 0, -np.inf, log_idle)
     return np.exp(log_idle), -np.expm1(log_idle), terms
 

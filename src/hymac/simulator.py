@@ -237,33 +237,42 @@ def _slot_law(counts: list[int], probs: list[float]):
             hit / p_coll if p_coll > 0.0 else 0.0)
 
 
-# The law of the gap before each success of a race, per row of remaining
-# group counts: P(success) of a slot, P(idle | no success) and the mean
-# transmitters of a collision.
+# The law of the gap before each success of a race: P(success) of a slot,
+# P(idle | no success) and the mean transmitters of a collision.
 _Gaps = namedtuple("_Gaps", "p_lone share tx")
 
 
-def _slot_laws(probs: np.ndarray, rows: np.ndarray):
+def _entry_sum(x: np.ndarray, axis: int) -> np.ndarray:
+    """Each mixture's sum over its entries along ``axis``, in numpy's order
+    along a row: in turn from 0.0 below 8 entries, else pairwise."""
+    if axis == 0 and len(x) < 8:  # a sum over rows, without a transposed copy
+        return np.add.reduce(x, axis=0)
+    return np.ascontiguousarray(np.moveaxis(x, axis, -1)).sum(axis=-1)
+
+
+def _slot_laws(probs: np.ndarray, counts: np.ndarray, axis: int = -1):
     """(P(idle), P(success), P(collision), lone-transmitter terms) of each
-    row of group counts (a 1-D ``rows`` is one mixture), from
-    `analytics.slot_law_rows`: P(success) is the sum of the terms, at
-    most P(busy), and a lone contender cannot collide."""
-    p_idle, p_busy, terms = slot_law_rows(probs, rows)
-    p_lone = np.minimum(terms.sum(axis=-1), p_busy)
-    p_coll = np.where(rows.sum(axis=-1) > 1, p_busy - p_lone, 0.0)
+    mixture of group counts along ``axis`` (`analytics.slot_law_rows`):
+    P(success) sums the terms, at most P(busy); a lone contender cannot collide."""
+    p_idle, p_busy, terms = slot_law_rows(probs, counts, axis)
+    p_lone = np.minimum(_entry_sum(terms, axis), p_busy)
+    p_coll = np.where(counts.sum(axis=axis) > 1, p_busy - p_lone, 0.0)
     return p_idle, p_lone, p_coll, terms
 
 
-def _race_laws(probs: np.ndarray, rows: np.ndarray) -> _Gaps:
-    """`_Gaps` of each row of group counts.  No row holds a p = 1 device:
-    one such device wins first, and two choke the period before any race.
-    Each row's law comes from its own counts, so no rounding carries over
-    from one drain to the next.  The mean transmitters of a collision
-    are those of `_slot_law`."""
-    p_idle, p_lone, p_coll, _ = _slot_laws(probs, rows)
+def _gap_laws(probs: np.ndarray, counts: np.ndarray, groups: np.ndarray) -> _Gaps:
+    """`_Gaps` before each success after the first of a race whose winners
+    come from ``groups`` in order, from the counts each leaves, one column
+    per winner, so a sum over groups adds whole rows; a p = 1 device wins
+    first.  No rounding carries over between columns.  The collision mean
+    is `_slot_law`'s, its log P(idle) a BLAS product over rows of counts."""
+    won = groups[:-1] == np.arange(len(counts))[:, None]
+    left = counts[:, None] - np.add.accumulate(won, axis=1, dtype=np.int64)
+    p_idle, p_lone, p_coll, _ = _slot_laws(probs[:, None], left, axis=0)
     log_stay = np.log1p(-probs * (probs < 1.0))  # 0 for an emptied p = 1 group
-    hit = (rows * probs * -np.expm1((rows @ log_stay)[:, None] - log_stay)).sum(axis=1)
-    return _Gaps(p_lone, p_idle / (p_idle + p_coll), hit / np.where(p_coll > 0.0, p_coll, np.inf))
+    hit = left * -probs[:, None] * np.expm1(left.T @ log_stay - log_stay[:, None])
+    tx = _entry_sum(hit, 0) / np.where(p_coll > 0.0, p_coll, np.inf)
+    return _Gaps(p_lone, p_idle / (p_idle + p_coll), tx)
 
 
 def _race(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
@@ -283,14 +292,6 @@ def _race(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
                                                                        counts)
     first = np.argpartition(keys, m - 1)[:m] if m < len(keys) else np.arange(m)
     return first[np.argsort(keys[first])]
-
-
-def _left_after(counts: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """The group counts left after each winner of ``groups`` in turn, one
-    row per winner."""
-    won = np.zeros((len(groups), len(counts)), dtype=np.int64)
-    won[np.arange(len(groups)), groups] = 1
-    return counts - np.cumsum(won, axis=0)
 
 
 class _Period:
@@ -353,50 +354,48 @@ class _Period:
         Binomial(F_j, P(idle | no success)) are idle, all drawn at once.
         A stretch of gaps that surely end before the limit (F_j slots of
         the longer failed kind) is taken whole; the next gap is walked."""
-        n = len(groups)
-        if n < 2:
+        n = len(groups) - 1  # gaps to draw
+        if n < 1:
             return 0
-        laws = _race_laws(probs, _left_after(counts, groups[:-1]))
-        remaining = int(counts.sum()) - np.arange(1, n)
-        gaps = np.full(n - 1, np.inf)
-        # a subnormal P(success) gives an inf gap, as in `_failures`, and a
-        # gap near the largest double an inf duration: either is walked
+        laws = _gap_laws(probs, counts, groups)
+        remaining = int(counts.sum()) - np.arange(1, n + 1)  # after each winner
+        # overflow makes a gap (at a subnormal P(success)) or an end inf: it is walked
         with np.errstate(over="ignore"):
-            np.divide(np.log(1.0 - rng.random(n - 1)), np.log1p(-laws.p_lone), out=gaps,
-                      where=laws.p_lone > 0.0)
-            gaps = np.floor(gaps)
+            gaps = np.divide(np.log(1.0 - rng.random(n)), np.log1p(-laws.p_lone),
+                             out=np.full(n, np.inf), where=laws.p_lone > 0.0)
+            np.floor(gaps, out=gaps)
+            reach = gaps * self.d_fail  # the gap's slots all of the longer kind
             # a gap that could outlast the limit, or int64, is walked
-            drawable = (gaps < 2.0 ** 62) & (gaps * self.d_fail < self.t_stop)
-        slots = np.where(drawable, gaps, 0.0).astype(np.int64)
-        idle = rng.binomial(slots, laws.share)
-        colls = slots - idle
-        spent = np.where(drawable, idle * self.d_idle + colls * self.d_coll, np.inf)
-        step = spent + self.d_succ
-        heard = remaining * spent + (remaining - 1) * self.d_succ
+            drawable = (gaps < 2.0 ** 62) & (reach < self.t_stop)
+            slots = np.where(drawable, gaps, 0.0).astype(np.int64)
+            idle = rng.binomial(slots, laws.share)
+            colls = slots - idle
+            spent = np.where(drawable, idle * self.d_idle + colls * self.d_coll, np.inf)
+            step = spent + self.d_succ
+            heard = remaining * spent + (remaining - 1) * self.d_succ
 
-        j = 0  # gaps done
-        while j < n - 1 and self.elapsed < self.t_stop:
-            ends = self.elapsed + np.cumsum(step[j:])
-            starts = np.concatenate(([self.elapsed], ends[:-1]))
-            with np.errstate(over="ignore"):
-                safe = drawable[j:] & (starts + gaps[j:] * self.d_fail < self.t_stop)
-            k = len(safe) if safe.all() else int(np.argmin(safe))
-            if k:
-                taken = np.arange(j, j + k)
-                self.times.append(ends[:k])
-                self.elapsed = float(ends[k - 1])
-                self.listen += float(heard[taken].sum())
-                self.n_idle += int(idle[taken].sum())
-                self.n_coll += int(colls[taken].sum())
-                self.tx += float(colls[taken] @ laws.tx[taken])
-                j += k
-            if j < n - 1 and self.elapsed < self.t_stop:
-                gap = int(gaps[j]) if gaps[j] < math.inf else math.inf
-                if not self.walk(uniform, gap, float(laws.tx[j]), float(laws.share[j]),
-                                 int(remaining[j])):
-                    break
-                j += 1
-        return j
+            j = 0  # gaps done
+            while j < n and self.elapsed < self.t_stop:
+                # near the limit a gap is seldom safe, so test the next one alone
+                if drawable[j] and self.elapsed + float(reach[j]) < self.t_stop:
+                    ends = self.elapsed + np.cumsum(step[j:])
+                    safe = drawable[j + 1:] & (ends[:-1] + reach[j + 1:] < self.t_stop)
+                    k = 1 + (len(safe) if safe.all() else int(np.argmin(safe)))
+                    taken = slice(j, j + k)
+                    self.times.append(ends[:k])
+                    self.elapsed = float(ends[k - 1])
+                    self.listen += float(heard[taken].sum())
+                    self.n_idle += int(idle[taken].sum())
+                    self.n_coll += int(colls[taken].sum())
+                    self.tx += float(colls[taken] @ laws.tx[taken])
+                    j += k
+                if j < n and self.elapsed < self.t_stop:
+                    gap = int(gaps[j]) if gaps[j] < math.inf else math.inf
+                    if not self.walk(uniform, gap, float(laws.tx[j]), float(laws.share[j]),
+                                     int(remaining[j])):
+                        break
+                    j += 1
+            return j
 
     def idle_out(self, remaining: int) -> None:
         """No contender can transmit: the channel idles up to the limit."""
@@ -551,8 +550,9 @@ def _group_actives(active_ids: np.ndarray, q_arr: np.ndarray, d_arr: np.ndarray,
     ``prob[rho]`` (an `escalation_table` row)."""
     rho = q_arr[active_ids] - 1 + d_arr[active_ids]
     order = np.argsort(rho, kind="stable")
-    groups, counts = np.unique(rho[order], return_counts=True)
-    return active_ids[order], counts, prob[groups]
+    tally = np.bincount(rho)
+    groups = np.flatnonzero(tally)
+    return active_ids[order], tally[groups], prob[groups]
 
 
 _NO_COP = CopOutcome(success_groups=(), success_times_us=(), t_elapsed_us=0.0,
@@ -727,7 +727,7 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
         # winner j sends in TOP slot j and is served at its end
         top_start = tc.t_nof_us + cop.t_elapsed_us + tc.t_anc_us
         winner_wait = m_real * cop.t_elapsed_us - math.fsum(cop.success_times_us[:m_real])
-        return (cop, winner_arr, top_start + (np.arange(m_real) + 1) * tc.t_r_us,
+        return (cop, winner_arr, top_start + np.arange(1, m_real + 1) * tc.t_r_us,
                 winner_wait)
 
     return _frame_loop(report, serve, arrival_script, quiet, rest)

@@ -1,0 +1,37 @@
+"""The race's gap laws in the row layout, one row of group counts per
+winner.
+
+This is the form `hymac.simulator._gap_laws` replaced, which lays the
+counts out (group, winner); the tests keep it as the reference that the
+new laws must match bit for bit.  It shares only `slot_law_rows`, the one
+slot law, with the package.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from hymac.analytics import slot_law_rows
+from hymac.simulator import _Gaps
+
+
+def _left_after(counts: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """The group counts left after each winner of ``groups`` in turn, one
+    row per winner."""
+    won = np.zeros((len(groups), len(counts)), dtype=np.int64)
+    won[np.arange(len(groups)), groups] = 1
+    return counts - np.cumsum(won, axis=0)
+
+
+def _race_laws(probs: np.ndarray, rows: np.ndarray) -> _Gaps:
+    """`_Gaps` of each row of group counts: P(success) of a slot, at most
+    P(busy), P(idle | no success) (a lone contender cannot collide) and the
+    mean transmitters of a collision, E[X; X >= 2] / P(collision) with
+    E[X; X >= 2] = sum n p (1 - P(idle) / (1 - p)), and log P(idle) a
+    matrix product."""
+    p_idle, p_busy, terms = slot_law_rows(probs, rows)
+    p_lone = np.minimum(terms.sum(axis=-1), p_busy)
+    p_coll = np.where(rows.sum(axis=-1) > 1, p_busy - p_lone, 0.0)
+    log_stay = np.log1p(-probs * (probs < 1.0))  # 0 for an emptied p = 1 group
+    hit = (rows * probs * -np.expm1((rows @ log_stay)[:, None] - log_stay)).sum(axis=1)
+    return _Gaps(p_lone, p_idle / (p_idle + p_coll), hit / np.where(p_coll > 0.0, p_coll, np.inf))

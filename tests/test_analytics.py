@@ -135,6 +135,10 @@ _counts = st.one_of(st.just(0.0), st.just(1.0), st.integers(0, 2000).map(float),
                     st.floats(0.0, 2000.0))
 
 
+def _same_bits(a, b) -> bool:
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(st.lists(st.tuples(_probs, _counts), max_size=8),
                      min_size=1, max_size=6),
@@ -143,7 +147,8 @@ def test_rows_match_one_row_calls(rows, pad):
     """Each row of a batch, padded to the batch width with zero counts,
     against one-row calls on that row alone, bit for bit: the slot law and
     the per-success cost (nan where no success can happen), both with the
-    padding and with every zero-count entry dropped."""
+    padding and with every zero-count entry dropped.  The batch as the
+    columns of (entry, mixture) arrays (``axis=0``) gives the same bits."""
     tc = TimingConstants()
     width = max(len(row) for row in rows)
     padded = [row + [(pad, 0.0)] * (width - len(row)) for row in rows]
@@ -152,6 +157,8 @@ def test_rows_match_one_row_calls(rows, pad):
     p_idle, p_busy, terms = slot_law_rows(prob, counts)
     e_attempt, cost_terms = expected_tcop(prob, counts, tc)
     assert np.array_equal(cost_terms, terms)
+    by_column = slot_law_rows(prob.T, counts.T, axis=0)
+    assert all(map(_same_bits, (p_idle, p_busy, terms), (*by_column[:2], by_column[2].T)))
     for i, row in enumerate(padded):
         idle, busy, row_terms = slot_law_rows(prob[i], counts[i])
         assert (idle, busy, row_terms.tolist()) == (p_idle[i], p_busy[i], terms[i].tolist())
@@ -172,6 +179,24 @@ def test_ordered_sum_runs_left_to_right():
     assert ordered_sum(np.zeros(0)) == 0.0
     p_idle, p_busy, terms = slot_law_rows(np.zeros(0), np.zeros(0))
     assert (p_idle, p_busy, terms.tolist()) == (1.0, 0.0, [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.lists(st.integers(0, 12), min_size=1, max_size=3), axis=st.integers(0, 2),
+       seed=st.integers(0, 2**16))
+def test_ordered_sum_is_an_accumulation(shape, axis, seed):
+    """Every layout and axis, with few sums (accumulated each) or many (a
+    step at a time for all of them), to the bit, with the sign of a zero
+    sum: -0.0 only where every entry is -0.0."""
+    axis = axis % len(shape)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    x[rng.random(shape) < 0.3] = -0.0
+    x[rng.random(shape) < 0.1] = 0.0
+    want = (np.add.accumulate(x, axis=axis).take(-1, axis=axis) if shape[axis]
+            else np.zeros(np.delete(shape, axis)))
+    assert _same_bits(ordered_sum(x, axis), want)
+    assert _same_bits(ordered_sum(np.asfortranarray(x), axis), want)
 
 
 def test_probability_conservation():

@@ -10,6 +10,7 @@ import collections
 import importlib
 import importlib.util
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -191,6 +192,56 @@ def test_choked_csma_draws_its_frames_a_block_at_a_time(monkeypatch):
         contention.append(calls["random"] + calls["binomial"])
     assert periods == [] and not any(f.m_realized for f in report.per_frame)
     assert contention[1] - contention[0] <= 3 * (math.log2(200 / 25) + 1)
+
+
+def _python_calls(run) -> tuple:
+    """(calls, walked gaps) of ``run()``: the Python-level calls into or out
+    of `hymac` code (`sys.setprofile` events: a `hymac` function entered, a
+    function entered from one, or a builtin called from one) and the
+    entries of `_Period.walk`."""
+    root = str(Path(simulator.__file__).parent)
+    calls = collections.Counter()
+
+    def count(frame, event, arg):
+        inside = frame.f_code.co_filename.startswith(root)
+        caller = frame.f_back.f_code.co_filename if frame.f_back else ""
+        if event == "c_call" and inside or event == "call" and (
+                inside or caller.startswith(root)):
+            calls["all"] += 1
+            calls["walk"] += event == "call" and frame.f_code is simulator._Period.walk.__code__
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls["all"], calls["walk"]
+
+
+def test_a_resolving_period_does_no_work_per_winner(monkeypatch):
+    # a K = 1200 resolving period at its hybrid frame's time limit draws one
+    # key per device, one gap and one binomial per success and a block of
+    # uniforms per doubling: its generator and Python-level calls do not
+    # grow with the winner target, but for the gaps walked near the limit
+    tc = TimingConstants()
+    cfg = ClassConfig(class_sizes=(1180, 10, 10), p_inl=5e-4, alpha=1.0, arrival_rate=1.0)
+    plan = plan_for(cfg, tc, 1, 1.0, 5e-4)
+    periods = _counted(monkeypatch, simulator, "run_cop")
+    simulator.run_hybrid(cfg, tc, plan, 1, seed=3)
+    _, counts, probs, _ = periods[0]
+    limit = simulator._cop_limit(plan.per_frame[0], tc)
+    drawn, made = [], []
+    for m in (50, 480):
+        calls = collections.Counter()
+        rng = _CountingGenerator(np.random.default_rng(0), calls)
+        made.append(_python_calls(lambda: simulator.run_cop(rng, counts, probs, tc, m_target=m,
+                                                            time_limit_us=limit)))
+        drawn.append(calls)
+    (few, few_walks), (many, many_walks) = made
+    walked = many_walks - few_walks
+    assert drawn[0]["standard_exponential"] == drawn[1]["standard_exponential"] == 1
+    assert drawn[0]["binomial"] == drawn[1]["binomial"] == 1
+    assert drawn[1]["random"] - drawn[0]["random"] <= 2 * walked
+    assert many - few <= 64 * walked < 480 - 50
 
 
 def test_tdma_is_one_sweep_without_a_frame_loop(monkeypatch):

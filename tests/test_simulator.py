@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from race_oracle import _left_after, _race_laws
 from test_analytics import one_row, transmitter_distribution
 
 from hymac import simulator
@@ -18,9 +19,7 @@ from hymac.optimizer import FrameDecision, FramePlan, plan_for
 from hymac.simulator import (
     CopOutcome,
     PlanMismatchError,
-    _left_after,
     _race,
-    _race_laws,
     _slot_batch,
     _slot_law,
     _slot_laws,
@@ -331,6 +330,35 @@ def test_race_laws_follow_the_remaining_counts(groups, seed):
             assert tx == 0.0
         elif exact is not None:
             assert math.isclose(tx, exact, rel_tol=1e-12 + 1e-13 * ref_busy / p_coll)
+
+
+@example(groups=[(1, 1.0), (700, 5e-4), (0, 0.3), (8, 2e-3)], seed=0)  # emptied p = 1
+@example(groups=[(30, 0.01 * (i + 1)) for i in range(13)], seed=0)  # pairwise sums
+@settings(max_examples=200, deadline=None)
+@given(groups=st.lists(st.tuples(st.integers(0, 300),
+                                 st.one_of(st.just(1.0), st.just(0.0),
+                                           st.floats(0.0, 1.0, exclude_min=True))),
+                       min_size=1, max_size=13),
+       seed=st.integers(0, 2**16))
+def test_gap_laws_equal_the_row_layout(groups, seed):
+    """The gap laws of a race, laid out (group, winner), against the row
+    layout they replaced (tests/race_oracle.py), to the bit.  numpy's sum
+    along a row of entries turns pairwise at 8 of them, and the collision
+    mean's log P(idle) is a BLAS product: both orders must be kept.  Up to
+    13 groups, with zero counts, p = 0 groups and a p = 1 group emptied by
+    its device, which wins first."""
+    probs = np.array([p for _, p in groups])
+    certain = probs >= 1.0
+    counts = np.array([n if not c else min(n, 1) * (i == np.argmax(certain))
+                       for i, ((n, _), c) in enumerate(zip(groups, certain))])
+    m = min(int(counts[probs > 0.0].sum()), 400)
+    if m < 2:
+        return
+    order = _race_groups(np.random.default_rng(seed), counts, probs, m)
+    laws = simulator._gap_laws(probs, counts, order)
+    oracle = _race_laws(probs, _left_after(counts, order[:-1]))
+    for name, got, want in zip(laws._fields, laws, oracle):
+        assert np.array_equal(got, want), name
 
 
 def _chi2_below_critical(stat: float, df: int) -> bool:
