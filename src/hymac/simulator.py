@@ -532,8 +532,9 @@ class _Script:
 
 
 def _spans(first: np.ndarray, last: np.ndarray):
-    """``last`` and its span from ``first``: 0 where they are one arrival."""
-    return last, np.subtract(last, first, out=np.zeros(np.shape(last)), where=last > first)
+    """``last`` and its span from ``first``, clipped at 0 (inf - inf too)."""
+    with np.errstate(invalid="ignore"):
+        return last, np.fmax(last - first, 0.0)
 
 
 def _delays(frame, last: np.ndarray) -> np.ndarray:
@@ -786,10 +787,6 @@ def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
     return _frame_loop(SimReport("csma", seed, frames, tc, cfg), serve, stretch=stretch)
 
 
-# cells of the (interval, device) grid that the TDMA sweep draws at a time
-_SWEEP_CELLS = 1 << 12
-
-
 def run_tdma(cfg: ClassConfig, tc: TimingConstants, frames: int, seed: int) -> SimReport:
     """Reservation-only baseline: static cyclic slot ownership spanning
     frames; an owned slot is wasted when the owner's buffer is empty.  A
@@ -808,46 +805,45 @@ def run_tdma(cfg: ClassConfig, tc: TimingConstants, frames: int, seed: int) -> S
     arrivals = _Arrivals(np.random.default_rng(seed), cfg.arrival_rate / US_PER_S * tc.t_frame_us)
     occupied, distinct, delivered, delay = (np.zeros(k, dtype=np.int64) for _ in range(4))
     span = np.zeros(k)      # summed time from first to distinct last arrival
-    # occupancies begun minus those ended before each frame: n_active's steps
-    steps = np.zeros(frames + 1, dtype=np.int64)
-    m_real = np.zeros(frames, dtype=np.int64)
+    # per frame: intervals with no arrival by end, then the rest by first arrival
+    tally = np.zeros(2 * frames + 2, dtype=np.int64)
     # interval j of device d ends at service d + jK; the last is unserved
     n_cols = -(-n_serv // k) + 1 if k else 0
-    # intervals per device and block: 1, 2, 4, ... up to the cell budget, so a
+    # intervals per device and block: 1, 2, 4, ... up to 4096 cells, so a
     # short run draws little and a long one stays in O(K) memory
-    j0, cols, most = 0, 1, max(1, _SWEEP_CELLS // max(k, 1))
+    j0, cols, most = 0, 1, max(1, 4096 // max(k, 1))
     while j0 < n_cols:
-        # row 0 holds the services before the block's intervals, row i + 1
-        # the services that end its i-th; one past the run ends with the run
-        s = np.arange((j0 - 1) * k, (j0 + cols) * k).reshape(cols + 1, k)
-        t = slot_end[s % slots]
-        t += s // slots
-        f_end = s[1:] // slots
-        past = s >= n_serv
-        t[past] = frames
-        f_end[past[1:]] = frames - 1    # the interval's last frame in the run
+        # interval s0 + i, i < n, runs from service s0 + i, the (o + i)-th
+        # from frame lo on, to s0 + k + i
+        s0, n = (j0 - 1) * k, cols * k
+        lo, o = divmod(s0, slots)
+        f = np.minimum(np.arange(lo, -(-(s0 + n + k) // slots), dtype=float), frames)
+        t = (f[:, None] + slot_end).ravel()[o:o + n + k]
+        t[n_serv - s0:] = frames        # the run's end
         if j0 == 0:
-            t[0] = -1.0                 # the warm-up frame's start
-        end = t[1:]
+            t[:k] = -1.0                # the warm-up frame's start
+        f_end = np.repeat(f, slots)[o + k:o + k + n].reshape(cols, k)
+        end = t[k:].reshape(cols, k)
         # a fixed shape per block: a shorter run draws a prefix of the cells
-        first = arrivals.first_after(t[:-1])
+        first = arrivals.first_after(t[:n].reshape(cols, k))
         last, gap = arrivals.last_before(first, end)
-        got = ~past[:-1] & (first < end)
-        hit = got & ~past[1:]                 # served, with a packet waiting
-        occupied += got.sum(axis=0)
+        got = first < end
+        # truncation floors; f_end with no arrival
+        at = np.minimum(np.maximum(first, 0.0), f_end) + got * (frames + 1.0)
+        tally += np.bincount(at.astype(np.int64).ravel(), minlength=len(tally))
         distinct += (gap > 0.0).sum(axis=0)
         span += gap.sum(axis=0)
-        delivered += hit.sum(axis=0)
-        lag = _delays(f_end, last)
-        lag[~hit] = 0.0
+        lag = _delays(f_end, last)      # 0 with no arrival
+        occupied += got.sum(axis=0)
+        cut = max(n_serv - s0 - k, 0)   # ends past the run are unserved
+        lag.ravel()[cut:] = got.ravel()[cut:] = 0
+        delivered += got.sum(axis=0)
         delay += lag.sum(axis=0).astype(np.int64)
-        f_first = np.minimum(np.floor(first[got]), f_end[got])
-        steps += np.bincount(np.maximum(f_first, 0).astype(np.int64), minlength=frames + 1)
-        steps -= np.bincount(f_end[got] + 1, minlength=frames + 1)
-        m_real += np.bincount(f_end[hit], minlength=frames)
         j0, cols = j0 + cols, min(2 * cols, most)
     generated = arrivals.generated(occupied, distinct, span)
-    n_active = np.cumsum(steps)[:frames]
+    m_real = slots - tally[:frames]     # S intervals end a frame
+    # begun by the frame, less delivered before it
+    n_active = np.cumsum(tally[frames + 1:-1] - m_real) + m_real
     report = SimReport("tdma", seed, frames, tc, cfg, generated=generated,
                        dropped=generated - occupied, delivered=delivered,
                        delay_frames_sum=delay)

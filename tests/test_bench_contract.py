@@ -11,6 +11,7 @@ import importlib
 import importlib.util
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -253,6 +254,21 @@ def test_tdma_is_one_sweep_without_a_frame_loop(monkeypatch):
     report = simulator.run_tdma(cfg, tc, 20, seed=3)
     assert loops == []
     assert len(report.per_frame) == 20 and report.delivered.sum() > 0
+
+
+def test_tdma_sweep_stays_in_its_memory_budget():
+    # baselines-choked's TDMA run allocates at most 448 KiB at its peak: the
+    # worker's peak RSS grows with the sweep's blocks and temporaries
+    tc = TimingConstants()
+    cfg = ClassConfig(class_sizes=(1180, 10, 10), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
+    simulator.run_tdma(cfg, tc, 200, seed=23)
+    tracemalloc.start()
+    try:
+        simulator.run_tdma(cfg, tc, 200, seed=23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 448 * 1024, peak
 
 
 def test_contention_periods_go_through_the_wrapped_name(monkeypatch):

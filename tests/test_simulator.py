@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from race_oracle import _left_after, _race_laws
+import tdma_oracle
 from test_analytics import one_row, transmitter_distribution
 
 from hymac import simulator
@@ -1089,6 +1091,67 @@ def test_tdma_sweep_follows_the_per_frame_law(lam_t, sizes, slots):
     reference = [_tdma_per_frame(cfg, tc, frames, rng) for _ in range(runs)]
     _assert_same_laws(reference, [_outcomes(run_tdma(cfg, tc, frames, seed))
                                   for seed in range(runs)])
+
+
+def _tdma_and_state(run, module, cfg, tc, frames, seed):
+    """``run``'s report and its generator's final state, read off the
+    `_Arrivals` that ``module`` makes."""
+    made = []
+
+    class Recorded(simulator._Arrivals):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_Arrivals", Recorded)
+        report = run(cfg, tc, frames, seed)
+    return report, made[0].rng.bit_generator.state
+
+
+@st.composite
+def _tdma_layouts(draw):
+    """(K, t_r): S = 500, 476, 333 or 3 slots a frame, and K = 1, K < S,
+    K = S, a multiple of S, coprime to S or any K up to 5000."""
+    t_r = draw(st.sampled_from([2000.0, 2100.0, 3000.0, 333333.0]))
+    s = int(TimingConstants().t_frame_us / t_r)
+    k = draw(st.one_of(st.just(1), st.integers(1, s - 1), st.just(s),
+                       st.integers(2, 5000 // s).map(lambda m: m * s),
+                       st.integers(2, 5000).filter(lambda k: math.gcd(k, s) == 1),
+                       st.integers(1, 5000)))
+    return k, t_r
+
+
+@settings(max_examples=120, deadline=None)
+@given(layout=_tdma_layouts(), frames=st.integers(0, 60),
+       lam=st.sampled_from([0.0, 5e-324, 1e-300, 0.2, 1.0, 50.0]),
+       seed=st.integers(0, 2**32 - 1))
+@example(layout=(1200, 2000.0), frames=200, lam=1.0, seed=23)
+def test_tdma_sweep_matches_the_masked_oracle(layout, frames, lam, seed):
+    """The mask-free sweep against the masked one it replaced
+    (tests/tdma_oracle.py), to the bit: per frame, per device and the
+    generator's final state.  A lambda T of 0 or subnormal warns nothing
+    (pytest turns a RuntimeWarning into an error)."""
+    k, t_r = layout
+    tc = TimingConstants(t_r_us=t_r)
+    cfg = ClassConfig((k,), p_inl=0.1, alpha=1.0, arrival_rate=lam)
+    got, got_state = _tdma_and_state(run_tdma, simulator, cfg, tc, frames, seed)
+    want, want_state = _tdma_and_state(tdma_oracle.sweep_tdma, tdma_oracle,
+                                       cfg, tc, frames, seed)
+    assert reports_equal(got, want)
+    assert got_state == want_state
+
+
+def test_spans_of_one_arrival_or_none_are_plus_zero():
+    # one arrival (last == first), an interval that `_Script` finds empty
+    # (its last arrival before the first) and lambda T = 0 (inf for both)
+    first = np.array([0.25, 0.75, math.inf])
+    last = np.array([0.25, 0.5, math.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        same, gap = simulator._spans(first, last)
+    assert same is last
+    assert gap.tolist() == [0.0, 0.0, 0.0] and not np.signbit(gap).any()
 
 
 # ---------------------------------------------------------------------------
