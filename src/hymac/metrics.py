@@ -57,6 +57,11 @@ def _columns(frames) -> np.ndarray:
     return np.array(by_field, dtype=float)[_COUNTERS]
 
 
+def _report_columns(report: SimReport) -> np.ndarray:
+    """`_columns` of ``report``'s frames, read off `SimReport.columns`."""
+    return np.array(report.columns, dtype=float)[_COUNTERS]
+
+
 def energy_ledger(frames, tc: TimingConstants, k_total: int,
                   variant: str = "hybrid") -> EnergyBreakdown:
     """The network energy of every frame in ``frames``, as columns.  Each
@@ -103,7 +108,8 @@ def energy_per_frame(f: FrameSummary, tc: TimingConstants, k_total: int,
 
 
 def _report_ledger(report: SimReport) -> EnergyBreakdown:
-    return energy_ledger(report.per_frame, report.tc, report.cfg.total_devices, report.variant)
+    return _ledger(_report_columns(report), report.tc, report.cfg.total_devices,
+                   report.variant)
 
 
 def energy_series(report: SimReport) -> list[EnergyBreakdown]:
@@ -118,7 +124,7 @@ def mean_frame_energy(report: SimReport) -> float:
 
 def channel_utility_of(report: SimReport) -> float:
     """Fraction of frame time carrying successfully delivered data."""
-    return channel_utility((f.m_realized for f in report.per_frame), report.tc)
+    return channel_utility(report.columns.m_realized.tolist(), report.tc)
 
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # an odd multiplier: 2**64 over the golden ratio
@@ -171,7 +177,7 @@ def write_frame_csv(report: SimReport, path) -> None:
     Each distinct row is formatted once; rows share a text only where
     every field is the same float to the bit, so -0.0 keeps its own."""
     tc = report.tc
-    columns = _columns(report.per_frame)
+    columns = _report_columns(report)
     e = _ledger(columns, tc, report.cfg.total_devices, report.variant)
     frame, n, m, t_cop = columns[:4]
     table = np.array([n, m, t_cop, m * tc.t_r_us / tc.t_frame_us,

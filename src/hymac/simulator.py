@@ -13,11 +13,10 @@ exchangeable).
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 # numpy loads its random module on first use, in over 10 ms: loaded here, it
@@ -62,6 +61,9 @@ class FrameSummary(NamedTuple):
     tdma_idle_slots: int = 0               # owned data slots wasted on empty buffers
 
 
+_TYPES = get_type_hints(FrameSummary).values()  # int or float, by field
+
+
 @dataclass(frozen=True)
 class FrameTrace:
     """Winners and failure counts of one hybrid frame (produced on request)."""
@@ -73,14 +75,15 @@ class FrameTrace:
 
 @dataclass
 class SimReport:
-    """Outcome of one simulation run."""
+    """Outcome of one simulation run; ``columns`` holds an array per
+    `FrameSummary` field, of its type, an entry a frame."""
 
     variant: str
     seed: int
     frames: int
     tc: TimingConstants
     cfg: ClassConfig
-    per_frame: list[FrameSummary] = field(default_factory=list)
+    columns: FrameSummary | None = None
     device_class: np.ndarray | None = None
     generated: np.ndarray | None = None
     dropped: np.ndarray | None = None
@@ -92,6 +95,14 @@ class SimReport:
         if self.device_class is None:
             self.device_class = np.repeat(np.arange(1, self.cfg.q_count + 1),
                                           self.cfg.class_sizes)
+        if self.columns is None:
+            self.columns = FrameSummary(*(np.zeros(self.frames, t) for t in _TYPES))
+            self.columns.frame[:] = np.arange(self.frames)
+
+    @property
+    def per_frame(self) -> list[FrameSummary]:
+        """``columns`` as a record of Python numbers per frame."""
+        return list(map(FrameSummary, *(c.tolist() for c in self.columns)))
 
 
 def run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
@@ -478,11 +489,12 @@ class _Arrivals:
 
     def __init__(self, rng: np.random.Generator, lam_t: float):
         self.rng, self.lam_t = rng, lam_t
+        if lam_t < 1e-300:  # numpy's E < 45: only here may E / lambda T be inf
+            guard = np.errstate(all="ignore")
+            self.first_after, self.last_before = guard(self.first_after), guard(self.last_before)
 
     def _gaps(self, shape) -> np.ndarray:
-        with np.errstate(divide="ignore", over="ignore"):
-            # inf, no arrival, where lambda T is 0 or subnormal
-            return self.rng.standard_exponential(shape) / self.lam_t
+        return self.rng.standard_exponential(shape) / self.lam_t
 
     def first_after(self, start, ids=None) -> np.ndarray:
         """The first arrival at or after each ``start``."""
@@ -533,8 +545,7 @@ class _Script:
 
 def _spans(first: np.ndarray, last: np.ndarray):
     """``last`` and its span from ``first``, clipped at 0 (inf - inf too)."""
-    with np.errstate(invalid="ignore"):
-        return last, np.fmax(last - first, 0.0)
+    return last, np.fmax(last - first, 0.0)
 
 
 def _delays(frame, last: np.ndarray) -> np.ndarray:
@@ -548,33 +559,26 @@ def _group_actives(active_ids: np.ndarray, q_arr: np.ndarray, d_arr: np.ndarray,
                    prob: np.ndarray):
     """Active devices by virtual-class group rho = q + d - 1: their ids,
     group after group, each group's count and its contending probability
-    ``prob[rho]`` (an `escalation_table` row)."""
+    ``prob[rho]`` (an `escalation_table` row).  Rho is sorted in its
+    narrowest type, by a stable radix sort."""
     rho = q_arr[active_ids] - 1 + d_arr[active_ids]
-    order = np.argsort(rho, kind="stable")
     tally = np.bincount(rho)
+    order = np.argsort(rho.astype(np.min_scalar_type(len(tally))), kind="stable")
     groups = np.flatnonzero(tally)
     return active_ids[order], tally[groups], prob[groups]
 
 
-_NO_COP = CopOutcome(success_groups=(), success_times_us=(), t_elapsed_us=0.0,
-                     n_idle_slots=0, n_collisions=0, coll_tx_time_us=0.0,
-                     listen_time_us=0.0, n_slots=0)
-
-
 def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None,
                 quiet=frozenset(), rest=None, stretch=None) -> SimReport:
-    """Run ``report.frames`` frames of a protocol with contention (the
-    hybrid or CSMA) into ``report``.
+    """Run ``report.frames`` frames of the hybrid or CSMA into ``report``.
 
     The loop owns the seeded RNG, the arrivals (`_Arrivals`, or `_Script`
-    under ``arrival_script``), the packet counters and the `FrameSummary`.
-    Each device keeps only ``first``, its first arrival since its last
-    service, and is active in frame f when ``first`` < f.
-    ``serve(rng, frame, active_ids)`` gives the protocol's schedule: the
-    contention outcome, the winners in service order, their service
-    instants and the winners' wait.  A service closes the winner's
-    interval, delivers its last arrival and opens the next; ``m_realized``
-    counts deliveries and ``n_active`` the active devices.  The intervals
+    under ``arrival_script``), the packet counters and ``report.columns``.
+    A device is active in frame f if ``first``, its first arrival since
+    its last service, is before f.  ``serve(rng, frame, active_ids)``
+    gives a frame's contention outcome, the winners in service order,
+    their service instants and their wait.  A service closes the winner's
+    interval, delivers its last arrival and opens the next.  The intervals
     still open are closed at the run's end, and only then are the packets
     generated drawn.
 
@@ -584,10 +588,11 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None,
     protocol the frame of the stretch from which each device is active,
     0 when active at its start, or the stretch length.
 
-    ``stretch(rng, frame, active_ids, span)``, if given, serves in place of
-    ``serve`` the ``span`` frames up to the next device's wake (inf if none
-    wakes), whose active set stays ``active_ids`` until one serves: it
-    yields each one's schedule, up to and including the first that serves.
+    ``stretch(rng, frame, active_ids, span)``, if given, serves the
+    ``span`` frames up to the next device's wake (inf if none wakes),
+    whose active set stays ``active_ids`` until one serves: it yields
+    their schedules up to and including the first that serves, a block
+    of frames without one as a `CopOutcome` of columns.
     """
     cfg, tc, k = report.cfg, report.tc, report.cfg.total_devices
     rng = np.random.default_rng(report.seed)
@@ -607,7 +612,7 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None,
         span[ids] += gap
         return last
 
-    frame = 0
+    cols, frame = report.columns, 0
     while frame < report.frames:
         stop = frame
         while stop in quiet:
@@ -616,10 +621,8 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None,
             frames = stop - frame
             wake = np.clip(np.floor(first) + 1 - frame, 0, frames).astype(np.int64)
             rest(frame, stop, wake)
-            n_active = np.cumsum(np.bincount(wake, minlength=frames + 1))[:frames]
             # no contention, no delivery, no wait
-            report.per_frame += [FrameSummary(f, n, 0, 0.0, 0, 0, 0.0, 0.0, 0.0)
-                                 for f, n in zip(range(frame, stop), n_active.tolist())]
+            cols.n_active[frame:stop] = np.cumsum(np.bincount(wake, minlength=frames + 1))[:frames]
             frame = stop
             continue
         active_ids = np.flatnonzero(first < frame)
@@ -627,21 +630,23 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None,
             served = [serve(rng, frame, active_ids)]
         else:
             wake = np.floor(np.min(first, initial=np.inf, where=first >= frame)) + 1
-            served = itertools.islice(stretch(rng, frame, active_ids, wake - frame),
-                                      report.frames - frame)
+            served = stretch(rng, frame, active_ids, wake - frame)
         for cop, devices, instants_us, wait_us in served:
             if len(devices):
                 at = frame + np.asarray(instants_us) / tc.t_frame_us
                 delay[devices] += _delays(frame, close(devices, at)).astype(np.int64)
                 delivered[devices] += 1
                 first[devices] = arrivals.first_after(at, devices)
-            report.per_frame.append(FrameSummary(
-                frame=frame, n_active=len(active_ids), m_realized=len(devices),
-                t_cop_us=cop.t_elapsed_us, n_idle_slots=cop.n_idle_slots,
-                n_collisions=cop.n_collisions, coll_tx_time_us=cop.coll_tx_time_us,
-                listen_time_us=cop.listen_time_us, winner_wait_time_us=wait_us,
-            ))
-            frame += 1
+            block = np.ndim(cop.t_elapsed_us)
+            n = min(np.size(cop.t_elapsed_us), report.frames - frame)
+            at = slice(frame, frame + n) if block else frame
+            cols.n_active[at], cols.m_realized[at] = len(active_ids), len(devices)
+            cols.winner_wait_time_us[at] = wait_us
+            for col, value in zip(cols[3:8], cop[2:7]):  # t_cop_us .. listen_time_us
+                col[at] = value[:n] if block else value
+            frame += n
+            if frame == report.frames:
+                break  # a stretch is not resumed past the horizon
     close(np.flatnonzero(first < report.frames), float(report.frames))
     report.generated = arrivals.generated(occupied, distinct, span)
     report.dropped = report.generated - occupied
@@ -676,14 +681,14 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
     if len(plan.per_frame) < frames:
         raise PlanMismatchError(
             f"plan covers {len(plan.per_frame)} frames, run needs {frames}")
-    report = SimReport(variant="hybrid", seed=seed, frames=frames, tc=tc, cfg=cfg,
-                       traces=[] if collect_traces else None)
+    report = SimReport("hybrid", seed, frames, tc, cfg, traces=[] if collect_traces else None)
     d_arr = np.zeros(cfg.total_devices, dtype=np.int64)
     # in frame f no device has failed more than f times: rho <= Q - 1 + f
     prob = escalation_table([(plan.alpha_opt, plan.p_inl_opt)], cfg.q_count + frames - 1)[0]
 
-    quiet = {f for f in range(frames)
-             if plan.per_frame[f].m_opt == 0 and (winner_script or {}).get(f) is None}
+    scripts = winner_script or {}
+    quiet = {f for f, d in enumerate(plan.per_frame[:frames])
+             if d.m_opt == 0 and scripts.get(f) is None}
 
     def rest(start, stop, wake):
         # every device active in a frame of a quiet stretch loses it
@@ -694,18 +699,17 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
         d_arr[:] += np.maximum(stop - start - wake, 0)
 
     def serve(rng, frame, active_ids):
-        scripted = winner_script.get(frame) if winner_script else None
+        scripted = scripts.get(frame)
         if scripted is not None:
             winner_ids = [int(w) for w in scripted]
             n = len(winner_ids)
             if len(set(winner_ids)) < n or not set(winner_ids) <= set(active_ids.tolist()):
                 raise ValueError(f"scripted winners {winner_ids} of frame {frame} "
                                  "must be distinct active devices")
-            cop = _NO_COP._replace(success_groups=tuple(range(n)), n_slots=n,
-                                   winners=tuple(winner_ids),
-                                   success_times_us=tuple((j + 1) * tc.delta_succ_us
-                                                          for j in range(n)),
-                                   t_elapsed_us=n * tc.delta_succ_us)
+            # n successes in a row
+            times = tuple((j + 1) * tc.delta_succ_us for j in range(n))
+            cop = CopOutcome(tuple(range(n)), times, n * tc.delta_succ_us, 0, 0, 0.0, 0.0, n,
+                             tuple(winner_ids))
         else:
             decision = plan.per_frame[frame]
             ids, counts, probs = _group_actives(active_ids, report.device_class,
@@ -774,10 +778,10 @@ def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
         gaps = [_failures(u, p_lone) for u in (1.0 - rng.random(size)).tolist()]
         j = next((i for i, gap in enumerate(gaps) if gap < most), size)  # frame J
         elapsed, idle, slots = _choked_walks(rng, _Period(tc, tc.t_r_us, limit), j, share)
-        coll_tx = (slots - idle) * tx * tc.delta_coll_us
-        for row in zip(elapsed.tolist(), idle.tolist(), (slots - idle).tolist(),
-                       coll_tx.tolist(), (n * elapsed - coll_tx).tolist(), slots.tolist()):
-            yield CopOutcome((), (), *row), (), (), 0.0
+        colls = slots - idle
+        coll_tx = colls * tx * tc.delta_coll_us
+        yield CopOutcome((), (), elapsed, idle, colls, coll_tx, n * elapsed - coll_tx,
+                         slots), (), (), 0.0
         block = 2 * min(j + 1, size)  # twice the frames this block served
         if j < size:
             last = serve(rng, frame + j, active_ids, gaps[j])
@@ -847,6 +851,6 @@ def run_tdma(cfg: ClassConfig, tc: TimingConstants, frames: int, seed: int) -> S
     report = SimReport("tdma", seed, frames, tc, cfg, generated=generated,
                        dropped=generated - occupied, delivered=delivered,
                        delay_frames_sum=delay)
-    report.per_frame = [FrameSummary(f, n, m, 0.0, 0, 0, 0.0, 0.0, 0.0, slots - m)
-                        for f, (n, m) in enumerate(zip(n_active.tolist(), m_real.tolist()))]
+    c = report.columns
+    c.n_active[:], c.m_realized[:], c.tdma_idle_slots[:] = n_active, m_real, tally[:frames]
     return report

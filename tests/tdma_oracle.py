@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from hymac.domain import US_PER_S, ClassConfig, TimingConstants
-from hymac.simulator import FrameSummary, SimReport, _Arrivals, _delays
+from hymac.simulator import SimReport, _Arrivals, _delays
 
 
 # cells of the (interval, device) grid that the TDMA sweep draws at a time
@@ -82,6 +82,7 @@ def sweep_tdma(cfg: ClassConfig, tc: TimingConstants, frames: int, seed: int) ->
     report = SimReport("tdma", seed, frames, tc, cfg, generated=generated,
                        dropped=generated - occupied, delivered=delivered,
                        delay_frames_sum=delay)
-    report.per_frame = [FrameSummary(f, n, m, 0.0, 0, 0, 0.0, 0.0, 0.0, slots - m)
-                        for f, (n, m) in enumerate(zip(n_active.tolist(), m_real.tolist()))]
+    columns = report.columns
+    columns.n_active[:], columns.m_realized[:] = n_active, m_real
+    columns.tdma_idle_slots[:] = slots - m_real
     return report

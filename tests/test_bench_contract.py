@@ -308,8 +308,9 @@ def test_sweep_reads_the_one_pass(tmp_path, capsys, tcop_calls):
 
 def test_outputs_are_written_from_the_columns(tmp_path, capsys, monkeypatch):
     # `hymac run` prices its energy from the column ledger, never frame by
-    # frame, writes its plan file without PyYAML's dumper, and reads every
-    # cell's utility off the grid in one array operation
+    # frame, builds no per-frame record (`SimReport.per_frame`), writes its
+    # plan file without PyYAML's dumper, and reads every cell's utility off
+    # the grid in one array operation
     path = tmp_path / "scenario.yaml"
     path.write_text(yaml.safe_dump({
         "classes": {"sizes": [30, 10], "p_inl": 0.05, "alpha": 1.0},
@@ -321,6 +322,7 @@ def test_outputs_are_written_from_the_columns(tmp_path, capsys, monkeypatch):
     for module, name in ((metrics, "energy_per_frame"), (domain, "dump_yaml"),
                          (yaml, "dump_all"), (optimizer, "channel_utility")):
         monkeypatch.setattr(module, name, banned)
+    monkeypatch.setattr(simulator.SimReport, "per_frame", property(banned))
     out = tmp_path / "out"
     argv = ["run", "--scenario", str(path), "--variant", "all", "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_OK
@@ -371,3 +373,43 @@ def test_csv_rows_are_formatted_once_per_distinct_row(tmp_path, monkeypatch):
     frames = {f[1:] for f in report.per_frame}
     assert sum(len(args[0]) for args in device_calls) <= len(devices) < cfg.total_devices // 4
     assert len(frame_calls) <= len(frames) < len(report.per_frame) // 4
+
+
+def _view_reports():
+    """Reports of every producer of per-frame counters: hybrid frames that
+    resolve, choke (one quiet stretch) or replay a script, CSMA frames
+    that choke (blocks) or half resolve, and TDMA's sweep."""
+    tc = TimingConstants()
+    cfg = ClassConfig(class_sizes=(1180, 10, 10), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
+    resolving = replace(cfg, p_inl=5e-4)
+    yield simulator.run_hybrid(resolving, tc, plan_for(resolving, tc, 3, 1.0, 5e-4), 3, seed=3)
+    yield simulator.run_hybrid(cfg, tc, plan_for(cfg, tc, 20, 1.0, 0.1), 20, seed=3)
+    pair = ClassConfig(class_sizes=(2,), p_inl=0.5, alpha=1.0, arrival_rate=1.0)
+    yield simulator.run_hybrid(pair, tc, plan_for(pair, tc, 2, 1.0, 0.5), 2, seed=1,
+                               arrival_script={0: {0: [100.0], 1: [200.0]}},
+                               winner_script={0: [], 1: [0, 1]})
+    yield simulator.run_csma(cfg, tc, 0.1, 20, seed=3)
+    yield simulator.run_csma(ClassConfig((3,), 0.1, 1.0, 3.0), tc, 3e-6, 20, seed=3)
+    yield simulator.run_tdma(cfg, tc, 20, seed=3)
+
+
+def test_the_per_frame_view_is_the_records_of_the_columns():
+    # `SimReport.per_frame`, built from the columns on access, holds one
+    # record a frame with the field types (int or float) the records had
+    # when the runs built them, a -0.0 kept, and the record ledger equals,
+    # to the bit, the one `hymac run` prices from the columns
+    types = list(simulator._TYPES)
+    served = []
+    for report in _view_reports():
+        report.columns.listen_time_us[-1] = -0.0
+        frames = report.per_frame
+        assert [f.frame for f in frames] == list(range(report.frames))
+        assert all([type(v) for v in f] == types for f in frames)
+        assert math.copysign(1.0, frames[-1].listen_time_us) == -1.0
+        ledger = metrics.energy_ledger(frames, report.tc, report.cfg.total_devices,
+                                       report.variant)
+        columns = metrics._report_ledger(report)
+        for name in ("e_np", "e_cop", "e_ap", "e_s", "e_in"):
+            assert getattr(ledger, name).tobytes() == getattr(columns, name).tobytes(), name
+        served.append(max(f.m_realized for f in frames) > 0)
+    assert served == [True, False, True, False, True, True]

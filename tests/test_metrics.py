@@ -36,7 +36,8 @@ def make_summary(**kw):
 def make_report(tc, cfg, variant="hybrid", frames=(), **arrays):
     k = cfg.total_devices
     rep = SimReport(variant=variant, seed=0, frames=len(frames), tc=tc, cfg=cfg)
-    rep.per_frame = list(frames)
+    for column, values in zip(rep.columns, zip(*frames)):
+        column[:] = values
     for name in ("generated", "dropped", "delivered", "delay_frames_sum"):
         setattr(rep, name, np.asarray(arrays.get(name, np.zeros(k, dtype=int))))
     return rep

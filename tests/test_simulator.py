@@ -885,9 +885,10 @@ def _per_frame_loop(report, serve, arrival_script=None, quiet=frozenset(), rest=
             active_ids = np.flatnonzero(full)
             cop, devices, instants_us, wait_us = serve(rng, frame, active_ids)
             served = dict(zip(np.asarray(devices).tolist(), instants_us))
-            report.per_frame.append(simulator.FrameSummary(
-                frame, len(active_ids), len(served), cop.t_elapsed_us, cop.n_idle_slots,
-                cop.n_collisions, cop.coll_tx_time_us, cop.listen_time_us, wait_us))
+            record = (frame, len(active_ids), len(served), cop.t_elapsed_us, cop.n_idle_slots,
+                      cop.n_collisions, cop.coll_tx_time_us, cop.listen_time_us, wait_us)
+            for column, value in zip(report.columns, record):
+                column[frame] = value
         for dev, times in enumerate(_frame_arrivals(rng, k, lam_t, tc.t_frame_us)):
             generated[dev] += len(times)
             _apply_frame_traffic(frame, dev, times, served.get(dev), full, k1, dropped,
@@ -1055,11 +1056,13 @@ def test_quiet_stretch_follows_the_per_frame_law(monkeypatch, tc, lam_t, frames)
     (1e-300, (6,)),   # first arrivals near 1e300 frames
     (40.0, (6,)),     # every device active from the warm-up on
     (1.0, (0,)),      # K = 0
+    (5e-318, (6,)),   # a subnormal lambda T: E / lambda T overflows
 ])
 def test_quiet_stretch_edges(tc, lam, sizes):
     # a hybrid run that is one quiet stretch: no delivery, each device with
     # an arrival holds one packet at the end, and a device active from
-    # frame a has failed f - a times by frame f
+    # frame a has failed f - a times by frame f.  At lambda T = 0 or tiny
+    # no device is ever active, in CSMA either, and no run warns
     cfg = ClassConfig(sizes, p_inl=0.05, alpha=1.0, arrival_rate=lam)
     for frames in (1, 6):
         rep = run_hybrid(cfg, tc, _quiet_plan(frames), frames, seed=3, collect_traces=True)
@@ -1072,6 +1075,8 @@ def test_quiet_stretch_edges(tc, lam, sizes):
             assert all((tr.d_before == tr.frame).all() for tr in rep.traces)
         elif lam < 1:
             assert not rep.generated.any() and not any(n_active)
+            csma = run_csma(cfg, tc, 0.05, frames, seed=3)
+            assert not csma.generated.any() and not csma.columns.n_active.any()
 
 
 @pytest.mark.parametrize("sizes, slots", [((6,), 4), ((3,), 4)],
@@ -1144,13 +1149,17 @@ def test_tdma_sweep_matches_the_masked_oracle(layout, frames, lam, seed):
 
 def test_spans_of_one_arrival_or_none_are_plus_zero():
     # one arrival (last == first), an interval that `_Script` finds empty
-    # (its last arrival before the first) and lambda T = 0 (inf for both)
-    first = np.array([0.25, 0.75, math.inf])
-    last = np.array([0.25, 0.5, math.inf])
+    # (its last arrival before the first) and lambda T = 0 (inf for both,
+    # under the guard `_Arrivals` takes for that lambda T)
+    first = np.array([0.25, 0.75])
+    last = np.array([0.25, 0.5])
+    none = simulator._Arrivals(np.random.default_rng(1), 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         same, gap = simulator._spans(first, last)
-    assert same is last
+        never, no_gap = none.last_before(none.first_after(np.zeros(1)), 1.0)
+    assert same is last and never.tolist() == [math.inf]
+    gap = np.concatenate([gap, no_gap])
     assert gap.tolist() == [0.0, 0.0, 0.0] and not np.signbit(gap).any()
 
 
