@@ -28,7 +28,7 @@ from .optimizer import (
     optimize,
     plan_for,
 )
-from .simulator import SimReport, run_csma, run_hybrid, run_tdma, simulate_cop_slots
+from .simulator import SimReport, run_csma, run_hybrid, run_tdma
 
 __all__ = [
     "ClassConfig", "ConfigError", "DegenerateMixtureError",
@@ -37,7 +37,7 @@ __all__ = [
     "TimingConstants", "asymptotic_tcop", "channel_utility",
     "channel_utility_of", "energy_per_frame",
     "expected_tcop", "load_scenario", "optimize",
-    "plan_for", "run_csma", "run_hybrid", "run_tdma", "simulate_cop_slots",
+    "plan_for", "run_csma", "run_hybrid", "run_tdma",
     "tcop_hessian", "write_device_csv", "write_frame_csv",
 ]
 

@@ -244,14 +244,22 @@ def _cmd_validate(args) -> int:
                    f"normalized d2/dp_inl2 {hess[1, 1]:.3g}, "
                    f"d2/dalpha2 {hess[2, 2]:.3g}"))
 
-    # simulated slot frequencies against the analytic model
-    sim = simulator.simulate_cop_slots([(0.05, 20)], tc, n_slots=20_000, seed=7)
-    p0_hat = sim.n_idle_slots / sim.n_slots
-    p0_ref = float(analytics.slot_law_rows(np.array([0.05]), np.array([20.0]))[0])
-    se = (p0_ref * (1 - p0_ref) / sim.n_slots) ** 0.5
-    ok = abs(p0_hat - p0_ref) < 4 * se
-    checks.append(("simulator slot process matches the model", ok,
-                   f"idle freq {p0_hat:.4f} vs {p0_ref:.4f}"))
+    # the contention engine's slot frequencies against the analytic model:
+    # the slots of single-winner periods, one after another, are i.i.d.
+    rng = np.random.default_rng(7)
+    periods = [simulator.run_cop(rng, [20], [0.05], tc, m_target=1) for _ in range(7700)]
+    n_slots = sum(out.n_slots for out in periods)
+    n_idle = sum(out.n_idle_slots for out in periods)
+    busy = n_slots - n_idle
+    p_idle, p_busy, terms = analytics.slot_law_rows(np.array([0.05]), np.array([20.0]))
+    p0_ref, ps_ref = float(p_idle), float(terms.sum() / p_busy)
+    p0_hat = n_idle / n_slots
+    ps_hat = sum(len(out.success_groups) for out in periods) / busy
+    ok = (abs(p0_hat - p0_ref) < 4 * (p0_ref * (1 - p0_ref) / n_slots) ** 0.5
+          and abs(ps_hat - ps_ref) < 4 * (ps_ref * (1 - ps_ref) / busy) ** 0.5)
+    checks.append(("contention engine (run_cop) matches the model", ok,
+                   f"idle freq {p0_hat:.4f} vs {p0_ref:.4f}, "
+                   f"P(success | busy) {ps_hat:.4f} vs {ps_ref:.4f}"))
 
     failed = False
     for name, ok, detail in checks:

@@ -50,30 +50,24 @@ _COUNTERS = [FrameSummary._fields.index(name) for name in (
     "winner_wait_time_us", "tdma_idle_slots")]
 
 
-def _columns(frames) -> np.ndarray:
-    """The `_COUNTERS` of ``frames`` as float64 rows, one entry per frame,
-    from one transpose of the records."""
-    by_field = list(zip(*frames)) or np.empty((len(FrameSummary._fields), 0))
-    return np.array(by_field, dtype=float)[_COUNTERS]
-
-
 def _report_columns(report: SimReport) -> np.ndarray:
-    """`_columns` of ``report``'s frames, read off `SimReport.columns`."""
+    """The `_COUNTERS` of ``report``'s frames as float64 rows, one entry
+    per frame, read off `SimReport.columns`."""
     return np.array(report.columns, dtype=float)[_COUNTERS]
 
 
-def energy_ledger(frames, tc: TimingConstants, k_total: int,
-                  variant: str = "hybrid") -> EnergyBreakdown:
-    """The network energy of every frame in ``frames``, as columns.  Each
+def energy_ledger(report: SimReport) -> EnergyBreakdown:
+    """The network energy of every frame of ``report``, as columns.  Each
     entry takes the operations of one frame priced alone, in their order,
     so it is the same float; a regrouped product or sum would move last
     bits that seeded run summaries record."""
-    return _ledger(_columns(frames), tc, k_total, variant)
+    return _ledger(_report_columns(report), report.tc, report.cfg.total_devices,
+                   report.variant)
 
 
 def _ledger(columns: np.ndarray, tc: TimingConstants, k_total: int,
             variant: str) -> EnergyBreakdown:
-    """`energy_ledger` of the frames whose `_columns` are ``columns``."""
+    """The energy of the frames whose `_COUNTERS` rows are ``columns``."""
     if variant not in ("hybrid", "csma", "tdma"):
         raise ValueError(f"unknown protocol variant {variant!r}")
     _, n, m, _, coll, listen, wait, idle = columns
@@ -104,21 +98,17 @@ def _breakdowns(ledger: EnergyBreakdown) -> list[EnergyBreakdown]:
 def energy_per_frame(f: FrameSummary, tc: TimingConstants, k_total: int,
                      variant: str = "hybrid") -> EnergyBreakdown:
     """Network energy breakdown of one simulated frame."""
-    return _breakdowns(energy_ledger([f], tc, k_total, variant))[0]
-
-
-def _report_ledger(report: SimReport) -> EnergyBreakdown:
-    return _ledger(_report_columns(report), report.tc, report.cfg.total_devices,
-                   report.variant)
+    column = np.array(f, dtype=float)[_COUNTERS, None]
+    return _breakdowns(_ledger(column, tc, k_total, variant))[0]
 
 
 def energy_series(report: SimReport) -> list[EnergyBreakdown]:
-    return _breakdowns(_report_ledger(report))
+    return _breakdowns(energy_ledger(report))
 
 
 def mean_frame_energy(report: SimReport) -> float:
     """The mean of ``e_frame`` over the report's frames, summed left to right."""
-    e_frame = _report_ledger(report).e_frame.tolist()
+    e_frame = energy_ledger(report).e_frame.tolist()
     return sum(e_frame) / len(e_frame) if e_frame else 0.0
 
 

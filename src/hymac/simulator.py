@@ -33,17 +33,17 @@ class PlanMismatchError(ConfigError):
 
 
 class CopOutcome(NamedTuple):
-    """Aggregate result of one contention period (or slot batch)."""
+    """Aggregate result of one contention period."""
 
     success_groups: tuple[int, ...]        # group index per success, in order
-    success_times_us: tuple[float, ...]    # time at each success (none in a slot batch)
+    success_times_us: tuple[float, ...]    # time at each success
     t_elapsed_us: float
     n_idle_slots: int
     n_collisions: int
     coll_tx_time_us: float                 # collision durations weighted by transmitters
     listen_time_us: float                  # contender time spent listening, not transmitting
     n_slots: int
-    winners: tuple[int, ...] = ()          # device id per success (none for a slot batch)
+    winners: tuple[int, ...] = ()          # device id per success
 
 
 class FrameSummary(NamedTuple):
@@ -262,13 +262,13 @@ def _entry_sum(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _slot_laws(probs: np.ndarray, counts: np.ndarray, axis: int = -1):
-    """(P(idle), P(success), P(collision), lone-transmitter terms) of each
-    mixture of group counts along ``axis`` (`analytics.slot_law_rows`):
-    P(success) sums the terms, at most P(busy); a lone contender cannot collide."""
+    """(P(idle), P(success), P(collision)) of each mixture of group counts
+    along ``axis`` (`analytics.slot_law_rows`): P(success) sums the
+    lone-transmitter terms, at most P(busy); a lone contender cannot collide."""
     p_idle, p_busy, terms = slot_law_rows(probs, counts, axis)
     p_lone = np.minimum(_entry_sum(terms, axis), p_busy)
     p_coll = np.where(counts.sum(axis=axis) > 1, p_busy - p_lone, 0.0)
-    return p_idle, p_lone, p_coll, terms
+    return p_idle, p_lone, p_coll
 
 
 def _gap_laws(probs: np.ndarray, counts: np.ndarray, groups: np.ndarray) -> _Gaps:
@@ -279,7 +279,7 @@ def _gap_laws(probs: np.ndarray, counts: np.ndarray, groups: np.ndarray) -> _Gap
     is `_slot_law`'s, its log P(idle) a BLAS product over rows of counts."""
     won = groups[:-1] == np.arange(len(counts))[:, None]
     left = counts[:, None] - np.add.accumulate(won, axis=1, dtype=np.int64)
-    p_idle, p_lone, p_coll, _ = _slot_laws(probs[:, None], left, axis=0)
+    p_idle, p_lone, p_coll = _slot_laws(probs[:, None], left, axis=0)
     log_stay = np.log1p(-probs * (probs < 1.0))  # 0 for an emptied p = 1 group
     hit = left * -probs[:, None] * np.expm1(left.T @ log_stay - log_stay[:, None])
     tx = _entry_sum(hit, 0) / np.where(p_coll > 0.0, p_coll, np.inf)
@@ -433,42 +433,6 @@ def _choked_walks(rng: np.random.Generator, period: _Period, frames: int, share:
         slots[live] += k
         live = live[elapsed[live] < period.t_stop]
     return elapsed, idle, slots
-
-
-def simulate_cop_slots(counts_by_prob: list[tuple[float, int]], tc: TimingConstants,
-                       n_slots: int, seed: int) -> CopOutcome:
-    """Monte-Carlo slot process over a static mixture (winners rejoin).
-
-    Calibration entry point: ``n_slots`` slots of the simulator's slot law
-    for fixed counts (`_slot_batch`).
-    """
-    rng = np.random.default_rng(seed)
-    probs = np.array([p for p, _ in counts_by_prob], dtype=float)
-    counts = np.array([n for _, n in counts_by_prob], dtype=np.int64)
-    return _slot_batch(rng, counts, probs, tc, n_slots)
-
-
-def _slot_batch(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
-                tc: TimingConstants, n_slots: int) -> CopOutcome:
-    """``n_slots`` slots of a static mixture.  They are i.i.d., so the idle,
-    success and collision counts are one multinomial draw, each success's
-    group is drawn in proportion to its lone-transmitter term, and each
-    collision counts the law's mean transmitters.  The slots have no
-    order: the outcome holds no success times and names no winners."""
-    d_idle, d_coll, d_succ = tc.delta_idle_us, tc.delta_coll_us, tc.delta_succ_us
-    p_idle, p_lone, p_coll, terms = _slot_laws(probs, counts)
-    n_idle, n_succ, n_coll = rng.multinomial(n_slots, [p_idle, p_lone, p_coll]).tolist()
-    groups = rng.choice(len(probs), size=n_succ, p=terms / terms.sum()) if n_succ else []
-    tx = n_coll * _slot_law(counts.tolist(), probs.tolist())[-1]
-    n_dev = int(counts.sum())
-    t_fail = n_idle * d_idle + n_coll * d_coll
-    return CopOutcome(
-        success_groups=tuple(int(g) for g in groups), success_times_us=(),
-        t_elapsed_us=t_fail + n_succ * d_succ, n_idle_slots=n_idle, n_collisions=n_coll,
-        coll_tx_time_us=tx * d_coll,
-        listen_time_us=n_dev * t_fail + (n_dev - 1) * n_succ * d_succ - tx * d_coll,
-        n_slots=n_slots,
-    )
 
 
 class _Arrivals:
@@ -683,12 +647,13 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
             f"plan covers {len(plan.per_frame)} frames, run needs {frames}")
     report = SimReport("hybrid", seed, frames, tc, cfg, traces=[] if collect_traces else None)
     d_arr = np.zeros(cfg.total_devices, dtype=np.int64)
-    # in frame f no device has failed more than f times: rho <= Q - 1 + f
-    prob = escalation_table([(plan.alpha_opt, plan.p_inl_opt)], cfg.q_count + frames - 1)[0]
-
     scripts = winner_script or {}
     quiet = {f for f, d in enumerate(plan.per_frame[:frames])
              if d.m_opt == 0 and scripts.get(f) is None}
+    # in frame f no device has failed more than f times: rho <= Q - 1 + f;
+    # a run of quiet frames reads no contending probability
+    prob = (escalation_table([(plan.alpha_opt, plan.p_inl_opt)], cfg.q_count + frames - 1)[0]
+            if len(quiet) < frames else None)
 
     def rest(start, stop, wake):
         # every device active in a frame of a quiet stretch loses it

@@ -26,7 +26,7 @@ from hymac import analytics, metrics
 from hymac.analytics import tcop_hessian
 from hymac.domain import ClassConfig, TimingConstants
 from hymac.optimizer import DEFAULT_ALPHA_GRID, DEFAULT_P_INL_GRID, optimize
-from hymac.simulator import run_csma, run_hybrid, run_tdma, simulate_cop_slots
+from hymac.simulator import run_cop, run_csma, run_hybrid, run_tdma
 
 TC = TimingConstants()
 
@@ -169,24 +169,31 @@ def test_criterion_03_exact_enumeration_oracle():
 
 
 def test_criterion_04_monte_carlo_calibration():
-    """A 100k-slot contention simulation (n=500, p=0.01) matches the
-    conditional success probability and mean idle time within 3 SE."""
-    out = simulate_cop_slots([(0.01, 500)], TC, n_slots=100_000, seed=20)
+    """3,400 single-winner contention periods of `run_cop` (n=500,
+    p=0.01), about 100k busy slots, match the conditional success
+    probability and mean idle time per busy slot within 3 SE.  A period's
+    slots before its success are i.i.d. slots of the model, so the slots
+    of the periods in turn are one slot process."""
+    rng = np.random.default_rng(20)
+    periods = [run_cop(rng, [500], [0.01], TC, m_target=1) for _ in range(3400)]
+    n_idle = sum(out.n_idle_slots for out in periods)
+    busy = sum(out.n_slots for out in periods) - n_idle
+    n_succ = sum(len(out.success_groups) for out in periods)
     p0, _, wait = one_row(((0.01, 500),), TC.delta_idle_us)
-    busy = out.n_slots - out.n_idle_slots
 
     p_succ = wait.p_succ
     se_succ = math.sqrt(p_succ * (1 - p_succ) / busy)
-    d_succ = abs(len(out.success_groups) / busy - p_succ)
+    d_succ = abs(n_succ / busy - p_succ)
 
     e_idle = wait.e_idle
     # idle run length per busy slot is geometric with mean p0/(1-p0)
     se_idle = TC.delta_idle_us * math.sqrt(p0 / (1 - p0) ** 2 / busy)
-    d_idle = abs(out.n_idle_slots * TC.delta_idle_us / busy - e_idle)
+    d_idle = abs(n_idle * TC.delta_idle_us / busy - e_idle)
 
     ok = d_succ < 3 * se_succ and d_idle < 3 * se_idle
-    verdict(4, "Monte-Carlo slot process calibrates against the model", ok,
-            f"success dev {d_succ / se_succ:.2f} SE, idle dev {d_idle / se_idle:.2f} SE")
+    verdict(4, "contention engine (run_cop) calibrates against the model", ok,
+            f"{busy} busy slots: success dev {d_succ / se_succ:.2f} SE, "
+            f"idle dev {d_idle / se_idle:.2f} SE")
     assert ok
 
 

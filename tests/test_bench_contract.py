@@ -396,8 +396,8 @@ def _view_reports():
 def test_the_per_frame_view_is_the_records_of_the_columns():
     # `SimReport.per_frame`, built from the columns on access, holds one
     # record a frame with the field types (int or float) the records had
-    # when the runs built them, a -0.0 kept, and the record ledger equals,
-    # to the bit, the one `hymac run` prices from the columns
+    # when the runs built them, a -0.0 kept, and each record's one-frame
+    # ledger equals, to the bit, the one `hymac run` prices from the columns
     types = list(simulator._TYPES)
     served = []
     for report in _view_reports():
@@ -406,10 +406,11 @@ def test_the_per_frame_view_is_the_records_of_the_columns():
         assert [f.frame for f in frames] == list(range(report.frames))
         assert all([type(v) for v in f] == types for f in frames)
         assert math.copysign(1.0, frames[-1].listen_time_us) == -1.0
-        ledger = metrics.energy_ledger(frames, report.tc, report.cfg.total_devices,
-                                       report.variant)
-        columns = metrics._report_ledger(report)
+        records = [metrics.energy_per_frame(f, report.tc, report.cfg.total_devices,
+                                            report.variant) for f in frames]
+        columns = metrics.energy_ledger(report)
         for name in ("e_np", "e_cop", "e_ap", "e_s", "e_in"):
-            assert getattr(ledger, name).tobytes() == getattr(columns, name).tobytes(), name
+            record = np.array([getattr(e, name) for e in records])
+            assert record.tobytes() == getattr(columns, name).tobytes(), name
         served.append(max(f.m_realized for f in frames) > 0)
     assert served == [True, False, True, False, True, True]

@@ -197,10 +197,20 @@ def test_sweep_empty_axis_is_config_error(tmp_path, capsys):
         assert "empty sweep axis" in capsys.readouterr().err
 
 
-def test_validate(capsys):
+def test_validate(capsys, monkeypatch):
+    # the engine check calibrates the contention engine that the runs use
+    calls, engine = [], simulator.run_cop
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "run_cop", counted)
     assert main(["validate"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+    assert calls
+    assert "[PASS] contention engine (run_cop) matches the model" in out
 
 
 def test_run_simulates_the_planned_cell(tmp_path, capsys, monkeypatch):

@@ -286,7 +286,7 @@ def test_column_ledger_matches_the_scalar_ledger_to_the_bit(tc, variant, k, runs
     cfg = ClassConfig(class_sizes=(k,), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
     reports = [make_report(tc, cfg, variant, frames) for frames in runs]
     for rep in reports:
-        ledger = energy_ledger(rep.per_frame, tc, k, variant)
+        ledger = energy_ledger(rep)
         ref = csv_oracle.energy_series(rep)
         for name in ("e_np", "e_cop", "e_ap", "e_s", "e_in", "e_top", "e_frame"):
             column = getattr(ledger, name)

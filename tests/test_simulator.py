@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from race_oracle import _left_after, _race_laws
 import tdma_oracle
-from test_analytics import one_row, transmitter_distribution
+from test_analytics import transmitter_distribution
 
 from hymac import simulator
 from hymac.analytics import slot_law_rows
@@ -22,14 +22,12 @@ from hymac.simulator import (
     CopOutcome,
     PlanMismatchError,
     _race,
-    _slot_batch,
     _slot_law,
     _slot_laws,
     run_cop,
     run_csma,
     run_hybrid,
     run_tdma,
-    simulate_cop_slots,
 )
 
 
@@ -49,10 +47,10 @@ _BLOCK = 512
 
 def _block_run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
                    tc: TimingConstants, *, m_target: int | None = None,
-                   time_limit_us: float | None = None, success_extra_us: float = 0.0,
-                   drain: bool = True, max_slots: int | None = None) -> CopOutcome:
+                   time_limit_us: float | None = None,
+                   success_extra_us: float = 0.0) -> CopOutcome:
     """Reference engine: `run_cop` as one binomial draw per group and slot,
-    in blocks of ``_BLOCK`` slots, redrawn from the slot after each drained
+    in blocks of ``_BLOCK`` slots, redrawn from the slot after each
     success.  Same arguments and outcome; the same law, other draws."""
     counts = counts.astype(np.int64).copy()
     probs = np.asarray(probs, dtype=float)
@@ -69,8 +67,6 @@ def _block_run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarr
             return True
         if time_limit_us is not None and elapsed >= time_limit_us:
             return True
-        if max_slots is not None and n_slots >= max_slots:
-            return True
         return False
 
     while not done():
@@ -80,8 +76,6 @@ def _block_run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarr
             if time_limit_us is None or elapsed >= time_limit_us:
                 break
             gap_slots = math.ceil((time_limit_us - elapsed) / d_idle)
-            if max_slots is not None:
-                gap_slots = min(gap_slots, max_slots - n_slots)
             if gap_slots <= 0:
                 break
             elapsed += gap_slots * d_idle
@@ -97,8 +91,8 @@ def _block_run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarr
         # how many slots of this block can be consumed before a stop
         n_take = _BLOCK
         succ_pos = np.nonzero(totals == 1)[0]
-        if drain and len(succ_pos):
-            # counts change after a drained success: redraw from there on
+        if len(succ_pos):
+            # counts change after a success: redraw from there on
             n_take = min(n_take, int(succ_pos[0]) + 1)
         if m_target is not None:
             needed = m_target - len(succ_groups)
@@ -108,8 +102,6 @@ def _block_run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarr
             over = np.nonzero(cum >= time_limit_us)[0]
             if len(over):
                 n_take = min(n_take, int(over[0]) + 1)
-        if max_slots is not None:
-            n_take = min(n_take, max_slots - n_slots)
         if n_take <= 0:
             break
 
@@ -131,8 +123,7 @@ def _block_run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarr
             grp = int(np.argmax(draws[:, s] == 1))
             succ_groups.append(grp)
             succ_times.append(float(cum[s]))
-            if drain:
-                counts[grp] -= 1
+            counts[grp] -= 1
         elapsed = float(cum[n_take - 1])
 
     return CopOutcome(
@@ -466,10 +457,7 @@ _ORACLE_CASES = {
     "csma, success extra": ([20], [0.05],
                             dict(time_limit_us=20_000.0, success_extra_us=2000.0)),
     "choked csma": ([60], [0.3], dict(time_limit_us=3000.0, success_extra_us=2000.0)),
-    # slot batches (winners rejoin), against `simulate_cop_slots`'s engine
-    "no drain": ([10, 5], [0.05, 0.1], dict(drain=False, max_slots=120)),
     "time cut in an idle run": ([2], [0.03], dict(m_target=5, time_limit_us=400.0)),
-    "slot cut in an idle run": ([2, 1], [0.03, 0.05], dict(drain=False, max_slots=37)),
     # P(fewer than two transmit) is lost against 1 in double precision
     "one-draw collisions": ([1200], [0.1],
                             dict(time_limit_us=3000.0, success_extra_us=2000.0)),
@@ -481,12 +469,6 @@ _ORACLE_CASES = {
 # have one mean in both engines
 _COP_STATS = ("successes", "idle slots", "collisions", "t_elapsed", "coll_tx",
               "heard", "n_slots", "first winner's group", "transmitters per collision")
-
-
-def _batch(rng, counts, probs, tc, *, drain, max_slots) -> CopOutcome:
-    """`simulate_cop_slots`'s engine under the block oracle's keywords."""
-    assert not drain
-    return _slot_batch(rng, counts, probs, tc, max_slots)
 
 
 def _cop_sample(engine, tc, counts, probs, kw, seeds) -> np.ndarray:
@@ -510,17 +492,16 @@ def _cop_sample(engine, tc, counts, probs, kw, seeds) -> np.ndarray:
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
 def test_cop_matches_block_oracle(tc, case):
     """Two samples of 500 seeded periods, one per engine, agree in law
-    (`_assert_same_law`).  A slot batch runs `simulate_cop_slots`'s engine.
-    The engine counts each collision's mean transmitters where the
-    oracle draws them, so ``coll_tx`` agrees in mean only, and where all
-    collisions have one slot law it is the collisions times that mean."""
+    (`_assert_same_law`).  The engine counts each collision's mean
+    transmitters where the oracle draws them, so ``coll_tx`` agrees in mean
+    only, and where all collisions have one slot law it is the collisions
+    times that mean."""
     counts, probs, kw = _ORACLE_CASES[case]
     n = 500
     ref = _cop_sample(_block_run_cop, tc, counts, probs, kw, range(n))
-    engine = _batch if "max_slots" in kw else run_cop
-    new = _cop_sample(engine, tc, counts, probs, kw, range(n, 2 * n))
+    new = _cop_sample(run_cop, tc, counts, probs, kw, range(n, 2 * n))
     _assert_same_law(_COP_STATS, ref, new, mean_only=("coll_tx", "transmitters per collision"))
-    if case in ("choked csma", "one-draw collisions", "no drain"):
+    if case in ("choked csma", "one-draw collisions"):
         stat = dict(zip(_COP_STATS, new))
         tx = _slot_law(counts, probs)[-1]
         assert np.allclose(stat["coll_tx"], stat["collisions"] * tx * tc.delta_coll_us,
@@ -576,19 +557,6 @@ def test_crossing_gap_matches_block_oracle(tc, limit_us):
     new = _crossing_sample(run_cop, tc, counts, probs, kw, range(n, 2 * n))
     assert (new[0] < 40).mean() > 0.99  # the limit binds
     _assert_same_law(_CROSSING_STATS, ref, new)
-
-
-def test_cop_matches_slot_model(tc):
-    # non-draining slot process against the analytic slot probabilities
-    out = simulate_cop_slots([(0.05, 20)], tc, n_slots=100_000, seed=11)
-    p0, _, wait = one_row(((0.05, 20),))
-    se0 = math.sqrt(p0 * (1 - p0) / out.n_slots)
-    assert abs(out.n_idle_slots / out.n_slots - p0) < 3.5 * se0
-
-    busy = out.n_slots - out.n_idle_slots
-    p_succ = wait.p_succ
-    se1 = math.sqrt(p_succ * (1 - p_succ) / busy)
-    assert abs(len(out.success_groups) / busy - p_succ) < 3.5 * se1
 
 
 # ---------------------------------------------------------------------------
@@ -1077,6 +1045,31 @@ def test_quiet_stretch_edges(tc, lam, sizes):
             assert not rep.generated.any() and not any(n_active)
             csma = run_csma(cfg, tc, 0.05, frames, seed=3)
             assert not csma.generated.any() and not csma.columns.n_active.any()
+
+
+def test_quiet_run_builds_no_escalation_table(monkeypatch, tc):
+    # a run whose every frame is quiet reads no contending probability: it
+    # builds no escalation table and draws what it drew with one; a run
+    # with one contending frame still builds it
+    cfg = ClassConfig((1200,), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
+    plan = _quiet_plan(20)
+
+    def run():
+        rep = run_hybrid(cfg, tc, plan, 20, seed=3, collect_traces=True)
+        return rep, [(t.frame, t.winners, t.d_before.tolist()) for t in rep.traces]
+
+    want, want_traces = run()
+
+    def no_table(*_):
+        raise RuntimeError("escalation table built")
+
+    monkeypatch.setattr(simulator, "escalation_table", no_table)
+    got, got_traces = run()
+    assert reports_equal(got, want) and got_traces == want_traces
+    assert want.columns.n_active.any()
+    plan = replace(plan, per_frame=plan.per_frame[:-1] + (FrameDecision(1, 500.0),))
+    with pytest.raises(RuntimeError, match="escalation table built"):
+        run()
 
 
 @pytest.mark.parametrize("sizes, slots", [((6,), 4), ((3,), 4)],
