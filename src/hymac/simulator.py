@@ -33,17 +33,17 @@ class PlanMismatchError(ConfigError):
 
 
 class CopOutcome(NamedTuple):
-    """Aggregate result of one contention period."""
+    """Aggregate result of one contention period: arrays of an entry a success."""
 
-    success_groups: tuple[int, ...]        # group index per success, in order
-    success_times_us: tuple[float, ...]    # time at each success
+    success_groups: np.ndarray             # group index per success, in order (int64)
+    success_times_us: np.ndarray           # time at each success (float64)
     t_elapsed_us: float
     n_idle_slots: int
     n_collisions: int
     coll_tx_time_us: float                 # collision durations weighted by transmitters
     listen_time_us: float                  # contender time spent listening, not transmitting
     n_slots: int
-    winners: tuple[int, ...] = ()          # device id per success
+    winners: np.ndarray = np.empty(0, dtype=np.int64)  # device id per success
 
 
 class FrameSummary(NamedTuple):
@@ -155,7 +155,7 @@ def _cop(rng: np.random.Generator, uniform, counts, probs, period: _Period,
             gap = _failures(uniform(), p_lone)
         if period.walk(uniform, gap, tx, share, n_dev):
             won = _race(rng, counts, probs, n_win)
-            groups = np.searchsorted(np.cumsum(counts), won, side="right")
+            groups = np.repeat(np.arange(len(counts)), counts)[won]
             n_succ = 1 + period.drain(rng, uniform, counts, probs, groups)
     if n_succ == n_live < target:
         period.idle_out(n_dev - n_live)
@@ -163,13 +163,13 @@ def _cop(rng: np.random.Generator, uniform, counts, probs, period: _Period,
     coll_tx = period.tx * period.d_coll
     won = won[:n_succ]
     return CopOutcome(
-        success_groups=tuple(groups[:n_succ].tolist()),
-        success_times_us=tuple(np.concatenate(period.times).tolist()) if period.times else (),
+        success_groups=groups[:n_succ],
+        success_times_us=np.concatenate(period.times) if period.times else np.empty(0),
         t_elapsed_us=period.elapsed, n_idle_slots=period.n_idle,
         n_collisions=period.n_coll, coll_tx_time_us=coll_tx,
         listen_time_us=period.listen - coll_tx,
         n_slots=period.n_idle + period.n_coll + n_succ,
-        winners=tuple((won if ids is None else ids[won]).tolist()),
+        winners=won if ids is None else ids[won],
     )
 
 
@@ -261,28 +261,25 @@ def _entry_sum(x: np.ndarray, axis: int) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(x, axis, -1)).sum(axis=-1)
 
 
-def _slot_laws(probs: np.ndarray, counts: np.ndarray, axis: int = -1):
-    """(P(idle), P(success), P(collision)) of each mixture of group counts
-    along ``axis`` (`analytics.slot_law_rows`): P(success) sums the
-    lone-transmitter terms, at most P(busy); a lone contender cannot collide."""
-    p_idle, p_busy, terms = slot_law_rows(probs, counts, axis)
-    p_lone = np.minimum(_entry_sum(terms, axis), p_busy)
-    p_coll = np.where(counts.sum(axis=axis) > 1, p_busy - p_lone, 0.0)
-    return p_idle, p_lone, p_coll
-
-
 def _gap_laws(probs: np.ndarray, counts: np.ndarray, groups: np.ndarray) -> _Gaps:
     """`_Gaps` before each success after the first of a race whose winners
     come from ``groups`` in order, from the counts each leaves, one column
     per winner, so a sum over groups adds whole rows; a p = 1 device wins
     first.  No rounding carries over between columns.  The collision mean
     is `_slot_law`'s, its log P(idle) a BLAS product over rows of counts."""
-    won = groups[:-1] == np.arange(len(counts))[:, None]
-    left = counts[:, None] - np.add.accumulate(won, axis=1, dtype=np.int64)
-    p_idle, p_lone, p_coll = _slot_laws(probs[:, None], left, axis=0)
+    won = np.add.accumulate(groups[:-1] == np.arange(len(counts))[:, None], axis=1, dtype=np.int64)
+    left = np.subtract(counts[:, None], won, dtype=float)
+    p_idle, p_busy, terms = slot_law_rows(probs[:, None], left, axis=0)
+    p_lone = np.minimum(_entry_sum(terms, 0), p_busy)
+    # P(success) sums the lone-transmitter terms, at most P(busy), and a lone
+    # contender, left after the last winner but one, cannot collide
+    p_coll = np.subtract(p_busy, p_lone, out=p_busy)
+    p_coll[int(counts.sum()) - 2:] = 0.0
     log_stay = np.log1p(-probs * (probs < 1.0))  # 0 for an emptied p = 1 group
-    hit = left * -probs[:, None] * np.expm1(left.T @ log_stay - log_stay[:, None])
-    tx = _entry_sum(hit, 0) / np.where(p_coll > 0.0, p_coll, np.inf)
+    # the product takes the rows of counts in a C-ordered copy, for its BLAS bits
+    hit = np.subtract(np.ascontiguousarray(left.T) @ log_stay, log_stay[:, None], out=terms)
+    hit = _entry_sum(np.expm1(hit, out=hit) * (left * -probs[:, None]), 0)
+    tx = hit / (p_coll if p_coll.all() else np.where(p_coll > 0.0, p_coll, np.inf))
     return _Gaps(p_lone, p_idle / (p_idle + p_coll), tx)
 
 
@@ -369,43 +366,46 @@ class _Period:
         if n < 1:
             return 0
         laws = _gap_laws(probs, counts, groups)
-        remaining = int(counts.sum()) - np.arange(1, n + 1)  # after each winner
+        remaining = counts.sum() - np.arange(1.0, n + 1.0)  # after each winner
         # overflow makes a gap (at a subnormal P(success)) or an end inf: it is walked
         with np.errstate(over="ignore"):
-            gaps = np.divide(np.log(1.0 - rng.random(n)), np.log1p(-laws.p_lone),
-                             out=np.full(n, np.inf), where=laws.p_lone > 0.0)
-            np.floor(gaps, out=gaps)
-            reach = gaps * self.d_fail  # the gap's slots all of the longer kind
-            # a gap that could outlast the limit, or int64, is walked
-            drawable = (gaps < 2.0 ** 62) & (reach < self.t_stop)
-            slots = np.where(drawable, gaps, 0.0).astype(np.int64)
+            u, lone = np.log(1.0 - rng.random(n)), laws.p_lone
+            gaps = np.floor(u / np.log1p(-lone) if lone.all() else np.divide(
+                u, np.log1p(-lone), out=np.full(n, np.inf), where=lone > 0.0))
+            # the gap's slots all of the longer kind, inf past int64 and after
+            # the last gap: a gap that could outlast the limit is walked
+            reach = np.concatenate((gaps * self.d_fail, [np.inf]))
+            slots = gaps
+            if gaps.max() >= 2.0 ** 62 or reach[:n].max() >= self.t_stop:
+                reach[:n][gaps >= 2.0 ** 62] = np.inf
+                slots = np.where(reach[:n] < self.t_stop, gaps, 0.0)
+            slots = slots.astype(np.int64)
             idle = rng.binomial(slots, laws.share)
             colls = slots - idle
-            spent = np.where(drawable, idle * self.d_idle + colls * self.d_coll, np.inf)
+            spent = idle * self.d_idle + colls * self.d_coll
             step = spent + self.d_succ
-            heard = remaining * spent + (remaining - 1) * self.d_succ
+            heard = remaining * spent + (remaining - 1.0) * self.d_succ
 
             j = 0  # gaps done
             while j < n and self.elapsed < self.t_stop:
                 # near the limit a gap is seldom safe, so test the next one alone
-                if drawable[j] and self.elapsed + float(reach[j]) < self.t_stop:
+                if self.elapsed + reach[j] < self.t_stop:
                     ends = self.elapsed + np.cumsum(step[j:])
-                    safe = drawable[j + 1:] & (ends[:-1] + reach[j + 1:] < self.t_stop)
-                    k = 1 + (len(safe) if safe.all() else int(np.argmin(safe)))
-                    taken = slice(j, j + k)
+                    k = 1 + int(np.argmax(ends + reach[j + 1:] >= self.t_stop))
                     self.times.append(ends[:k])
                     self.elapsed = float(ends[k - 1])
-                    self.listen += float(heard[taken].sum())
-                    self.n_idle += int(idle[taken].sum())
-                    self.n_coll += int(colls[taken].sum())
-                    self.tx += float(colls[taken] @ laws.tx[taken])
+                    self.listen += float(heard[j:j + k].sum())
+                    self.tx += float(colls[j:j + k] @ laws.tx[j:j + k])
                     j += k
                 if j < n and self.elapsed < self.t_stop:
+                    idle[j] = colls[j] = 0  # the walk counts its own slots
                     gap = int(gaps[j]) if gaps[j] < math.inf else math.inf
                     if not self.walk(uniform, gap, float(laws.tx[j]), float(laws.share[j]),
                                      int(remaining[j])):
                         break
                     j += 1
+            self.n_idle += int(idle[:j].sum())
+            self.n_coll += int(colls[:j].sum())
             return j
 
     def idle_out(self, remaining: int) -> None:
@@ -565,7 +565,7 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None,
     else:
         arrivals = _Script(arrival_script, tc, k, report.frames)
     first = arrivals.first_after(np.full(k, -1.0), np.arange(k))
-    occupied, distinct, delivered, delay = (np.zeros(k, dtype=np.int64) for _ in range(4))
+    occupied, distinct, delay = (np.zeros(k, dtype=np.int64) for _ in range(3))
     span = np.zeros(k)
 
     def close(ids, end):
@@ -589,7 +589,7 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None,
             cols.n_active[frame:stop] = np.cumsum(np.bincount(wake, minlength=frames + 1))[:frames]
             frame = stop
             continue
-        active_ids = np.flatnonzero(first < frame)
+        active_ids = (first < frame).nonzero()[0]
         if stretch is None:
             served = [serve(rng, frame, active_ids)]
         else:
@@ -597,12 +597,11 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None,
             served = stretch(rng, frame, active_ids, wake - frame)
         for cop, devices, instants_us, wait_us in served:
             if len(devices):
-                at = frame + np.asarray(instants_us) / tc.t_frame_us
+                at = frame + instants_us / tc.t_frame_us
                 delay[devices] += _delays(frame, close(devices, at)).astype(np.int64)
-                delivered[devices] += 1
                 first[devices] = arrivals.first_after(at, devices)
-            block = np.ndim(cop.t_elapsed_us)
-            n = min(np.size(cop.t_elapsed_us), report.frames - frame)
+            block = isinstance(cop.t_elapsed_us, np.ndarray)
+            n = min(len(cop.t_elapsed_us) if block else 1, report.frames - frame)
             at = slice(frame, frame + n) if block else frame
             cols.n_active[at], cols.m_realized[at] = len(active_ids), len(devices)
             cols.winner_wait_time_us[at] = wait_us
@@ -611,10 +610,11 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None,
             frame += n
             if frame == report.frames:
                 break  # a stretch is not resumed past the horizon
+    # each service closed one interval: the deliveries are the closes so far
+    report.delivered, report.delay_frames_sum = occupied.copy(), delay
     close(np.flatnonzero(first < report.frames), float(report.frames))
     report.generated = arrivals.generated(occupied, distinct, span)
     report.dropped = report.generated - occupied
-    report.delivered, report.delay_frames_sum = delivered, delay
     return report
 
 
@@ -672,9 +672,9 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
                 raise ValueError(f"scripted winners {winner_ids} of frame {frame} "
                                  "must be distinct active devices")
             # n successes in a row
-            times = tuple((j + 1) * tc.delta_succ_us for j in range(n))
-            cop = CopOutcome(tuple(range(n)), times, n * tc.delta_succ_us, 0, 0, 0.0, 0.0, n,
-                             tuple(winner_ids))
+            cop = CopOutcome(np.arange(n), np.arange(1, n + 1) * tc.delta_succ_us,
+                             n * tc.delta_succ_us, 0, 0, 0.0, 0.0, n,
+                             np.array(winner_ids, dtype=np.int64))
         else:
             decision = plan.per_frame[frame]
             ids, counts, probs = _group_actives(active_ids, report.device_class,
@@ -687,17 +687,17 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
         m_real = len(winner_ids)
         if collect_traces:
             report.traces.append(FrameTrace(
-                frame=frame, winners=tuple((int(d), j) for j, d in enumerate(winner_ids)),
+                frame=frame, winners=tuple(zip(winner_ids.tolist(), range(m_real))),
                 d_before=d_arr.copy()))
 
-        winner_arr = np.array(winner_ids, dtype=np.int64)
         d_arr[active_ids] += 1  # losers escalate, winners start over
-        d_arr[winner_arr] = 0
+        d_arr[winner_ids] = 0
 
         # winner j sends in TOP slot j and is served at its end
         top_start = tc.t_nof_us + cop.t_elapsed_us + tc.t_anc_us
-        winner_wait = m_real * cop.t_elapsed_us - math.fsum(cop.success_times_us[:m_real])
-        return (cop, winner_arr, top_start + np.arange(1, m_real + 1) * tc.t_r_us,
+        waited = math.fsum(memoryview(cop.success_times_us[:m_real]))  # exact, off the buffer
+        winner_wait = m_real * cop.t_elapsed_us - waited
+        return (cop, winner_ids, top_start + np.arange(1, m_real + 1) * tc.t_r_us,
                 winner_wait)
 
     return _frame_loop(report, serve, arrival_script, quiet, rest)
@@ -730,7 +730,7 @@ def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
         else:  # the uniforms go on as run_cop's do after its first
             cop = _cop(rng, _uniforms(rng, 2).__next__, counts, probs,
                        _Period(tc, tc.t_r_us, limit), ids=active_ids, gap=gap)
-        return cop, np.array(cop.winners, dtype=np.int64), cop.success_times_us, 0.0
+        return cop, cop.winners, cop.success_times_us, 0.0
 
     def stretch(rng, frame, active_ids, span):
         nonlocal block

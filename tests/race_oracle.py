@@ -23,15 +23,21 @@ def _left_after(counts: np.ndarray, groups: np.ndarray) -> np.ndarray:
     return counts - np.cumsum(won, axis=0)
 
 
-def _race_laws(probs: np.ndarray, rows: np.ndarray) -> _Gaps:
-    """`_Gaps` of each row of group counts: P(success) of a slot, at most
-    P(busy), P(idle | no success) (a lone contender cannot collide) and the
-    mean transmitters of a collision, E[X; X >= 2] / P(collision) with
-    E[X; X >= 2] = sum n p (1 - P(idle) / (1 - p)), and log P(idle) a
-    matrix product."""
+def _row_slot_laws(probs: np.ndarray, rows: np.ndarray):
+    """(P(idle), P(success), P(collision)) of each row of group counts:
+    P(success) sums the lone-transmitter terms, at most P(busy); a lone
+    contender cannot collide."""
     p_idle, p_busy, terms = slot_law_rows(probs, rows)
     p_lone = np.minimum(terms.sum(axis=-1), p_busy)
-    p_coll = np.where(rows.sum(axis=-1) > 1, p_busy - p_lone, 0.0)
+    return p_idle, p_lone, np.where(rows.sum(axis=-1) > 1, p_busy - p_lone, 0.0)
+
+
+def _race_laws(probs: np.ndarray, rows: np.ndarray) -> _Gaps:
+    """`_Gaps` of each row of group counts (`_row_slot_laws`): P(success) of
+    a slot, P(idle | no success) and the mean transmitters of a collision,
+    E[X; X >= 2] / P(collision) with E[X; X >= 2] = sum n p (1 - P(idle) /
+    (1 - p)), and log P(idle) a matrix product."""
+    p_idle, p_lone, p_coll = _row_slot_laws(probs, rows)
     log_stay = np.log1p(-probs * (probs < 1.0))  # 0 for an emptied p = 1 group
     hit = (rows * probs * -np.expm1((rows @ log_stay)[:, None] - log_stay)).sum(axis=1)
     return _Gaps(p_lone, p_idle / (p_idle + p_coll), hit / np.where(p_coll > 0.0, p_coll, np.inf))

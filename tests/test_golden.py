@@ -108,6 +108,13 @@ GOLDEN = {
 # traces of a resolving run whose plan has two zero-winner frames
 ZERO_WINNER_FRAMES = "72951a04d5988397a31fd0cc573f27f2431649e63de4ee88b23c9268b49b6ce5"
 
+# `test_resolving_frames_are_pinned_to_the_bit`: per seed, the summaries,
+# traces and per-device counters of ten resolving-drain frames
+RESOLVING_FRAMES = {
+    1: "b1567298adbc2238280bd82dbe5488063ebdaef6b1ce2e699f314599e5a26220",
+    2: "284fc2c084a93d13b5ae36dea97b379945f4f8eaa3105259707986f492a7b6c4",
+}
+
 
 def run_digests(tmp_path, capsys, doc, plan=None) -> dict[str, str]:
     """SHA-256 of the run's stdout and of every file it writes."""
@@ -159,3 +166,22 @@ def test_zero_winner_frames_of_a_loaded_plan_are_pinned(tc):
     assert [t for t, f in enumerate(report.per_frame) if f.m_realized == 0] == [1, 3]
     assert digest.hexdigest() == ZERO_WINNER_FRAMES
 
+
+
+@pytest.mark.parametrize("seed", sorted(RESOLVING_FRAMES))
+def test_resolving_frames_are_pinned_to_the_bit(tc, seed):
+    # the benchmark's resolving-drain layout: the CSV files keep 9 digits of
+    # 3 frames, so these digests read every bit of 10; in each frame the
+    # time limit cuts the drain short of its target, in a walked gap
+    cfg = ClassConfig((1180, 10, 10), p_inl=5e-4, alpha=1.0, arrival_rate=1.0)
+    plan = optimizer.plan_for(cfg, tc, 10, 1.0, 5e-4)
+    report = run_hybrid(cfg, tc, plan, 10, seed, collect_traces=True)
+    digest = hashlib.sha256(repr(report.per_frame).encode())
+    for trace in report.traces:
+        digest.update(repr((trace.frame, trace.winners)).encode())
+        digest.update(trace.d_before.tobytes())
+    for counter in (report.generated, report.dropped, report.delivered,
+                    report.delay_frames_sum):
+        digest.update(counter.tobytes())
+    assert all(0 < f.m_realized < d.m_opt for f, d in zip(report.per_frame, plan.per_frame))
+    assert digest.hexdigest() == RESOLVING_FRAMES[seed]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from race_oracle import _left_after, _race_laws
+from race_oracle import _left_after, _race_laws, _row_slot_laws
 import tdma_oracle
 from test_analytics import transmitter_distribution
 
@@ -23,7 +23,6 @@ from hymac.simulator import (
     PlanMismatchError,
     _race,
     _slot_law,
-    _slot_laws,
     run_cop,
     run_csma,
     run_hybrid,
@@ -307,7 +306,7 @@ def test_race_laws_follow_the_remaining_counts(groups, seed):
         order = _race_groups(np.random.default_rng(seed), counts, probs, m)
         rows = _left_after(counts, order[:-1])  # before each success after the first
         race = _race_laws(probs, rows)
-        p_coll = _slot_laws(probs, rows)[2]
+        p_coll = _row_slot_laws(probs, rows)[2]
         laws += zip(rows, zip(race.p_lone, p_coll, race.share, race.tx))
     for row, (p_lone, p_coll, share, tx) in laws:
         ref_idle, ref_busy, ref_terms = slot_law_rows(probs, row.astype(float))
@@ -483,7 +482,7 @@ def _cop_sample(engine, tc, counts, probs, kw, seeds) -> np.ndarray:
                                         out.listen_time_us + out.coll_tx_time_us))
         rows.append((len(out.success_groups), out.n_idle_slots, out.n_collisions,
                      *times, out.n_slots,
-                     out.success_groups[0] if out.success_groups else -1,
+                     out.success_groups[0] if len(out.success_groups) else -1,
                      out.coll_tx_time_us / (out.n_collisions * tc.delta_coll_us)
                      if out.n_collisions else 0.0))
     return np.array(rows, dtype=float).T
@@ -539,7 +538,7 @@ def _crossing_sample(engine, tc, counts, probs, kw, seeds) -> np.ndarray:
     for seed in seeds:
         out = engine(np.random.default_rng(seed), np.array(counts), np.array(probs),
                      tc, **kw)
-        last = out.success_times_us[-1] if out.success_times_us else 0.0
+        last = out.success_times_us[-1] if len(out.success_times_us) else 0.0
         rows.append((len(out.success_groups), round(out.t_elapsed_us, 6),
                      round(out.t_elapsed_us - last, 6), out.n_idle_slots, out.n_collisions))
     return np.array(rows, dtype=float).T
