@@ -178,7 +178,7 @@ def _uniforms(rng: np.random.Generator, size: int = 1):
     last block is used up; the first block holds ``size``, and each is
     twice as long as the one before."""
     while True:
-        yield from (1.0 - rng.random(size)).tolist()
+        yield from [1.0 - u for u in rng.random(size).tolist()]
         size *= 2
 
 
@@ -274,7 +274,7 @@ def _gap_laws(probs: np.ndarray, counts: np.ndarray, groups: np.ndarray) -> _Gap
     # P(success) sums the lone-transmitter terms, at most P(busy), and a lone
     # contender, left after the last winner but one, cannot collide
     p_coll = np.subtract(p_busy, p_lone, out=p_busy)
-    p_coll[int(counts.sum()) - 2:] = 0.0
+    p_coll[np.add.reduce(counts) - 2:] = 0.0
     log_stay = np.log1p(-probs * (probs < 1.0))  # 0 for an emptied p = 1 group
     # the product takes the rows of counts in a C-ordered copy, for its BLAS bits
     hit = np.subtract(np.ascontiguousarray(left.T) @ log_stay, log_stay[:, None], out=terms)
@@ -296,7 +296,7 @@ def _race(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
     key inf (nan for E = 0) and never comes before a device that can win.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        keys = rng.standard_exponential(int(counts.sum())) * np.repeat((1.0 - probs) / probs,
+        keys = rng.standard_exponential(np.add.reduce(counts)) * np.repeat((1.0 - probs) / probs,
                                                                        counts)
     first = np.argpartition(keys, m - 1)[:m] if m < len(keys) else np.arange(m)
     return first[np.argsort(keys[first])]
@@ -366,7 +366,7 @@ class _Period:
         if n < 1:
             return 0
         laws = _gap_laws(probs, counts, groups)
-        remaining = counts.sum() - np.arange(1.0, n + 1.0)  # after each winner
+        remaining = np.add.reduce(counts) - np.arange(1.0, n + 1.0)  # after each winner
         # overflow makes a gap (at a subnormal P(success)) or an end inf: it is walked
         with np.errstate(over="ignore"):
             u, lone = np.log(1.0 - rng.random(n)), laws.p_lone
@@ -391,10 +391,10 @@ class _Period:
                 # near the limit a gap is seldom safe, so test the next one alone
                 if self.elapsed + reach[j] < self.t_stop:
                     ends = self.elapsed + np.cumsum(step[j:])
-                    k = 1 + int(np.argmax(ends + reach[j + 1:] >= self.t_stop))
+                    k = 1 + int((ends + reach[j + 1:] >= self.t_stop).argmax())
                     self.times.append(ends[:k])
                     self.elapsed = float(ends[k - 1])
-                    self.listen += float(heard[j:j + k].sum())
+                    self.listen += float(np.add.reduce(heard[j:j + k]))
                     self.tx += float(colls[j:j + k] @ laws.tx[j:j + k])
                     j += k
                 if j < n and self.elapsed < self.t_stop:
@@ -404,8 +404,8 @@ class _Period:
                                      int(remaining[j])):
                         break
                     j += 1
-            self.n_idle += int(idle[:j].sum())
-            self.n_coll += int(colls[:j].sum())
+            self.n_idle += int(np.add.reduce(idle[:j]))
+            self.n_coll += int(np.add.reduce(colls[:j]))
             return j
 
     def idle_out(self, remaining: int) -> None:

@@ -245,6 +245,20 @@ def test_a_resolving_period_does_no_work_per_winner(monkeypatch):
     assert many - few <= 64 * walked < 480 - 50
 
 
+def test_a_small_period_keeps_its_call_count():
+    # a small period's cost is a fixed number of calls, most of them numpy's
+    # (ROADMAP direction 12): a 26-device period with five winners walks
+    # its first gap only and makes at most 121 Python-level calls, its
+    # count since `CopOutcome` holds arrays and the drain sums without
+    # `ndarray.sum` (a ufunc call is not seen, any other call is)
+    tc = TimingConstants()
+    counts, probs = np.array([20, 6]), np.array([0.05, 0.1])
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        calls, walks = _python_calls(lambda: simulator.run_cop(rng, counts, probs, tc, m_target=5))
+        assert walks == 1 and calls <= 121, (seed, calls)
+
+
 def test_tdma_is_one_sweep_without_a_frame_loop(monkeypatch):
     # on the baselines-choked scenario TDMA draws its whole run over its
     # fixed schedule, with no frame loop
