@@ -178,7 +178,7 @@ def _uniforms(rng: np.random.Generator, size: int = 1):
     last block is used up; the first block holds ``size``, and each is
     twice as long as the one before."""
     while True:
-        yield from [1.0 - u for u in rng.random(size).tolist()]
+        yield from (1.0 - rng.random(size)).tolist()
         size *= 2
 
 
