@@ -33,10 +33,10 @@ class PlanMismatchError(ConfigError):
 
 
 class CopOutcome(NamedTuple):
-    """Aggregate result of one contention period: arrays of an entry a success."""
+    """Aggregate result of one contention period (arrays: an entry a success)."""
 
-    success_groups: np.ndarray             # group index per success, in order (int64)
-    success_times_us: np.ndarray           # time at each success (float64)
+    success_groups: np.ndarray             # group index per success, in order
+    success_times_us: np.ndarray           # time at each success
     t_elapsed_us: float
     n_idle_slots: int
     n_collisions: int
@@ -271,12 +271,10 @@ def _gap_laws(probs: np.ndarray, counts: np.ndarray, groups: np.ndarray) -> _Gap
     left = np.subtract(counts[:, None], won, dtype=float)
     p_idle, p_busy, terms = slot_law_rows(probs[:, None], left, axis=0)
     p_lone = np.minimum(_entry_sum(terms, 0), p_busy)
-    # P(success) sums the lone-transmitter terms, at most P(busy), and a lone
-    # contender, left after the last winner but one, cannot collide
     p_coll = np.subtract(p_busy, p_lone, out=p_busy)
-    p_coll[np.add.reduce(counts) - 2:] = 0.0
+    p_coll[np.add.reduce(counts) - 2:] = 0.0  # one contender left cannot collide
     log_stay = np.log1p(-probs * (probs < 1.0))  # 0 for an emptied p = 1 group
-    # the product takes the rows of counts in a C-ordered copy, for its BLAS bits
+    # the rows of counts in C order keep the product's BLAS bits
     hit = np.subtract(np.ascontiguousarray(left.T) @ log_stay, log_stay[:, None], out=terms)
     hit = _entry_sum(np.expm1(hit, out=hit) * (left * -probs[:, None]), 0)
     tx = hit / (p_coll if p_coll.all() else np.where(p_coll > 0.0, p_coll, np.inf))
