@@ -267,8 +267,8 @@ def _gap_laws(probs: np.ndarray, counts: np.ndarray, groups: np.ndarray) -> _Gap
     per winner, so a sum over groups adds whole rows; a p = 1 device wins
     first.  No rounding carries over between columns.  The collision mean
     is `_slot_law`'s, its log P(idle) a BLAS product over rows of counts."""
-    won = np.add.accumulate(groups[:-1] == np.arange(len(counts))[:, None], axis=1, dtype=np.int64)
-    left = np.subtract(counts[:, None], won, dtype=float)
+    wins = np.add.accumulate(groups[:-1] == np.arange(len(counts))[:, None], 1, np.int64)
+    left = np.subtract(counts[:, None], wins, dtype=float)
     p_idle, p_busy, terms = slot_law_rows(probs[:, None], left, axis=0)
     p_lone = np.minimum(_entry_sum(terms, 0), p_busy)
     p_coll = np.subtract(p_busy, p_lone, out=p_busy)
