@@ -17,7 +17,6 @@ from .domain import (
 from .metrics import (
     EnergyBreakdown,
     channel_utility_of,
-    energy_per_frame,
     write_device_csv,
     write_frame_csv,
 )
@@ -35,7 +34,7 @@ __all__ = [
     "DivergentExpectationError", "EnergyBreakdown", "FrameDecision",
     "FramePlan", "Scenario", "SimReport",
     "TimingConstants", "asymptotic_tcop", "channel_utility",
-    "channel_utility_of", "energy_per_frame",
+    "channel_utility_of",
     "expected_tcop", "load_scenario", "optimize",
     "plan_for", "run_csma", "run_hybrid", "run_tdma",
     "tcop_hessian", "write_device_csv", "write_frame_csv",

@@ -90,20 +90,10 @@ def _ledger(columns: np.ndarray, tc: TimingConstants, k_total: int,
                            np.where(e_in > 0.0, e_in, 0.0))
 
 
-def _breakdowns(ledger: EnergyBreakdown) -> list[EnergyBreakdown]:
-    """The columns of ``ledger`` as one `EnergyBreakdown` of floats per frame."""
-    return list(map(EnergyBreakdown, *(getattr(ledger, f.name).tolist() for f in fields(ledger))))
-
-
-def energy_per_frame(f: FrameSummary, tc: TimingConstants, k_total: int,
-                     variant: str = "hybrid") -> EnergyBreakdown:
-    """Network energy breakdown of one simulated frame."""
-    column = np.array(f, dtype=float)[_COUNTERS, None]
-    return _breakdowns(_ledger(column, tc, k_total, variant))[0]
-
-
 def energy_series(report: SimReport) -> list[EnergyBreakdown]:
-    return _breakdowns(energy_ledger(report))
+    """`energy_ledger` of ``report`` as one `EnergyBreakdown` of floats per frame."""
+    ledger = energy_ledger(report)
+    return list(map(EnergyBreakdown, *(getattr(ledger, f.name).tolist() for f in fields(ledger))))
 
 
 def mean_frame_energy(report: SimReport) -> float:

@@ -122,21 +122,21 @@ def run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
     end the period.  ``ids`` names the devices, group after group (their
     positions in that order by default); ``winners`` holds the winners'.
 
-    The period is an exponential race (README, "Simulator").  The gap
-    before the first success is walked; once that success lands inside
-    the limit, the winners' order comes from one key per device
-    (`_race`), and all later gaps from one array draw each.  Only a gap
-    that may cross the time limit is walked.  Each collision counts the
-    mean transmitters of its slot law given two or more (`_slot_law`).
+    The period is an exponential race (README, "Simulator"): the winners'
+    order comes from one key per device (`_race`), and every gap, the
+    first included, from one array draw by the slot laws of `_gap_laws`.
+    Only a gap that may cross the time limit is walked.  Each collision
+    counts the mean transmitters of its slot law given two or more.  Two
+    or more p = 1 contenders collide in every slot, with all of them
+    transmitting: that period walks to its limit and draws nothing.
     """
-    return _cop(rng, _uniforms(rng).__next__, counts, probs,
-                _Period(tc, success_extra_us, time_limit_us), m_target, ids)
+    return _cop(rng, counts, probs, _Period(tc, success_extra_us, time_limit_us), m_target, ids)
 
 
-def _cop(rng: np.random.Generator, uniform, counts, probs, period: _Period,
-         m_target: int | None = None, ids=None, gap=None) -> CopOutcome:
-    """`run_cop` on ``period`` with uniforms from ``uniform``; the first gap
-    is ``gap`` failed slots if given, else drawn from the first uniform."""
+def _cop(rng: np.random.Generator, counts, probs, period: _Period,
+         m_target: int | None = None, ids=None, u: float | None = None) -> CopOutcome:
+    """`run_cop` on ``period``; the first gap inverts ``u``, a uniform on
+    (0, 1], if given, else one drawn before the race's keys."""
     counts = np.asarray(counts, dtype=np.int64)
     probs = np.asarray(probs, dtype=float)
     count_list, prob_list = counts.tolist(), probs.tolist()
@@ -147,16 +147,15 @@ def _cop(rng: np.random.Generator, uniform, counts, probs, period: _Period,
     n_win = int(min(target, n_live))
     won = groups = np.empty(0, dtype=np.int64)
     n_succ = 0
-    if n_win:
-        # no key is drawn before the first success lands, so a period that
-        # chokes from its start draws only the walk of its first gap
-        _, p_lone, _, share, tx = _slot_law(count_list, prob_list)
-        if gap is None:
-            gap = _failures(uniform(), p_lone)
-        if period.walk(uniform, gap, tx, share, n_dev):
-            won = _race(rng, counts, probs, n_win)
-            groups = np.repeat(np.arange(len(counts)), counts)[won]
-            n_succ = 1 + period.drain(rng, uniform, counts, probs, groups)
+    if n_win and sum(n for n, p in zip(count_list, prob_list) if p >= 1.0) > 1:
+        # no slot is idle or a success: the walk takes no uniform
+        tx = sum(n * p for n, p in zip(count_list, prob_list))
+        period.walk(_uniforms(rng).__next__, math.inf, tx, 0.0, n_dev)
+    elif n_win:
+        u = 1.0 - rng.random() if u is None else u
+        won = _race(rng, counts, probs, n_win)
+        groups = np.repeat(np.arange(len(counts)), counts)[won]
+        n_succ = period.drain(rng, u, counts, probs, groups)
     if n_succ == n_live < target:
         period.idle_out(n_dev - n_live)
 
@@ -173,10 +172,10 @@ def _cop(rng: np.random.Generator, uniform, counts, probs, period: _Period,
     )
 
 
-def _uniforms(rng: np.random.Generator, size: int = 1):
+def _uniforms(rng: np.random.Generator):
     """Uniforms on (0, 1] from ``rng``, drawn a block at a time when the
-    last block is used up; the first block holds ``size``, and each is
-    twice as long as the one before."""
+    last block is used up: 1, 2, 4, ... of them."""
+    size = 1
     while True:
         yield from (1.0 - rng.random(size)).tolist()
         size *= 2
@@ -214,40 +213,6 @@ def _binomial(uniform, k: int, p: float) -> int:
     return k - x if flip else x
 
 
-def _slot_law(counts: list[int], probs: list[float]):
-    """(P(idle), P(success), P(collision), P(idle | no success), mean
-    transmitters of a collision) of a slot of one mixture, in floats, by
-    the rules of `analytics.slot_law_rows` (the gap before a first success
-    takes no numpy call, which would cost more than a whole choked
-    period): a p = 1 device keeps every slot busy and is a lone
-    transmitter only as the single such device, and a lone contender
-    cannot collide.  Without a p = 1 device, P(success) = W P(idle) with
-    the weight W = sum n p / (1 - p), formed in logs, so it stays exact
-    where P(idle) alone is subnormal.
-
-    The transmitters X of a collision count E[X | X >= 2] =
-    E[X; X >= 2] / P(collision), with E[X; X >= 2] = sum n p P(another
-    device transmits), free of cancellation: that probability is 1 beside
-    another p = 1 device, else -expm1 of the other devices' log P(idle).
-    The mean is 0 where no slot collides."""
-    certain = sum(n for n, p in zip(counts, probs) if p >= 1.0)
-    log_idle = sum(n * math.log1p(-p) for n, p in zip(counts, probs) if p < 1.0)
-    if certain:
-        p_idle, p_busy = 0.0, 1.0
-        p_lone = math.exp(log_idle) if certain == 1 else 0.0
-    else:
-        p_idle, p_busy = math.exp(log_idle), -math.expm1(log_idle)
-        weight = sum(n * p / (1.0 - p) for n, p in zip(counts, probs) if p < 1.0)
-        p_lone = min(math.exp(log_idle + math.log(weight)), p_busy) if weight > 0.0 else 0.0
-    p_coll = p_busy - p_lone if sum(counts) > 1 else 0.0
-    fail = p_idle + p_coll
-    hit = sum(n * p * (-math.expm1(log_idle - math.log1p(-p * (p < 1.0)))
-                       if certain == (p >= 1.0) else 1.0)
-              for n, p in zip(counts, probs))
-    return (p_idle, p_lone, p_coll, p_idle / fail if fail > 0.0 else 0.0,
-            hit / p_coll if p_coll > 0.0 else 0.0)
-
-
 # The law of the gap before each success of a race: P(success) of a slot,
 # P(idle | no success) and the mean transmitters of a collision.
 _Gaps = namedtuple("_Gaps", "p_lone share tx")
@@ -262,23 +227,32 @@ def _entry_sum(x: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _gap_laws(probs: np.ndarray, counts: np.ndarray, groups: np.ndarray) -> _Gaps:
-    """`_Gaps` before each success after the first of a race whose winners
-    come from ``groups`` in order, from the counts each leaves, one column
-    per winner, so a sum over groups adds whole rows; a p = 1 device wins
-    first.  No rounding carries over between columns.  The collision mean
-    is `_slot_law`'s, its log P(idle) a BLAS product over rows of counts."""
-    wins = np.add.accumulate(groups[:-1] == np.arange(len(counts))[:, None], 1, np.int64)
-    left = np.subtract(counts[:, None], wins, dtype=float)
+    """`_Gaps` before each success of a race whose winners come from
+    ``groups`` in order, from the counts left before it, one column per
+    winner: column 0 holds ``counts``, column j the counts after j winners,
+    so a sum over groups adds whole rows.  No rounding carries over between
+    columns.  The collision mean reads log P(idle) from BLAS products over
+    rows of counts; beside a p = 1 device another transmitter is certain
+    (README, "Simulator"), and a lone p = 1 device has no failed slot."""
+    won = np.concatenate(([-1], groups[:-1])) == np.arange(len(counts))[:, None]
+    left = np.subtract(counts[:, None], np.add.accumulate(won, 1, np.int64), dtype=float)
     p_idle, p_busy, terms = slot_law_rows(probs[:, None], left, axis=0)
     p_lone = np.minimum(_entry_sum(terms, 0), p_busy)
     p_coll = np.subtract(p_busy, p_lone, out=p_busy)
-    p_coll[np.add.reduce(counts) - 2:] = 0.0  # one contender left cannot collide
+    p_coll[np.add.reduce(counts) - 1:] = 0.0  # one contender left cannot collide
     log_stay = np.log1p(-probs * (probs < 1.0))  # 0 for an emptied p = 1 group
-    # the rows of counts in C order keep the product's BLAS bits
-    hit = np.subtract(np.ascontiguousarray(left.T) @ log_stay, log_stay[:, None], out=terms)
+    # a BLAS product's bits hang on its shape: the rows of counts after the
+    # first success, in C order, are one product, as in the row layout
+    rows = np.ascontiguousarray(left.T)
+    log_idle = np.concatenate((rows[:1] @ log_stay, rows[1:] @ log_stay))
+    hit = np.subtract(log_idle, log_stay[:, None], out=terms)
+    sure = probs >= 1.0
+    if sure.any():  # P(another transmits) = 1 beside another p = 1 device
+        hit[np.add.reduce(left[sure], axis=0) > sure[:, None]] = -np.inf
     hit = _entry_sum(np.expm1(hit, out=hit) * (left * -probs[:, None]), 0)
     tx = hit / (p_coll if p_coll.all() else np.where(p_coll > 0.0, p_coll, np.inf))
-    return _Gaps(p_lone, p_idle / (p_idle + p_coll), tx)
+    # the least double keeps each share and puts 0 where no slot fails
+    return _Gaps(p_lone, p_idle / np.maximum(p_idle + p_coll, 5e-324), tx)
 
 
 def _race(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
@@ -349,25 +323,26 @@ class _Period:
         self.times.append(np.array([self.elapsed]))
         return True
 
-    def drain(self, rng: np.random.Generator, uniform, counts: np.ndarray,
+    def drain(self, rng: np.random.Generator, u: float, counts: np.ndarray,
               probs: np.ndarray, groups: np.ndarray) -> int:
-        """The gaps after the first success of a race whose winners come
-        from ``groups`` in order, each with its success, up to the time
-        limit.  Returns how many of these successes happen.
+        """The gaps of a race whose winners come from ``groups`` in order,
+        each with its success, up to the time limit; the first gap inverts
+        ``u``, a uniform on (0, 1].  Returns how many successes happen.
 
         Gap j follows Bianchi's slot law of the counts left after j
-        winners: F_j ~ Geometric(P(success)) failed slots, of which
-        Binomial(F_j, P(idle | no success)) are idle, all drawn at once.
-        A stretch of gaps that surely end before the limit (F_j slots of
-        the longer failed kind) is taken whole; the next gap is walked."""
-        n = len(groups) - 1  # gaps to draw
-        if n < 1:
-            return 0
+        winners (`_gap_laws`): F_j ~ Geometric(P(success)) failed slots, of
+        which Binomial(F_j, P(idle | no success)) are idle, all drawn at
+        once.  A stretch of gaps that surely end before the limit (F_j
+        slots of the longer failed kind) is taken whole; the next gap is
+        walked, by uniforms drawn only then."""
+        n = len(groups)  # gaps to draw
         laws = _gap_laws(probs, counts, groups)
-        remaining = np.add.reduce(counts) - np.arange(1.0, n + 1.0)  # after each winner
-        # overflow makes a gap (at a subnormal P(success)) or an end inf: it is walked
-        with np.errstate(over="ignore"):
-            u, lone = np.log(1.0 - rng.random(n)), laws.p_lone
+        remaining = np.add.reduce(counts) - np.arange(float(n))  # before each success
+        uniform = _uniforms(rng).__next__
+        # overflow makes a gap (at a subnormal P(success)) or an end inf: it
+        # is walked; a lone p = 1 device's gap divides by log(0) = -inf: 0
+        with np.errstate(over="ignore", divide="ignore"):
+            u, lone = np.log(np.concatenate(([u], 1.0 - rng.random(n - 1)))), laws.p_lone
             gaps = np.floor(u / np.log1p(-lone) if lone.all() else np.divide(
                 u, np.log1p(-lone), out=np.full(n, np.inf), where=lone > 0.0))
             # the gap's slots all of the longer kind, inf past int64 and after
@@ -712,22 +687,21 @@ def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
     Frames of one active set are drawn in blocks of 1, 2, 4, ... (README,
     "Simulator"): a gap of ``most`` failed slots or more surely chokes its
     frame, those before the first other frame, J, are walked together, J
-    is finished from its own gap, and the gaps after J are dropped."""
+    is one period (`_cop`) from its own uniform, and the gaps after J are
+    dropped; the block law is column K - n of one `_gap_laws` table."""
     if not 0.0 < p <= 1.0:
         raise ValueError("contending probability must lie in (0, 1]")
     limit = tc.contention_cap(tc.t_frame_us, tc.t_r_us)
     # the failed slots the limit holds at the shortest
     most = math.ceil(limit / min(tc.delta_idle_us, tc.delta_coll_us))
+    k = cfg.total_devices
+    # column k - n: the slot law of n contenders
+    laws = _gap_laws(np.array([p]), np.array([k]), np.zeros(k, dtype=np.int64))
     block = 1
 
-    def serve(rng, frame, active_ids, gap=None):
-        counts, probs = np.array([len(active_ids)], dtype=np.int64), np.array([p])
-        if gap is None:
-            cop = run_cop(rng, counts, probs, tc, time_limit_us=limit,
-                          success_extra_us=tc.t_r_us, ids=active_ids)
-        else:  # the uniforms go on as run_cop's do after its first
-            cop = _cop(rng, _uniforms(rng, 2).__next__, counts, probs,
-                       _Period(tc, tc.t_r_us, limit), ids=active_ids, gap=gap)
+    def serve(rng, frame, active_ids, u=None):
+        cop = _cop(rng, [len(active_ids)], [p], _Period(tc, tc.t_r_us, limit),
+                   ids=active_ids, u=u)
         return cop, cop.winners, cop.success_times_us, 0.0
 
     def stretch(rng, frame, active_ids, span):
@@ -737,9 +711,9 @@ def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
             yield serve(rng, frame, active_ids)
             return
         size = int(min(block, span))
-        _, p_lone, _, share, tx = _slot_law([n], [p])
-        gaps = [_failures(u, p_lone) for u in (1.0 - rng.random(size)).tolist()]
-        j = next((i for i, gap in enumerate(gaps) if gap < most), size)  # frame J
+        p_lone, share, tx = (float(law[k - n]) for law in laws)
+        us = (1.0 - rng.random(size)).tolist()
+        j = next((i for i, u in enumerate(us) if _failures(u, p_lone) < most), size)  # frame J
         elapsed, idle, slots = _choked_walks(rng, _Period(tc, tc.t_r_us, limit), j, share)
         colls = slots - idle
         coll_tx = colls * tx * tc.delta_coll_us
@@ -747,7 +721,7 @@ def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
                          slots), (), (), 0.0
         block = 2 * min(j + 1, size)  # twice the frames this block served
         if j < size:
-            last = serve(rng, frame + j, active_ids, gaps[j])
+            last = serve(rng, frame + j, active_ids, us[j])
             block = 1 if len(last[1]) else block
             yield last
 

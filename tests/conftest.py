@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,20 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
+_START = time.perf_counter()  # the session's start, as this plugin loads
+
+
 def pytest_terminal_summary(terminalreporter, config):
     """Print the acceptance scoreboard, and keep it as JSON in the pytest
-    cache (``.pytest_cache/v/hymac/acceptance``) when the cache is on."""
+    cache (``.pytest_cache/v/hymac/acceptance``) when the cache is on, with
+    the session's wall time and its passed and failed tests
+    (``hymac/tier1``)."""
+    if getattr(config, "cache", None) is not None:
+        stats = terminalreporter.stats
+        config.cache.set("hymac/tier1", {
+            "wall_s": round(time.perf_counter() - _START, 3),
+            "passed": len(stats.get("passed", [])),
+            "failed": len(stats.get("failed", []))})
     try:
         from test_acceptance import RECORDS, VERDICTS
     except ImportError:

@@ -3,8 +3,9 @@ winner.
 
 This is the form `hymac.simulator._gap_laws` replaced, which lays the
 counts out (group, winner); the tests keep it as the reference that the
-new laws must match bit for bit.  It shares only `slot_law_rows`, the one
-slot law, with the package.
+new laws must match bit for bit after the first success (the law of the
+first gap is held to `slot_law_rows` and the exact pmf).  It shares only
+`slot_law_rows`, the one slot law, with the package.
 """
 
 from __future__ import annotations

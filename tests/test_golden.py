@@ -40,27 +40,27 @@ K1200_CHOKED = {"name": "k1200-choked",
 GOLDEN = {
     "readme": {
         "stdout":
-            "cd3ed5efe733b564b922e9233d966a75a0bfde2eb07ea94385a4bf42ce3c0e89",
+            "2b6557de28cc04b803177c27be5369cb45fd1e4afa130b9a595fd1bf7342cf9e",
         "devices_csma_seed1.csv":
-            "b6c9700383872c361e18369b9f67d28a3866fe28c87203ef05801133a3111df6",
+            "9b5b8a125b00cd0f47d4dc1ac80acac57d66c55c4737c2dec0ff59bc9d3f8bbd",
         "devices_csma_seed2.csv":
-            "01fb9ecefcb2bd398f589be8527a4c27bf8bda359c17378133631cfb98afbfb7",
+            "ba6c6b573fd349b53c0f13637c4737aa7684d971b0e20b355502734a8b1d8ebd",
         "devices_hybrid_seed1.csv":
-            "5cba597304d544c67449e5144dbc0730c79d515c1cdd66a192d7f9423215f85b",
+            "cc94021764f1ba19abe4be898ed63700626002f29a22f0d21a8cc8e9c654c295",
         "devices_hybrid_seed2.csv":
-            "ce3044be8ca852deee98ae95fc88fba343ab46caa31287f6c467da04d1c9f91d",
+            "d922a6f80ef6ae3f5fdb12cadd042bbbad5cfde60fd6763ed386eb27f3cb2d8d",
         "devices_tdma_seed1.csv":
             "f4c97306bc5236895c04d16082c7daf2db01484e8069895434801f1cf68fc3d5",
         "devices_tdma_seed2.csv":
             "853375a2c796b64552ba0f0749dcc91d12a3f824beb2915751386cba18047583",
         "frames_csma_seed1.csv":
-            "2fea321082224a3cfec3d150c01e866d7e68a4b1d6b6c495c82b3f7a9ae00315",
+            "280ce2ce0267aec5e380dc8fc3de73326348d20ee986f5c40308622ec32967b1",
         "frames_csma_seed2.csv":
-            "86b9fe27f94c3495cedae9883e7acfcd310a701b4dfb07ea9da5d9a75d88f861",
+            "1488c2256f7f0c215149e731a2af7793def691ef63c3e69a9c89d92fc04e2f22",
         "frames_hybrid_seed1.csv":
-            "2b14bdb12074c773b6d2d0704016e12316a08e3ae1b6bc6a76aaccb7b86b1e52",
+            "e4351d3e969f947692ba855834f3d1392a578d90b3e01ede4a11054696951aaf",
         "frames_hybrid_seed2.csv":
-            "f442aad2f674d55a53f726e8c92653adc926c14a517e5e8df637742c3acc104b",
+            "ea46627b652ee26376eb92e046d17761cf6a985177a1eddb287e1bd3f4c2fb43",
         "frames_tdma_seed1.csv":
             "1892757c17cc63dbda75fbd6684cda65c53c3afd9116d4b1d183444083572745",
         "frames_tdma_seed2.csv":
@@ -70,17 +70,17 @@ GOLDEN = {
     },
     "k1200-plan": {
         "stdout":
-            "be3ddb01237e8503612f1b4434f51202e3f45fb787c834db58dd5eaa4e1dfc2a",
+            "f265eb73a2aab33887a0a5a763c2af138c921e7abac5b2f54ec0b00b6e9edcd2",
         "devices_csma_seed1.csv":
-            "ce18b4ee416f471e5a192bb1d21b740f5460f2699d027f65b6f13d27bddc3888",
+            "9c7e3ff6897be832efa8a50e175f1a0ddca42d5f56dfd8cfda135021565ecece",
         "devices_hybrid_seed1.csv":
-            "c2b3b98a518a0d718099c049dbb1610a4cdd30165b0a05a2cd6bc6b1f4f053f2",
+            "302a6996af4962ea89001eee1ee40aac4f376bf4b40770c432e8e000d8a13392",
         "devices_tdma_seed1.csv":
             "27ecf574a16a523a01008fa16455bc87c7913d2274c4914bae844f91222f000f",
         "frames_csma_seed1.csv":
-            "38a8674a9cbb6a897eb25da0a162e1c545926e3f94c39ed7860285a666f63db8",
+            "5223ffa9a00fdd77f1d89f046c56d9f0bcca7f0e527736024c7c9e3594bcd96a",
         "frames_hybrid_seed1.csv":
-            "8bc1064b9f0de883d26aa13b060d7c6e9b7582182194304f096fed86e115166d",
+            "15b514f0f6d2f19f3a67695961964d7cfa6f76aa11def2b811c1b64b319c6a1c",
         "frames_tdma_seed1.csv":
             "31f2af6db8a0b34b3d65bb647dc99ee569305db67033a4f6f617f8bca0787e02",
     },
@@ -106,13 +106,13 @@ GOLDEN = {
 
 # `test_zero_winner_frames_of_a_loaded_plan_are_pinned`: the summaries and
 # traces of a resolving run whose plan has two zero-winner frames
-ZERO_WINNER_FRAMES = "72951a04d5988397a31fd0cc573f27f2431649e63de4ee88b23c9268b49b6ce5"
+ZERO_WINNER_FRAMES = "82e359d3bc6d638f9e08236dd9673fabb13968336e7cc510f646e71419c8bd56"
 
 # `test_resolving_frames_are_pinned_to_the_bit`: per seed, the summaries,
 # traces and per-device counters of ten resolving-drain frames
 RESOLVING_FRAMES = {
-    1: "b1567298adbc2238280bd82dbe5488063ebdaef6b1ce2e699f314599e5a26220",
-    2: "284fc2c084a93d13b5ae36dea97b379945f4f8eaa3105259707986f492a7b6c4",
+    1: "c1a2ac52edfc14008c6f4aac392bdec6bdfaa07995ef55757c07e9ba77c5b3de",
+    2: "6e447b9f3249acb9037ed6aa24c827fad1470c215aa349b4460ceeb7dd0b44c9",
 }
 
 

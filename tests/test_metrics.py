@@ -14,7 +14,6 @@ from hymac.metrics import (
     EnergyBreakdown,
     channel_utility_of,
     energy_ledger,
-    energy_per_frame,
     energy_series,
     mean_frame_energy,
     merge_reports,
@@ -43,6 +42,13 @@ def make_report(tc, cfg, variant="hybrid", frames=(), **arrays):
     return rep
 
 
+def one_frame_energy(tc, k: int, variant: str, **kw) -> EnergyBreakdown:
+    """The ledger of a one-frame report of ``k`` devices whose frame has
+    the counters ``kw`` (`make_summary`)."""
+    cfg = ClassConfig(class_sizes=(k,), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
+    return energy_series(make_report(tc, cfg, variant, [make_summary(**kw)]))[0]
+
+
 @pytest.fixture
 def cfg1200():
     return ClassConfig(class_sizes=(1200,), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
@@ -50,8 +56,7 @@ def cfg1200():
 
 def test_notification_energy_example(tc, cfg1200):
     # 1200 receivers for a 10 us broadcast at 1 W
-    f = make_summary()
-    e = energy_per_frame(f, tc, 1200, "hybrid")
+    e = one_frame_energy(tc, 1200, "hybrid")
     assert e.e_np == pytest.approx(12e-3)
     assert e.e_ap == 0.0 and e.e_cop == 0.0 and e.e_top == 0.0
 
@@ -63,10 +68,9 @@ def test_energy_identities():
 
 
 def test_hybrid_energy_hand_computed(tc):
-    f = make_summary(n_active=10, m_realized=2, coll_tx_time_us=3 * 29.7,
-                     listen_time_us=500.0, winner_wait_time_us=100.0,
-                     n_collisions=1)
-    e = energy_per_frame(f, tc, 100, "hybrid")
+    e = one_frame_energy(tc, 100, "hybrid", n_active=10, m_realized=2,
+                         coll_tx_time_us=3 * 29.7, listen_time_us=500.0,
+                         winner_wait_time_us=100.0, n_collisions=1)
     assert e.e_np == pytest.approx(100 * 1.0 * 10.0 * 1e-6)
     assert e.e_ap == pytest.approx(10 * 1.0 * 10.0 * 1e-6)
     # contention: collision transmissions and two request handshakes at
@@ -78,8 +82,7 @@ def test_hybrid_energy_hand_computed(tc):
 
 
 def test_tdma_energy(tc):
-    f = make_summary(m_realized=300, tdma_idle_slots=200)
-    e = energy_per_frame(f, tc, 600, "tdma")
+    e = one_frame_energy(tc, 600, "tdma", m_realized=300, tdma_idle_slots=200)
     assert e.e_s == pytest.approx(1.5 * 2000.0 * 300 * 1e-6)
     assert e.e_in == pytest.approx(0.5 * 2000.0 * 200 * 1e-6)
     assert e.e_np == 0.0 and e.e_cop == 0.0
@@ -87,7 +90,7 @@ def test_tdma_energy(tc):
 
 def test_energy_variant_validation(tc):
     with pytest.raises(ValueError):
-        energy_per_frame(make_summary(), tc, 10, "wat")
+        one_frame_energy(tc, 10, "wat")
 
 
 def test_channel_utility_of(tc, cfg1200):
@@ -293,7 +296,6 @@ def test_column_ledger_matches_the_scalar_ledger_to_the_bit(tc, variant, k, runs
             assert column.dtype == np.float64 and column.shape == (len(ref),)
             assert column.tolist() == [getattr(e, name) for e in ref], name
         assert energy_series(rep) == ref
-        assert [energy_per_frame(f, tc, k, variant) for f in rep.per_frame] == ref
         assert mean_frame_energy(rep) == csv_oracle.mean_frame_energy(rep)
     assert merge_reports(reports)["energy_per_frame_j"] == float(
         np.mean([csv_oracle.mean_frame_energy(r) for r in reports]))
