@@ -3,7 +3,6 @@
 from .analytics import (
     DegenerateMixtureError,
     DivergentExpectationError,
-    asymptotic_tcop,
     expected_tcop,
     tcop_hessian,
 )
@@ -33,7 +32,7 @@ __all__ = [
     "ClassConfig", "ConfigError", "DegenerateMixtureError",
     "DivergentExpectationError", "EnergyBreakdown", "FrameDecision",
     "FramePlan", "Scenario", "SimReport",
-    "TimingConstants", "asymptotic_tcop", "channel_utility",
+    "TimingConstants", "channel_utility",
     "channel_utility_of",
     "expected_tcop", "load_scenario", "optimize",
     "plan_for", "run_csma", "run_hybrid", "run_tdma",

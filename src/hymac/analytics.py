@@ -2,8 +2,8 @@
 
 Slot-level success/collision probabilities, expected collisions and idle
 time per successful contention, the expected contention-period duration,
-per-class success shares, and the large-population asymptotic form of the
-contention duration together with its Hessian.
+per-class success shares, and the Hessian of the large-population
+asymptotic form of the contention duration.
 
 The slot law and the cost of one success have one implementation each,
 row-wise over a batch of mixtures (`slot_law_rows`, `_attempt_rows` and
@@ -148,26 +148,6 @@ def _to_float(val) -> float:
         return math.inf if val > 0 else -math.inf
 
 
-def _asym_attempt_mp(alpha, p_inl, l_total, tc: TimingConstants):
-    _, _, inv_lx, v = _asym_mp(alpha, p_inl, l_total)
-    return (tc.delta_idle_us * inv_lx
-            + tc.delta_coll_us * (v - inv_lx - 1)
-            + tc.delta_succ_us)
-
-
-def asymptotic_tcop(m: int, alpha: float, p_inl: float, l_total: int,
-                    tc: TimingConstants) -> float:
-    """Asymptotic expected contention duration for m successes (us)."""
-    if m < 0:
-        raise ValueError("number of successes must be nonnegative")
-    if m == 0:
-        return 0.0
-    import mpmath as mp
-
-    with mp.workdps(_ASYM_DPS):
-        return _to_float(m * _asym_attempt_mp(alpha, p_inl, l_total, tc))
-
-
 def _hessian_mp(m, alpha, p_inl, l_total, tc: TimingConstants):
     """Analytic Hessian of the asymptotic contention duration with
     respect to (m, p_inl, alpha), as an mpmath matrix."""
@@ -195,7 +175,8 @@ def _hessian_mp(m, alpha, p_inl, l_total, tc: TimingConstants):
 
 def tcop_hessian(m: int, alpha: float, p_inl: float, l_total: int,
                  tc: TimingConstants, normalize: bool = False) -> np.ndarray:
-    """Hessian of asymptotic_tcop in the axis order (m, p_inl, alpha).
+    """Hessian of the asymptotic contention duration for m successes,
+    m times the per-success cost, in the axis order (m, p_inl, alpha).
 
     With normalize=True the matrix is divided by its trace before the
     cast to float, which keeps the entries representable even where the

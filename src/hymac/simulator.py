@@ -125,7 +125,8 @@ def run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
     The period is an exponential race (README, "Simulator"): the winners'
     order comes from one key per device (`_race`), and every gap, the
     first included, from one array draw by the slot laws of `_gap_laws`.
-    Only a gap that may cross the time limit is walked.  Each collision
+    Only a gap that may cross the time limit is walked.  A gap's failed
+    slots are idle or collisions by `rng.binomial` draws, and a collision
     counts the mean transmitters of its slot law given two or more.  Two
     or more p = 1 contenders collide in every slot, with all of them
     transmitting: that period walks to its limit and draws nothing.
@@ -148,9 +149,9 @@ def _cop(rng: np.random.Generator, counts, probs, period: _Period,
     won = groups = np.empty(0, dtype=np.int64)
     n_succ = 0
     if n_win and sum(n for n, p in zip(count_list, prob_list) if p >= 1.0) > 1:
-        # no slot is idle or a success: the walk takes no uniform
+        # no slot is idle or a success: the walk's binomials at 0 draw nothing
         tx = sum(n * p for n, p in zip(count_list, prob_list))
-        period.walk(_uniforms(rng).__next__, math.inf, tx, 0.0, n_dev)
+        period.walk(rng, math.inf, tx, 0.0, n_dev)
     elif n_win:
         u = 1.0 - rng.random() if u is None else u
         won = _race(rng, counts, probs, n_win)
@@ -170,47 +171,6 @@ def _cop(rng: np.random.Generator, counts, probs, period: _Period,
         n_slots=period.n_idle + period.n_coll + n_succ,
         winners=won if ids is None else ids[won],
     )
-
-
-def _uniforms(rng: np.random.Generator):
-    """Uniforms on (0, 1] from ``rng``, drawn a block at a time when the
-    last block is used up: 1, 2, 4, ... of them."""
-    size = 1
-    while True:
-        yield from (1.0 - rng.random(size)).tolist()
-        size *= 2
-
-
-def _failures(u: float, p: float):
-    """Failures before the first success of probability ``p``, by inversion
-    of a uniform ``u`` on (0, 1]: a whole number, or inf when ``p`` is 0."""
-    if p <= 0.0:
-        return math.inf
-    if p >= 1.0:
-        return 0
-    x = math.log(u) / math.log1p(-p)
-    return math.floor(x) if x < math.inf else math.inf
-
-
-def _binomial(uniform, k: int, p: float) -> int:
-    """Binomial(k, p) by inversion of one uniform, summing the terms from
-    the less likely outcome's side, so the loop runs about min(p, 1 - p) * k
-    times.  The engine calls it on at most the failed slots before a
-    success, where that mean stays below one whatever the law; a certain
-    outcome takes no uniform."""
-    flip = p > 0.5
-    q = 1.0 - p if flip else p
-    x = 0
-    if q > 0.0:
-        u = uniform()
-        term = math.exp(k * math.log1p(-q))
-        cdf = term
-        odds = q / (1.0 - q)
-        while cdf < u and x < k:
-            x += 1
-            term *= (k - x + 1) / x * odds
-            cdf += term
-    return k - x if flip else x
 
 
 # The law of the gap before each success of a race: P(success) of a slot,
@@ -289,7 +249,7 @@ class _Period:
         self.times: list = []      # arrays of success times, in order
         self.tx = 0.0              # transmitters summed over collisions, in the mean
 
-    def walk(self, uniform, gap, tx: float, share: float, remaining: int) -> bool:
+    def walk(self, rng: np.random.Generator, gap, tx: float, share: float, remaining: int) -> bool:
         """Walk ``gap`` failed slots of a slot law (P(idle | no success)
         ``share``, ``tx`` mean transmitters of a collision), then the
         success after them, unless the time limit comes first.  Returns
@@ -297,17 +257,17 @@ class _Period:
 
         The failed slots are taken in chunks inside which the limit does
         not fall: all of them when they surely end before it, else as
-        many as surely do, or one.  Given the gap, they are idle or
-        collisions independently, so each chunk's idle slots are one
-        binomial draw."""
+        many as surely do, or one, and at most 2**62 (numpy's int64).
+        Given the gap, they are idle or collisions independently, so each
+        chunk's idle slots are one ``rng.binomial`` draw (none at share 0)."""
         if gap == math.inf and self.t_stop == math.inf:
             raise ValueError("no limit is set and no success can end the contention")
         n_c = 0
         while gap and self.elapsed < self.t_stop:
-            k = gap
+            k = min(gap, 2 ** 62)
             if self.t_stop < math.inf:
                 k = min(k, max(1, math.ceil((self.t_stop - self.elapsed) / self.d_fail) - 1))
-            idle = _binomial(uniform, k, share)
+            idle = rng.binomial(k, share)
             spent = idle * self.d_idle + (k - idle) * self.d_coll
             self.elapsed += spent
             self.listen += remaining * spent
@@ -334,11 +294,10 @@ class _Period:
         which Binomial(F_j, P(idle | no success)) are idle, all drawn at
         once.  A stretch of gaps that surely end before the limit (F_j
         slots of the longer failed kind) is taken whole; the next gap is
-        walked, by uniforms drawn only then."""
+        walked, its chunks' binomials drawn only then."""
         n = len(groups)  # gaps to draw
         laws = _gap_laws(probs, counts, groups)
         remaining = np.add.reduce(counts) - np.arange(float(n))  # before each success
-        uniform = _uniforms(rng).__next__
         # overflow makes a gap (at a subnormal P(success)) or an end inf: it
         # is walked; a lone p = 1 device's gap divides by log(0) = -inf: 0
         with np.errstate(over="ignore", divide="ignore"):
@@ -373,7 +332,7 @@ class _Period:
                 if j < n and self.elapsed < self.t_stop:
                     idle[j] = colls[j] = 0  # the walk counts its own slots
                     gap = int(gaps[j]) if gaps[j] < math.inf else math.inf
-                    if not self.walk(uniform, gap, float(laws.tx[j]), float(laws.share[j]),
+                    if not self.walk(rng, gap, float(laws.tx[j]), float(laws.share[j]),
                                      int(remaining[j])):
                         break
                     j += 1
@@ -392,10 +351,14 @@ class _Period:
 
 def _choked_walks(rng: np.random.Generator, period: _Period, frames: int, share: float):
     """(elapsed, idle slots, failed slots) of ``frames`` fresh periods of
-    ``period``'s timing whose first gaps surely outlast the limit.  They
-    are walked together in chunks of `_Period.walk`'s rule for the period
-    furthest on, which fit the others too; a chunk's idle slots are one
-    binomial draw over the periods still inside the limit."""
+    ``period``'s timing whose first gaps surely outlast the limit: one is
+    ``period``'s `_Period.walk`, more are walked together in its chunks
+    for the period furthest on, which fit the others too, a chunk's idle
+    slots one binomial draw over the periods still inside the limit."""
+    if frames == 1:  # numpy draws a size-1 binomial as a scalar one
+        period.walk(rng, math.inf, 0.0, share, 0)
+        return (np.array([period.elapsed]), np.array([period.n_idle]),
+                np.array([period.n_idle + period.n_coll]))
     elapsed, idle, slots = np.zeros(frames), np.zeros(frames, np.int64), np.zeros(frames, np.int64)
     live = np.flatnonzero(elapsed < period.t_stop)
     while len(live):
@@ -686,9 +649,10 @@ def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
 
     Frames of one active set are drawn in blocks of 1, 2, 4, ... (README,
     "Simulator"): a gap of ``most`` failed slots or more surely chokes its
-    frame, those before the first other frame, J, are walked together, J
-    is one period (`_cop`) from its own uniform, and the gaps after J are
-    dropped; the block law is column K - n of one `_gap_laws` table."""
+    frame, those before the first other frame, J, are walked together
+    (`_choked_walks`, one frame by `_Period.walk`), J is one period
+    (`_cop`) from its own uniform, and the gaps after J are dropped; the
+    block law is column K - n of one `_gap_laws` table."""
     if not 0.0 < p <= 1.0:
         raise ValueError("contending probability must lie in (0, 1]")
     limit = tc.contention_cap(tc.t_frame_us, tc.t_r_us)
@@ -712,8 +676,10 @@ def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
             return
         size = int(min(block, span))
         p_lone, share, tx = (float(law[k - n]) for law in laws)
-        us = (1.0 - rng.random(size)).tolist()
-        j = next((i for i, u in enumerate(us) if _failures(u, p_lone) < most), size)  # frame J
+        us = 1.0 - rng.random(size)
+        with np.errstate(divide="ignore", invalid="ignore"):  # P(success) 0: inf or nan
+            # frame J (size if none): the first gap log u / log(1 - P(success)) below most
+            j = int(np.append(np.log(us) / np.log1p(-p_lone) < most, True).argmax())
         elapsed, idle, slots = _choked_walks(rng, _Period(tc, tc.t_r_us, limit), j, share)
         colls = slots - idle
         coll_tx = colls * tx * tc.delta_coll_us

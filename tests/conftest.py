@@ -1,4 +1,5 @@
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,19 +23,23 @@ def rng() -> np.random.Generator:
 
 
 _START = time.perf_counter()  # the session's start, as this plugin loads
+_SRC = Path(__file__).resolve().parent.parent / "src" / "hymac"
 
 
 def pytest_terminal_summary(terminalreporter, config):
     """Print the acceptance scoreboard, and keep it as JSON in the pytest
     cache (``.pytest_cache/v/hymac/acceptance``) when the cache is on, with
-    the session's wall time and its passed and failed tests
-    (``hymac/tier1``)."""
+    the session's wall time, its passed and failed tests and the code's
+    size, the lines of ``src/hymac/*.py`` and the bytes of
+    ``simulator.py`` (``hymac/tier1``)."""
     if getattr(config, "cache", None) is not None:
         stats = terminalreporter.stats
         config.cache.set("hymac/tier1", {
             "wall_s": round(time.perf_counter() - _START, 3),
             "passed": len(stats.get("passed", [])),
-            "failed": len(stats.get("failed", []))})
+            "failed": len(stats.get("failed", [])),
+            "src_lines": sum(f.read_bytes().count(b"\n") for f in _SRC.glob("*.py")),
+            "simulator_bytes": (_SRC / "simulator.py").stat().st_size})
     try:
         from test_acceptance import RECORDS, VERDICTS
     except ImportError:

@@ -10,7 +10,6 @@ from hymac import analytics
 from hymac.analytics import (
     DivergentExpectationError,
     _attempt_rows,
-    asymptotic_tcop,
     expected_tcop,
     ordered_sum,
     slot_law_rows,
@@ -293,6 +292,16 @@ def test_expected_new_arrivals(tc):
 # asymptotic form and curvature
 
 
+def _asym_attempt_mp(alpha, p_inl, l_total, tc: TimingConstants):
+    """The asymptotic cost of one success (us) in arbitrary precision, h(x)
+    at x = (1 + alpha) * p_inl: the function `tcop_hessian` differentiates,
+    m times over."""
+    _, _, inv_lx, v = analytics._asym_mp(alpha, p_inl, l_total)
+    return (tc.delta_idle_us * inv_lx
+            + tc.delta_coll_us * (v - inv_lx - 1)
+            + tc.delta_succ_us)
+
+
 def test_asymptotic_matches_exact_single_class(tc):
     # a homogeneous population at the effective probability (1+alpha)*p_inl;
     # the asymptotic form deviates from the exact expectation by exactly
@@ -301,7 +310,8 @@ def test_asymptotic_matches_exact_single_class(tc):
     for big_l in (10_000, 100_000):
         x = (1 + alpha) * p_inl
         exact = m * cost(((x, big_l),), tc)
-        asym = asymptotic_tcop(m, alpha, p_inl, big_l, tc)
+        with mp.workdps(analytics._ASYM_DPS):
+            asym = float(m * _asym_attempt_mp(alpha, p_inl, big_l, tc))
         assert asym == pytest.approx(exact, rel=1e-2)
         gap = m * (tc.delta_coll_us - tc.delta_idle_us) / big_l
         # loose tolerance: the gap sits near the last representable digits
@@ -309,14 +319,8 @@ def test_asymptotic_matches_exact_single_class(tc):
 
 
 def test_asymptotic_validation(tc):
-    assert asymptotic_tcop(0, 1.0, 0.1, 100, tc) == 0.0
-    with pytest.raises(ValueError):
-        asymptotic_tcop(1, 5.0, 0.5, 100, tc)  # effective probability > 1
-    with pytest.raises(ValueError):
-        asymptotic_tcop(-1, 1.0, 0.1, 100, tc)
-    with pytest.raises(ValueError):
-        asymptotic_tcop(1, 1.0, 0.1, 0, tc)
-    # the Hessian rejects the same arguments
+    # the Hessian rejects a negative winner count, an empty population and
+    # an effective probability above one
     for m, big_l in ((-1, 100), (100, 0), (100, -5)):
         with pytest.raises(ValueError):
             tcop_hessian(m, 1.0, 0.1, big_l, tc)
@@ -325,16 +329,19 @@ def test_asymptotic_validation(tc):
 
 
 def test_asymptotic_overflow_maps_to_inf(tc):
-    assert asymptotic_tcop(1, 1.0, 0.4, 100_000, tc) == math.inf
+    # past double range a raw entry is a signed inf, and at effective
+    # probability one no success ever comes
+    hess = tcop_hessian(1, 1.0, 0.4, 100_000, tc)
+    assert hess[1, 1] == math.inf and hess[0, 0] == 0.0
     with pytest.raises(DivergentExpectationError):
-        asymptotic_tcop(1, 1.0, 0.5, 100_000, tc)  # effective probability one
+        tcop_hessian(1, 1.0, 0.5, 100_000, tc)
 
 
 def _fd_hessian_mp(m, alpha, p_inl, big_l, tc):
     """Central finite differences of the asymptotic duration in arbitrary
     precision, axis order (m, p_inl, alpha)."""
     def f(mm, pp, aa):
-        return mm * analytics._asym_attempt_mp(aa, pp, big_l, tc)
+        return mm * _asym_attempt_mp(aa, pp, big_l, tc)
 
     x = [mp.mpf(m), mp.mpf(p_inl), mp.mpf(alpha)]
     h = [xi * mp.mpf("1e-12") for xi in x]

@@ -220,10 +220,12 @@ def _python_calls(run) -> tuple:
 
 
 def test_a_resolving_period_does_no_work_per_winner(monkeypatch):
-    # a K = 1200 resolving period at its hybrid frame's time limit draws one
-    # key per device, one gap and one binomial per success and a block of
-    # uniforms per doubling: its generator and Python-level calls do not
-    # grow with the winner target, but for the gaps walked near the limit
+    # a K = 1200 resolving period at its hybrid frame's time limit draws two
+    # blocks of uniforms, one key per device and one binomial per gap, all
+    # as arrays, and one binomial per chunk of a gap walked near the limit:
+    # its generator and Python-level calls do not grow with the winner
+    # target, but for the walked gaps.  On seeds 0-5 no gap is walked at
+    # m = 50, and (walks, chunks) at m = 480 are pinned
     tc = TimingConstants()
     cfg = ClassConfig(class_sizes=(1180, 10, 10), p_inl=5e-4, alpha=1.0, arrival_rate=1.0)
     plan = plan_for(cfg, tc, 1, 1.0, 5e-4)
@@ -231,19 +233,23 @@ def test_a_resolving_period_does_no_work_per_winner(monkeypatch):
     simulator.run_hybrid(cfg, tc, plan, 1, seed=3)
     _, counts, probs, _ = periods[0]
     limit = simulator._cop_limit(plan.per_frame[0], tc)
-    drawn, made = [], []
-    for m in (50, 480):
-        calls = collections.Counter()
-        rng = _CountingGenerator(np.random.default_rng(0), calls)
-        made.append(_python_calls(lambda: simulator.run_cop(rng, counts, probs, tc, m_target=m,
-                                                            time_limit_us=limit)))
-        drawn.append(calls)
-    (few, few_walks), (many, many_walks) = made
-    walked = many_walks - few_walks
-    assert drawn[0]["standard_exponential"] == drawn[1]["standard_exponential"] == 1
-    assert drawn[0]["binomial"] == drawn[1]["binomial"] == 1
-    assert drawn[1]["random"] - drawn[0]["random"] <= 2 * walked
-    assert many - few <= 64 * walked < 480 - 50
+    walks = []
+    for seed in range(6):
+        drawn, made = [], []
+        for m in (50, 480):
+            calls = collections.Counter()
+            rng = _CountingGenerator(np.random.default_rng(seed), calls)
+            made.append(_python_calls(lambda: simulator.run_cop(
+                rng, counts, probs, tc, m_target=m, time_limit_us=limit)))
+            drawn.append(calls)
+        (few, few_walks), (many, many_walks) = made
+        assert few_walks == 0 and drawn[0]["binomial"] == 1
+        chunks = drawn[1].pop("binomial") - drawn[0].pop("binomial")
+        assert drawn[0] == drawn[1] == {"random": 2, "standard_exponential": 1}
+        assert chunks <= 5 * many_walks
+        assert many - few <= 64 * many_walks < 480 - 50
+        walks.append((many_walks, chunks))
+    assert walks == [(2, 9), (1, 2), (3, 9), (3, 6), (2, 5), (2, 8)]
 
 
 def test_a_small_period_keeps_its_call_count():

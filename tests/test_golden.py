@@ -40,15 +40,15 @@ K1200_CHOKED = {"name": "k1200-choked",
 GOLDEN = {
     "readme": {
         "stdout":
-            "2b6557de28cc04b803177c27be5369cb45fd1e4afa130b9a595fd1bf7342cf9e",
+            "4f20ec2293484e51fd1e169b5e3c0c47207fcdb0bbdc9c18678784e757977ec4",
         "devices_csma_seed1.csv":
             "9b5b8a125b00cd0f47d4dc1ac80acac57d66c55c4737c2dec0ff59bc9d3f8bbd",
         "devices_csma_seed2.csv":
             "ba6c6b573fd349b53c0f13637c4737aa7684d971b0e20b355502734a8b1d8ebd",
         "devices_hybrid_seed1.csv":
-            "cc94021764f1ba19abe4be898ed63700626002f29a22f0d21a8cc8e9c654c295",
+            "caeeb269bd8bc1009770d9b91376e5070e5ca94a11868b839519affb3ead3d38",
         "devices_hybrid_seed2.csv":
-            "d922a6f80ef6ae3f5fdb12cadd042bbbad5cfde60fd6763ed386eb27f3cb2d8d",
+            "0b9cd8792c0b55e9cbb172553888df38cca22252f3fd33ced1a867e5e7a4cc25",
         "devices_tdma_seed1.csv":
             "f4c97306bc5236895c04d16082c7daf2db01484e8069895434801f1cf68fc3d5",
         "devices_tdma_seed2.csv":
@@ -58,9 +58,9 @@ GOLDEN = {
         "frames_csma_seed2.csv":
             "1488c2256f7f0c215149e731a2af7793def691ef63c3e69a9c89d92fc04e2f22",
         "frames_hybrid_seed1.csv":
-            "e4351d3e969f947692ba855834f3d1392a578d90b3e01ede4a11054696951aaf",
+            "09893542181f85f4ab0b1aa467dedf29720dbf833ad6fce2d0a49101b2c93231",
         "frames_hybrid_seed2.csv":
-            "ea46627b652ee26376eb92e046d17761cf6a985177a1eddb287e1bd3f4c2fb43",
+            "c4b42a1853c8df0aa26c34cfc59fa60cc3f319cd57fd7f7a3c58713a7365daf0",
         "frames_tdma_seed1.csv":
             "1892757c17cc63dbda75fbd6684cda65c53c3afd9116d4b1d183444083572745",
         "frames_tdma_seed2.csv":
@@ -70,17 +70,17 @@ GOLDEN = {
     },
     "k1200-plan": {
         "stdout":
-            "f265eb73a2aab33887a0a5a763c2af138c921e7abac5b2f54ec0b00b6e9edcd2",
+            "cdc4c989396563a28ed229230d285cb53d4ae1fbc9df689f5668fcde45cc4c27",
         "devices_csma_seed1.csv":
             "9c7e3ff6897be832efa8a50e175f1a0ddca42d5f56dfd8cfda135021565ecece",
         "devices_hybrid_seed1.csv":
-            "302a6996af4962ea89001eee1ee40aac4f376bf4b40770c432e8e000d8a13392",
+            "86649575858a970a189f1aa43de44c2aaf6542352eacc5d2d2ac3d5a5630c32b",
         "devices_tdma_seed1.csv":
             "27ecf574a16a523a01008fa16455bc87c7913d2274c4914bae844f91222f000f",
         "frames_csma_seed1.csv":
             "5223ffa9a00fdd77f1d89f046c56d9f0bcca7f0e527736024c7c9e3594bcd96a",
         "frames_hybrid_seed1.csv":
-            "15b514f0f6d2f19f3a67695961964d7cfa6f76aa11def2b811c1b64b319c6a1c",
+            "6844d58f156f70e7f8ded079645ca1ed1a3dc64035a7e7f96952bc7e209ce61b",
         "frames_tdma_seed1.csv":
             "31f2af6db8a0b34b3d65bb647dc99ee569305db67033a4f6f617f8bca0787e02",
     },
@@ -106,13 +106,13 @@ GOLDEN = {
 
 # `test_zero_winner_frames_of_a_loaded_plan_are_pinned`: the summaries and
 # traces of a resolving run whose plan has two zero-winner frames
-ZERO_WINNER_FRAMES = "82e359d3bc6d638f9e08236dd9673fabb13968336e7cc510f646e71419c8bd56"
+ZERO_WINNER_FRAMES = "bd439c67d82e56fad60ae795df0f68e5781971de8b3e78cc3a8843308e876519"
 
 # `test_resolving_frames_are_pinned_to_the_bit`: per seed, the summaries,
 # traces and per-device counters of ten resolving-drain frames
 RESOLVING_FRAMES = {
-    1: "c1a2ac52edfc14008c6f4aac392bdec6bdfaa07995ef55757c07e9ba77c5b3de",
-    2: "6e447b9f3249acb9037ed6aa24c827fad1470c215aa349b4460ceeb7dd0b44c9",
+    1: "1df07438552b02051fa3cde4c092f4fd5da38d4ef50d896f460672ca4185a005",
+    2: "9fe546baa8bc6c4586e28e681519db972bcabc7c5b777332343323e878da9fcc",
 }
 
 

@@ -1235,17 +1235,25 @@ def test_choked_walks_follow_the_walk(delta_idle, share):
     """500 periods walked together by `simulator._choked_walks` against
     500 walked one at a time by `_Period.walk`, with a gap the limit
     cannot reach: each one's length, idle slots and failed slots, by
-    `_assert_same_law`.  An idle slot is shorter than a collision
+    `_assert_same_law`.  One frame of `_choked_walks` is, to the bit, one
+    walk from the same seed.  An idle slot is shorter than a collision
     (29.7 us), then longer."""
     tc = TimingConstants(delta_idle_us=delta_idle)
     n, limit = 500, 600.0
+    for seed in range(5):
+        single = simulator._choked_walks(np.random.default_rng(seed),
+                                         simulator._Period(tc, 0.0, limit), 1, share)
+        one = simulator._Period(tc, 0.0, limit)
+        assert not one.walk(np.random.default_rng(seed), math.inf, 2.0, share, 3)
+        assert [a.tolist() for a in single] == [[one.elapsed], [one.n_idle],
+                                                [one.n_idle + one.n_coll]]
     walked = simulator._choked_walks(np.random.default_rng(1),
                                      simulator._Period(tc, 0.0, limit), n, share)
-    uniform = simulator._uniforms(np.random.default_rng(2)).__next__
+    rng = np.random.default_rng(2)
     ref = []
     for _ in range(n):
         one = simulator._Period(tc, 0.0, limit)
-        assert not one.walk(uniform, math.inf, 2.0, share, 3)
+        assert not one.walk(rng, math.inf, 2.0, share, 3)
         ref.append((round(one.elapsed, 6), one.n_idle, one.n_idle + one.n_coll))
     _assert_same_law(("elapsed", "idle slots", "failed slots"), np.array(ref, dtype=float).T,
                      np.array([walked[0].round(6), walked[1], walked[2]], dtype=float))
