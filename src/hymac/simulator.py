@@ -351,14 +351,10 @@ class _Period:
 
 def _choked_walks(rng: np.random.Generator, period: _Period, frames: int, share: float):
     """(elapsed, idle slots, failed slots) of ``frames`` fresh periods of
-    ``period``'s timing whose first gaps surely outlast the limit: one is
-    ``period``'s `_Period.walk`, more are walked together in its chunks
-    for the period furthest on, which fit the others too, a chunk's idle
-    slots one binomial draw over the periods still inside the limit."""
-    if frames == 1:  # numpy draws a size-1 binomial as a scalar one
-        period.walk(rng, math.inf, 0.0, share, 0)
-        return (np.array([period.elapsed]), np.array([period.n_idle]),
-                np.array([period.n_idle + period.n_coll]))
+    ``period``'s timing whose first gaps surely outlast the limit.  They
+    are walked together in chunks of `_Period.walk`'s rule for the period
+    furthest on, which fit the others too; a chunk's idle slots are one
+    binomial draw over the periods still inside the limit."""
     elapsed, idle, slots = np.zeros(frames), np.zeros(frames, np.int64), np.zeros(frames, np.int64)
     live = np.flatnonzero(elapsed < period.t_stop)
     while len(live):
@@ -649,10 +645,9 @@ def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
 
     Frames of one active set are drawn in blocks of 1, 2, 4, ... (README,
     "Simulator"): a gap of ``most`` failed slots or more surely chokes its
-    frame, those before the first other frame, J, are walked together
-    (`_choked_walks`, one frame by `_Period.walk`), J is one period
-    (`_cop`) from its own uniform, and the gaps after J are dropped; the
-    block law is column K - n of one `_gap_laws` table."""
+    frame, those before the first other frame, J, are walked together, J
+    is one period (`_cop`) from its own uniform, and the gaps after J are
+    dropped; the block law is column K - n of one `_gap_laws` table."""
     if not 0.0 < p <= 1.0:
         raise ValueError("contending probability must lie in (0, 1]")
     limit = tc.contention_cap(tc.t_frame_us, tc.t_r_us)

@@ -1235,8 +1235,9 @@ def test_choked_walks_follow_the_walk(delta_idle, share):
     """500 periods walked together by `simulator._choked_walks` against
     500 walked one at a time by `_Period.walk`, with a gap the limit
     cannot reach: each one's length, idle slots and failed slots, by
-    `_assert_same_law`.  One frame of `_choked_walks` is, to the bit, one
-    walk from the same seed.  An idle slot is shorter than a collision
+    `_assert_same_law`.  One frame of `_choked_walks`' array loop is, to
+    the bit, one walk from the same seed: numpy draws a size-1 binomial
+    as a scalar one.  An idle slot is shorter than a collision
     (29.7 us), then longer."""
     tc = TimingConstants(delta_idle_us=delta_idle)
     n, limit = 500, 600.0
