@@ -8,8 +8,7 @@ arrivals by one law, on each device's service intervals (`_Arrivals`).
 A contention period is drawn as an exponential race: one key per device
 orders the winners, and the gaps between successes follow the slot law
 of the devices left, per virtual class (devices inside a class are
-exchangeable).
-"""
+exchangeable)."""
 
 from __future__ import annotations
 
@@ -122,15 +121,11 @@ def run_cop(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
     end the period.  ``ids`` names the devices, group after group (their
     positions in that order by default); ``winners`` holds the winners'.
 
-    The period is an exponential race (README, "Simulator"): the winners'
-    order comes from one key per device (`_race`), and every gap, the
-    first included, from one array draw by the slot laws of `_gap_laws`.
-    Only a gap that may cross the time limit is walked.  A gap's failed
-    slots are idle or collisions by `rng.binomial` draws, and a collision
-    counts the mean transmitters of its slot law given two or more.  Two
-    or more p = 1 contenders collide in every slot, with all of them
-    transmitting: that period walks to its limit and draws nothing.
-    """
+    The period is an exponential race (README, "Simulator"; `_race` and
+    `_Period.drain`), and a collision counts the mean transmitters of its
+    slot law given two or more.  Two or more p = 1 contenders collide in
+    every slot, with all of them transmitting: that period walks to its
+    limit and draws nothing."""
     return _cop(rng, counts, probs, _Period(tc, success_extra_us, time_limit_us), m_target, ids)
 
 
@@ -225,8 +220,7 @@ def _race(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray,
     are the ``m`` smallest keys E / r, with one standard exponential E per
     device (Efraimidis and Spirakis, Inf. Process. Lett. 2006).  A p = 1
     device has key 0.  A p = 0 device, or one whose 1 / r overflows, has
-    key inf (nan for E = 0) and never comes before a device that can win.
-    """
+    key inf (nan for E = 0) and never comes before a device that can win."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         keys = rng.standard_exponential(np.add.reduce(counts)) * np.repeat((1.0 - probs) / probs,
                                                                        counts)
@@ -351,12 +345,14 @@ class _Period:
 
 def _choked_walks(rng: np.random.Generator, period: _Period, frames: int, share: float):
     """(elapsed, idle slots, failed slots) of ``frames`` fresh periods of
-    ``period``'s timing whose first gaps surely outlast the limit.  They
-    are walked together in chunks of `_Period.walk`'s rule for the period
-    furthest on, which fit the others too; a chunk's idle slots are one
-    binomial draw over the periods still inside the limit."""
-    elapsed, idle, slots = np.zeros(frames), np.zeros(frames, np.int64), np.zeros(frames, np.int64)
-    live = np.flatnonzero(elapsed < period.t_stop)
+    ``period``'s timing whose first gaps surely outlast the limit, walked
+    together in chunks of `_Period.walk`'s rule for the period furthest on
+    (which fit the others): a chunk's idle slots are one binomial draw over
+    the periods still inside the limit, and the first chunk is all of theirs."""
+    k = max(1, math.ceil(period.t_stop / period.d_fail) - 1) if period.t_stop > 0.0 else 0
+    idle, slots = rng.binomial(k, share, frames), np.full(frames, k)
+    elapsed = idle * period.d_idle + (k - idle) * period.d_coll
+    live = (elapsed < period.t_stop).nonzero()[0]
     while len(live):
         k = max(1, math.ceil((period.t_stop - elapsed[live].max()) / period.d_fail) - 1)
         got = rng.binomial(k, share, len(live))
@@ -445,10 +441,10 @@ def _spans(first: np.ndarray, last: np.ndarray):
 
 
 def _delays(frame, last: np.ndarray) -> np.ndarray:
-    """Frames from each last arrival to a service in ``frame``.  Rounding
-    may put a frame's last service instant a hair past the frame's end: an
-    arrival before that instant is still in the frame."""
-    return frame - np.minimum(np.floor(last), frame)
+    """Frames from each last arrival to a service in ``frame``, in place of
+    ``last``.  Rounding may put a frame's last service instant a hair past
+    the frame's end: an arrival before that instant is still in the frame."""
+    return np.subtract(frame, np.minimum(np.floor(last, out=last), frame, out=last), out=last)
 
 
 def _group_actives(active_ids: np.ndarray, q_arr: np.ndarray, d_arr: np.ndarray,
@@ -484,12 +480,11 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None,
     protocol the frame of the stretch from which each device is active,
     0 when active at its start, or the stretch length.
 
-    ``stretch(rng, frame, active_ids, span)``, if given, serves the
-    ``span`` frames up to the next device's wake (inf if none wakes),
-    whose active set stays ``active_ids`` until one serves: it yields
-    their schedules up to and including the first that serves, a block
-    of frames without one as a `CopOutcome` of columns.
-    """
+    ``stretch(rng, frame, active_ids, span)``, if given, serves the ``span``
+    frames up to the next device's wake (inf if none wakes), whose active
+    set stays ``active_ids`` until one serves: it yields their schedules up
+    to and including the first that serves, a block of frames without one,
+    cut at the horizon, as a `CopOutcome` of columns."""
     cfg, tc, k = report.cfg, report.tc, report.cfg.total_devices
     rng = np.random.default_rng(report.seed)
     if arrival_script is None:
@@ -500,8 +495,7 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None,
     occupied, distinct, delay = (np.zeros(k, dtype=np.int64) for _ in range(3))
     span = np.zeros(k)
 
-    def close(ids, end):
-        """Close the intervals of devices ``ids`` at ``end``."""
+    def close(ids, end):  # the intervals of devices ``ids``, at ``end``
         last, gap = arrivals.last_before(first[ids], end, ids)
         occupied[ids] += 1
         distinct[ids] += gap > 0.0
@@ -525,20 +519,18 @@ def _frame_loop(report: SimReport, serve, arrival_script: dict | None = None,
         if stretch is None:
             served = [serve(rng, frame, active_ids)]
         else:
-            wake = np.floor(np.min(first, initial=np.inf, where=first >= frame)) + 1
+            wake = np.floor(np.minimum.reduce(first[first >= frame], initial=np.inf)) + 1
             served = stretch(rng, frame, active_ids, wake - frame)
         for cop, devices, instants_us, wait_us in served:
-            if len(devices):
+            if len(devices):  # a frame without winners keeps its zeros
                 at = frame + instants_us / tc.t_frame_us
                 delay[devices] += _delays(frame, close(devices, at)).astype(np.int64)
                 first[devices] = arrivals.first_after(at, devices)
-            block = isinstance(cop.t_elapsed_us, np.ndarray)
-            n = min(len(cop.t_elapsed_us) if block else 1, report.frames - frame)
-            at = slice(frame, frame + n) if block else frame
-            cols.n_active[at], cols.m_realized[at] = len(active_ids), len(devices)
-            cols.winner_wait_time_us[at] = wait_us
+                cols.m_realized[frame], cols.winner_wait_time_us[frame] = len(devices), wait_us
+            n = len(cop.t_elapsed_us) if isinstance(cop.t_elapsed_us, np.ndarray) else 1
+            cols.n_active[frame:frame + n] = len(active_ids)
             for col, value in zip(cols[3:8], cop[2:7]):  # t_cop_us .. listen_time_us
-                col[at] = value[:n] if block else value
+                col[frame:frame + n] = value
             frame += n
             if frame == report.frames:
                 break  # a stretch is not resumed past the horizon
@@ -572,8 +564,7 @@ def run_hybrid(cfg: ClassConfig, tc: TimingConstants, plan, frames: int, seed: i
     times per device / ordered winner ids) replace the random draws for
     deterministic replay scenarios.  Scripted arrivals lie in [0, t_frame)
     of frames 0, 1, ...; scripted winners must be distinct devices,
-    active at the frame start.
-    """
+    active at the frame start."""
     if len(plan.per_frame) < frames:
         raise PlanMismatchError(
             f"plan covers {len(plan.per_frame)} frames, run needs {frames}")
@@ -656,7 +647,7 @@ def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
     k = cfg.total_devices
     # column k - n: the slot law of n contenders
     laws = _gap_laws(np.array([p]), np.array([k]), np.zeros(k, dtype=np.int64))
-    block = 1
+    choke, block = _Period(tc, tc.t_r_us, limit), 1
 
     def serve(rng, frame, active_ids, u=None):
         cop = _cop(rng, [len(active_ids)], [p], _Period(tc, tc.t_r_us, limit),
@@ -674,8 +665,9 @@ def run_csma(cfg: ClassConfig, tc: TimingConstants, p: float, frames: int,
         us = 1.0 - rng.random(size)
         with np.errstate(divide="ignore", invalid="ignore"):  # P(success) 0: inf or nan
             # frame J (size if none): the first gap log u / log(1 - P(success)) below most
-            j = int(np.append(np.log(us) / np.log1p(-p_lone) < most, True).argmax())
-        elapsed, idle, slots = _choked_walks(rng, _Period(tc, tc.t_r_us, limit), j, share)
+            hit = np.log(us) / np.log1p(-p_lone) < most
+        j = int(hit.argmax()) if hit.any() else size
+        elapsed, idle, slots = [x[:frames - frame] for x in _choked_walks(rng, choke, j, share)]
         colls = slots - idle
         coll_tx = colls * tx * tc.delta_coll_us
         yield CopOutcome((), (), elapsed, idle, colls, coll_tx, n * elapsed - coll_tx,
@@ -703,10 +695,9 @@ def run_tdma(cfg: ClassConfig, tc: TimingConstants, frames: int, seed: int) -> S
     k = cfg.total_devices
     slots = int(tc.t_frame_us / tc.t_r_us) if k else 0  # an empty network owns no slot
     n_serv = frames * slots
-    slot_end = (np.arange(slots) + 1) * (tc.t_r_us / tc.t_frame_us)  # in frames
     arrivals = _Arrivals(np.random.default_rng(seed), cfg.arrival_rate / US_PER_S * tc.t_frame_us)
-    occupied, distinct, delivered, delay = (np.zeros(k, dtype=np.int64) for _ in range(4))
-    span = np.zeros(k)      # summed time from first to distinct last arrival
+    occupied, distinct, delivered = (np.zeros(k, dtype=np.int64) for _ in range(3))
+    span, delay = np.zeros(k), np.zeros(k)  # summed first to distinct last arrival; lags
     # per frame: intervals with no arrival by end, then the rest by first arrival
     tally = np.zeros(2 * frames + 2, dtype=np.int64)
     # interval j of device d ends at service d + jK; the last is unserved
@@ -714,33 +705,42 @@ def run_tdma(cfg: ClassConfig, tc: TimingConstants, frames: int, seed: int) -> S
     # intervals per device and block: 1, 2, 4, ... up to 4096 cells, so a
     # short run draws little and a long one stays in O(K) memory
     j0, cols, most = 0, 1, max(1, 4096 // max(k, 1))
+    # service lo S + o + i, o < S, is at slot_end[o + i] of frame lo + frame_of[o + i]
+    frame_of = (np.arange(slots + (most + 1) * k) // max(slots, 1)).astype(float)
+    slot_end = np.arange(1.0, len(frame_of) + 1) - frame_of * slots  # slot number, from 1
+    slot_end *= tc.t_r_us / tc.t_frame_us  # in frames
     while j0 < n_cols:
-        # interval s0 + i, i < n, runs from service s0 + i, the (o + i)-th
-        # from frame lo on, to s0 + k + i
+        # interval s0 + i, i < n, runs from service s0 + i to s0 + k + i
         s0, n = (j0 - 1) * k, cols * k
         lo, o = divmod(s0, slots)
-        f = np.minimum(np.arange(lo, -(-(s0 + n + k) // slots), dtype=float), frames)
-        t = (f[:, None] + slot_end).ravel()[o:o + n + k]
-        t[n_serv - s0:] = frames        # the run's end
+        f = frame_of[o:o + n + k] + lo
+        t = f + slot_end[o:o + n + k]
+        f[n_serv - s0:] = t[n_serv - s0:] = frames  # the run's end
         if j0 == 0:
             t[:k] = -1.0                # the warm-up frame's start
-        f_end = np.repeat(f, slots)[o + k:o + k + n].reshape(cols, k)
-        end = t[k:].reshape(cols, k)
+        f_end, end = f[k:].reshape(cols, k), t[k:].reshape(cols, k)
         # a fixed shape per block: a shorter run draws a prefix of the cells
         first = arrivals.first_after(t[:n].reshape(cols, k))
         last, gap = arrivals.last_before(first, end)
         got = first < end
-        # truncation floors; f_end with no arrival
-        at = np.minimum(np.maximum(first, 0.0), f_end) + got * (frames + 1.0)
-        tally += np.bincount(at.astype(np.int64).ravel(), minlength=len(tally))
-        distinct += (gap > 0.0).sum(axis=0)
-        span += gap.sum(axis=0)
+        # the tally's bin in ``first``, by truncation: f_end with no arrival;
+        # a start after block 0 is a service, at or after 0
+        if j0 == 0:
+            np.maximum(first, 0.0, out=first)
+        np.minimum(first, f_end, out=first)
+        first += got * (frames + 1.0)
+        tally += np.bincount(first.astype(np.int64).ravel(), minlength=len(tally))
+        distinct += np.add.reduce(gap > 0.0)
+        span += np.add.reduce(gap)
         lag = _delays(f_end, last)      # 0 with no arrival
-        occupied += got.sum(axis=0)
-        cut = max(n_serv - s0 - k, 0)   # ends past the run are unserved
-        lag.ravel()[cut:] = got.ravel()[cut:] = 0
-        delivered += got.sum(axis=0)
-        delay += lag.sum(axis=0).astype(np.int64)
+        served = np.add.reduce(got)
+        occupied += served
+        cut = n_serv - s0 - k           # ends past the run are unserved
+        if cut < n:
+            lag.ravel()[max(cut, 0):] = got.ravel()[max(cut, 0):] = 0
+            served = np.add.reduce(got)
+        delivered += served
+        delay += np.add.reduce(lag)     # whole frames: exact in floats
         j0, cols = j0 + cols, min(2 * cols, most)
     generated = arrivals.generated(occupied, distinct, span)
     m_real = slots - tally[:frames]     # S intervals end a frame
@@ -748,7 +748,7 @@ def run_tdma(cfg: ClassConfig, tc: TimingConstants, frames: int, seed: int) -> S
     n_active = np.cumsum(tally[frames + 1:-1] - m_real) + m_real
     report = SimReport("tdma", seed, frames, tc, cfg, generated=generated,
                        dropped=generated - occupied, delivered=delivered,
-                       delay_frames_sum=delay)
+                       delay_frames_sum=delay.astype(np.int64))
     c = report.columns
     c.n_active[:], c.m_realized[:], c.tdma_idle_slots[:] = n_active, m_real, tally[:frames]
     return report

@@ -293,6 +293,36 @@ def test_tdma_sweep_stays_in_its_memory_budget():
     assert peak <= 448 * 1024, peak
 
 
+def test_tdma_sweep_of_long_frames_stays_in_its_cells():
+    # with S = 50,000 slots a frame (t_r = 20 us) and 10 devices a block
+    # holds about 4,100 cells: its service instants come from two lanes of
+    # S + 4,100 cells built once, not from whole frames, so the run's peak
+    # is at most 1,451 KiB, half of the 2,902 KiB of frame-wide blocks
+    tc = TimingConstants(t_r_us=20.0)
+    cfg = ClassConfig(class_sizes=(10,), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
+    simulator.run_tdma(cfg, tc, 20, seed=23)
+    tracemalloc.start()
+    try:
+        simulator.run_tdma(cfg, tc, 20, seed=23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1451 * 1024, peak
+
+
+def test_the_baselines_keep_their_call_counts():
+    # a 200-frame baselines-choked run (seed 23) is a fixed number of calls,
+    # most of them numpy's: TDMA's 30 sweep blocks make 763 Python-level
+    # calls (1,169 before each block dropped its redundant passes) and
+    # CSMA's 14 choked blocks 598 (790), with no walk (a ufunc call is not
+    # seen, any other call is)
+    tc = TimingConstants()
+    cfg = ClassConfig(class_sizes=(1180, 10, 10), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
+    tdma, _ = _python_calls(lambda: simulator.run_tdma(cfg, tc, 200, seed=23))
+    csma, walks = _python_calls(lambda: simulator.run_csma(cfg, tc, 0.1, 200, seed=23))
+    assert tdma <= 763 and csma <= 598 and walks == 0, (tdma, csma, walks)
+
+
 def test_contention_periods_go_through_the_wrapped_name(monkeypatch):
     # the harness pauses in and times every contention period through
     # `simulator.run_cop`, and counts `cop_successes` as the entries of

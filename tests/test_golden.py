@@ -16,7 +16,7 @@ from hymac import optimizer
 from hymac.cli import EXIT_OK, main
 from hymac.domain import ClassConfig, TimingConstants
 from hymac.optimizer import FrameDecision
-from hymac.simulator import run_hybrid
+from hymac.simulator import run_csma, run_hybrid, run_tdma
 
 # the README example, at a shorter horizon
 README = {"name": "example",
@@ -115,6 +115,10 @@ RESOLVING_FRAMES = {
     2: "9fe546baa8bc6c4586e28e681519db972bcabc7c5b777332343323e878da9fcc",
 }
 
+# `test_baselines_are_pinned_to_the_bit`: every column and per-device
+# counter of a 200-frame CSMA run and TDMA run on the baselines-choked layout
+BASELINES = "7c1ccc9f4f8667b262b6e0dcb17c1b835e2795ff21110cdff67992e01e098402"
+
 
 def run_digests(tmp_path, capsys, doc, plan=None) -> dict[str, str]:
     """SHA-256 of the run's stdout and of every file it writes."""
@@ -185,3 +189,18 @@ def test_resolving_frames_are_pinned_to_the_bit(tc, seed):
         digest.update(counter.tobytes())
     assert all(0 < f.m_realized < d.m_opt for f, d in zip(report.per_frame, plan.per_frame))
     assert digest.hexdigest() == RESOLVING_FRAMES[seed]
+
+
+def test_baselines_are_pinned_to_the_bit(tc):
+    # the benchmark's baselines-choked layout at its seed-1 simulation seed:
+    # the CSV files keep 9 digits, so this digest reads every bit of both
+    # runs, CSMA's choked blocks and TDMA's sweep
+    cfg = ClassConfig((1180, 10, 10), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
+    csma, tdma = run_csma(cfg, tc, 0.1, 200, 288545019), run_tdma(cfg, tc, 200, 288545019)
+    digest = hashlib.sha256()
+    for report in (csma, tdma):
+        for array in (*report.columns, report.generated, report.dropped, report.delivered,
+                      report.delay_frames_sum):
+            digest.update(array.tobytes())
+    assert not csma.columns.m_realized.any() and tdma.columns.m_realized.all()
+    assert digest.hexdigest() == BASELINES

@@ -1142,6 +1142,7 @@ def _tdma_layouts(draw):
        lam=st.sampled_from([0.0, 5e-324, 1e-300, 0.2, 1.0, 50.0]),
        seed=st.integers(0, 2**32 - 1))
 @example(layout=(1200, 2000.0), frames=200, lam=1.0, seed=23)
+@example(layout=(10, 20.0), frames=20, lam=1.0, seed=23)       # S = 50,000 slots a frame
 def test_tdma_sweep_matches_the_masked_oracle(layout, frames, lam, seed):
     """The mask-free sweep against the masked one it replaced
     (tests/tdma_oracle.py), to the bit: per frame, per device and the
