@@ -313,8 +313,8 @@ def test_tdma_sweep_of_long_frames_stays_in_its_cells():
 def test_the_baselines_keep_their_call_counts():
     # a 200-frame baselines-choked run (seed 23) is a fixed number of calls,
     # most of them numpy's: TDMA's 30 sweep blocks make 763 Python-level
-    # calls (1,169 before each block dropped its redundant passes) and
-    # CSMA's 14 choked blocks 598 (790), with no walk (a ufunc call is not
+    # calls and CSMA's 14 choked blocks 598, with no walk, their counts
+    # since each block dropped its redundant passes (a ufunc call is not
     # seen, any other call is)
     tc = TimingConstants()
     cfg = ClassConfig(class_sizes=(1180, 10, 10), p_inl=0.1, alpha=1.0, arrival_rate=1.0)
