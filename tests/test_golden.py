@@ -105,14 +105,21 @@ GOLDEN = {
 }
 
 # `test_zero_winner_frames_of_a_loaded_plan_are_pinned`: the summaries and
-# traces of a resolving run whose plan has two zero-winner frames
+# traces of a resolving run whose plan has two zero-winner frames, and its
+# draws (`_draws`)
 ZERO_WINNER_FRAMES = "bd439c67d82e56fad60ae795df0f68e5781971de8b3e78cc3a8843308e876519"
+ZERO_WINNER_DRAWS = "cf4ee04d8ee2bd86150b7f292b73a212cdc25429371059e5366556a2937aaa64"
 
 # `test_resolving_frames_are_pinned_to_the_bit`: per seed, the summaries,
-# traces and per-device counters of ten resolving-drain frames
+# traces and per-device counters of ten resolving-drain frames, and their
+# draws (`_draws`)
 RESOLVING_FRAMES = {
     1: "1df07438552b02051fa3cde4c092f4fd5da38d4ef50d896f460672ca4185a005",
     2: "9fe546baa8bc6c4586e28e681519db972bcabc7c5b777332343323e878da9fcc",
+}
+RESOLVING_DRAWS = {
+    1: "ff1b01527b01c44ed5efa4fc429b3fd7a8c6395a9cdeace77af552e377e242d0",
+    2: "2dc98b94c8724c169f165a56c73c9a3353d18f2533d0944051a91af25fb18a90",
 }
 
 # `test_baselines_are_pinned_to_the_bit`: every column and per-device
@@ -135,6 +142,24 @@ def run_digests(tmp_path, capsys, doc, plan=None) -> dict[str, str]:
     for f in sorted(out.iterdir()):
         digests[f.name] = hashlib.sha256(f.read_bytes()).hexdigest()
     return digests
+
+
+def _draws(report) -> str:
+    """SHA-256 of what a hybrid run drew: every `FrameSummary` column but
+    the two that price a collision by its mean transmitters
+    (``coll_tx_time_us``, ``listen_time_us``), the traces and the
+    per-device counters.  A change to how that mean is computed keeps it."""
+    digest = hashlib.sha256()
+    for name, column in zip(report.columns._fields, report.columns):
+        if name not in ("coll_tx_time_us", "listen_time_us"):
+            digest.update(column.tobytes())
+    for trace in report.traces:
+        digest.update(repr((trace.frame, trace.winners)).encode())
+        digest.update(trace.d_before.tobytes())
+    for counter in (report.generated, report.dropped, report.delivered,
+                    report.delay_frames_sum):
+        digest.update(counter.tobytes())
+    return digest.hexdigest()
 
 
 def _k1200_plan():
@@ -168,8 +193,8 @@ def test_zero_winner_frames_of_a_loaded_plan_are_pinned(tc):
         digest.update(repr((trace.frame, trace.winners)).encode())
         digest.update(trace.d_before.tobytes())
     assert [t for t, f in enumerate(report.per_frame) if f.m_realized == 0] == [1, 3]
+    assert _draws(report) == ZERO_WINNER_DRAWS
     assert digest.hexdigest() == ZERO_WINNER_FRAMES
-
 
 
 @pytest.mark.parametrize("seed", sorted(RESOLVING_FRAMES))
@@ -188,6 +213,7 @@ def test_resolving_frames_are_pinned_to_the_bit(tc, seed):
                     report.delay_frames_sum):
         digest.update(counter.tobytes())
     assert all(0 < f.m_realized < d.m_opt for f, d in zip(report.per_frame, plan.per_frame))
+    assert _draws(report) == RESOLVING_DRAWS[seed]
     assert digest.hexdigest() == RESOLVING_FRAMES[seed]
 
 
