@@ -22,7 +22,7 @@ import numpy as np
 # is paid on import and not inside the first simulated seed
 import numpy.random
 
-from .analytics import slot_law_rows
+from .analytics import ordered_sum, slot_law_rows
 from .domain import US_PER_S, ClassConfig, ConfigError, TimingConstants
 from .priority import escalation_table
 
@@ -173,38 +173,21 @@ def _cop(rng: np.random.Generator, counts, probs, period: _Period,
 _Gaps = namedtuple("_Gaps", "p_lone share tx")
 
 
-def _entry_sum(x: np.ndarray, axis: int) -> np.ndarray:
-    """Each mixture's sum over its entries along ``axis``, in numpy's order
-    along a row: in turn from 0.0 below 8 entries, else pairwise."""
-    if axis == 0 and len(x) < 8:  # a sum over rows, without a transposed copy
-        return np.add.reduce(x, axis=0)
-    return np.ascontiguousarray(np.moveaxis(x, axis, -1)).sum(axis=-1)
-
-
 def _gap_laws(probs: np.ndarray, counts: np.ndarray, groups: np.ndarray) -> _Gaps:
     """`_Gaps` before each success of a race whose winners come from
     ``groups`` in order, from the counts left before it, one column per
-    winner: column 0 holds ``counts``, column j the counts after j winners,
-    so a sum over groups adds whole rows.  No rounding carries over between
-    columns.  The collision mean reads log P(idle) from BLAS products over
-    rows of counts; beside a p = 1 device another transmitter is certain
-    (README, "Simulator"), and a lone p = 1 device has no failed slot."""
+    winner: column 0 holds ``counts``, column j the counts after j winners.
+    Every slot probability is read off one `slot_law_rows` call and every
+    sum over groups is `ordered_sum`'s, so no rounding carries over between
+    columns.  A collision's mean transmitters are E[X; X >= 2] / P(collision)
+    with E[X; X >= 2] = E[X] - P(success) (README, "Simulator")."""
     won = np.concatenate(([-1], groups[:-1])) == np.arange(len(counts))[:, None]
     left = np.subtract(counts[:, None], np.add.accumulate(won, 1, np.int64), dtype=float)
     p_idle, p_busy, terms = slot_law_rows(probs[:, None], left, axis=0)
-    p_lone = np.minimum(_entry_sum(terms, 0), p_busy)
+    p_lone = np.minimum(ordered_sum(terms, 0), p_busy)
     p_coll = np.subtract(p_busy, p_lone, out=p_busy)
     p_coll[np.add.reduce(counts) - 1:] = 0.0  # one contender left cannot collide
-    log_stay = np.log1p(-probs * (probs < 1.0))  # 0 for an emptied p = 1 group
-    # a BLAS product's bits hang on its shape: the rows of counts after the
-    # first success, in C order, are one product, as in the row layout
-    rows = np.ascontiguousarray(left.T)
-    log_idle = np.concatenate((rows[:1] @ log_stay, rows[1:] @ log_stay))
-    hit = np.subtract(log_idle, log_stay[:, None], out=terms)
-    sure = probs >= 1.0
-    if sure.any():  # P(another transmits) = 1 beside another p = 1 device
-        hit[np.add.reduce(left[sure], axis=0) > sure[:, None]] = -np.inf
-    hit = _entry_sum(np.expm1(hit, out=hit) * (left * -probs[:, None]), 0)
+    hit = ordered_sum(left * probs[:, None], 0) - p_lone
     tx = hit / (p_coll if p_coll.all() else np.where(p_coll > 0.0, p_coll, np.inf))
     # the least double keeps each share and puts 0 where no slot fails
     return _Gaps(p_lone, p_idle / np.maximum(p_idle + p_coll, 5e-324), tx)

@@ -107,15 +107,15 @@ GOLDEN = {
 # `test_zero_winner_frames_of_a_loaded_plan_are_pinned`: the summaries and
 # traces of a resolving run whose plan has two zero-winner frames, and its
 # draws (`_draws`)
-ZERO_WINNER_FRAMES = "bd439c67d82e56fad60ae795df0f68e5781971de8b3e78cc3a8843308e876519"
+ZERO_WINNER_FRAMES = "d5e4a5be8dddf629f8c1dda50e34b6888a66b552df3c15fac0ad3dfbe02233ce"
 ZERO_WINNER_DRAWS = "cf4ee04d8ee2bd86150b7f292b73a212cdc25429371059e5366556a2937aaa64"
 
 # `test_resolving_frames_are_pinned_to_the_bit`: per seed, the summaries,
 # traces and per-device counters of ten resolving-drain frames, and their
 # draws (`_draws`)
 RESOLVING_FRAMES = {
-    1: "1df07438552b02051fa3cde4c092f4fd5da38d4ef50d896f460672ca4185a005",
-    2: "9fe546baa8bc6c4586e28e681519db972bcabc7c5b777332343323e878da9fcc",
+    1: "f57ecb139e32b7d82fdb0ca562c6de12a9192f8c5e4cc2061157cd19351d79e5",
+    2: "665a9a2281af8f79b0b677c570d25c43ba4522065c8a57fed003babbec4a4b8c",
 }
 RESOLVING_DRAWS = {
     1: "ff1b01527b01c44ed5efa4fc429b3fd7a8c6395a9cdeace77af552e377e242d0",

@@ -271,6 +271,8 @@ def _collision_mean(probs: np.ndarray, row: np.ndarray):
 @example(groups=[(60, 0.9)], seed=0)               # P(collision) == 1
 @example(groups=[(2, 1.0), (3, 0.2)], seed=0)      # two p = 1 devices
 @example(groups=[(1, 1.0), (3, 0.2), (2, 0.6)], seed=0)  # a lone p = 1 device
+@example(groups=[(1, 1.0), (500, 1e-6)], seed=0)  # a lone p = 1 device, light traffic
+@example(groups=[(1, 1.0), (1, 1.0), (5, 0.3)], seed=0)  # P(success) = 0, mean 3.5
 @example(groups=[(0, 1.0), (0, 0.3), (4, 0.1)], seed=0)  # zero counts
 @example(groups=[(1, 0.4)], seed=0)                # a lone contender
 @settings(max_examples=300, deadline=None)
@@ -325,9 +327,9 @@ def test_race_laws_follow_the_remaining_counts(groups, seed):
 
 
 @example(groups=[(1, 1.0), (700, 5e-4), (0, 0.3), (8, 2e-3)], seed=0)  # emptied p = 1
-@example(groups=[(30, 0.01 * (i + 1)) for i in range(13)], seed=0)  # pairwise sums
+@example(groups=[(30, 0.01 * (i + 1)) for i in range(13)], seed=0)  # 13 groups, in order
 @example(groups=[(11, 0.015625), (121, 0.5), (1, 1.0), (0, 1.0), (150, 0.25), (0, 1.0),
-                 (0, 1.0), (142, 0.5)], seed=0)  # BLAS bits that hang on the row count
+                 (0, 1.0), (142, 0.5)], seed=0)  # 8 groups, p = 1 and empty ones among them
 @settings(max_examples=200, deadline=None)
 @given(groups=st.lists(st.tuples(st.integers(0, 300),
                                  st.one_of(st.just(1.0), st.just(0.0),
@@ -337,10 +339,10 @@ def test_race_laws_follow_the_remaining_counts(groups, seed):
 def test_gap_laws_equal_the_row_layout(groups, seed):
     """The gap laws of a race after its first success, laid out (group,
     winner), against the row layout they replaced (tests/race_oracle.py),
-    to the bit.  numpy's sum along a row of entries turns pairwise at 8
-    of them, and the collision mean's log P(idle) is a BLAS product: both
-    orders must be kept.  Up to 13 groups, with zero counts, p = 0 groups
-    and a p = 1 group emptied by its device, which wins first."""
+    to the bit: both add the groups in order (`ordered_sum`), whether a
+    layout's sums run along its rows or its columns.  Up to 13 groups, with
+    zero counts, p = 0 groups and a p = 1 group emptied by its device,
+    which wins first."""
     probs = np.array([p for _, p in groups])
     certain = probs >= 1.0
     counts = np.array([n if not c else min(n, 1) * (i == np.argmax(certain))
