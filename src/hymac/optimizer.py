@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +33,10 @@ class NoFeasiblePointError(RuntimeError):
     """No grid cell admits even an all-idle plan."""
 
 
-@dataclass(frozen=True)
-class FrameDecision:
+class FrameDecision(NamedTuple):
+    """One frame of a plan, a named tuple like `simulator.FrameSummary`:
+    it equals the plain tuple of its fields, and `dataclasses.replace`
+    does not apply to it (`FramePlan` is still a dataclass)."""
     m_opt: int
     t_cop_opt_us: float
     population: None = None  # never set; bench/worker.py reads it for population_cells_max
@@ -206,14 +209,24 @@ def _recursion(cfg: ClassConfig, tc: TimingConstants, horizon: int, cells: list)
     retired: its rows leave the window, it plans 0 winners in 0 us for
     every frame left, and only the live cells evolve (the next window is
     trimmed to them).  The pass ends when no cell is live.
+
+    The `escalation_table` holds the live cells' rows and only the columns
+    the window reaches, rho < d0 + Q + width - 1 (Q classes): 2Q at first,
+    and twice the reach, at most Q + horizon - 1, each time the window
+    outgrows it.  An entry depends only on its cell and rho, so a narrower
+    table holds the same bits.
     """
-    n_cells = len(cells)
-    full = 1.0 + (cfg.q_count + 1) * _COUNT_EPS
-    prob = escalation_table(cells, cfg.q_count + horizon - 1)
+    n_cells, n_q = len(cells), cfg.q_count
+    full = 1.0 + (n_q + 1) * _COUNT_EPS
+    prob = np.zeros((n_cells, 0))  # built in the first frame, 2Q wide
     live = np.arange(n_cells)  # the cells the window holds, in grid order
     choked_from = np.zeros(n_cells, dtype=np.int64)
     pop, d0 = initial_population(cfg, tc, n_cells), 0
     for t in range(horizon):
+        reach = d0 + n_q + pop.shape[2] - 1
+        if reach > prob.shape[1]:
+            prob = escalation_table([cells[c] for c in live.tolist()],
+                                    min(2 * reach, n_q + horizon - 1))
         mix = mixture_of(pop, d0, prob)
         won, t_cop, terms = max_feasible_m(mix, tc)
         absorbed = ordered_sum(mix[1] * (mix[0] >= 1.0)) > full

@@ -467,6 +467,41 @@ def test_default_grid_window_leaves_the_empty_columns(tc):
         [(100, 1), (18, 2), (9, 3), (3, 4), (1, 5)]
 
 
+def _table_requests(monkeypatch, cfg, tc, horizon, cells):
+    """The (frame, cells, columns) of each `escalation_table` a pass
+    builds, 0-based frame, and the live cells of every frame."""
+    requests, lives = [], []
+
+    def recording(table_cells, n_rho):
+        requests.append((len(lives), list(table_cells), n_rho))
+        return escalation_table(table_cells, n_rho)
+
+    monkeypatch.setattr(optimizer, "escalation_table", recording)
+    for _, _, live, *_ in _recursion(cfg, tc, horizon, cells):
+        lives.append(live.tolist())
+    return requests, lives
+
+
+def test_the_table_holds_the_columns_the_window_reaches(monkeypatch, tc):
+    # the choked default grid's window reaches Q + 4 columns in frame 5,
+    # its last, so no table is wider than 2 (Q + 5) columns, not
+    # Q + H - 1 = 202, and a table built after frame 1 holds only the
+    # cells still live
+    cfg = _layout(1200)
+    q = cfg.q_count
+    cells = [(a, p) for a in DEFAULT_ALPHA_GRID for p in DEFAULT_P_INL_GRID]
+    requests, lives = _table_requests(monkeypatch, cfg, tc, 200, cells)
+    assert requests[0] == (0, cells, 2 * q)
+    assert all(n <= 2 * (q + 5) for *_, n in requests)
+    assert [n for *_, n in requests] == [2 * q, 2 * (q + 4)]  # doubled once
+    t, table_cells, _ = requests[-1]
+    assert t > 0 and table_cells == [cells[c] for c in lives[t]]
+    assert len(table_cells) < len(cells)
+    # the resolving cell never outgrows its first table
+    requests, _ = _table_requests(monkeypatch, cfg, tc, 200, [(1.0, 5e-4)])
+    assert [n for *_, n in requests] == [2 * q]
+
+
 def test_escalation_table_matches_escalated_probability():
     # alpha = 5 overflows a float from rho = 397, and p_inl = 1 is capped
     # from rho = 0

@@ -272,6 +272,7 @@ def _collision_mean(probs: np.ndarray, row: np.ndarray):
 @example(groups=[(2, 1.0), (3, 0.2)], seed=0)      # two p = 1 devices
 @example(groups=[(1, 1.0), (3, 0.2), (2, 0.6)], seed=0)  # a lone p = 1 device
 @example(groups=[(1, 1.0), (500, 1e-6)], seed=0)  # a lone p = 1 device, light traffic
+@example(groups=[(1, 1.0), (59, 1e-6)], seed=0)  # the same at 60 devices: every mean checked
 @example(groups=[(1, 1.0), (1, 1.0), (5, 0.3)], seed=0)  # P(success) = 0, mean 3.5
 @example(groups=[(0, 1.0), (0, 0.3), (4, 0.1)], seed=0)  # zero counts
 @example(groups=[(1, 0.4)], seed=0)                # a lone contender
